@@ -339,7 +339,6 @@ def _selftest_checks():
 
     from .pump import (
         BathSpec,
-        bose_occupation,
         carnot_cop,
         cooling_window_max,
         effective_temperature,
@@ -483,7 +482,7 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_file=True):
+    def common(p):
         p.add_argument("--params", default=None,
                        help="parameter file (key = value lines)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",

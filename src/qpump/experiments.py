@@ -16,30 +16,28 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .linalg import (
     KERNEL_RCOND_FLOOR,
     KERNEL_RESIDUAL_RTOL,
     NoKernelError,
     _rcond_estimate,
-    trace_row,
 )
 from .pump import (
     BathSpec,
     PumpConfig,
     WeakCouplingWarning,
-    build_jump_operator,
     carnot_cop,
-    carnot_cop_for,
     cooling_window_max,
     cooling_window_max_fixed_work,
     decay_rates,
-    level_energies,
+    effective_temperatures,
     squeeze_db_to_r,
     transition_pairs,
     window_max,
 )
-from .steady import _lindblad_structure, solve
+from .steady import solve
 from .three_qubit import ThreeQubitConfig, solve_three_qubit
 
 __all__ = [
@@ -204,88 +202,67 @@ class CurveSetup:
 class _CoolingPowerEvaluator:
     """q_c as a function of omega_c for one pump template.
 
-    Reuses the rate-independent superoperator structure of each bath across
-    the sweep (it depends only on N), so evaluating a point costs one rate
-    contraction plus one small dense solve.  All state is local to the
-    instance; nothing is cached globally.
+    The ideal generator maps diagonal states to diagonal states, and the
+    coherences decouple from the populations and decay, so the stationary
+    populations solve the N x N classical master equation ``dp/dt = M p``
+    exactly (Schnakenberg, Rev. Mod. Phys. 48, 571 (1976)).  ``M`` depends
+    on omega_c only through six rates, so a per-template (6, N^2) stack of
+    down/up incidence matrices makes each sweep point one rate contraction
+    plus one small real solve.  All state is local to the instance; nothing
+    is cached globally.
     """
 
-    _LABELS = ("work", "hot", "cold")
-
     def __init__(self, template: PumpConfig):
-        from scipy.linalg.lapack import get_lapack_funcs
-
         n = template.n_levels
         self.template = template
         self.n = n
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", WeakCouplingWarning)
-            probe = replace(template, omega_c=template.omega_h * 0.5)
-        stack = []
-        self.pairs = {}
-        for label in self._LABELS:
-            jump = build_jump_operator(probe, label)
-            a, b = _lindblad_structure(jump)
-            stack.append(a.ravel())
-            stack.append(b.ravel())
-            lows, highs = zip(*[(lo - 1, hi - 1)
-                                for lo, hi in transition_pairs(n, label)])
-            self.pairs[label] = (np.array(lows), np.array(highs))
-        # one (6, d^4) matrix so the rate-weighted sum of structures is a
-        # single BLAS contraction per sweep point
-        self._stack = np.array(stack)
-        self.trace_row = trace_row(n)
-        self.rhs = np.zeros(n * n, dtype=complex)
+        # slice 2k is bath k's downward (hi -> lo) incidence, 2k+1 its upward
+        # one; every column of each slice sums to zero
+        stack = np.zeros((6, n, n))
+        for k, label in enumerate(("work", "hot", "cold")):
+            for lo, hi in transition_pairs(n, label):
+                i, j = lo - 1, hi - 1
+                stack[2 * k, i, j] += 1.0
+                stack[2 * k, j, j] -= 1.0
+                stack[2 * k + 1, j, i] += 1.0
+                stack[2 * k + 1, i, i] -= 1.0
+        self._stack = stack.reshape(6, n * n)
+        self.cold_lows, self.cold_highs = np.array(transition_pairs(n, "cold")).T - 1
+        self.rhs = np.zeros(n)
         self.rhs[0] = 1.0
-        self._gesv, = get_lapack_funcs(("gesv",), (self._stack,))
-
-    def _rates(self, label: str, omega_c: float):
-        freq = {"work": self.template.omega_h - omega_c,
-                "hot": self.template.omega_h,
-                "cold": omega_c}[label]
-        return decay_rates(self.template.bath(label), freq)
 
     def q_cold(self, omega_c: float, validate: bool = False) -> float:
         """Cooling power at one cold frequency.  Raises linalg kernel errors
-        when the generator's stationary state is not trustworthy.
+        when the stationary populations are not trustworthy.
 
-        Equals the trace-formula current ``tr(H D_c rho)``: for these jump
-        structures the two differ only in summation order.  ``validate``
-        adds a condition-number check that rejects numerically degenerate
-        kernels whose mixtures would still pass the residual gate.
+        Solves the population balance with its first row replaced by the
+        trace constraint.  The result equals the trace-formula current
+        ``tr(H D_c rho)`` of the full generator, because the ideal pump's
+        stationary state is diagonal.  ``validate`` adds a condition-number
+        check that rejects numerically degenerate kernels whose mixtures
+        would still pass the residual gate.
         """
-        n = self.n
-        e = level_energies(n, self.template.omega_h, omega_c)
-        rate_pairs = {lbl: self._rates(lbl, omega_c) for lbl in self._LABELS}
-        weights = np.empty(6, dtype=complex)
-        for k, lbl in enumerate(self._LABELS):
-            weights[2 * k] = rate_pairs[lbl].down
-            weights[2 * k + 1] = rate_pairs[lbl].up
-        mat = (weights @ self._stack).reshape(n * n, n * n)
-        de = e[:, None] - e[None, :]             # de[i, j] = E_i - E_j
-        scale = max(float(np.max(weights.real)), float(e[-1]))
-        mat.ravel()[:: n * n + 1] += -1j * de.reshape(-1, order="F")
-        row0 = mat[0, :].copy()
-        mat[0, :] = self.trace_row
+        t = self.template
+        work = decay_rates(t.work, t.omega_h - omega_c)
+        hot = decay_rates(t.hot, t.omega_h)
+        cold = decay_rates(t.cold, omega_c)
+        weights = np.array([work.down, work.up, hot.down, hot.up, cold.down, cold.up])
+        rates = (weights @ self._stack).reshape(self.n, self.n)
+        mat = rates.copy()
+        mat[0, :] = 1.0
         anorm = np.abs(mat).sum(axis=0).max() if validate else 0.0
-        lu, _, v, info = self._gesv(mat, self.rhs)
+        lu, _, p, info = dgesv(mat, self.rhs)
         if info != 0:
-            raise NoKernelError(f"dense solve failed (LAPACK info={info})")
+            raise NoKernelError(f"population solve failed (LAPACK info={info})")
         if validate and _rcond_estimate(lu, anorm) < KERNEL_RCOND_FLOOR:
             raise NoKernelError("stationary state numerically degenerate")
-        resid = mat @ v
-        resid -= self.rhs
-        resid[0] = row0 @ v
-        if not np.all(np.isfinite(v)) or np.max(np.abs(resid)) > KERNEL_RESIDUAL_RTOL * scale:
+        scale = np.max(np.abs(rates))
+        if not np.all(np.isfinite(p)) or np.max(np.abs(rates @ p)) > KERNEL_RESIDUAL_RTOL * scale:
             raise NoKernelError(
-                f"scan solve residual exceeds {KERNEL_RESIDUAL_RTOL:.0e} x |L|"
+                f"scan solve residual exceeds {KERNEL_RESIDUAL_RTOL:.0e} x |M|"
             )
-        p = np.real(v[:: n + 1])
         p = p / p.sum()
-        # net upward flux per bath times the transition frequency
-        lows, highs = self.pairs["cold"]
-        pair = rate_pairs["cold"]
-        flux = pair.up * p[lows].sum() - pair.down * p[highs].sum()
+        flux = cold.up * p[self.cold_lows].sum() - cold.down * p[self.cold_highs].sum()
         return float(omega_c * flux)
 
 
@@ -341,37 +318,35 @@ def maximize_cooling_power(template: PumpConfig) -> Optimum:
     evaluations = 0
     best_i, best_q = None, -math.inf
     last_error: Exception | None = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakCouplingWarning)
-        for i in range(1, COARSE_GRID_POINTS + 1):
-            x = window * i / (COARSE_GRID_POINTS + 1)
-            evaluations += 1
-            try:
-                q = ev.q_cold(x)
-            except np.linalg.LinAlgError as exc:
-                last_error = exc
-                continue
-            if q > best_q:
-                best_i, best_q = i, q
-        if best_i is None:
-            raise last_error if last_error is not None else EmptyWindowError(
-                "no valid sweep point in the cooling window"
-            )
-        a = window * (best_i - 1) / (COARSE_GRID_POINTS + 1)
-        b = window * (best_i + 1) / (COARSE_GRID_POINTS + 1)
-        x_star, q_star, golden_evals = _golden_max(
-            ev.q_cold, a, b, GOLDEN_RELATIVE_WIDTH * window
-        )
-        evaluations += golden_evals
-        if not (q_star > 0) or not math.isfinite(q_star):
-            # The refined cell degenerated; fall back to the best grid point.
-            x_star = window * best_i / (COARSE_GRID_POINTS + 1)
-        # one fully validated evaluation at the reported maximizer
-        q_star = ev.q_cold(x_star, validate=True)
+    for i in range(1, COARSE_GRID_POINTS + 1):
+        x = window * i / (COARSE_GRID_POINTS + 1)
         evaluations += 1
-        cfg_star = replace(template, omega_c=x_star)
-    eps_star = x_star / (template.omega_h - x_star)
-    eps_ratio = eps_star / carnot_cop_for(cfg_star)
+        try:
+            q = ev.q_cold(x)
+        except np.linalg.LinAlgError as exc:
+            last_error = exc
+            continue
+        if q > best_q:
+            best_i, best_q = i, q
+    if best_i is None:
+        raise last_error if last_error is not None else EmptyWindowError(
+            "no valid sweep point in the cooling window"
+        )
+    a = window * (best_i - 1) / (COARSE_GRID_POINTS + 1)
+    b = window * (best_i + 1) / (COARSE_GRID_POINTS + 1)
+    x_star, q_star, golden_evals = _golden_max(
+        ev.q_cold, a, b, GOLDEN_RELATIVE_WIDTH * window
+    )
+    evaluations += golden_evals
+    if not (q_star > 0) or not math.isfinite(q_star):
+        # The refined cell degenerated; fall back to the best grid point.
+        x_star = window * best_i / (COARSE_GRID_POINTS + 1)
+    # one fully validated evaluation at the reported maximizer
+    q_star = ev.q_cold(x_star, validate=True)
+    evaluations += 1
+    omega_w_star = template.omega_h - x_star
+    eps_star = x_star / omega_w_star
+    eps_ratio = eps_star / carnot_cop(effective_temperatures(template, omega_w_star))
     return Optimum(
         omega_c_star=x_star,
         q_c_max=q_star,
@@ -387,16 +362,14 @@ def brute_force_grid_max(template: PumpConfig, n_points: int = 4096) -> tuple[fl
     window = window_max(template)
     ev = _CoolingPowerEvaluator(template)
     best = (math.nan, -math.inf)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakCouplingWarning)
-        for i in range(1, n_points + 1):
-            x = window * i / (n_points + 1)
-            try:
-                q = ev.q_cold(x)
-            except np.linalg.LinAlgError:
-                continue
-            if q > best[1]:
-                best = (x, q)
+    for i in range(1, n_points + 1):
+        x = window * i / (n_points + 1)
+        try:
+            q = ev.q_cold(x)
+        except np.linalg.LinAlgError:
+            continue
+        if q > best[1]:
+            best = (x, q)
     return best
 
 
@@ -471,8 +444,13 @@ def _sample_point(ranges: SampleRanges, index: int) -> tuple[float, int, int]:
                     hot=BathSpec("hot", t_h, gammas[1]),
                     cold=BathSpec("cold", t_c, gammas[2]),
                 )
+        except ValueError:
+            continue
+        # A failed gate or an optimum that breaks Carnot is a defect, not a
+        # rejection: only an empty window or an unsolvable kernel is redrawn.
+        try:
             optimum = maximize_cooling_power(cfg)
-        except (ValueError, np.linalg.LinAlgError, RuntimeError):
+        except (EmptyWindowError, np.linalg.LinAlgError):
             continue
         return optimum.eps_ratio, n, attempt
     raise RuntimeError(f"sample {index}: no valid fridge after 64 attempts")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = [
     "SuperOp",
@@ -122,10 +123,10 @@ def trace_defect(op: SuperOp) -> float:
 
 
 def _rcond_estimate(lu: np.ndarray, anorm: float) -> float:
-    """LAPACK reciprocal condition estimate from an LU factorization."""
-    from scipy.linalg.lapack import zgecon
-
-    rcond, info = zgecon(lu, anorm)
+    """LAPACK reciprocal condition estimate from an LU factorization, real
+    or complex by the factor's dtype."""
+    gecon, = get_lapack_funcs(("gecon",), (lu,))
+    rcond, info = gecon(lu, anorm)
     if info != 0:
         return 0.0
     return float(rcond)

@@ -39,7 +39,6 @@ __all__ = [
     "cooling_window_max",
     "cooling_window_max_fixed_work",
     "carnot_cop",
-    "work_frequency",
     "effective_temperatures",
     "window_max",
     "carnot_cop_for",
@@ -97,8 +96,28 @@ class BathSpec:
             raise ValueError(f"squeezing/saturation is only supported on the work bath")
 
 
+class _ThreeBathConfig:
+    """Bath bookkeeping shared by the machine configs, which provide the
+    ``work``/``hot``/``cold`` baths and ``omega_w``/``omega_h``/``omega_c``."""
+
+    def _check_baths(self) -> None:
+        for spec, lbl in zip((self.work, self.hot, self.cold), _BATH_LABELS):
+            if spec.label != lbl:
+                raise ValueError(f"bath in slot {lbl!r} is labelled {spec.label!r}")
+        if not self.work.saturated and not (self.work.temperature > self.hot.temperature):
+            raise ValueError("need T_w > T_h (or a saturated work bath)")
+        if not (self.hot.temperature > self.cold.temperature):
+            raise ValueError("need T_h > T_c")
+
+    def bath(self, label: str) -> BathSpec:
+        return {"work": self.work, "hot": self.hot, "cold": self.cold}[label]
+
+    def bath_frequency(self, label: str) -> float:
+        return {"work": self.omega_w, "hot": self.omega_h, "cold": self.omega_c}[label]
+
+
 @dataclass(frozen=True)
-class PumpConfig:
+class PumpConfig(_ThreeBathConfig):
     """A complete N-level ideal pump instance."""
 
     n_levels: int
@@ -115,13 +134,7 @@ class PumpConfig:
             raise ValueError(
                 f"need 0 < omega_c < omega_h, got omega_c={self.omega_c}, omega_h={self.omega_h}"
             )
-        for spec, lbl in ((self.work, "work"), (self.hot, "hot"), (self.cold, "cold")):
-            if spec.label != lbl:
-                raise ValueError(f"bath in slot {lbl!r} is labelled {spec.label!r}")
-        if not self.work.saturated and not (self.work.temperature > self.hot.temperature):
-            raise ValueError("need T_w > T_h (or a saturated work bath)")
-        if not (self.hot.temperature > self.cold.temperature):
-            raise ValueError("need T_h > T_c")
+        self._check_baths()
         floor = WEAK_COUPLING_FRACTION * min(
             self.omega_c, self.omega_h - self.omega_c, self.cold.temperature
         )
@@ -134,18 +147,8 @@ class PumpConfig:
             )
 
     @property
-    def baths(self) -> tuple[BathSpec, BathSpec, BathSpec]:
-        return (self.work, self.hot, self.cold)
-
-    @property
     def omega_w(self) -> float:
         return self.omega_h - self.omega_c
-
-    def bath(self, label: str) -> BathSpec:
-        return {"work": self.work, "hot": self.hot, "cold": self.cold}[label]
-
-    def bath_frequency(self, label: str) -> float:
-        return {"work": self.omega_w, "hot": self.omega_h, "cold": self.omega_c}[label]
 
 
 @dataclass(frozen=True)
@@ -320,39 +323,33 @@ def carnot_cop(temps: tuple[float, float, float]) -> float:
     return (t_w - t_h) * t_c / ((t_h - t_c) * t_w)
 
 
-def work_frequency(cfg: PumpConfig) -> float:
-    return cfg.omega_h - cfg.omega_c
-
-
 def effective_temperatures(cfg: PumpConfig,
-                           at_omega: float | None = None) -> tuple[float, float, float]:
+                           at_omega: float) -> tuple[float, float, float]:
     """(T_w_eff, T_h, T_c) with the work bath replaced by its effective
-    temperature at frequency ``at_omega`` (default: the config's work
-    frequency).  For a plain work bath this is just the bare temperatures."""
-    w = cfg.omega_w if at_omega is None else at_omega
+    temperature at frequency ``at_omega``.  For a plain work bath this is
+    just the bare temperatures."""
     if cfg.work.squeeze_r > 0 or cfg.work.saturated:
-        t_w = effective_temperature(cfg.work, w)
+        t_w = effective_temperature(cfg.work, at_omega)
     else:
         t_w = cfg.work.temperature
     return (t_w, cfg.hot.temperature, cfg.cold.temperature)
 
 
-def window_max(cfg: PumpConfig, at_omega: float | None = None) -> float:
+def window_max(cfg: PumpConfig) -> float:
     """Cooling-window edge of a config, squeezing/saturation-aware.
 
     For engineered work baths the effective temperature depends (weakly) on
-    frequency; by default it is evaluated at ``omega_w = omega_h`` (the
-    small-omega_c limit), which bounds the window from above and is the safe
-    bracket for maximizing the cooling power.
+    frequency; it is evaluated at ``omega_w = omega_h`` (the small-omega_c
+    limit), which bounds the window from above and is the safe bracket for
+    maximizing the cooling power.
     """
-    w = cfg.omega_h if at_omega is None else at_omega
-    return cooling_window_max(cfg.omega_h, effective_temperatures(cfg, at_omega=w))
+    return cooling_window_max(cfg.omega_h, effective_temperatures(cfg, cfg.omega_h))
 
 
-def carnot_cop_for(cfg: PumpConfig, at_omega: float | None = None) -> float:
-    """Carnot COP of a config using the effective work temperature at
-    ``at_omega`` (default: the config's own work frequency)."""
-    return carnot_cop(effective_temperatures(cfg, at_omega=at_omega))
+def carnot_cop_for(cfg: PumpConfig) -> float:
+    """Carnot COP of a config using the effective work temperature at the
+    config's own work frequency."""
+    return carnot_cop(effective_temperatures(cfg, cfg.omega_w))
 
 
 def ideal_pump(n_levels: int, omega_h: float, omega_c: float,

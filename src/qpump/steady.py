@@ -79,6 +79,7 @@ IDEALITY_RTOL = 1e-8
 # numerically indistinguishable from zero (reversible point, equilibrium).
 _GATE_FRACTION = 1e-10
 _MODE_FRACTION = 1e-15
+_POLISH_ITERATIONS = 3
 
 
 class NonConvergedError(RuntimeError):
@@ -109,7 +110,7 @@ class SteadySolution:
     # stationary state at the working extended precision; the per-level
     # current bookkeeping reuses it so decompositions match the currents
     # beyond the double-rounding floor
-    rho_ld: np.ndarray | None = None
+    rho_ld: np.ndarray
 
     @property
     def currents(self) -> dict[str, float]:
@@ -191,7 +192,7 @@ def _apply_dissipator(s, down, up, rho):
 
 
 class _Generator:
-    """One system's Hamiltonian and dissipation channels in a chosen dtype,
+    """One system's Hamiltonian and dissipation channels in extended precision,
     supporting matrix-form action (for refinement residuals) and per-bath
     current assembly."""
 
@@ -201,19 +202,13 @@ class _Generator:
         self.channels = channels
 
     @classmethod
-    def for_pump(cls, cfg: PumpConfig, ld: bool = True):
-        dt = np.longdouble if ld else float
-        cdt = _LD if ld else complex
-        e = level_energies(cfg.n_levels, cfg.omega_h, cfg.omega_c, dtype=dt)
-        ham = np.diag(e.astype(cdt))
+    def for_pump(cls, cfg: PumpConfig):
+        e = level_energies(cfg.n_levels, cfg.omega_h, cfg.omega_c, dtype=np.longdouble)
+        ham = np.diag(e.astype(_LD))
         channels = {}
         for label in _BATHS:
-            s = build_jump_operator(cfg, label).astype(cdt)
-            if ld:
-                down, up = _rates_for_bath_ld(cfg.bath(label), cfg.bath_frequency(label))
-            else:
-                pair = decay_rates(cfg.bath(label), cfg.bath_frequency(label))
-                down, up = pair.down, pair.up
+            s = build_jump_operator(cfg, label).astype(_LD)
+            down, up = _rates_for_bath_ld(cfg.bath(label), cfg.bath_frequency(label))
             channels[label] = (s, down, up)
         return cls(ham, channels)
 
@@ -234,8 +229,7 @@ class _Generator:
         return max(float(np.real(down + up)) for _, down, up in self.channels.values())
 
 
-def _polish_state(matrix: np.ndarray, v0: np.ndarray, gen_ld: _Generator,
-                  iterations: int = 3) -> np.ndarray:
+def _polish_state(matrix: np.ndarray, v0: np.ndarray, gen_ld: _Generator) -> np.ndarray:
     """Refine the kernel vector against the extended-precision generator.
 
     Solves corrections through the double-precision LU of the
@@ -248,7 +242,7 @@ def _polish_state(matrix: np.ndarray, v0: np.ndarray, gen_ld: _Generator,
     m[0, :] = trace_row(n)
     lu = sla.lu_factor(m, check_finite=False)
     v = v0.astype(_LD)
-    for _ in range(iterations):
+    for _ in range(_POLISH_ITERATIONS):
         rho = v.reshape((n, n), order="F")
         resid = -gen_ld.action(rho).reshape(-1, order="F")
         resid[0] = 1.0 - np.trace(rho)
@@ -333,7 +327,7 @@ def solve(cfg: PumpConfig) -> SteadySolution:
     """
     liouv = build_liouvillian(cfg)
     v = stationary_vector(liouv)
-    gen_ld = _Generator.for_pump(cfg, ld=True)
+    gen_ld = _Generator.for_pump(cfg)
     rho = _polish_state(liouv.matrix, v, gen_ld)
     kernel_residual = float(
         np.max(np.abs(liouv.matrix @ np.asarray(vectorize(rho), dtype=complex)))
@@ -391,10 +385,9 @@ def heat_currents_decomposed(cfg: PumpConfig,
     """
     if solution is None:
         solution = solve(cfg)
-    rho = solution.rho_ld if solution.rho_ld is not None \
-        else solution.rho_inf.astype(_LD)
+    rho = solution.rho_ld
     n = cfg.n_levels
-    gen = _Generator.for_pump(cfg, ld=True)
+    gen = _Generator.for_pump(cfg)
     diag = {}
     for label, (s, down, up) in gen.channels.items():
         diag[label] = np.real(np.diag(_apply_dissipator(s, down, up, rho))).astype(float)

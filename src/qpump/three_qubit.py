@@ -32,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SuperOp, stationary_vector, vectorize
-from .pump import BathSpec, decay_rates, effective_temperature
+from .pump import BathSpec, _ThreeBathConfig, decay_rates, effective_temperature
 from .steady import (
+    _LD,
     SteadySolution,
     _Generator,
     _polish_state,
@@ -51,8 +52,6 @@ __all__ = [
     "COUPLING_FRACTION",
 ]
 
-_LD = np.clongdouble
-
 # g above this fraction of the smallest qubit frequency strains the
 # perturbative three-body-exchange picture; warn, do not refuse.
 COUPLING_FRACTION = 0.1
@@ -63,7 +62,7 @@ _QUBIT_SLOT = {"cold": 0, "work": 1, "hot": 2}
 
 
 @dataclass(frozen=True)
-class ThreeQubitConfig:
+class ThreeQubitConfig(_ThreeBathConfig):
     """Parameters of the three-qubit fridge.
 
     ``omega_h`` is derived as ``omega_c + omega_w`` (resonance built in).
@@ -82,13 +81,7 @@ class ThreeQubitConfig:
             raise ValueError("qubit frequencies must be > 0")
         if self.g <= 0:
             raise ValueError(f"coupling g must be > 0, got {self.g}")
-        for spec, lbl in ((self.work, "work"), (self.hot, "hot"), (self.cold, "cold")):
-            if spec.label != lbl:
-                raise ValueError(f"bath in slot {lbl!r} is labelled {spec.label!r}")
-        if not self.work.saturated and not (self.work.temperature > self.hot.temperature):
-            raise ValueError("need T_w > T_h (or a saturated work bath)")
-        if not (self.hot.temperature > self.cold.temperature):
-            raise ValueError("need T_h > T_c")
+        self._check_baths()
         if self.g > COUPLING_FRACTION * min(self.omega_c, self.omega_w):
             warnings.warn(
                 "three-body coupling is not small against the qubit frequencies",
@@ -99,12 +92,6 @@ class ThreeQubitConfig:
     @property
     def omega_h(self) -> float:
         return self.omega_c + self.omega_w
-
-    def bath(self, label: str) -> BathSpec:
-        return {"work": self.work, "hot": self.hot, "cold": self.cold}[label]
-
-    def bath_frequency(self, label: str) -> float:
-        return {"work": self.omega_w, "hot": self.omega_h, "cold": self.omega_c}[label]
 
 
 def _embed(op: np.ndarray, slot: int) -> np.ndarray:

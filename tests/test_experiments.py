@@ -17,7 +17,8 @@ from qpump.experiments import (
     maximize_cooling_power,
     sweep_stages,
 )
-from qpump.steady import solve
+from qpump.linalg import NoKernelError
+from qpump.steady import NonConvergedError, solve
 
 REF_PARAMS = dict(omega_h=102.6, t_work=7.1e3, t_hot=1.57e3, t_cold=54.25,
             gamma_work=3.5e-3, gamma_hot=5.1e-3, gamma_cold=8.8e-3)
@@ -31,9 +32,12 @@ def reference_pump(n_levels=3):
 
 
 class TestMaximizeCoolingPower:
-    def test_efficiency_identity_against_solver(self):
-        opt = maximize_cooling_power(reference_pump(3))
-        cfg = dataclasses.replace(reference_pump(3), omega_c=opt.omega_c_star)
+    # the optimizer's population balance against the full generator, at both
+    # ladder parities
+    @pytest.mark.parametrize("n", [3, 4, 7, 10])
+    def test_efficiency_identity_against_solver(self, n):
+        opt = maximize_cooling_power(reference_pump(n))
+        cfg = dataclasses.replace(reference_pump(n), omega_c=opt.omega_c_star)
         sol = solve(cfg)
         assert abs(sol.cop / opt.eps_star - 1.0) < 1e-8
         assert abs(sol.q_cold / opt.q_c_max - 1.0) < 1e-10
@@ -57,6 +61,11 @@ class TestMaximizeCoolingPower:
     def test_empty_window_raises(self, monkeypatch):
         monkeypatch.setattr(qpump.experiments, "window_max", lambda cfg: 0.0)
         with pytest.raises(EmptyWindowError):
+            maximize_cooling_power(reference_pump(3))
+
+    def test_validated_point_gates_on_condition(self, monkeypatch):
+        monkeypatch.setattr(qpump.experiments, "KERNEL_RCOND_FLOOR", 1.0)
+        with pytest.raises(NoKernelError):
             maximize_cooling_power(reference_pump(3))
 
     def test_optimum_validation(self):
@@ -129,6 +138,14 @@ class TestHistogram:
         b = cop_histogram(SampleRanges(seed=2), 8, threads=1)
         assert not np.array_equal(a.eps_ratios, b.eps_ratios)
 
+    def test_solver_defect_is_not_a_rejection(self, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("defect")
+
+        monkeypatch.setattr(qpump.experiments, "maximize_cooling_power", broken)
+        with pytest.raises(RuntimeError, match="defect"):
+            cop_histogram(SampleRanges(seed=3), 2, threads=1)
+
     def test_ranges_validation(self):
         with pytest.raises(ValueError):
             SampleRanges(t_cold=(5.0, 1.0))
@@ -163,6 +180,13 @@ class TestCharacteristicCurve:
         three = characteristic_curve("three_qubit", COMPARE_SETUP, n_points=60)
         ratio = max(p.q_c for p in ideal) / max(p.q_c for p in three)
         assert ratio >= 1e3
+
+    @pytest.mark.xfail(raises=NonConvergedError, strict=True,
+                       reason="first-law residual 1.023e-10 exceeds the 1e-10 gate at one "
+                              "point of this sweep (ROADMAP item 3)")
+    def test_three_qubit_curve_at_shifted_omega_h(self):
+        setup = dataclasses.replace(COMPARE_SETUP, omega_w=61.500196 - 1.5)
+        characteristic_curve("three_qubit", setup, n_points=30)
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
