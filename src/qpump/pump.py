@@ -231,24 +231,20 @@ def bose_occupation(omega: float, temperature: float) -> float:
     if temperature <= 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
     x = omega / temperature
-    if x > 700.0:  # expm1 overflows; the occupation is exp(-x) to ~1e-304
-        return math.exp(-x)
-    return 1.0 / math.expm1(x)
+    # expm1 overflows past x ~ 709; the occupation is exp(-x) to ~1e-304 there
+    return float(np.exp(-x) if x > 700.0 else 1.0 / np.expm1(x))
 
 
-def _effective_occupation(bath: BathSpec, omega: float, _ld=False):
+def _effective_occupation(bath: BathSpec, omega: float):
     """Occupation the system sees at frequency omega, including squeezing
     (n -> n cosh 2r + sinh^2 r) and the saturated-bath cap."""
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
     if bath.saturated:
         return SATURATED_OCCUPATION
-    dt = np.longdouble if _ld else float
-    w, t = dt(omega), dt(bath.temperature)
-    x = w / t
-    n = np.exp(-x) if x > 700.0 else 1.0 / np.expm1(x)
+    n = bose_occupation(omega, bath.temperature)
     if bath.squeeze_r > 0:
-        r = dt(bath.squeeze_r)
+        r = bath.squeeze_r
         n = n * np.cosh(2 * r) + np.sinh(r) ** 2
     return n
 

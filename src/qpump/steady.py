@@ -17,10 +17,14 @@ energy flowing from reservoir ``a`` into the system; in chiller mode
 Numerical note: the stationary populations at strongly disparate rate scales
 (rates span ~10^5 at the reference parameter set) leave the net fluxes as
 small differences of large one-way flows.  Plain double precision floors the
-first-law residual near 1e-9 of the largest current there, so after the
-double-precision kernel solve the state is polished against the generator
-rebuilt in extended precision (x87 long double) and the currents are
-assembled at that precision.  This is the same formula, evaluated carefully.
+first-law residual near 1e-9 of the largest current there.  Each machine is
+therefore described once, by a :class:`_Generator`: the Hamiltonian and jump
+operators held in extended precision (x87 long double) with the channel rates
+computed once in double by :func:`~qpump.pump.decay_rates`.  The kernel solve
+uses its double rounding (:meth:`_Generator.superop`); the state is then
+polished against the extended-precision action and the currents are
+assembled at that precision.  The first law holds for the generator as
+built, so double-precision rates are enough.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .linalg import (
 from .pump import (
     PumpConfig,
     RatePair,
-    build_hamiltonian,
     build_jump_operator,
     decay_rates,
     effective_temperature,
@@ -156,30 +159,11 @@ def hamiltonian_commutator(h: np.ndarray) -> SuperOp:
 
 def build_liouvillian(cfg: PumpConfig) -> SuperOp:
     """Full generator of the N-level pump: commutator plus three dissipators."""
-    n = cfg.n_levels
-    mat = hamiltonian_commutator(build_hamiltonian(cfg)).matrix
-    for label in _BATHS:
-        jump = build_jump_operator(cfg, label)
-        rates = decay_rates(cfg.bath(label), cfg.bath_frequency(label))
-        mat = mat + build_dissipator(jump, rates).matrix
-    return SuperOp(n, mat)
+    return _Generator.for_pump(cfg).superop()
 
 
 # ---------------------------------------------------------------------------
 # extended-precision generator action and current assembly
-
-
-def _rates_for_bath_ld(bath, omega: float) -> tuple[np.longdouble, np.longdouble]:
-    """decay_rates evaluated in long double (same formula, wider mantissa)."""
-    from .pump import SATURATED_OCCUPATION, _effective_occupation
-
-    w = np.longdouble(omega)
-    w3 = np.longdouble(bath.gamma) * w**3
-    if bath.saturated:
-        g = w3 * np.longdouble(SATURATED_OCCUPATION)
-        return g, g
-    n = _effective_occupation(bath, float(w), _ld=True)
-    return w3 * (1 + n), w3 * n
 
 
 def _apply_dissipator(s, down, up, rho):
@@ -192,25 +176,31 @@ def _apply_dissipator(s, down, up, rho):
 
 
 class _Generator:
-    """One system's Hamiltonian and dissipation channels in extended precision,
-    supporting matrix-form action (for refinement residuals) and per-bath
-    current assembly."""
+    """One machine: its Hamiltonian and one ``(jump, down, up)`` channel per
+    bath.  Operators are held in extended precision and the rates are the
+    double values of :func:`decay_rates`, which promote to long double in
+    :meth:`action` (refinement residuals) and :meth:`currents` (per-bath
+    current assembly); :meth:`superop` rounds the machine to the double
+    generator the kernel solve uses."""
 
-    def __init__(self, ham, channels):
-        # channels: {label: (jump, down, up)}
-        self.ham = ham
-        self.channels = channels
+    def __init__(self, cfg, ham, jumps):
+        # jumps: {label: lowering operator of that bath}
+        self.ham = np.asarray(ham, dtype=_LD)
+        self.channels = {}
+        for label in _BATHS:
+            rates = decay_rates(cfg.bath(label), cfg.bath_frequency(label))
+            self.channels[label] = (np.asarray(jumps[label], dtype=_LD), rates.down, rates.up)
 
     @classmethod
     def for_pump(cls, cfg: PumpConfig):
         e = level_energies(cfg.n_levels, cfg.omega_h, cfg.omega_c, dtype=np.longdouble)
-        ham = np.diag(e.astype(_LD))
-        channels = {}
-        for label in _BATHS:
-            s = build_jump_operator(cfg, label).astype(_LD)
-            down, up = _rates_for_bath_ld(cfg.bath(label), cfg.bath_frequency(label))
-            channels[label] = (s, down, up)
-        return cls(ham, channels)
+        return cls(cfg, np.diag(e), {label: build_jump_operator(cfg, label) for label in _BATHS})
+
+    def superop(self) -> SuperOp:
+        mat = hamiltonian_commutator(self.ham).matrix
+        for s, down, up in self.channels.values():
+            mat = mat + build_dissipator(s, RatePair(down, up)).matrix
+        return SuperOp(self.ham.shape[0], mat)
 
     def action(self, rho):
         out = -1j * (self.ham @ rho - rho @ self.ham)
@@ -226,7 +216,7 @@ class _Generator:
         return q
 
     def rate_scale(self) -> float:
-        return max(float(np.real(down + up)) for _, down, up in self.channels.values())
+        return max(down + up for _, down, up in self.channels.values())
 
 
 def _polish_state(matrix: np.ndarray, v0: np.ndarray, gen_ld: _Generator) -> np.ndarray:
@@ -309,6 +299,27 @@ def _solution_from_state(gen_ld: _Generator, rho_ld, kernel_residual: float,
     )
 
 
+def _solve_system(cfg, gen: _Generator, gate_ideality: bool) -> SteadySolution:
+    """Kernel solve of ``gen``'s double rounding, extended-precision polish,
+    then the gated currents of ``cfg``'s machine."""
+    liouv = gen.superop()
+    v = stationary_vector(liouv)
+    rho = _polish_state(liouv.matrix, v, gen)
+    kernel_residual = float(
+        np.max(np.abs(liouv.matrix @ np.asarray(vectorize(rho), dtype=complex)))
+        / np.max(np.abs(liouv.matrix))
+    )
+    temps = (
+        effective_temperature(cfg.work, cfg.omega_w),
+        cfg.hot.temperature,
+        cfg.cold.temperature,
+    )
+    return _solution_from_state(
+        gen, rho, kernel_residual, temps,
+        omega_ratio=cfg.omega_c / cfg.omega_w, gate_ideality=gate_ideality,
+    )
+
+
 def solve(cfg: PumpConfig) -> SteadySolution:
     """Stationary state and heat currents of an ideal pump.
 
@@ -325,23 +336,7 @@ def solve(cfg: PumpConfig) -> SteadySolution:
     NonConvergedError
         A residual gate failed.
     """
-    liouv = build_liouvillian(cfg)
-    v = stationary_vector(liouv)
-    gen_ld = _Generator.for_pump(cfg)
-    rho = _polish_state(liouv.matrix, v, gen_ld)
-    kernel_residual = float(
-        np.max(np.abs(liouv.matrix @ np.asarray(vectorize(rho), dtype=complex)))
-        / np.max(np.abs(liouv.matrix))
-    )
-    temps = (
-        effective_temperature(cfg.work, cfg.omega_w),
-        cfg.hot.temperature,
-        cfg.cold.temperature,
-    )
-    return _solution_from_state(
-        gen_ld, rho, kernel_residual, temps,
-        omega_ratio=cfg.omega_c / cfg.omega_w, gate_ideality=True,
-    )
+    return _solve_system(cfg, _Generator.for_pump(cfg), True)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +462,8 @@ def pauli_rate_oracle(cfg: PumpConfig) -> RateOracleResult:
     rates = {}
     m = np.zeros((n, n), dtype=np.longdouble)
     for label in _BATHS:
-        down, up = _rates_for_bath_ld(cfg.bath(label), cfg.bath_frequency(label))
+        r = decay_rates(cfg.bath(label), cfg.bath_frequency(label))
+        down, up = np.longdouble(r.down), np.longdouble(r.up)
         rates[label] = (down, up)
         for lo, hi in transition_pairs(n, label):
             i, j = lo - 1, hi - 1

@@ -31,18 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SuperOp, stationary_vector, vectorize
-from .pump import BathSpec, _ThreeBathConfig, decay_rates, effective_temperature
-from .steady import (
-    _LD,
-    SteadySolution,
-    _Generator,
-    _polish_state,
-    _rates_for_bath_ld,
-    _solution_from_state,
-    build_dissipator,
-    hamiltonian_commutator,
-)
+from .linalg import SuperOp
+from .pump import BathSpec, _ThreeBathConfig
+from .steady import _BATHS, _LD, SteadySolution, _Generator, _solve_system
+
+# Kept importable for the layer probes of perfbench/layers.py::install_probes;
+# the solve itself reaches them through steady._solve_system.
+from .linalg import stationary_vector  # noqa: F401
+from .pump import decay_rates  # noqa: F401
+from .steady import _polish_state, _solution_from_state  # noqa: F401
 
 __all__ = [
     "ThreeQubitConfig",
@@ -125,20 +122,12 @@ def _jump(label: str) -> np.ndarray:
 def build_three_qubit_liouvillian(cfg: ThreeQubitConfig) -> SuperOp:
     """Full generator: commutator of the coupled Hamiltonian plus one local
     dissipator per qubit at its bare frequency."""
-    mat = hamiltonian_commutator(build_three_qubit_hamiltonian(cfg)).matrix
-    for label in ("work", "hot", "cold"):
-        rates = decay_rates(cfg.bath(label), cfg.bath_frequency(label))
-        mat = mat + build_dissipator(_jump(label), rates).matrix
-    return SuperOp(8, mat)
+    return _generator_ld(cfg).superop()
 
 
 def _generator_ld(cfg: ThreeQubitConfig) -> _Generator:
     ham = build_three_qubit_hamiltonian(cfg, dtype=_LD)
-    channels = {}
-    for label in ("work", "hot", "cold"):
-        down, up = _rates_for_bath_ld(cfg.bath(label), cfg.bath_frequency(label))
-        channels[label] = (_jump(label).astype(_LD), down, up)
-    return _Generator(ham, channels)
+    return _Generator(cfg, ham, {label: _jump(label) for label in _BATHS})
 
 
 def solve_three_qubit(cfg: ThreeQubitConfig) -> SteadySolution:
@@ -150,20 +139,4 @@ def solve_three_qubit(cfg: ThreeQubitConfig) -> SteadySolution:
     machine's non-ideality.  The coherence between |110> and |001> is
     generically nonzero in the stationary state.
     """
-    liouv = build_three_qubit_liouvillian(cfg)
-    v = stationary_vector(liouv)
-    gen_ld = _generator_ld(cfg)
-    rho = _polish_state(liouv.matrix, v, gen_ld)
-    kernel_residual = float(
-        np.max(np.abs(liouv.matrix @ np.asarray(vectorize(rho), dtype=complex)))
-        / np.max(np.abs(liouv.matrix))
-    )
-    temps = (
-        effective_temperature(cfg.work, cfg.omega_w),
-        cfg.hot.temperature,
-        cfg.cold.temperature,
-    )
-    return _solution_from_state(
-        gen_ld, rho, kernel_residual, temps,
-        omega_ratio=cfg.omega_c / cfg.omega_w, gate_ideality=False,
-    )
+    return _solve_system(cfg, _generator_ld(cfg), False)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import qpump
-from qpump.linalg import SuperOp, devectorize, stationary_vector
+from qpump.linalg import SuperOp, devectorize, stationary_vector, vectorize
 from qpump.pump import BathSpec, RatePair, WeakCouplingWarning, decay_rates
 from qpump.steady import (
+    _Generator,
     build_dissipator,
     build_liouvillian,
     hamiltonian_commutator,
@@ -15,6 +16,7 @@ from qpump.steady import (
     pauli_rate_oracle,
     solve,
 )
+from qpump.three_qubit import ThreeQubitConfig, _generator_ld
 
 REF_PARAMS = dict(omega_h=102.6, t_work=7.1e3, t_hot=1.57e3, t_cold=54.25,
             gamma_work=3.5e-3, gamma_hot=5.1e-3, gamma_cold=8.8e-3)
@@ -269,3 +271,31 @@ class TestRateOracle:
         oracle = pauli_rate_oracle(reference_pump(6))
         assert abs(oracle.populations.sum() - 1.0) < 1e-14
         assert oracle.populations.min() > 0
+
+
+def _three_qubit_fridge():
+    return ThreeQubitConfig(
+        omega_c=1.5, omega_w=60.0, g=0.1,
+        work=BathSpec("work", 130.0, 1e-3),
+        hot=BathSpec("hot", 60.0, 1e-3),
+        cold=BathSpec("cold", 5.0, 1e-3),
+    )
+
+
+@pytest.mark.parametrize("make_generator", [
+    lambda: _Generator.for_pump(reference_pump(3)),
+    lambda: _Generator.for_pump(reference_pump(8)),
+    lambda: _generator_ld(_three_qubit_fridge()),
+], ids=["pump_n3", "pump_n8", "three_qubit"])
+def test_superop_and_extended_action_are_one_operator(make_generator):
+    # the double generator the kernel solve uses is the rounding of the
+    # extended-precision action the polish and the currents use
+    gen = make_generator()
+    op = gen.superop()
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(op.dim, op.dim)) + 1j * rng.normal(size=(op.dim, op.dim))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho)
+    from_superop = op.matrix @ vectorize(rho)
+    from_action = vectorize(gen.action(rho.astype(np.clongdouble))).astype(complex)
+    assert np.max(np.abs(from_superop - from_action)) <= 1e-15 * np.max(np.abs(op.matrix))
