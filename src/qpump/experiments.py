@@ -13,6 +13,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,7 +50,6 @@ __all__ = [
     "PerformancePoint",
     "CurveSetup",
     "maximize_cooling_power",
-    "brute_force_grid_max",
     "sweep_stages",
     "cop_histogram",
     "characteristic_curve",
@@ -82,6 +82,9 @@ class Optimum:
     eps_star: float
     eps_ratio: float
     evaluations: int
+    # grid points that failed a kernel gate plus golden-section steps that
+    # raised (and counted as -inf)
+    failed_evaluations: int = 0
 
     def __post_init__(self):
         if not (self.q_c_max > 0):
@@ -208,8 +211,9 @@ class _CoolingPowerEvaluator:
     exactly (Schnakenberg, Rev. Mod. Phys. 48, 571 (1976)).  ``M`` depends
     on omega_c only through six rates, so a per-template (6, N^2) stack of
     down/up incidence matrices makes each sweep point one rate contraction
-    plus one small real solve.  All state is local to the instance; nothing
-    is cached globally.
+    plus one small real solve, and a grid of points one stacked contraction
+    and solve.  All state is local to the instance; nothing is cached
+    globally.
     """
 
     def __init__(self, template: PumpConfig):
@@ -227,9 +231,18 @@ class _CoolingPowerEvaluator:
                 stack[2 * k + 1, j, i] += 1.0
                 stack[2 * k + 1, i, i] -= 1.0
         self._stack = stack.reshape(6, n * n)
+        self._hot = decay_rates(template.hot, template.omega_h)
         self.cold_lows, self.cold_highs = np.array(transition_pairs(n, "cold")).T - 1
         self.rhs = np.zeros(n)
         self.rhs[0] = 1.0
+
+    def _channels(self, omega_c):
+        """The six rates (work, hot, cold; down then up) at omega_c, a float
+        or an array, and the cold pair."""
+        t, hot = self.template, self._hot
+        work = decay_rates(t.work, t.omega_h - omega_c)
+        cold = decay_rates(t.cold, omega_c)
+        return (work.down, work.up, hot.down, hot.up, cold.down, cold.up), cold
 
     def q_cold(self, omega_c: float, validate: bool = False) -> float:
         """Cooling power at one cold frequency.  Raises linalg kernel errors
@@ -242,12 +255,8 @@ class _CoolingPowerEvaluator:
         check that rejects numerically degenerate kernels whose mixtures
         would still pass the residual gate.
         """
-        t = self.template
-        work = decay_rates(t.work, t.omega_h - omega_c)
-        hot = decay_rates(t.hot, t.omega_h)
-        cold = decay_rates(t.cold, omega_c)
-        weights = np.array([work.down, work.up, hot.down, hot.up, cold.down, cold.up])
-        rates = (weights @ self._stack).reshape(self.n, self.n)
+        channels, cold = self._channels(omega_c)
+        rates = (np.array(channels) @ self._stack).reshape(self.n, self.n)
         mat = rates.copy()
         mat[0, :] = 1.0
         anorm = np.abs(mat).sum(axis=0).max() if validate else 0.0
@@ -256,8 +265,8 @@ class _CoolingPowerEvaluator:
             raise NoKernelError(f"population solve failed (LAPACK info={info})")
         if validate and _rcond_estimate(lu, anorm) < KERNEL_RCOND_FLOOR:
             raise NoKernelError("stationary state numerically degenerate")
-        scale = np.max(np.abs(rates))
-        if not np.all(np.isfinite(p)) or np.max(np.abs(rates @ p)) > KERNEL_RESIDUAL_RTOL * scale:
+        scale = np.abs(rates).max()
+        if not (np.isfinite(p).all() and np.abs(rates @ p).max() <= KERNEL_RESIDUAL_RTOL * scale):
             raise NoKernelError(
                 f"scan solve residual exceeds {KERNEL_RESIDUAL_RTOL:.0e} x |M|"
             )
@@ -265,18 +274,54 @@ class _CoolingPowerEvaluator:
         flux = cold.up * p[self.cold_lows].sum() - cold.down * p[self.cold_highs].sum()
         return float(omega_c * flux)
 
+    def q_cold_grid(self, omega_c: np.ndarray) -> np.ndarray:
+        """Cooling power at every point of a 1-D array of cold frequencies,
+        from one stacked solve.  A point that fails a kernel gate of
+        :meth:`q_cold` (singular matrix, non-finite populations, residual
+        above ``KERNEL_RESIDUAL_RTOL`` x max|M|) is NaN."""
+        channels, cold = self._channels(omega_c)
+        weights = np.empty((omega_c.size, 6))
+        for k, rate in enumerate(channels):
+            weights[:, k] = rate
+        rates = (weights @ self._stack).reshape(-1, self.n, self.n)
+        mat = rates.copy()
+        mat[:, 0, :] = 1.0
+        try:
+            # an (N, 1) right-hand side broadcasts to one column per matrix
+            # under NumPy 1.x and 2.x alike; 1.x rejects a 1-D one here
+            p = np.linalg.solve(mat, self.rhs[:, None])[..., 0]
+        except np.linalg.LinAlgError:
+            # an exactly singular matrix fails the whole stack; solve point
+            # by point so that only the singular points are lost
+            p = np.full(mat.shape[:2], np.nan)
+            for k, m in enumerate(mat):
+                with suppress(np.linalg.LinAlgError):
+                    p[k] = np.linalg.solve(m, self.rhs)
+        finite = np.isfinite(p).all(axis=1)
+        p[~finite] = 0.0  # keeps inf * 0 out of the failed rows' residuals
+        scale = np.abs(rates).max(axis=(1, 2))
+        residual = np.abs(np.matmul(rates, p[..., None])).max(axis=(1, 2))
+        ok = finite & (residual <= KERNEL_RESIDUAL_RTOL * scale)
+        p = p[ok] / p[ok].sum(axis=1, keepdims=True)
+        q = np.full(omega_c.shape, np.nan)
+        q[ok] = omega_c[ok] * (cold.up[ok] * p[:, self.cold_lows].sum(axis=1)
+                               - cold.down[ok] * p[:, self.cold_highs].sum(axis=1))
+        return q
+
 
 def _golden_max(f, a: float, b: float, tol: float):
-    """Golden-section maximization on [a, b]; returns (x*, f*, evals).
-    Failed evaluations count as -inf so the bracket still contracts."""
-    evals = 0
+    """Golden-section maximization on [a, b]; returns (x*, f*, evals,
+    failures).  Failed evaluations count as -inf so the bracket still
+    contracts; ``failures`` counts them."""
+    evals = failures = 0
 
     def safe(x):
-        nonlocal evals
+        nonlocal evals, failures
         evals += 1
         try:
             return f(x)
         except np.linalg.LinAlgError:
+            failures += 1
             return -math.inf
 
     c = b - _INVPHI * (b - a)
@@ -292,58 +337,48 @@ def _golden_max(f, a: float, b: float, tol: float):
             d = a + _INVPHI * (b - a)
             fd = safe(d)
     if fc >= fd:
-        return c, fc, evals
-    return d, fd, evals
+        return c, fc, evals, failures
+    return d, fd, evals, failures
 
 
 def maximize_cooling_power(template: PumpConfig) -> Optimum:
     """Find the cold frequency that maximizes the cooling power.
 
-    A 64-point coarse grid over the open cooling window brackets the
-    maximum; golden-section refinement then narrows the bracket to 1e-6 of
-    the window width.  The reported power is the refined scan value (a full
-    :func:`qpump.steady.solve` at ``omega_c_star`` reproduces it to solver
-    precision), and the reported efficiency uses the ideal-pump identity
+    A 64-point coarse grid over the open cooling window, evaluated as one
+    stacked solve, brackets the maximum; golden-section refinement then
+    narrows the bracket to 1e-6 of the window width.  The reported power is
+    the refined scan value (a full :func:`qpump.steady.solve` at
+    ``omega_c_star`` reproduces it to solver precision), and the reported
+    efficiency uses the ideal-pump identity
     ``eps* = omega_c*/(omega_h - omega_c*)``.  ``template.omega_c`` is
     ignored.
 
-    Raises :class:`EmptyWindowError` for an empty window and propagates
-    solver errors if no sweep point admits a trustworthy solution.
+    Raises :class:`EmptyWindowError` for an empty window and
+    :class:`~qpump.linalg.NoKernelError` if no grid point admits a
+    trustworthy solution.
     """
     window = window_max(template)
     if not (window > 0):
         raise EmptyWindowError(f"cooling window max {window} is not positive")
 
     ev = _CoolingPowerEvaluator(template)
-    evaluations = 0
-    best_i, best_q = None, -math.inf
-    last_error: Exception | None = None
-    for i in range(1, COARSE_GRID_POINTS + 1):
-        x = window * i / (COARSE_GRID_POINTS + 1)
-        evaluations += 1
-        try:
-            q = ev.q_cold(x)
-        except np.linalg.LinAlgError as exc:
-            last_error = exc
-            continue
-        if q > best_q:
-            best_i, best_q = i, q
-    if best_i is None:
-        raise last_error if last_error is not None else EmptyWindowError(
-            "no valid sweep point in the cooling window"
-        )
+    grid = window * np.arange(1, COARSE_GRID_POINTS + 1) / (COARSE_GRID_POINTS + 1)
+    q_grid = ev.q_cold_grid(grid)
+    failed = int(np.isnan(q_grid).sum())
+    if failed == COARSE_GRID_POINTS:
+        raise NoKernelError("no grid point in the cooling window admits a "
+                            "trustworthy stationary state")
+    best_i = int(np.nanargmax(q_grid)) + 1
     a = window * (best_i - 1) / (COARSE_GRID_POINTS + 1)
     b = window * (best_i + 1) / (COARSE_GRID_POINTS + 1)
-    x_star, q_star, golden_evals = _golden_max(
+    x_star, q_star, golden_evals, golden_failed = _golden_max(
         ev.q_cold, a, b, GOLDEN_RELATIVE_WIDTH * window
     )
-    evaluations += golden_evals
     if not (q_star > 0) or not math.isfinite(q_star):
         # The refined cell degenerated; fall back to the best grid point.
         x_star = window * best_i / (COARSE_GRID_POINTS + 1)
     # one fully validated evaluation at the reported maximizer
     q_star = ev.q_cold(x_star, validate=True)
-    evaluations += 1
     omega_w_star = template.omega_h - x_star
     eps_star = x_star / omega_w_star
     eps_ratio = eps_star / carnot_cop(effective_temperatures(template, omega_w_star))
@@ -352,25 +387,9 @@ def maximize_cooling_power(template: PumpConfig) -> Optimum:
         q_c_max=q_star,
         eps_star=eps_star,
         eps_ratio=eps_ratio,
-        evaluations=evaluations,
+        evaluations=COARSE_GRID_POINTS + golden_evals + 1,
+        failed_evaluations=failed + golden_failed,
     )
-
-
-def brute_force_grid_max(template: PumpConfig, n_points: int = 4096) -> tuple[float, float]:
-    """Dense-grid maximizer used as the optimizer's regression oracle.
-    Returns (omega_c, q_c) of the best grid point."""
-    window = window_max(template)
-    ev = _CoolingPowerEvaluator(template)
-    best = (math.nan, -math.inf)
-    for i in range(1, n_points + 1):
-        x = window * i / (n_points + 1)
-        try:
-            q = ev.q_cold(x)
-        except np.linalg.LinAlgError:
-            continue
-        if q > best[1]:
-            best = (x, q)
-    return best
 
 
 def _variant_config(template: PumpConfig, n_levels: int, variant: str,

@@ -154,13 +154,14 @@ class PumpConfig(_ThreeBathConfig):
 @dataclass(frozen=True)
 class RatePair:
     """Downward (emission into bath) and upward (absorption) rates of one
-    dissipation channel.  For a plain thermal bath ``up/down = exp(-w/T)``."""
+    dissipation channel, or arrays of them over an array of frequencies.  For
+    a plain thermal bath ``up/down = exp(-w/T)``."""
 
-    down: float
-    up: float
+    down: float | np.ndarray
+    up: float | np.ndarray
 
     def __post_init__(self):
-        if self.down < 0 or self.up < 0:
+        if _least(self.down) < 0 or _least(self.up) < 0:
             raise ValueError(f"rates must be >= 0, got {self}")
 
 
@@ -224,21 +225,34 @@ def build_jump_operator(cfg: PumpConfig, label: str) -> np.ndarray:
     return s
 
 
-def bose_occupation(omega: float, temperature: float) -> float:
+# The rate formulas below act elementwise on an array ``omega`` and give
+# each element the bits of a scalar call.
+def _least(x):
+    """Smallest element of an array argument; a float argument itself.
+    np.min does the same but costs about 2 us on a float, and one scalar
+    decay_rates call makes four domain checks."""
+    return x.min() if isinstance(x, np.ndarray) else x
+
+
+def bose_occupation(omega: float | np.ndarray, temperature: float):
     """Thermal occupation 1/(exp(omega/T) - 1)."""
-    if omega <= 0:
+    if _least(omega) <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
     if temperature <= 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
     x = omega / temperature
     # expm1 overflows past x ~ 709; the occupation is exp(-x) to ~1e-304 there
+    if isinstance(x, np.ndarray):
+        return np.where(x > 700.0, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700.0)))
+    # same values; np.where costs about 2 us more on a float, and each
+    # golden-section step of the optimizer evaluates two occupations
     return float(np.exp(-x) if x > 700.0 else 1.0 / np.expm1(x))
 
 
-def _effective_occupation(bath: BathSpec, omega: float):
+def _effective_occupation(bath: BathSpec, omega: float | np.ndarray):
     """Occupation the system sees at frequency omega, including squeezing
     (n -> n cosh 2r + sinh^2 r) and the saturated-bath cap."""
-    if omega <= 0:
+    if _least(omega) <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
     if bath.saturated:
         return SATURATED_OCCUPATION
@@ -249,7 +263,7 @@ def _effective_occupation(bath: BathSpec, omega: float):
     return n
 
 
-def decay_rates(bath: BathSpec, omega: float) -> RatePair:
+def decay_rates(bath: BathSpec, omega: float | np.ndarray) -> RatePair:
     """Emission/absorption rates ``gamma * omega^3 * (1 + n)`` and
     ``gamma * omega^3 * n`` for a 3-D bosonic reservoir.
 
@@ -258,7 +272,9 @@ def decay_rates(bath: BathSpec, omega: float) -> RatePair:
     convention; ratios and orderings are convention-independent.
     """
     n = _effective_occupation(bath, omega)
-    w3 = bath.gamma * omega**3
+    # float_power loops over libm pow, as ``**`` on a float does; array ``**``
+    # may round the cube differently in the last digit
+    w3 = bath.gamma * np.float_power(omega, 3.0)
     if bath.saturated:
         g = w3 * SATURATED_OCCUPATION
         return RatePair(down=g, up=g)

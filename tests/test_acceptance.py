@@ -17,7 +17,6 @@ import qpump
 from qpump.experiments import (
     CurveSetup,
     SampleRanges,
-    brute_force_grid_max,
     characteristic_curve,
     cop_histogram,
     maximize_cooling_power,

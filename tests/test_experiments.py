@@ -7,17 +7,20 @@ import pytest
 
 import qpump
 from qpump.experiments import (
+    COARSE_GRID_POINTS,
     CurveSetup,
     EmptyWindowError,
     Optimum,
     SampleRanges,
-    brute_force_grid_max,
+    _CoolingPowerEvaluator,
+    _variant_config,
     characteristic_curve,
     cop_histogram,
     maximize_cooling_power,
     sweep_stages,
 )
 from qpump.linalg import NoKernelError
+from qpump.pump import window_max
 from qpump.steady import NonConvergedError, solve
 
 REF_PARAMS = dict(omega_h=102.6, t_work=7.1e3, t_hot=1.57e3, t_cold=54.25,
@@ -29,6 +32,27 @@ COMPARE_SETUP = CurveSetup(omega_w=60.0, t_work=130.0, t_hot=60.0, t_cold=5.0,
 
 def reference_pump(n_levels=3):
     return qpump.ideal_pump(n_levels=n_levels, omega_c=1.4, **REF_PARAMS)
+
+
+def window_grid(template, n_points=COARSE_GRID_POINTS):
+    """The optimizer's grid: n_points interior points of the cooling window."""
+    return window_max(template) * np.arange(1, n_points + 1) / (n_points + 1)
+
+
+def brute_force_grid_max(template, n_points=4096):
+    """Dense-grid maximizer used as the optimizer's regression oracle.
+    Returns (omega_c, q_c) of the best grid point.  Each point is a scalar
+    ``q_cold`` call, so the oracle does not share the stacked grid code."""
+    ev = _CoolingPowerEvaluator(template)
+    best = (math.nan, -math.inf)
+    for x in window_grid(template, n_points).tolist():
+        try:
+            q = ev.q_cold(x)
+        except np.linalg.LinAlgError:
+            continue
+        if q > best[1]:
+            best = (x, q)
+    return best
 
 
 class TestMaximizeCoolingPower:
@@ -68,11 +92,84 @@ class TestMaximizeCoolingPower:
         with pytest.raises(NoKernelError):
             maximize_cooling_power(reference_pump(3))
 
+    def test_failed_grid_points_are_dropped_and_counted(self, monkeypatch):
+        template = reference_pump(4)
+        clean = maximize_cooling_power(template)
+        grid = window_grid(template)
+        q = _CoolingPowerEvaluator(template).q_cold_grid(grid)
+        nan_at = int(np.argmax(q))
+        singular_at = nan_at + 1
+        original = _CoolingPowerEvaluator._channels
+
+        def channels(self, omega_c):
+            rates, cold = original(self, omega_c)
+            if np.ndim(omega_c) == 0:
+                return rates, cold
+            rates = [np.broadcast_to(r, omega_c.shape).copy() for r in rates]
+            rates[4][nan_at] = np.nan  # the cold bath's downward rate
+            for r in rates:
+                # no transitions: only the trace row is left, an exactly
+                # singular matrix that makes the whole stacked solve raise
+                r[singular_at] = 0.0
+            return tuple(rates), cold
+
+        monkeypatch.setattr(_CoolingPowerEvaluator, "_channels", channels)
+        stacked = _CoolingPowerEvaluator(template).q_cold_grid(grid)
+        assert np.isnan(stacked[[nan_at, singular_at]]).all()
+        kept = np.delete(np.arange(grid.size), [nan_at, singular_at])
+        assert np.array_equal(stacked[kept], q[kept])
+        opt = maximize_cooling_power(template)
+        best = kept[np.argmax(q[kept])]
+        assert grid[best - 1] <= opt.omega_c_star <= grid[best + 1]
+        assert opt.q_c_max >= q[best]
+        assert opt.failed_evaluations == 2 and clean.failed_evaluations == 0
+
+    def test_failed_golden_steps_are_counted(self, monkeypatch):
+        original = _CoolingPowerEvaluator.q_cold
+        calls = []
+
+        def q_cold(self, omega_c, validate=False):
+            calls.append(omega_c)
+            if len(calls) <= 2:
+                raise NoKernelError("forced")
+            return original(self, omega_c, validate)
+
+        monkeypatch.setattr(_CoolingPowerEvaluator, "q_cold", q_cold)
+        opt = maximize_cooling_power(reference_pump(3))
+        assert opt.failed_evaluations == 2
+
+    def test_every_grid_point_failing_raises(self, monkeypatch):
+        # no solve has so small a residual: every point fails the residual gate
+        monkeypatch.setattr(qpump.experiments, "KERNEL_RESIDUAL_RTOL", 1e-300)
+        template = reference_pump(3)
+        ev = _CoolingPowerEvaluator(template)
+        grid = window_grid(template)
+        assert np.isnan(ev.q_cold_grid(grid)).all()
+        with pytest.raises(NoKernelError):
+            ev.q_cold(float(grid[0]))
+        with pytest.raises(NoKernelError):
+            maximize_cooling_power(template)
+
     def test_optimum_validation(self):
         with pytest.raises(ValueError):
             Optimum(1.0, -1.0, 0.1, 0.5, 10)
         with pytest.raises(ValueError):
             Optimum(1.0, 1.0, 0.1, 1.5, 10)
+
+
+class TestStackedGrid:
+    # the grid's one stacked solve against the scalar step, point by point
+    @pytest.mark.parametrize("variant", ["plain", "squeezed", "saturated"])
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_grid_matches_scalar_evaluations(self, n, variant):
+        template = _variant_config(reference_pump(), n, variant, 7.0)
+        ev = _CoolingPowerEvaluator(template)
+        grid = window_grid(template)
+        stacked = ev.q_cold_grid(grid)
+        assert stacked.shape == grid.shape and np.isfinite(stacked).all()
+        for x, q in zip(grid, stacked):
+            ref = ev.q_cold(float(x))
+            assert abs(q - ref) <= 1e-12 * abs(ref)
 
 
 class TestSweepStages:

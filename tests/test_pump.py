@@ -130,6 +130,50 @@ class TestOccupationAndRates:
         pair = decay_rates(BathSpec("work", 1.0, 0.01, saturated=True), 2.0)
         assert pair.down == pair.up > 0
 
+    # (bath, omega, down, up), frozen from scalar calls of the rate formula
+    # before it accepted arrays: a float omega keeps these exact bits
+    SCALAR_RATES = [
+        (BathSpec("cold", 54.25, 8.8e-3), 1.4, 0.947829528885981, 0.923682328885981),
+        (BathSpec("work", 7.1e3, 3.5e-3), 101.2, 256317.85175150505, 252690.33370350505),
+        (BathSpec("work", 7.1e3, 3.5e-3, squeeze_r=0.806), 101.2,
+         665091.5219114699, 661464.0038634698),
+        (BathSpec("work", 7.1e3, 3.5e-3, saturated=True), 101.2,
+         362751804800.00006, 362751804800.00006),
+        (BathSpec("hot", 1.57e3, 5.1e-3), 102.6, 87071.87846589509, 81563.6460282951),
+        (BathSpec("cold", 1.0, 1e-3), 750.0, 421875.0, 0.0),
+    ]
+
+    @pytest.mark.parametrize("bath, omega, down, up", SCALAR_RATES)
+    def test_scalar_rates_keep_their_bits(self, bath, omega, down, up):
+        pair = decay_rates(bath, omega)
+        assert (pair.down, pair.up) == (down, up)
+
+    @pytest.mark.parametrize("bath", [BathSpec("cold", 3.0, 0.01),
+                                      BathSpec("work", 40.0, 0.02),
+                                      BathSpec("work", 40.0, 0.02, squeeze_r=0.8),
+                                      BathSpec("work", 40.0, 0.02, saturated=True)])
+    def test_array_rates_match_scalar_calls(self, bath):
+        # omega/T from 1e-3 to 900 crosses the x > 700 branch of the
+        # occupation, where expm1 on the whole array would overflow
+        omega = bath.temperature * np.geomspace(1e-3, 900.0, 301)
+        pair = decay_rates(bath, omega)
+        assert pair.down.shape == pair.up.shape == omega.shape
+        for k, w in enumerate(omega.tolist()):
+            ref = decay_rates(bath, w)
+            for got, want in ((pair.down[k], ref.down), (pair.up[k], ref.up)):
+                assert abs(got - want) <= 4 * np.spacing(abs(want)) or abs(got - want) < 1e-300
+
+    def test_array_occupation_matches_scalar_calls(self):
+        x = np.array([1e-6, 0.3, 1.0, 35.0, 699.0, 701.0, 720.0, 800.0])
+        occupation = bose_occupation(2.0 * x, 2.0)
+        assert occupation.tolist() == [bose_occupation(2.0 * v, 2.0) for v in x.tolist()]
+
+    def test_array_domain(self):
+        with pytest.raises(ValueError):
+            bose_occupation(np.array([1.0, 0.0]), 1.0)
+        with pytest.raises(ValueError):
+            decay_rates(BathSpec("cold", 1.0, 0.01), np.array([2.0, -1.0]))
+
 
 class TestSqueezing:
     def test_zero_db(self):
