@@ -18,7 +18,6 @@ from .linalg import (
     NoKernelError,
     SuperOp,
     devectorize,
-    kron,
     propagate,
     stationary_vector,
     vectorize,

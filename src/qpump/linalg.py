@@ -4,9 +4,9 @@ Conventions used throughout the package:
 
 * Density matrices and operators are plain ``numpy`` complex arrays.
 * Vectorization is **column-stacking**: column ``j`` of an ``n x n`` matrix
-  occupies slots ``j*n .. j*n+n-1`` of the vector (Fortran order).  With this
-  convention ``vec(A @ X @ B) == kron(B.T, A) @ vec(X)``, which is how all
-  superoperators here are assembled.
+  occupies slots ``j*n .. j*n+n-1`` of the vector (Fortran order), so entry
+  ``(i, j)`` sits at ``i + n*j`` and ``vec(A @ X @ B) == kron(B.T, A) @ vec(X)``
+  (the form of the reference superoperators in :mod:`qpump.steady`).
 * A superoperator on an ``n``-dimensional Hilbert space is an ``n^2 x n^2``
   complex matrix acting on column-stacked density matrices.
 
@@ -27,11 +27,9 @@ __all__ = [
     "SuperOp",
     "DegenerateKernelError",
     "NoKernelError",
-    "kron",
     "vectorize",
     "devectorize",
     "trace_row",
-    "trace_defect",
     "stationary_vector",
     "propagate",
     "KERNEL_RESIDUAL_RTOL",
@@ -55,11 +53,6 @@ class DegenerateKernelError(np.linalg.LinAlgError):
 
 class NoKernelError(np.linalg.LinAlgError):
     """The generator has no stationary state within tolerance."""
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with complex promotion, shape (ra*rb, ca*cb)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def vectorize(m: np.ndarray) -> np.ndarray:
@@ -104,22 +97,6 @@ class SuperOp:
                 f"superoperator for dim {self.dim} must be {d2}x{d2}, "
                 f"got {self.matrix.shape}"
             )
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Apply to a density matrix, returning a matrix of the same shape."""
-        return devectorize(self.matrix @ vectorize(rho), self.dim)
-
-
-def trace_defect(op: SuperOp) -> float:
-    """How badly the superoperator fails to annihilate the trace functional.
-
-    Returns ``max |tr_row @ matrix|`` relative to ``max |matrix|``; a proper
-    generator of trace-preserving dynamics gives ~1e-16.
-    """
-    scale = np.max(np.abs(op.matrix))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(trace_row(op.dim) @ op.matrix)) / scale)
 
 
 def _rcond_estimate(lu: np.ndarray, anorm: float) -> float:
@@ -168,9 +145,9 @@ def stationary_vector(op: SuperOp, check_uniqueness: bool = False) -> np.ndarray
 
     Primary path replaces the first row of the ``n^2 x n^2`` system with the
     trace constraint and solves the resulting linear system (plus one step of
-    iterative refinement).  If that fails its residual gate, or if
-    ``check_uniqueness`` is set, falls back to an SVD of the generator which
-    doubles as the uniqueness diagnostic.
+    iterative refinement).  If that fails its condition or residual gate, or
+    if ``check_uniqueness`` is set, falls back to an SVD of the generator
+    which doubles as the uniqueness diagnostic.
 
     Raises
     ------
@@ -179,41 +156,42 @@ def stationary_vector(op: SuperOp, check_uniqueness: bool = False) -> np.ndarray
     DegenerateKernelError
         More than one stationary state within tolerance.
     """
+    return _stationary_vector_and_factor(op, check_uniqueness)[0]
+
+
+def _stationary_vector_and_factor(op: SuperOp, check_uniqueness: bool = False
+                                  ) -> tuple[np.ndarray, tuple | None]:
+    """:func:`stationary_vector`, also returning the LU factor of the
+    trace-constrained matrix (``None`` with ``check_uniqueness``), so that a
+    caller can refine the state without factoring that matrix again.  The
+    factor is returned on the SVD fallback too."""
     mat = op.matrix
     n = op.dim
     scale = np.max(np.abs(mat))
     if scale == 0.0:
         raise DegenerateKernelError("zero generator: every state is stationary")
     if check_uniqueness:
-        v = _kernel_diagnostics(mat)
-        v = _normalize_trace(v, n)
-        return v
-
+        return _normalize_trace(_kernel_diagnostics(mat), n), None
     m = mat.copy()
     m[0, :] = trace_row(n)
     b = np.zeros(n * n, dtype=complex)
     b[0] = 1.0
-    try:
-        anorm = np.abs(m).sum(axis=0).max()
-        with warnings.catch_warnings():
-            # conditioning is judged explicitly below; scipy's own
-            # ill-conditioned-matrix warning would only duplicate it
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu = sla.lu_factor(m, check_finite=False)
-            if _rcond_estimate(lu[0], anorm) < KERNEL_RCOND_FLOOR:
-                v = None
-            else:
-                v = sla.lu_solve(lu, b, check_finite=False)
-                v = v + sla.lu_solve(lu, b - m @ v, check_finite=False)
-    except (np.linalg.LinAlgError, ValueError):
-        v = None
+    with warnings.catch_warnings():
+        # conditioning is judged explicitly below; scipy's own
+        # ill-conditioned-matrix warning would only duplicate it
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu = sla.lu_factor(m, check_finite=False)
+    v = None
+    if _rcond_estimate(lu[0], np.abs(m).sum(axis=0).max()) >= KERNEL_RCOND_FLOOR:
+        v = sla.lu_solve(lu, b, check_finite=False)
+        v = v + sla.lu_solve(lu, b - m @ v, check_finite=False)
     if v is not None and np.all(np.isfinite(v)):
         try:
             v = _normalize_trace(v, n)
         except DegenerateKernelError:
             v = None
     if v is not None and np.max(np.abs(mat @ v)) <= KERNEL_RESIDUAL_RTOL * scale:
-        return v
+        return v, lu
 
     # Replacement solve failed: run the SVD path, which either produces a
     # usable kernel vector or explains the failure.
@@ -222,7 +200,7 @@ def stationary_vector(op: SuperOp, check_uniqueness: bool = False) -> np.ndarray
         raise NoKernelError(
             "kernel residual exceeds tolerance even on the singular-vector path"
         )
-    return v
+    return v, lu
 
 
 def propagate(op: SuperOp, rho0: np.ndarray, dt: float | None = None,

@@ -18,13 +18,15 @@ Numerical note: the stationary populations at strongly disparate rate scales
 (rates span ~10^5 at the reference parameter set) leave the net fluxes as
 small differences of large one-way flows.  Plain double precision floors the
 first-law residual near 1e-9 of the largest current there.  Each machine is
-therefore described once, by a :class:`_Generator`: the Hamiltonian and jump
-operators held in extended precision (x87 long double) with the channel rates
-computed once in double by :func:`~qpump.pump.decay_rates`.  The kernel solve
-uses its double rounding (:meth:`_Generator.superop`); the state is then
-polished against the extended-precision action and the currents are
-assembled at that precision.  The first law holds for the generator as
-built, so double-precision rates are enough.
+therefore described once, by a :class:`_Generator`: its Hamiltonian in
+extended precision (x87 long double) and, per bath, the level pairs of its
+jump ``sum_k |lo_k><hi_k|`` with rates computed once in double by
+:func:`~qpump.pump.decay_rates`.  From those index arrays come the double
+generator of the kernel solve, whose trace-constrained system is factored
+once, and the extended-precision action with which that one factor polishes
+the state; the currents are assembled at that precision too.  The first law
+holds for the generator as built, so double-precision rates are enough.  The
+Kronecker-product builders below are the independent reference.
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import (
-    SuperOp,
-    stationary_vector,
-    trace_row,
-    vectorize,
-)
+from .linalg import SuperOp, _stationary_vector_and_factor, vectorize
+# Kept importable for the layer probes of perfbench/layers.py::install_probes;
+# the solve itself factors through _stationary_vector_and_factor.
+from .linalg import stationary_vector  # noqa: F401
 from .pump import (
     PumpConfig,
     RatePair,
@@ -120,33 +120,20 @@ class SteadySolution:
         return {"work": self.q_work, "hot": self.q_hot, "cold": self.q_cold}
 
 
-def _check_lowering(jump: np.ndarray) -> None:
+def build_dissipator(jump: np.ndarray, rates: RatePair) -> SuperOp:
+    """Lindblad dissipator superoperator for one bath channel."""
     if np.any(np.abs(np.diagonal(jump)) > 0):
         raise ValueError("jump operator must have zero diagonal")
-    lower = np.any(np.abs(np.tril(jump, -1)) > 0)
-    upper = np.any(np.abs(np.triu(jump, 1)) > 0)
-    if lower and upper:
+    if np.any(np.abs(np.tril(jump, -1)) > 0) and np.any(np.abs(np.triu(jump, 1)) > 0):
         raise ValueError("jump operator must be strictly one-sided (a lowering operator)")
-
-
-def _lindblad_structure(jump: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rate-independent superoperator pair (A, B) with D = down*A + up*B."""
     s = np.asarray(jump, dtype=complex)
-    n = s.shape[0]
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(s.shape[0], dtype=complex)
     sd = s.conj().T
     pe = sd @ s
     pg = s @ sd
     a = np.kron(s.conj(), s) - 0.5 * (np.kron(eye, pe) + np.kron(pe.T, eye))
     b = np.kron(sd.conj(), sd) - 0.5 * (np.kron(eye, pg) + np.kron(pg.T, eye))
-    return a, b
-
-
-def build_dissipator(jump: np.ndarray, rates: RatePair) -> SuperOp:
-    """Lindblad dissipator superoperator for one bath channel."""
-    _check_lowering(jump)
-    a, b = _lindblad_structure(jump)
-    return SuperOp(jump.shape[0], rates.down * a + rates.up * b)
+    return SuperOp(s.shape[0], rates.down * a + rates.up * b)
 
 
 def hamiltonian_commutator(h: np.ndarray) -> SuperOp:
@@ -163,33 +150,82 @@ def build_liouvillian(cfg: PumpConfig) -> SuperOp:
 
 
 # ---------------------------------------------------------------------------
-# extended-precision generator action and current assembly
+# generator assembly from transition pairs, kernel solve and polish
 
 
-def _apply_dissipator(s, down, up, rho):
-    sd = s.conj().T
-    pe = sd @ s
-    pg = s @ sd
-    out = down * (s @ rho @ sd - 0.5 * (pe @ rho + rho @ pe))
-    out += up * (sd @ rho @ s - 0.5 * (pg @ rho + rho @ pg))
-    return out
+def _stacked(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Column-stacked positions ``i + n j`` of the entries ``[rows, cols]``."""
+    return (rows + n * cols).reshape(-1)
+
+
+class _Channel:
+    """One bath channel: the jump ``s = sum_k |lo_k><hi_k|`` with its rates.
+
+    The jump must be strictly one-sided with unit weights and address each
+    level at most once as ``lo`` and once as ``hi`` (a partial permutation);
+    any other raises ``ValueError``.  Then ``s+ s = diag(e)`` and
+    ``s s+ = diag(g)``, where ``e`` and ``g`` flag the levels ``hi`` and
+    ``lo``, so the dissipator is elementwise, ``D(rho)_ij = k_ij rho_ij`` with
+    ``k_ij = -(down (e_i + e_j) + up (g_i + g_j)) / 2``, plus two gathers:
+    ``down rho[hi, hi]`` lands on ``[lo, lo]`` and ``up rho[lo, lo]`` on
+    ``[hi, hi]``.  States are column-stacked vectors.
+    """
+
+    def __init__(self, jump: np.ndarray, down: float, up: float):
+        lo, hi = np.nonzero(jump)
+        if not (jump[lo, hi] == 1).all():
+            raise ValueError("jump operator must have unit weights")
+        if not ((lo < hi).all() or (lo > hi).all()):
+            raise ValueError("jump operator must be strictly one-sided (a lowering operator)")
+        if len(set(lo.tolist())) < lo.size or len(set(hi.tolist())) < hi.size:
+            raise ValueError("jump operator must address each level at most once per side")
+        n = jump.shape[0]
+        self.down, self.up = down, up
+        self.lo = _stacked(lo[:, None], lo, n)
+        self.hi = _stacked(hi[:, None], hi, n)
+        flags = np.zeros((2, n))
+        flags[0, hi] = flags[1, lo] = -0.5
+        # -(e_i + e_j)/2 and -(g_i + g_j)/2 are 0, -1/2 or -1, so the products
+        # are exact and k rounds once at either precision (symmetric in i, j)
+        e, g = ((f[:, None] + f).reshape(-1) for f in flags)
+        self.decay = down * e + up * g
+        self.decay_ld = down * e.astype(np.longdouble) + up * g.astype(np.longdouble)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """``D(rho)`` at extended precision."""
+        out = self.decay_ld * v
+        out[self.lo] += self.down * v[self.hi]
+        out[self.hi] += self.up * v[self.lo]
+        return out
 
 
 class _Generator:
-    """One machine: its Hamiltonian and one ``(jump, down, up)`` channel per
-    bath.  Operators are held in extended precision and the rates are the
-    double values of :func:`decay_rates`, which promote to long double in
-    :meth:`action` (refinement residuals) and :meth:`currents` (per-bath
-    current assembly); :meth:`superop` rounds the machine to the double
-    generator the kernel solve uses."""
+    """One machine: its extended-precision Hamiltonian and one
+    :class:`_Channel` per bath.  :meth:`action` (refinement residuals) and
+    :meth:`currents` work in long double, :meth:`superop` is the double
+    generator of the kernel solve.  The diagonal of the Hamiltonian enters
+    the commutator elementwise, ``-i (E_i - E_j)``; its off-diagonal part
+    ``V`` (the three-qubit exchange) as sparse entries: ``-i V rho`` puts
+    ``-i V_rc rho[c, j]`` on ``[r, j]``, and ``i rho V`` puts
+    ``i V_rc rho[i, r]`` on ``[i, c]``.
+    """
 
     def __init__(self, cfg, ham, jumps):
         # jumps: {label: lowering operator of that bath}
         self.ham = np.asarray(ham, dtype=_LD)
+        n = self.ham.shape[0]
+        energies = np.diagonal(self.ham)
+        self._commutator_ld = -1j * (energies[:, None] - energies[None, :]).reshape(-1, order="F")
+        r, c = np.nonzero(self.ham - np.diag(energies))
+        j = np.arange(n)[:, None]
+        self._coupling_rows = np.concatenate([_stacked(r, j, n), _stacked(j, c, n)])
+        self._coupling_cols = np.concatenate([_stacked(c, j, n), _stacked(j, r, n)])
+        v = self.ham[r, c]
+        self._coupling_ld = np.concatenate([np.tile(-1j * v, n), np.tile(1j * v, n)])
         self.channels = {}
         for label in _BATHS:
             rates = decay_rates(cfg.bath(label), cfg.bath_frequency(label))
-            self.channels[label] = (np.asarray(jumps[label], dtype=_LD), rates.down, rates.up)
+            self.channels[label] = _Channel(jumps[label], rates.down, rates.up)
 
     @classmethod
     def for_pump(cls, cfg: PumpConfig):
@@ -197,61 +233,50 @@ class _Generator:
         return cls(cfg, np.diag(e), {label: build_jump_operator(cfg, label) for label in _BATHS})
 
     def superop(self) -> SuperOp:
-        mat = hamiltonian_commutator(self.ham).matrix
-        for s, down, up in self.channels.values():
-            mat = mat + build_dissipator(s, RatePair(down, up)).matrix
+        energies = np.diagonal(self.ham).astype(complex)
+        coef = -1j * (energies[:, None] - energies[None, :]).reshape(-1, order="F")
+        for ch in self.channels.values():
+            coef = coef + ch.decay
+        mat = np.diag(coef)
+        mat[self._coupling_rows, self._coupling_cols] += self._coupling_ld
+        for ch in self.channels.values():
+            mat[ch.lo, ch.hi] += ch.down
+            mat[ch.hi, ch.lo] += ch.up
         return SuperOp(self.ham.shape[0], mat)
 
-    def action(self, rho):
-        out = -1j * (self.ham @ rho - rho @ self.ham)
-        for s, down, up in self.channels.values():
-            out += _apply_dissipator(s, down, up, rho)
+    def action(self, v: np.ndarray) -> np.ndarray:
+        """The generator on a column-stacked state at extended precision."""
+        out = self._commutator_ld * v
+        np.add.at(out, self._coupling_rows, self._coupling_ld * v[self._coupling_cols])
+        for ch in self.channels.values():
+            out += ch.apply(v)
         return out
 
     def currents(self, rho) -> dict[str, float]:
-        q = {}
-        for label, (s, down, up) in self.channels.items():
-            d = _apply_dissipator(s, down, up, rho)
-            q[label] = float(np.real(np.trace(self.ham @ d)))
-        return q
-
-    def rate_scale(self) -> float:
-        return max(down + up for _, down, up in self.channels.values())
+        # tr(H D) = sum_ij H_ji D_ij
+        ham_t = vectorize(self.ham.T)
+        v = vectorize(rho)
+        return {label: float(np.real(np.sum(ham_t * ch.apply(v))))
+                for label, ch in self.channels.items()}
 
 
-def _polish_state(matrix: np.ndarray, v0: np.ndarray, gen_ld: _Generator) -> np.ndarray:
+def _polish_state(lu: tuple, v0: np.ndarray, gen_ld: _Generator) -> np.ndarray:
     """Refine the kernel vector against the extended-precision generator.
 
-    Solves corrections through the double-precision LU of the
-    trace-constrained system; residuals come from the long-double generator
-    action, so the refined state is a kernel vector of the generator as
-    built at extended precision.
+    Solves corrections through ``lu``, the double-precision LU factor of the
+    trace-constrained system that produced ``v0``; residuals come from the
+    long-double generator action, so the refined state is a kernel vector of
+    the generator as built at extended precision.
     """
     n = int(round(math.sqrt(v0.size)))
-    m = matrix.copy()
-    m[0, :] = trace_row(n)
-    lu = sla.lu_factor(m, check_finite=False)
     v = v0.astype(_LD)
     for _ in range(_POLISH_ITERATIONS):
-        rho = v.reshape((n, n), order="F")
-        resid = -gen_ld.action(rho).reshape(-1, order="F")
-        resid[0] = 1.0 - np.trace(rho)
+        resid = -gen_ld.action(v)
+        resid[0] = 1.0 - v[:: n + 1].sum()
         dv = sla.lu_solve(lu, resid.astype(complex), check_finite=False)
         v = v + dv.astype(_LD)
     rho = v.reshape((n, n), order="F")
     return rho / np.trace(rho)
-
-
-def _entropy_rate_ld(q: dict[str, float], temps: tuple[float, float, float]) -> float:
-    terms = [np.longdouble(qa) / np.longdouble(t)
-             for qa, t in zip((q["work"], q["hot"], q["cold"]), temps)]
-    return float(-(terms[0] + terms[1] + terms[2]))
-
-
-def _classify_mode(q: dict[str, float], quiet: float) -> str:
-    if max(abs(x) for x in q.values()) <= quiet:
-        return "boundary"
-    return "chiller" if q["cold"] > 0 else "heat_transformer"
 
 
 def _solution_from_state(gen_ld: _Generator, rho_ld, kernel_residual: float,
@@ -259,7 +284,7 @@ def _solution_from_state(gen_ld: _Generator, rho_ld, kernel_residual: float,
                          gate_ideality: bool) -> SteadySolution:
     q = gen_ld.currents(rho_ld)
     ham_scale = float(np.max(np.abs(np.real(np.diag(gen_ld.ham))))) or 1.0
-    current_scale = ham_scale * gen_ld.rate_scale()
+    current_scale = ham_scale * max(ch.down + ch.up for ch in gen_ld.channels.values())
     noise = _MODE_FRACTION * current_scale
     q_max = max(abs(x) for x in q.values())
     # Relative gates are only meaningful when the currents stand well clear
@@ -276,7 +301,10 @@ def _solution_from_state(gen_ld: _Generator, rho_ld, kernel_residual: float,
         "first_law": float(first_law),
         "ideality_cold_work": float(ideality),
     }
-    mode = _classify_mode(q, noise)
+    if q_max <= noise:
+        mode = "boundary"
+    else:
+        mode = "chiller" if q["cold"] > 0 else "heat_transformer"
 
     if kernel_residual > KERNEL_RTOL:
         raise NonConvergedError(f"kernel residual {kernel_residual:.3e} > {KERNEL_RTOL:.0e}")
@@ -292,7 +320,8 @@ def _solution_from_state(gen_ld: _Generator, rho_ld, kernel_residual: float,
         q_hot=q["hot"],
         q_cold=q["cold"],
         cop=cop,
-        entropy_rate=_entropy_rate_ld(q, temps),
+        entropy_rate=float(-sum(np.longdouble(q[label]) / np.longdouble(t)
+                                for label, t in zip(_BATHS, temps))),
         residuals=residuals,
         mode=mode,
         rho_ld=rho_ld,
@@ -303,17 +332,13 @@ def _solve_system(cfg, gen: _Generator, gate_ideality: bool) -> SteadySolution:
     """Kernel solve of ``gen``'s double rounding, extended-precision polish,
     then the gated currents of ``cfg``'s machine."""
     liouv = gen.superop()
-    v = stationary_vector(liouv)
-    rho = _polish_state(liouv.matrix, v, gen)
-    kernel_residual = float(
-        np.max(np.abs(liouv.matrix @ np.asarray(vectorize(rho), dtype=complex)))
-        / np.max(np.abs(liouv.matrix))
-    )
-    temps = (
-        effective_temperature(cfg.work, cfg.omega_w),
-        cfg.hot.temperature,
-        cfg.cold.temperature,
-    )
+    v, lu = _stationary_vector_and_factor(liouv)
+    rho = _polish_state(lu, v, gen)
+    mat = liouv.matrix
+    residual = np.max(np.abs(mat @ vectorize(rho).astype(complex)))
+    kernel_residual = float(residual / np.max(np.abs(mat)))
+    temps = (effective_temperature(cfg.work, cfg.omega_w), cfg.hot.temperature,
+             cfg.cold.temperature)
     return _solution_from_state(
         gen, rho, kernel_residual, temps,
         omega_ratio=cfg.omega_c / cfg.omega_w, gate_ideality=gate_ideality,
@@ -383,9 +408,8 @@ def heat_currents_decomposed(cfg: PumpConfig,
     rho = solution.rho_ld
     n = cfg.n_levels
     gen = _Generator.for_pump(cfg)
-    diag = {}
-    for label, (s, down, up) in gen.channels.items():
-        diag[label] = np.real(np.diag(_apply_dissipator(s, down, up, rho))).astype(float)
+    diag = {label: np.real(ch.apply(vectorize(rho))[:: n + 1]).astype(float)
+            for label, ch in gen.channels.items()}
 
     w_levels = np.array([2 * k + 1 for k in range(1, (n + 1) // 2)])
     w_terms = cfg.omega_w * diag["work"][w_levels - 1]

@@ -53,9 +53,8 @@ __all__ = [
 # perturbative three-body-exchange picture; warn, do not refuse.
 COUPLING_FRACTION = 0.1
 
-_SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
-_NUMBER = np.diag([0.0, 1.0]).astype(complex)
-_QUBIT_SLOT = {"cold": 0, "work": 1, "hot": 2}
+# bit of each qubit in the basis index 4*n_c + 2*n_w + n_h
+_QUBIT_BIT = {"cold": 4, "work": 2, "hot": 1}
 
 
 @dataclass(frozen=True)
@@ -91,12 +90,6 @@ class ThreeQubitConfig(_ThreeBathConfig):
         return self.omega_c + self.omega_w
 
 
-def _embed(op: np.ndarray, slot: int) -> np.ndarray:
-    mats = [np.eye(2, dtype=op.dtype)] * 3
-    mats[slot] = op
-    return np.kron(np.kron(mats[0], mats[1]), mats[2])
-
-
 def build_three_qubit_hamiltonian(cfg: ThreeQubitConfig, dtype=complex) -> np.ndarray:
     """8 x 8 Hamiltonian: three number operators plus the resonant exchange.
 
@@ -107,16 +100,21 @@ def build_three_qubit_hamiltonian(cfg: ThreeQubitConfig, dtype=complex) -> np.nd
     rt = np.longdouble if dtype == _LD else float
     wc, ww = rt(cfg.omega_c), rt(cfg.omega_w)
     wh = wc + ww
-    h = (wc * _embed(_NUMBER, 0) + ww * _embed(_NUMBER, 1) + wh * _embed(_NUMBER, 2)).astype(dtype)
+    level = np.arange(8)
+    n_c, n_w, n_h = ((level & _QUBIT_BIT[label]) > 0 for label in ("cold", "work", "hot"))
+    h = np.diag(wc * n_c + ww * n_w + wh * n_h).astype(dtype)
     # |1_c 1_w 0_h> has index 6, |0_c 0_w 1_h> index 1
-    v = np.zeros((8, 8), dtype=dtype)
-    v[6, 1] = 1.0
-    v[1, 6] = 1.0
-    return h + rt(cfg.g) * v
+    h[6, 1] = h[1, 6] = rt(cfg.g)
+    return h
 
 
 def _jump(label: str) -> np.ndarray:
-    return _embed(_SIGMA_MINUS, _QUBIT_SLOT[label])
+    """Bare lowering operator |0><1| of one qubit, as an 8 x 8 matrix."""
+    bit = _QUBIT_BIT[label]
+    excited = np.flatnonzero(np.arange(8) & bit)
+    s = np.zeros((8, 8))
+    s[excited - bit, excited] = 1.0
+    return s
 
 
 def build_three_qubit_liouvillian(cfg: ThreeQubitConfig) -> SuperOp:

@@ -6,16 +6,30 @@ from qpump.linalg import (
     NoKernelError,
     SuperOp,
     devectorize,
-    kron,
     propagate,
     stationary_vector,
-    trace_defect,
+    trace_row,
     vectorize,
 )
 from qpump.pump import BathSpec, decay_rates
 from qpump.steady import build_dissipator, hamiltonian_commutator
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+def kron(a, b):
+    """Kronecker product with complex promotion, shape (ra*rb, ca*cb)."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def trace_defect(op):
+    """``max |tr_row @ matrix|`` relative to ``max |matrix|``: how badly the
+    superoperator fails to annihilate the trace; ~1e-16 for a generator of
+    trace-preserving dynamics."""
+    scale = np.max(np.abs(op.matrix))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(trace_row(op.dim) @ op.matrix)) / scale)
 
 
 def reference_kron(a, b):

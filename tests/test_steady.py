@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qpump
 from qpump.linalg import SuperOp, devectorize, stationary_vector, vectorize
@@ -16,13 +17,18 @@ from qpump.steady import (
     pauli_rate_oracle,
     solve,
 )
-from qpump.three_qubit import ThreeQubitConfig, _generator_ld
+from qpump.three_qubit import ThreeQubitConfig, _generator_ld, solve_three_qubit
 
 REF_PARAMS = dict(omega_h=102.6, t_work=7.1e3, t_hot=1.57e3, t_cold=54.25,
             gamma_work=3.5e-3, gamma_hot=5.1e-3, gamma_cold=8.8e-3)
 REF_WINDOW_MAX = 2.782565222609013
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+def apply(op, rho):
+    """The superoperator on a density matrix, as a matrix."""
+    return devectorize(op.matrix @ vectorize(rho), op.dim)
 
 
 def reference_pump(n_levels=3, omega_c=1.4):
@@ -60,7 +66,7 @@ class TestDissipator:
         rates = decay_rates(cfg.cold, cfg.omega_c)
         op = build_dissipator(jump, rates)
         rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        drho = op.apply(rho)
+        drho = apply(op, rho)
         assert abs(drho[0, 0].real + rates.up) < 1e-12 * rates.up
         assert abs(drho[1, 1].real - rates.up) < 1e-12 * rates.up
         assert abs(np.trace(drho)) < 1e-12 * rates.up
@@ -79,7 +85,7 @@ class TestLiouvillian:
         ham = np.diag([0.0, 1.4, 102.6]).astype(complex)
         op = hamiltonian_commutator(ham)
         rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        assert np.max(np.abs(op.apply(rho))) == 0.0
+        assert np.max(np.abs(apply(op, rho))) == 0.0
 
     def test_equal_temperatures_fix_gibbs(self):
         # build the generator piecewise so all baths share one temperature
@@ -282,20 +288,142 @@ def _three_qubit_fridge():
     )
 
 
-@pytest.mark.parametrize("make_generator", [
-    lambda: _Generator.for_pump(reference_pump(3)),
-    lambda: _Generator.for_pump(reference_pump(8)),
-    lambda: _generator_ld(_three_qubit_fridge()),
-], ids=["pump_n3", "pump_n8", "three_qubit"])
-def test_superop_and_extended_action_are_one_operator(make_generator):
+BATHS = ("work", "hot", "cold")
+
+
+def _kron_embed(op, slot):
+    mats = [np.eye(2)] * 3
+    mats[slot] = op
+    return np.kron(np.kron(mats[0], mats[1]), mats[2])
+
+
+def _pump_case(n):
+    # the machine as operators: extended-precision Hamiltonian and jumps
+    cfg = reference_pump(n)
+    ham = np.diag(qpump.level_energies(n, cfg.omega_h, cfg.omega_c, dtype=np.longdouble))
+    jumps = {label: qpump.build_jump_operator(cfg, label) for label in BATHS}
+    return cfg, _Generator.for_pump(cfg), ham, jumps
+
+
+def _three_qubit_case():
+    # Hamiltonian and local jumps built with Kronecker products, independently
+    # of the index arithmetic of qpump.three_qubit
+    cfg = _three_qubit_fridge()
+    number = np.diag([0.0, 1.0])
+    wc, ww = np.longdouble(cfg.omega_c), np.longdouble(cfg.omega_w)
+    ham = (wc * _kron_embed(number, 0) + ww * _kron_embed(number, 1)
+           + (wc + ww) * _kron_embed(number, 2))
+    ham[6, 1] = ham[1, 6] = np.longdouble(cfg.g)
+    jumps = {label: _kron_embed(SIGMA_MINUS.real, slot)
+             for slot, label in enumerate(("cold", "work", "hot"))}
+    return cfg, _generator_ld(cfg), ham, jumps
+
+
+def _rates(cfg, label):
+    return decay_rates(cfg.bath(label), cfg.bath_frequency(label))
+
+
+def _kron_superop(cfg, ham, jumps):
+    mat = hamiltonian_commutator(ham).matrix
+    for label in BATHS:
+        mat = mat + build_dissipator(jumps[label], _rates(cfg, label)).matrix
+    return mat
+
+
+def _product_action(cfg, ham, jumps, rho):
+    # the Lindblad form written with operator products, in long double
+    h = ham.astype(np.clongdouble)
+    out = -1j * (h @ rho - rho @ h)
+    for label in BATHS:
+        rates = _rates(cfg, label)
+        s = jumps[label].astype(np.clongdouble)
+        sd = s.conj().T
+        out += rates.down * (s @ rho @ sd - 0.5 * (sd @ s @ rho + rho @ sd @ s))
+        out += rates.up * (sd @ rho @ s - 0.5 * (s @ sd @ rho + rho @ s @ sd))
+    return out
+
+
+MACHINES = {f"pump_n{n}": (lambda n=n: _pump_case(n)) for n in range(3, 11)}
+MACHINES["three_qubit"] = _three_qubit_case
+
+
+@pytest.mark.parametrize("case", MACHINES.values(), ids=MACHINES.keys())
+def test_superop_matches_kron_reference(case):
+    # the transition-pair assembly against the Kronecker-product one
+    cfg, gen, ham, jumps = case()
+    reference = _kron_superop(cfg, ham, jumps)
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(gen.superop().matrix - reference)) <= 4 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("case", [MACHINES[k] for k in ("pump_n3", "pump_n8", "three_qubit")],
+                         ids=["pump_n3", "pump_n8", "three_qubit"])
+def test_superop_and_extended_action_are_one_operator(case):
     # the double generator the kernel solve uses is the rounding of the
-    # extended-precision action the polish and the currents use
-    gen = make_generator()
+    # extended-precision action the polish and the currents use, and that
+    # action is the Lindblad form of the machine's operators
+    cfg, gen, ham, jumps = case()
     op = gen.superop()
     rng = np.random.default_rng(11)
     a = rng.normal(size=(op.dim, op.dim)) + 1j * rng.normal(size=(op.dim, op.dim))
     rho = a @ a.conj().T
     rho /= np.trace(rho)
+    scale = np.max(np.abs(op.matrix))
+    from_action = gen.action(vectorize(rho).astype(np.clongdouble))
     from_superop = op.matrix @ vectorize(rho)
-    from_action = vectorize(gen.action(rho.astype(np.clongdouble))).astype(complex)
-    assert np.max(np.abs(from_superop - from_action)) <= 1e-15 * np.max(np.abs(op.matrix))
+    assert np.max(np.abs(from_superop - from_action.astype(complex))) <= 1e-15 * scale
+    from_products = vectorize(_product_action(cfg, ham, jumps, rho.astype(np.clongdouble)))
+    assert np.max(np.abs(from_action - from_products)) <= 2 * np.finfo(np.longdouble).eps * scale
+
+
+@pytest.mark.parametrize("jump", [
+    np.diag([1.0, 1.0, 0.0]),                                    # diagonal
+    np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float),    # two-sided
+    np.array([[0, 0.5, 0], [0, 0, 0], [0, 0, 0]]),               # weight 1/2
+    np.array([[0, 1j, 0], [0, 0, 0], [0, 0, 0]]),                # complex weight
+    np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]], dtype=float),    # one level, two targets
+    np.array([[0, 0, 1], [0, 0, 1], [0, 0, 0]], dtype=float),    # two sources, one level
+], ids=["diagonal", "two_sided", "half_weight", "complex_weight", "fan_out", "fan_in"])
+def test_generator_rejects_jumps_outside_the_gather_form(jump):
+    cfg = reference_pump(3)
+    jumps = {label: qpump.build_jump_operator(cfg, label) for label in BATHS}
+    jumps["hot"] = jump
+    with pytest.raises(ValueError):
+        _Generator(cfg, qpump.build_hamiltonian(cfg), jumps)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("solver, cfg", [
+    (solve, reference_pump(8)),
+    (solve_three_qubit, _three_qubit_fridge()),
+], ids=["pump", "three_qubit"])
+def test_one_lu_factorization_per_solve(monkeypatch, solver, cfg):
+    factorizations = _count_calls(monkeypatch, scipy.linalg, "lu_factor")
+    fallbacks = _count_calls(monkeypatch, qpump.linalg, "_kernel_diagnostics")
+    solver(cfg)
+    assert len(factorizations) == 1 and not fallbacks
+
+
+def test_svd_fallback_polishes_through_the_shared_factor(monkeypatch):
+    cfg = reference_pump(8)
+    expected = solve(cfg)
+    factorizations = _count_calls(monkeypatch, scipy.linalg, "lu_factor")
+    fallbacks = _count_calls(monkeypatch, qpump.linalg, "_kernel_diagnostics")
+    # every factor now fails the condition gate, so the kernel vector comes
+    # from the SVD and the polish refines it through that rejected factor
+    monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
+    sol = solve(cfg)
+    assert len(factorizations) == 1 and len(fallbacks) == 1
+    for label in BATHS:
+        assert abs(sol.currents[label] / expected.currents[label] - 1.0) <= 1e-12

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qpump
+from qpump.linalg import trace_row
 from qpump.pump import BathSpec, carnot_cop
 from qpump.three_qubit import (
     ThreeQubitConfig,
@@ -110,7 +111,8 @@ class TestSolve:
 
     def test_trace_preserving_generator(self):
         op = build_three_qubit_liouvillian(fridge())
-        assert qpump.linalg.trace_defect(op) <= 1e-10
+        scale = np.max(np.abs(op.matrix))
+        assert np.max(np.abs(trace_row(op.dim) @ op.matrix)) <= 1e-10 * scale
 
 
 class TestValidation:
