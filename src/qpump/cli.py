@@ -26,7 +26,9 @@ errors; ``--set key=value`` overrides file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import warnings
 
 import numpy as np
 
@@ -40,9 +42,18 @@ from .experiments import (
     maximize_cooling_power,
     sweep_stages,
 )
-from .linalg import DegenerateKernelError, NoKernelError
-from .pump import PumpConfig, ideal_pump
-from .steady import NonConvergedError, solve
+from .linalg import DegenerateKernelError, NoKernelError, propagate
+from .pump import (
+    BathSpec,
+    PumpConfig,
+    carnot_cop,
+    cooling_window_max,
+    effective_temperature,
+    ideal_pump,
+    squeeze_db_to_r,
+)
+from .steady import NonConvergedError, pauli_rate_oracle, solve
+from .three_qubit import ThreeQubitConfig, solve_three_qubit
 
 __all__ = ["main", "run", "parse_params", "CliConfigError"]
 
@@ -70,6 +81,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -153,7 +166,7 @@ def _curve_setup(params: dict) -> CurveSetup:
     if omega_w <= 0:
         raise CliConfigError("need omega_c < omega_h")
     try:
-        return CurveSetup(
+        setup = CurveSetup(
             omega_w=omega_w,
             t_work=params["T_w"], t_hot=params["T_h"], t_cold=params["T_c"],
             gamma_work=params["gamma_w"], gamma_hot=params["gamma_h"],
@@ -161,8 +174,16 @@ def _curve_setup(params: dict) -> CurveSetup:
             g=params["g"],
             n_levels=params.get("n_levels", 8),
         )
+        # both machines once, so that a bad value fails here and not inside
+        # the sweep, which silences the same warnings
+        window = pump.cooling_window_max_fixed_work(omega_w, setup.temps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for system in ("ideal", "three_qubit"):
+                experiments._curve_config(system, setup, 0.5 * window)
     except ValueError as exc:
         raise CliConfigError(str(exc)) from exc
+    return setup
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +202,16 @@ def _emit(text: str, output: str) -> None:
             fh.write(text)
 
 
-def _csv(schema: str, seed: int, params_echo: str, extra_meta: list[str],
+def _csv(schema: str, seed: int, params_echo: str, extra_meta: dict,
          columns: list[str], rows: list[list]) -> str:
     lines = [
         f"# qpump-schema: {schema}/{SCHEMA_VERSION}",
         f"# seed: {seed}",
         f"# params: {params_echo}",
     ]
-    lines += [f"# {m}" for m in extra_meta]
+    lines += [f"# {k}: {_fmt(v)}" for k, v in extra_meta.items()]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(cell) if not isinstance(cell, str) else cell
-                              for cell in row))
+    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -230,12 +249,13 @@ def _json(schema: str, seed: int, params: dict, extra_meta: dict,
     return _json_render(doc) + "\n"
 
 
-def _write(args, schema: str, params: dict, extra_meta_csv: list[str],
-           extra_meta_json: dict, columns: list[str], rows: list[list]) -> None:
+def _write(args, schema: str, params: dict, extra_meta: dict,
+           columns: list[str], rows: list[list]) -> None:
+    # extra_meta is one "# key: value" line each in CSV, one field each in JSON
     if args.format == "csv":
-        text = _csv(schema, args.seed, _params_echo(params), extra_meta_csv, columns, rows)
+        text = _csv(schema, args.seed, _params_echo(params), extra_meta, columns, rows)
     else:
-        text = _json(schema, args.seed, params, extra_meta_json, columns, rows)
+        text = _json(schema, args.seed, params, extra_meta, columns, rows)
     _emit(text, args.output)
 
 
@@ -254,7 +274,7 @@ def _cmd_currents(args, params: dict) -> None:
              sol.cop, sol.cop / eps_c, sol.entropy_rate, sol.mode,
              sol.residuals["first_law"], sol.residuals["ideality_cold_work"],
              sol.residuals["kernel_residual"]]]
-    _write(args, "currents", params, [], {}, columns, rows)
+    _write(args, "currents", params, {}, columns, rows)
 
 
 def _cmd_optimize(args, params: dict) -> None:
@@ -262,23 +282,24 @@ def _cmd_optimize(args, params: dict) -> None:
     opt = maximize_cooling_power(cfg)
     columns = ["omega_c_star", "q_c_max", "eps_star", "eps_ratio", "evaluations"]
     rows = [[opt.omega_c_star, opt.q_c_max, opt.eps_star, opt.eps_ratio, opt.evaluations]]
-    _write(args, "optimize", params, [], {}, columns, rows)
+    _write(args, "optimize", params, {}, columns, rows)
 
 
 def _cmd_sweep_n(args, params: dict) -> None:
-    base = dict(params)
-    base.setdefault("n_levels", args.n_min)
-    cfg = _pump_from_params(base)
+    if not 3 <= args.n_min <= args.n_max:
+        raise CliConfigError(f"need 3 <= --n-min <= --n-max, got {args.n_min}, {args.n_max}")
+    cfg = _pump_from_params({"n_levels": args.n_min, **params})
     n_values = tuple(range(args.n_min, args.n_max + 1))
     results = sweep_stages(cfg, n_values=n_values, squeeze_db=args.squeeze_db)
     columns = ["N", "variant", "omega_c_star", "q_c_max", "eps_star", "eps_ratio"]
     rows = [[r.n_levels, r.variant, r.optimum.omega_c_star, r.optimum.q_c_max,
              r.optimum.eps_star, r.optimum.eps_ratio] for r in results]
-    meta = [f"squeeze_db: {_fmt(args.squeeze_db)}"]
-    _write(args, "sweep-n", params, meta, {"squeeze_db": args.squeeze_db}, columns, rows)
+    _write(args, "sweep-n", params, {"squeeze_db": args.squeeze_db}, columns, rows)
 
 
 def _cmd_histogram(args, params: dict) -> None:
+    if args.samples < 0:
+        raise CliConfigError(f"--samples must be >= 0, got {args.samples}")
     ranges = SampleRanges(seed=args.seed)
     result = cop_histogram(ranges, args.samples, threads=args.threads)
     columns = ["sample", "eps_ratio", "N"]
@@ -290,44 +311,35 @@ def _cmd_histogram(args, params: dict) -> None:
         f"omega_h_over_t_cold={ranges.omega_h_over_t_cold} "
         f"gamma_frac={ranges.gamma_frac} n_levels={ranges.n_levels}"
     )
-    meta = [f"samples: {result.n_samples}", f"rejected: {result.rejected}",
-            f"ranges: {ranges_echo}"]
-    meta_json: dict = {"samples": result.n_samples, "rejected": result.rejected,
-                       "ranges": ranges_echo}
+    meta: dict = {"samples": result.n_samples, "rejected": result.rejected,
+                  "ranges": ranges_echo}
     if result.eps_ratios.size:
-        meta.append(f"max_eps_ratio: {_fmt(result.eps_ratios.max())}")
-        meta.append(f"mean_eps_ratio: {_fmt(result.eps_ratios.mean())}")
-        meta_json["max_eps_ratio"] = float(result.eps_ratios.max())
-        meta_json["mean_eps_ratio"] = float(result.eps_ratios.mean())
-    _write(args, "histogram", params, meta, meta_json, columns, rows)
+        meta["max_eps_ratio"] = float(result.eps_ratios.max())
+        meta["mean_eps_ratio"] = float(result.eps_ratios.mean())
+    _write(args, "histogram", params, meta, columns, rows)
 
 
 def _cmd_curve(args, params: dict) -> None:
     setup = _curve_setup(params)
     systems = ["ideal", "three_qubit"] if args.system == "both" else [args.system]
     columns = ["omega_c", "q_c", "eps", "eps_over_carnot", "system"]
-    rows = []
-    for system in systems:
-        for pt in characteristic_curve(system, setup, n_points=args.points):
-            rows.append([pt.omega_c, pt.q_c, pt.eps, pt.eps_over_carnot, system])
-    meta = [f"points: {args.points}"]
-    _write(args, "curve", params, meta, {"points": args.points}, columns, rows)
+    rows = [[pt.omega_c, pt.q_c, pt.eps, pt.eps_over_carnot, system] for system in systems
+            for pt in characteristic_curve(system, setup, n_points=args.points)]
+    _write(args, "curve", params, {"points": args.points}, columns, rows)
 
 
 def _cmd_compare(args, params: dict) -> None:
+    if args.points < 1:
+        raise CliConfigError(f"--points must be >= 1, got {args.points}")
     setup = _curve_setup(params)
     columns = ["system", "omega_c_star", "q_c_max", "eps_star", "eps_ratio"]
-    rows = []
-    best = {}
-    for system in ("ideal", "three_qubit"):
-        pts = characteristic_curve(system, setup, n_points=args.points)
-        top = max(pts, key=lambda p: p.q_c)
-        best[system] = top
-        rows.append([system, top.omega_c, top.q_c, top.eps, top.eps_over_carnot])
+    best = {system: max(characteristic_curve(system, setup, n_points=args.points),
+                        key=lambda p: p.q_c) for system in ("ideal", "three_qubit")}
+    rows = [[system, top.omega_c, top.q_c, top.eps, top.eps_over_carnot]
+            for system, top in best.items()]
     ratio = best["ideal"].q_c / best["three_qubit"].q_c
-    meta = [f"points: {args.points}", f"power_ratio: {_fmt(ratio)}"]
-    _write(args, "compare", params,
-           meta, {"points": args.points, "power_ratio": ratio}, columns, rows)
+    _write(args, "compare", params, {"points": args.points, "power_ratio": ratio},
+           columns, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +347,6 @@ def _cmd_compare(args, params: dict) -> None:
 
 
 def _selftest_checks():
-    import warnings
-
-    from .pump import (
-        BathSpec,
-        carnot_cop,
-        cooling_window_max,
-        effective_temperature,
-        squeeze_db_to_r,
-    )
-    from .steady import pauli_rate_oracle
-    from .three_qubit import ThreeQubitConfig, solve_three_qubit
-    from .linalg import propagate
-
     ref = ideal_pump(3, 102.6, 1.4, 7.1e3, 1.57e3, 54.25, 3.5e-3, 5.1e-3, 8.8e-3)
     temps = (7.1e3, 1.57e3, 54.25)
 
@@ -415,7 +414,6 @@ def _selftest_checks():
 
     def window_edge():
         window = cooling_window_max(102.6, temps)
-        import dataclasses
         inside = solve(dataclasses.replace(ref, omega_c=0.98 * window))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

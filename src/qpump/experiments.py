@@ -29,13 +29,13 @@ from .pump import (
     BathSpec,
     PumpConfig,
     WeakCouplingWarning,
+    _transition_levels,
     carnot_cop,
     cooling_window_max,
     cooling_window_max_fixed_work,
     decay_rates,
     effective_temperatures,
     squeeze_db_to_r,
-    transition_pairs,
     window_max,
 )
 from .steady import solve
@@ -220,19 +220,17 @@ class _CoolingPowerEvaluator:
         n = template.n_levels
         self.template = template
         self.n = n
+        levels = {label: _transition_levels(n, label) for label in ("work", "hot", "cold")}
         # slice 2k is bath k's downward (hi -> lo) incidence, 2k+1 its upward
         # one; every column of each slice sums to zero
         stack = np.zeros((6, n, n))
-        for k, label in enumerate(("work", "hot", "cold")):
-            for lo, hi in transition_pairs(n, label):
-                i, j = lo - 1, hi - 1
-                stack[2 * k, i, j] += 1.0
-                stack[2 * k, j, j] -= 1.0
-                stack[2 * k + 1, j, i] += 1.0
-                stack[2 * k + 1, i, i] -= 1.0
+        for k, (lo, hi) in enumerate(levels.values()):
+            # each level is at most once lo and once hi: no entry written twice
+            stack[2 * k, lo, hi] = stack[2 * k + 1, hi, lo] = 1.0
+            stack[2 * k, hi, hi] = stack[2 * k + 1, lo, lo] = -1.0
         self._stack = stack.reshape(6, n * n)
         self._hot = decay_rates(template.hot, template.omega_h)
-        self.cold_lows, self.cold_highs = np.array(transition_pairs(n, "cold")).T - 1
+        self.cold_lows, self.cold_highs = levels["cold"]
         self.rhs = np.zeros(n)
         self.rhs[0] = 1.0
 

@@ -140,38 +140,39 @@ def _normalize_trace(v: np.ndarray, n: int) -> np.ndarray:
     return v / tr
 
 
-def stationary_vector(op: SuperOp, check_uniqueness: bool = False) -> np.ndarray:
+def stationary_vector(op: SuperOp) -> np.ndarray:
     """Solve ``op.matrix @ v = 0`` with ``devectorize(v)`` of unit trace.
 
     Primary path replaces the first row of the ``n^2 x n^2`` system with the
     trace constraint and solves the resulting linear system (plus one step of
-    iterative refinement).  If that fails its condition or residual gate, or
-    if ``check_uniqueness`` is set, falls back to an SVD of the generator
-    which doubles as the uniqueness diagnostic.
+    iterative refinement).  If that fails its condition or residual gate,
+    falls back to an SVD of the generator, which doubles as the uniqueness
+    diagnostic.
 
     Raises
     ------
     NoKernelError
-        No singular value small enough for a stationary state.
+        A non-finite generator entry, or no singular value small enough for
+        a stationary state.
     DegenerateKernelError
         More than one stationary state within tolerance.
     """
-    return _stationary_vector_and_factor(op, check_uniqueness)[0]
+    return _stationary_vector_and_factor(op)[0]
 
 
-def _stationary_vector_and_factor(op: SuperOp, check_uniqueness: bool = False
-                                  ) -> tuple[np.ndarray, tuple | None]:
+def _stationary_vector_and_factor(op: SuperOp) -> tuple[np.ndarray, tuple]:
     """:func:`stationary_vector`, also returning the LU factor of the
-    trace-constrained matrix (``None`` with ``check_uniqueness``), so that a
-    caller can refine the state without factoring that matrix again.  The
-    factor is returned on the SVD fallback too."""
+    trace-constrained matrix, so that a caller can refine the state without
+    factoring that matrix again.  The factor is returned on the SVD fallback
+    too."""
     mat = op.matrix
     n = op.dim
     scale = np.max(np.abs(mat))
+    if not np.isfinite(scale):
+        # an overflowed rate; neither the LU nor the SVD can use such a matrix
+        raise NoKernelError(f"generator has non-finite entries (max |L| = {scale})")
     if scale == 0.0:
         raise DegenerateKernelError("zero generator: every state is stationary")
-    if check_uniqueness:
-        return _normalize_trace(_kernel_diagnostics(mat), n), None
     m = mat.copy()
     m[0, :] = trace_row(n)
     b = np.zeros(n * n, dtype=complex)

@@ -44,7 +44,7 @@ from .linalg import stationary_vector  # noqa: F401
 from .pump import (
     PumpConfig,
     RatePair,
-    build_jump_operator,
+    _transition_levels,
     decay_rates,
     effective_temperature,
     level_energies,
@@ -159,27 +159,24 @@ def _stacked(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Channel:
-    """One bath channel: the jump ``s = sum_k |lo_k><hi_k|`` with its rates.
+    """One bath channel on ``n`` levels: the jump ``s = sum_k |lo_k><hi_k|``,
+    from its 0-based level arrays ``lo`` and ``hi``, with its rates.
 
-    The jump must be strictly one-sided with unit weights and address each
-    level at most once as ``lo`` and once as ``hi`` (a partial permutation);
-    any other raises ``ValueError``.  Then ``s+ s = diag(e)`` and
-    ``s s+ = diag(g)``, where ``e`` and ``g`` flag the levels ``hi`` and
-    ``lo``, so the dissipator is elementwise, ``D(rho)_ij = k_ij rho_ij`` with
+    The pairs must be strictly one-sided and address each level at most once
+    as ``lo`` and once as ``hi`` (a partial permutation); any other raises
+    ``ValueError``.  Then ``s+ s = diag(e)`` and ``s s+ = diag(g)``, where
+    ``e`` and ``g`` flag the levels ``hi`` and ``lo``, so the dissipator is
+    elementwise, ``D(rho)_ij = k_ij rho_ij`` with
     ``k_ij = -(down (e_i + e_j) + up (g_i + g_j)) / 2``, plus two gathers:
     ``down rho[hi, hi]`` lands on ``[lo, lo]`` and ``up rho[lo, lo]`` on
     ``[hi, hi]``.  States are column-stacked vectors.
     """
 
-    def __init__(self, jump: np.ndarray, down: float, up: float):
-        lo, hi = np.nonzero(jump)
-        if not (jump[lo, hi] == 1).all():
-            raise ValueError("jump operator must have unit weights")
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, n: int, down: float, up: float):
         if not ((lo < hi).all() or (lo > hi).all()):
             raise ValueError("jump operator must be strictly one-sided (a lowering operator)")
         if len(set(lo.tolist())) < lo.size or len(set(hi.tolist())) < hi.size:
             raise ValueError("jump operator must address each level at most once per side")
-        n = jump.shape[0]
         self.down, self.up = down, up
         self.lo = _stacked(lo[:, None], lo, n)
         self.hi = _stacked(hi[:, None], hi, n)
@@ -201,7 +198,8 @@ class _Channel:
 
 class _Generator:
     """One machine: its extended-precision Hamiltonian and one
-    :class:`_Channel` per bath.  :meth:`action` (refinement residuals) and
+    :class:`_Channel` per bath, built from level arrays (no dense jump;
+    ``build_jump_operator`` is the tests' reference).  :meth:`action` and
     :meth:`currents` work in long double, :meth:`superop` is the double
     generator of the kernel solve.  The diagonal of the Hamiltonian enters
     the commutator elementwise, ``-i (E_i - E_j)``; its off-diagonal part
@@ -210,8 +208,8 @@ class _Generator:
     ``i V_rc rho[i, r]`` on ``[i, c]``.
     """
 
-    def __init__(self, cfg, ham, jumps):
-        # jumps: {label: lowering operator of that bath}
+    def __init__(self, cfg, ham, levels):
+        # levels: {label: (lo, hi) level arrays of that bath's jump}
         self.ham = np.asarray(ham, dtype=_LD)
         n = self.ham.shape[0]
         energies = np.diagonal(self.ham)
@@ -225,12 +223,13 @@ class _Generator:
         self.channels = {}
         for label in _BATHS:
             rates = decay_rates(cfg.bath(label), cfg.bath_frequency(label))
-            self.channels[label] = _Channel(jumps[label], rates.down, rates.up)
+            self.channels[label] = _Channel(*levels[label], n, rates.down, rates.up)
 
     @classmethod
     def for_pump(cls, cfg: PumpConfig):
-        e = level_energies(cfg.n_levels, cfg.omega_h, cfg.omega_c, dtype=np.longdouble)
-        return cls(cfg, np.diag(e), {label: build_jump_operator(cfg, label) for label in _BATHS})
+        n = cfg.n_levels
+        e = level_energies(n, cfg.omega_h, cfg.omega_c, dtype=np.longdouble)
+        return cls(cfg, np.diag(e), {label: _transition_levels(n, label) for label in _BATHS})
 
     def superop(self) -> SuperOp:
         energies = np.diagonal(self.ham).astype(complex)
@@ -246,6 +245,9 @@ class _Generator:
 
     def action(self, v: np.ndarray) -> np.ndarray:
         """The generator on a column-stacked state at extended precision."""
+        # channel by channel, the gathers that currents() sums: a residual
+        # from one pre-summed long-double matrix rounds differently, and the
+        # first-law gate then fails at the window edge and on the fridge curve
         out = self._commutator_ld * v
         np.add.at(out, self._coupling_rows, self._coupling_ld * v[self._coupling_cols])
         for ch in self.channels.values():
@@ -253,7 +255,7 @@ class _Generator:
         return out
 
     def currents(self, rho) -> dict[str, float]:
-        # tr(H D) = sum_ij H_ji D_ij
+        # tr(H D) = sum_ij H_ji D_ij over the gathers that action() applies
         ham_t = vectorize(self.ham.T)
         v = vectorize(rho)
         return {label: float(np.real(np.sum(ham_t * ch.apply(v))))

@@ -108,15 +108,6 @@ def build_three_qubit_hamiltonian(cfg: ThreeQubitConfig, dtype=complex) -> np.nd
     return h
 
 
-def _jump(label: str) -> np.ndarray:
-    """Bare lowering operator |0><1| of one qubit, as an 8 x 8 matrix."""
-    bit = _QUBIT_BIT[label]
-    excited = np.flatnonzero(np.arange(8) & bit)
-    s = np.zeros((8, 8))
-    s[excited - bit, excited] = 1.0
-    return s
-
-
 def build_three_qubit_liouvillian(cfg: ThreeQubitConfig) -> SuperOp:
     """Full generator: commutator of the coupled Hamiltonian plus one local
     dissipator per qubit at its bare frequency."""
@@ -124,8 +115,10 @@ def build_three_qubit_liouvillian(cfg: ThreeQubitConfig) -> SuperOp:
 
 
 def _generator_ld(cfg: ThreeQubitConfig) -> _Generator:
-    ham = build_three_qubit_hamiltonian(cfg, dtype=_LD)
-    return _Generator(cfg, ham, {label: _jump(label) for label in _BATHS})
+    # each qubit's bare lowering operator |0><1| clears its bit of the index
+    excited = {label: np.flatnonzero(np.arange(8) & bit) for label, bit in _QUBIT_BIT.items()}
+    levels = {label: (e - _QUBIT_BIT[label], e) for label, e in excited.items()}
+    return _Generator(cfg, build_three_qubit_hamiltonian(cfg, dtype=_LD), levels)
 
 
 def solve_three_qubit(cfg: ThreeQubitConfig) -> SteadySolution:

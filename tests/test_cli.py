@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qpump
 from qpump.cli import parse_params, run, CliConfigError
 
 REFERENCE_FILE = """\
@@ -197,6 +202,54 @@ class TestCurveAndCompare:
 
     def test_missing_g_rejected(self, reference_params, tmp_path):
         assert run(["curve", "--params", reference_params]) == 1
+
+
+CONFIG_ERRORS = {
+    "curve_n_levels": ["curve", "--params", "@three_qubit", "--set", "n_levels=2"],
+    "curve_negative_g": ["curve", "--params", "@three_qubit", "--set", "g=-0.1"],
+    "curve_hot_above_work": ["curve", "--params", "@three_qubit", "--set", "T_h=200"],
+    "compare_negative_gamma": ["compare", "--params", "@three_qubit", "--set", "gamma_c=-1"],
+    "compare_no_points": ["compare", "--params", "@three_qubit", "--points", "0"],
+    "histogram_negative_samples": ["histogram", "--samples", "-3"],
+    "sweep_n_below_three": ["sweep-n", "--params", "@reference", "--n-min", "2"],
+    "sweep_n_empty_range": ["sweep-n", "--params", "@reference", "--n-min", "5", "--n-max", "4"],
+}
+
+
+@pytest.fixture
+def with_params(reference_params, three_qubit_params):
+    # argv with the "@reference"/"@three_qubit" placeholders made file paths
+    files = {"@reference": reference_params, "@three_qubit": three_qubit_params}
+    return lambda argv: [files.get(a, a) for a in argv]
+
+
+class TestErrorReporting:
+    @pytest.mark.parametrize("argv", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
+    def test_configuration_error_is_one_line(self, argv, with_params, capsys):
+        argv = with_params(argv)
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qpump: configuration error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["currents", "--params", "@reference"],
+        ["curve", "--params", "@three_qubit", "--points", "3"],
+        ["compare", "--params", "@three_qubit", "--points", "3"],
+    ], ids=["currents", "curve", "compare"])
+    def test_overflowing_rate_is_a_solver_failure(self, argv, with_params):
+        # a subprocess, because the test configuration turns the overflow
+        # warning of decay_rates into an error before the solve sees the inf
+        argv = with_params(argv)
+        env = dict(os.environ, PYTHONPATH=str(Path(qpump.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "qpump.cli", *argv,
+                               "--set", "gamma_w=1e306"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        failures = [line for line in proc.stderr.splitlines() if line.startswith("qpump:")]
+        assert failures == [
+            "qpump: solver failure: NoKernelError: generator has non-finite entries "
+            "(max |L| = nan)"]
 
 
 class TestMisc:

@@ -5,6 +5,7 @@ from qpump.linalg import (
     DegenerateKernelError,
     NoKernelError,
     SuperOp,
+    _kernel_diagnostics,
     devectorize,
     propagate,
     stationary_vector,
@@ -153,10 +154,22 @@ class TestStationaryVector:
         assert np.max(np.abs(op.matrix @ v)) <= 1e-10 * np.max(np.abs(op.matrix))
 
     def test_check_uniqueness_path_agrees(self):
+        # the LU path against the SVD diagnostic it falls back to
         op, _ = thermal_qubit_superop()
         v_fast = stationary_vector(op)
-        v_svd = stationary_vector(op, check_uniqueness=True)
+        v_svd = _kernel_diagnostics(op.matrix)
+        v_svd = v_svd / np.trace(devectorize(v_svd, op.dim))
         assert np.max(np.abs(v_fast - v_svd)) < 1e-8
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_generator_has_no_kernel(self, bad):
+        # an overflowed rate must fail as NoKernelError before the LU and the
+        # SVD, which would raise a plain LinAlgError on such a matrix
+        op, _ = thermal_qubit_superop()
+        matrix = op.matrix.copy()
+        matrix[3, 0] = bad
+        with pytest.raises(NoKernelError, match="non-finite"):
+            stationary_vector(SuperOp(op.dim, matrix))
 
     def test_degenerate_kernel_detected(self):
         # dissipation touches only levels 0<->1 of a 4-level space: levels

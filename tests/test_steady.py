@@ -376,20 +376,33 @@ def test_superop_and_extended_action_are_one_operator(case):
     assert np.max(np.abs(from_action - from_products)) <= 2 * np.finfo(np.longdouble).eps * scale
 
 
-@pytest.mark.parametrize("jump", [
-    np.diag([1.0, 1.0, 0.0]),                                    # diagonal
-    np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float),    # two-sided
-    np.array([[0, 0.5, 0], [0, 0, 0], [0, 0, 0]]),               # weight 1/2
-    np.array([[0, 1j, 0], [0, 0, 0], [0, 0, 0]]),                # complex weight
-    np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]], dtype=float),    # one level, two targets
-    np.array([[0, 0, 1], [0, 0, 1], [0, 0, 0]], dtype=float),    # two sources, one level
-], ids=["diagonal", "two_sided", "half_weight", "complex_weight", "fan_out", "fan_in"])
-def test_generator_rejects_jumps_outside_the_gather_form(jump):
+@pytest.mark.parametrize("lo, hi", [
+    ([0, 1], [0, 1]),     # diagonal: |0><0| + |1><1|
+    ([0, 1], [1, 0]),     # two-sided: |0><1| + |1><0|
+    ([0, 0], [1, 2]),     # one level, two targets: |0><1| + |0><2|
+    ([0, 1], [2, 2]),     # two sources, one level: |0><2| + |1><2|
+], ids=["diagonal", "two_sided", "fan_out", "fan_in"])
+def test_generator_rejects_jumps_outside_the_gather_form(lo, hi):
     cfg = reference_pump(3)
-    jumps = {label: qpump.build_jump_operator(cfg, label) for label in BATHS}
-    jumps["hot"] = jump
+    levels = {label: qpump.pump._transition_levels(3, label) for label in BATHS}
+    levels["hot"] = (np.array(lo), np.array(hi))
     with pytest.raises(ValueError):
-        _Generator(cfg, qpump.build_hamiltonian(cfg), jumps)
+        _Generator(cfg, qpump.build_hamiltonian(cfg), levels)
+
+
+@pytest.mark.parametrize("solver, cfg", [
+    (solve, reference_pump(8)),
+    (solve_three_qubit, _three_qubit_fridge()),
+], ids=["pump", "three_qubit"])
+def test_solve_builds_no_dense_jump(monkeypatch, solver, cfg):
+    # the generators come from level arrays; the dense jump is the reference
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_jump_operator called on the solve path")
+
+    # every module binding of the name, so that a re-import cannot dodge it
+    for module in (qpump, qpump.pump, qpump.steady, qpump.three_qubit):
+        monkeypatch.setattr(module, "build_jump_operator", refuse, raising=False)
+    assert solver(cfg).residuals["first_law"] <= qpump.steady.FIRST_LAW_RTOL
 
 
 def _count_calls(monkeypatch, module, name):
