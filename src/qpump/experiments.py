@@ -15,6 +15,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
@@ -55,16 +56,16 @@ __all__ = [
     "characteristic_curve",
     "DEFAULT_SEED",
     "COARSE_GRID_POINTS",
-    "GOLDEN_RELATIVE_WIDTH",
+    "REFINE_RELATIVE_WIDTH",
 ]
 
 DEFAULT_SEED = 123456789
 
-# Optimizer schedule: coarse scan, then golden-section refinement of the
-# best grid cell down to this window-relative bracket width.
+# Optimizer schedule: coarse scan, then Brent's parabolic refinement of the
+# best grid cell down to this window-relative tolerance.
 COARSE_GRID_POINTS = 64
-GOLDEN_RELATIVE_WIDTH = 1e-6
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+REFINE_RELATIVE_WIDTH = 1e-6
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 _VARIANTS = ("plain", "squeezed", "saturated")
 
@@ -82,7 +83,7 @@ class Optimum:
     eps_star: float
     eps_ratio: float
     evaluations: int
-    # grid points that failed a kernel gate plus golden-section steps that
+    # grid points that failed a kernel gate plus refinement steps that
     # raised (and counted as -inf)
     failed_evaluations: int = 0
 
@@ -202,6 +203,28 @@ class CurveSetup:
 # fast q_c(omega_c) evaluation for the optimizer
 
 
+@lru_cache(maxsize=None)
+def _population_structure(n: int):
+    """The population balance of an N-level ladder, a function of N alone:
+    the (6, N^2) incidence stack, the cold bath's level arrays and the
+    trace right-hand side.  Built once per N and read-only, so every
+    evaluator of that N shares them."""
+    levels = [_transition_levels(n, label) for label in ("work", "hot", "cold")]
+    # slice 2k is bath k's downward (hi -> lo) incidence, 2k+1 its upward
+    # one; every column of each slice sums to zero
+    stack = np.zeros((6, n, n))
+    for k, (lo, hi) in enumerate(levels):
+        # each level is at most once lo and once hi: no entry written twice
+        stack[2 * k, lo, hi] = stack[2 * k + 1, hi, lo] = 1.0
+        stack[2 * k, hi, hi] = stack[2 * k + 1, lo, lo] = -1.0
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    out = (stack.reshape(6, n * n), *levels[2], rhs)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 class _CoolingPowerEvaluator:
     """q_c as a function of omega_c for one pump template.
 
@@ -209,30 +232,20 @@ class _CoolingPowerEvaluator:
     coherences decouple from the populations and decay, so the stationary
     populations solve the N x N classical master equation ``dp/dt = M p``
     exactly (Schnakenberg, Rev. Mod. Phys. 48, 571 (1976)).  ``M`` depends
-    on omega_c only through six rates, so a per-template (6, N^2) stack of
+    on omega_c only through six rates, so a (6, N^2) stack of
     down/up incidence matrices makes each sweep point one rate contraction
     plus one small real solve, and a grid of points one stacked contraction
-    and solve.  All state is local to the instance; nothing is cached
-    globally.
+    and solve.  The stack depends on N alone and is shared, read-only, by
+    every evaluator of that N (:func:`_population_structure`); the rates
+    are per instance.
     """
 
     def __init__(self, template: PumpConfig):
-        n = template.n_levels
         self.template = template
-        self.n = n
-        levels = {label: _transition_levels(n, label) for label in ("work", "hot", "cold")}
-        # slice 2k is bath k's downward (hi -> lo) incidence, 2k+1 its upward
-        # one; every column of each slice sums to zero
-        stack = np.zeros((6, n, n))
-        for k, (lo, hi) in enumerate(levels.values()):
-            # each level is at most once lo and once hi: no entry written twice
-            stack[2 * k, lo, hi] = stack[2 * k + 1, hi, lo] = 1.0
-            stack[2 * k, hi, hi] = stack[2 * k + 1, lo, lo] = -1.0
-        self._stack = stack.reshape(6, n * n)
+        self.n = template.n_levels
+        self._stack, self.cold_lows, self.cold_highs, self.rhs = \
+            _population_structure(self.n)
         self._hot = decay_rates(template.hot, template.omega_h)
-        self.cold_lows, self.cold_highs = levels["cold"]
-        self.rhs = np.zeros(n)
-        self.rhs[0] = 1.0
 
     def _channels(self, omega_c):
         """The six rates (work, hot, cold; down then up) at omega_c, a float
@@ -307,47 +320,74 @@ class _CoolingPowerEvaluator:
         return q
 
 
-def _golden_max(f, a: float, b: float, tol: float):
-    """Golden-section maximization on [a, b]; returns (x*, f*, evals,
-    failures).  Failed evaluations count as -inf so the bracket still
-    contracts; ``failures`` counts them."""
+def _brent_max(f, xs, fs, tol: float):
+    """Maximize f on [xs[0], xs[2]] by Brent's bounded method (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 5, in the
+    ``fminbound`` form): a parabola through the three best points so far,
+    or a golden-section step when the parabola is unusable.  It starts
+    from the interior point xs[1] and the known values fs = f(xs), so its
+    first step is the vertex of the parabola through them.  Stops once the
+    bracket puts x* within ``tol`` of the maximizer; returns (x*, f*,
+    evals, failures).  A call that raises LinAlgError counts as -inf and
+    as a failure; a non-finite value never enters a parabola."""
     evals = failures = 0
 
-    def safe(x):
+    def cost(x):  # minimized: -f, +inf for a failed call
         nonlocal evals, failures
         evals += 1
         try:
-            return f(x)
+            return -f(x)
         except np.linalg.LinAlgError:
             failures += 1
-            return -math.inf
+            return math.inf
 
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = safe(c), safe(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = safe(c)
+    a, x, b = xs
+    fx = -float(fs[1])
+    # w is the better end point and v the other, both held as costs
+    (fw, w), (fv, v) = sorted([(-float(fs[0]), a), (-float(fs[2]), b)])
+    d = e = b - a  # e: the step before last; a parabola must halve it
+    tol1 = tol / 3.0
+    while abs(x - 0.5 * (a + b)) > 2.0 * tol1 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1 and math.isfinite(fx + fw + fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d, parabolic = d, p / q, True
+                if min(x + d - a, b - x - d) < 2.0 * tol1:
+                    d = tol1 if x < 0.5 * (a + b) else -tol1
+        if not parabolic:
+            e = (b - x) if x < 0.5 * (a + b) else (a - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = cost(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = safe(d)
-    if fc >= fd:
-        return c, fc, evals, failures
-    return d, fd, evals, failures
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, -fx, evals, failures
 
 
 def maximize_cooling_power(template: PumpConfig) -> Optimum:
     """Find the cold frequency that maximizes the cooling power.
 
     A 64-point coarse grid over the open cooling window, evaluated as one
-    stacked solve, brackets the maximum; golden-section refinement then
-    narrows the bracket to 1e-6 of the window width.  The reported power is
-    the refined scan value (a full :func:`qpump.steady.solve` at
-    ``omega_c_star`` reproduces it to solver precision), and the reported
-    efficiency uses the ideal-pump identity
+    stacked solve, brackets the maximum in the best grid cell and its two
+    neighbours.  Brent's bounded parabolic refinement, started from those
+    three grid values, then places the maximizer within 1e-6 of the window
+    width; it keeps the best grid point unless a refinement step beats it,
+    so failed steps fall back to that point.  The reported power is the
+    validated scan value at ``omega_c_star`` (a full
+    :func:`qpump.steady.solve` there reproduces it to solver precision),
+    and the reported efficiency uses the ideal-pump identity
     ``eps* = omega_c*/(omega_h - omega_c*)``.  ``template.omega_c`` is
     ignored.
 
@@ -360,21 +400,21 @@ def maximize_cooling_power(template: PumpConfig) -> Optimum:
         raise EmptyWindowError(f"cooling window max {window} is not positive")
 
     ev = _CoolingPowerEvaluator(template)
-    grid = window * np.arange(1, COARSE_GRID_POINTS + 1) / (COARSE_GRID_POINTS + 1)
-    q_grid = ev.q_cold_grid(grid)
+    # the grid and the two window edges, which carry no cooling power
+    nodes = window * np.arange(COARSE_GRID_POINTS + 2) / (COARSE_GRID_POINTS + 1)
+    q_grid = ev.q_cold_grid(nodes[1:-1])
     failed = int(np.isnan(q_grid).sum())
     if failed == COARSE_GRID_POINTS:
         raise NoKernelError("no grid point in the cooling window admits a "
                             "trustworthy stationary state")
     best_i = int(np.nanargmax(q_grid)) + 1
-    a = window * (best_i - 1) / (COARSE_GRID_POINTS + 1)
-    b = window * (best_i + 1) / (COARSE_GRID_POINTS + 1)
-    x_star, q_star, golden_evals, golden_failed = _golden_max(
-        ev.q_cold, a, b, GOLDEN_RELATIVE_WIDTH * window
+    # a failed grid point enters the refinement as -inf
+    q_nodes = np.concatenate(([0.0], np.nan_to_num(q_grid, nan=-np.inf), [0.0]))
+    cell = slice(best_i - 1, best_i + 2)
+    x_star, _, refine_evals, refine_failed = _brent_max(
+        ev.q_cold, nodes[cell].tolist(), q_nodes[cell].tolist(),
+        REFINE_RELATIVE_WIDTH * window,
     )
-    if not (q_star > 0) or not math.isfinite(q_star):
-        # The refined cell degenerated; fall back to the best grid point.
-        x_star = window * best_i / (COARSE_GRID_POINTS + 1)
     # one fully validated evaluation at the reported maximizer
     q_star = ev.q_cold(x_star, validate=True)
     omega_w_star = template.omega_h - x_star
@@ -385,8 +425,8 @@ def maximize_cooling_power(template: PumpConfig) -> Optimum:
         q_c_max=q_star,
         eps_star=eps_star,
         eps_ratio=eps_ratio,
-        evaluations=COARSE_GRID_POINTS + golden_evals + 1,
-        failed_evaluations=failed + golden_failed,
+        evaluations=COARSE_GRID_POINTS + refine_evals + 1,
+        failed_evaluations=failed + refine_failed,
     )
 
 

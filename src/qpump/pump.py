@@ -252,7 +252,7 @@ def bose_occupation(omega: float | np.ndarray, temperature: float):
     if isinstance(x, np.ndarray):
         return np.where(x > 700.0, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700.0)))
     # same values; np.where costs about 2 us more on a float, and each
-    # golden-section step of the optimizer evaluates two occupations
+    # scalar refinement step of the optimizer evaluates two occupations
     return float(np.exp(-x) if x > 700.0 else 1.0 / np.expm1(x))
 
 

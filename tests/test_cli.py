@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -281,3 +282,51 @@ class TestMisc:
         value = rows[0]["q_cold"]
         assert float(value) == float(f"{float(value):.16e}")
         assert "e" in value
+
+
+def load_cli_snapshot():
+    path = Path(__file__).resolve().parent.parent / "tools" / "cli_snapshot.py"
+    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSnapshotDiff:
+    OLD = """\
+# qpump-schema: sweep-n/1
+# seed: 1
+# note: first run
+N,variant,omega_c_star,q_c_max
+3,plain,2.0000000000000000e+00,1.0000000000000000e-02
+4,plain,4.0000000000000000e+00,2.0000000000000000e-02
+3,saturated,1.0000000000000000e+00,5.0000000000000000e-01
+"""
+    NEW = """\
+# qpump-schema: sweep-n/1
+# seed: 1
+# note: second run
+N,variant,omega_c_star,q_c_max
+3,plain,2.0000000000000000e+00,1.0000000000000000e-02
+4,plain,4.0000004000000000e+00,2.0000000000000000e-02
+3,saturated,1.0000000000000000e+00,5.0000000050000000e-01
+extra line
+"""
+
+    def test_numeric_columns_and_text_lines(self):
+        lines = load_cli_snapshot().compare_outputs(self.OLD, self.NEW)
+        assert lines == [
+            "omega_c_star [plain]: max |d| 4.00e-07, max rel 1.00e-07 (1 changed)",
+            "q_c_max [saturated]: max |d| 5.00e-10, max rel 1.00e-09 (1 changed)",
+            "note: 'first run' -> 'second run'",
+            "+extra line",
+        ]
+
+    def test_identical_texts_report_nothing(self):
+        assert load_cli_snapshot().compare_outputs(self.OLD, self.OLD) == []
+
+    def test_row_count_change_is_reported(self):
+        fewer = self.OLD.rsplit("3,saturated", 1)[0]
+        lines = load_cli_snapshot().compare_outputs(self.OLD, fewer)
+        assert lines == ["table: 3 rows of ['N', 'variant', 'omega_c_star', 'q_c_max'] -> "
+                         "2 rows of ['N', 'variant', 'omega_c_star', 'q_c_max']"]

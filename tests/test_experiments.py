@@ -11,7 +11,9 @@ from qpump.experiments import (
     CurveSetup,
     EmptyWindowError,
     Optimum,
+    REFINE_RELATIVE_WIDTH,
     SampleRanges,
+    _brent_max,
     _CoolingPowerEvaluator,
     _variant_config,
     characteristic_curve,
@@ -20,7 +22,7 @@ from qpump.experiments import (
     sweep_stages,
 )
 from qpump.linalg import NoKernelError
-from qpump.pump import window_max
+from qpump.pump import _transition_levels, window_max
 from qpump.steady import NonConvergedError, solve
 
 REF_PARAMS = dict(omega_h=102.6, t_work=7.1e3, t_hot=1.57e3, t_cold=54.25,
@@ -53,6 +55,69 @@ def brute_force_grid_max(template, n_points=4096):
         if q > best[1]:
             best = (x, q)
     return best
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(f, a, b, tol):
+    """Golden-section maximization on [a, b], the optimizer's former
+    refinement, kept as the reference search.  Returns (x*, f*, evals,
+    failures); a failed evaluation counts as -inf."""
+    evals = failures = 0
+
+    def safe(x):
+        nonlocal evals, failures
+        evals += 1
+        try:
+            return f(x)
+        except np.linalg.LinAlgError:
+            failures += 1
+            return -math.inf
+
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = safe(c), safe(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = safe(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = safe(d)
+    if fc >= fd:
+        return c, fc, evals, failures
+    return d, fd, evals, failures
+
+
+def golden_optimum(template):
+    """(omega_c*, validated q_c) of golden section on the optimizer's
+    bracket: the best grid cell and its two neighbours."""
+    ev = _CoolingPowerEvaluator(template)
+    window = window_max(template)
+    grid = window_grid(template)
+    best = int(np.nanargmax(ev.q_cold_grid(grid))) + 1
+    a = window * (best - 1) / (COARSE_GRID_POINTS + 1)
+    b = window * (best + 1) / (COARSE_GRID_POINTS + 1)
+    x, _, _, _ = golden_max(ev.q_cold, a, b, REFINE_RELATIVE_WIDTH * window)
+    return x, ev.q_cold(x, validate=True)
+
+
+def uncached_population_structure(n):
+    """The incidence stack, cold level arrays and trace right-hand side,
+    built here from the ladder without the optimizer's cache."""
+    stack = np.zeros((6, n, n))
+    for k, label in enumerate(("work", "hot", "cold")):
+        for lo, hi in zip(*_transition_levels(n, label)):
+            stack[2 * k, lo, hi] += 1.0
+            stack[2 * k, hi, hi] -= 1.0
+            stack[2 * k + 1, hi, lo] += 1.0
+            stack[2 * k + 1, lo, lo] -= 1.0
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    return (stack.reshape(6, n * n), *_transition_levels(n, "cold"), rhs)
 
 
 class TestMaximizeCoolingPower:
@@ -124,6 +189,36 @@ class TestMaximizeCoolingPower:
         assert opt.q_c_max >= q[best]
         assert opt.failed_evaluations == 2 and clean.failed_evaluations == 0
 
+    # Brent's refinement against golden section on the same bracket
+    @pytest.mark.parametrize("variant", ["plain", "squeezed"])
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_refinement_matches_golden_section(self, n, variant):
+        template = _variant_config(reference_pump(), n, variant, 7.0)
+        opt = maximize_cooling_power(template)
+        x_golden, q_golden = golden_optimum(template)
+        assert abs(opt.omega_c_star - x_golden) <= 1e-6 * window_max(template)
+        assert opt.q_c_max >= q_golden * (1 - 1e-12)
+        assert opt.evaluations - COARSE_GRID_POINTS - 1 <= 20
+
+    def test_every_refinement_step_failing_keeps_the_best_grid_point(self, monkeypatch):
+        template = reference_pump(4)
+        grid = window_grid(template)
+        best = grid[np.argmax(_CoolingPowerEvaluator(template).q_cold_grid(grid))]
+        original = _CoolingPowerEvaluator.q_cold
+        calls = []
+
+        def q_cold(self, omega_c, validate=False):
+            if validate:
+                return original(self, omega_c, validate)
+            calls.append(omega_c)
+            raise NoKernelError("forced")
+
+        monkeypatch.setattr(_CoolingPowerEvaluator, "q_cold", q_cold)
+        opt = maximize_cooling_power(template)
+        assert opt.omega_c_star == best
+        assert len(calls) > 0 and opt.failed_evaluations == len(calls)
+        assert opt.evaluations == COARSE_GRID_POINTS + len(calls) + 1
+
     def test_failed_golden_steps_are_counted(self, monkeypatch):
         original = _CoolingPowerEvaluator.q_cold
         calls = []
@@ -155,6 +250,37 @@ class TestMaximizeCoolingPower:
             Optimum(1.0, -1.0, 0.1, 0.5, 10)
         with pytest.raises(ValueError):
             Optimum(1.0, 1.0, 0.1, 1.5, 10)
+
+
+class TestBrentMax:
+    def test_finds_an_interior_maximum(self):
+        xs = [1.0, 1.5, 2.2]
+        x, fx, evals, failures = _brent_max(math.sin, xs, [math.sin(x) for x in xs], 1e-6)
+        assert abs(x - math.pi / 2) <= 1e-6 and fx == math.sin(x)
+        assert evals <= 10 and failures == 0
+
+    def test_failed_calls_count_as_minus_infinity(self):
+        def f(x):
+            if x > 1.6:
+                raise np.linalg.LinAlgError("forced")
+            return math.sin(x)
+
+        xs = [1.0, 1.5, 2.2]
+        x, _, evals, failures = _brent_max(f, xs, [f(1.0), f(1.5), -math.inf], 1e-6)
+        assert abs(x - math.pi / 2) <= 1e-6
+        assert 0 < failures < evals
+
+
+class TestPopulationStructure:
+    @pytest.mark.parametrize("n", [3, 8, 10])
+    def test_shared_read_only_and_equal_to_an_uncached_build(self, n):
+        a = _CoolingPowerEvaluator(reference_pump(n))
+        b = _CoolingPowerEvaluator(_variant_config(reference_pump(), n, "saturated", 7.0))
+        assert a._stack is b._stack
+        cached = (a._stack, a.cold_lows, a.cold_highs, a.rhs)
+        for got, want in zip(cached, uncached_population_structure(n)):
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
 
 
 class TestStackedGrid:

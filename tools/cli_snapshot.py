@@ -3,6 +3,7 @@
 Usage::
 
     python3 tools/cli_snapshot.py OUTDIR
+    python3 tools/cli_snapshot.py --diff OLDDIR NEWDIR
 
 Runs ``python -m qpump.cli`` on the ``src`` tree next to this script for
 ``currents`` (reference and squeezed parameters, and the reference chiller
@@ -13,10 +14,19 @@ at N = 3..10), ``optimize`` (both parameter files), ``sweep-n``,
 Each file holds the command's stdout; a failing command also leaves its
 exit code and stderr in the file.  Two trees whose ``OUTDIR``s compare
 equal under ``diff -r`` produce byte-identical output at the default seed.
+
+``--diff`` compares two such directories.  For each file that differs it
+prints, per numeric column (or metadata field), the largest absolute and
+relative change; a column whose rows carry a text label (``variant``,
+``system``) is reported per label.  Every non-numeric field, row or line
+that differs is printed as it is.  The exit code is 0 when every file is
+byte-identical and 1 otherwise.
 """
 
 from __future__ import annotations
 
+import difflib
+import json
 import os
 import subprocess
 import sys
@@ -51,7 +61,102 @@ def _run(argv: list[str]) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
+def _number(value) -> float | None:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _records(text: str):
+    """(meta, columns, rows, other lines) of one CLI output, CSV or JSON."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict):
+        columns, rows = doc.pop("columns", []), doc.pop("rows", [])
+        meta = {}
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                meta.update({f"{key}.{k}": v for k, v in value.items()})
+            else:
+                meta[key] = value
+        return meta, columns, rows, []
+    meta, columns, rows, other = {}, None, [], []
+    for line in text.splitlines():
+        if line.startswith("# ") and ":" in line:
+            key, _, value = line[2:].partition(":")
+            meta[key] = value.strip()
+        elif columns is None and "," in line:
+            columns = line.split(",")
+        elif columns and line.count(",") == len(columns) - 1:
+            rows.append(line.split(","))
+        else:
+            other.append(line)
+    return meta, columns or [], rows, other
+
+
+def compare_outputs(old: str, new: str) -> list[str]:
+    """Report lines for two outputs of one command: the largest change of
+    each numeric column or metadata field that moved, then every
+    non-numeric field, row or line that differs."""
+    (meta_a, cols_a, rows_a, other_a), (meta_b, cols_b, rows_b, other_b) = \
+        _records(old), _records(new)
+    moved: dict[str, list] = {}  # column -> [max |d|, max relative d, count]
+    texts = []
+
+    def note(column, x, y, where):
+        u, v = _number(x), _number(y)
+        if x == y or (u is not None and u == v):
+            return
+        if u is None or v is None:
+            texts.append(f"{where}: {x!r} -> {y!r}")
+            return
+        d = abs(v - u)
+        entry = moved.setdefault(column, [0.0, 0.0, 0])
+        entry[0] = max(entry[0], d)
+        entry[1] = max(entry[1], d / max(abs(u), abs(v)))
+        entry[2] += 1
+
+    for key in [*meta_a, *(k for k in meta_b if k not in meta_a)]:
+        note(key, meta_a.get(key), meta_b.get(key), key)
+    if cols_a != cols_b or len(rows_a) != len(rows_b):
+        texts.append(f"table: {len(rows_a)} rows of {cols_a} -> "
+                     f"{len(rows_b)} rows of {cols_b}")
+    else:
+        for i, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
+            label = " ".join(str(x) for x in row_a if _number(x) is None)
+            for column, x, y in zip(cols_a, row_a, row_b):
+                name = f"{column} [{label}]" if label else column
+                note(name, x, y, f"row {i} {column}")
+    texts += [line for line in difflib.unified_diff(other_a, other_b, lineterm="", n=0)
+              if line[:1] in "+-" and line[:3] not in ("---", "+++")]
+    return [f"{name}: max |d| {d:.2e}, max rel {rel:.2e} ({count} changed)"
+            for name, (d, rel, count) in moved.items()] + texts
+
+
+def diff(old_dir: Path, new_dir: Path) -> int:
+    names = sorted({p.name for p in old_dir.iterdir()} | {p.name for p in new_dir.iterdir()})
+    differing = 0
+    for name in names:
+        old, new = old_dir / name, new_dir / name
+        if not (old.exists() and new.exists()):
+            print(f"{name}: only in {old_dir if old.exists() else new_dir}")
+        elif old.read_bytes() == new.read_bytes():
+            continue
+        else:
+            print(f"{name}:")
+            for line in compare_outputs(old.read_text(), new.read_text()):
+                print(f"  {line}")
+        differing += 1
+    print(f"cli_snapshot: {differing} of {len(names)} files differ", file=sys.stderr)
+    return 0 if differing == 0 else 1
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--diff":
+        return diff(Path(argv[1]), Path(argv[2]))
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 1
