@@ -143,44 +143,51 @@ def _require(params: dict, keys, what: str) -> None:
         raise CliConfigError(f"{what} requires parameter(s): {', '.join(missing)}")
 
 
+def _check_rates(cfg) -> None:
+    """Refuse a bath whose rates overflow at the machine's own frequency."""
+    for label in ("work", "hot", "cold"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = pump.decay_rates(cfg.bath(label), cfg.bath_frequency(label))
+        if not np.isfinite([rates.down, rates.up]).all():
+            raise ValueError(f"{label} bath: rates overflow at gamma={cfg.bath(label).gamma!r}")
+
+
 def _pump_from_params(params: dict) -> PumpConfig:
     _require(params, _PUMP_KEYS, "this subcommand")
+
+    def build():  # _PUMP_KEYS are in ideal_pump's argument order
+        return ideal_pump(*(params[k] for k in _PUMP_KEYS),
+                          squeeze_db=params.get("squeeze_db", 0.0),
+                          saturated_work=bool(params.get("saturated_work", False)))
     try:
-        return ideal_pump(
-            n_levels=params["n_levels"],
-            omega_h=params["omega_h"],
-            omega_c=params["omega_c"],
-            t_work=params["T_w"], t_hot=params["T_h"], t_cold=params["T_c"],
-            gamma_work=params["gamma_w"], gamma_hot=params["gamma_h"],
-            gamma_cold=params["gamma_c"],
-            squeeze_db=params.get("squeeze_db", 0.0),
-            saturated_work=bool(params.get("saturated_work", False)),
-        )
+        with warnings.catch_warnings():
+            # an overflowing rate is refused before its strength warns
+            warnings.simplefilter("ignore", pump.WeakCouplingWarning)
+            _check_rates(build())
+        return build()
     except ValueError as exc:
         raise CliConfigError(str(exc)) from exc
 
 
-def _curve_setup(params: dict) -> CurveSetup:
+def _curve_setup(params: dict, points: int) -> CurveSetup:
     _require(params, _CURVE_KEYS, "this subcommand")
+    if points < 1:
+        raise CliConfigError(f"--points must be >= 1, got {points}")
     omega_w = params["omega_h"] - params["omega_c"]
     if omega_w <= 0:
         raise CliConfigError("need omega_c < omega_h")
     try:
         setup = CurveSetup(
-            omega_w=omega_w,
-            t_work=params["T_w"], t_hot=params["T_h"], t_cold=params["T_c"],
+            omega_w=omega_w, t_work=params["T_w"], t_hot=params["T_h"], t_cold=params["T_c"],
             gamma_work=params["gamma_w"], gamma_hot=params["gamma_h"],
-            gamma_cold=params["gamma_c"],
-            g=params["g"],
-            n_levels=params.get("n_levels", 8),
-        )
+            gamma_cold=params["gamma_c"], g=params["g"], n_levels=params.get("n_levels", 8))
         # both machines once, so that a bad value fails here and not inside
         # the sweep, which silences the same warnings
         window = pump.cooling_window_max_fixed_work(omega_w, setup.temps)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for system in ("ideal", "three_qubit"):
-                experiments._curve_config(system, setup, 0.5 * window)
+                _check_rates(experiments._curve_config(system, setup, 0.5 * window))
     except ValueError as exc:
         raise CliConfigError(str(exc)) from exc
     return setup
@@ -320,7 +327,7 @@ def _cmd_histogram(args, params: dict) -> None:
 
 
 def _cmd_curve(args, params: dict) -> None:
-    setup = _curve_setup(params)
+    setup = _curve_setup(params, args.points)
     systems = ["ideal", "three_qubit"] if args.system == "both" else [args.system]
     columns = ["omega_c", "q_c", "eps", "eps_over_carnot", "system"]
     rows = [[pt.omega_c, pt.q_c, pt.eps, pt.eps_over_carnot, system] for system in systems
@@ -329,9 +336,7 @@ def _cmd_curve(args, params: dict) -> None:
 
 
 def _cmd_compare(args, params: dict) -> None:
-    if args.points < 1:
-        raise CliConfigError(f"--points must be >= 1, got {args.points}")
-    setup = _curve_setup(params)
+    setup = _curve_setup(params, args.points)
     columns = ["system", "omega_c_star", "q_c_max", "eps_star", "eps_ratio"]
     best = {system: max(characteristic_curve(system, setup, n_points=args.points),
                         key=lambda p: p.q_c) for system in ("ideal", "three_qubit")}

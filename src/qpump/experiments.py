@@ -587,12 +587,13 @@ def characteristic_curve(system: str, setup: CurveSetup,
     ``omega_c / window`` exactly; the three-qubit system's curve detaches
     from the Carnot point and closes, its irreversibility signature.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     window = cooling_window_max_fixed_work(setup.omega_w, setup.temps)
     eps_c = carnot_cop(setup.temps)
     points = []
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WeakCouplingWarning)
-        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("ignore", UserWarning)  # WeakCouplingWarning too
         for i in range(1, n_points + 1):
             omega_c = window * i / (n_points + 1)
             cfg = _curve_config(system, setup, omega_c)

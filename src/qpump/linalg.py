@@ -10,8 +10,10 @@ Conventions used throughout the package:
 * A superoperator on an ``n``-dimensional Hilbert space is an ``n^2 x n^2``
   complex matrix acting on column-stacked density matrices.
 
-Hilbert dimensions in this package stay below ~64 (the three-qubit model is
-8, ideal pumps are at most 10), so everything is dense and double precision.
+Hilbert dimensions stay at most 10, so everything is dense and double
+precision.  The kernel solve takes a matrix and its trace row: a whole
+superoperator, or the invariant block that :mod:`qpump.steady` rounds from
+its extended-precision action on the stationary sector.
 """
 
 from __future__ import annotations
@@ -131,8 +133,8 @@ def _kernel_diagnostics(matrix: np.ndarray) -> np.ndarray:
     return vh[-1].conj()
 
 
-def _normalize_trace(v: np.ndarray, n: int) -> np.ndarray:
-    tr = np.trace(devectorize(v, n))
+def _normalize_trace(v: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    tr = trace @ v
     if abs(tr) < 1e-12 * np.max(np.abs(v)):
         raise DegenerateKernelError(
             "kernel vector has (near-)zero trace; stationary state ill-defined"
@@ -141,13 +143,8 @@ def _normalize_trace(v: np.ndarray, n: int) -> np.ndarray:
 
 
 def stationary_vector(op: SuperOp) -> np.ndarray:
-    """Solve ``op.matrix @ v = 0`` with ``devectorize(v)`` of unit trace.
-
-    Primary path replaces the first row of the ``n^2 x n^2`` system with the
-    trace constraint and solves the resulting linear system (plus one step of
-    iterative refinement).  If that fails its condition or residual gate,
-    falls back to an SVD of the generator, which doubles as the uniqueness
-    diagnostic.
+    """Solve ``op.matrix @ v = 0`` with ``devectorize(v)`` of unit trace, by
+    the gated kernel solve below on the whole generator.
 
     Raises
     ------
@@ -157,16 +154,18 @@ def stationary_vector(op: SuperOp) -> np.ndarray:
     DegenerateKernelError
         More than one stationary state within tolerance.
     """
-    return _stationary_vector_and_factor(op)[0]
+    return _stationary_vector_and_factor(op.matrix, trace_row(op.dim))[0]
 
 
-def _stationary_vector_and_factor(op: SuperOp) -> tuple[np.ndarray, tuple]:
-    """:func:`stationary_vector`, also returning the LU factor of the
-    trace-constrained matrix, so that a caller can refine the state without
-    factoring that matrix again.  The factor is returned on the SVD fallback
-    too."""
-    mat = op.matrix
-    n = op.dim
+def _stationary_vector_and_factor(mat: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Kernel vector ``v`` of ``mat`` with ``trace @ v == 1``, and the LU
+    factor it came from, for a whole generator or an invariant block of it.
+
+    The primary path replaces the first row with ``trace`` and solves (plus
+    one step of iterative refinement).  If that fails its condition or
+    residual gate, an SVD of ``mat`` gives the vector and doubles as the
+    uniqueness diagnostic.  The factor is returned on that path too, so
+    that a caller can refine the state without factoring again."""
     scale = np.max(np.abs(mat))
     if not np.isfinite(scale):
         # an overflowed rate; neither the LU nor the SVD can use such a matrix
@@ -174,8 +173,8 @@ def _stationary_vector_and_factor(op: SuperOp) -> tuple[np.ndarray, tuple]:
     if scale == 0.0:
         raise DegenerateKernelError("zero generator: every state is stationary")
     m = mat.copy()
-    m[0, :] = trace_row(n)
-    b = np.zeros(n * n, dtype=complex)
+    m[0, :] = trace
+    b = np.zeros(len(m), dtype=m.dtype)
     b[0] = 1.0
     with warnings.catch_warnings():
         # conditioning is judged explicitly below; scipy's own
@@ -188,7 +187,7 @@ def _stationary_vector_and_factor(op: SuperOp) -> tuple[np.ndarray, tuple]:
         v = v + sla.lu_solve(lu, b - m @ v, check_finite=False)
     if v is not None and np.all(np.isfinite(v)):
         try:
-            v = _normalize_trace(v, n)
+            v = _normalize_trace(v, trace)
         except DegenerateKernelError:
             v = None
     if v is not None and np.max(np.abs(mat @ v)) <= KERNEL_RESIDUAL_RTOL * scale:
@@ -196,7 +195,7 @@ def _stationary_vector_and_factor(op: SuperOp) -> tuple[np.ndarray, tuple]:
 
     # Replacement solve failed: run the SVD path, which either produces a
     # usable kernel vector or explains the failure.
-    v = _normalize_trace(_kernel_diagnostics(mat), n)
+    v = _normalize_trace(_kernel_diagnostics(mat), trace)
     if np.max(np.abs(mat @ v)) > KERNEL_RESIDUAL_RTOL * scale:
         raise NoKernelError(
             "kernel residual exceeds tolerance even on the singular-vector path"

@@ -139,12 +139,9 @@ class PumpConfig(_ThreeBathConfig):
             self.omega_c, self.omega_h - self.omega_c, self.cold.temperature
         )
         if max(self.work.gamma, self.hot.gamma, self.cold.gamma) > floor:
-            warnings.warn(
-                "dissipation strength exceeds the weak-coupling threshold; "
-                "the Markovian-secular master equation is being stretched",
-                WeakCouplingWarning,
-                stacklevel=2,
-            )
+            warnings.warn("dissipation strength exceeds the weak-coupling threshold; "
+                          "the Markovian-secular master equation is being stretched",
+                          WeakCouplingWarning, stacklevel=3)  # the caller of __init__
 
     @property
     def omega_w(self) -> float:

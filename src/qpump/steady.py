@@ -21,12 +21,13 @@ first-law residual near 1e-9 of the largest current there.  Each machine is
 therefore described once, by a :class:`_Generator`: its Hamiltonian in
 extended precision (x87 long double) and, per bath, the level pairs of its
 jump ``sum_k |lo_k><hi_k|`` with rates computed once in double by
-:func:`~qpump.pump.decay_rates`.  From those index arrays come the double
-generator of the kernel solve, whose trace-constrained system is factored
-once, and the extended-precision action with which that one factor polishes
-the state; the currents are assembled at that precision too.  The first law
-holds for the generator as built, so double-precision rates are enough.  The
-Kronecker-product builders below are the independent reference.
+:func:`~qpump.pump.decay_rates`.  Its one operator is the extended-precision
+action.  The kernel solve factors once the double rounding of that action on
+the stationary sector (the pump's N populations; the fridge's populations and
+one coherence pair), and that factor polishes the state against the action,
+at whose precision the currents are assembled.  The first law holds for the
+generator as built, so double rates are enough.  The Kronecker-product
+builders below are the reference.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import SuperOp, _stationary_vector_and_factor, vectorize
+from .linalg import SuperOp, _stationary_vector_and_factor, trace_row, vectorize
 # Kept importable for the layer probes of perfbench/layers.py::install_probes;
 # the solve itself factors through _stationary_vector_and_factor.
 from .linalg import stationary_vector  # noqa: F401
@@ -169,7 +170,7 @@ class _Channel:
     elementwise, ``D(rho)_ij = k_ij rho_ij`` with
     ``k_ij = -(down (e_i + e_j) + up (g_i + g_j)) / 2``, plus two gathers:
     ``down rho[hi, hi]`` lands on ``[lo, lo]`` and ``up rho[lo, lo]`` on
-    ``[hi, hi]``.  States are column-stacked vectors.
+    ``[hi, hi]``.  States are column-stacked vectors, or columns of a block.
     """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, n: int, down: float, up: float):
@@ -180,17 +181,16 @@ class _Channel:
         self.down, self.up = down, up
         self.lo = _stacked(lo[:, None], lo, n)
         self.hi = _stacked(hi[:, None], hi, n)
-        flags = np.zeros((2, n))
+        flags = np.zeros((2, n), dtype=np.longdouble)
         flags[0, hi] = flags[1, lo] = -0.5
         # -(e_i + e_j)/2 and -(g_i + g_j)/2 are 0, -1/2 or -1, so the products
-        # are exact and k rounds once at either precision (symmetric in i, j)
+        # are exact and k rounds once (symmetric in i, j)
         e, g = ((f[:, None] + f).reshape(-1) for f in flags)
-        self.decay = down * e + up * g
-        self.decay_ld = down * e.astype(np.longdouble) + up * g.astype(np.longdouble)
+        self.decay_ld = down * e + up * g
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``D(rho)`` at extended precision."""
-        out = self.decay_ld * v
+        out = (self.decay_ld * v.T).T
         out[self.lo] += self.down * v[self.hi]
         out[self.hi] += self.up * v[self.lo]
         return out
@@ -199,13 +199,13 @@ class _Channel:
 class _Generator:
     """One machine: its extended-precision Hamiltonian and one
     :class:`_Channel` per bath, built from level arrays (no dense jump;
-    ``build_jump_operator`` is the tests' reference).  :meth:`action` and
-    :meth:`currents` work in long double, :meth:`superop` is the double
-    generator of the kernel solve.  The diagonal of the Hamiltonian enters
-    the commutator elementwise, ``-i (E_i - E_j)``; its off-diagonal part
-    ``V`` (the three-qubit exchange) as sparse entries: ``-i V rho`` puts
-    ``-i V_rc rho[c, j]`` on ``[r, j]``, and ``i rho V`` puts
-    ``i V_rc rho[i, r]`` on ``[i, c]``.
+    ``build_jump_operator`` is the tests' reference).  The diagonal of the
+    Hamiltonian enters the commutator elementwise, ``-i (E_i - E_j)``; its
+    off-diagonal part ``V`` (the three-qubit exchange) as sparse entries:
+    ``-i V rho`` puts ``-i V_rc rho[c, j]`` on ``[r, j]``, and ``i rho V``
+    puts ``i V_rc rho[i, r]`` on ``[i, c]``.  ``sector``: the positions that
+    these entries and the gathers link to the diagonal.  It and its
+    complement are each invariant, so the stationary state is zero outside it.
     """
 
     def __init__(self, cfg, ham, levels):
@@ -224,6 +224,13 @@ class _Generator:
         for label in _BATHS:
             rates = decay_rates(cfg.bath(label), cfg.bath_frequency(label))
             self.channels[label] = _Channel(*levels[label], n, rates.down, rates.up)
+        a = np.concatenate([self._coupling_rows, *(ch.lo for ch in self.channels.values())])
+        b = np.concatenate([self._coupling_cols, *(ch.hi for ch in self.channels.values())])
+        member, size = np.arange(n * n) % (n + 1) == 0, 0
+        while member.sum() > size:
+            size, linked = member.sum(), member[a] | member[b]
+            member[a[linked]] = member[b[linked]] = True
+        self.sector = np.flatnonzero(member)
 
     @classmethod
     def for_pump(cls, cfg: PumpConfig):
@@ -231,52 +238,48 @@ class _Generator:
         e = level_energies(n, cfg.omega_h, cfg.omega_c, dtype=np.longdouble)
         return cls(cfg, np.diag(e), {label: _transition_levels(n, label) for label in _BATHS})
 
+    def block(self, positions: np.ndarray) -> np.ndarray:
+        """The double generator on ``positions``: :meth:`action` on their unit
+        vectors, rounded."""
+        units = np.zeros((self.ham.size, positions.size), dtype=_LD)
+        units[positions, np.arange(positions.size)] = 1.0
+        return self.action(units)[positions].astype(complex)
+
     def superop(self) -> SuperOp:
-        energies = np.diagonal(self.ham).astype(complex)
-        coef = -1j * (energies[:, None] - energies[None, :]).reshape(-1, order="F")
-        for ch in self.channels.values():
-            coef = coef + ch.decay
-        mat = np.diag(coef)
-        mat[self._coupling_rows, self._coupling_cols] += self._coupling_ld
-        for ch in self.channels.values():
-            mat[ch.lo, ch.hi] += ch.down
-            mat[ch.hi, ch.lo] += ch.up
-        return SuperOp(self.ham.shape[0], mat)
+        return SuperOp(self.ham.shape[0], self.block(np.arange(self.ham.size)))
 
     def action(self, v: np.ndarray) -> np.ndarray:
-        """The generator on a column-stacked state at extended precision."""
+        """The generator in long double on a column-stacked state, or each
+        column of a block."""
         # channel by channel, the gathers that currents() sums: a residual
         # from one pre-summed long-double matrix rounds differently, and the
         # first-law gate then fails at the window edge and on the fridge curve
-        out = self._commutator_ld * v
-        np.add.at(out, self._coupling_rows, self._coupling_ld * v[self._coupling_cols])
+        out = (self._commutator_ld * v.T).T
+        np.add.at(out, self._coupling_rows, (self._coupling_ld * v[self._coupling_cols].T).T)
         for ch in self.channels.values():
             out += ch.apply(v)
         return out
 
     def currents(self, rho) -> dict[str, float]:
         # tr(H D) = sum_ij H_ji D_ij over the gathers that action() applies
-        ham_t = vectorize(self.ham.T)
-        v = vectorize(rho)
+        ham_t, v = vectorize(self.ham.T), vectorize(rho)
         return {label: float(np.real(np.sum(ham_t * ch.apply(v))))
                 for label, ch in self.channels.items()}
 
 
 def _polish_state(lu: tuple, v0: np.ndarray, gen_ld: _Generator) -> np.ndarray:
-    """Refine the kernel vector against the extended-precision generator.
-
-    Solves corrections through ``lu``, the double-precision LU factor of the
-    trace-constrained system that produced ``v0``; residuals come from the
-    long-double generator action, so the refined state is a kernel vector of
-    the generator as built at extended precision.
-    """
-    n = int(round(math.sqrt(v0.size)))
-    v = v0.astype(_LD)
+    """Refine the sector vector ``v0`` against the extended-precision
+    generator, through ``lu``, the LU factor of the trace-constrained sector
+    block that produced ``v0``.  Residuals come from the long-double action,
+    so the state is a kernel vector of the generator as built."""
+    n, sector = gen_ld.ham.shape[0], gen_ld.sector
+    v = np.zeros(n * n, dtype=_LD)
+    v[sector] = v0
     for _ in range(_POLISH_ITERATIONS):
-        resid = -gen_ld.action(v)
+        resid = -gen_ld.action(v)[sector]
         resid[0] = 1.0 - v[:: n + 1].sum()
         dv = sla.lu_solve(lu, resid.astype(complex), check_finite=False)
-        v = v + dv.astype(_LD)
+        v[sector] += dv.astype(_LD)
     rho = v.reshape((n, n), order="F")
     return rho / np.trace(rho)
 
@@ -331,27 +334,24 @@ def _solution_from_state(gen_ld: _Generator, rho_ld, kernel_residual: float,
 
 
 def _solve_system(cfg, gen: _Generator, gate_ideality: bool) -> SteadySolution:
-    """Kernel solve of ``gen``'s double rounding, extended-precision polish,
-    then the gated currents of ``cfg``'s machine."""
-    liouv = gen.superop()
-    v, lu = _stationary_vector_and_factor(liouv)
+    """Kernel solve of ``gen``'s double sector block, extended-precision
+    polish, then the gated currents of ``cfg``'s machine."""
+    block = gen.block(gen.sector)
+    v, lu = _stationary_vector_and_factor(block, trace_row(gen.ham.shape[0])[gen.sector])
     rho = _polish_state(lu, v, gen)
-    mat = liouv.matrix
-    residual = np.max(np.abs(mat @ vectorize(rho).astype(complex)))
-    kernel_residual = float(residual / np.max(np.abs(mat)))
+    residual = np.max(np.abs(block @ vectorize(rho)[gen.sector].astype(complex)))
+    kernel_residual = float(residual / np.max(np.abs(block)))
     temps = (effective_temperature(cfg.work, cfg.omega_w), cfg.hot.temperature,
              cfg.cold.temperature)
-    return _solution_from_state(
-        gen, rho, kernel_residual, temps,
-        omega_ratio=cfg.omega_c / cfg.omega_w, gate_ideality=gate_ideality,
-    )
+    return _solution_from_state(gen, rho, kernel_residual, temps,
+                                omega_ratio=cfg.omega_c / cfg.omega_w, gate_ideality=gate_ideality)
 
 
 def solve(cfg: PumpConfig) -> SteadySolution:
     """Stationary state and heat currents of an ideal pump.
 
-    The state comes from the null space of the vectorized generator; the
-    currents are ``tr(H D_a rho)``.  The solution is gated on the kernel
+    The state is the kernel vector of the generator's stationary sector,
+    the N populations; the currents are ``tr(H D_a rho)``.  The solution is gated on the kernel
     residual, the first law and (for the ideal pump, whose currents are
     locked to the transition frequencies) the ideality identity
     ``|q_c/q_w| = w_c/w_w``.

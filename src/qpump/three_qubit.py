@@ -79,11 +79,8 @@ class ThreeQubitConfig(_ThreeBathConfig):
             raise ValueError(f"coupling g must be > 0, got {self.g}")
         self._check_baths()
         if self.g > COUPLING_FRACTION * min(self.omega_c, self.omega_w):
-            warnings.warn(
-                "three-body coupling is not small against the qubit frequencies",
-                UserWarning,
-                stacklevel=2,
-            )
+            warnings.warn("three-body coupling is not small against the qubit frequencies",
+                          UserWarning, stacklevel=3)  # the caller of __init__
 
     @property
     def omega_h(self) -> float:
@@ -124,10 +121,10 @@ def _generator_ld(cfg: ThreeQubitConfig) -> _Generator:
 def solve_three_qubit(cfg: ThreeQubitConfig) -> SteadySolution:
     """Stationary state and currents of the three-qubit fridge.
 
-    Same pipeline as the ideal pump: null-space of the vectorized generator,
+    Same pipeline as the ideal pump: kernel of the stationary sector,
     extended-precision polish, trace-formula currents.  The ideality
     residual is reported but never gated; its departure from zero is the
-    machine's non-ideality.  The coherence between |110> and |001> is
-    generically nonzero in the stationary state.
+    machine's non-ideality.  The sector holds the populations and the
+    |110>/|001> coherence, which is generically nonzero when stationary.
     """
     return _solve_system(cfg, _generator_ld(cfg), False)

@@ -211,6 +211,7 @@ CONFIG_ERRORS = {
     "curve_hot_above_work": ["curve", "--params", "@three_qubit", "--set", "T_h=200"],
     "compare_negative_gamma": ["compare", "--params", "@three_qubit", "--set", "gamma_c=-1"],
     "compare_no_points": ["compare", "--params", "@three_qubit", "--points", "0"],
+    "curve_no_points": ["curve", "--params", "@three_qubit", "--points", "-2"],
     "histogram_negative_samples": ["histogram", "--samples", "-3"],
     "sweep_n_below_three": ["sweep-n", "--params", "@reference", "--n-min", "2"],
     "sweep_n_empty_range": ["sweep-n", "--params", "@reference", "--n-min", "5", "--n-max", "4"],
@@ -234,23 +235,20 @@ class TestErrorReporting:
 
     @pytest.mark.parametrize("argv", [
         ["currents", "--params", "@reference"],
+        ["optimize", "--params", "@reference"],
         ["curve", "--params", "@three_qubit", "--points", "3"],
         ["compare", "--params", "@three_qubit", "--points", "3"],
-    ], ids=["currents", "curve", "compare"])
-    def test_overflowing_rate_is_a_solver_failure(self, argv, with_params):
-        # a subprocess, because the test configuration turns the overflow
-        # warning of decay_rates into an error before the solve sees the inf
+    ], ids=["currents", "optimize", "curve", "compare"])
+    def test_overflowing_rate_is_a_configuration_error(self, argv, with_params):
+        # a subprocess, so that any warning on the way shows on stderr
         argv = with_params(argv)
         env = dict(os.environ, PYTHONPATH=str(Path(qpump.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-m", "qpump.cli", *argv,
                                "--set", "gamma_w=1e306"],
                               capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        failures = [line for line in proc.stderr.splitlines() if line.startswith("qpump:")]
-        assert failures == [
-            "qpump: solver failure: NoKernelError: generator has non-finite entries "
-            "(max |L| = nan)"]
+        assert proc.returncode == 1
+        assert proc.stderr == ("qpump: configuration error: "
+                               "work bath: rates overflow at gamma=1e+306\n")
 
 
 class TestMisc:

@@ -405,14 +405,19 @@ class TestCharacteristicCurve:
         assert ratio >= 1e3
 
     @pytest.mark.xfail(raises=NonConvergedError, strict=True,
-                       reason="first-law residual 1.157e-10 exceeds the 1e-10 gate at point 27 "
+                       reason="first-law residual 1.120e-10 exceeds the 1e-10 gate at point 27 "
                               "of this sweep, whose largest current sits just above the gating "
                               "threshold while the current sum sits at the long-double floor "
                               "(ROADMAP item 3)")
     def test_three_qubit_curve_at_shifted_omega_h(self):
-        setup = dataclasses.replace(COMPARE_SETUP, omega_w=61.500148 - 1.5)
+        setup = dataclasses.replace(COMPARE_SETUP, omega_w=61.500910 - 1.5)
         characteristic_curve("three_qubit", setup, n_points=30)
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
             characteristic_curve("four_qubit", COMPARE_SETUP, n_points=4)
+
+    @pytest.mark.parametrize("n_points", [0, -2])
+    def test_no_points_rejected(self, n_points):
+        with pytest.raises(ValueError):
+            characteristic_curve("ideal", COMPARE_SETUP, n_points=n_points)

@@ -266,6 +266,12 @@ class TestConfigValidation:
         with pytest.warns(WeakCouplingWarning):
             ideal_pump(3, 10.0, 1.0, 400.0, 40.0, 4.0, 0.5, 1e-3, 1e-3)
 
+    def test_weak_coupling_warning_names_the_caller(self):
+        with pytest.warns(WeakCouplingWarning) as record:
+            PumpConfig(3, 10.0, 1.0, BathSpec("work", 400.0, 0.5),
+                       BathSpec("hot", 40.0, 1e-3), BathSpec("cold", 4.0, 1e-3))
+        assert record[0].filename == __file__
+
     def test_no_warning_at_reference_parameters(self, recwarn):
         reference_pump(3, omega_c=1.4)
         assert not [w for w in recwarn if issubclass(w.category, WeakCouplingWarning)]

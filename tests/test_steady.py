@@ -376,6 +376,53 @@ def test_superop_and_extended_action_are_one_operator(case):
     assert np.max(np.abs(from_action - from_products)) <= 2 * np.finfo(np.longdouble).eps * scale
 
 
+@pytest.mark.parametrize("case", MACHINES.values(), ids=MACHINES.keys())
+def test_sector_is_closed_and_holds_the_stationary_state(case):
+    # the generator maps the sector and its complement each into itself, and
+    # the dense null-space vector vanishes outside the sector
+    cfg, gen, _, _ = case()
+    op = gen.superop()
+    outside = np.setdiff1d(np.arange(op.dim ** 2), gen.sector)
+    # the populations, plus the |110>/|001> coherence pair of the fridge
+    assert gen.sector.size == (10 if isinstance(cfg, ThreeQubitConfig) else cfg.n_levels)
+    assert not op.matrix[np.ix_(gen.sector, outside)].any()
+    assert not op.matrix[np.ix_(outside, gen.sector)].any()
+    assert not stationary_vector(op)[outside].any()
+
+
+@pytest.mark.parametrize("entries", [[(0, 1), (1, 0)], [(0, 1)]], ids=["hermitian", "one_sided"])
+def test_coupling_that_leaves_the_sector_enlarges_it(entries):
+    # a coupling of levels 1 and 2 of the pump joins their coherence pair to
+    # the populations; a one-sided entry reaches each coherence in only one
+    # direction of the closure
+    cfg = reference_pump(3)
+    levels = {label: qpump.pump._transition_levels(3, label) for label in BATHS}
+    ham = np.diag(qpump.level_energies(3, cfg.omega_h, cfg.omega_c, dtype=np.longdouble))
+    for entry in entries:
+        ham[entry] = 0.1
+    gen = _Generator(cfg, ham, levels)
+    assert gen.sector.tolist() == [0, 1, 3, 4, 8]
+    outside = np.setdiff1d(np.arange(9), gen.sector)
+    mat = gen.superop().matrix
+    assert not mat[np.ix_(outside, gen.sector)].any()
+    assert not mat[np.ix_(gen.sector, outside)].any()
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_pump_sector_block_is_the_population_balance(n):
+    # the solve's block and the optimizer's rate matrix, two assemblies of
+    # the same classical master equation
+    cfg = reference_pump(n)
+    gen = _Generator.for_pump(cfg)
+    ev = qpump.experiments._CoolingPowerEvaluator(cfg)
+    rates, _ = ev._channels(cfg.omega_c)
+    populations = (np.array(rates) @ ev._stack).reshape(n, n)
+    block = gen.block(gen.sector)
+    assert not block.imag.any()
+    scale = np.max(np.abs(populations))
+    assert np.max(np.abs(block.real - populations)) <= 4 * np.finfo(float).eps * scale
+
+
 @pytest.mark.parametrize("lo, hi", [
     ([0, 1], [0, 1]),     # diagonal: |0><0| + |1><1|
     ([0, 1], [1, 0]),     # two-sided: |0><1| + |1><0|
@@ -410,22 +457,24 @@ def _count_calls(monkeypatch, module, name):
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
 
 
-@pytest.mark.parametrize("solver, cfg", [
-    (solve, reference_pump(8)),
-    (solve_three_qubit, _three_qubit_fridge()),
+@pytest.mark.parametrize("solver, cfg, size", [
+    (solve, reference_pump(8), 8),
+    (solve_three_qubit, _three_qubit_fridge(), 10),
 ], ids=["pump", "three_qubit"])
-def test_one_lu_factorization_per_solve(monkeypatch, solver, cfg):
+def test_one_lu_factorization_per_solve(monkeypatch, solver, cfg, size):
+    # one factor, of the sector block alone
     factorizations = _count_calls(monkeypatch, scipy.linalg, "lu_factor")
     fallbacks = _count_calls(monkeypatch, qpump.linalg, "_kernel_diagnostics")
     solver(cfg)
     assert len(factorizations) == 1 and not fallbacks
+    assert factorizations[0][0].shape == (size, size)
 
 
 def test_svd_fallback_polishes_through_the_shared_factor(monkeypatch):

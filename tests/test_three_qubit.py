@@ -127,5 +127,6 @@ class TestValidation:
             fridge(temps=(10.0, 60.0, 5.0))
 
     def test_strong_coupling_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             fridge(omega_c=0.5, g=0.4)
+        assert record[0].filename == __file__  # the constructor's caller
