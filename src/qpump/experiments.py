@@ -18,18 +18,18 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .linalg import (
     KERNEL_RCOND_FLOOR,
     KERNEL_RESIDUAL_RTOL,
     NoKernelError,
-    _rcond_estimate,
+    _reciprocal_condition,
 )
 from .pump import (
     BathSpec,
     PumpConfig,
     WeakCouplingWarning,
+    _ThreeBathConfig,
     _transition_levels,
     carnot_cop,
     cooling_window_max,
@@ -39,8 +39,14 @@ from .pump import (
     squeeze_db_to_r,
     window_max,
 )
-from .steady import solve
-from .three_qubit import ThreeQubitConfig, solve_three_qubit
+from .steady import _solve_pumps
+from .three_qubit import ThreeQubitConfig, _solve_fridges
+
+# Kept importable for the layer probes of perfbench/layers.py::install_probes;
+# characteristic_curve solves its points as stacks through _solve_pumps and
+# _solve_fridges.
+from .steady import solve  # noqa: F401
+from .three_qubit import solve_three_qubit  # noqa: F401
 
 __all__ = [
     "EmptyWindowError",
@@ -68,6 +74,10 @@ REFINE_RELATIVE_WIDTH = 1e-6
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 _VARIANTS = ("plain", "squeezed", "saturated")
+
+# Points of a characteristic curve solved as one stack: a bound on the
+# stack's memory, about 20 kB a point.
+_STACK_POINTS = 512
 
 
 class EmptyWindowError(ValueError):
@@ -270,11 +280,13 @@ class _CoolingPowerEvaluator:
         rates = (np.array(channels) @ self._stack).reshape(self.n, self.n)
         mat = rates.copy()
         mat[0, :] = 1.0
-        anorm = np.abs(mat).sum(axis=0).max() if validate else 0.0
-        lu, _, p, info = dgesv(mat, self.rhs)
-        if info != 0:
-            raise NoKernelError(f"population solve failed (LAPACK info={info})")
-        if validate and _rcond_estimate(lu, anorm) < KERNEL_RCOND_FLOOR:
+        try:
+            p = np.linalg.solve(mat, self.rhs)
+            degenerate = (validate and _reciprocal_condition(mat, np.linalg.inv(mat))
+                          < KERNEL_RCOND_FLOOR)
+        except np.linalg.LinAlgError as exc:
+            raise NoKernelError(f"population solve failed ({exc})") from None
+        if degenerate:
             raise NoKernelError("stationary state numerically degenerate")
         scale = np.abs(rates).max()
         if not (np.isfinite(p).all() and np.abs(rates @ p).max() <= KERNEL_RESIDUAL_RTOL * scale):
@@ -407,9 +419,9 @@ def maximize_cooling_power(template: PumpConfig) -> Optimum:
     if failed == COARSE_GRID_POINTS:
         raise NoKernelError("no grid point in the cooling window admits a "
                             "trustworthy stationary state")
-    best_i = int(np.nanargmax(q_grid)) + 1
     # a failed grid point enters the refinement as -inf
     q_nodes = np.concatenate(([0.0], np.nan_to_num(q_grid, nan=-np.inf), [0.0]))
+    best_i = int(np.argmax(q_nodes[1:-1])) + 1
     cell = slice(best_i - 1, best_i + 2)
     x_star, _, refine_evals, refine_failed = _brent_max(
         ev.q_cold, nodes[cell].tolist(), q_nodes[cell].tolist(),
@@ -578,6 +590,40 @@ def _curve_config(system: str, setup: CurveSetup, omega_c: float):
     raise ValueError(f"unknown system {system!r}; expected 'ideal' or 'three_qubit'")
 
 
+@dataclass(frozen=True)
+class _Sweep(_ThreeBathConfig):
+    """The configs of a curve at all its points, for one stacked solve: the
+    frequencies as (P,) arrays, each element computed as the config of
+    :func:`_curve_config` computes it, and what the points share (the
+    baths, the pump's ``n_levels``, the fridge's ``g``).  Not validated
+    itself: see :func:`_curve_sweep`."""
+
+    omega_c: np.ndarray
+    omega_w: np.ndarray
+    omega_h: np.ndarray
+    work: BathSpec
+    hot: BathSpec
+    cold: BathSpec
+    n_levels: int
+    g: float
+
+
+def _curve_sweep(system: str, setup: CurveSetup, omega_c: np.ndarray) -> _Sweep:
+    """:func:`_curve_config` at every cold frequency of ``omega_c``, which
+    must lie inside the cooling window.  The points differ only in
+    ``omega_c``, so the config of the first one validates them all."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # WeakCouplingWarning too
+        cfg = _curve_config(system, setup, float(omega_c[0]))
+    if system == "ideal":
+        omega_h = omega_c + setup.omega_w
+        omega_w = omega_h - omega_c
+    else:
+        omega_w = np.full_like(omega_c, setup.omega_w)
+        omega_h = omega_c + omega_w
+    return _Sweep(omega_c, omega_w, omega_h, cfg.work, cfg.hot, cfg.cold, setup.n_levels, setup.g)
+
+
 def characteristic_curve(system: str, setup: CurveSetup,
                          n_points: int = 100) -> list[PerformancePoint]:
     """Cooling power versus normalized efficiency along the cooling window.
@@ -585,23 +631,20 @@ def characteristic_curve(system: str, setup: CurveSetup,
     Sweeps ``omega_c`` over the interior of the fixed-work-frequency window.
     For the ideal system the normalized efficiency equals
     ``omega_c / window`` exactly; the three-qubit system's curve detaches
-    from the Carnot point and closes, its irreversibility signature.
+    from the Carnot point and closes, its irreversibility signature.  The
+    points are solved as stacks of up to ``_STACK_POINTS``, each point as
+    :func:`~qpump.steady.solve` or
+    :func:`~qpump.three_qubit.solve_three_qubit` solves it alone.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
     window = cooling_window_max_fixed_work(setup.omega_w, setup.temps)
     eps_c = carnot_cop(setup.temps)
-    points = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # WeakCouplingWarning too
-        for i in range(1, n_points + 1):
-            omega_c = window * i / (n_points + 1)
-            cfg = _curve_config(system, setup, omega_c)
-            sol = solve(cfg) if system == "ideal" else solve_three_qubit(cfg)
-            points.append(PerformancePoint(
-                omega_c=omega_c,
-                q_c=sol.q_cold,
-                eps=sol.cop,
-                eps_over_carnot=sol.cop / eps_c,
-            ))
-    return points
+    grid = window * np.arange(1, n_points + 1) / (n_points + 1)
+    solve_stack = _solve_pumps if system == "ideal" else _solve_fridges
+    solutions = []
+    for start in range(0, n_points, _STACK_POINTS):
+        solutions += solve_stack(_curve_sweep(system, setup, grid[start:start + _STACK_POINTS]))
+    return [PerformancePoint(omega_c=omega_c, q_c=sol.q_cold, eps=sol.cop,
+                             eps_over_carnot=sol.cop / eps_c)
+            for omega_c, sol in zip(grid.tolist(), solutions)]

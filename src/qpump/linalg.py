@@ -11,19 +11,20 @@ Conventions used throughout the package:
   complex matrix acting on column-stacked density matrices.
 
 Hilbert dimensions stay at most 10, so everything is dense and double
-precision.  The kernel solve takes a matrix and its trace row: a whole
-superoperator, or the invariant block that :mod:`qpump.steady` rounds from
-its extended-precision action on the stationary sector.
+precision, and numpy is the only dependency.  The kernel solve takes a stack
+of matrices and their trace row: a stack of one whole superoperator
+(:func:`stationary_vector`), or the invariant blocks that
+:mod:`qpump.steady` rounds from its extended-precision action on the
+stationary sector, one per point of a sweep.  It inverts the stack in one
+``numpy.linalg.inv`` call (an LU factorization per matrix) and gates each
+point on its own.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = [
     "SuperOp",
@@ -101,14 +102,11 @@ class SuperOp:
             )
 
 
-def _rcond_estimate(lu: np.ndarray, anorm: float) -> float:
-    """LAPACK reciprocal condition estimate from an LU factorization, real
-    or complex by the factor's dtype."""
-    gecon, = get_lapack_funcs(("gecon",), (lu,))
-    rcond, info = gecon(lu, anorm)
-    if info != 0:
-        return 0.0
-    return float(rcond)
+def _reciprocal_condition(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Exact 1-norm reciprocal condition ``1 / (|M|_1 |M^-1|_1)`` of a matrix
+    or of each matrix of a stack, from its inverse.  LAPACK's gecon estimates
+    ``|M^-1|_1`` from below, so its estimate is never smaller than this."""
+    return 1.0 / np.abs(m).sum(axis=-2).max(axis=-1) / np.abs(inv).sum(axis=-2).max(axis=-1)
 
 
 def _kernel_diagnostics(matrix: np.ndarray) -> np.ndarray:
@@ -144,7 +142,7 @@ def _normalize_trace(v: np.ndarray, trace: np.ndarray) -> np.ndarray:
 
 def stationary_vector(op: SuperOp) -> np.ndarray:
     """Solve ``op.matrix @ v = 0`` with ``devectorize(v)`` of unit trace, by
-    the gated kernel solve below on the whole generator.
+    the gated kernel solve below on a stack of one whole generator.
 
     Raises
     ------
@@ -154,53 +152,69 @@ def stationary_vector(op: SuperOp) -> np.ndarray:
     DegenerateKernelError
         More than one stationary state within tolerance.
     """
-    return _stationary_vector_and_factor(op.matrix, trace_row(op.dim))[0]
+    return _stationary_vectors(op.matrix[None], trace_row(op.dim))[0][0]
 
 
-def _stationary_vector_and_factor(mat: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Kernel vector ``v`` of ``mat`` with ``trace @ v == 1``, and the LU
-    factor it came from, for a whole generator or an invariant block of it.
+def _stationary_vectors(mats: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel vectors ``v[k]`` of a stack of matrices ``mats[k]``, each with
+    ``trace @ v[k] == 1``, and the inverse of each trace-constrained matrix,
+    for whole generators or invariant blocks of them.
 
-    The primary path replaces the first row with ``trace`` and solves (plus
-    one step of iterative refinement).  If that fails its condition or
-    residual gate, an SVD of ``mat`` gives the vector and doubles as the
-    uniqueness diagnostic.  The factor is returned on that path too, so
-    that a caller can refine the state without factoring again."""
-    scale = np.max(np.abs(mat))
-    if not np.isfinite(scale):
-        # an overflowed rate; neither the LU nor the SVD can use such a matrix
-        raise NoKernelError(f"generator has non-finite entries (max |L| = {scale})")
-    if scale == 0.0:
-        raise DegenerateKernelError("zero generator: every state is stationary")
-    m = mat.copy()
-    m[0, :] = trace
-    b = np.zeros(len(m), dtype=m.dtype)
+    Every point is judged on its own.  The primary path replaces the first
+    row of each matrix with ``trace`` and inverts the stack; the first
+    column of an inverse, plus one step of iterative refinement, is the
+    vector.  A point whose exact 1-norm reciprocal condition
+    ``1 / (|M|_1 |M^-1|_1)`` is below ``KERNEL_RCOND_FLOOR``, or that fails
+    the trace or residual gate, gets its vector from an SVD of its matrix,
+    which doubles as the uniqueness diagnostic; the first such point that
+    has no stationary state raises.  An exactly singular (or non-finite)
+    matrix fails the stacked inversion, so such a stack is solved point by
+    point and only that point leaves the primary path.  The inverses are
+    returned on every path, so that a caller can refine the states without
+    factoring again."""
+    scale = np.abs(mats).max(axis=(1, 2))
+    m = mats.copy()
+    m[:, 0, :] = trace
+    try:
+        inv = np.linalg.inv(m) if (np.isfinite(scale) & (scale > 0.0)).all() else None
+    except np.linalg.LinAlgError:
+        inv = None
+    if inv is None and len(m) > 1:
+        parts = [_stationary_vectors(mat[None], trace) for mat in mats]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    if inv is None:
+        if not np.isfinite(scale[0]):
+            # an overflowed rate; neither the inverse nor the SVD can use such a matrix
+            raise NoKernelError(f"generator has non-finite entries (max |L| = {scale[0]})")
+        if scale[0] == 0.0:
+            raise DegenerateKernelError("zero generator: every state is stationary")
+        # exactly singular: the SVD below decides, and a refinement can only
+        # go through the pseudo-inverse
+        inv, rcond = np.linalg.pinv(m), np.zeros(1)
+    else:
+        rcond = _reciprocal_condition(m, inv)
+    v = inv[:, :, 0].copy()  # contiguous: the sums below then run in one order for any P
+    b = np.zeros(m.shape[1], dtype=m.dtype)
     b[0] = 1.0
-    with warnings.catch_warnings():
-        # conditioning is judged explicitly below; scipy's own
-        # ill-conditioned-matrix warning would only duplicate it
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu = sla.lu_factor(m, check_finite=False)
-    v = None
-    if _rcond_estimate(lu[0], np.abs(m).sum(axis=0).max()) >= KERNEL_RCOND_FLOOR:
-        v = sla.lu_solve(lu, b, check_finite=False)
-        v = v + sla.lu_solve(lu, b - m @ v, check_finite=False)
-    if v is not None and np.all(np.isfinite(v)):
-        try:
-            v = _normalize_trace(v, trace)
-        except DegenerateKernelError:
-            v = None
-    if v is not None and np.max(np.abs(mat @ v)) <= KERNEL_RESIDUAL_RTOL * scale:
-        return v, lu
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the inverse of a point below the condition floor may overflow;
+        # the gates drop such a point, whatever its arithmetic gives here
+        v = v + (inv @ (b - (m @ v[..., None])[..., 0])[..., None])[..., 0]
+        tr = (v * trace).sum(axis=1)
+        ok = ((rcond >= KERNEL_RCOND_FLOOR) & np.isfinite(v).all(axis=1)
+              & (np.abs(tr) >= 1e-12 * np.abs(v).max(axis=1)))
+        v = v / np.where(ok, tr, 1.0)[:, None]
+        ok &= np.abs(mats @ v[..., None]).max(axis=(1, 2)) <= KERNEL_RESIDUAL_RTOL * scale
 
     # Replacement solve failed: run the SVD path, which either produces a
     # usable kernel vector or explains the failure.
-    v = _normalize_trace(_kernel_diagnostics(mat), trace)
-    if np.max(np.abs(mat @ v)) > KERNEL_RESIDUAL_RTOL * scale:
-        raise NoKernelError(
-            "kernel residual exceeds tolerance even on the singular-vector path"
-        )
-    return v, lu
+    for k in np.flatnonzero(~ok):
+        v[k] = _normalize_trace(_kernel_diagnostics(mats[k]), trace)
+        if np.max(np.abs(mats[k] @ v[k])) > KERNEL_RESIDUAL_RTOL * scale[k]:
+            raise NoKernelError(
+                "kernel residual exceeds tolerance even on the singular-vector path"
+            )
+    return v, inv
 
 
 def propagate(op: SuperOp, rho0: np.ndarray, dt: float | None = None,

@@ -18,6 +18,7 @@ both energies, dissipation strengths are inverse times.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -96,6 +97,21 @@ class BathSpec:
             raise ValueError(f"squeezing/saturation is only supported on the work bath")
 
 
+# Modules whose frames build a config: the config classes and their
+# dataclass-generated __init__ (which runs with its class's module globals),
+# ideal_pump, and dataclasses.replace.
+_CONFIG_MODULES = frozenset({__name__, f"{__package__}.three_qubit", "dataclasses"})
+
+
+def _warn_at_caller(message: str, category: type[Warning]) -> None:
+    """Warn at the code that asked for a config: the innermost frame outside
+    the modules that build configs, however many of their frames lie between."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__") in _CONFIG_MODULES:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
+
 class _ThreeBathConfig:
     """Bath bookkeeping shared by the machine configs, which provide the
     ``work``/``hot``/``cold`` baths and ``omega_w``/``omega_h``/``omega_c``."""
@@ -139,9 +155,9 @@ class PumpConfig(_ThreeBathConfig):
             self.omega_c, self.omega_h - self.omega_c, self.cold.temperature
         )
         if max(self.work.gamma, self.hot.gamma, self.cold.gamma) > floor:
-            warnings.warn("dissipation strength exceeds the weak-coupling threshold; "
-                          "the Markovian-secular master equation is being stretched",
-                          WeakCouplingWarning, stacklevel=3)  # the caller of __init__
+            _warn_at_caller("dissipation strength exceeds the weak-coupling threshold; "
+                            "the Markovian-secular master equation is being stretched",
+                            WeakCouplingWarning)
 
     @property
     def omega_w(self) -> float:
@@ -162,20 +178,20 @@ class RatePair:
             raise ValueError(f"rates must be >= 0, got {self}")
 
 
-def level_energies(n_levels: int, omega_h: float, omega_c: float,
-                   dtype=float) -> np.ndarray:
+def level_energies(n_levels: int, omega_h, omega_c, dtype=float) -> np.ndarray:
     """Ladder energies: E[0] = 0, E[2n-1] = (n-1) w_h + w_c, E[2n] = n w_h.
 
-    Indices are 0-based array positions for 1-based physical levels.
+    Indices are 0-based array positions for 1-based physical levels.  Array
+    frequencies give one ladder per element, along a new last axis.
     """
-    wh = dtype(omega_h)
-    wc = dtype(omega_c)
-    e = np.zeros(n_levels, dtype=dtype)
+    wh = np.asarray(omega_h, dtype=dtype)
+    wc = np.asarray(omega_c, dtype=dtype)
+    e = np.zeros(np.shape(wh) + (n_levels,), dtype=dtype)
     for k in range(2, n_levels + 1):
         if k % 2 == 0:
-            e[k - 1] = (k // 2 - 1) * wh + wc
+            e[..., k - 1] = (k // 2 - 1) * wh + wc
         else:
-            e[k - 1] = ((k - 1) // 2) * wh
+            e[..., k - 1] = ((k - 1) // 2) * wh
     return e
 
 
@@ -276,9 +292,11 @@ def decay_rates(bath: BathSpec, omega: float | np.ndarray) -> RatePair:
     convention; ratios and orderings are convention-independent.
     """
     n = _effective_occupation(bath, omega)
-    # float_power loops over libm pow, as ``**`` on a float does; array ``**``
-    # may round the cube differently in the last digit
-    w3 = bath.gamma * np.float_power(omega, 3.0)
+    # float_power loops over libm pow, as ``**`` on a float does (which costs
+    # about 1 us less, and each optimizer step makes two scalar calls); array
+    # ``**`` may round the cube differently in the last digit
+    w3 = bath.gamma * (np.float_power(omega, 3.0) if isinstance(omega, np.ndarray)
+                       else omega ** 3.0)
     if bath.saturated:
         g = w3 * SATURATED_OCCUPATION
         return RatePair(down=g, up=g)

@@ -20,14 +20,19 @@ small differences of large one-way flows.  Plain double precision floors the
 first-law residual near 1e-9 of the largest current there.  Each machine is
 therefore described once, by a :class:`_Generator`: its Hamiltonian in
 extended precision (x87 long double) and, per bath, the level pairs of its
-jump ``sum_k |lo_k><hi_k|`` with rates computed once in double by
+jump ``sum_k |lo_k><hi_k|`` with rates computed in double by
 :func:`~qpump.pump.decay_rates`.  Its one operator is the extended-precision
-action.  The kernel solve factors once the double rounding of that action on
-the stationary sector (the pump's N populations; the fridge's populations and
-one coherence pair), and that factor polishes the state against the action,
-at whose precision the currents are assembled.  The first law holds for the
-generator as built, so double rates are enough.  The Kronecker-product
-builders below are the reference.
+action, restricted to the stationary sector (the pump's N populations; the
+fridge's populations and one coherence pair).  A generator describes one
+machine at P points of a sweep at once: the structure (sector, index
+arrays) is built once, and only the energies and the rates carry a leading
+point axis, so a whole characteristic curve is one stacked solve and a
+single solve is a stack of one.  The kernel solve inverts the stack of the
+double roundings of that action on the sector (numpy, one LU per point);
+the inverses polish each state against the action, at whose precision the
+currents are assembled, and every gate is judged per point.  The first law
+holds for the generator as built, so double rates are enough.  The
+Kronecker-product builders below are the reference.
 """
 
 from __future__ import annotations
@@ -36,11 +41,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .linalg import SuperOp, _stationary_vector_and_factor, trace_row, vectorize
+from .linalg import SuperOp, _stationary_vectors, trace_row, vectorize
 # Kept importable for the layer probes of perfbench/layers.py::install_probes;
-# the solve itself factors through _stationary_vector_and_factor.
+# the solve itself goes through _stationary_vectors.
 from .linalg import stationary_vector  # noqa: F401
 from .pump import (
     PumpConfig,
@@ -160,201 +164,250 @@ def _stacked(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Channel:
-    """One bath channel on ``n`` levels: the jump ``s = sum_k |lo_k><hi_k|``,
-    from its 0-based level arrays ``lo`` and ``hi``, with its rates.
-
-    The pairs must be strictly one-sided and address each level at most once
-    as ``lo`` and once as ``hi`` (a partial permutation); any other raises
-    ``ValueError``.  Then ``s+ s = diag(e)`` and ``s s+ = diag(g)``, where
-    ``e`` and ``g`` flag the levels ``hi`` and ``lo``, so the dissipator is
+    """One bath channel at P points, on a set of m positions that its gathers
+    do not leave.  For the jump ``s = sum_k |lo_k><hi_k|`` of a partial
+    permutation, ``s+ s = diag(e)`` and ``s s+ = diag(g)``, where ``e`` and
+    ``g`` flag the levels ``hi`` and ``lo``, so the dissipator is
     elementwise, ``D(rho)_ij = k_ij rho_ij`` with
     ``k_ij = -(down (e_i + e_j) + up (g_i + g_j)) / 2``, plus two gathers:
     ``down rho[hi, hi]`` lands on ``[lo, lo]`` and ``up rho[lo, lo]`` on
-    ``[hi, hi]``.  States are column-stacked vectors, or columns of a block.
+    ``[hi, hi]``.  ``lo``/``hi`` are the gathers' indices in the set,
+    ``e``/``g`` the values of ``-(e_i + e_j)/2`` and ``-(g_i + g_j)/2``
+    there, and ``down``/``up`` the rates, one per point.
     """
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, n: int, down: float, up: float):
-        if not ((lo < hi).all() or (lo > hi).all()):
-            raise ValueError("jump operator must be strictly one-sided (a lowering operator)")
-        if len(set(lo.tolist())) < lo.size or len(set(hi.tolist())) < hi.size:
-            raise ValueError("jump operator must address each level at most once per side")
-        self.down, self.up = down, up
-        self.lo = _stacked(lo[:, None], lo, n)
-        self.hi = _stacked(hi[:, None], hi, n)
-        flags = np.zeros((2, n), dtype=np.longdouble)
-        flags[0, hi] = flags[1, lo] = -0.5
-        # -(e_i + e_j)/2 and -(g_i + g_j)/2 are 0, -1/2 or -1, so the products
-        # are exact and k rounds once (symmetric in i, j)
-        e, g = ((f[:, None] + f).reshape(-1) for f in flags)
-        self.decay_ld = down * e + up * g
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, e: np.ndarray, g: np.ndarray,
+                 down: np.ndarray, up: np.ndarray):
+        self.lo, self.hi, self.down, self.up = lo, hi, down, up
+        # the flag sums are 0, -1/2 or -1, so the products are exact and k
+        # rounds once.  The factors are held as complex long doubles, the
+        # type that numpy would cast them to at every product.
+        self._decay_ld = (down[:, None] * e + up[:, None] * g)[:, None, :].astype(_LD)
+        self._down_ld, self._up_ld = (r[:, None, None].astype(_LD) for r in (down, up))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """``D(rho)`` at extended precision."""
-        out = (self.decay_ld * v.T).T
-        out[self.lo] += self.down * v[self.hi]
-        out[self.hi] += self.up * v[self.lo]
+        """``D(rho)`` at extended precision, on a (P, k, m) stack of states."""
+        out = self._decay_ld * v
+        out[..., self.lo] += self._down_ld * v[..., self.hi]
+        out[..., self.hi] += self._up_ld * v[..., self.lo]
         return out
 
 
 class _Generator:
-    """One machine: its extended-precision Hamiltonian and one
+    """One machine at P points: its extended-precision Hamiltonians and one
     :class:`_Channel` per bath, built from level arrays (no dense jump;
-    ``build_jump_operator`` is the tests' reference).  The diagonal of the
-    Hamiltonian enters the commutator elementwise, ``-i (E_i - E_j)``; its
-    off-diagonal part ``V`` (the three-qubit exchange) as sparse entries:
-    ``-i V rho`` puts ``-i V_rc rho[c, j]`` on ``[r, j]``, and ``i rho V``
-    puts ``i V_rc rho[i, r]`` on ``[i, c]``.  ``sector``: the positions that
-    these entries and the gathers link to the diagonal.  It and its
-    complement are each invariant, so the stationary state is zero outside it.
+    ``build_jump_operator`` is the tests' reference).  ``cfg`` gives the
+    baths and their frequencies, floats for one point or (P,) arrays;
+    ``ham`` is one (n, n) Hamiltonian or a (P, n, n) stack.  The structure
+    is shared by the points; only the energies, the couplings and the rates
+    carry the point axis.
+
+    The diagonal of the Hamiltonian enters the commutator elementwise,
+    ``-i (E_i - E_j)``; its off-diagonal part ``V`` (the three-qubit
+    exchange) as sparse entries: ``-i V rho`` puts ``-i V_rc rho[c, j]`` on
+    ``[r, j]``, and ``i rho V`` puts ``i V_rc rho[i, r]`` on ``[i, c]``.
+    ``sector``: the positions that these entries and the gathers link to the
+    diagonal.  It and its complement are each invariant, so the stationary
+    state is zero outside it.  The generator acts on ``positions``, by
+    default the sector; states are (P, k, m) stacks of k vectors per point
+    on those m positions.
     """
 
-    def __init__(self, cfg, ham, levels):
+    def __init__(self, cfg, ham, levels, positions: np.ndarray | None = None):
         # levels: {label: (lo, hi) level arrays of that bath's jump}
-        self.ham = np.asarray(ham, dtype=_LD)
-        n = self.ham.shape[0]
-        energies = np.diagonal(self.ham)
-        self._commutator_ld = -1j * (energies[:, None] - energies[None, :]).reshape(-1, order="F")
-        r, c = np.nonzero(self.ham - np.diag(energies))
+        self._cfg, self._levels = cfg, levels
+        self.ham = np.asarray(ham, dtype=_LD).reshape((-1,) + np.shape(ham)[-2:])
+        n = self.ham.shape[-1]
+        r, c = np.nonzero((self.ham != 0).any(axis=0) & ~np.eye(n, dtype=bool))
         j = np.arange(n)[:, None]
-        self._coupling_rows = np.concatenate([_stacked(r, j, n), _stacked(j, c, n)])
-        self._coupling_cols = np.concatenate([_stacked(c, j, n), _stacked(j, r, n)])
-        v = self.ham[r, c]
-        self._coupling_ld = np.concatenate([np.tile(-1j * v, n), np.tile(1j * v, n)])
-        self.channels = {}
+        rows = np.concatenate([_stacked(r, j, n), _stacked(j, c, n)])
+        cols = np.concatenate([_stacked(c, j, n), _stacked(j, r, n)])
+        v = self.ham[:, r, c]
+        coupling = np.concatenate([np.tile(-1j * v, n), np.tile(1j * v, n)], axis=1)
+        gathers = {}  # {label: the positions [lo_a, lo_b] and [hi_a, hi_b] of its gathers}
         for label in _BATHS:
-            rates = decay_rates(cfg.bath(label), cfg.bath_frequency(label))
-            self.channels[label] = _Channel(*levels[label], n, rates.down, rates.up)
-        a = np.concatenate([self._coupling_rows, *(ch.lo for ch in self.channels.values())])
-        b = np.concatenate([self._coupling_cols, *(ch.hi for ch in self.channels.values())])
+            lo, hi = levels[label]
+            if not ((lo < hi).all() or (lo > hi).all()):
+                raise ValueError("jump operator must be strictly one-sided (a lowering operator)")
+            if len(set(lo.tolist())) < lo.size or len(set(hi.tolist())) < hi.size:
+                raise ValueError("jump operator must address each level at most once per side")
+            gathers[label] = _stacked(lo[:, None], lo, n), _stacked(hi[:, None], hi, n)
+        a = np.concatenate([rows, *(lo_pos for lo_pos, _ in gathers.values())])
+        b = np.concatenate([cols, *(hi_pos for _, hi_pos in gathers.values())])
         member, size = np.arange(n * n) % (n + 1) == 0, 0
         while member.sum() > size:
             size, linked = member.sum(), member[a] | member[b]
             member[a[linked]] = member[b[linked]] = True
         self.sector = np.flatnonzero(member)
 
+        self.positions = self.sector if positions is None else positions
+        local = np.full(n * n, -1)
+        local[self.positions] = np.arange(self.positions.size)
+        self.diagonal = local[:: n + 1]
+        i, j = self.positions % n, self.positions // n
+        energies = np.diagonal(self.ham, axis1=1, axis2=2)
+        self._commutator_ld = (-1j * (energies[:, i] - energies[:, j]))[:, None, :]
+        inside = local[rows] >= 0
+        self._coupling_rows, self._coupling_cols = local[rows[inside]], local[cols[inside]]
+        self._coupling_ld = coupling[:, None, inside]
+        self._ham_t = np.ascontiguousarray(self.ham[:, None, j, i])  # H_ji at (i, j)
+        self.channels = {}
+        for label in _BATHS:
+            rates = decay_rates(cfg.bath(label), cfg.bath_frequency(label))
+            flags = np.zeros((2, n), dtype=np.longdouble)
+            flags[0, levels[label][1]] = flags[1, levels[label][0]] = -0.5
+            lo_pos, hi_pos = gathers[label]
+            inside = local[lo_pos] >= 0
+            self.channels[label] = _Channel(local[lo_pos[inside]], local[hi_pos[inside]],
+                                            *(f[i] + f[j] for f in flags),
+                                            np.atleast_1d(rates.down), np.atleast_1d(rates.up))
+
     @classmethod
-    def for_pump(cls, cfg: PumpConfig):
+    def for_pump(cls, cfg):
         n = cfg.n_levels
         e = level_energies(n, cfg.omega_h, cfg.omega_c, dtype=np.longdouble)
-        return cls(cfg, np.diag(e), {label: _transition_levels(n, label) for label in _BATHS})
+        ham = np.zeros(e.shape + (n,), dtype=np.longdouble)
+        ham[..., np.arange(n), np.arange(n)] = e
+        return cls(cfg, ham, {label: _transition_levels(n, label) for label in _BATHS})
 
-    def block(self, positions: np.ndarray) -> np.ndarray:
-        """The double generator on ``positions``: :meth:`action` on their unit
-        vectors, rounded."""
-        units = np.zeros((self.ham.size, positions.size), dtype=_LD)
-        units[positions, np.arange(positions.size)] = 1.0
-        return self.action(units)[positions].astype(complex)
+    def block(self) -> np.ndarray:
+        """The double generator on its positions at each point, (P, m, m):
+        :meth:`action` on their unit vectors, rounded."""
+        units = np.eye(self.positions.size, dtype=_LD)[None]
+        return self.action(units).swapaxes(1, 2).astype(complex)
 
     def superop(self) -> SuperOp:
-        return SuperOp(self.ham.shape[0], self.block(np.arange(self.ham.size)))
+        """The whole generator of a one-point machine: the same rounding of
+        the same action, on all N^2 positions."""
+        n = self.ham.shape[-1]
+        whole = _Generator(self._cfg, self.ham, self._levels, np.arange(n * n))
+        (matrix,) = whole.block()
+        return SuperOp(n, matrix)
 
     def action(self, v: np.ndarray) -> np.ndarray:
-        """The generator in long double on a column-stacked state, or each
-        column of a block."""
+        """The generator in long double at each point, on a (P, k, m) stack
+        of states (or a (1, k, m) stack shared by the points)."""
         # channel by channel, the gathers that currents() sums: a residual
         # from one pre-summed long-double matrix rounds differently, and the
         # first-law gate then fails at the window edge and on the fridge curve
-        out = (self._commutator_ld * v.T).T
-        np.add.at(out, self._coupling_rows, (self._coupling_ld * v[self._coupling_cols].T).T)
+        out = self._commutator_ld * v
+        np.add.at(out, (..., self._coupling_rows), self._coupling_ld * v[..., self._coupling_cols])
         for ch in self.channels.values():
             out += ch.apply(v)
         return out
 
-    def currents(self, rho) -> dict[str, float]:
-        # tr(H D) = sum_ij H_ji D_ij over the gathers that action() applies
-        ham_t, v = vectorize(self.ham.T), vectorize(rho)
-        return {label: float(np.real(np.sum(ham_t * ch.apply(v))))
+    def currents(self, v: np.ndarray) -> dict[str, np.ndarray]:
+        """``tr(H D_a rho)`` per bath at each point, from a (P, 1, m) stack of
+        states: ``sum_ij H_ji D_ij`` over the gathers that :meth:`action`
+        applies."""
+        return {label: np.real((self._ham_t * ch.apply(v)).sum(axis=-1))[:, 0].astype(float)
                 for label, ch in self.channels.items()}
 
 
-def _polish_state(lu: tuple, v0: np.ndarray, gen_ld: _Generator) -> np.ndarray:
-    """Refine the sector vector ``v0`` against the extended-precision
-    generator, through ``lu``, the LU factor of the trace-constrained sector
-    block that produced ``v0``.  Residuals come from the long-double action,
-    so the state is a kernel vector of the generator as built."""
-    n, sector = gen_ld.ham.shape[0], gen_ld.sector
-    v = np.zeros(n * n, dtype=_LD)
-    v[sector] = v0
+def _polish_state(inv: np.ndarray, v0: np.ndarray, gen_ld: _Generator) -> np.ndarray:
+    """Refine the (P, m) sector vectors ``v0`` against the extended-precision
+    generator, through ``inv``, the inverses of the trace-constrained sector
+    blocks that produced them.  Residuals come from the long-double action,
+    so each state is a kernel vector of the generator as built.  Returns the
+    (P, 1, m) stack of unit-trace states."""
+    v = v0.astype(_LD)[:, None, :]
+    # take() copies contiguously: numpy sums a fancy-indexed copy, whose
+    # indexed axis is outermost in memory, in an order that depends on P
     for _ in range(_POLISH_ITERATIONS):
-        resid = -gen_ld.action(v)[sector]
-        resid[0] = 1.0 - v[:: n + 1].sum()
-        dv = sla.lu_solve(lu, resid.astype(complex), check_finite=False)
-        v[sector] += dv.astype(_LD)
-    rho = v.reshape((n, n), order="F")
-    return rho / np.trace(rho)
+        resid = -gen_ld.action(v)
+        resid[..., 0] = 1.0 - v.take(gen_ld.diagonal, axis=-1).sum(axis=-1)
+        v += (inv @ resid.astype(complex).swapaxes(1, 2)).swapaxes(1, 2).astype(_LD)
+    return v / v.take(gen_ld.diagonal, axis=-1).sum(axis=-1, keepdims=True)
 
 
-def _solution_from_state(gen_ld: _Generator, rho_ld, kernel_residual: float,
-                         temps: tuple[float, float, float], omega_ratio: float,
-                         gate_ideality: bool) -> SteadySolution:
+def _solution_from_state(gen_ld: _Generator, rho_ld: np.ndarray, kernel_residual: np.ndarray,
+                         cfg, gate_ideality: bool) -> list[SteadySolution]:
+    """The gated currents of each point's state, as one solution per point.
+    The first point that fails a gate raises, naming its ``omega_c``."""
     q = gen_ld.currents(rho_ld)
-    ham_scale = float(np.max(np.abs(np.real(np.diag(gen_ld.ham))))) or 1.0
-    current_scale = ham_scale * max(ch.down + ch.up for ch in gen_ld.channels.values())
+    q_work, q_hot, q_cold = q["work"], q["hot"], q["cold"]
+    diagonal = np.real(np.diagonal(gen_ld.ham, axis1=1, axis2=2))
+    ham_scale = np.abs(diagonal).max(axis=1).astype(float)
+    ham_scale[ham_scale == 0.0] = 1.0
+    current_scale = ham_scale * np.max([ch.down + ch.up for ch in gen_ld.channels.values()],
+                                       axis=0)
     noise = _MODE_FRACTION * current_scale
-    q_max = max(abs(x) for x in q.values())
+    q_max = np.max(np.abs([q_work, q_hot, q_cold]), axis=0)
     # Relative gates are only meaningful when the currents stand well clear
     # of the numerical noise floor of the current assembly.
     healthy = q_max > _GATE_FRACTION * current_scale
 
-    first_law = abs(q["work"] + q["hot"] + q["cold"]) / max(q_max, noise)
-    if abs(q["work"]) > noise:
-        ideality = abs(abs(q["cold"] / q["work"]) / omega_ratio - 1.0)
-    else:
-        ideality = 0.0
-    residuals = {
-        "kernel_residual": float(kernel_residual),
-        "first_law": float(first_law),
-        "ideality_cold_work": float(ideality),
-    }
-    if q_max <= noise:
-        mode = "boundary"
-    else:
-        mode = "chiller" if q["cold"] > 0 else "heat_transformer"
+    first_law = np.abs(q_work + q_hot + q_cold) / np.maximum(q_max, noise)
+    working = np.abs(q_work) > noise
+    cop = np.divide(q_cold, q_work, out=np.zeros_like(q_cold), where=working)
+    omega_c, omega_w = np.atleast_1d(cfg.omega_c), np.atleast_1d(cfg.omega_w)
+    ideality = np.where(working, np.abs(np.abs(cop) / (omega_c / omega_w) - 1.0), 0.0)
+    mode = np.where(q_max <= noise, "boundary",
+                    np.where(q_cold > 0, "chiller", "heat_transformer"))
 
-    if kernel_residual > KERNEL_RTOL:
-        raise NonConvergedError(f"kernel residual {kernel_residual:.3e} > {KERNEL_RTOL:.0e}")
-    if healthy and first_law > FIRST_LAW_RTOL:
-        raise NonConvergedError(f"first-law residual {first_law:.3e} > {FIRST_LAW_RTOL:.0e}")
-    if gate_ideality and healthy and mode != "boundary" and ideality > IDEALITY_RTOL:
-        raise NonConvergedError(f"ideality residual {ideality:.3e} > {IDEALITY_RTOL:.0e}")
-
-    cop = q["cold"] / q["work"] if abs(q["work"]) > noise else 0.0
-    return SteadySolution(
-        rho_inf=np.asarray(rho_ld, dtype=complex),
-        q_work=q["work"],
-        q_hot=q["hot"],
-        q_cold=q["cold"],
-        cop=cop,
-        entropy_rate=float(-sum(np.longdouble(q[label]) / np.longdouble(t)
-                                for label, t in zip(_BATHS, temps))),
-        residuals=residuals,
-        mode=mode,
-        rho_ld=rho_ld,
+    gates = (
+        (~(kernel_residual <= KERNEL_RTOL),
+         lambda k: f"kernel residual {kernel_residual[k]:.3e} > {KERNEL_RTOL:.0e}"),
+        (healthy & (first_law > FIRST_LAW_RTOL),
+         lambda k: f"first-law residual {first_law[k]:.3e} > {FIRST_LAW_RTOL:.0e}"),
+        (gate_ideality & healthy & (mode != "boundary") & (ideality > IDEALITY_RTOL),
+         lambda k: f"ideality residual {ideality[k]:.3e} > {IDEALITY_RTOL:.0e}"),
     )
+    failed = np.any([mask for mask, _ in gates], axis=0)
+    if failed.any():
+        k = int(np.argmax(failed))
+        message = next(text(k) for mask, text in gates if mask[k])
+        raise NonConvergedError(f"{message} at omega_c={float(omega_c[k])!r}")
+
+    t_work = [effective_temperature(cfg.work, w) for w in omega_w.tolist()]
+    entropy_rate = -sum(x.astype(np.longdouble) / np.asarray(t, dtype=np.longdouble)
+                        for x, t in zip((q_work, q_hot, q_cold),
+                                        (t_work, cfg.hot.temperature, cfg.cold.temperature)))
+    n = gen_ld.ham.shape[-1]
+    rho = np.zeros((len(rho_ld), n * n), dtype=_LD)
+    rho[:, gen_ld.positions] = rho_ld[:, 0]
+    rho = rho.reshape(-1, n, n).swapaxes(1, 2)  # column-stacked: (i, j) at i + n j
+    rho_inf = rho.astype(complex)
+    return [
+        SteadySolution(
+            rho_inf=rho_inf[k],
+            q_work=w,
+            q_hot=h,
+            q_cold=c,
+            cop=eps,
+            entropy_rate=s,
+            residuals={"kernel_residual": kr, "first_law": fl, "ideality_cold_work": ir},
+            mode=str(md),
+            rho_ld=rho[k],
+        )
+        for k, (w, h, c, eps, s, kr, fl, ir, md) in enumerate(zip(
+            q_work.tolist(), q_hot.tolist(), q_cold.tolist(), cop.tolist(),
+            entropy_rate.astype(float).tolist(), kernel_residual.tolist(), first_law.tolist(),
+            ideality.tolist(), mode))
+    ]
 
 
-def _solve_system(cfg, gen: _Generator, gate_ideality: bool) -> SteadySolution:
-    """Kernel solve of ``gen``'s double sector block, extended-precision
-    polish, then the gated currents of ``cfg``'s machine."""
-    block = gen.block(gen.sector)
-    v, lu = _stationary_vector_and_factor(block, trace_row(gen.ham.shape[0])[gen.sector])
-    rho = _polish_state(lu, v, gen)
-    residual = np.max(np.abs(block @ vectorize(rho)[gen.sector].astype(complex)))
-    kernel_residual = float(residual / np.max(np.abs(block)))
-    temps = (effective_temperature(cfg.work, cfg.omega_w), cfg.hot.temperature,
-             cfg.cold.temperature)
-    return _solution_from_state(gen, rho, kernel_residual, temps,
-                                omega_ratio=cfg.omega_c / cfg.omega_w, gate_ideality=gate_ideality)
+def _solve_system(cfg, gen: _Generator, gate_ideality: bool) -> list[SteadySolution]:
+    """Kernel solve of ``gen``'s double sector blocks at all its points as one
+    stack, extended-precision polish, then the gated currents of ``cfg``'s
+    machine, one solution per point."""
+    block = gen.block()
+    v, inv = _stationary_vectors(block, trace_row(gen.ham.shape[-1])[gen.positions])
+    rho = _polish_state(inv, v, gen)
+    residual = np.abs(block @ rho.astype(complex).swapaxes(1, 2)).max(axis=(1, 2))
+    kernel_residual = residual / np.abs(block).max(axis=(1, 2))
+    return _solution_from_state(gen, rho, kernel_residual, cfg, gate_ideality)
 
 
 def solve(cfg: PumpConfig) -> SteadySolution:
     """Stationary state and heat currents of an ideal pump.
 
     The state is the kernel vector of the generator's stationary sector,
-    the N populations; the currents are ``tr(H D_a rho)``.  The solution is gated on the kernel
-    residual, the first law and (for the ideal pump, whose currents are
-    locked to the transition frequencies) the ideality identity
-    ``|q_c/q_w| = w_c/w_w``.
+    the N populations; the currents are ``tr(H D_a rho)``.  The solution is
+    gated on the kernel residual, the first law and (for the ideal pump,
+    whose currents are locked to the transition frequencies) the ideality
+    identity ``|q_c/q_w| = w_c/w_w``.  It is a stack of one point of
+    :func:`_solve_pumps`.
 
     Raises
     ------
@@ -363,6 +416,12 @@ def solve(cfg: PumpConfig) -> SteadySolution:
     NonConvergedError
         A residual gate failed.
     """
+    return _solve_pumps(cfg)[0]
+
+
+def _solve_pumps(cfg) -> list[SteadySolution]:
+    """:func:`solve` at every point of ``cfg``, whose frequencies may be (P,)
+    arrays, as one stacked solve."""
     return _solve_system(cfg, _Generator.for_pump(cfg), True)
 
 
@@ -407,10 +466,11 @@ def heat_currents_decomposed(cfg: PumpConfig,
     """
     if solution is None:
         solution = solve(cfg)
-    rho = solution.rho_ld
     n = cfg.n_levels
     gen = _Generator.for_pump(cfg)
-    diag = {label: np.real(ch.apply(vectorize(rho))[:: n + 1]).astype(float)
+    # the pump's sector is its diagonal, so the sector state is the populations
+    v = vectorize(solution.rho_ld)[gen.positions][None, None, :]
+    diag = {label: np.real(ch.apply(v))[0, 0].astype(float)
             for label, ch in gen.channels.items()}
 
     w_levels = np.array([2 * k + 1 for k in range(1, (n + 1) // 2)])
@@ -422,7 +482,7 @@ def heat_currents_decomposed(cfg: PumpConfig,
     h_terms = cfg.omega_h * h_weights * diag["hot"]
 
     dec = CurrentDecomposition(w_levels, w_terms, h_levels, h_terms, c_levels, c_terms)
-    trace_q = gen.currents(rho)
+    trace_q = {label: float(q[0]) for label, q in gen.currents(v).items()}
     q_scale = max(max(abs(x) for x in trace_q.values()), 1e-300)
     for label, total in dec.totals.items():
         ref = trace_q[label]

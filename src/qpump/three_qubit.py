@@ -26,14 +26,13 @@ basis index ``4*n_c + 2*n_w + n_h``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import SuperOp
-from .pump import BathSpec, _ThreeBathConfig
-from .steady import _BATHS, _LD, SteadySolution, _Generator, _solve_system
+from .pump import BathSpec, _ThreeBathConfig, _warn_at_caller
+from .steady import _LD, SteadySolution, _Generator, _solve_system
 
 # Kept importable for the layer probes of perfbench/layers.py::install_probes;
 # the solve itself reaches them through steady._solve_system.
@@ -79,8 +78,8 @@ class ThreeQubitConfig(_ThreeBathConfig):
             raise ValueError(f"coupling g must be > 0, got {self.g}")
         self._check_baths()
         if self.g > COUPLING_FRACTION * min(self.omega_c, self.omega_w):
-            warnings.warn("three-body coupling is not small against the qubit frequencies",
-                          UserWarning, stacklevel=3)  # the caller of __init__
+            _warn_at_caller("three-body coupling is not small against the qubit frequencies",
+                            UserWarning)
 
     @property
     def omega_h(self) -> float:
@@ -92,16 +91,18 @@ def build_three_qubit_hamiltonian(cfg: ThreeQubitConfig, dtype=complex) -> np.nd
 
     At ``g = 0`` the spectrum is the eight sums of subsets of
     {omega_c, omega_w, omega_h}; the degenerate pair |110>, |001| (both at
-    omega_h) splits to omega_h +/- g.
+    omega_h) splits to omega_h +/- g.  Array frequencies give one
+    Hamiltonian per element, along new leading axes.
     """
     rt = np.longdouble if dtype == _LD else float
-    wc, ww = rt(cfg.omega_c), rt(cfg.omega_w)
+    wc, ww = np.asarray(cfg.omega_c, dtype=rt), np.asarray(cfg.omega_w, dtype=rt)
     wh = wc + ww
     level = np.arange(8)
     n_c, n_w, n_h = ((level & _QUBIT_BIT[label]) > 0 for label in ("cold", "work", "hot"))
-    h = np.diag(wc * n_c + ww * n_w + wh * n_h).astype(dtype)
+    h = np.zeros(wc.shape + (8, 8), dtype=dtype)
+    h[..., level, level] = wc[..., None] * n_c + ww[..., None] * n_w + wh[..., None] * n_h
     # |1_c 1_w 0_h> has index 6, |0_c 0_w 1_h> index 1
-    h[6, 1] = h[1, 6] = rt(cfg.g)
+    h[..., 6, 1] = h[..., 1, 6] = rt(cfg.g)
     return h
 
 
@@ -126,5 +127,12 @@ def solve_three_qubit(cfg: ThreeQubitConfig) -> SteadySolution:
     residual is reported but never gated; its departure from zero is the
     machine's non-ideality.  The sector holds the populations and the
     |110>/|001> coherence, which is generically nonzero when stationary.
+    It is a stack of one point of :func:`_solve_fridges`.
     """
+    return _solve_fridges(cfg)[0]
+
+
+def _solve_fridges(cfg) -> list[SteadySolution]:
+    """:func:`solve_three_qubit` at every point of ``cfg``, whose frequencies
+    may be (P,) arrays, as one stacked solve."""
     return _solve_system(cfg, _generator_ld(cfg), False)

@@ -255,6 +255,16 @@ class TestMisc:
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 1
 
+    def test_cli_imports_no_scipy(self):
+        # numpy is the only runtime dependency; scipy serves the tests and
+        # the benchmark's machine facts
+        code = ("import sys, qpump.cli; "
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=str(Path(qpump.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout == "[]\n"
+
     def test_selftest_passes(self, capsys):
         assert run(["selftest"]) == 0
         assert "0 failure(s)" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from qpump.experiments import (
     SampleRanges,
     _brent_max,
     _CoolingPowerEvaluator,
+    _curve_config,
     _variant_config,
     characteristic_curve,
     cop_histogram,
@@ -23,13 +25,17 @@ from qpump.experiments import (
 )
 from qpump.linalg import NoKernelError
 from qpump.pump import _transition_levels, window_max
-from qpump.steady import NonConvergedError, solve
+from qpump.steady import NonConvergedError, _Generator, solve
+from qpump.three_qubit import solve_three_qubit
 
 REF_PARAMS = dict(omega_h=102.6, t_work=7.1e3, t_hot=1.57e3, t_cold=54.25,
             gamma_work=3.5e-3, gamma_hot=5.1e-3, gamma_cold=8.8e-3)
 COMPARE_SETUP = CurveSetup(omega_w=60.0, t_work=130.0, t_hot=60.0, t_cold=5.0,
                    gamma_work=1e-3, gamma_hot=1e-3, gamma_cold=1e-3,
                    g=0.1, n_levels=8)
+# a shift of omega_h = 61.5 at which the first-law gate fails on the 30-point
+# three-qubit curve (tools/first_law_scan.py)
+SHIFTED_OMEGA_H = 61.500303
 
 
 def reference_pump(n_levels=3):
@@ -405,17 +411,55 @@ class TestCharacteristicCurve:
         assert ratio >= 1e3
 
     @pytest.mark.xfail(raises=NonConvergedError, strict=True,
-                       reason="first-law residual 1.120e-10 exceeds the 1e-10 gate at point 27 "
+                       reason="first-law residual 1.452e-10 exceeds the 1e-10 gate at point 27 "
                               "of this sweep, whose largest current sits just above the gating "
                               "threshold while the current sum sits at the long-double floor "
                               "(ROADMAP item 3)")
     def test_three_qubit_curve_at_shifted_omega_h(self):
-        setup = dataclasses.replace(COMPARE_SETUP, omega_w=61.500910 - 1.5)
+        setup = dataclasses.replace(COMPARE_SETUP, omega_w=SHIFTED_OMEGA_H - 1.5)
         characteristic_curve("three_qubit", setup, n_points=30)
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
             characteristic_curve("four_qubit", COMPARE_SETUP, n_points=4)
+
+    @pytest.mark.parametrize("system, n_levels", [*(("ideal", n) for n in range(3, 11)),
+                                                  ("three_qubit", 8)])
+    def test_stacked_curve_equals_point_by_point_solves(self, system, n_levels):
+        # one stacked solve of the curve against one solve per point; the
+        # arithmetic of a point does not depend on the stack, so the two are
+        # expected to agree bit for bit
+        setup = dataclasses.replace(COMPARE_SETUP, n_levels=n_levels)
+        points = characteristic_curve(system, setup, n_points=30)
+        for pt in points:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                cfg = _curve_config(system, setup, pt.omega_c)
+            sol = solve(cfg) if system == "ideal" else solve_three_qubit(cfg)
+            assert abs(pt.q_c - sol.q_cold) <= 1e-12 * abs(sol.q_cold)
+            assert abs(pt.eps - sol.cop) <= 1e-12 * abs(sol.cop)
+
+    def test_stacked_curve_is_split_into_bounded_stacks(self, monkeypatch):
+        whole = characteristic_curve("three_qubit", COMPARE_SETUP, n_points=30)
+        monkeypatch.setattr(qpump.experiments, "_STACK_POINTS", 7)
+        assert characteristic_curve("three_qubit", COMPARE_SETUP, n_points=30) == whole
+
+    def test_failed_gate_names_the_point(self, monkeypatch):
+        # the work current of the middle point of the stack breaks the first
+        # law; only that point fails, and the error says which one it is
+        currents = _Generator.currents
+
+        def broken(self, v):
+            q = currents(self, v)
+            q["work"][len(q["work"]) // 2] *= 1.0 + 1e-6
+            return q
+
+        monkeypatch.setattr(_Generator, "currents", broken)
+        window = qpump.cooling_window_max_fixed_work(60.0, COMPARE_SETUP.temps)
+        middle = window * 3 / 6
+        with pytest.raises(NonConvergedError,
+                           match=f"first-law residual .* at omega_c={re.escape(repr(middle))}$"):
+            characteristic_curve("ideal", COMPARE_SETUP, n_points=5)
 
     @pytest.mark.parametrize("n_points", [0, -2])
     def test_no_points_rejected(self, n_points):

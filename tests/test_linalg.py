@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import qpump
 from qpump.linalg import (
     DegenerateKernelError,
     NoKernelError,
     SuperOp,
     _kernel_diagnostics,
+    _stationary_vectors,
     devectorize,
     propagate,
     stationary_vector,
@@ -187,6 +189,54 @@ class TestStationaryVector:
     def test_zero_generator_rejected(self):
         with pytest.raises(DegenerateKernelError):
             stationary_vector(SuperOp(2, np.zeros((4, 4), dtype=complex)))
+
+
+class TestStationaryVectors:
+    """The stacked kernel solve that stationary_vector runs on a stack of one."""
+
+    @staticmethod
+    def pumps():
+        # three 4-level generators of one shape
+        return [qpump.build_liouvillian(qpump.ideal_pump(4, 2.0, w_c, 40.0, 8.0, 2.0,
+                                                         5e-3, 5e-3, 5e-3)).matrix
+                for w_c in (0.3, 0.5, 0.7)]
+
+    def test_stack_matches_one_matrix_at_a_time(self):
+        mats = np.array(self.pumps())
+        v, inv = _stationary_vectors(mats, trace_row(4))
+        for k, mat in enumerate(mats):
+            v1, inv1 = _stationary_vectors(mat[None], trace_row(4))
+            assert np.array_equal(v[k], v1[0]) and np.array_equal(inv[k], inv1[0])
+
+    def test_singular_matrix_is_solved_alone(self, monkeypatch):
+        # a 4-level generator whose levels 2 and 3 are dark has an exactly
+        # singular trace-constrained matrix; it fails the stacked inversion,
+        # the stack is solved point by point, and only that point reaches
+        # the SVD diagnostics, which find its kernel not unique
+        jump = np.zeros((4, 4), dtype=complex)
+        jump[0, 1] = 1.0
+        dark = build_dissipator(jump, decay_rates(BathSpec("cold", 1.0, 0.5), 1.0)).matrix
+        good = self.pumps()
+        inversions, diagnosed = [], []
+        inv, diagnostics = np.linalg.inv, qpump.linalg._kernel_diagnostics
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda m: inversions.append(m.shape) or inv(m))
+        monkeypatch.setattr(qpump.linalg, "_kernel_diagnostics",
+                            lambda m: diagnosed.append(m) or diagnostics(m))
+        with pytest.raises(DegenerateKernelError):
+            _stationary_vectors(np.array([good[0], good[1], dark]), trace_row(4))
+        assert inversions == [(3, 16, 16), (1, 16, 16), (1, 16, 16), (1, 16, 16)]
+        assert len(diagnosed) == 1 and np.array_equal(diagnosed[0], dark)
+
+    def test_first_failing_point_raises(self):
+        # the non-finite point comes first in the stack, so it is the one
+        # that raises, although a later point is degenerate as well
+        good = self.pumps()
+        bad = good[1].copy()
+        bad[3, 0] = np.inf
+        with pytest.raises(NoKernelError, match="non-finite"):
+            _stationary_vectors(np.array([good[0], bad, np.zeros((16, 16), complex)]),
+                                trace_row(4))
 
 
 class TestPropagate:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from qpump.pump import (
     squeeze_db_to_r,
     transition_pairs,
 )
+from qpump.three_qubit import ThreeQubitConfig
 
 REF_TEMPS = (7.1e3, 1.57e3, 54.25)
 REF_OMEGA_H = 102.6
@@ -270,6 +272,19 @@ class TestConfigValidation:
         with pytest.warns(WeakCouplingWarning) as record:
             PumpConfig(3, 10.0, 1.0, BathSpec("work", 400.0, 0.5),
                        BathSpec("hot", 40.0, 1e-3), BathSpec("cold", 4.0, 1e-3))
+        assert record[0].filename == __file__
+
+    @pytest.mark.parametrize("build", [
+        lambda: ideal_pump(3, 10.0, 1.0, 400.0, 40.0, 4.0, 0.5, 1e-3, 1e-3),
+        lambda: dataclasses.replace(reference_pump(), work=BathSpec("work", 7.1e3, 0.5)),
+        lambda: ThreeQubitConfig(0.5, 60.0, 0.4, BathSpec("work", 130.0, 1e-3),
+                                 BathSpec("hot", 60.0, 1e-3), BathSpec("cold", 5.0, 1e-3)),
+    ], ids=["ideal_pump", "replace", "ThreeQubitConfig"])
+    def test_every_config_warning_names_the_caller(self, build):
+        # however many frames of the config machinery lie between it and
+        # the warning, as for PumpConfig(...) above
+        with pytest.warns(UserWarning) as record:
+            build()
         assert record[0].filename == __file__
 
     def test_no_warning_at_reference_parameters(self, recwarn):

@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import qpump
 from qpump.linalg import SuperOp, devectorize, stationary_vector, vectorize
@@ -368,12 +367,20 @@ def test_superop_and_extended_action_are_one_operator(case):
     a = rng.normal(size=(op.dim, op.dim)) + 1j * rng.normal(size=(op.dim, op.dim))
     rho = a @ a.conj().T
     rho /= np.trace(rho)
+    # a state on the sector, zero outside it, where the action works
+    v = np.zeros(op.dim ** 2, dtype=complex)
+    v[gen.sector] = vectorize(rho)[gen.sector]
+    outside = np.setdiff1d(np.arange(op.dim ** 2), gen.sector)
     scale = np.max(np.abs(op.matrix))
-    from_action = gen.action(vectorize(rho).astype(np.clongdouble))
-    from_superop = op.matrix @ vectorize(rho)
-    assert np.max(np.abs(from_superop - from_action.astype(complex))) <= 1e-15 * scale
-    from_products = vectorize(_product_action(cfg, ham, jumps, rho.astype(np.clongdouble)))
-    assert np.max(np.abs(from_action - from_products)) <= 2 * np.finfo(np.longdouble).eps * scale
+    from_action = gen.action(v[gen.sector].astype(np.clongdouble)[None, None])[0, 0]
+    from_superop = op.matrix @ v
+    assert not from_superop[outside].any()
+    assert np.max(np.abs(from_superop[gen.sector] - from_action.astype(complex))) <= 1e-15 * scale
+    from_products = vectorize(_product_action(cfg, ham, jumps,
+                                              devectorize(v, op.dim).astype(np.clongdouble)))
+    assert np.max(np.abs(from_products[outside])) <= 2 * np.finfo(np.longdouble).eps * scale
+    assert (np.max(np.abs(from_action - from_products[gen.sector]))
+            <= 2 * np.finfo(np.longdouble).eps * scale)
 
 
 @pytest.mark.parametrize("case", MACHINES.values(), ids=MACHINES.keys())
@@ -417,7 +424,7 @@ def test_pump_sector_block_is_the_population_balance(n):
     ev = qpump.experiments._CoolingPowerEvaluator(cfg)
     rates, _ = ev._channels(cfg.omega_c)
     populations = (np.array(rates) @ ev._stack).reshape(n, n)
-    block = gen.block(gen.sector)
+    (block,) = gen.block()
     assert not block.imag.any()
     scale = np.max(np.abs(populations))
     assert np.max(np.abs(block.real - populations)) <= 4 * np.finfo(float).eps * scale
@@ -469,18 +476,30 @@ def _count_calls(monkeypatch, module, name):
     (solve_three_qubit, _three_qubit_fridge(), 10),
 ], ids=["pump", "three_qubit"])
 def test_one_lu_factorization_per_solve(monkeypatch, solver, cfg, size):
-    # one factor, of the sector block alone
-    factorizations = _count_calls(monkeypatch, scipy.linalg, "lu_factor")
+    # one factor (numpy's inverse is an LU factorization), of the sector
+    # block alone, as a stack of one
+    factorizations = _count_calls(monkeypatch, np.linalg, "inv")
     fallbacks = _count_calls(monkeypatch, qpump.linalg, "_kernel_diagnostics")
     solver(cfg)
     assert len(factorizations) == 1 and not fallbacks
-    assert factorizations[0][0].shape == (size, size)
+    assert factorizations[0][0].shape == (1, size, size)
+
+
+@pytest.mark.parametrize("system, size", [("ideal", 8), ("three_qubit", 10)])
+def test_one_stacked_factorization_per_curve(monkeypatch, system, size):
+    setup = qpump.experiments.CurveSetup(omega_w=60.0, t_work=130.0, t_hot=60.0, t_cold=5.0,
+                                         gamma_work=1e-3, gamma_hot=1e-3, gamma_cold=1e-3)
+    factorizations = _count_calls(monkeypatch, np.linalg, "inv")
+    fallbacks = _count_calls(monkeypatch, qpump.linalg, "_kernel_diagnostics")
+    qpump.experiments.characteristic_curve(system, setup, n_points=28)
+    assert len(factorizations) == 1 and not fallbacks
+    assert factorizations[0][0].shape == (28, size, size)
 
 
 def test_svd_fallback_polishes_through_the_shared_factor(monkeypatch):
     cfg = reference_pump(8)
     expected = solve(cfg)
-    factorizations = _count_calls(monkeypatch, scipy.linalg, "lu_factor")
+    factorizations = _count_calls(monkeypatch, np.linalg, "inv")
     fallbacks = _count_calls(monkeypatch, qpump.linalg, "_kernel_diagnostics")
     # every factor now fails the condition gate, so the kernel vector comes
     # from the SVD and the polish refines it through that rejected factor

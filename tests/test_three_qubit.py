@@ -1,19 +1,31 @@
-import warnings
+import math
 
 import numpy as np
 import pytest
 
 import qpump
+from qpump.experiments import CurveSetup, _curve_config, _curve_sweep
 from qpump.linalg import trace_row
-from qpump.pump import BathSpec, carnot_cop
+from qpump.pump import BathSpec, carnot_cop, decay_rates
+from qpump.steady import _solve_ld_kernel
 from qpump.three_qubit import (
     ThreeQubitConfig,
+    _solve_fridges,
     build_three_qubit_hamiltonian,
     build_three_qubit_liouvillian,
     solve_three_qubit,
 )
 
-COMPARE_SETUP = dict(omega_w=60.0, t_work=130.0, t_hot=60.0, t_cold=5.0, gamma=1e-3, g=0.1)
+COMPARE_SETUP = CurveSetup(omega_w=60.0, t_work=130.0, t_hot=60.0, t_cold=5.0,
+                           gamma_work=1e-3, gamma_hot=1e-3, gamma_cold=1e-3, g=0.1, n_levels=8)
+# the shifted curve of the strict xfail of test_experiments.py, and its
+# failing point (index 26 of 30)
+SHIFTED_SETUP = CurveSetup(omega_w=61.500303 - 1.5, t_work=130.0, t_hot=60.0, t_cold=5.0,
+                           gamma_work=1e-3, gamma_hot=1e-3, gamma_cold=1e-3, g=0.1, n_levels=8)
+SHIFTED_POINT = 26
+# the bounds of acceptance criterion 4 (tests/test_acceptance.py)
+POPULATION_BOUND = 1e-7
+CURRENT_BOUND = 1e-6
 
 
 def fridge(omega_c=1.5, g=0.1, gamma=1e-3, temps=(130.0, 60.0, 5.0)):
@@ -130,3 +142,84 @@ class TestValidation:
         with pytest.warns(UserWarning) as record:
             fridge(omega_c=0.5, g=0.4)
         assert record[0].filename == __file__  # the constructor's caller
+
+
+# ---------------------------------------------------------------------------
+# rate-equation oracle
+
+
+QUBITS = (("cold", 4), ("work", 2), ("hot", 1))  # the bit of each in the level index
+
+
+def fridge_rate_oracle(cfg):
+    """Stationary populations, |110><001| coherence and heat currents of the
+    fridge from classical rate equations, independent of the Lindblad solve.
+
+    Each qubit flips at its bath's rates, at its bare frequency; the
+    exchange g (|6><1| + |1><6|) joins the degenerate levels 1 = |001> and
+    6 = |110> at the rate ``2 g^2 / kappa`` both ways, where ``kappa`` is
+    the decay rate of their coherence, the mean of the two levels' total
+    escape rates.  The coherence follows as
+    ``rho_61 = -i g (p_1 - p_6) / kappa``; it is imaginary, so it adds
+    nothing to the currents, which are the bare energies times each bath's
+    population flows.  Long double throughout.
+    """
+    ld = np.longdouble
+    omega = {"cold": ld(cfg.omega_c), "work": ld(cfg.omega_w)}
+    omega["hot"] = omega["cold"] + omega["work"]
+    level = np.arange(8)
+    energy = sum(omega[label] * ((level & bit) > 0) for label, bit in QUBITS)
+    baths = {}
+    for label, bit in QUBITS:
+        rates = decay_rates(cfg.bath(label), cfg.bath_frequency(label))
+        w = np.zeros((8, 8), dtype=ld)  # w[i, j]: rate of j -> i
+        for j in range(8):
+            i, rate = (j - bit, rates.down) if j & bit else (j + bit, rates.up)
+            w[i, j] += ld(rate)
+            w[j, j] -= ld(rate)
+        baths[label] = w
+    total = sum(baths.values())
+    g = ld(cfg.g)
+    kappa = -(total[1, 1] + total[6, 6]) / 2
+    exchange = 2 * g * g / kappa
+    total[[6, 1], [1, 6]] += exchange
+    total[[1, 6], [1, 6]] -= exchange
+    p = _solve_ld_kernel(total)
+    coherence = -1j * g * (p[1] - p[6]) / kappa
+    currents = {label: float(energy @ (w @ p)) for label, w in baths.items()}
+    return p, coherence, currents
+
+
+def assert_agrees_with_oracle(cfg, sol):
+    p, coherence, currents = fridge_rate_oracle(cfg)
+    assert np.max(np.abs(np.real(np.diag(sol.rho_inf)) - p)) <= POPULATION_BOUND
+    # the coherence is far below the populations, so it is held to the
+    # population bound relative to its own size
+    assert abs(sol.rho_inf[6, 1] - complex(coherence)) <= POPULATION_BOUND * abs(coherence)
+    q_scale = max(abs(q) for q in sol.currents.values())
+    for label, q in currents.items():
+        assert abs(sol.currents[label] - q) <= CURRENT_BOUND * q_scale
+
+
+def curve_solutions(setup):
+    """The configs and the stacked solutions of a 30-point three-qubit curve."""
+    window = qpump.cooling_window_max_fixed_work(setup.omega_w, setup.temps)
+    omega_c = window * np.arange(1, 31) / 31
+    configs = [_curve_config("three_qubit", setup, w) for w in omega_c.tolist()]
+    return configs, _solve_fridges(_curve_sweep("three_qubit", setup, omega_c))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # g against the smallest omega_c
+class TestRateOracle:
+    def test_compare_curve(self):
+        for cfg, sol in zip(*curve_solutions(COMPARE_SETUP)):
+            assert_agrees_with_oracle(cfg, sol)
+
+    def test_shifted_curve_point(self, monkeypatch):
+        # the point where the first-law gate fails by chance (the strict
+        # xfail): the gate is lifted here, because the state, not the gate's
+        # verdict, is compared
+        monkeypatch.setattr(qpump.steady, "FIRST_LAW_RTOL", math.inf)
+        configs, solutions = curve_solutions(SHIFTED_SETUP)
+        assert solutions[SHIFTED_POINT].residuals["first_law"] > 1e-10
+        assert_agrees_with_oracle(configs[SHIFTED_POINT], solutions[SHIFTED_POINT])

@@ -8,7 +8,8 @@ Runs the equivalent of ``qpump curve --params params/three_qubit.params
 --system three_qubit --points 30 --set omega_h=61.5+k*1e-6`` for k = 0..999
 on the ``src`` tree next to this script.  For each shift at which a residual
 gate of the solve fails, it prints ``k``, ``omega_h`` and the gate's message,
-which carries the residual; then the number of failing shifts.  Near point
+which carries the residual and the failing point's ``omega_c``; then the
+number of failing shifts.  Near point
 27 of this sweep the largest current sits just above the first-law gate's
 threshold while the current sum sits at the long-double assembly floor, so
 a few shifts fail by chance.  The exit code is 0 when no shift fails and 1
