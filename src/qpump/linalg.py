@@ -48,6 +48,9 @@ KERNEL_DEGENERACY_RTOL = 1e-9
 # not trusted: a near-degenerate kernel can satisfy the residual gate with a
 # meaningless mixture, so such systems are sent to the SVD diagnostics.
 KERNEL_RCOND_FLOOR = 1e-13
+# A kernel vector whose trace is below this (relative to its largest entry)
+# cannot be normalized to a state.
+KERNEL_TRACE_RTOL = 1e-12
 
 
 class DegenerateKernelError(np.linalg.LinAlgError):
@@ -131,13 +134,14 @@ def _kernel_diagnostics(matrix: np.ndarray) -> np.ndarray:
     return vh[-1].conj()
 
 
-def _normalize_trace(v: np.ndarray, trace: np.ndarray) -> np.ndarray:
-    tr = trace @ v
-    if abs(tr) < 1e-12 * np.max(np.abs(v)):
-        raise DegenerateKernelError(
-            "kernel vector has (near-)zero trace; stationary state ill-defined"
-        )
-    return v / tr
+def _normalize_trace(v: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each vector of ``v`` (one, or a stack along the first axis) divided by
+    its trace, and whether that trace stands clear of zero: at least
+    ``KERNEL_TRACE_RTOL`` of the vector's largest entry.  A vector whose
+    trace does not is returned undivided."""
+    tr = (v * trace).sum(axis=-1)
+    ok = np.abs(tr) >= KERNEL_TRACE_RTOL * np.abs(v).max(axis=-1)
+    return v / np.where(ok, tr, 1.0)[..., None], ok
 
 
 def stationary_vector(op: SuperOp) -> np.ndarray:
@@ -152,13 +156,18 @@ def stationary_vector(op: SuperOp) -> np.ndarray:
     DegenerateKernelError
         More than one stationary state within tolerance.
     """
-    return _stationary_vectors(op.matrix[None], trace_row(op.dim))[0][0]
+    v, _, errors = _stationary_vectors(op.matrix[None], trace_row(op.dim))
+    if errors:
+        raise errors[0]
+    return v[0]
 
 
-def _stationary_vectors(mats: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stationary_vectors(mats: np.ndarray, trace: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, dict[int, np.linalg.LinAlgError]]:
     """Kernel vectors ``v[k]`` of a stack of matrices ``mats[k]``, each with
-    ``trace @ v[k] == 1``, and the inverse of each trace-constrained matrix,
-    for whole generators or invariant blocks of them.
+    ``trace @ v[k] == 1``, the inverse of each trace-constrained matrix, and
+    the kernel errors by point index, for whole generators or invariant
+    blocks of them.
 
     Every point is judged on its own.  The primary path replaces the first
     row of each matrix with ``trace`` and inverts the stack; the first
@@ -166,8 +175,11 @@ def _stationary_vectors(mats: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray
     vector.  A point whose exact 1-norm reciprocal condition
     ``1 / (|M|_1 |M^-1|_1)`` is below ``KERNEL_RCOND_FLOOR``, or that fails
     the trace or residual gate, gets its vector from an SVD of its matrix,
-    which doubles as the uniqueness diagnostic; the first such point that
-    has no stationary state raises.  An exactly singular (or non-finite)
+    which doubles as the uniqueness diagnostic.  A point with no unique
+    stationary state does not stop the others: its
+    :class:`NoKernelError` or :class:`DegenerateKernelError` is returned
+    under its index, and its vector and inverse are NaN, so that the caller
+    can judge the points in order.  An exactly singular (or non-finite)
     matrix fails the stacked inversion, so such a stack is solved point by
     point and only that point leaves the primary path.  The inverses are
     returned on every path, so that a caller can refine the states without
@@ -181,13 +193,19 @@ def _stationary_vectors(mats: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray
         inv = None
     if inv is None and len(m) > 1:
         parts = [_stationary_vectors(mat[None], trace) for mat in mats]
-        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+        errors = {k: exc for k, part in enumerate(parts) for exc in part[2].values()}
+        return (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]),
+                errors)
+    errors = {}
     if inv is None:
         if not np.isfinite(scale[0]):
             # an overflowed rate; neither the inverse nor the SVD can use such a matrix
-            raise NoKernelError(f"generator has non-finite entries (max |L| = {scale[0]})")
-        if scale[0] == 0.0:
-            raise DegenerateKernelError("zero generator: every state is stationary")
+            errors[0] = NoKernelError(f"generator has non-finite entries (max |L| = {scale[0]})")
+        elif scale[0] == 0.0:
+            errors[0] = DegenerateKernelError("zero generator: every state is stationary")
+        if errors:
+            nan = np.full_like(m, np.nan)
+            return nan[:, 0], nan, errors
         # exactly singular: the SVD below decides, and a refinement can only
         # go through the pseudo-inverse
         inv, rcond = np.linalg.pinv(m), np.zeros(1)
@@ -200,21 +218,27 @@ def _stationary_vectors(mats: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray
         # the inverse of a point below the condition floor may overflow;
         # the gates drop such a point, whatever its arithmetic gives here
         v = v + (inv @ (b - (m @ v[..., None])[..., 0])[..., None])[..., 0]
-        tr = (v * trace).sum(axis=1)
-        ok = ((rcond >= KERNEL_RCOND_FLOOR) & np.isfinite(v).all(axis=1)
-              & (np.abs(tr) >= 1e-12 * np.abs(v).max(axis=1)))
-        v = v / np.where(ok, tr, 1.0)[:, None]
+        v, ok = _normalize_trace(v, trace)
+        ok &= (rcond >= KERNEL_RCOND_FLOOR) & np.isfinite(v).all(axis=1)
         ok &= np.abs(mats @ v[..., None]).max(axis=(1, 2)) <= KERNEL_RESIDUAL_RTOL * scale
 
     # Replacement solve failed: run the SVD path, which either produces a
     # usable kernel vector or explains the failure.
     for k in np.flatnonzero(~ok):
-        v[k] = _normalize_trace(_kernel_diagnostics(mats[k]), trace)
-        if np.max(np.abs(mats[k] @ v[k])) > KERNEL_RESIDUAL_RTOL * scale[k]:
-            raise NoKernelError(
-                "kernel residual exceeds tolerance even on the singular-vector path"
-            )
-    return v, inv
+        try:
+            v[k], traced = _normalize_trace(_kernel_diagnostics(mats[k]), trace)
+            if not traced:
+                raise DegenerateKernelError(
+                    "kernel vector has (near-)zero trace; stationary state ill-defined"
+                )
+            if np.max(np.abs(mats[k] @ v[k])) > KERNEL_RESIDUAL_RTOL * scale[k]:
+                raise NoKernelError(
+                    "kernel residual exceeds tolerance even on the singular-vector path"
+                )
+        except (NoKernelError, DegenerateKernelError) as exc:
+            errors[int(k)] = exc
+            v[k], inv[k] = np.nan, np.nan
+    return v, inv, errors
 
 
 def propagate(op: SuperOp, rho0: np.ndarray, dt: float | None = None,

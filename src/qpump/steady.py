@@ -37,6 +37,7 @@ Kronecker-product builders below are the reference.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -321,9 +322,12 @@ def _polish_state(inv: np.ndarray, v0: np.ndarray, gen_ld: _Generator) -> np.nda
 
 
 def _solution_from_state(gen_ld: _Generator, rho_ld: np.ndarray, kernel_residual: np.ndarray,
-                         cfg, gate_ideality: bool) -> list[SteadySolution]:
+                         cfg, gate_ideality: bool,
+                         kernel_errors: dict[int, np.linalg.LinAlgError]
+                         ) -> list[SteadySolution]:
     """The gated currents of each point's state, as one solution per point.
-    The first point that fails a gate raises, naming its ``omega_c``."""
+    The first point that fails, in the kernel solve (``kernel_errors``, by
+    point index) or a gate, raises, naming its ``omega_c``."""
     q = gen_ld.currents(rho_ld)
     q_work, q_hot, q_cold = q["work"], q["hot"], q["cold"]
     diagonal = np.real(np.diagonal(gen_ld.ham, axis1=1, axis2=2))
@@ -354,10 +358,14 @@ def _solution_from_state(gen_ld: _Generator, rho_ld: np.ndarray, kernel_residual
          lambda k: f"ideality residual {ideality[k]:.3e} > {IDEALITY_RTOL:.0e}"),
     )
     failed = np.any([mask for mask, _ in gates], axis=0)
+    failed[list(kernel_errors)] = True
     if failed.any():
         k = int(np.argmax(failed))
+        at = f" at omega_c={float(omega_c[k])!r}"
+        if k in kernel_errors:
+            raise type(kernel_errors[k])(f"{kernel_errors[k]}{at}")
         message = next(text(k) for mask, text in gates if mask[k])
-        raise NonConvergedError(f"{message} at omega_c={float(omega_c[k])!r}")
+        raise NonConvergedError(message + at)
 
     t_work = [effective_temperature(cfg.work, w) for w in omega_w.tolist()]
     entropy_rate = -sum(x.astype(np.longdouble) / np.asarray(t, dtype=np.longdouble)
@@ -392,11 +400,14 @@ def _solve_system(cfg, gen: _Generator, gate_ideality: bool) -> list[SteadySolut
     stack, extended-precision polish, then the gated currents of ``cfg``'s
     machine, one solution per point."""
     block = gen.block()
-    v, inv = _stationary_vectors(block, trace_row(gen.ham.shape[-1])[gen.positions])
-    rho = _polish_state(inv, v, gen)
+    v, inv, errors = _stationary_vectors(block, trace_row(gen.ham.shape[-1])[gen.positions])
+    # a point with a kernel error stays NaN; what its arithmetic gives does
+    # not count, for the error is raised when the points are judged
+    with np.errstate(invalid="ignore") if errors else contextlib.nullcontext():
+        rho = _polish_state(inv, v, gen)
     residual = np.abs(block @ rho.astype(complex).swapaxes(1, 2)).max(axis=(1, 2))
     kernel_residual = residual / np.abs(block).max(axis=(1, 2))
-    return _solution_from_state(gen, rho, kernel_residual, cfg, gate_ideality)
+    return _solution_from_state(gen, rho, kernel_residual, cfg, gate_ideality, errors)
 
 
 def solve(cfg: PumpConfig) -> SteadySolution:

@@ -444,21 +444,43 @@ class TestCharacteristicCurve:
         monkeypatch.setattr(qpump.experiments, "_STACK_POINTS", 7)
         assert characteristic_curve("three_qubit", COMPARE_SETUP, n_points=30) == whole
 
-    def test_failed_gate_names_the_point(self, monkeypatch):
-        # the work current of the middle point of the stack breaks the first
-        # law; only that point fails, and the error says which one it is
-        currents = _Generator.currents
+    @pytest.mark.parametrize("first_law_at, no_kernel_at, error, named", [
+        (2, None, NonConvergedError, 2),
+        (None, 2, NoKernelError, 2),
+        (1, 3, NonConvergedError, 1),
+        (3, 1, NoKernelError, 1),
+    ], ids=["first_law", "kernel", "first_law_before_kernel", "kernel_before_first_law"])
+    def test_failed_gate_names_the_point(self, monkeypatch, first_law_at, no_kernel_at,
+                                         error, named):
+        # one point of a five-point stack breaks the first law (its work
+        # current is skewed) and/or has no kernel (every point takes the SVD
+        # path, which finds none at that point); the first failing point in
+        # the stack raises, as a point-by-point loop would, and the error
+        # names it
+        currents, diagnostics = _Generator.currents, qpump.linalg._kernel_diagnostics
 
-        def broken(self, v):
+        def broken_currents(self, v):
             q = currents(self, v)
-            q["work"][len(q["work"]) // 2] *= 1.0 + 1e-6
+            q["work"][first_law_at] *= 1.0 + 1e-6
             return q
 
-        monkeypatch.setattr(_Generator, "currents", broken)
+        diagnosed = []
+
+        def broken_diagnostics(m):
+            diagnosed.append(m)
+            if len(diagnosed) - 1 == no_kernel_at:
+                raise NoKernelError("no stationary state")
+            return diagnostics(m)
+
+        if first_law_at is not None:
+            monkeypatch.setattr(_Generator, "currents", broken_currents)
+        if no_kernel_at is not None:
+            monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
+            monkeypatch.setattr(qpump.linalg, "_kernel_diagnostics", broken_diagnostics)
         window = qpump.cooling_window_max_fixed_work(60.0, COMPARE_SETUP.temps)
-        middle = window * 3 / 6
-        with pytest.raises(NonConvergedError,
-                           match=f"first-law residual .* at omega_c={re.escape(repr(middle))}$"):
+        omega_c = window * (named + 1) / 6
+        message = "first-law residual .*" if error is NonConvergedError else "no stationary state"
+        with pytest.raises(error, match=f"^{message} at omega_c={re.escape(repr(omega_c))}$"):
             characteristic_curve("ideal", COMPARE_SETUP, n_points=5)
 
     @pytest.mark.parametrize("n_points", [0, -2])

@@ -203,9 +203,9 @@ class TestStationaryVectors:
 
     def test_stack_matches_one_matrix_at_a_time(self):
         mats = np.array(self.pumps())
-        v, inv = _stationary_vectors(mats, trace_row(4))
+        v, inv, _ = _stationary_vectors(mats, trace_row(4))
         for k, mat in enumerate(mats):
-            v1, inv1 = _stationary_vectors(mat[None], trace_row(4))
+            v1, inv1, _ = _stationary_vectors(mat[None], trace_row(4))
             assert np.array_equal(v[k], v1[0]) and np.array_equal(inv[k], inv1[0])
 
     def test_singular_matrix_is_solved_alone(self, monkeypatch):
@@ -223,20 +223,28 @@ class TestStationaryVectors:
                             lambda m: inversions.append(m.shape) or inv(m))
         monkeypatch.setattr(qpump.linalg, "_kernel_diagnostics",
                             lambda m: diagnosed.append(m) or diagnostics(m))
-        with pytest.raises(DegenerateKernelError):
-            _stationary_vectors(np.array([good[0], good[1], dark]), trace_row(4))
+        v, inverses, errors = _stationary_vectors(np.array([good[0], good[1], dark]),
+                                                  trace_row(4))
         assert inversions == [(3, 16, 16), (1, 16, 16), (1, 16, 16), (1, 16, 16)]
         assert len(diagnosed) == 1 and np.array_equal(diagnosed[0], dark)
+        assert list(errors) == [2] and isinstance(errors[2], DegenerateKernelError)
+        assert np.isnan(v[2]).all() and np.isnan(inverses[2]).all()
+        assert np.array_equal(v[:2], _stationary_vectors(np.array(good[:2]), trace_row(4))[0])
 
-    def test_first_failing_point_raises(self):
-        # the non-finite point comes first in the stack, so it is the one
-        # that raises, although a later point is degenerate as well
+    def test_failing_points_are_reported_by_index(self):
+        # a non-finite and a zero generator each fail on their own, under
+        # their own index, and leave the good point's solution as it is alone
         good = self.pumps()
         bad = good[1].copy()
         bad[3, 0] = np.inf
-        with pytest.raises(NoKernelError, match="non-finite"):
-            _stationary_vectors(np.array([good[0], bad, np.zeros((16, 16), complex)]),
-                                trace_row(4))
+        v, inv, errors = _stationary_vectors(np.array([good[0], bad, np.zeros((16, 16), complex)]),
+                                             trace_row(4))
+        assert list(errors) == [1, 2]
+        assert isinstance(errors[1], NoKernelError) and "non-finite" in str(errors[1])
+        assert isinstance(errors[2], DegenerateKernelError)
+        assert np.isnan(v[1:]).all() and np.isnan(inv[1:]).all()
+        v0, inv0, errors0 = _stationary_vectors(good[0][None], trace_row(4))
+        assert np.array_equal(v[0], v0[0]) and np.array_equal(inv[0], inv0[0]) and not errors0
 
 
 class TestPropagate:

@@ -360,27 +360,36 @@ def test_superop_matches_kron_reference(case):
 def test_superop_and_extended_action_are_one_operator(case):
     # the double generator the kernel solve uses is the rounding of the
     # extended-precision action the polish and the currents use, and that
-    # action is the Lindblad form of the machine's operators
+    # action is the Lindblad form of the machine's operators: on all N^2
+    # positions, as superop() builds it, for a full density matrix, and on
+    # the sector, as the solve uses it, for a state zero outside it
     cfg, gen, ham, jumps = case()
     op = gen.superop()
+    whole = _Generator(cfg, gen.ham, gen._levels, np.arange(op.dim ** 2))
     rng = np.random.default_rng(11)
     a = rng.normal(size=(op.dim, op.dim)) + 1j * rng.normal(size=(op.dim, op.dim))
     rho = a @ a.conj().T
     rho /= np.trace(rho)
-    # a state on the sector, zero outside it, where the action works
+    scale = np.max(np.abs(op.matrix))
+    ulp_ld = np.finfo(np.longdouble).eps
+
+    from_action = whole.action(vectorize(rho).astype(np.clongdouble)[None, None])[0, 0]
+    from_superop = op.matrix @ vectorize(rho)
+    assert np.max(np.abs(from_superop - from_action.astype(complex))) <= 1e-15 * scale
+    from_products = vectorize(_product_action(cfg, ham, jumps, rho.astype(np.clongdouble)))
+    assert np.max(np.abs(from_action - from_products)) <= 2 * ulp_ld * scale
+
     v = np.zeros(op.dim ** 2, dtype=complex)
     v[gen.sector] = vectorize(rho)[gen.sector]
     outside = np.setdiff1d(np.arange(op.dim ** 2), gen.sector)
-    scale = np.max(np.abs(op.matrix))
     from_action = gen.action(v[gen.sector].astype(np.clongdouble)[None, None])[0, 0]
     from_superop = op.matrix @ v
     assert not from_superop[outside].any()
     assert np.max(np.abs(from_superop[gen.sector] - from_action.astype(complex))) <= 1e-15 * scale
     from_products = vectorize(_product_action(cfg, ham, jumps,
                                               devectorize(v, op.dim).astype(np.clongdouble)))
-    assert np.max(np.abs(from_products[outside])) <= 2 * np.finfo(np.longdouble).eps * scale
-    assert (np.max(np.abs(from_action - from_products[gen.sector]))
-            <= 2 * np.finfo(np.longdouble).eps * scale)
+    assert np.max(np.abs(from_products[outside])) <= 2 * ulp_ld * scale
+    assert np.max(np.abs(from_action - from_products[gen.sector])) <= 2 * ulp_ld * scale
 
 
 @pytest.mark.parametrize("case", MACHINES.values(), ids=MACHINES.keys())
