@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import warnings
 
@@ -480,7 +481,10 @@ def _cmd_selftest(args, params: dict) -> int:
 # entry points
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """Built on the first :func:`run` and then reused: ``parse_args`` returns a
+    new namespace each time, and ``--set`` appends to a copy of its default."""
     parser = _Parser(prog="qpump", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -193,6 +193,14 @@ class _Channel:
         out[..., self.hi] += self._up_ld * v[..., self.lo]
         return out
 
+    def scatter(self, t: np.ndarray) -> None:
+        """Add :meth:`apply`'s entries (three disjoint sets), in its order, to
+        ``t``, a (P, m, m) stack whose ``t[:, k, i]`` is entry ``(i, k)``."""
+        d = np.arange(t.shape[-1])
+        t[:, d, d] += self._decay_ld[:, 0]
+        t[:, self.hi, self.lo] += self._down_ld[:, 0]
+        t[:, self.lo, self.hi] += self._up_ld[:, 0]
+
 
 class _Generator:
     """One machine at P points: its extended-precision Hamiltonians and one
@@ -272,10 +280,19 @@ class _Generator:
         return cls(cfg, ham, {label: _transition_levels(n, label) for label in _BATHS})
 
     def block(self) -> np.ndarray:
-        """The double generator on its positions at each point, (P, m, m):
-        :meth:`action` on their unit vectors, rounded."""
-        units = np.eye(self.positions.size, dtype=_LD)[None]
-        return self.action(units).swapaxes(1, 2).astype(complex)
+        """The double generator on its positions at each point, (P, m, m): the
+        entries of :meth:`action`'s terms, scattered in its order and rounded
+        once, bit for bit and in memory layout (the point axis innermost, then
+        the rows, which fixes how ``block @ v`` sums) the action on the unit
+        vectors."""
+        m = self.positions.size
+        t = np.zeros((m, m, len(self.ham)), dtype=_LD).transpose(2, 0, 1)
+        d = np.arange(m)
+        t[:, d, d] = self._commutator_ld[:, 0]
+        np.add.at(t, (..., self._coupling_cols, self._coupling_rows), self._coupling_ld[:, 0])
+        for ch in self.channels.values():
+            ch.scatter(t)
+        return t.swapaxes(1, 2).astype(complex)
 
     def superop(self) -> SuperOp:
         """The whole generator of a one-point machine: the same rounding of
@@ -333,8 +350,11 @@ def _solution_from_state(gen_ld: _Generator, rho_ld: np.ndarray, kernel_residual
     diagonal = np.real(np.diagonal(gen_ld.ham, axis1=1, axis2=2))
     ham_scale = np.abs(diagonal).max(axis=1).astype(float)
     ham_scale[ham_scale == 0.0] = 1.0
-    current_scale = ham_scale * np.max([ch.down + ch.up for ch in gen_ld.channels.values()],
-                                       axis=0)
+    rate_scale = np.max([ch.down + ch.up for ch in gen_ld.channels.values()], axis=0)
+    # a scale past the double range fails its point; in long double it cannot overflow
+    fits = ham_scale.astype(np.longdouble) * rate_scale <= np.finfo(float).max
+    current_scale = np.multiply(ham_scale, rate_scale, out=np.full_like(ham_scale, np.inf),
+                                where=fits)
     noise = _MODE_FRACTION * current_scale
     q_max = np.max(np.abs([q_work, q_hot, q_cold]), axis=0)
     # Relative gates are only meaningful when the currents stand well clear
@@ -350,6 +370,7 @@ def _solution_from_state(gen_ld: _Generator, rho_ld: np.ndarray, kernel_residual
                     np.where(q_cold > 0, "chiller", "heat_transformer"))
 
     gates = (
+        (~fits, lambda k: "current scale |H| x rate overflows the double range"),
         (~(kernel_residual <= KERNEL_RTOL),
          lambda k: f"kernel residual {kernel_residual[k]:.3e} > {KERNEL_RTOL:.0e}"),
         (healthy & (first_law > FIRST_LAW_RTOL),

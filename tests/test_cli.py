@@ -241,14 +241,23 @@ class TestErrorReporting:
     ], ids=["currents", "optimize", "curve", "compare"])
     def test_overflowing_rate_is_a_configuration_error(self, argv, with_params):
         # a subprocess, so that any warning on the way shows on stderr
-        argv = with_params(argv)
-        env = dict(os.environ, PYTHONPATH=str(Path(qpump.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "qpump.cli", *argv,
-                               "--set", "gamma_w=1e306"],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_in_subprocess(with_params(argv) + ["--set", "gamma_w=1e306"])
         assert proc.returncode == 1
         assert proc.stderr == ("qpump: configuration error: "
                                "work bath: rates overflow at gamma=1e+306\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["currents", "--params", "@reference"],
+        ["curve", "--params", "@three_qubit", "--points", "3"],
+    ], ids=["currents", "curve"])
+    def test_overflowing_current_scale_is_a_solver_failure(self, argv, with_params):
+        # finite rates whose current scale |H| x rate exceeds the double range;
+        # the kernel solve fails first here, and nothing may warn on the way
+        proc = run_in_subprocess(with_params(argv) + ["--set", "gamma_w=1e300"])
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("qpump: solver failure:") and " at omega_c=" in last
 
 
 class TestMisc:
@@ -260,10 +269,7 @@ class TestMisc:
         # the benchmark's machine facts
         code = ("import sys, qpump.cli; "
                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-        env = dict(os.environ, PYTHONPATH=str(Path(qpump.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
-        assert proc.stdout == "[]\n"
+        assert run_in_subprocess(["-c", code], module=False).stdout == "[]\n"
 
     def test_selftest_passes(self, capsys):
         assert run(["selftest"]) == 0
@@ -290,6 +296,53 @@ class TestMisc:
         value = rows[0]["q_cold"]
         assert float(value) == float(f"{float(value):.16e}")
         assert "e" in value
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert qpump.cli._build_parser() is qpump.cli._build_parser()
+
+    def test_import_builds_no_parser(self):
+        # count the parsers (the main one and its subparsers) built at import,
+        # at the first run() and at a second one
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import qpump.cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(2):\n"
+            "    qpump.cli.run(['frobnicate'])\n"
+            "    counts.append(len(built))\n"
+            "print(*counts)\n")
+        at_import, first, second = map(int, run_in_subprocess(["-c", code], module=False)
+                                       .stdout.split())
+        assert at_import == 0 and first > 0 and second == first
+
+    def test_reused_parser_leaks_no_arguments(self, three_qubit_params, capsys):
+        # an override of one call must not reach the next
+        base = ["curve", "--params", three_qubit_params, "--points", "6"]
+        argvs = [base + ["--set", "omega_h=61.6"], base]
+        in_process = []
+        for argv in argvs:
+            assert run(argv) == 0
+            in_process.append(capsys.readouterr().out)
+        fresh = [run_in_subprocess(argv).stdout for argv in argvs]
+        assert in_process == fresh
+        assert in_process[0] != in_process[1]
+
+
+def run_in_subprocess(argv, module=True):
+    """``python -m qpump.cli argv`` (or ``python argv``) in a fresh process,
+    so that any warning on the way shows on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qpump.__file__).parents[1]))
+    prefix = ["-m", "qpump.cli"] if module else []
+    return subprocess.run([sys.executable, *prefix, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
 
 
 def load_cli_snapshot():

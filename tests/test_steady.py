@@ -439,6 +439,53 @@ def test_pump_sector_block_is_the_population_balance(n):
     assert np.max(np.abs(block.real - populations)) <= 4 * np.finfo(float).eps * scale
 
 
+def _unit_action_block(gen):
+    # the double block by its definition: the long-double action on the
+    # unit vectors of the positions, rounded once
+    units = np.eye(gen.positions.size, dtype=np.clongdouble)[None]
+    return gen.action(units).swapaxes(1, 2).astype(complex)
+
+
+def _assert_same_array(a, b):
+    # equal bit for bit, signed zeros included, and laid out alike in memory
+    assert a.shape == b.shape and a.dtype == b.dtype and a.strides == b.strides
+    assert a.tobytes() == b.tobytes()
+
+
+def _curve_generator(machine, points):
+    # a stacked generator at the points of a characteristic curve
+    system, n = ("three_qubit", 8) if machine == "three_qubit" else ("ideal", int(machine[6:]))
+    setup = qpump.experiments.CurveSetup(omega_w=60.0, t_work=130.0, t_hot=60.0, t_cold=5.0,
+                                         gamma_work=1e-3, gamma_hot=1e-3, gamma_cold=1e-3,
+                                         n_levels=n)
+    window = qpump.cooling_window_max_fixed_work(setup.omega_w, setup.temps)
+    cfg = qpump.experiments._curve_sweep(system, setup,
+                                         window * np.arange(1, points + 1) / (points + 1))
+    return _Generator.for_pump(cfg) if system == "ideal" else _generator_ld(cfg)
+
+
+@pytest.mark.parametrize("points", [1, 28])
+@pytest.mark.parametrize("machine", MACHINES.keys())
+def test_block_is_the_action_on_unit_vectors(machine, points):
+    # the scattered block against the action it transcribes, on one machine
+    # and on stacks along a curve; the layout fixes how block @ v sums
+    gens = [_curve_generator(machine, points)]
+    if points == 1:
+        gens.append(MACHINES[machine]()[1])
+    for gen in gens:
+        block = gen.block()
+        assert block.shape == (points, gen.sector.size, gen.sector.size)
+        _assert_same_array(block, _unit_action_block(gen))
+
+
+@pytest.mark.parametrize("case", MACHINES.values(), ids=MACHINES.keys())
+def test_superop_is_the_action_on_unit_vectors(case):
+    _, gen, _, _ = case()
+    n = gen.ham.shape[-1]
+    whole = _Generator(gen._cfg, gen.ham, gen._levels, np.arange(n * n))
+    _assert_same_array(gen.superop().matrix, _unit_action_block(whole)[0])
+
+
 @pytest.mark.parametrize("lo, hi", [
     ([0, 1], [0, 1]),     # diagonal: |0><0| + |1><1|
     ([0, 1], [1, 0]),     # two-sided: |0><1| + |1><0|
@@ -517,3 +564,14 @@ def test_svd_fallback_polishes_through_the_shared_factor(monkeypatch):
     assert len(factorizations) == 1 and len(fallbacks) == 1
     for label in BATHS:
         assert abs(sol.currents[label] / expected.currents[label] - 1.0) <= 1e-12
+
+
+def test_overflowing_current_scale_fails_its_point():
+    # finite rates whose current scale |H| x rate leaves the double range: the
+    # kernel solve passes, and the point fails with a solver error that names
+    # it, not with an overflow warning (an error under this suite's filters)
+    cfg = qpump.ideal_pump(n_levels=3, omega_c=1.4, **{
+        **REF_PARAMS, "gamma_work": 1e300, "gamma_hot": 1e300, "gamma_cold": 1e300})
+    with pytest.raises(qpump.steady.NonConvergedError,
+                       match=r"^current scale .* overflows the double range at omega_c=1\.4$"):
+        solve(cfg)
