@@ -38,11 +38,14 @@ from .experiments import (
     CurveSetup,
     DEFAULT_SEED,
     SampleRanges,
-    characteristic_curve,
+    _curve_columns,
     cop_histogram,
     maximize_cooling_power,
     sweep_stages,
 )
+# Kept importable for the layer probes of perfbench/layers.py::install_probes;
+# curve and compare build their rows from _curve_columns.
+from .experiments import characteristic_curve  # noqa: F401
 from .linalg import DegenerateKernelError, NoKernelError, propagate
 from .pump import (
     BathSpec,
@@ -82,6 +85,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
+    if type(x) is float:  # most cells; the checks below would pass it through
+        return f"{x:.16e}"
     if isinstance(x, str):
         return x
     if isinstance(x, bool):
@@ -219,7 +224,7 @@ def _csv(schema: str, seed: int, params_echo: str, extra_meta: dict,
     ]
     lines += [f"# {k}: {_fmt(v)}" for k, v in extra_meta.items()]
     lines.append(",".join(columns))
-    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
+    lines += [",".join([_fmt(cell) for cell in row]) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -331,19 +336,20 @@ def _cmd_curve(args, params: dict) -> None:
     setup = _curve_setup(params, args.points)
     systems = ["ideal", "three_qubit"] if args.system == "both" else [args.system]
     columns = ["omega_c", "q_c", "eps", "eps_over_carnot", "system"]
-    rows = [[pt.omega_c, pt.q_c, pt.eps, pt.eps_over_carnot, system] for system in systems
-            for pt in characteristic_curve(system, setup, n_points=args.points)]
+    rows = [[*point, system] for system in systems
+            for point in zip(*(col.tolist() for col in _curve_columns(system, setup, args.points)))]
     _write(args, "curve", params, {"points": args.points}, columns, rows)
 
 
 def _cmd_compare(args, params: dict) -> None:
     setup = _curve_setup(params, args.points)
     columns = ["system", "omega_c_star", "q_c_max", "eps_star", "eps_ratio"]
-    best = {system: max(characteristic_curve(system, setup, n_points=args.points),
-                        key=lambda p: p.q_c) for system in ("ideal", "three_qubit")}
-    rows = [[system, top.omega_c, top.q_c, top.eps, top.eps_over_carnot]
-            for system, top in best.items()]
-    ratio = best["ideal"].q_c / best["three_qubit"].q_c
+    rows = []
+    for system in ("ideal", "three_qubit"):
+        curve = _curve_columns(system, setup, args.points)
+        top = int(np.argmax(curve[1]))  # the first point of largest q_c
+        rows.append([system, *(float(col[top]) for col in curve)])
+    ratio = rows[0][2] / rows[1][2]  # q_c_max, ideal over three-qubit
     _write(args, "compare", params, {"points": args.points, "power_ratio": ratio},
            columns, rows)
 

@@ -636,15 +636,27 @@ def characteristic_curve(system: str, setup: CurveSetup,
     :func:`~qpump.steady.solve` or
     :func:`~qpump.three_qubit.solve_three_qubit` solves it alone.
     """
+    return [PerformancePoint(*point)
+            for point in zip(*(col.tolist() for col in _curve_columns(system, setup, n_points)))]
+
+
+def _curve_columns(system: str, setup: CurveSetup, n_points: int) -> tuple[np.ndarray, ...]:
+    """The points of :func:`characteristic_curve` as the (P,) columns
+    ``omega_c``, ``q_c``, ``eps`` and ``eps_over_carnot``, the fields of
+    :class:`PerformancePoint`, judged on the arrays as its constructor
+    judges each point: the first point that fails raises its ValueError."""
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
     window = cooling_window_max_fixed_work(setup.omega_w, setup.temps)
     eps_c = carnot_cop(setup.temps)
     grid = window * np.arange(1, n_points + 1) / (n_points + 1)
     solve_stack = _solve_pumps if system == "ideal" else _solve_fridges
-    solutions = []
-    for start in range(0, n_points, _STACK_POINTS):
-        solutions += solve_stack(_curve_sweep(system, setup, grid[start:start + _STACK_POINTS]))
-    return [PerformancePoint(omega_c=omega_c, q_c=sol.q_cold, eps=sol.cop,
-                             eps_over_carnot=sol.cop / eps_c)
-            for omega_c, sol in zip(grid.tolist(), solutions)]
+    stacks = [solve_stack(_curve_sweep(system, setup, grid[start:start + _STACK_POINTS]))
+              for start in range(0, n_points, _STACK_POINTS)]
+    eps = np.concatenate([sols.cop for sols in stacks])
+    columns = (grid, np.concatenate([sols.q_cold for sols in stacks]), eps, eps / eps_c)
+    failed = ~np.isfinite(columns).all(axis=0) | (columns[3] > 1.0 + 1e-9)
+    if failed.any():
+        k = int(np.argmax(failed))
+        PerformancePoint(*(float(col[k]) for col in columns))  # raises the point's error
+    return columns

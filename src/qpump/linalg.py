@@ -77,9 +77,9 @@ def devectorize(v: np.ndarray, n: int) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
-def trace_row(n: int) -> np.ndarray:
+def trace_row(n: int, dtype=complex) -> np.ndarray:
     """Row vector representing tr(.) on column-stacked ``n x n`` matrices."""
-    row = np.zeros(n * n, dtype=complex)
+    row = np.zeros(n * n, dtype=dtype)
     row[:: n + 1] = 1.0
     return row
 
@@ -249,6 +249,10 @@ def propagate(op: SuperOp, rho0: np.ndarray, dt: float | None = None,
     4th-order stepping at these dimensions.  The integrator never
     renormalizes: trace drift is the caller's divergence diagnostic (callers
     should confirm convergence by step halving).
+
+    On a linear generator one RK4 step is the fixed matrix
+    ``T = sum_{k<=4} (dt L)^k / k!``, so ``steps`` steps are ``T^steps @ v``,
+    formed by repeated squaring of ``T`` in about log2(steps) products.
     """
     mat = op.matrix
     if dt is None:
@@ -257,10 +261,13 @@ def propagate(op: SuperOp, rho0: np.ndarray, dt: float | None = None,
             return np.array(rho0, dtype=complex, copy=True)
         dt = 0.1 / scale
     v = vectorize(np.asarray(rho0, dtype=complex)).copy()
-    for _ in range(steps):
-        k1 = mat @ v
-        k2 = mat @ (v + (0.5 * dt) * k1)
-        k3 = mat @ (v + (0.5 * dt) * k2)
-        k4 = mat @ (v + dt * k3)
-        v += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    step = term = np.eye(len(mat), dtype=complex)
+    for k in range(1, 5):
+        term = term @ (dt * mat) / k
+        step = step + term
+    while steps:
+        if steps & 1:
+            v = step @ v
+        steps >>= 1
+        step = step @ step if steps else step
     return devectorize(v, op.dim)

@@ -303,11 +303,18 @@ def decay_rates(bath: BathSpec, omega: float | np.ndarray) -> RatePair:
     return RatePair(down=w3 * (1.0 + n), up=w3 * n)
 
 
-def effective_temperature(bath: BathSpec, omega: float) -> float:
+def effective_temperature(bath: BathSpec, omega: float | np.ndarray):
     """Temperature a plain thermal bath would need to mimic this bath at
     frequency omega: ``omega / log(1 + 1/n_eff)``.  Equals ``temperature``
-    for an unsqueezed, unsaturated bath."""
-    n = float(_effective_occupation(bath, omega))
+    for an unsqueezed, unsaturated bath.  Elementwise on an array of
+    frequencies, with the bits of scalar calls."""
+    n = _effective_occupation(bath, omega)
+    if isinstance(omega, np.ndarray):
+        # libm's log1p, as a scalar call takes it; numpy's may round differently
+        n = np.broadcast_to(n, omega.shape).ravel().tolist()
+        return omega / np.reshape([math.log1p(1.0 / x) if x else math.inf for x in n],
+                                  omega.shape)
+    n = float(n)
     if n == 0.0:
         return 0.0
     return omega / math.log1p(1.0 / n)

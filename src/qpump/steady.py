@@ -30,7 +30,10 @@ point axis, so a whole characteristic curve is one stacked solve and a
 single solve is a stack of one.  The kernel solve inverts the stack of the
 double roundings of that action on the sector (numpy, one LU per point);
 the inverses polish each state against the action, at whose precision the
-currents are assembled, and every gate is judged per point.  The first law
+currents are assembled, and every gate is judged per point.  On the pump's
+sector, its populations, the action is real, and all of this runs in real
+arithmetic; the fridge's coherence pair keeps it complex.  A stack's
+results are one set of columns, :class:`SteadySolutions`.  The first law
 holds for the generator as built, so double rates are enough.  The
 Kronecker-product builders below are the reference.
 """
@@ -60,6 +63,7 @@ from .pump import (
 __all__ = [
     "NonConvergedError",
     "SteadySolution",
+    "SteadySolutions",
     "CurrentDecomposition",
     "RateOracleResult",
     "build_dissipator",
@@ -126,6 +130,51 @@ class SteadySolution:
         return {"work": self.q_work, "hot": self.q_hot, "cold": self.q_cold}
 
 
+@dataclass(frozen=True)
+class SteadySolutions:
+    """The solutions of one machine at the P points of a stacked solve, as
+    columns: each field but the last three is a (P,) array of the
+    :class:`SteadySolution` field (or residual) of that name.  ``states``
+    holds each point's stationary state at the working extended precision,
+    (P, m), on ``positions``, the m column-stacked positions of the
+    ``dim x dim`` density matrix that the solve's generator acts on; it is
+    zero elsewhere.  ``solutions[k]`` is point k as a
+    :class:`SteadySolution`; only there are its dense states made."""
+
+    q_work: np.ndarray
+    q_hot: np.ndarray
+    q_cold: np.ndarray
+    cop: np.ndarray
+    entropy_rate: np.ndarray
+    kernel_residual: np.ndarray
+    first_law: np.ndarray
+    ideality_cold_work: np.ndarray
+    mode: np.ndarray
+    states: np.ndarray
+    positions: np.ndarray
+    dim: int
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, k: int) -> SteadySolution:
+        rho = np.zeros(self.dim * self.dim, dtype=_LD)
+        rho[self.positions] = self.states[k]
+        rho = rho.reshape(self.dim, self.dim).T  # column-stacked: (i, j) at i + n j
+        return SteadySolution(
+            rho_inf=rho.astype(complex),
+            q_work=float(self.q_work[k]),
+            q_hot=float(self.q_hot[k]),
+            q_cold=float(self.q_cold[k]),
+            cop=float(self.cop[k]),
+            entropy_rate=float(self.entropy_rate[k]),
+            residuals={name: float(getattr(self, name)[k])
+                       for name in ("kernel_residual", "first_law", "ideality_cold_work")},
+            mode=str(self.mode[k]),
+            rho_ld=rho,
+        )
+
+
 def build_dissipator(jump: np.ndarray, rates: RatePair) -> SuperOp:
     """Lindblad dissipator superoperator for one bath channel."""
     if np.any(np.abs(np.diagonal(jump)) > 0):
@@ -173,33 +222,43 @@ class _Channel:
     ``k_ij = -(down (e_i + e_j) + up (g_i + g_j)) / 2``, plus two gathers:
     ``down rho[hi, hi]`` lands on ``[lo, lo]`` and ``up rho[lo, lo]`` on
     ``[hi, hi]``.  ``lo``/``hi`` are the gathers' indices in the set,
-    ``e``/``g`` the values of ``-(e_i + e_j)/2`` and ``-(g_i + g_j)/2``
-    there, and ``down``/``up`` the rates, one per point.
+    ``flags`` the (2, m) values of ``-(e_i + e_j)/2`` and ``-(g_i + g_j)/2``
+    there, and ``down``/``up`` the rates, one per point.  The factors are
+    held in ``dtype``, the generator's long-double type, which numpy would
+    cast them to at every product.
     """
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, e: np.ndarray, g: np.ndarray,
-                 down: np.ndarray, up: np.ndarray):
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, flags: np.ndarray,
+                 down: np.ndarray, up: np.ndarray, dtype: np.dtype):
         self.lo, self.hi, self.down, self.up = lo, hi, down, up
-        # the flag sums are 0, -1/2 or -1, so the products are exact and k
-        # rounds once.  The factors are held as complex long doubles, the
-        # type that numpy would cast them to at every product.
-        self._decay_ld = (down[:, None] * e + up[:, None] * g)[:, None, :].astype(_LD)
-        self._down_ld, self._up_ld = (r[:, None, None].astype(_LD) for r in (down, up))
+        # the flags are 0, -1/2 or -1, so the products are exact and k rounds
+        # once; a zero flag adds no term, so that an infinite rate leaves 0
+        # there and not inf x 0
+        terms = np.zeros((2, down.size, flags.shape[-1]), dtype=np.longdouble)
+        np.multiply(np.array([down, up])[..., None], flags[:, None], out=terms,
+                    where=flags[:, None] != 0)
+        self._decay_ld = (terms[0] + terms[1])[:, None, :].astype(dtype)
+        # each gather as one product over the whole set: [lo] takes down
+        # rho[hi] and [hi] takes up rho[lo]; any other position takes itself
+        # at rate 0, which adds 0
+        m = flags.shape[-1]
+        self._from_hi, self._from_lo = np.arange(m), np.arange(m)
+        self._from_hi[lo], self._from_lo[hi] = hi, lo
+        self._down_ld, self._up_ld = (np.zeros((r.size, 1, m), dtype=dtype) for r in (down, up))
+        self._down_ld[..., lo], self._up_ld[..., hi] = down[:, None, None], up[:, None, None]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """``D(rho)`` at extended precision, on a (P, k, m) stack of states."""
-        out = self._decay_ld * v
-        out[..., self.lo] += self._down_ld * v[..., self.hi]
-        out[..., self.hi] += self._up_ld * v[..., self.lo]
-        return out
+        """``D(rho)`` at extended precision, on a (P, k, m) stack of states:
+        ``k_ij rho_ij``, plus the down gather, plus the up gather."""
+        return (self._decay_ld * v + self._down_ld * v.take(self._from_hi, axis=-1)
+                + self._up_ld * v.take(self._from_lo, axis=-1))
 
     def scatter(self, t: np.ndarray) -> None:
-        """Add :meth:`apply`'s entries (three disjoint sets), in its order, to
-        ``t``, a (P, m, m) stack whose ``t[:, k, i]`` is entry ``(i, k)``."""
-        d = np.arange(t.shape[-1])
-        t[:, d, d] += self._decay_ld[:, 0]
-        t[:, self.hi, self.lo] += self._down_ld[:, 0]
-        t[:, self.lo, self.hi] += self._up_ld[:, 0]
+        """Add the entries of :meth:`apply`'s two gathers (two disjoint sets
+        off the diagonal), in its order, to ``t``, a (P, m, m) stack whose
+        ``t[:, k, i]`` is entry ``(i, k)``."""
+        t[:, self.hi, self.lo] += self._down_ld[:, 0, self.lo]
+        t[:, self.lo, self.hi] += self._up_ld[:, 0, self.hi]
 
 
 class _Generator:
@@ -207,7 +266,8 @@ class _Generator:
     :class:`_Channel` per bath, built from level arrays (no dense jump;
     ``build_jump_operator`` is the tests' reference).  ``cfg`` gives the
     baths and their frequencies, floats for one point or (P,) arrays;
-    ``ham`` is one (n, n) Hamiltonian or a (P, n, n) stack.  The structure
+    ``ham`` is one (n, n) Hamiltonian or a (P, n, n) stack, held in long
+    double, real or complex as given.  The structure
     is shared by the points; only the energies, the couplings and the rates
     carry the point axis.
 
@@ -220,12 +280,19 @@ class _Generator:
     state is zero outside it.  The generator acts on ``positions``, by
     default the sector; states are (P, k, m) stacks of k vectors per point
     on those m positions.
+
+    Positions that are all populations, with no coupling entry among them
+    (the pump's sector), carry a real generator: the commutator vanishes
+    there and the channels' factors are real.  ``dtype`` is then float and
+    ``dtype_ld`` np.longdouble, else complex and np.clongdouble; the block,
+    the action and the currents are computed in them.
     """
 
     def __init__(self, cfg, ham, levels, positions: np.ndarray | None = None):
         # levels: {label: (lo, hi) level arrays of that bath's jump}
         self._cfg, self._levels = cfg, levels
-        self.ham = np.asarray(ham, dtype=_LD).reshape((-1,) + np.shape(ham)[-2:])
+        self.ham = np.asarray(ham, dtype=np.result_type(ham, np.longdouble))
+        self.ham = self.ham.reshape((-1,) + self.ham.shape[-2:])
         n = self.ham.shape[-1]
         r, c = np.nonzero((self.ham != 0).any(axis=0) & ~np.eye(n, dtype=bool))
         j = np.arange(n)[:, None]
@@ -254,12 +321,19 @@ class _Generator:
         local[self.positions] = np.arange(self.positions.size)
         self.diagonal = local[:: n + 1]
         i, j = self.positions % n, self.positions // n
-        energies = np.diagonal(self.ham, axis1=1, axis2=2)
-        self._commutator_ld = (-1j * (energies[:, i] - energies[:, j]))[:, None, :]
         inside = local[rows] >= 0
+        real = bool((i == j).all()) and not inside.any()
+        self.dtype = np.dtype(float if real else complex)
+        self.dtype_ld = np.promote_types(self.dtype, np.longdouble)
+
+        def own(z):  # a complex long-double array in dtype_ld, laid out alike
+            return z.real.copy(order="K") if real else z
+
+        energies = np.diagonal(self.ham, axis1=1, axis2=2)
+        self._commutator_ld = own(-1j * (energies[:, i] - energies[:, j]))[:, None, :]
         self._coupling_rows, self._coupling_cols = local[rows[inside]], local[cols[inside]]
-        self._coupling_ld = coupling[:, None, inside]
-        self._ham_t = np.ascontiguousarray(self.ham[:, None, j, i])  # H_ji at (i, j)
+        self._coupling_ld = own(coupling[:, None, inside])
+        self._ham_t = np.ascontiguousarray(own(self.ham[:, None, j, i]))  # H_ji at (i, j)
         self.channels = {}
         for label in _BATHS:
             rates = decay_rates(cfg.bath(label), cfg.bath_frequency(label))
@@ -268,8 +342,9 @@ class _Generator:
             lo_pos, hi_pos = gathers[label]
             inside = local[lo_pos] >= 0
             self.channels[label] = _Channel(local[lo_pos[inside]], local[hi_pos[inside]],
-                                            *(f[i] + f[j] for f in flags),
-                                            np.atleast_1d(rates.down), np.atleast_1d(rates.up))
+                                            flags[:, i] + flags[:, j],
+                                            np.atleast_1d(rates.down), np.atleast_1d(rates.up),
+                                            self.dtype_ld)
 
     @classmethod
     def for_pump(cls, cfg):
@@ -284,15 +359,30 @@ class _Generator:
         entries of :meth:`action`'s terms, scattered in its order and rounded
         once, bit for bit and in memory layout (the point axis innermost, then
         the rows, which fixes how ``block @ v`` sums) the action on the unit
-        vectors."""
+        vectors.  An entry past the double range is rounded to inf, with no
+        overflow warning, so that the kernel fails its point as non-finite."""
         m = self.positions.size
-        t = np.zeros((m, m, len(self.ham)), dtype=_LD).transpose(2, 0, 1)
+        t = np.zeros((m, m, len(self.ham)), dtype=self.dtype_ld).transpose(2, 0, 1)
         d = np.arange(m)
-        t[:, d, d] = self._commutator_ld[:, 0]
+        # only the commutator and each channel's k reach the diagonal; it
+        # sums them in the action's order, then is written once
+        diagonal = self._commutator_ld[:, 0]
+        for ch in self.channels.values():
+            diagonal = diagonal + ch._decay_ld[:, 0]
+        t[:, d, d] = diagonal
         np.add.at(t, (..., self._coupling_cols, self._coupling_rows), self._coupling_ld[:, 0])
         for ch in self.channels.values():
             ch.scatter(t)
-        return t.swapaxes(1, 2).astype(complex)
+        t = t.swapaxes(1, 2)
+        try:
+            # the cast flags an overflow itself; a check of every long-double
+            # entry ahead of it would cost more than the cast
+            with np.errstate(over="raise"):
+                return t.astype(self.dtype)
+        except FloatingPointError:
+            big = np.finfo(float).max
+            t[(np.abs(t.real) > big) | (np.abs(t.imag) > big)] = np.inf
+            return t.astype(self.dtype)
 
     def superop(self) -> SuperOp:
         """The whole generator of a one-point machine: the same rounding of
@@ -328,23 +418,23 @@ def _polish_state(inv: np.ndarray, v0: np.ndarray, gen_ld: _Generator) -> np.nda
     blocks that produced them.  Residuals come from the long-double action,
     so each state is a kernel vector of the generator as built.  Returns the
     (P, 1, m) stack of unit-trace states."""
-    v = v0.astype(_LD)[:, None, :]
+    v = v0.astype(gen_ld.dtype_ld)[:, None, :]
     # take() copies contiguously: numpy sums a fancy-indexed copy, whose
     # indexed axis is outermost in memory, in an order that depends on P
     for _ in range(_POLISH_ITERATIONS):
         resid = -gen_ld.action(v)
         resid[..., 0] = 1.0 - v.take(gen_ld.diagonal, axis=-1).sum(axis=-1)
-        v += (inv @ resid.astype(complex).swapaxes(1, 2)).swapaxes(1, 2).astype(_LD)
+        v += (inv @ resid.astype(gen_ld.dtype).swapaxes(1, 2)).swapaxes(1, 2).astype(v.dtype)
     return v / v.take(gen_ld.diagonal, axis=-1).sum(axis=-1, keepdims=True)
 
 
 def _solution_from_state(gen_ld: _Generator, rho_ld: np.ndarray, kernel_residual: np.ndarray,
                          cfg, gate_ideality: bool,
                          kernel_errors: dict[int, np.linalg.LinAlgError]
-                         ) -> list[SteadySolution]:
-    """The gated currents of each point's state, as one solution per point.
-    The first point that fails, in the kernel solve (``kernel_errors``, by
-    point index) or a gate, raises, naming its ``omega_c``."""
+                         ) -> SteadySolutions:
+    """The gated currents of each point's state, as columns.  The first
+    point that fails, in the kernel solve (``kernel_errors``, by point
+    index) or a gate, raises, naming its ``omega_c``."""
     q = gen_ld.currents(rho_ld)
     q_work, q_hot, q_cold = q["work"], q["hot"], q["cold"]
     diagonal = np.real(np.diagonal(gen_ld.ham, axis1=1, axis2=2))
@@ -366,8 +456,8 @@ def _solution_from_state(gen_ld: _Generator, rho_ld: np.ndarray, kernel_residual
     cop = np.divide(q_cold, q_work, out=np.zeros_like(q_cold), where=working)
     omega_c, omega_w = np.atleast_1d(cfg.omega_c), np.atleast_1d(cfg.omega_w)
     ideality = np.where(working, np.abs(np.abs(cop) / (omega_c / omega_w) - 1.0), 0.0)
-    mode = np.where(q_max <= noise, "boundary",
-                    np.where(q_cold > 0, "chiller", "heat_transformer"))
+    boundary = q_max <= noise
+    mode = np.where(boundary, "boundary", np.where(q_cold > 0, "chiller", "heat_transformer"))
 
     gates = (
         (~fits, lambda k: "current scale |H| x rate overflows the double range"),
@@ -375,7 +465,7 @@ def _solution_from_state(gen_ld: _Generator, rho_ld: np.ndarray, kernel_residual
          lambda k: f"kernel residual {kernel_residual[k]:.3e} > {KERNEL_RTOL:.0e}"),
         (healthy & (first_law > FIRST_LAW_RTOL),
          lambda k: f"first-law residual {first_law[k]:.3e} > {FIRST_LAW_RTOL:.0e}"),
-        (gate_ideality & healthy & (mode != "boundary") & (ideality > IDEALITY_RTOL),
+        (gate_ideality & healthy & ~boundary & (ideality > IDEALITY_RTOL),
          lambda k: f"ideality residual {ideality[k]:.3e} > {IDEALITY_RTOL:.0e}"),
     )
     failed = np.any([mask for mask, _ in gates], axis=0)
@@ -388,45 +478,27 @@ def _solution_from_state(gen_ld: _Generator, rho_ld: np.ndarray, kernel_residual
         message = next(text(k) for mask, text in gates if mask[k])
         raise NonConvergedError(message + at)
 
-    t_work = [effective_temperature(cfg.work, w) for w in omega_w.tolist()]
+    t_work = effective_temperature(cfg.work, omega_w)
     entropy_rate = -sum(x.astype(np.longdouble) / np.asarray(t, dtype=np.longdouble)
                         for x, t in zip((q_work, q_hot, q_cold),
                                         (t_work, cfg.hot.temperature, cfg.cold.temperature)))
-    n = gen_ld.ham.shape[-1]
-    rho = np.zeros((len(rho_ld), n * n), dtype=_LD)
-    rho[:, gen_ld.positions] = rho_ld[:, 0]
-    rho = rho.reshape(-1, n, n).swapaxes(1, 2)  # column-stacked: (i, j) at i + n j
-    rho_inf = rho.astype(complex)
-    return [
-        SteadySolution(
-            rho_inf=rho_inf[k],
-            q_work=w,
-            q_hot=h,
-            q_cold=c,
-            cop=eps,
-            entropy_rate=s,
-            residuals={"kernel_residual": kr, "first_law": fl, "ideality_cold_work": ir},
-            mode=str(md),
-            rho_ld=rho[k],
-        )
-        for k, (w, h, c, eps, s, kr, fl, ir, md) in enumerate(zip(
-            q_work.tolist(), q_hot.tolist(), q_cold.tolist(), cop.tolist(),
-            entropy_rate.astype(float).tolist(), kernel_residual.tolist(), first_law.tolist(),
-            ideality.tolist(), mode))
-    ]
+    return SteadySolutions(q_work, q_hot, q_cold, cop, entropy_rate.astype(float),
+                           kernel_residual, first_law, ideality, mode, rho_ld[:, 0],
+                           gen_ld.positions, gen_ld.ham.shape[-1])
 
 
-def _solve_system(cfg, gen: _Generator, gate_ideality: bool) -> list[SteadySolution]:
+def _solve_system(cfg, gen: _Generator, gate_ideality: bool) -> SteadySolutions:
     """Kernel solve of ``gen``'s double sector blocks at all its points as one
     stack, extended-precision polish, then the gated currents of ``cfg``'s
-    machine, one solution per point."""
+    machine at every point."""
     block = gen.block()
-    v, inv, errors = _stationary_vectors(block, trace_row(gen.ham.shape[-1])[gen.positions])
+    v, inv, errors = _stationary_vectors(block,
+                                         trace_row(gen.ham.shape[-1], gen.dtype)[gen.positions])
     # a point with a kernel error stays NaN; what its arithmetic gives does
     # not count, for the error is raised when the points are judged
     with np.errstate(invalid="ignore") if errors else contextlib.nullcontext():
         rho = _polish_state(inv, v, gen)
-    residual = np.abs(block @ rho.astype(complex).swapaxes(1, 2)).max(axis=(1, 2))
+    residual = np.abs(block @ rho.astype(gen.dtype).swapaxes(1, 2)).max(axis=(1, 2))
     kernel_residual = residual / np.abs(block).max(axis=(1, 2))
     return _solution_from_state(gen, rho, kernel_residual, cfg, gate_ideality, errors)
 
@@ -451,7 +523,7 @@ def solve(cfg: PumpConfig) -> SteadySolution:
     return _solve_pumps(cfg)[0]
 
 
-def _solve_pumps(cfg) -> list[SteadySolution]:
+def _solve_pumps(cfg) -> SteadySolutions:
     """:func:`solve` at every point of ``cfg``, whose frequencies may be (P,)
     arrays, as one stacked solve."""
     return _solve_system(cfg, _Generator.for_pump(cfg), True)

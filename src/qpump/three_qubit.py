@@ -32,7 +32,7 @@ import numpy as np
 
 from .linalg import SuperOp
 from .pump import BathSpec, _ThreeBathConfig, _warn_at_caller
-from .steady import _LD, SteadySolution, _Generator, _solve_system
+from .steady import _LD, SteadySolution, SteadySolutions, _Generator, _solve_system
 
 # Kept importable for the layer probes of perfbench/layers.py::install_probes;
 # the solve itself reaches them through steady._solve_system.
@@ -132,7 +132,7 @@ def solve_three_qubit(cfg: ThreeQubitConfig) -> SteadySolution:
     return _solve_fridges(cfg)[0]
 
 
-def _solve_fridges(cfg) -> list[SteadySolution]:
+def _solve_fridges(cfg) -> SteadySolutions:
     """:func:`solve_three_qubit` at every point of ``cfg``, whose frequencies
     may be (P,) arrays, as one stacked solve."""
     return _solve_system(cfg, _generator_ld(cfg), False)

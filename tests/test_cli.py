@@ -204,6 +204,33 @@ class TestCurveAndCompare:
     def test_missing_g_rejected(self, reference_params, tmp_path):
         assert run(["curve", "--params", reference_params]) == 1
 
+    def test_rows_are_the_characteristic_curve(self, three_qubit_params, tmp_path):
+        # the CLI's rows come from the curve's columns; the library's points,
+        # one PerformancePoint each, carry the same numbers
+        from qpump.cli import _curve_setup
+        from qpump.experiments import characteristic_curve
+
+        out = tmp_path / "c.csv"
+        assert run(["curve", "--params", three_qubit_params, "--points", "12",
+                    "--output", str(out)]) == 0
+        setup = _curve_setup(parse_params(three_qubit_params), 12)
+        expected = [[pt.omega_c, pt.q_c, pt.eps, pt.eps_over_carnot, system]
+                    for system in ("ideal", "three_qubit")
+                    for pt in characteristic_curve(system, setup, n_points=12)]
+        _, header, rows = read_csv(out)
+        assert [[float(r[k]) for k in header[:4]] + [r["system"]] for r in rows] == expected
+
+        cmp = tmp_path / "cmp.csv"
+        assert run(["compare", "--params", three_qubit_params, "--points", "12",
+                    "--output", str(cmp)]) == 0
+        meta, _, rows = read_csv(cmp)
+        best = {system: max((row for row in expected if row[4] == system), key=lambda r: r[1])
+                for system in ("ideal", "three_qubit")}
+        assert [[r["system"]] + [float(r[k]) for k in ("omega_c_star", "q_c_max", "eps_star",
+                                                       "eps_ratio")] for r in rows] == \
+            [[system, *best[system][:4]] for system in ("ideal", "three_qubit")]
+        assert float(meta["power_ratio"]) == best["ideal"][1] / best["three_qubit"][1]
+
 
 CONFIG_ERRORS = {
     "curve_n_levels": ["curve", "--params", "@three_qubit", "--set", "n_levels=2"],
@@ -258,6 +285,18 @@ class TestErrorReporting:
         assert "RuntimeWarning" not in proc.stderr
         last = proc.stderr.splitlines()[-1]
         assert last.startswith("qpump: solver failure:") and " at omega_c=" in last
+
+    def test_block_past_the_double_range_is_a_solver_failure(self, reference_params):
+        # finite rates whose long-double sector block leaves the double range:
+        # the point fails in the kernel, with no warning from the rounding
+        proc = run_in_subprocess(["currents", "--params", reference_params, "--set",
+                                  "gamma_w=1e296", "--set", "gamma_h=1e296", "--set",
+                                  "gamma_c=1e296", "--set", "omega_h=1e4"])
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            "qpump: solver failure: NoKernelError: generator has non-finite entries "
+            "(max |L| = inf) at omega_c=1.4")
 
 
 class TestMisc:

@@ -12,6 +12,7 @@ from qpump.experiments import (
     CurveSetup,
     EmptyWindowError,
     Optimum,
+    PerformancePoint,
     REFINE_RELATIVE_WIDTH,
     SampleRanges,
     _brent_max,
@@ -414,7 +415,7 @@ class TestCharacteristicCurve:
                        reason="first-law residual 1.452e-10 exceeds the 1e-10 gate at point 27 "
                               "of this sweep, whose largest current sits just above the gating "
                               "threshold while the current sum sits at the long-double floor "
-                              "(ROADMAP item 3)")
+                              "(ROADMAP item 6, double-double assembly)")
     def test_three_qubit_curve_at_shifted_omega_h(self):
         setup = dataclasses.replace(COMPARE_SETUP, omega_w=SHIFTED_OMEGA_H - 1.5)
         characteristic_curve("three_qubit", setup, n_points=30)
@@ -482,6 +483,44 @@ class TestCharacteristicCurve:
         message = "first-law residual .*" if error is NonConvergedError else "no stationary state"
         with pytest.raises(error, match=f"^{message} at omega_c={re.escape(repr(omega_c))}$"):
             characteristic_curve("ideal", COMPARE_SETUP, n_points=5)
+
+    @pytest.mark.parametrize("system", ["ideal", "three_qubit"])
+    @pytest.mark.parametrize("faults", [
+        {1: "carnot", 3: "nan"},
+        {1: "nan", 3: "carnot"},
+        {2: "inf_eps"},
+        {4: "carnot"},
+    ], ids=["carnot_before_nan", "nan_before_carnot", "inf_eps", "carnot_last"])
+    def test_point_checks_match_performance_points(self, monkeypatch, system, faults):
+        # the curve's columns are judged on arrays; the error is the one that
+        # building one PerformancePoint per point, in order, raises
+        eps_c = qpump.carnot_cop(COMPARE_SETUP.temps)
+        name = "_solve_pumps" if system == "ideal" else "_solve_fridges"
+        solve_stack = getattr(qpump.experiments, name)
+
+        def broken_solve(cfg):
+            sols = solve_stack(cfg)
+            q_c, cop = sols.q_cold.copy(), sols.cop.copy()
+            for k, fault in faults.items():
+                if fault == "carnot":
+                    cop[k] = eps_c * (1.0 + 1e-6)
+                elif fault == "nan":
+                    q_c[k] = math.nan
+                else:
+                    cop[k] = math.inf
+            return dataclasses.replace(sols, q_cold=q_c, cop=cop)
+
+        window = qpump.cooling_window_max_fixed_work(60.0, COMPARE_SETUP.temps)
+        grid = window * np.arange(1, 6) / 6
+        sols = broken_solve(qpump.experiments._curve_sweep(system, COMPARE_SETUP, grid))
+        with pytest.raises(ValueError) as expected:
+            [PerformancePoint(w, q, e, e / eps_c)
+             for w, q, e in zip(grid.tolist(), sols.q_cold.tolist(), sols.cop.tolist())]
+        monkeypatch.setattr(qpump.experiments, name, broken_solve)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            qpump.experiments._curve_columns(system, COMPARE_SETUP, 5)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            characteristic_curve(system, COMPARE_SETUP, n_points=5)
 
     @pytest.mark.parametrize("n_points", [0, -2])
     def test_no_points_rejected(self, n_points):

@@ -202,6 +202,21 @@ class TestSqueezing:
                  for r in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(b > a for a, b in zip(temps, temps[1:]))
 
+    @pytest.mark.parametrize("bath", [BathSpec("work", 40.0, 0.02),
+                                      BathSpec("work", 40.0, 0.02, squeeze_r=0.8),
+                                      BathSpec("work", 40.0, 0.02, saturated=True)],
+                             ids=["plain", "squeezed", "saturated"])
+    def test_array_effective_temperature_matches_scalar_calls(self, bath):
+        # omega/T from 1e-3 to 900 crosses the x > 700 branch of the
+        # occupation and, past x ~ 745, its underflow to zero
+        omega = bath.temperature * np.geomspace(1e-3, 900.0, 301)
+        temps = effective_temperature(bath, omega)
+        assert temps.shape == omega.shape and temps.dtype == float
+        assert temps.tolist() == [effective_temperature(bath, w) for w in omega.tolist()]
+        grid = omega[:6].reshape(2, 3)
+        assert effective_temperature(bath, grid).tolist() == \
+            [[effective_temperature(bath, w) for w in row] for row in grid.tolist()]
+
 
 class TestWindowAndCarnot:
     def test_no_gradient_limits(self):

@@ -254,8 +254,9 @@ class TestDecomposition:
 class TestRateOracle:
     def test_matches_solver_across_sizes(self):
         rng = np.random.default_rng(42)
-        for n in (3, 5, 7, 10):
+        for n in range(3, 11):
             cfg = dataclasses.replace(random_moderate_pump(rng), n_levels=n)
+            assert _Generator.for_pump(cfg).dtype == float  # the real path
             sol = solve(cfg)
             oracle = pauli_rate_oracle(cfg)
             scale = max(abs(x) for x in sol.currents.values())
@@ -441,9 +442,9 @@ def test_pump_sector_block_is_the_population_balance(n):
 
 def _unit_action_block(gen):
     # the double block by its definition: the long-double action on the
-    # unit vectors of the positions, rounded once
-    units = np.eye(gen.positions.size, dtype=np.clongdouble)[None]
-    return gen.action(units).swapaxes(1, 2).astype(complex)
+    # unit vectors of the positions, rounded once, in the generator's types
+    units = np.eye(gen.positions.size, dtype=gen.dtype_ld)[None]
+    return gen.action(units).swapaxes(1, 2).astype(gen.dtype)
 
 
 def _assert_same_array(a, b):
@@ -575,3 +576,54 @@ def test_overflowing_current_scale_fails_its_point():
     with pytest.raises(qpump.steady.NonConvergedError,
                        match=r"^current scale .* overflows the double range at omega_c=1\.4$"):
         solve(cfg)
+
+
+@pytest.mark.parametrize("gamma, omega_h", [(1e302, 102.6), (1e296, 1e4)],
+                         ids=["rates_overflow", "block_leaves_the_double_range"])
+def test_overflowing_generator_fails_its_point(gamma, omega_h):
+    # rates that overflow to inf, and finite rates whose long-double block
+    # leaves the double range when rounded: the kernel fails the point as
+    # non-finite and names it, with no inf x 0 in a channel and no overflow
+    # in the rounding (each a warning, so an error under this suite's filters)
+    cfg = qpump.ideal_pump(n_levels=3, omega_c=1.4, **{
+        **REF_PARAMS, "omega_h": omega_h,
+        "gamma_work": gamma, "gamma_hot": gamma, "gamma_cold": gamma})
+    with pytest.raises(qpump.linalg.NoKernelError,
+                       match=r"^generator has non-finite entries \(max \|L\| = inf\) "
+                             r"at omega_c=1\.4$"):
+        solve(cfg)
+
+
+@pytest.mark.parametrize("case", MACHINES.values(), ids=MACHINES.keys())
+def test_only_the_pump_sector_is_real(case):
+    # the pump's sector holds its populations alone and no coupling entry,
+    # so its generator is real there; the fridge's holds a coherence pair
+    cfg, gen, _, _ = case()
+    real = not isinstance(cfg, ThreeQubitConfig)
+    assert gen.dtype == (float if real else complex)
+    assert gen.dtype_ld == (np.longdouble if real else np.clongdouble)
+    assert gen.block().dtype == gen.dtype
+    # the whole generator reaches the coherences, and is complex
+    assert gen.superop().matrix.dtype == complex
+
+
+@pytest.mark.parametrize("machine", ["pump_n8", "three_qubit"])
+def test_solutions_are_columns_of_the_points(machine):
+    # a stacked solve's columns against its points: each point as a
+    # SteadySolution, dense states in double and long double, laid out as a
+    # matrix whose stacked positions hold the sector state
+    gen = _curve_generator(machine, 5)
+    solve_stack = (qpump.steady._solve_pumps if machine != "three_qubit"
+                   else qpump.three_qubit._solve_fridges)
+    sols = solve_stack(gen._cfg)
+    assert len(sols) == 5 and sols.states.shape == (5, gen.sector.size)
+    n = gen.ham.shape[-1]
+    for k, sol in enumerate(sols):
+        assert sol.rho_inf.shape == sol.rho_ld.shape == (n, n)
+        assert sol.rho_inf.dtype == complex and sol.rho_ld.dtype == np.clongdouble
+        assert np.array_equal(vectorize(sol.rho_ld)[gen.sector], sols.states[k])
+        assert not np.delete(vectorize(sol.rho_ld), gen.sector).any()
+        assert np.array_equal(sol.rho_inf, sol.rho_ld.astype(complex))
+        assert sol.q_cold == sols.q_cold[k] and sol.cop == sols.cop[k]
+        assert sol.residuals["first_law"] == sols.first_law[k]
+        assert sol.mode == sols.mode[k]
