@@ -13,9 +13,8 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import suppress
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -212,27 +211,138 @@ class CurveSetup:
 # ---------------------------------------------------------------------------
 # fast q_c(omega_c) evaluation for the optimizer
 
+# Largest finite double: ``abs(x) <= _HUGE`` is false for inf and NaN, on a
+# float and elementwise on an array, without numpy's scalar call overhead.
+_HUGE = float(np.finfo(float).max)
+
 
 @lru_cache(maxsize=None)
-def _population_structure(n: int):
-    """The population balance of an N-level ladder, a function of N alone:
-    the (6, N^2) incidence stack, the cold bath's level arrays and the
-    trace right-hand side.  Built once per N and read-only, so every
-    evaluator of that N shares them."""
-    levels = [_transition_levels(n, label) for label in ("work", "hot", "cold")]
-    # slice 2k is bath k's downward (hi -> lo) incidence, 2k+1 its upward
-    # one; every column of each slice sums to zero
+def _population_structure(n: int) -> np.ndarray:
+    """The (6, N^2) incidence stack of an N-level ladder's population
+    balance, a function of N alone: slice 2k is bath k's downward
+    (hi -> lo) incidence and 2k+1 its upward one, for the work, hot and
+    cold baths, and every column of each slice sums to zero.  Contracted
+    with the six rates it gives the dense rate matrix.  Built once per N and
+    read-only, so every evaluator of that N shares it."""
     stack = np.zeros((6, n, n))
-    for k, (lo, hi) in enumerate(levels):
+    for k, label in enumerate(("work", "hot", "cold")):
+        lo, hi = _transition_levels(n, label)
         # each level is at most once lo and once hi: no entry written twice
         stack[2 * k, lo, hi] = stack[2 * k + 1, hi, lo] = 1.0
         stack[2 * k, hi, hi] = stack[2 * k + 1, lo, lo] = -1.0
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    out = (stack.reshape(6, n * n), *levels[2], rhs)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    stack = stack.reshape(6, n * n)
+    stack.setflags(write=False)
+    return stack
+
+
+def _largest(values: list):
+    """The largest of a list of floats, or elementwise of a list of arrays
+    and floats; the builtin ``max`` costs far less in the optimizer's
+    scalar steps."""
+    if any(isinstance(v, np.ndarray) for v in values):
+        return reduce(np.maximum, values)
+    return max(values)
+
+
+def _ladder_rates(n: int, rates) -> tuple[list, ...]:
+    """The per-level rates of :func:`_gth_cold_power` for an N-level ladder
+    from its six bath rates (work, hot, cold; down then up), floats or
+    arrays.  The ladder's edge (k, k+1) is the cold bath's for even k and
+    the work bath's for odd k, and the hot bath joins k and k+2
+    (:func:`~qpump.pump.transition_pairs`)."""
+    work_down, work_up, hot_down, hot_up, cold_down, cold_up = rates
+    up1 = [cold_up if k % 2 == 0 else work_up for k in range(n - 1)] + [0.0]
+    down1 = [0.0] + [cold_down if k % 2 else work_down for k in range(1, n)]
+    up2 = [hot_up] * (n - 2) + [0.0, 0.0]
+    down2 = [0.0, 0.0] + [hot_down] * (n - 2)
+    return up1, down1, up2, down2, [0.0] * n
+
+
+def _padded_ladder_rates(n: list[int], rates, points: int) -> tuple[list, ...]:
+    """:func:`_ladder_rates` for several ladders at once, padded to the
+    largest.  Ladder s, with ``n[s]`` levels, largest first, owns rows
+    ``s * points`` to ``(s + 1) * points`` of the six (M,) rates.  A
+    padding level has no edge and an out-rate ``dead`` of 1, so its
+    elimination adds exact zeros to the rates of the levels below it and
+    its population is exactly zero: every row keeps the bits of its ladder
+    solved alone."""
+    work_down, work_up, hot_down, hot_up, cold_down, cold_up = rates
+    levels = n[0]
+    up1, down1, up2, down2, dead = np.zeros((5, levels, len(n) * points))
+    # rows[m]: the rows whose ladder has more than m levels, a prefix
+    rows = [points * sum(1 for size in n if size > m) for m in range(levels + 2)]
+    for k in range(levels):
+        even = k % 2 == 0
+        up1[k, :rows[k + 1]] = (cold_up if even else work_up)[:rows[k + 1]]
+        up2[k, :rows[k + 2]] = hot_up[:rows[k + 2]]
+        if k >= 1:
+            down1[k, :rows[k]] = (work_down if even else cold_down)[:rows[k]]
+        if k >= 2:
+            down2[k, :rows[k]] = hot_down[:rows[k]]
+        dead[k, rows[k]:] = 1.0
+    return tuple(list(a) for a in (up1, down1, up2, down2, dead))
+
+
+def _gth_cold_power(omega_c, up1, down1, up2, down2, dead):
+    """Cooling power of a ladder's stationary populations, and whether they
+    pass the kernel gates, for a float ``omega_c`` or elementwise for an
+    (M,) array of them.
+
+    The arguments after ``omega_c`` list, per level k, its rate to k + 1,
+    k - 1, k + 2 and k - 2 (zero where the ladder has no such edge) and a
+    padding out-rate ``dead``; entries are floats or (M,) arrays.  The
+    populations come from the GTH elimination (Grassmann, Taksar & Heyman,
+    Oper. Res. 33, 1107 (1985)): eliminate the levels from the top down,
+    folding the paths through each eliminated level into the rates between
+    the levels it joins, with its out-rate summed from its rates to the
+    levels left.  The ladder is banded (edges k, k+1 and k, k+2), and
+    eliminating its top level changes only the two rates between the next
+    two, so the elimination runs O(N) steps.  It uses only ``+ * /`` on
+    nonnegative values, never a subtraction, which makes the populations
+    accurate to a few ulps however far the rates spread (O'Cinneide, Numer.
+    Math. 65, 109 (1993)), and gives a float and each element of an array
+    the same bits.
+
+    The gates: every eliminated level must have a positive out-rate (a
+    level without one leaves the chain reducible), and the net inflow of
+    every level, summed from the net edge fluxes, must be within
+    ``KERNEL_RESIDUAL_RTOL`` x max|M| of zero for the normalized
+    populations, as the dense solve's residual ``|M p|`` is.  Returns
+    ``(q, ok)``; ``q`` is meaningless where ``ok`` is false."""
+    n = len(up1)
+    u1, d1 = list(up1), list(down1)
+    out = [1.0] * n
+    ok = True
+    for k in range(n - 1, 0, -1):
+        s = d1[k] + down2[k] + dead[k]
+        ok = ok & (s > 0.0)
+        # a level without outflow divides by 1 instead, and its row fails
+        s = out[k] = s + (s <= 0.0)
+        if k > 1:
+            d1[k - 1] = d1[k - 1] + u1[k - 1] * (down2[k] / s)
+            u1[k - 2] = u1[k - 2] + up2[k - 2] * (d1[k] / s)
+    p = [1.0, u1[0] / out[1]]
+    for k in range(2, n):
+        p.append((p[k - 1] * u1[k - 1] + p[k - 2] * up2[k - 2]) / out[k])
+    total = p[0]
+    for pk in p[1:]:
+        total = total + pk
+    # net fluxes up each edge (k, k+1) and (k, k+2), on the bath rates
+    j1 = [p[k] * up1[k] - p[k + 1] * down1[k + 1] for k in range(n - 1)] + [0.0]
+    j2 = [p[k] * up2[k] - p[k + 2] * down2[k + 2] for k in range(n - 2)] + [0.0, 0.0]
+    flux = j1[0]  # over the cold edges, the even k
+    for k in range(2, n, 2):
+        flux = flux + j1[k]
+    q = omega_c * (flux / total)
+    # max|M|, the largest out-rate of a level; a NaN rate, which max may
+    # pass over, makes the net inflow of its levels NaN
+    scale = _largest([(up1[k] + down1[k]) + (up2[k] + down2[k]) for k in range(n)])
+    bound = KERNEL_RESIDUAL_RTOL * scale * total
+    inflow1, inflow2 = [0.0] + j1, [0.0, 0.0] + j2
+    for k in range(n):
+        net = (inflow1[k] + inflow2[k]) - (j1[k] + j2[k])
+        ok = ok & (abs(net) <= bound)
+    return q, ok & (total <= _HUGE) & (abs(q) <= _HUGE)
 
 
 class _CoolingPowerEvaluator:
@@ -242,94 +352,114 @@ class _CoolingPowerEvaluator:
     coherences decouple from the populations and decay, so the stationary
     populations solve the N x N classical master equation ``dp/dt = M p``
     exactly (Schnakenberg, Rev. Mod. Phys. 48, 571 (1976)).  ``M`` depends
-    on omega_c only through six rates, so a (6, N^2) stack of
-    down/up incidence matrices makes each sweep point one rate contraction
-    plus one small real solve, and a grid of points one stacked contraction
-    and solve.  The stack depends on N alone and is shared, read-only, by
-    every evaluator of that N (:func:`_population_structure`); the rates
-    are per instance.
+    on omega_c only through six rates, and its ladder is banded, so one
+    body, :func:`_gth_cold_power`, solves it at a scalar step and at every
+    point of a grid alike, bit for bit.  ``grid`` holds the coarse grid's
+    values once a caller has solved them (see :func:`_solve_grids`).
     """
 
     def __init__(self, template: PumpConfig):
         self.template = template
         self.n = template.n_levels
-        self._stack, self.cold_lows, self.cold_highs, self.rhs = \
-            _population_structure(self.n)
+        self._stack = _population_structure(self.n)
+        self.window = window_max(template)
         self._hot = decay_rates(template.hot, template.omega_h)
+        self.grid: np.ndarray | None = None
 
     def _channels(self, omega_c):
         """The six rates (work, hot, cold; down then up) at omega_c, a float
-        or an array, and the cold pair."""
+        or an array."""
         t, hot = self.template, self._hot
         work = decay_rates(t.work, t.omega_h - omega_c)
         cold = decay_rates(t.cold, omega_c)
-        return (work.down, work.up, hot.down, hot.up, cold.down, cold.up), cold
+        return work.down, work.up, hot.down, hot.up, cold.down, cold.up
 
     def q_cold(self, omega_c: float, validate: bool = False) -> float:
-        """Cooling power at one cold frequency.  Raises linalg kernel errors
-        when the stationary populations are not trustworthy.
+        """Cooling power at one cold frequency.  Raises
+        :class:`~qpump.linalg.NoKernelError` when the stationary populations
+        fail a gate of :func:`_gth_cold_power`.
 
-        Solves the population balance with its first row replaced by the
-        trace constraint.  The result equals the trace-formula current
-        ``tr(H D_c rho)`` of the full generator, because the ideal pump's
-        stationary state is diagonal.  ``validate`` adds a condition-number
-        check that rejects numerically degenerate kernels whose mixtures
-        would still pass the residual gate.
+        The result equals the trace-formula current ``tr(H D_c rho)`` of the
+        full generator, because the ideal pump's stationary state is
+        diagonal.  ``validate`` adds the exact 1-norm condition check of the
+        dense rate matrix with its first row replaced by the trace
+        constraint, which rejects numerically degenerate kernels whose
+        mixtures would still pass the residual gate.
         """
-        channels, cold = self._channels(omega_c)
-        rates = (np.array(channels) @ self._stack).reshape(self.n, self.n)
-        mat = rates.copy()
+        q, ok = _gth_cold_power(omega_c, *_ladder_rates(self.n, self._channels(omega_c)))
+        if not ok:
+            raise NoKernelError("population balance fails its kernel gates (a level "
+                                f"without outflow, or residual above "
+                                f"{KERNEL_RESIDUAL_RTOL:.0e} x |M|)")
+        if validate:
+            self.check_condition(omega_c)
+        return q
+
+    def check_condition(self, omega_c: float) -> None:
+        """The condition check of ``q_cold(omega_c, validate=True)`` alone:
+        raises :class:`~qpump.linalg.NoKernelError` unless the dense rate
+        matrix with its first row replaced by the trace constraint has an
+        exact 1-norm reciprocal condition of at least
+        ``KERNEL_RCOND_FLOOR``."""
+        mat = (np.array(self._channels(omega_c)) @ self._stack).reshape(self.n, self.n)
         mat[0, :] = 1.0
         try:
-            p = np.linalg.solve(mat, self.rhs)
-            degenerate = (validate and _reciprocal_condition(mat, np.linalg.inv(mat))
-                          < KERNEL_RCOND_FLOOR)
+            rcond = _reciprocal_condition(mat, np.linalg.inv(mat))
         except np.linalg.LinAlgError as exc:
             raise NoKernelError(f"population solve failed ({exc})") from None
-        if degenerate:
+        if not rcond >= KERNEL_RCOND_FLOOR:
             raise NoKernelError("stationary state numerically degenerate")
-        scale = np.abs(rates).max()
-        if not (np.isfinite(p).all() and np.abs(rates @ p).max() <= KERNEL_RESIDUAL_RTOL * scale):
-            raise NoKernelError(
-                f"scan solve residual exceeds {KERNEL_RESIDUAL_RTOL:.0e} x |M|"
-            )
-        p = p / p.sum()
-        flux = cold.up * p[self.cold_lows].sum() - cold.down * p[self.cold_highs].sum()
-        return float(omega_c * flux)
 
     def q_cold_grid(self, omega_c: np.ndarray) -> np.ndarray:
         """Cooling power at every point of a 1-D array of cold frequencies,
-        from one stacked solve.  A point that fails a kernel gate of
-        :meth:`q_cold` (singular matrix, non-finite populations, residual
-        above ``KERNEL_RESIDUAL_RTOL`` x max|M|) is NaN."""
-        channels, cold = self._channels(omega_c)
-        weights = np.empty((omega_c.size, 6))
-        for k, rate in enumerate(channels):
-            weights[:, k] = rate
-        rates = (weights @ self._stack).reshape(-1, self.n, self.n)
-        mat = rates.copy()
-        mat[:, 0, :] = 1.0
-        try:
-            # an (N, 1) right-hand side broadcasts to one column per matrix
-            # under NumPy 1.x and 2.x alike; 1.x rejects a 1-D one here
-            p = np.linalg.solve(mat, self.rhs[:, None])[..., 0]
-        except np.linalg.LinAlgError:
-            # an exactly singular matrix fails the whole stack; solve point
-            # by point so that only the singular points are lost
-            p = np.full(mat.shape[:2], np.nan)
-            for k, m in enumerate(mat):
-                with suppress(np.linalg.LinAlgError):
-                    p[k] = np.linalg.solve(m, self.rhs)
-        finite = np.isfinite(p).all(axis=1)
-        p[~finite] = 0.0  # keeps inf * 0 out of the failed rows' residuals
-        scale = np.abs(rates).max(axis=(1, 2))
-        residual = np.abs(np.matmul(rates, p[..., None])).max(axis=(1, 2))
-        ok = finite & (residual <= KERNEL_RESIDUAL_RTOL * scale)
-        p = p[ok] / p[ok].sum(axis=1, keepdims=True)
-        q = np.full(omega_c.shape, np.nan)
-        q[ok] = omega_c[ok] * (cold.up[ok] * p[:, self.cold_lows].sum(axis=1)
-                               - cold.down[ok] * p[:, self.cold_highs].sum(axis=1))
-        return q
+        each with the bits of :meth:`q_cold` there; a point that fails a
+        gate of :meth:`q_cold` is NaN."""
+        q, ok = _gth_cold_power(omega_c, *_ladder_rates(self.n, self._channels(omega_c)))
+        return np.where(ok, q, np.nan)
+
+
+def _grid_nodes(window):
+    """The coarse grid of a window, or of each window of a (S, 1) array: its
+    two edges, which carry no cooling power, and COARSE_GRID_POINTS
+    interior points."""
+    return window * np.arange(COARSE_GRID_POINTS + 2) / (COARSE_GRID_POINTS + 1)
+
+
+def _along_grid(values) -> np.ndarray:
+    """The (S, G) array that repeats each of S values along a coarse grid."""
+    return np.repeat(np.array(values, dtype=float)[:, None], COARSE_GRID_POINTS, axis=1)
+
+
+def _row_bath(baths: list[BathSpec]) -> BathSpec:
+    """One bath whose temperature and strength are those of ``baths``
+    along their coarse grids, (S, G) arrays for elementwise rates.  The
+    baths must share their squeezing and saturation."""
+    first = baths[0]
+    if any((b.squeeze_r, b.saturated) != (first.squeeze_r, first.saturated) for b in baths):
+        raise ValueError("the baths of a stacked grid must share squeezing and saturation")
+    return BathSpec(first.label, _along_grid([b.temperature for b in baths]),
+                    _along_grid([b.gamma for b in baths]), first.squeeze_r, first.saturated)
+
+
+def _solve_grids(evaluators: list[_CoolingPowerEvaluator]) -> None:
+    """Solve the coarse grid of every evaluator as one call of
+    :func:`_gth_cold_power` over all their grid points, padded to the
+    largest ladder, and store each evaluator's values in its ``grid``: the
+    bits of its own :meth:`~_CoolingPowerEvaluator.q_cold_grid`.  Every
+    window must be nonempty."""
+    evaluators = sorted(evaluators, key=lambda ev: -ev.n)
+    templates = [ev.template for ev in evaluators]
+    omega_c = _grid_nodes(np.array([[ev.window] for ev in evaluators]))[:, 1:-1]
+    work = decay_rates(_row_bath([t.work for t in templates]),
+                       _along_grid([t.omega_h for t in templates]) - omega_c)
+    cold = decay_rates(_row_bath([t.cold for t in templates]), omega_c)
+    # each evaluator's hot rates, at its fixed omega_h
+    hot = [_along_grid([getattr(ev._hot, side) for ev in evaluators]) for side in ("down", "up")]
+    rates = [r.ravel() for r in (work.down, work.up, *hot, cold.down, cold.up)]
+    ladders = _padded_ladder_rates([ev.n for ev in evaluators], rates, COARSE_GRID_POINTS)
+    q, ok = _gth_cold_power(omega_c.ravel(), *ladders)
+    for ev, row in zip(evaluators, np.where(ok, q, np.nan).reshape(omega_c.shape)):
+        ev.grid = row
 
 
 def _brent_max(f, xs, fs, tol: float):
@@ -388,47 +518,51 @@ def _brent_max(f, xs, fs, tol: float):
     return x, -fx, evals, failures
 
 
-def maximize_cooling_power(template: PumpConfig) -> Optimum:
+def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Optimum:
     """Find the cold frequency that maximizes the cooling power.
 
-    A 64-point coarse grid over the open cooling window, evaluated as one
-    stacked solve, brackets the maximum in the best grid cell and its two
+    A 64-point coarse grid over the open cooling window, evaluated in one
+    call, brackets the maximum in the best grid cell and its two
     neighbours.  Brent's bounded parabolic refinement, started from those
     three grid values, then places the maximizer within 1e-6 of the window
     width; it keeps the best grid point unless a refinement step beats it,
     so failed steps fall back to that point.  The reported power is the
-    validated scan value at ``omega_c_star`` (a full
-    :func:`qpump.steady.solve` there reproduces it to solver precision),
-    and the reported efficiency uses the ideal-pump identity
-    ``eps* = omega_c*/(omega_h - omega_c*)``.  ``template.omega_c`` is
-    ignored.
+    value at ``omega_c_star``, which then passes the validated call's
+    condition check (a full :func:`qpump.steady.solve` there reproduces it
+    to solver precision), and the reported efficiency uses the ideal-pump
+    identity ``eps* = omega_c*/(omega_h - omega_c*)``.
+    ``template.omega_c`` is ignored.  ``template`` may also be an evaluator
+    whose ``grid`` a caller has already solved (:func:`_solve_grids`).
 
     Raises :class:`EmptyWindowError` for an empty window and
     :class:`~qpump.linalg.NoKernelError` if no grid point admits a
     trustworthy solution.
     """
-    window = window_max(template)
+    ev = (template if isinstance(template, _CoolingPowerEvaluator)
+          else _CoolingPowerEvaluator(template))
+    template, window = ev.template, ev.window
     if not (window > 0):
         raise EmptyWindowError(f"cooling window max {window} is not positive")
 
-    ev = _CoolingPowerEvaluator(template)
-    # the grid and the two window edges, which carry no cooling power
-    nodes = window * np.arange(COARSE_GRID_POINTS + 2) / (COARSE_GRID_POINTS + 1)
-    q_grid = ev.q_cold_grid(nodes[1:-1])
-    failed = int(np.isnan(q_grid).sum())
+    nodes = _grid_nodes(window)
+    q_grid = ev.q_cold_grid(nodes[1:-1]) if ev.grid is None else ev.grid
+    lost = np.isnan(q_grid)
+    failed = int(np.count_nonzero(lost))
     if failed == COARSE_GRID_POINTS:
         raise NoKernelError("no grid point in the cooling window admits a "
                             "trustworthy stationary state")
     # a failed grid point enters the refinement as -inf
-    q_nodes = np.concatenate(([0.0], np.nan_to_num(q_grid, nan=-np.inf), [0.0]))
+    q_nodes = np.zeros(COARSE_GRID_POINTS + 2)
+    q_nodes[1:-1] = np.where(lost, -np.inf, q_grid)
     best_i = int(np.argmax(q_nodes[1:-1])) + 1
     cell = slice(best_i - 1, best_i + 2)
-    x_star, _, refine_evals, refine_failed = _brent_max(
+    x_star, q_star, refine_evals, refine_failed = _brent_max(
         ev.q_cold, nodes[cell].tolist(), q_nodes[cell].tolist(),
         REFINE_RELATIVE_WIDTH * window,
     )
-    # one fully validated evaluation at the reported maximizer
-    q_star = ev.q_cold(x_star, validate=True)
+    # the validated evaluation at the reported maximizer: q_star is already
+    # its value, from a refinement step or the grid, bit for bit
+    ev.check_condition(x_star)
     omega_w_star = template.omega_h - x_star
     eps_star = x_star / omega_w_star
     eps_ratio = eps_star / carnot_cop(effective_temperatures(template, omega_w_star))
@@ -481,57 +615,90 @@ def sweep_stages(template: PumpConfig,
 # random-fridge histogram
 
 
-def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+def _log_bounds(ranges: SampleRanges) -> tuple[tuple[float, float], ...]:
+    """``np.log`` of the bounds of each log-uniform range, in draw order:
+    T_c, T_h/T_c, T_w/T_h, omega_h/T_c and the gamma fraction."""
+    return tuple((np.log(lo), np.log(hi)) for lo, hi in (
+        ranges.t_cold, ranges.hot_over_cold, ranges.work_over_hot,
+        ranges.omega_h_over_t_cold, ranges.gamma_frac))
 
 
-def _sample_point(ranges: SampleRanges, index: int) -> tuple[float, int, int]:
+def _log_uniform(rng: np.random.Generator, log_lo: float, log_hi: float) -> float:
+    return float(np.exp(rng.uniform(log_lo, log_hi)))
+
+
+def _draw(ranges: SampleRanges, logs, index: int, attempt: int) -> PumpConfig | None:
+    """The fridge of one attempt of one sample, or None when the draw breaks
+    a config invariant.  Its generator is derived from (seed, index,
+    attempt) alone; ``logs`` is :func:`_log_bounds` of ``ranges``."""
+    t_cold, hot_over_cold, work_over_hot, omega_h_over_t_cold, gamma_frac = logs
+    rng = np.random.default_rng([ranges.seed, index, attempt])
+    t_c = _log_uniform(rng, *t_cold)
+    t_h = t_c * _log_uniform(rng, *hot_over_cold)
+    t_w = t_h * _log_uniform(rng, *work_over_hot)
+    omega_h = t_c * _log_uniform(rng, *omega_h_over_t_cold)
+    n = int(rng.integers(ranges.n_levels[0], ranges.n_levels[1] + 1))
+    window = cooling_window_max(omega_h, (t_w, t_h, t_c))
+    scale = min(window, t_c)
+    gammas = [scale * _log_uniform(rng, *gamma_frac) for _ in range(3)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakCouplingWarning)
+            return PumpConfig(
+                n_levels=n,
+                omega_h=omega_h,
+                omega_c=0.5 * window,
+                work=BathSpec("work", t_w, gammas[0]),
+                hot=BathSpec("hot", t_h, gammas[1]),
+                cold=BathSpec("cold", t_c, gammas[2]),
+            )
+    except ValueError:
+        return None
+
+
+def _sample_point(ranges: SampleRanges, index: int, logs=None,
+                  first: _CoolingPowerEvaluator | None = None) -> tuple[float, int, int]:
     """One accepted (eps_ratio, n_levels, rejections) for the ensemble.
 
     Deterministic in (seed, index): each attempt re-derives its generator
     from (seed, index, attempt), so rejection never desynchronizes other
-    samples and results are independent of worker count.
+    samples and results are independent of worker count.  ``logs`` is
+    :func:`_log_bounds` of ``ranges``.  ``first``, when given, is the
+    evaluator of attempt 0's fridge, already drawn, with its coarse grid
+    solved if its window is nonempty (:func:`_histogram_chunk`).
     """
+    logs = logs or _log_bounds(ranges)
     for attempt in range(64):
-        rng = np.random.default_rng([ranges.seed, index, attempt])
-        t_c = _log_uniform(rng, *ranges.t_cold)
-        t_h = t_c * _log_uniform(rng, *ranges.hot_over_cold)
-        t_w = t_h * _log_uniform(rng, *ranges.work_over_hot)
-        omega_h = t_c * _log_uniform(rng, *ranges.omega_h_over_t_cold)
-        n = int(rng.integers(ranges.n_levels[0], ranges.n_levels[1] + 1))
-        window = cooling_window_max(omega_h, (t_w, t_h, t_c))
-        scale = min(window, t_c)
-        gammas = [scale * _log_uniform(rng, *ranges.gamma_frac) for _ in range(3)]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", WeakCouplingWarning)
-                cfg = PumpConfig(
-                    n_levels=n,
-                    omega_h=omega_h,
-                    omega_c=0.5 * window,
-                    work=BathSpec("work", t_w, gammas[0]),
-                    hot=BathSpec("hot", t_h, gammas[1]),
-                    cold=BathSpec("cold", t_c, gammas[2]),
-                )
-        except ValueError:
-            continue
+        if attempt == 0 and first is not None:
+            template, cfg = first, first.template
+        else:
+            template = cfg = _draw(ranges, logs, index, attempt)
+            if cfg is None:
+                continue
         # A failed gate or an optimum that breaks Carnot is a defect, not a
         # rejection: only an empty window or an unsolvable kernel is redrawn.
         try:
-            optimum = maximize_cooling_power(cfg)
+            optimum = maximize_cooling_power(template)
         except (EmptyWindowError, np.linalg.LinAlgError):
             continue
-        return optimum.eps_ratio, n, attempt
+        return optimum.eps_ratio, cfg.n_levels, attempt
     raise RuntimeError(f"sample {index}: no valid fridge after 64 attempts")
 
 
 def _histogram_chunk(args) -> list[tuple[int, float, int, int]]:
+    """The samples ``start`` to ``stop``: every first attempt is drawn up
+    front, and the coarse grids of those with a nonempty window are solved
+    as one padded call (:func:`_solve_grids`); each sample then refines its
+    own grid, and redraws on rejection, in :func:`_sample_point`."""
     ranges, start, stop = args
-    out = []
-    for i in range(start, stop):
-        ratio, n, rejects = _sample_point(ranges, i)
-        out.append((i, ratio, n, rejects))
-    return out
+    logs = _log_bounds(ranges)
+    firsts = [_draw(ranges, logs, i, 0) for i in range(start, stop)]
+    evaluators = [None if cfg is None else _CoolingPowerEvaluator(cfg) for cfg in firsts]
+    solvable = [ev for ev in evaluators if ev is not None and ev.window > 0]
+    if solvable:
+        _solve_grids(solvable)
+    return [(i, *_sample_point(ranges, i, logs, ev))
+            for i, ev in zip(range(start, stop), evaluators)]
 
 
 def cop_histogram(ranges: SampleRanges, n_samples: int,

@@ -73,7 +73,8 @@ class BathSpec:
     ``squeeze_r`` and ``saturated`` model an engineered work reservoir:
     squeezing by parameter r raises the occupation seen by the system, and
     ``saturated`` stands for the infinite-temperature limit.  Both are only
-    meaningful for the work bath.
+    meaningful for the work bath.  ``temperature`` and ``gamma`` may be
+    arrays, one bath per element, for the elementwise rate formulas.
     """
 
     label: str
@@ -85,11 +86,11 @@ class BathSpec:
     def __post_init__(self):
         if self.label not in _BATH_LABELS:
             raise ValueError(f"bath label must be one of {_BATH_LABELS}, got {self.label!r}")
-        if self.gamma <= 0:
+        if _least(self.gamma) <= 0:
             raise ValueError(f"{self.label} bath: gamma must be > 0, got {self.gamma}")
         if self.squeeze_r < 0:
             raise ValueError(f"{self.label} bath: squeeze_r must be >= 0, got {self.squeeze_r}")
-        if not self.saturated and self.temperature <= 0:
+        if not self.saturated and _least(self.temperature) <= 0:
             raise ValueError(
                 f"{self.label} bath: temperature must be > 0, got {self.temperature}"
             )
@@ -245,8 +246,9 @@ def build_jump_operator(cfg: PumpConfig, label: str) -> np.ndarray:
     return s
 
 
-# The rate formulas below act elementwise on an array ``omega`` and give
-# each element the bits of a scalar call.
+# The rate formulas below act elementwise on arrays of ``omega`` and of the
+# bath's temperature and strength, and give each element the bits of a
+# scalar call.
 def _least(x):
     """Smallest element of an array argument; a float argument itself.
     np.min does the same but costs about 2 us on a float, and one scalar
@@ -254,11 +256,11 @@ def _least(x):
     return x.min() if isinstance(x, np.ndarray) else x
 
 
-def bose_occupation(omega: float | np.ndarray, temperature: float):
+def bose_occupation(omega: float | np.ndarray, temperature: float | np.ndarray):
     """Thermal occupation 1/(exp(omega/T) - 1)."""
     if _least(omega) <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    if temperature <= 0:
+    if _least(temperature) <= 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
     x = omega / temperature
     # expm1 overflows past x ~ 709; the occupation is exp(-x) to ~1e-304 there

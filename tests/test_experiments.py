@@ -1,7 +1,9 @@
 import dataclasses
+import importlib.util
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,10 @@ from qpump.experiments import (
     _brent_max,
     _CoolingPowerEvaluator,
     _curve_config,
+    _draw,
+    _log_bounds,
+    _sample_point,
+    _solve_grids,
     _variant_config,
     characteristic_curve,
     cop_histogram,
@@ -113,8 +119,8 @@ def golden_optimum(template):
 
 
 def uncached_population_structure(n):
-    """The incidence stack, cold level arrays and trace right-hand side,
-    built here from the ladder without the optimizer's cache."""
+    """The incidence stack, built here from the ladder without the
+    optimizer's cache."""
     stack = np.zeros((6, n, n))
     for k, label in enumerate(("work", "hot", "cold")):
         for lo, hi in zip(*_transition_levels(n, label)):
@@ -122,9 +128,7 @@ def uncached_population_structure(n):
             stack[2 * k, hi, hi] -= 1.0
             stack[2 * k + 1, hi, lo] += 1.0
             stack[2 * k + 1, lo, lo] -= 1.0
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    return (stack.reshape(6, n * n), *_transition_levels(n, "cold"), rhs)
+    return stack.reshape(6, n * n)
 
 
 class TestMaximizeCoolingPower:
@@ -174,16 +178,16 @@ class TestMaximizeCoolingPower:
         original = _CoolingPowerEvaluator._channels
 
         def channels(self, omega_c):
-            rates, cold = original(self, omega_c)
+            rates = original(self, omega_c)
             if np.ndim(omega_c) == 0:
-                return rates, cold
+                return rates
             rates = [np.broadcast_to(r, omega_c.shape).copy() for r in rates]
             rates[4][nan_at] = np.nan  # the cold bath's downward rate
             for r in rates:
-                # no transitions: only the trace row is left, an exactly
-                # singular matrix that makes the whole stacked solve raise
+                # no transitions: no level has an outflow, and only the
+                # trace row is left of the dense matrix, which is singular
                 r[singular_at] = 0.0
-            return tuple(rates), cold
+            return tuple(rates)
 
         monkeypatch.setattr(_CoolingPowerEvaluator, "_channels", channels)
         stacked = _CoolingPowerEvaluator(template).q_cold_grid(grid)
@@ -284,14 +288,12 @@ class TestPopulationStructure:
         a = _CoolingPowerEvaluator(reference_pump(n))
         b = _CoolingPowerEvaluator(_variant_config(reference_pump(), n, "saturated", 7.0))
         assert a._stack is b._stack
-        cached = (a._stack, a.cold_lows, a.cold_highs, a.rhs)
-        for got, want in zip(cached, uncached_population_structure(n)):
-            assert not got.flags.writeable
-            assert np.array_equal(got, want)
+        assert not a._stack.flags.writeable
+        assert np.array_equal(a._stack, uncached_population_structure(n))
 
 
 class TestStackedGrid:
-    # the grid's one stacked solve against the scalar step, point by point
+    # the grid and the scalar step run one body: equal bit for bit
     @pytest.mark.parametrize("variant", ["plain", "squeezed", "saturated"])
     @pytest.mark.parametrize("n", range(3, 11))
     def test_grid_matches_scalar_evaluations(self, n, variant):
@@ -300,9 +302,62 @@ class TestStackedGrid:
         grid = window_grid(template)
         stacked = ev.q_cold_grid(grid)
         assert stacked.shape == grid.shape and np.isfinite(stacked).all()
-        for x, q in zip(grid, stacked):
-            ref = ev.q_cold(float(x))
-            assert abs(q - ref) <= 1e-12 * abs(ref)
+        assert stacked.tolist() == [ev.q_cold(x) for x in grid.tolist()]
+
+    @pytest.mark.parametrize("variant", ["plain", "saturated"])
+    def test_padded_chunk_grid_is_bit_identical(self, variant):
+        # N = 3 beside N = 10: the small ladder is padded by seven levels
+        templates = [_variant_config(reference_pump(), n, variant, 7.0) for n in (3, 10, 4)]
+        chunk = [_CoolingPowerEvaluator(t) for t in templates]
+        _solve_grids(chunk)
+        for ev in chunk:
+            grid = window_grid(ev.template)
+            alone = _CoolingPowerEvaluator(ev.template).q_cold_grid(grid)
+            assert np.isfinite(alone).all()
+            assert ev.grid.tobytes() == alone.tobytes()
+            assert alone.tolist() == [ev.q_cold(x) for x in grid.tolist()]
+
+    def test_ensemble_chunk_grid_is_bit_identical(self):
+        # per-row baths: every draw has its own temperatures and strengths
+        ranges = SampleRanges(seed=11)
+        logs = _log_bounds(ranges)
+        chunk = [_CoolingPowerEvaluator(cfg) for cfg in
+                 (_draw(ranges, logs, i, 0) for i in range(32)) if cfg is not None]
+        assert len({ev.n for ev in chunk}) == 8
+        _solve_grids(chunk)
+        for ev in chunk:
+            alone = _CoolingPowerEvaluator(ev.template).q_cold_grid(window_grid(ev.template))
+            assert ev.grid.tobytes() == alone.tobytes()
+
+    def test_chunk_baths_must_share_saturation(self):
+        chunk = [_CoolingPowerEvaluator(_variant_config(reference_pump(), 4, variant, 7.0))
+                 for variant in ("plain", "saturated")]
+        with pytest.raises(ValueError, match="saturation"):
+            _solve_grids(chunk)
+
+
+def load_optimizer_oracle():
+    path = Path(__file__).resolve().parent.parent / "tools" / "optimizer_oracle.py"
+    spec = importlib.util.spec_from_file_location("optimizer_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOptimizerAccuracy:
+    # the optimizer's q_c against a 50-digit mpmath solve of the same chain,
+    # with the same double rates
+    @pytest.mark.parametrize("variant", ["plain", "saturated"])
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_q_cold_matches_mpmath(self, n, variant):
+        pytest.importorskip("mpmath")
+        oracle = load_optimizer_oracle()
+        template = _variant_config(reference_pump(), n, variant, 7.0)
+        ev = _CoolingPowerEvaluator(template)
+        window = window_max(template)
+        for omega_c in (2.6, 2.65, 2.7, 0.2 * window, 0.5 * window, 0.8 * window):
+            ref = oracle.mpmath_q_cold(n, ev._channels(omega_c), omega_c)
+            assert abs(ev.q_cold(omega_c) - ref) <= 1e-12 * abs(ref)
 
 
 class TestSweepStages:
@@ -345,6 +400,33 @@ class TestHistogram:
         short = cop_histogram(ranges, 10, threads=1)
         long = cop_histogram(ranges, 40, threads=2)
         assert np.array_equal(short.eps_ratios, long.eps_ratios[:10])
+
+    def test_chunk_grids_match_samples_solved_alone(self):
+        # the padded chunk grid against each sample's own grid and steps
+        ranges = SampleRanges(seed=23)
+        res = cop_histogram(ranges, 12, threads=1)
+        alone = [_sample_point(ranges, i) for i in range(12)]
+        assert res.eps_ratios.tolist() == [a[0] for a in alone]
+        assert res.n_levels.tolist() == [a[1] for a in alone]
+
+    def test_rejected_first_attempt_is_redrawn(self, monkeypatch):
+        # every first attempt, which arrives with its chunk-solved grid,
+        # fails its kernel; attempt 1 is drawn and solved alone
+        original = qpump.experiments.maximize_cooling_power
+
+        def maximize(template):
+            if isinstance(template, _CoolingPowerEvaluator):
+                assert template.grid is not None
+                raise NoKernelError("forced")
+            return original(template)
+
+        monkeypatch.setattr(qpump.experiments, "maximize_cooling_power", maximize)
+        ranges = SampleRanges(seed=29)
+        res = cop_histogram(ranges, 5, threads=1)
+        logs = _log_bounds(ranges)
+        assert res.rejected == 5
+        assert res.eps_ratios.tolist() == [original(_draw(ranges, logs, i, 1)).eps_ratio
+                                           for i in range(5)]
 
     def test_bound_respected_on_small_ensemble(self):
         res = cop_histogram(SampleRanges(seed=3), 60, threads=1)

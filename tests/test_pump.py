@@ -176,6 +176,35 @@ class TestOccupationAndRates:
         with pytest.raises(ValueError):
             decay_rates(BathSpec("cold", 1.0, 0.01), np.array([2.0, -1.0]))
 
+    @pytest.mark.parametrize("squeeze_r, saturated", [(0.0, False), (0.8, False), (0.0, True)])
+    def test_per_row_baths_match_scalar_calls(self, squeeze_r, saturated):
+        # one bath per element: temperature, strength and frequency all vary,
+        # and omega/T crosses the x > 700 branch of the occupation
+        rng = np.random.default_rng(5)
+        temperature = np.exp(rng.uniform(np.log(1e-2), np.log(1e4), (4, 64)))
+        gamma = np.exp(rng.uniform(np.log(1e-7), np.log(1e-1), (4, 64)))
+        omega = temperature * np.exp(rng.uniform(np.log(1e-3), np.log(900.0), (4, 64)))
+        pair = decay_rates(BathSpec("work", temperature, gamma, squeeze_r, saturated), omega)
+        for t, g, w, down, up in zip(*(a.ravel().tolist() for a in
+                                       (temperature, gamma, omega, pair.down, pair.up))):
+            ref = decay_rates(BathSpec("work", t, g, squeeze_r, saturated), w)
+            assert (down, up) == (ref.down, ref.up)
+
+    def test_per_row_occupation_matches_scalar_calls(self):
+        temperature = np.array([0.5, 2.0, 7.0, 1e-3, 40.0])
+        omega = np.array([1.0, 1.0, 0.02, 1.0, 3.0])
+        occupation = bose_occupation(omega, temperature)
+        assert occupation.tolist() == [bose_occupation(w, t) for w, t in
+                                       zip(omega.tolist(), temperature.tolist())]
+
+    def test_per_row_domain(self):
+        with pytest.raises(ValueError):
+            bose_occupation(1.0, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            BathSpec("cold", np.array([1.0, -2.0]), 0.01)
+        with pytest.raises(ValueError):
+            BathSpec("cold", 1.0, np.array([0.01, 0.0]))
+
 
 class TestSqueezing:
     def test_zero_db(self):

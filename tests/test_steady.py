@@ -432,7 +432,7 @@ def test_pump_sector_block_is_the_population_balance(n):
     cfg = reference_pump(n)
     gen = _Generator.for_pump(cfg)
     ev = qpump.experiments._CoolingPowerEvaluator(cfg)
-    rates, _ = ev._channels(cfg.omega_c)
+    rates = ev._channels(cfg.omega_c)
     populations = (np.array(rates) @ ev._stack).reshape(n, n)
     (block,) = gen.block()
     assert not block.imag.any()

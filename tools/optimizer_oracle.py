@@ -1,0 +1,127 @@
+"""Check the optimizer's cooling power against a 50-digit mpmath solve.
+
+Usage::
+
+    python3 tools/optimizer_oracle.py [--draws K] [--seed S] [--digits D]
+
+Draws K fridges of the random ensemble, ``SampleRanges(seed=S)`` (default
+400 fridges of seed 7), as ``qpump histogram`` draws them, with their
+redraws.  For each it maximizes the cooling power, takes the six double
+rates at ``omega_c_star``, and solves that chain three ways:
+
+* ``gth``: the optimizer's own body, ``_CoolingPowerEvaluator.q_cold``;
+* ``dgesv``: a dense LAPACK solve of the rate matrix with its first row
+  replaced by the trace constraint, the optimizer's former route;
+* mpmath at D digits (default 50), the reference.
+
+It prints the worst relative ``q_c`` error of each double route, with the
+fridge's index and level count.  mpmath is imported by this script only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from qpump.experiments import (  # noqa: E402
+    EmptyWindowError,
+    SampleRanges,
+    _CoolingPowerEvaluator,
+    _draw,
+    _log_bounds,
+    _population_structure,
+    maximize_cooling_power,
+)
+from qpump.pump import _transition_levels  # noqa: E402
+
+
+def mpmath_q_cold(n: int, rates, omega_c: float, digits: int = 50) -> float:
+    """Cooling power of the N-level ladder with the six double ``rates``
+    (work, hot, cold; down then up) at ``omega_c``, from the stationary
+    populations of its rate matrix solved in mpmath at ``digits`` digits.
+    Every double converts to mpmath exactly, so only the solve differs
+    from the optimizer's."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        mat = mpmath.zeros(n, n)
+        edges = []
+        for k, label in enumerate(("work", "hot", "cold")):
+            down, up = mpmath.mpf(rates[2 * k]), mpmath.mpf(rates[2 * k + 1])
+            for lo, hi in zip(*_transition_levels(n, label)):
+                lo, hi = int(lo), int(hi)
+                mat[lo, hi] += down
+                mat[hi, hi] -= down
+                mat[hi, lo] += up
+                mat[lo, lo] -= up
+                if label == "cold":
+                    edges.append((lo, hi, down, up))
+        for j in range(n):
+            mat[0, j] = 1
+        rhs = mpmath.matrix([1] + [0] * (n - 1))
+        p = mpmath.lu_solve(mat, rhs)
+        flux = mpmath.fsum(up * p[lo] - down * p[hi] for lo, hi, down, up in edges)
+        return float(mpmath.mpf(omega_c) * flux)
+
+
+def dgesv_q_cold(n: int, rates, omega_c: float) -> float:
+    """Cooling power from a dense LAPACK solve of the same chain: the rate
+    matrix with its first row replaced by the trace constraint."""
+    mat = (np.array(rates) @ _population_structure(n)).reshape(n, n)
+    mat[0, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    p = np.linalg.solve(mat, rhs)
+    p = p / p.sum()
+    lo, hi = _transition_levels(n, "cold")
+    return float(omega_c * (rates[5] * p[lo].sum() - rates[4] * p[hi].sum()))
+
+
+def ensemble_optima(ranges: SampleRanges, draws: int):
+    """(index, evaluator, omega_c_star) of the first ``draws`` fridges of
+    the ensemble, each at its first attempt that the optimizer accepts."""
+    logs = _log_bounds(ranges)
+    for index in range(draws):
+        for attempt in range(64):
+            cfg = _draw(ranges, logs, index, attempt)
+            if cfg is None:
+                continue
+            try:
+                optimum = maximize_cooling_power(cfg)
+            except (EmptyWindowError, np.linalg.LinAlgError):
+                continue
+            yield index, _CoolingPowerEvaluator(cfg), optimum.omega_c_star
+            break
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--draws", type=int, default=400)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--digits", type=int, default=50)
+    args = parser.parse_args(argv)
+
+    worst = {"gth": (0.0, None), "dgesv": (0.0, None)}
+    for index, ev, omega_c in ensemble_optima(SampleRanges(seed=args.seed), args.draws):
+        rates = ev._channels(omega_c)
+        ref = mpmath_q_cold(ev.n, rates, omega_c, args.digits)
+        for name, q in (("gth", ev.q_cold(omega_c)), ("dgesv", dgesv_q_cold(ev.n, rates, omega_c))):
+            err = abs(q - ref) / abs(ref)
+            if err >= worst[name][0]:
+                worst[name] = (err, (index, ev.n))
+    print(f"# {args.draws} draws of SampleRanges(seed={args.seed}), "
+          f"q_c at omega_c_star against mpmath at {args.digits} digits")
+    print("route,worst_rel_error,draw,n_levels")
+    for name, (err, where) in worst.items():
+        print(f"{name},{err:.3e},{where[0]},{where[1]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
