@@ -13,7 +13,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -128,13 +128,19 @@ class SampleRanges:
     gamma_frac: tuple[float, float] = (1e-5, 1e-2)
     n_levels: tuple[int, int] = (3, 10)
     seed: int = DEFAULT_SEED
+    # np.log of the bounds of each log-uniform range, in draw order: T_c,
+    # T_h/T_c, T_w/T_h, omega_h/T_c and the gamma fraction
+    log_bounds: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        logs = []
         for name in ("t_cold", "hot_over_cold", "work_over_hot",
                      "omega_h_over_t_cold", "gamma_frac"):
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi):
                 raise ValueError(f"{name} interval must be positive and ordered")
+            logs.append((np.log(lo), np.log(hi)))
+        object.__setattr__(self, "log_bounds", tuple(logs))
         lo, hi = self.n_levels
         if not (3 <= lo <= hi <= 10):
             raise ValueError("n_levels range must lie within [3, 10]")
@@ -246,9 +252,9 @@ def _largest(values: list):
 
 def _ladder_rates(n: int, rates) -> tuple[list, ...]:
     """The per-level rates of :func:`_gth_cold_power` for an N-level ladder
-    from its six bath rates (work, hot, cold; down then up), floats or
-    arrays.  The ladder's edge (k, k+1) is the cold bath's for even k and
-    the work bath's for odd k, and the hot bath joins k and k+2
+    from its six float bath rates (work, hot, cold; down then up).  The
+    ladder's edge (k, k+1) is the cold bath's for even k and the work
+    bath's for odd k, and the hot bath joins k and k+2
     (:func:`~qpump.pump.transition_pairs`)."""
     work_down, work_up, hot_down, hot_up, cold_down, cold_up = rates
     up1 = [cold_up if k % 2 == 0 else work_up for k in range(n - 1)] + [0.0]
@@ -353,9 +359,9 @@ class _CoolingPowerEvaluator:
     populations solve the N x N classical master equation ``dp/dt = M p``
     exactly (Schnakenberg, Rev. Mod. Phys. 48, 571 (1976)).  ``M`` depends
     on omega_c only through six rates, and its ladder is banded, so one
-    body, :func:`_gth_cold_power`, solves it at a scalar step and at every
-    point of a grid alike, bit for bit.  ``grid`` holds the coarse grid's
-    values once a caller has solved them (see :func:`_solve_grids`).
+    body, :func:`_gth_cold_power`, solves it at a scalar step here and at
+    every point of a coarse grid in :func:`_solve_grids` alike, bit for bit.
+    ``grid`` holds the coarse grid's values once they are solved.
     """
 
     def __init__(self, template: PumpConfig):
@@ -366,41 +372,35 @@ class _CoolingPowerEvaluator:
         self._hot = decay_rates(template.hot, template.omega_h)
         self.grid: np.ndarray | None = None
 
-    def _channels(self, omega_c):
-        """The six rates (work, hot, cold; down then up) at omega_c, a float
-        or an array."""
+    def _channels(self, omega_c: float):
+        """The six rates (work, hot, cold; down then up) at omega_c."""
         t, hot = self.template, self._hot
         work = decay_rates(t.work, t.omega_h - omega_c)
         cold = decay_rates(t.cold, omega_c)
         return work.down, work.up, hot.down, hot.up, cold.down, cold.up
 
-    def q_cold(self, omega_c: float, validate: bool = False) -> float:
+    def q_cold(self, omega_c: float) -> float:
         """Cooling power at one cold frequency.  Raises
         :class:`~qpump.linalg.NoKernelError` when the stationary populations
         fail a gate of :func:`_gth_cold_power`.
 
         The result equals the trace-formula current ``tr(H D_c rho)`` of the
         full generator, because the ideal pump's stationary state is
-        diagonal.  ``validate`` adds the exact 1-norm condition check of the
-        dense rate matrix with its first row replaced by the trace
-        constraint, which rejects numerically degenerate kernels whose
-        mixtures would still pass the residual gate.
+        diagonal.
         """
         q, ok = _gth_cold_power(omega_c, *_ladder_rates(self.n, self._channels(omega_c)))
         if not ok:
             raise NoKernelError("population balance fails its kernel gates (a level "
                                 f"without outflow, or residual above "
                                 f"{KERNEL_RESIDUAL_RTOL:.0e} x |M|)")
-        if validate:
-            self.check_condition(omega_c)
         return q
 
     def check_condition(self, omega_c: float) -> None:
-        """The condition check of ``q_cold(omega_c, validate=True)`` alone:
-        raises :class:`~qpump.linalg.NoKernelError` unless the dense rate
-        matrix with its first row replaced by the trace constraint has an
-        exact 1-norm reciprocal condition of at least
-        ``KERNEL_RCOND_FLOOR``."""
+        """Raises :class:`~qpump.linalg.NoKernelError` unless the dense rate
+        matrix at omega_c, its first row replaced by the trace constraint,
+        has an exact 1-norm reciprocal condition of at least
+        ``KERNEL_RCOND_FLOOR``; this rejects degenerate kernels whose
+        mixtures would still pass the residual gate of :meth:`q_cold`."""
         mat = (np.array(self._channels(omega_c)) @ self._stack).reshape(self.n, self.n)
         mat[0, :] = 1.0
         try:
@@ -409,13 +409,6 @@ class _CoolingPowerEvaluator:
             raise NoKernelError(f"population solve failed ({exc})") from None
         if not rcond >= KERNEL_RCOND_FLOOR:
             raise NoKernelError("stationary state numerically degenerate")
-
-    def q_cold_grid(self, omega_c: np.ndarray) -> np.ndarray:
-        """Cooling power at every point of a 1-D array of cold frequencies,
-        each with the bits of :meth:`q_cold` there; a point that fails a
-        gate of :meth:`q_cold` is NaN."""
-        q, ok = _gth_cold_power(omega_c, *_ladder_rates(self.n, self._channels(omega_c)))
-        return np.where(ok, q, np.nan)
 
 
 def _grid_nodes(window):
@@ -444,9 +437,12 @@ def _row_bath(baths: list[BathSpec]) -> BathSpec:
 def _solve_grids(evaluators: list[_CoolingPowerEvaluator]) -> None:
     """Solve the coarse grid of every evaluator as one call of
     :func:`_gth_cold_power` over all their grid points, padded to the
-    largest ladder, and store each evaluator's values in its ``grid``: the
-    bits of its own :meth:`~_CoolingPowerEvaluator.q_cold_grid`.  Every
+    largest ladder, and store each evaluator's values in its ``grid``: at
+    each point the bits of :meth:`~_CoolingPowerEvaluator.q_cold` there,
+    whatever the other evaluators, or NaN where it fails a gate.  Every
     window must be nonempty."""
+    if not evaluators:
+        return
     evaluators = sorted(evaluators, key=lambda ev: -ev.n)
     templates = [ev.template for ev in evaluators]
     omega_c = _grid_nodes(np.array([[ev.window] for ev in evaluators]))[:, 1:-1]
@@ -521,18 +517,18 @@ def _brent_max(f, xs, fs, tol: float):
 def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Optimum:
     """Find the cold frequency that maximizes the cooling power.
 
-    A 64-point coarse grid over the open cooling window, evaluated in one
-    call, brackets the maximum in the best grid cell and its two
-    neighbours.  Brent's bounded parabolic refinement, started from those
+    A 64-point coarse grid over the open cooling window, solved by
+    :func:`_solve_grids`, brackets the maximum in the best grid cell and its
+    two neighbours.  Brent's bounded parabolic refinement, started from those
     three grid values, then places the maximizer within 1e-6 of the window
     width; it keeps the best grid point unless a refinement step beats it,
     so failed steps fall back to that point.  The reported power is the
-    value at ``omega_c_star``, which then passes the validated call's
-    condition check (a full :func:`qpump.steady.solve` there reproduces it
+    value at ``omega_c_star``, which then passes the evaluator's
+    ``check_condition`` (a full :func:`qpump.steady.solve` there reproduces it
     to solver precision), and the reported efficiency uses the ideal-pump
     identity ``eps* = omega_c*/(omega_h - omega_c*)``.
-    ``template.omega_c`` is ignored.  ``template`` may also be an evaluator
-    whose ``grid`` a caller has already solved (:func:`_solve_grids`).
+    ``template.omega_c`` is ignored.  ``template`` may also be an evaluator,
+    whose ``grid`` a caller may have solved already.
 
     Raises :class:`EmptyWindowError` for an empty window and
     :class:`~qpump.linalg.NoKernelError` if no grid point admits a
@@ -543,25 +539,26 @@ def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Opt
     template, window = ev.template, ev.window
     if not (window > 0):
         raise EmptyWindowError(f"cooling window max {window} is not positive")
+    if ev.grid is None:
+        _solve_grids([ev])
 
     nodes = _grid_nodes(window)
-    q_grid = ev.q_cold_grid(nodes[1:-1]) if ev.grid is None else ev.grid
-    lost = np.isnan(q_grid)
+    lost = np.isnan(ev.grid)
     failed = int(np.count_nonzero(lost))
     if failed == COARSE_GRID_POINTS:
         raise NoKernelError("no grid point in the cooling window admits a "
                             "trustworthy stationary state")
     # a failed grid point enters the refinement as -inf
     q_nodes = np.zeros(COARSE_GRID_POINTS + 2)
-    q_nodes[1:-1] = np.where(lost, -np.inf, q_grid)
+    q_nodes[1:-1] = np.where(lost, -np.inf, ev.grid)
     best_i = int(np.argmax(q_nodes[1:-1])) + 1
     cell = slice(best_i - 1, best_i + 2)
     x_star, q_star, refine_evals, refine_failed = _brent_max(
         ev.q_cold, nodes[cell].tolist(), q_nodes[cell].tolist(),
         REFINE_RELATIVE_WIDTH * window,
     )
-    # the validated evaluation at the reported maximizer: q_star is already
-    # its value, from a refinement step or the grid, bit for bit
+    # the condition check at the reported maximizer, whose cooling power
+    # q_star already is, from a refinement step or the grid, bit for bit
     ev.check_condition(x_star)
     omega_w_star = template.omega_h - x_star
     eps_star = x_star / omega_w_star
@@ -601,13 +598,17 @@ def sweep_stages(template: PumpConfig,
     ``variants`` selects the work-reservoir treatments: ``plain`` thermal,
     ``squeezed`` (by ``squeeze_db`` decibels) and ``saturated``
     (infinite-temperature limit).  Deterministic; one Optimum per
-    (n_levels, variant).
+    (n_levels, variant).  A variant's templates share their work bath's
+    squeezing and saturation, so its coarse grids are one call of
+    :func:`_solve_grids`.
     """
     out = []
     for variant in variants:
-        for n in n_values:
-            cfg = _variant_config(template, n, variant, squeeze_db)
-            out.append(StageResult(n, variant, maximize_cooling_power(cfg)))
+        evs = [_CoolingPowerEvaluator(_variant_config(template, n, variant, squeeze_db))
+               for n in n_values]
+        _solve_grids([ev for ev in evs if ev.window > 0])
+        out += [StageResult(n, variant, maximize_cooling_power(ev))
+                for n, ev in zip(n_values, evs)]
     return out
 
 
@@ -615,23 +616,15 @@ def sweep_stages(template: PumpConfig,
 # random-fridge histogram
 
 
-def _log_bounds(ranges: SampleRanges) -> tuple[tuple[float, float], ...]:
-    """``np.log`` of the bounds of each log-uniform range, in draw order:
-    T_c, T_h/T_c, T_w/T_h, omega_h/T_c and the gamma fraction."""
-    return tuple((np.log(lo), np.log(hi)) for lo, hi in (
-        ranges.t_cold, ranges.hot_over_cold, ranges.work_over_hot,
-        ranges.omega_h_over_t_cold, ranges.gamma_frac))
-
-
 def _log_uniform(rng: np.random.Generator, log_lo: float, log_hi: float) -> float:
     return float(np.exp(rng.uniform(log_lo, log_hi)))
 
 
-def _draw(ranges: SampleRanges, logs, index: int, attempt: int) -> PumpConfig | None:
+def _draw(ranges: SampleRanges, index: int, attempt: int) -> PumpConfig | None:
     """The fridge of one attempt of one sample, or None when the draw breaks
     a config invariant.  Its generator is derived from (seed, index,
-    attempt) alone; ``logs`` is :func:`_log_bounds` of ``ranges``."""
-    t_cold, hot_over_cold, work_over_hot, omega_h_over_t_cold, gamma_frac = logs
+    attempt) alone."""
+    t_cold, hot_over_cold, work_over_hot, omega_h_over_t_cold, gamma_frac = ranges.log_bounds
     rng = np.random.default_rng([ranges.seed, index, attempt])
     t_c = _log_uniform(rng, *t_cold)
     t_h = t_c * _log_uniform(rng, *hot_over_cold)
@@ -656,23 +649,21 @@ def _draw(ranges: SampleRanges, logs, index: int, attempt: int) -> PumpConfig | 
         return None
 
 
-def _sample_point(ranges: SampleRanges, index: int, logs=None,
+def _sample_point(ranges: SampleRanges, index: int,
                   first: _CoolingPowerEvaluator | None = None) -> tuple[float, int, int]:
     """One accepted (eps_ratio, n_levels, rejections) for the ensemble.
 
     Deterministic in (seed, index): each attempt re-derives its generator
     from (seed, index, attempt), so rejection never desynchronizes other
-    samples and results are independent of worker count.  ``logs`` is
-    :func:`_log_bounds` of ``ranges``.  ``first``, when given, is the
-    evaluator of attempt 0's fridge, already drawn, with its coarse grid
-    solved if its window is nonempty (:func:`_histogram_chunk`).
+    samples and results are independent of worker count.  ``first``, when
+    given, is the evaluator of attempt 0's fridge, already drawn, with its
+    coarse grid solved if its window is nonempty (:func:`_histogram_chunk`).
     """
-    logs = logs or _log_bounds(ranges)
     for attempt in range(64):
         if attempt == 0 and first is not None:
             template, cfg = first, first.template
         else:
-            template = cfg = _draw(ranges, logs, index, attempt)
+            template = cfg = _draw(ranges, index, attempt)
             if cfg is None:
                 continue
         # A failed gate or an optimum that breaks Carnot is a defect, not a
@@ -691,13 +682,10 @@ def _histogram_chunk(args) -> list[tuple[int, float, int, int]]:
     as one padded call (:func:`_solve_grids`); each sample then refines its
     own grid, and redraws on rejection, in :func:`_sample_point`."""
     ranges, start, stop = args
-    logs = _log_bounds(ranges)
-    firsts = [_draw(ranges, logs, i, 0) for i in range(start, stop)]
+    firsts = [_draw(ranges, i, 0) for i in range(start, stop)]
     evaluators = [None if cfg is None else _CoolingPowerEvaluator(cfg) for cfg in firsts]
-    solvable = [ev for ev in evaluators if ev is not None and ev.window > 0]
-    if solvable:
-        _solve_grids(solvable)
-    return [(i, *_sample_point(ranges, i, logs, ev))
+    _solve_grids([ev for ev in evaluators if ev is not None and ev.window > 0])
+    return [(i, *_sample_point(ranges, i, ev))
             for i, ev in zip(range(start, stop), evaluators)]
 
 

@@ -21,7 +21,6 @@ from qpump.experiments import (
     _CoolingPowerEvaluator,
     _curve_config,
     _draw,
-    _log_bounds,
     _sample_point,
     _solve_grids,
     _variant_config,
@@ -52,6 +51,24 @@ def reference_pump(n_levels=3):
 def window_grid(template, n_points=COARSE_GRID_POINTS):
     """The optimizer's grid: n_points interior points of the cooling window."""
     return window_max(template) * np.arange(1, n_points + 1) / (n_points + 1)
+
+
+def grid_alone(template):
+    """The coarse grid of one template, solved by itself."""
+    ev = _CoolingPowerEvaluator(template)
+    _solve_grids([ev])
+    return ev.grid
+
+
+def scalar_steps(ev, grid):
+    """``ev.q_cold`` at every point of ``grid``, NaN where it raises."""
+    out = []
+    for x in grid.tolist():
+        try:
+            out.append(ev.q_cold(x))
+        except NoKernelError:
+            out.append(math.nan)
+    return np.array(out)
 
 
 def brute_force_grid_max(template, n_points=4096):
@@ -106,16 +123,16 @@ def golden_max(f, a, b, tol):
 
 
 def golden_optimum(template):
-    """(omega_c*, validated q_c) of golden section on the optimizer's
-    bracket: the best grid cell and its two neighbours."""
+    """(omega_c*, condition-checked q_c) of golden section on the
+    optimizer's bracket: the best grid cell and its two neighbours."""
     ev = _CoolingPowerEvaluator(template)
     window = window_max(template)
-    grid = window_grid(template)
-    best = int(np.nanargmax(ev.q_cold_grid(grid))) + 1
+    best = int(np.nanargmax(grid_alone(template))) + 1
     a = window * (best - 1) / (COARSE_GRID_POINTS + 1)
     b = window * (best + 1) / (COARSE_GRID_POINTS + 1)
     x, _, _, _ = golden_max(ev.q_cold, a, b, REFINE_RELATIVE_WIDTH * window)
-    return x, ev.q_cold(x, validate=True)
+    ev.check_condition(x)
+    return x, ev.q_cold(x)
 
 
 def uncached_population_structure(n):
@@ -172,25 +189,23 @@ class TestMaximizeCoolingPower:
         template = reference_pump(4)
         clean = maximize_cooling_power(template)
         grid = window_grid(template)
-        q = _CoolingPowerEvaluator(template).q_cold_grid(grid)
+        q = grid_alone(template)
         nan_at = int(np.argmax(q))
         singular_at = nan_at + 1
-        original = _CoolingPowerEvaluator._channels
+        original = qpump.experiments._padded_ladder_rates
 
-        def channels(self, omega_c):
-            rates = original(self, omega_c)
-            if np.ndim(omega_c) == 0:
-                return rates
-            rates = [np.broadcast_to(r, omega_c.shape).copy() for r in rates]
+        def padded_ladder_rates(n, rates, points):
+            # one template: row m of the six rates is grid point m
+            rates = [r.copy() for r in rates]
             rates[4][nan_at] = np.nan  # the cold bath's downward rate
             for r in rates:
                 # no transitions: no level has an outflow, and only the
                 # trace row is left of the dense matrix, which is singular
                 r[singular_at] = 0.0
-            return tuple(rates)
+            return original(n, rates, points)
 
-        monkeypatch.setattr(_CoolingPowerEvaluator, "_channels", channels)
-        stacked = _CoolingPowerEvaluator(template).q_cold_grid(grid)
+        monkeypatch.setattr(qpump.experiments, "_padded_ladder_rates", padded_ladder_rates)
+        stacked = grid_alone(template)
         assert np.isnan(stacked[[nan_at, singular_at]]).all()
         kept = np.delete(np.arange(grid.size), [nan_at, singular_at])
         assert np.array_equal(stacked[kept], q[kept])
@@ -214,13 +229,10 @@ class TestMaximizeCoolingPower:
     def test_every_refinement_step_failing_keeps_the_best_grid_point(self, monkeypatch):
         template = reference_pump(4)
         grid = window_grid(template)
-        best = grid[np.argmax(_CoolingPowerEvaluator(template).q_cold_grid(grid))]
-        original = _CoolingPowerEvaluator.q_cold
+        best = grid[np.argmax(grid_alone(template))]
         calls = []
 
-        def q_cold(self, omega_c, validate=False):
-            if validate:
-                return original(self, omega_c, validate)
+        def q_cold(self, omega_c):
             calls.append(omega_c)
             raise NoKernelError("forced")
 
@@ -234,11 +246,11 @@ class TestMaximizeCoolingPower:
         original = _CoolingPowerEvaluator.q_cold
         calls = []
 
-        def q_cold(self, omega_c, validate=False):
+        def q_cold(self, omega_c):
             calls.append(omega_c)
             if len(calls) <= 2:
                 raise NoKernelError("forced")
-            return original(self, omega_c, validate)
+            return original(self, omega_c)
 
         monkeypatch.setattr(_CoolingPowerEvaluator, "q_cold", q_cold)
         opt = maximize_cooling_power(reference_pump(3))
@@ -250,7 +262,7 @@ class TestMaximizeCoolingPower:
         template = reference_pump(3)
         ev = _CoolingPowerEvaluator(template)
         grid = window_grid(template)
-        assert np.isnan(ev.q_cold_grid(grid)).all()
+        assert np.isnan(grid_alone(template)).all()
         with pytest.raises(NoKernelError):
             ev.q_cold(float(grid[0]))
         with pytest.raises(NoKernelError):
@@ -300,7 +312,7 @@ class TestStackedGrid:
         template = _variant_config(reference_pump(), n, variant, 7.0)
         ev = _CoolingPowerEvaluator(template)
         grid = window_grid(template)
-        stacked = ev.q_cold_grid(grid)
+        stacked = grid_alone(template)
         assert stacked.shape == grid.shape and np.isfinite(stacked).all()
         assert stacked.tolist() == [ev.q_cold(x) for x in grid.tolist()]
 
@@ -312,7 +324,7 @@ class TestStackedGrid:
         _solve_grids(chunk)
         for ev in chunk:
             grid = window_grid(ev.template)
-            alone = _CoolingPowerEvaluator(ev.template).q_cold_grid(grid)
+            alone = grid_alone(ev.template)
             assert np.isfinite(alone).all()
             assert ev.grid.tobytes() == alone.tobytes()
             assert alone.tolist() == [ev.q_cold(x) for x in grid.tolist()]
@@ -320,14 +332,15 @@ class TestStackedGrid:
     def test_ensemble_chunk_grid_is_bit_identical(self):
         # per-row baths: every draw has its own temperatures and strengths
         ranges = SampleRanges(seed=11)
-        logs = _log_bounds(ranges)
         chunk = [_CoolingPowerEvaluator(cfg) for cfg in
-                 (_draw(ranges, logs, i, 0) for i in range(32)) if cfg is not None]
+                 (_draw(ranges, i, 0) for i in range(32)) if cfg is not None]
         assert len({ev.n for ev in chunk}) == 8
         _solve_grids(chunk)
         for ev in chunk:
-            alone = _CoolingPowerEvaluator(ev.template).q_cold_grid(window_grid(ev.template))
+            alone = grid_alone(ev.template)
             assert ev.grid.tobytes() == alone.tobytes()
+            assert np.array_equal(alone, scalar_steps(ev, window_grid(ev.template)),
+                                  equal_nan=True)
 
     def test_chunk_baths_must_share_saturation(self):
         chunk = [_CoolingPowerEvaluator(_variant_config(reference_pump(), 4, variant, 7.0))
@@ -385,6 +398,49 @@ class TestSweepStages:
         with pytest.raises(ValueError):
             sweep_stages(reference_pump(), n_values=(3,), variants=("exotic",))
 
+    def test_one_grid_call_per_variant(self, monkeypatch):
+        original = qpump.experiments._solve_grids
+        calls = []
+
+        def solve_grids(evaluators):
+            calls.append(sorted(ev.n for ev in evaluators))
+            return original(evaluators)
+
+        monkeypatch.setattr(qpump.experiments, "_solve_grids", solve_grids)
+        rows = sweep_stages(reference_pump(), squeeze_db=7.0)
+        assert calls == [list(range(3, 11))] * 3
+        for row in rows:
+            alone = maximize_cooling_power(
+                _variant_config(reference_pump(), row.n_levels, row.variant, 7.0))
+            assert dataclasses.asdict(row.optimum) == dataclasses.asdict(alone)
+
+    def test_empty_window_variant_raises(self, monkeypatch):
+        original = qpump.experiments._solve_grids
+        calls = []
+
+        def solve_grids(evaluators):
+            calls.append(len(evaluators))
+            return original(evaluators)
+
+        monkeypatch.setattr(qpump.experiments, "_solve_grids", solve_grids)
+        monkeypatch.setattr(qpump.experiments, "window_max", lambda cfg: 0.0)
+        with pytest.raises(EmptyWindowError):
+            sweep_stages(reference_pump(), n_values=(3, 4), variants=("plain",))
+        assert calls == [0]
+
+
+class TestSampleRanges:
+    def test_log_bounds_follow_the_ranges(self):
+        ranges = SampleRanges(seed=5)
+        assert ranges.log_bounds == tuple((np.log(lo), np.log(hi)) for lo, hi in (
+            ranges.t_cold, ranges.hot_over_cold, ranges.work_over_hot,
+            ranges.omega_h_over_t_cold, ranges.gamma_frac))
+        wider = dataclasses.replace(ranges, t_cold=(0.5, 1e2))
+        assert wider.log_bounds[0] == (np.log(0.5), np.log(1e2))
+        assert wider.log_bounds[1:] == ranges.log_bounds[1:]
+        assert "log_bounds" not in repr(ranges)
+        assert ranges == SampleRanges(seed=5)
+
 
 class TestHistogram:
     def test_deterministic_across_thread_counts(self):
@@ -423,9 +479,8 @@ class TestHistogram:
         monkeypatch.setattr(qpump.experiments, "maximize_cooling_power", maximize)
         ranges = SampleRanges(seed=29)
         res = cop_histogram(ranges, 5, threads=1)
-        logs = _log_bounds(ranges)
         assert res.rejected == 5
-        assert res.eps_ratios.tolist() == [original(_draw(ranges, logs, i, 1)).eps_ratio
+        assert res.eps_ratios.tolist() == [original(_draw(ranges, i, 1)).eps_ratio
                                            for i in range(5)]
 
     def test_bound_respected_on_small_ensemble(self):

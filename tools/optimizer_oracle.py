@@ -34,7 +34,6 @@ from qpump.experiments import (  # noqa: E402
     SampleRanges,
     _CoolingPowerEvaluator,
     _draw,
-    _log_bounds,
     _population_structure,
     maximize_cooling_power,
 )
@@ -86,10 +85,9 @@ def dgesv_q_cold(n: int, rates, omega_c: float) -> float:
 def ensemble_optima(ranges: SampleRanges, draws: int):
     """(index, evaluator, omega_c_star) of the first ``draws`` fridges of
     the ensemble, each at its first attempt that the optimizer accepts."""
-    logs = _log_bounds(ranges)
     for index in range(draws):
         for attempt in range(64):
-            cfg = _draw(ranges, logs, index, attempt)
+            cfg = _draw(ranges, index, attempt)
             if cfg is None:
                 continue
             try:
