@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .pump import (
     PumpConfig,
     WeakCouplingWarning,
     _ThreeBathConfig,
-    _transition_levels,
     carnot_cop,
     cooling_window_max,
     cooling_window_max_fixed_work,
@@ -38,7 +36,12 @@ from .pump import (
     squeeze_db_to_r,
     window_max,
 )
-from .steady import _solve_pumps
+from .steady import (
+    _ladder_balance,
+    _ladder_rates,
+    _population_structure,
+    _solve_pumps,
+)
 from .three_qubit import ThreeQubitConfig, _solve_fridges
 
 # Kept importable for the layer probes of perfbench/layers.py::install_probes;
@@ -222,25 +225,6 @@ class CurveSetup:
 _HUGE = float(np.finfo(float).max)
 
 
-@lru_cache(maxsize=None)
-def _population_structure(n: int) -> np.ndarray:
-    """The (6, N^2) incidence stack of an N-level ladder's population
-    balance, a function of N alone: slice 2k is bath k's downward
-    (hi -> lo) incidence and 2k+1 its upward one, for the work, hot and
-    cold baths, and every column of each slice sums to zero.  Contracted
-    with the six rates it gives the dense rate matrix.  Built once per N and
-    read-only, so every evaluator of that N shares it."""
-    stack = np.zeros((6, n, n))
-    for k, label in enumerate(("work", "hot", "cold")):
-        lo, hi = _transition_levels(n, label)
-        # each level is at most once lo and once hi: no entry written twice
-        stack[2 * k, lo, hi] = stack[2 * k + 1, hi, lo] = 1.0
-        stack[2 * k, hi, hi] = stack[2 * k + 1, lo, lo] = -1.0
-    stack = stack.reshape(6, n * n)
-    stack.setflags(write=False)
-    return stack
-
-
 def _largest(values: list):
     """The largest of a list of floats, or elementwise of a list of arrays
     and floats; the builtin ``max`` costs far less in the optimizer's
@@ -248,20 +232,6 @@ def _largest(values: list):
     if any(isinstance(v, np.ndarray) for v in values):
         return reduce(np.maximum, values)
     return max(values)
-
-
-def _ladder_rates(n: int, rates) -> tuple[list, ...]:
-    """The per-level rates of :func:`_gth_cold_power` for an N-level ladder
-    from its six float bath rates (work, hot, cold; down then up).  The
-    ladder's edge (k, k+1) is the cold bath's for even k and the work
-    bath's for odd k, and the hot bath joins k and k+2
-    (:func:`~qpump.pump.transition_pairs`)."""
-    work_down, work_up, hot_down, hot_up, cold_down, cold_up = rates
-    up1 = [cold_up if k % 2 == 0 else work_up for k in range(n - 1)] + [0.0]
-    down1 = [0.0] + [cold_down if k % 2 else work_down for k in range(1, n)]
-    up2 = [hot_up] * (n - 2) + [0.0, 0.0]
-    down2 = [0.0, 0.0] + [hot_down] * (n - 2)
-    return up1, down1, up2, down2, [0.0] * n
 
 
 def _padded_ladder_rates(n: list[int], rates, points: int) -> tuple[list, ...]:
@@ -294,20 +264,10 @@ def _gth_cold_power(omega_c, up1, down1, up2, down2, dead):
     pass the kernel gates, for a float ``omega_c`` or elementwise for an
     (M,) array of them.
 
-    The arguments after ``omega_c`` list, per level k, its rate to k + 1,
-    k - 1, k + 2 and k - 2 (zero where the ladder has no such edge) and a
-    padding out-rate ``dead``; entries are floats or (M,) arrays.  The
-    populations come from the GTH elimination (Grassmann, Taksar & Heyman,
-    Oper. Res. 33, 1107 (1985)): eliminate the levels from the top down,
-    folding the paths through each eliminated level into the rates between
-    the levels it joins, with its out-rate summed from its rates to the
-    levels left.  The ladder is banded (edges k, k+1 and k, k+2), and
-    eliminating its top level changes only the two rates between the next
-    two, so the elimination runs O(N) steps.  It uses only ``+ * /`` on
-    nonnegative values, never a subtraction, which makes the populations
-    accurate to a few ulps however far the rates spread (O'Cinneide, Numer.
-    Math. 65, 109 (1993)), and gives a float and each element of an array
-    the same bits.
+    The arguments after ``omega_c`` are the per-level rates of
+    :func:`~qpump.steady._ladder_balance`, floats or (M,) arrays, whose GTH
+    elimination gives the populations; the cooling power is ``omega_c``
+    times their net flux up the cold edges over their total.
 
     The gates: every eliminated level must have a positive out-rate (a
     level without one leaves the chain reducible), and the net inflow of
@@ -316,23 +276,7 @@ def _gth_cold_power(omega_c, up1, down1, up2, down2, dead):
     populations, as the dense solve's residual ``|M p|`` is.  Returns
     ``(q, ok)``; ``q`` is meaningless where ``ok`` is false."""
     n = len(up1)
-    u1, d1 = list(up1), list(down1)
-    out = [1.0] * n
-    ok = True
-    for k in range(n - 1, 0, -1):
-        s = d1[k] + down2[k] + dead[k]
-        ok = ok & (s > 0.0)
-        # a level without outflow divides by 1 instead, and its row fails
-        s = out[k] = s + (s <= 0.0)
-        if k > 1:
-            d1[k - 1] = d1[k - 1] + u1[k - 1] * (down2[k] / s)
-            u1[k - 2] = u1[k - 2] + up2[k - 2] * (d1[k] / s)
-    p = [1.0, u1[0] / out[1]]
-    for k in range(2, n):
-        p.append((p[k - 1] * u1[k - 1] + p[k - 2] * up2[k - 2]) / out[k])
-    total = p[0]
-    for pk in p[1:]:
-        total = total + pk
+    p, total, ok = _ladder_balance(up1, down1, up2, down2, dead)
     # net fluxes up each edge (k, k+1) and (k, k+2), on the bath rates
     j1 = [p[k] * up1[k] - p[k + 1] * down1[k + 1] for k in range(n - 1)] + [0.0]
     j2 = [p[k] * up2[k] - p[k + 2] * down2[k + 2] for k in range(n - 2)] + [0.0, 0.0]
@@ -361,7 +305,10 @@ class _CoolingPowerEvaluator:
     on omega_c only through six rates, and its ladder is banded, so one
     body, :func:`_gth_cold_power`, solves it at a scalar step here and at
     every point of a coarse grid in :func:`_solve_grids` alike, bit for bit.
-    ``grid`` holds the coarse grid's values once they are solved.
+    Its GTH elimination, :func:`~qpump.steady._ladder_balance`, is the one
+    that gives :func:`~qpump.steady.solve` its populations and ``q_c`` (in
+    long double there), so ``q_cold`` and ``solve``'s ``q_c`` come from one
+    body.  ``grid`` holds the coarse grid's values once they are solved.
     """
 
     def __init__(self, template: PumpConfig):
@@ -386,7 +333,8 @@ class _CoolingPowerEvaluator:
 
         The result equals the trace-formula current ``tr(H D_c rho)`` of the
         full generator, because the ideal pump's stationary state is
-        diagonal.
+        diagonal, and :func:`~qpump.steady.solve`'s ``q_c`` to a few ulps:
+        the same elimination, in double here and in long double there.
         """
         q, ok = _gth_cold_power(omega_c, *_ladder_rates(self.n, self._channels(omega_c)))
         if not ok:
@@ -709,6 +657,10 @@ def cop_histogram(ranges: SampleRanges, n_samples: int,
         for job in jobs:
             rows.extend(_histogram_chunk(job))
     else:
+        # imported here: the pool's module costs a fresh interpreter about
+        # 20 ms and 2 MB, which a serial run need not pay
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for part in pool.map(_histogram_chunk, jobs):
                 rows.extend(part)

@@ -189,11 +189,14 @@ def level_energies(n_levels: int, omega_h, omega_c, dtype=float) -> np.ndarray:
     wc = np.asarray(omega_c, dtype=dtype)
     e = np.zeros(np.shape(wh) + (n_levels,), dtype=dtype)
     for k in range(2, n_levels + 1):
-        if k % 2 == 0:
-            e[..., k - 1] = (k // 2 - 1) * wh + wc
-        else:
-            e[..., k - 1] = ((k - 1) // 2) * wh
+        e[..., k - 1] = _level_energy(k, wh, wc)
     return e
+
+
+def _level_energy(k: int, wh, wc):
+    """The energy of 1-based level ``k >= 2`` of :func:`level_energies`, in
+    the type of ``wh`` and ``wc``."""
+    return (k // 2 - 1) * wh + wc if k % 2 == 0 else ((k - 1) // 2) * wh
 
 
 def build_hamiltonian(cfg: PumpConfig) -> np.ndarray:

@@ -10,32 +10,46 @@ balance for plain thermal baths.  The commutator does not move the
 stationary state of the diagonal-Hamiltonian pump, but including it lets the
 same assembler serve the non-diagonal three-qubit model.
 
-Heat currents are evaluated as ``q_a = tr(H D_a(rho_inf))``, positive for
-energy flowing from reservoir ``a`` into the system; in chiller mode
+Heat currents are ``q_a = tr(H D_a(rho_inf))`` (for the pump's diagonal
+state, bath ``a``'s energy gap times its net flux), positive for energy
+flowing from reservoir ``a`` into the system; in chiller mode
 ``q_cold > 0``, ``q_work > 0`` and ``q_hot < 0``.
 
 Numerical note: the stationary populations at strongly disparate rate scales
 (rates span ~10^5 at the reference parameter set) leave the net fluxes as
 small differences of large one-way flows.  Plain double precision floors the
-first-law residual near 1e-9 of the largest current there.  Each machine is
-therefore described once, by a :class:`_Generator`: its Hamiltonian in
-extended precision (x87 long double) and, per bath, the level pairs of its
-jump ``sum_k |lo_k><hi_k|`` with rates computed in double by
-:func:`~qpump.pump.decay_rates`.  Its one operator is the extended-precision
-action, restricted to the stationary sector (the pump's N populations; the
-fridge's populations and one coherence pair).  A generator describes one
+first-law residual near 1e-9 of the largest current there, so both models
+are solved in extended precision (x87 long double), from rates computed in
+double by :func:`~qpump.pump.decay_rates`; the first law holds for the
+machine as built, so double rates are enough.
+
+The ideal pump's stationary state is diagonal: its coherences decouple and
+decay, and its populations solve a banded classical master equation.
+:func:`_solve_pumps` solves that equation by the subtraction-free GTH
+elimination of :func:`_ladder_balance` in long double, the body that also
+gives the power optimizer's ``q_cold``, with no generator and no polish;
+each current is its bath's energy gap times the net flux on its edges,
+taken from exact products (:func:`_edge_fluxes`) after one refinement step
+of the populations.  The kernel decisions (condition floor, SVD
+diagnostics, non-finite rates) are those of the double rate matrix, which is
+the generator's sector block.
+
+The three-qubit fridge keeps a stationary coherence and is solved through
+its generator, a :class:`_Generator`: its Hamiltonian in extended precision
+and, per bath, the level pairs of its jump ``sum_k |lo_k><hi_k|``.  Its one
+operator is the extended-precision action, restricted to the stationary
+sector (the populations and one coherence pair).  A generator describes one
 machine at P points of a sweep at once: the structure (sector, index
 arrays) is built once, and only the energies and the rates carry a leading
 point axis, so a whole characteristic curve is one stacked solve and a
 single solve is a stack of one.  The kernel solve inverts the stack of the
 double roundings of that action on the sector (numpy, one LU per point);
 the inverses polish each state against the action, at whose precision the
-currents are assembled, and every gate is judged per point.  On the pump's
-sector, its populations, the action is real, and all of this runs in real
-arithmetic; the fridge's coherence pair keeps it complex.  A stack's
-results are one set of columns, :class:`SteadySolutions`.  The first law
-holds for the generator as built, so double rates are enough.  The
-Kronecker-product builders below are the reference.
+currents are assembled.  The pump's generator, real on its sector, serves
+:func:`build_liouvillian` and :func:`heat_currents_decomposed`.  Both
+models' currents pass one gate body, per point, and a stack's results are
+one set of columns, :class:`SteadySolutions`.  The Kronecker-product
+builders below are the reference.
 """
 
 from __future__ import annotations
@@ -43,6 +57,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +68,7 @@ from .linalg import stationary_vector  # noqa: F401
 from .pump import (
     PumpConfig,
     RatePair,
+    _level_energy,
     _transition_levels,
     decay_rates,
     effective_temperature,
@@ -104,7 +120,8 @@ class SteadySolution:
     """Stationary state of one pump configuration with its heat bookkeeping.
 
     ``residuals`` carries the named diagnostics ``kernel_residual``
-    (sup-norm of L rho relative to the generator norm), ``first_law``
+    (sup-norm of L rho relative to the generator norm; for the pump, of the
+    rate matrix on its populations), ``first_law``
     (|q_w + q_h + q_c| relative to the largest current) and
     ``ideality_cold_work`` (relative deviation of |q_c/q_w| from w_c/w_w;
     for the three-qubit model this is the non-ideality measure and is
@@ -137,9 +154,10 @@ class SteadySolutions:
     :class:`SteadySolution` field (or residual) of that name.  ``states``
     holds each point's stationary state at the working extended precision,
     (P, m), on ``positions``, the m column-stacked positions of the
-    ``dim x dim`` density matrix that the solve's generator acts on; it is
-    zero elsewhere.  ``solutions[k]`` is point k as a
-    :class:`SteadySolution`; only there are its dense states made."""
+    ``dim x dim`` density matrix that the solve acts on (the fridge's
+    sector, the pump's diagonal); it is zero elsewhere.  ``solutions[k]``
+    is point k as a :class:`SteadySolution`; only there are its dense
+    states made."""
 
     q_work: np.ndarray
     q_hot: np.ndarray
@@ -428,19 +446,19 @@ def _polish_state(inv: np.ndarray, v0: np.ndarray, gen_ld: _Generator) -> np.nda
     return v / v.take(gen_ld.diagonal, axis=-1).sum(axis=-1, keepdims=True)
 
 
-def _solution_from_state(gen_ld: _Generator, rho_ld: np.ndarray, kernel_residual: np.ndarray,
-                         cfg, gate_ideality: bool,
-                         kernel_errors: dict[int, np.linalg.LinAlgError]
-                         ) -> SteadySolutions:
-    """The gated currents of each point's state, as columns.  The first
-    point that fails, in the kernel solve (``kernel_errors``, by point
-    index) or a gate, raises, naming its ``omega_c``."""
-    q = gen_ld.currents(rho_ld)
-    q_work, q_hot, q_cold = q["work"], q["hot"], q["cold"]
-    diagonal = np.real(np.diagonal(gen_ld.ham, axis1=1, axis2=2))
-    ham_scale = np.abs(diagonal).max(axis=1).astype(float)
-    ham_scale[ham_scale == 0.0] = 1.0
-    rate_scale = np.max([ch.down + ch.up for ch in gen_ld.channels.values()], axis=0)
+def _solution_from_state(cfg, currents: dict[str, np.ndarray], ham_scale: np.ndarray,
+                         rate_scale: np.ndarray, states: np.ndarray, positions: np.ndarray,
+                         dim: int, kernel_residual: np.ndarray, gate_ideality: bool,
+                         kernel_errors: dict[int, np.linalg.LinAlgError]) -> SteadySolutions:
+    """The gated currents of each point of ``cfg``'s machine, as columns.
+    ``currents`` holds each bath's (P,) current, ``ham_scale`` and
+    ``rate_scale`` the largest |energy| and the largest channel rate
+    ``down + up`` at each point, and ``states`` the (P, m) states on the
+    ``positions`` of the ``dim x dim`` density matrix.  The first point
+    that fails, in the kernel solve (``kernel_errors``, by point index) or a
+    gate, raises, naming its ``omega_c``."""
+    q_work, q_hot, q_cold = currents["work"], currents["hot"], currents["cold"]
+    ham_scale = np.where(ham_scale == 0.0, 1.0, ham_scale)
     # a scale past the double range fails its point; in long double it cannot overflow
     fits = ham_scale.astype(np.longdouble) * rate_scale <= np.finfo(float).max
     current_scale = np.multiply(ham_scale, rate_scale, out=np.full_like(ham_scale, np.inf),
@@ -483,14 +501,13 @@ def _solution_from_state(gen_ld: _Generator, rho_ld: np.ndarray, kernel_residual
                         for x, t in zip((q_work, q_hot, q_cold),
                                         (t_work, cfg.hot.temperature, cfg.cold.temperature)))
     return SteadySolutions(q_work, q_hot, q_cold, cop, entropy_rate.astype(float),
-                           kernel_residual, first_law, ideality, mode, rho_ld[:, 0],
-                           gen_ld.positions, gen_ld.ham.shape[-1])
+                           kernel_residual, first_law, ideality, mode, states, positions, dim)
 
 
-def _solve_system(cfg, gen: _Generator, gate_ideality: bool) -> SteadySolutions:
+def _solve_system(cfg, gen: _Generator) -> SteadySolutions:
     """Kernel solve of ``gen``'s double sector blocks at all its points as one
     stack, extended-precision polish, then the gated currents of ``cfg``'s
-    machine at every point."""
+    machine at every point, its ideality reported, not gated."""
     block = gen.block()
     v, inv, errors = _stationary_vectors(block,
                                          trace_row(gen.ham.shape[-1], gen.dtype)[gen.positions])
@@ -500,18 +517,195 @@ def _solve_system(cfg, gen: _Generator, gate_ideality: bool) -> SteadySolutions:
         rho = _polish_state(inv, v, gen)
     residual = np.abs(block @ rho.astype(gen.dtype).swapaxes(1, 2)).max(axis=(1, 2))
     kernel_residual = residual / np.abs(block).max(axis=(1, 2))
-    return _solution_from_state(gen, rho, kernel_residual, cfg, gate_ideality, errors)
+    energies = np.real(np.diagonal(gen.ham, axis1=1, axis2=2))
+    return _solution_from_state(
+        cfg, gen.currents(rho), np.abs(energies).max(axis=1).astype(float),
+        np.max([ch.down + ch.up for ch in gen.channels.values()], axis=0),
+        rho[:, 0], gen.positions, gen.ham.shape[-1], kernel_residual, False, errors)
+
+
+# ---------------------------------------------------------------------------
+# the ideal pump: its population balance, solved by GTH elimination
+
+
+@lru_cache(maxsize=None)
+def _population_structure(n: int) -> np.ndarray:
+    """The (6, N^2) incidence stack of an N-level ladder's population
+    balance, a function of N alone: slice 2k is bath k's downward
+    (hi -> lo) incidence and 2k+1 its upward one, for the work, hot and
+    cold baths, and every column of each slice sums to zero.  Contracted
+    with the six rates it gives the dense rate matrix.  Built once per N and
+    read-only, so every caller of that N shares it."""
+    stack = np.zeros((6, n, n))
+    for k, label in enumerate(_BATHS):
+        lo, hi = _transition_levels(n, label)
+        # each level is at most once lo and once hi: no entry written twice
+        stack[2 * k, lo, hi] = stack[2 * k + 1, hi, lo] = 1.0
+        stack[2 * k, hi, hi] = stack[2 * k + 1, lo, lo] = -1.0
+    stack = stack.reshape(6, n * n)
+    stack.setflags(write=False)
+    return stack
+
+
+def _ladder_rates(n: int, rates) -> tuple[list, ...]:
+    """The per-level rates of :func:`_ladder_balance` for an N-level ladder
+    from its six bath rates (work, hot, cold; down then up), floats or (P,)
+    arrays.  The ladder's edge (k, k+1) is the cold bath's for even k and
+    the work bath's for odd k, and the hot bath joins k and k+2
+    (:func:`~qpump.pump.transition_pairs`)."""
+    work_down, work_up, hot_down, hot_up, cold_down, cold_up = rates
+    up1 = ([cold_up, work_up] * (n // 2))[:n - 1] + [0.0]
+    down1 = [0.0] + ([cold_down, work_down] * (n // 2))[:n - 1]
+    up2 = [hot_up] * (n - 2) + [0.0, 0.0]
+    down2 = [0.0, 0.0] + [hot_down] * (n - 2)
+    return up1, down1, up2, down2, [0.0] * n
+
+
+def _ladder_balance(up1, down1, up2, down2, dead):
+    """The stationary populations of a ladder's classical master equation
+    ``dp/dt = M p``, for float rates or elementwise for arrays of them.
+
+    The arguments list, per level k, its rate to k + 1, k - 1, k + 2 and
+    k - 2 (zero where the ladder has no such edge) and a padding out-rate
+    ``dead``; entries are floats or arrays.  The populations come from the
+    GTH elimination (Grassmann, Taksar & Heyman, Oper. Res. 33, 1107
+    (1985)): eliminate the levels from the top down, folding the paths
+    through each eliminated level into the rates between the levels it
+    joins, with its out-rate summed from its rates to the levels left.  The
+    ladder is banded (edges k, k+1 and k, k+2), and eliminating its top
+    level changes only the two rates between the next two, so the
+    elimination runs O(N) steps.  It uses only ``+ * /`` on nonnegative
+    values, never a subtraction, which makes the populations accurate to a
+    few ulps of the working precision however far the rates spread
+    (O'Cinneide, Numer. Math. 65, 109 (1993)), and gives a scalar and each
+    element of an array the same bits.
+
+    Returns ``(p, total, ok)``: the unnormalized populations
+    (``p[0] == 1``), their sum, and whether every eliminated level has a
+    positive out-rate; a level without one leaves the chain reducible, and
+    divides by 1 instead."""
+    n = len(up1)
+    u1, d1 = list(up1), list(down1)
+    out = [1.0] * n
+    ok = True
+    for k in range(n - 1, 0, -1):
+        s = d1[k] + down2[k] + dead[k]
+        ok = ok & (s > 0.0)
+        # a level without outflow divides by 1 instead, and its row fails
+        s = out[k] = s + (s <= 0.0)
+        if k > 1:
+            d1[k - 1] = d1[k - 1] + u1[k - 1] * (down2[k] / s)
+            u1[k - 2] = u1[k - 2] + up2[k - 2] * (d1[k] / s)
+    p = [1.0, u1[0] / out[1]]
+    for k in range(2, n):
+        p.append((p[k - 1] * u1[k - 1] + p[k - 2] * up2[k - 2]) / out[k])
+    total = p[0]
+    for pk in p[1:]:
+        total = total + pk
+    return p, total, ok
+
+
+@lru_cache(maxsize=None)
+def _ladder_edges(n: int) -> tuple[np.ndarray, ...]:
+    """The 2N - 3 edges of an N-level ladder, read off
+    :func:`_population_structure`: each edge's lower and upper level, and
+    the index of its upward rate among the six (its downward rate is the
+    one before).  The edges (k, k+1) come first, then the hot bath's
+    (k, k+2), each in order of k.  Built once per N and read-only."""
+    which, position = np.nonzero(_population_structure(n)[1::2] > 0)
+    hi, lo = np.divmod(position, n)
+    order = np.lexsort((lo, hi - lo))
+    edges = lo[order], hi[order], 2 * which[order] + 1
+    for a in edges:
+        a.setflags(write=False)
+    return edges
+
+
+def _population_blocks(n: int, rates: np.ndarray) -> np.ndarray:
+    """The double rate matrices ``M`` of an N-level ladder at P points,
+    (P, N, N), from its (6, P) rates: each rate at its entry of
+    :func:`_population_structure`, and each level's out-rate, summed from
+    its column, negated on the diagonal.  That is the generator's sector
+    block up to the rounding of its diagonal.  The rates are placed, not
+    multiplied, so an infinite rate leaves no inf x 0, and an out-rate past
+    the double range is inf with no overflow warning, so that the kernel
+    solve fails its point as non-finite."""
+    lo, hi, rise = _ladder_edges(n)
+    m = np.zeros((rates.shape[-1], n, n))
+    m[:, hi, lo] = rates[rise].T
+    m[:, lo, hi] = rates[rise - 1].T
+    with np.errstate(over="ignore"):
+        m.reshape(-1, n * n)[:, :: n + 1] = -m.sum(axis=1)
+    return m
+
+
+# Dekker's splitting factor for the long-double format: each half of a split
+# holds at most half the mantissa's bits, so the product of two halves is exact
+_SPLIT = np.longdouble(2 ** -(-(np.finfo(np.longdouble).nmant + 1) // 2) + 1)
+
+
+def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split ``x == hi + lo`` of long doubles (Dekker, Numer. Math.
+    18, 224 (1971)): ``hi`` holds the upper half of the mantissa's bits, and
+    ``|lo|`` is at most ``2**-32 |x|`` in the x87 format."""
+    c = x * _SPLIT
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _edge_fluxes(p: np.ndarray, up: np.ndarray, down: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray:
+    """The net upward flux ``p[lo] * up - p[hi] * down`` of each edge, good
+    to an ulp of itself, not of the one-way flows whose small difference it
+    is.  The products of the populations' upper halves with the rates'
+    halves are exact, and the lower halves' products with the rates are
+    ``2**-32`` of the flows, so that their rounding is far below the net
+    flux."""
+    (ah, al), (bh, bl) = _halves(p[lo]), _halves(p[hi])
+    (uh, ul), (dh, dl) = _halves(up), _halves(down)
+    return (ah * uh - bh * dh) + ((ah * ul - bh * dl) + (al * up - bl * down))
+
+
+def _net_inflow(flux: np.ndarray, n: int) -> np.ndarray:
+    """Each level's net inflow ``(M p)_k``, (N, P), from the net upward
+    fluxes of the edges of :func:`_ladder_edges`, in its order."""
+    near, hot = flux[:n - 1], flux[n - 1:]
+    net = np.zeros((n, flux.shape[1]), dtype=flux.dtype)
+    net[1:] += near
+    net[:-1] -= near
+    net[2:] += hot
+    net[:-2] -= hot
+    return net
+
+
+def _ladder_currents(cfg, flux: np.ndarray, total: np.ndarray) -> dict[str, np.ndarray]:
+    """Each bath's heat current at each point: its energy gap in long
+    double times the net flux up its own edges of the ladder, over the
+    populations' total.  ``flux`` holds the (E, P) net upward fluxes of the
+    edges of :func:`_ladder_edges`, in its order: the edge (k, k+1) is the
+    cold bath's for even k and the work bath's for odd k.  Positive for
+    energy flowing from the bath into the pump."""
+    n = cfg.n_levels
+    omega_c, omega_h = (np.asarray(w, dtype=np.longdouble) for w in (cfg.omega_c, cfg.omega_h))
+    gaps = {"work": omega_h - omega_c, "hot": omega_h, "cold": omega_c}
+    fluxes = {"work": flux[1:n - 1:2], "hot": flux[n - 1:], "cold": flux[0:n - 1:2]}
+    return {label: (gaps[label] * (fluxes[label].sum(axis=0) / total)).astype(float)
+            for label in _BATHS}
 
 
 def solve(cfg: PumpConfig) -> SteadySolution:
     """Stationary state and heat currents of an ideal pump.
 
-    The state is the kernel vector of the generator's stationary sector,
-    the N populations; the currents are ``tr(H D_a rho)``.  The solution is
-    gated on the kernel residual, the first law and (for the ideal pump,
-    whose currents are locked to the transition frequencies) the ideality
-    identity ``|q_c/q_w| = w_c/w_w``.  It is a stack of one point of
-    :func:`_solve_pumps`.
+    The generator maps diagonal states to diagonal states, and the
+    coherences decouple and decay, so the stationary state is diagonal: its
+    populations solve the pump's classical master equation.  They come
+    from the GTH elimination of :func:`_ladder_balance` in long double, the
+    body that also gives the optimizer's ``q_cold``, and each current is
+    its bath's energy gap times the exact net flux on its edges.  The
+    solution is gated on the kernel residual, the first law and (for the
+    ideal pump, whose currents are locked to the transition frequencies)
+    the ideality identity ``|q_c/q_w| = w_c/w_w``.  It is a stack of one
+    point of :func:`_solve_pumps`.
 
     Raises
     ------
@@ -525,8 +719,52 @@ def solve(cfg: PumpConfig) -> SteadySolution:
 
 def _solve_pumps(cfg) -> SteadySolutions:
     """:func:`solve` at every point of ``cfg``, whose frequencies may be (P,)
-    arrays, as one stacked solve."""
-    return _solve_system(cfg, _Generator.for_pump(cfg), True)
+    arrays, as one stacked solve.
+
+    The kernel decisions are those of the generator's sector block, the
+    double rate matrix, in :func:`~qpump.linalg._stationary_vectors`: a
+    non-finite matrix fails its point, one stacked inversion of the
+    trace-row matrices gives each point's condition, and a point below the
+    floor goes to the SVD diagnostics, which either let it stand or give
+    its kernel error.  The states are the GTH populations in long double,
+    and the currents come from their exact net fluxes
+    (:func:`_edge_fluxes`).  The populations keep the few ulps of the
+    elimination, which those fluxes resolve, so one refinement step
+    through the kernel solve's inverses, against the net inflows, takes
+    them out first.  The kernel residual is that of the net inflows,
+    ``max |M p| / max|M|``."""
+    n = cfg.n_levels
+    pairs = [decay_rates(cfg.bath(label), cfg.bath_frequency(label)) for label in _BATHS]
+    rates = np.array(np.broadcast_arrays(*(r for pair in pairs for r in (pair.down, pair.up))),
+                     dtype=float).reshape(6, -1)
+    block = _population_blocks(n, rates)
+    _, inv, errors = _stationary_vectors(block, np.ones(n))
+    rates_ld = rates.astype(np.longdouble)
+    lo, hi, rise = _ladder_edges(n)
+    up, down = rates_ld[rise], rates_ld[rise - 1]
+    # a point with a kernel error is raised when the points are judged;
+    # what its arithmetic gives here does not count
+    with np.errstate(all="ignore") if errors else contextlib.nullcontext():
+        p, total, ok = _ladder_balance(*_ladder_rates(n, rates_ld))
+        p = np.array([np.ones_like(total), *p[1:]]) / total
+        flux = _edge_fluxes(p, up, down, lo, hi)
+        resid = -_net_inflow(flux, n)
+        resid[0] = 1.0 - p.sum(axis=0)
+        delta = (inv @ resid.T.astype(float)[..., None])[..., 0].T.astype(np.longdouble)
+        # the step is a few ulps of the populations: its fluxes need no care
+        flux += delta[lo] * up - delta[hi] * down
+        p += delta
+        total = p.sum(axis=0)
+        residual = (np.abs(_net_inflow(flux, n)).max(axis=0)
+                    / (np.abs(block).max(axis=(1, 2)) * total))
+        currents = _ladder_currents(cfg, flux, total)
+    # |H|, the top level's energy, in long double as the generator holds it
+    top = _level_energy(n, *(np.asarray(w, dtype=np.longdouble) for w in (cfg.omega_h,
+                                                                          cfg.omega_c)))
+    return _solution_from_state(cfg, currents, np.atleast_1d(top).astype(float),
+                                (rates[0::2] + rates[1::2]).max(axis=0), (p / total).T,
+                                np.arange(n) * (n + 1), n,
+                                np.where(ok, residual, np.inf).astype(float), True, errors)
 
 
 # ---------------------------------------------------------------------------

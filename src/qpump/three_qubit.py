@@ -122,8 +122,9 @@ def _generator_ld(cfg: ThreeQubitConfig) -> _Generator:
 def solve_three_qubit(cfg: ThreeQubitConfig) -> SteadySolution:
     """Stationary state and currents of the three-qubit fridge.
 
-    Same pipeline as the ideal pump: kernel of the stationary sector,
-    extended-precision polish, trace-formula currents.  The ideality
+    The generator's pipeline: kernel of the stationary sector,
+    extended-precision polish, trace-formula currents, and the gates that
+    the ideal pump's currents pass too.  The ideality
     residual is reported but never gated; its departure from zero is the
     machine's non-ideality.  The sector holds the populations and the
     |110>/|001> coherence, which is generically nonzero when stationary.
@@ -135,4 +136,4 @@ def solve_three_qubit(cfg: ThreeQubitConfig) -> SteadySolution:
 def _solve_fridges(cfg) -> SteadySolutions:
     """:func:`solve_three_qubit` at every point of ``cfg``, whose frequencies
     may be (P,) arrays, as one stacked solve."""
-    return _solve_system(cfg, _generator_ld(cfg), False)
+    return _solve_system(cfg, _generator_ld(cfg))

@@ -310,6 +310,11 @@ class TestMisc:
                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
         assert run_in_subprocess(["-c", code], module=False).stdout == "[]\n"
 
+    def test_cli_imports_no_process_pool(self):
+        # the process pool's module is imported only when a pool runs
+        code = "import sys, qpump.cli; print('concurrent.futures.process' in sys.modules)"
+        assert run_in_subprocess(["-c", code], module=False).stdout == "False\n"
+
     def test_selftest_passes(self, capsys):
         assert run(["selftest"]) == 0
         assert "0 failure(s)" in capsys.readouterr().err

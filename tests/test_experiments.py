@@ -30,7 +30,7 @@ from qpump.experiments import (
     sweep_stages,
 )
 from qpump.linalg import NoKernelError
-from qpump.pump import _transition_levels, window_max
+from qpump.pump import _transition_levels, decay_rates, window_max
 from qpump.steady import NonConvergedError, _Generator, solve
 from qpump.three_qubit import solve_three_qubit
 
@@ -369,8 +369,72 @@ class TestOptimizerAccuracy:
         ev = _CoolingPowerEvaluator(template)
         window = window_max(template)
         for omega_c in (2.6, 2.65, 2.7, 0.2 * window, 0.5 * window, 0.8 * window):
-            ref = oracle.mpmath_q_cold(n, ev._channels(omega_c), omega_c)
+            ref = oracle.mpmath_currents(n, ev._channels(omega_c), omega_c,
+                                         template.omega_h)["cold"]
             assert abs(ev.q_cold(omega_c) - ref) <= 1e-12 * abs(ref)
+
+
+def pump_rates(cfg):
+    """The six double rates (work, hot, cold; down then up) of a pump at its
+    bath frequencies, floats or (P,) arrays."""
+    pairs = [decay_rates(cfg.bath(label), cfg.bath_frequency(label))
+             for label in ("work", "hot", "cold")]
+    return [rate for pair in pairs for rate in (pair.down, pair.up)]
+
+
+def assert_currents_match(currents, ref):
+    # q_c to 1e-13 of itself; q_w and q_h to 1e-10 of the largest current
+    bound = 1e-10 * max(abs(q) for q in ref.values())
+    assert abs(currents["cold"] - ref["cold"]) <= 1e-13 * abs(ref["cold"])
+    for label in ("work", "hot"):
+        assert abs(currents[label] - ref[label]) <= bound
+
+
+# the four 1000-point ideal curves whose smallest omega_c spread the rates by
+# more than 5e7, (omega_w, n_levels); their currents come out of one-way
+# flows up to 1e9 times the net ones
+STIFF_CURVES = [(5.0, 3), (5.0, 4), (20.0, 3), (20.0, 4)]
+
+
+def stiff_setup(omega_w, n):
+    return CurveSetup(omega_w=omega_w, t_work=130.0, t_hot=60.0, t_cold=5.0,
+                      gamma_work=1e-3, gamma_hot=1e-3, gamma_cold=1e-3, n_levels=n)
+
+
+class TestSolveAccuracy:
+    # the pump's three currents against a 50-digit mpmath solve of the same
+    # chain, with the same double rates
+    @pytest.mark.parametrize("variant", ["plain", "saturated"])
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_currents_match_mpmath(self, n, variant):
+        pytest.importorskip("mpmath")
+        oracle = load_optimizer_oracle()
+        template = _variant_config(reference_pump(), n, variant, 7.0)
+        window = window_max(template)
+        for omega_c in (2.6, 2.65, 2.7, 0.2 * window, 0.5 * window, 0.8 * window):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", qpump.WeakCouplingWarning)
+                cfg = dataclasses.replace(template, omega_c=omega_c)
+            ref = oracle.mpmath_currents(n, pump_rates(cfg), omega_c, cfg.omega_h)
+            assert_currents_match(solve(cfg).currents, ref)
+
+    @pytest.mark.parametrize("setup, points, first", [
+        (COMPARE_SETUP, 28, 0),
+        # the stiffest points of the dense curves
+        *((stiff_setup(*curve), 1000, 0) for curve in STIFF_CURVES),
+    ], ids=["compare_setup", *(f"stiff_w{w:g}_n{n}" for w, n in STIFF_CURVES)])
+    def test_curve_currents_match_mpmath(self, setup, points, first):
+        pytest.importorskip("mpmath")
+        oracle = load_optimizer_oracle()
+        window = qpump.cooling_window_max_fixed_work(setup.omega_w, setup.temps)
+        grid = window * np.arange(1, points + 1) / (points + 1)
+        sweep = qpump.experiments._curve_sweep("ideal", setup, grid[first:first + 28])
+        sols = qpump.steady._solve_pumps(sweep)
+        rates = pump_rates(sweep)
+        for k in range(28):
+            ref = oracle.mpmath_currents(setup.n_levels, [r[k] for r in rates],
+                                         sweep.omega_c[k], sweep.omega_h[k])
+            assert_currents_match(sols[k].currents, ref)
 
 
 class TestSweepStages:
@@ -520,7 +584,23 @@ class TestHistogram:
             SampleRanges(n_levels=(2, 10))
 
 
+# (first_law_at, no_kernel_at, error, named) of test_failed_gate_names_the_point
+GATE_FAULTS = {
+    "first_law": (2, None, NonConvergedError, 2),
+    "kernel": (None, 2, NoKernelError, 2),
+    "first_law_before_kernel": (1, 3, NonConvergedError, 1),
+    "kernel_before_first_law": (3, 1, NoKernelError, 1),
+}
+
+
 class TestCharacteristicCurve:
+    @pytest.mark.parametrize("omega_w, n", STIFF_CURVES)
+    def test_stiff_dense_ideal_curve_passes_its_gates(self, omega_w, n):
+        # the net fluxes are a 1e-9 part of the one-way flows at the smallest
+        # omega_c; taken as plain long-double differences they broke the
+        # first-law gate there
+        assert len(characteristic_curve("ideal", stiff_setup(omega_w, n), n_points=1000)) == 1000
+
     def test_ideal_curve_is_exactly_linear_in_normalized_efficiency(self):
         pts = characteristic_curve("ideal", COMPARE_SETUP, n_points=50)
         window = qpump.cooling_window_max_fixed_work(60.0, COMPARE_SETUP.temps)
@@ -582,23 +662,25 @@ class TestCharacteristicCurve:
         monkeypatch.setattr(qpump.experiments, "_STACK_POINTS", 7)
         assert characteristic_curve("three_qubit", COMPARE_SETUP, n_points=30) == whole
 
-    @pytest.mark.parametrize("first_law_at, no_kernel_at, error, named", [
-        (2, None, NonConvergedError, 2),
-        (None, 2, NoKernelError, 2),
-        (1, 3, NonConvergedError, 1),
-        (3, 1, NoKernelError, 1),
-    ], ids=["first_law", "kernel", "first_law_before_kernel", "kernel_before_first_law"])
-    def test_failed_gate_names_the_point(self, monkeypatch, first_law_at, no_kernel_at,
+    @pytest.mark.parametrize("system, first_law_at, no_kernel_at, error, named", [
+        (system, *case) for system in ("ideal", "three_qubit") for case in GATE_FAULTS.values()
+    ], ids=[name + suffix for suffix in ("", "-three_qubit") for name in GATE_FAULTS])
+    def test_failed_gate_names_the_point(self, monkeypatch, system, first_law_at, no_kernel_at,
                                          error, named):
         # one point of a five-point stack breaks the first law (its work
-        # current is skewed) and/or has no kernel (every point takes the SVD
-        # path, which finds none at that point); the first failing point in
-        # the stack raises, as a point-by-point loop would, and the error
-        # names it
-        currents, diagnostics = _Generator.currents, qpump.linalg._kernel_diagnostics
+        # current is skewed, where the pump's flux currents or the fridge's
+        # trace-formula currents are assembled) and/or has no kernel (every
+        # point takes the SVD path, which finds none at that point); the
+        # first failing point in the stack raises, as a point-by-point loop
+        # would, and the error names it
+        if system == "ideal":
+            owner, name = qpump.steady, "_ladder_currents"
+        else:
+            owner, name = _Generator, "currents"
+        currents, diagnostics = getattr(owner, name), qpump.linalg._kernel_diagnostics
 
-        def broken_currents(self, v):
-            q = currents(self, v)
+        def broken_currents(*args):
+            q = currents(*args)
             q["work"][first_law_at] *= 1.0 + 1e-6
             return q
 
@@ -611,7 +693,7 @@ class TestCharacteristicCurve:
             return diagnostics(m)
 
         if first_law_at is not None:
-            monkeypatch.setattr(_Generator, "currents", broken_currents)
+            monkeypatch.setattr(owner, name, broken_currents)
         if no_kernel_at is not None:
             monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
             monkeypatch.setattr(qpump.linalg, "_kernel_diagnostics", broken_diagnostics)
@@ -619,7 +701,7 @@ class TestCharacteristicCurve:
         omega_c = window * (named + 1) / 6
         message = "first-law residual .*" if error is NonConvergedError else "no stationary state"
         with pytest.raises(error, match=f"^{message} at omega_c={re.escape(repr(omega_c))}$"):
-            characteristic_curve("ideal", COMPARE_SETUP, n_points=5)
+            characteristic_curve(system, COMPARE_SETUP, n_points=5)
 
     @pytest.mark.parametrize("system", ["ideal", "three_qubit"])
     @pytest.mark.parametrize("faults", [

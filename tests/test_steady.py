@@ -438,6 +438,9 @@ def test_pump_sector_block_is_the_population_balance(n):
     assert not block.imag.any()
     scale = np.max(np.abs(populations))
     assert np.max(np.abs(block.real - populations)) <= 4 * np.finfo(float).eps * scale
+    # and the rate matrix that the pump's solve builds from the same rates
+    (built,) = qpump.steady._population_blocks(n, np.array(rates)[:, None])
+    assert np.max(np.abs(built - populations)) <= 4 * np.finfo(float).eps * scale
 
 
 def _unit_action_block(gen):
@@ -553,6 +556,25 @@ def test_one_stacked_factorization_per_curve(monkeypatch, system, size):
     assert factorizations[0][0].shape == (28, size, size)
 
 
+def test_pump_solves_build_no_generator(monkeypatch):
+    # the ideal pump's populations come from the GTH elimination: no
+    # generator, sector block or polish, and one stacked inversion for the
+    # kernel decisions, (P, N, N)
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator route called on the ideal pump's solve")
+
+    monkeypatch.setattr(_Generator, "__init__", refuse)
+    monkeypatch.setattr(_Generator, "for_pump", refuse)
+    monkeypatch.setattr(_Generator, "block", refuse)
+    monkeypatch.setattr(qpump.steady, "_polish_state", refuse)
+    factorizations = _count_calls(monkeypatch, np.linalg, "inv")
+    setup = qpump.experiments.CurveSetup(omega_w=60.0, t_work=130.0, t_hot=60.0, t_cold=5.0,
+                                         gamma_work=1e-3, gamma_hot=1e-3, gamma_cold=1e-3)
+    assert solve(reference_pump(8)).mode == "chiller"
+    assert len(qpump.experiments.characteristic_curve("ideal", setup, n_points=28)) == 28
+    assert [args[0].shape for args in factorizations] == [(1, 8, 8), (28, 8, 8)]
+
+
 def test_svd_fallback_polishes_through_the_shared_factor(monkeypatch):
     cfg = reference_pump(8)
     expected = solve(cfg)
@@ -563,6 +585,22 @@ def test_svd_fallback_polishes_through_the_shared_factor(monkeypatch):
     monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
     sol = solve(cfg)
     assert len(factorizations) == 1 and len(fallbacks) == 1
+    for label in BATHS:
+        assert abs(sol.currents[label] / expected.currents[label] - 1.0) <= 1e-12
+
+
+def test_svd_fallback_polishes_the_fridge_through_the_shared_factor(monkeypatch):
+    # the fridge's generator route: every factor fails the condition gate, the
+    # kernel vector comes from the SVD, and the extended-precision polish
+    # refines it through that rejected factor
+    cfg = _three_qubit_fridge()
+    expected = solve_three_qubit(cfg)
+    factorizations = _count_calls(monkeypatch, np.linalg, "inv")
+    fallbacks = _count_calls(monkeypatch, qpump.linalg, "_kernel_diagnostics")
+    polishes = _count_calls(monkeypatch, qpump.steady, "_polish_state")
+    monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
+    sol = solve_three_qubit(cfg)
+    assert len(factorizations) == len(fallbacks) == len(polishes) == 1
     for label in BATHS:
         assert abs(sol.currents[label] / expected.currents[label] - 1.0) <= 1e-12
 

@@ -15,13 +15,18 @@ rates at ``omega_c_star``, and solves that chain three ways:
 * mpmath at D digits (default 50), the reference.
 
 It prints the worst relative ``q_c`` error of each double route, with the
-fridge's index and level count.  mpmath is imported by this script only.
+fridge's index and level count, and then the worst relative error of each
+current of :func:`qpump.steady.solve` at the same optima
+(``solve_q_work``, ``solve_q_hot``, ``solve_q_cold``), and how many of
+those solves raised.  mpmath is imported by this script only.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,21 +42,24 @@ from qpump.experiments import (  # noqa: E402
     _population_structure,
     maximize_cooling_power,
 )
-from qpump.pump import _transition_levels  # noqa: E402
+from qpump.pump import WeakCouplingWarning, _transition_levels  # noqa: E402
+from qpump.steady import NonConvergedError, solve  # noqa: E402
 
 
-def mpmath_q_cold(n: int, rates, omega_c: float, digits: int = 50) -> float:
-    """Cooling power of the N-level ladder with the six double ``rates``
-    (work, hot, cold; down then up) at ``omega_c``, from the stationary
-    populations of its rate matrix solved in mpmath at ``digits`` digits.
-    Every double converts to mpmath exactly, so only the solve differs
-    from the optimizer's."""
+def mpmath_currents(n: int, rates, omega_c: float, omega_h: float,
+                    digits: int = 50) -> dict[str, float]:
+    """Heat currents of the N-level ladder with the six double ``rates``
+    (work, hot, cold; down then up) at ``omega_c`` and ``omega_h``, from the
+    stationary populations of its rate matrix solved in mpmath at ``digits``
+    digits: each bath's energy gap (``omega_c``, ``omega_h - omega_c``,
+    ``omega_h``) times its net upward flux.  Every double converts to mpmath
+    exactly, so only the solve differs from the program's."""
     import mpmath
 
     with mpmath.workdps(digits):
         mat = mpmath.zeros(n, n)
-        edges = []
-        for k, label in enumerate(("work", "hot", "cold")):
+        edges = {"work": [], "hot": [], "cold": []}
+        for k, label in enumerate(edges):
             down, up = mpmath.mpf(rates[2 * k]), mpmath.mpf(rates[2 * k + 1])
             for lo, hi in zip(*_transition_levels(n, label)):
                 lo, hi = int(lo), int(hi)
@@ -59,14 +67,16 @@ def mpmath_q_cold(n: int, rates, omega_c: float, digits: int = 50) -> float:
                 mat[hi, hi] -= down
                 mat[hi, lo] += up
                 mat[lo, lo] -= up
-                if label == "cold":
-                    edges.append((lo, hi, down, up))
+                edges[label].append((lo, hi, down, up))
         for j in range(n):
             mat[0, j] = 1
         rhs = mpmath.matrix([1] + [0] * (n - 1))
         p = mpmath.lu_solve(mat, rhs)
-        flux = mpmath.fsum(up * p[lo] - down * p[hi] for lo, hi, down, up in edges)
-        return float(mpmath.mpf(omega_c) * flux)
+        w_c, w_h = mpmath.mpf(omega_c), mpmath.mpf(omega_h)
+        gaps = {"work": w_h - w_c, "hot": w_h, "cold": w_c}
+        return {label: float(gaps[label] * mpmath.fsum(up * p[lo] - down * p[hi]
+                                                       for lo, hi, down, up in pairs))
+                for label, pairs in edges.items()}
 
 
 def dgesv_q_cold(n: int, rates, omega_c: float) -> float:
@@ -105,12 +115,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--digits", type=int, default=50)
     args = parser.parse_args(argv)
 
-    worst = {"gth": (0.0, None), "dgesv": (0.0, None)}
+    worst = {name: (0.0, None) for name in
+             ("gth", "dgesv", "solve_q_work", "solve_q_hot", "solve_q_cold")}
+    failures = []
     for index, ev, omega_c in ensemble_optima(SampleRanges(seed=args.seed), args.draws):
         rates = ev._channels(omega_c)
-        ref = mpmath_q_cold(ev.n, rates, omega_c, args.digits)
-        for name, q in (("gth", ev.q_cold(omega_c)), ("dgesv", dgesv_q_cold(ev.n, rates, omega_c))):
-            err = abs(q - ref) / abs(ref)
+        ref = mpmath_currents(ev.n, rates, omega_c, ev.template.omega_h, args.digits)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WeakCouplingWarning)
+                currents = solve(dataclasses.replace(ev.template, omega_c=omega_c)).currents
+        except (np.linalg.LinAlgError, NonConvergedError) as exc:
+            failures.append((index, ev.n, exc))
+            currents = {}
+        for name, q, q_ref in (
+                ("gth", ev.q_cold(omega_c), ref["cold"]),
+                ("dgesv", dgesv_q_cold(ev.n, rates, omega_c), ref["cold"]),
+                *((f"solve_q_{label}", q, ref[label]) for label, q in currents.items())):
+            err = abs(q - q_ref) / abs(q_ref)
             if err >= worst[name][0]:
                 worst[name] = (err, (index, ev.n))
     print(f"# {args.draws} draws of SampleRanges(seed={args.seed}), "
@@ -118,6 +140,10 @@ def main(argv: list[str] | None = None) -> int:
     print("route,worst_rel_error,draw,n_levels")
     for name, (err, where) in worst.items():
         print(f"{name},{err:.3e},{where[0]},{where[1]}")
+    if failures:
+        index, n, exc = failures[0]
+        print(f"# solve() raised at {len(failures)} optima; first at draw {index}, "
+              f"n_levels {n}: {type(exc).__name__}: {exc}")
     return 0
 
 
