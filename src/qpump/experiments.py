@@ -736,9 +736,11 @@ def characteristic_curve(system: str, setup: CurveSetup,
     """Cooling power versus normalized efficiency along the cooling window.
 
     Sweeps ``omega_c`` over the interior of the fixed-work-frequency window.
-    For the ideal system the normalized efficiency equals
-    ``omega_c / window`` exactly; the three-qubit system's curve detaches
-    from the Carnot point and closes, its irreversibility signature.  The
+    For both systems the normalized efficiency equals ``omega_c / window``
+    (the three-qubit fridge's currents share one flux through its exchange);
+    the fridge's power is lower (by three orders at the comparison
+    parameters) and falls off faster toward the window's edge, where both
+    reach the Carnot point with vanishing power.  The
     points are solved as stacks of up to ``_STACK_POINTS``, each point as
     :func:`~qpump.steady.solve` or
     :func:`~qpump.three_qubit.solve_three_qubit` solves it alone.

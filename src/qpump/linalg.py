@@ -13,11 +13,11 @@ Conventions used throughout the package:
 Hilbert dimensions stay at most 10, so everything is dense and double
 precision, and numpy is the only dependency.  The kernel solve takes a stack
 of matrices and their trace row: a stack of one whole superoperator
-(:func:`stationary_vector`), the invariant blocks that :mod:`qpump.steady`
-rounds from the fridge's extended-precision action on its stationary sector,
-or the ideal pump's rate matrices, one per point of a sweep.  It inverts the
-stack in one ``numpy.linalg.inv`` call (an LU factorization per matrix) and
-gates each point on its own.
+(:func:`stationary_vector`), or the rate matrices of the ideal pump's ladder
+or of the three-qubit fridge's eight-state chain, one per point of a sweep,
+whose kernel decisions it makes.  It inverts the stack in one
+``numpy.linalg.inv`` call (an LU factorization per matrix) and gates each
+point on its own.
 """
 
 from __future__ import annotations

@@ -30,26 +30,27 @@ elimination of :func:`_ladder_balance` in long double, the body that also
 gives the power optimizer's ``q_cold``, with no generator and no polish;
 each current is its bath's energy gap times the net flux on its edges,
 taken from exact products (:func:`_edge_fluxes`) after one refinement step
-of the populations.  The kernel decisions (condition floor, SVD
-diagnostics, non-finite rates) are those of the double rate matrix, which is
-the generator's sector block.
+of the populations (:func:`_refined_fluxes`).  The kernel decisions
+(condition floor, SVD diagnostics, non-finite rates) are those of the
+double rate matrix, which is the generator's sector block.
 
-The three-qubit fridge keeps a stationary coherence and is solved through
-its generator, a :class:`_Generator`: its Hamiltonian in extended precision
-and, per bath, the level pairs of its jump ``sum_k |lo_k><hi_k|``.  Its one
-operator is the extended-precision action, restricted to the stationary
-sector (the populations and one coherence pair).  A generator describes one
-machine at P points of a sweep at once: the structure (sector, index
-arrays) is built once, and only the energies and the rates carry a leading
-point axis, so a whole characteristic curve is one stacked solve and a
-single solve is a stack of one.  The kernel solve inverts the stack of the
-double roundings of that action on the sector (numpy, one LU per point);
-the inverses polish each state against the action, at whose precision the
-currents are assembled.  The pump's generator, real on its sector, serves
-:func:`build_liouvillian` and :func:`heat_currents_decomposed`.  Both
-models' currents pass one gate body, per point, and a stack's results are
-one set of columns, :class:`SteadySolutions`.  The Kronecker-product
-builders below are the reference.
+The three-qubit fridge's stationary sector holds its populations and one
+coherence pair, which follows the populations; eliminating it leaves an
+exact eight-state classical chain, which
+:func:`qpump.three_qubit._solve_fridges` solves along the same steps: its
+rate matrices, their kernel decisions, a dense GTH elimination, exact
+fluxes, the shared refinement step and the shared gates.  A whole
+characteristic curve of either model is one stacked solve over a leading
+point axis, and a single solve is a stack of one.
+
+The generator, a :class:`_Generator` (a machine's Hamiltonian in extended
+precision and, per bath, the level pairs of its jump
+``sum_k |lo_k><hi_k|``), is the reference operator: it serves
+:func:`build_liouvillian`, ``build_three_qubit_liouvillian`` and
+:func:`heat_currents_decomposed`.  Both models' currents pass one gate body,
+per point, and a stack's results are one set of columns,
+:class:`SteadySolutions`.  The Kronecker-product builders below are the
+reference of the generator.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import SuperOp, _stationary_vectors, trace_row, vectorize
+from .linalg import SuperOp, _stationary_vectors, vectorize
 # Kept importable for the layer probes of perfbench/layers.py::install_probes;
 # the solve itself goes through _stationary_vectors.
 from .linalg import stationary_vector  # noqa: F401
@@ -124,8 +125,8 @@ class SteadySolution:
     rate matrix on its populations), ``first_law``
     (|q_w + q_h + q_c| relative to the largest current) and
     ``ideality_cold_work`` (relative deviation of |q_c/q_w| from w_c/w_w;
-    for the three-qubit model this is the non-ideality measure and is
-    reported, not gated).  ``mode`` is "chiller", "heat_transformer" or
+    gated for the ideal pump, reported but not gated for the three-qubit
+    model).  ``mode`` is "chiller", "heat_transformer" or
     "boundary" (reversible point / equilibrium).
     """
 
@@ -430,6 +431,10 @@ class _Generator:
                 for label, ch in self.channels.items()}
 
 
+# No solve polishes a state any more.  The polish stays importable, with the
+# generator, for the layer probes of perfbench/layers.py::install_probes, until
+# the probes follow the solves' own layers and the generator leaves production
+# (ROADMAP items 1 and 3).
 def _polish_state(inv: np.ndarray, v0: np.ndarray, gen_ld: _Generator) -> np.ndarray:
     """Refine the (P, m) sector vectors ``v0`` against the extended-precision
     generator, through ``inv``, the inverses of the trace-constrained sector
@@ -502,26 +507,6 @@ def _solution_from_state(cfg, currents: dict[str, np.ndarray], ham_scale: np.nda
                                         (t_work, cfg.hot.temperature, cfg.cold.temperature)))
     return SteadySolutions(q_work, q_hot, q_cold, cop, entropy_rate.astype(float),
                            kernel_residual, first_law, ideality, mode, states, positions, dim)
-
-
-def _solve_system(cfg, gen: _Generator) -> SteadySolutions:
-    """Kernel solve of ``gen``'s double sector blocks at all its points as one
-    stack, extended-precision polish, then the gated currents of ``cfg``'s
-    machine at every point, its ideality reported, not gated."""
-    block = gen.block()
-    v, inv, errors = _stationary_vectors(block,
-                                         trace_row(gen.ham.shape[-1], gen.dtype)[gen.positions])
-    # a point with a kernel error stays NaN; what its arithmetic gives does
-    # not count, for the error is raised when the points are judged
-    with np.errstate(invalid="ignore") if errors else contextlib.nullcontext():
-        rho = _polish_state(inv, v, gen)
-    residual = np.abs(block @ rho.astype(gen.dtype).swapaxes(1, 2)).max(axis=(1, 2))
-    kernel_residual = residual / np.abs(block).max(axis=(1, 2))
-    energies = np.real(np.diagonal(gen.ham, axis1=1, axis2=2))
-    return _solution_from_state(
-        cfg, gen.currents(rho), np.abs(energies).max(axis=1).astype(float),
-        np.max([ch.down + ch.up for ch in gen.channels.values()], axis=0),
-        rho[:, 0], gen.positions, gen.ham.shape[-1], kernel_residual, False, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +606,7 @@ def _ladder_edges(n: int) -> tuple[np.ndarray, ...]:
     return edges
 
 
-def _population_blocks(n: int, rates: np.ndarray) -> np.ndarray:
+def _population_blocks(n: int, rates: np.ndarray, edges=None) -> np.ndarray:
     """The double rate matrices ``M`` of an N-level ladder at P points,
     (P, N, N), from its (6, P) rates: each rate at its entry of
     :func:`_population_structure`, and each level's out-rate, summed from
@@ -629,8 +614,9 @@ def _population_blocks(n: int, rates: np.ndarray) -> np.ndarray:
     block up to the rounding of its diagonal.  The rates are placed, not
     multiplied, so an infinite rate leaves no inf x 0, and an out-rate past
     the double range is inf with no overflow warning, so that the kernel
-    solve fails its point as non-finite."""
-    lo, hi, rise = _ladder_edges(n)
+    solve fails its point as non-finite.  ``edges`` gives another chain's
+    edges in the form of :func:`_ladder_edges`, indexing its own rates."""
+    lo, hi, rise = _ladder_edges(n) if edges is None else edges
     m = np.zeros((rates.shape[-1], n, n))
     m[:, hi, lo] = rates[rise].T
     m[:, lo, hi] = rates[rise - 1].T
@@ -664,6 +650,42 @@ def _edge_fluxes(p: np.ndarray, up: np.ndarray, down: np.ndarray, lo: np.ndarray
     (ah, al), (bh, bl) = _halves(p[lo]), _halves(p[hi])
     (uh, ul), (dh, dl) = _halves(up), _halves(down)
     return (ah * uh - bh * dh) + ((ah * ul - bh * dl) + (al * up - bl * down))
+
+
+def _refined_fluxes(p: np.ndarray, inv: np.ndarray, block: np.ndarray, up: np.ndarray,
+                    down: np.ndarray, lo: np.ndarray, hi: np.ndarray, inflow
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact net fluxes of a chain's edges at P points, after one
+    refinement step of its normalized long-double populations ``p``, (N, P),
+    which it refines in place.  ``block`` holds the chain's double rate
+    matrices, ``inv`` the kernel solve's inverses of their trace-row
+    matrices, ``up``/``down`` the long-double rates and ``lo``/``hi`` the
+    levels of the edges, and ``inflow(flux)`` gives each level's net inflow
+    ``(M p)_k``, (N, P), from the edges' net upward fluxes.  The
+    populations keep the few ulps of their elimination, which the exact
+    fluxes (:func:`_edge_fluxes`) resolve, so the step, through the
+    inverses against the net inflows, takes them out; it is added to the
+    fluxes as well.  Returns the fluxes, the populations' total, and the
+    kernel residual of the net inflows, ``max |M p| / max|M|``."""
+    flux = _edge_fluxes(p, up, down, lo, hi)
+    resid = -inflow(flux)
+    resid[0] = 1.0 - p.sum(axis=0)
+    delta = (inv @ resid.T.astype(float)[..., None])[..., 0].T.astype(np.longdouble)
+    # the step is a few ulps of the populations: its fluxes need no care
+    flux += delta[lo] * up - delta[hi] * down
+    p += delta
+    total = p.sum(axis=0)
+    residual = np.abs(inflow(flux)).max(axis=0) / (np.abs(block).max(axis=(1, 2)) * total)
+    return flux, total, residual
+
+
+def _bath_rates(cfg) -> np.ndarray:
+    """The six double rates of ``cfg``'s baths (work, hot, cold; down then
+    up) at each point, (6, P), from one :func:`~qpump.pump.decay_rates`
+    call per bath."""
+    pairs = [decay_rates(cfg.bath(label), cfg.bath_frequency(label)) for label in _BATHS]
+    return np.array(np.broadcast_arrays(*(r for pair in pairs for r in (pair.down, pair.up))),
+                    dtype=float).reshape(6, -1)
 
 
 def _net_inflow(flux: np.ndarray, n: int) -> np.ndarray:
@@ -731,12 +753,10 @@ def _solve_pumps(cfg) -> SteadySolutions:
     (:func:`_edge_fluxes`).  The populations keep the few ulps of the
     elimination, which those fluxes resolve, so one refinement step
     through the kernel solve's inverses, against the net inflows, takes
-    them out first.  The kernel residual is that of the net inflows,
+    them out first (:func:`_refined_fluxes`).  The kernel residual is that of the net inflows,
     ``max |M p| / max|M|``."""
     n = cfg.n_levels
-    pairs = [decay_rates(cfg.bath(label), cfg.bath_frequency(label)) for label in _BATHS]
-    rates = np.array(np.broadcast_arrays(*(r for pair in pairs for r in (pair.down, pair.up))),
-                     dtype=float).reshape(6, -1)
+    rates = _bath_rates(cfg)
     block = _population_blocks(n, rates)
     _, inv, errors = _stationary_vectors(block, np.ones(n))
     rates_ld = rates.astype(np.longdouble)
@@ -747,16 +767,8 @@ def _solve_pumps(cfg) -> SteadySolutions:
     with np.errstate(all="ignore") if errors else contextlib.nullcontext():
         p, total, ok = _ladder_balance(*_ladder_rates(n, rates_ld))
         p = np.array([np.ones_like(total), *p[1:]]) / total
-        flux = _edge_fluxes(p, up, down, lo, hi)
-        resid = -_net_inflow(flux, n)
-        resid[0] = 1.0 - p.sum(axis=0)
-        delta = (inv @ resid.T.astype(float)[..., None])[..., 0].T.astype(np.longdouble)
-        # the step is a few ulps of the populations: its fluxes need no care
-        flux += delta[lo] * up - delta[hi] * down
-        p += delta
-        total = p.sum(axis=0)
-        residual = (np.abs(_net_inflow(flux, n)).max(axis=0)
-                    / (np.abs(block).max(axis=(1, 2)) * total))
+        flux, total, residual = _refined_fluxes(p, inv, block, up, down, lo, hi,
+                                                lambda f: _net_inflow(f, n))
         currents = _ladder_currents(cfg, flux, total)
     # |H|, the top level's energy, in long double as the generator holds it
     top = _level_energy(n, *(np.asarray(w, dtype=np.longdouble) for w in (cfg.omega_h,

@@ -31,16 +31,17 @@ from qpump.experiments import (
 )
 from qpump.linalg import NoKernelError
 from qpump.pump import _transition_levels, decay_rates, window_max
-from qpump.steady import NonConvergedError, _Generator, solve
-from qpump.three_qubit import solve_three_qubit
+from qpump.steady import NonConvergedError, solve
+from qpump.three_qubit import _solve_fridges, solve_three_qubit
 
 REF_PARAMS = dict(omega_h=102.6, t_work=7.1e3, t_hot=1.57e3, t_cold=54.25,
             gamma_work=3.5e-3, gamma_hot=5.1e-3, gamma_cold=8.8e-3)
 COMPARE_SETUP = CurveSetup(omega_w=60.0, t_work=130.0, t_hot=60.0, t_cold=5.0,
                    gamma_work=1e-3, gamma_hot=1e-3, gamma_cold=1e-3,
                    g=0.1, n_levels=8)
-# a shift of omega_h = 61.5 at which the first-law gate fails on the 30-point
-# three-qubit curve (tools/first_law_scan.py)
+# a shift of omega_h = 61.5 at which the first-law gate failed on the 30-point
+# three-qubit curve when the fridge was solved through its generator
+# (tools/first_law_scan.py)
 SHIFTED_OMEGA_H = 61.500303
 
 
@@ -628,14 +629,16 @@ class TestCharacteristicCurve:
         ratio = max(p.q_c for p in ideal) / max(p.q_c for p in three)
         assert ratio >= 1e3
 
-    @pytest.mark.xfail(raises=NonConvergedError, strict=True,
-                       reason="first-law residual 1.452e-10 exceeds the 1e-10 gate at point 27 "
-                              "of this sweep, whose largest current sits just above the gating "
-                              "threshold while the current sum sits at the long-double floor "
-                              "(ROADMAP item 6, double-double assembly)")
     def test_three_qubit_curve_at_shifted_omega_h(self):
+        # the generator's trace assembly failed the first-law gate here at
+        # point 27 (1.452e-10); the chain's exact fluxes hold every point at
+        # the rounding of the double currents
         setup = dataclasses.replace(COMPARE_SETUP, omega_w=SHIFTED_OMEGA_H - 1.5)
-        characteristic_curve("three_qubit", setup, n_points=30)
+        assert len(characteristic_curve("three_qubit", setup, n_points=30)) == 30
+        window = qpump.cooling_window_max_fixed_work(setup.omega_w, setup.temps)
+        grid = window * np.arange(1, 31) / 31
+        sols = _solve_fridges(qpump.experiments._curve_sweep("three_qubit", setup, grid))
+        assert sols.first_law.max() <= 1e-14
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
@@ -668,15 +671,15 @@ class TestCharacteristicCurve:
     def test_failed_gate_names_the_point(self, monkeypatch, system, first_law_at, no_kernel_at,
                                          error, named):
         # one point of a five-point stack breaks the first law (its work
-        # current is skewed, where the pump's flux currents or the fridge's
-        # trace-formula currents are assembled) and/or has no kernel (every
+        # current is skewed, where the pump's or the fridge's flux currents
+        # are assembled) and/or has no kernel (every
         # point takes the SVD path, which finds none at that point); the
         # first failing point in the stack raises, as a point-by-point loop
         # would, and the error names it
         if system == "ideal":
             owner, name = qpump.steady, "_ladder_currents"
         else:
-            owner, name = _Generator, "currents"
+            owner, name = qpump.three_qubit, "_fridge_currents"
         currents, diagnostics = getattr(owner, name), qpump.linalg._kernel_diagnostics
 
         def broken_currents(*args):

@@ -533,11 +533,12 @@ def _count_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("solver, cfg, size", [
     (solve, reference_pump(8), 8),
-    (solve_three_qubit, _three_qubit_fridge(), 10),
+    (solve_three_qubit, _three_qubit_fridge(), 8),
 ], ids=["pump", "three_qubit"])
 def test_one_lu_factorization_per_solve(monkeypatch, solver, cfg, size):
-    # one factor (numpy's inverse is an LU factorization), of the sector
-    # block alone, as a stack of one
+    # one factor (numpy's inverse is an LU factorization), of the rate
+    # matrix alone (the ladder's, or the fridge's eight-state chain's), as a
+    # stack of one
     factorizations = _count_calls(monkeypatch, np.linalg, "inv")
     fallbacks = _count_calls(monkeypatch, qpump.linalg, "_kernel_diagnostics")
     solver(cfg)
@@ -545,7 +546,7 @@ def test_one_lu_factorization_per_solve(monkeypatch, solver, cfg, size):
     assert factorizations[0][0].shape == (1, size, size)
 
 
-@pytest.mark.parametrize("system, size", [("ideal", 8), ("three_qubit", 10)])
+@pytest.mark.parametrize("system, size", [("ideal", 8), ("three_qubit", 8)])
 def test_one_stacked_factorization_per_curve(monkeypatch, system, size):
     setup = qpump.experiments.CurveSetup(omega_w=60.0, t_work=130.0, t_hot=60.0, t_cold=5.0,
                                          gamma_work=1e-3, gamma_hot=1e-3, gamma_cold=1e-3)
@@ -589,10 +590,29 @@ def test_svd_fallback_polishes_through_the_shared_factor(monkeypatch):
         assert abs(sol.currents[label] / expected.currents[label] - 1.0) <= 1e-12
 
 
-def test_svd_fallback_polishes_the_fridge_through_the_shared_factor(monkeypatch):
-    # the fridge's generator route: every factor fails the condition gate, the
-    # kernel vector comes from the SVD, and the extended-precision polish
-    # refines it through that rejected factor
+def test_fridge_solves_build_no_generator(monkeypatch):
+    # the fridge's populations come from the GTH elimination of its
+    # eight-state chain: no generator, sector block or polish, and one
+    # stacked inversion for the kernel decisions, (P, 8, 8)
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator route called on the fridge's solve")
+
+    monkeypatch.setattr(_Generator, "__init__", refuse)
+    monkeypatch.setattr(_Generator, "block", refuse)
+    monkeypatch.setattr(qpump.steady, "_polish_state", refuse)
+    monkeypatch.setattr(qpump.three_qubit, "_polish_state", refuse)
+    factorizations = _count_calls(monkeypatch, np.linalg, "inv")
+    setup = qpump.experiments.CurveSetup(omega_w=60.0, t_work=130.0, t_hot=60.0, t_cold=5.0,
+                                         gamma_work=1e-3, gamma_hot=1e-3, gamma_cold=1e-3)
+    assert solve_three_qubit(_three_qubit_fridge()).mode == "chiller"
+    assert len(qpump.experiments.characteristic_curve("three_qubit", setup, n_points=28)) == 28
+    assert [args[0].shape for args in factorizations] == [(1, 8, 8), (28, 8, 8)]
+
+
+def test_svd_fallback_refines_the_fridge_through_the_shared_factor(monkeypatch):
+    # every factor fails the condition gate, so the kernel decision comes
+    # from the SVD, and the chain's refinement step goes through that
+    # rejected factor's inverse; nothing is polished
     cfg = _three_qubit_fridge()
     expected = solve_three_qubit(cfg)
     factorizations = _count_calls(monkeypatch, np.linalg, "inv")
@@ -600,7 +620,7 @@ def test_svd_fallback_polishes_the_fridge_through_the_shared_factor(monkeypatch)
     polishes = _count_calls(monkeypatch, qpump.steady, "_polish_state")
     monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
     sol = solve_three_qubit(cfg)
-    assert len(factorizations) == len(fallbacks) == len(polishes) == 1
+    assert len(factorizations) == len(fallbacks) == 1 and not polishes
     for label in BATHS:
         assert abs(sol.currents[label] / expected.currents[label] - 1.0) <= 1e-12
 

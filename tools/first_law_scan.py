@@ -9,11 +9,14 @@ Runs the equivalent of ``qpump curve --params params/three_qubit.params
 on the ``src`` tree next to this script.  For each shift at which a residual
 gate of the solve fails, it prints ``k``, ``omega_h`` and the gate's message,
 which carries the residual and the failing point's ``omega_c``; then the
-number of failing shifts.  Near point
-27 of this sweep the largest current sits just above the first-law gate's
-threshold while the current sum sits at the long-double assembly floor, so
-a few shifts fail by chance.  The exit code is 0 when no shift fails and 1
-otherwise.
+number of failing shifts.  The fridge's currents come from the exact net
+fluxes of its eight-state chain, so their first-law residuals sit at the
+rounding of the double currents (about 1e-16) and no shift is expected to
+fail.  Near point 27 of this sweep the largest current sits just above the
+first-law gate's threshold, which is where a solve whose current sum sits at
+a coarser floor fails first: the fridge's former trace assembly through its
+generator failed 2 of the 1,000 shifts there.  The exit code is 0 when no
+shift fails and 1 otherwise.
 """
 
 from __future__ import annotations
