@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Ideal eight-level chiller versus the non-ideal three-qubit fridge.
+"""Ideal eight-level chiller versus the three-qubit fridge.
 
 Both machines run between the same three reservoirs with the same coupling
 strength and a fixed work frequency; the cold frequency sweeps the cooling
-window.  The ideal ladder moves heat through directly dissipative
-transitions, while the three-qubit machine must funnel everything through
-one weak three-body exchange, so its power is orders of magnitude lower and
-its performance curve closes before ever touching the Carnot point.
+window.  Both have the COP ``omega_c / omega_w`` at every point, so both
+reach the Carnot point only at the window's edge, with vanishing power.
+They differ in their power: the ideal ladder moves heat through directly
+dissipative transitions, while the three-qubit machine must funnel
+everything through one weak three-body exchange, so its power is three
+orders of magnitude lower and falls off faster toward the edge.
 """
 
 from qpump.experiments import CurveSetup, characteristic_curve
@@ -51,7 +53,6 @@ for lo, hi in zip(bins[:-1], bins[1:]):
     print(f"{lo:5.2f}-{hi:4.2f} |{bar(qi, best_ideal.q_c):<24}|{bar(qt, best_three.q_c):<24}|")
 
 print()
-print("closure: three-qubit power at the last sweep point is "
-      f"{100 * three[-1].q_c / best_three.q_c:.1f}% of its peak, at "
-      f"eps/eps_C = {three[-1].eps_over_carnot:.4f} < 1 "
-      "(the ideal machine reaches the Carnot point with vanishing power instead)")
+print(f"toward the edge: at the last sweep point, eps/eps_C = {three[-1].eps_over_carnot:.4f}, "
+      f"the three-qubit power is {100 * three[-1].q_c / best_three.q_c:.1f}% of its peak "
+      f"and the ideal one {100 * ideal[-1].q_c / best_ideal.q_c:.1f}%")

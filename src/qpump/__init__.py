@@ -1,5 +1,7 @@
 """qpump: steady-state thermodynamics of multi-stage quantum absorption
-heat pumps, plus the non-ideal three-qubit reference fridge.
+heat pumps, plus the three-qubit reference fridge, whose COP is the ideal
+pump's ``omega_c/omega_w`` but whose power is three orders lower and falls
+off faster toward the edge of the cooling window.
 
 The library builds the Lindblad generator of an N-level ideal absorption
 chiller (N-2 merged three-level stages), solves for its stationary state,

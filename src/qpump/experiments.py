@@ -28,6 +28,7 @@ from .pump import (
     PumpConfig,
     WeakCouplingWarning,
     _ThreeBathConfig,
+    _rates,
     carnot_cop,
     cooling_window_max,
     cooling_window_max_fixed_work,
@@ -131,9 +132,11 @@ class SampleRanges:
     gamma_frac: tuple[float, float] = (1e-5, 1e-2)
     n_levels: tuple[int, int] = (3, 10)
     seed: int = DEFAULT_SEED
-    # np.log of the bounds of each log-uniform range, in draw order: T_c,
-    # T_h/T_c, T_w/T_h, omega_h/T_c and the gamma fraction
-    log_bounds: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
+    # (5,) arrays of each log-uniform range's np.log(low) and its width
+    # np.log(high) - np.log(low), in draw order: T_c, T_h/T_c, T_w/T_h,
+    # omega_h/T_c and the gamma fraction
+    log_low: np.ndarray = field(init=False, repr=False, compare=False)
+    log_span: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         logs = []
@@ -143,7 +146,9 @@ class SampleRanges:
             if not (0 < lo <= hi):
                 raise ValueError(f"{name} interval must be positive and ordered")
             logs.append((np.log(lo), np.log(hi)))
-        object.__setattr__(self, "log_bounds", tuple(logs))
+        low, high = np.array(logs).T
+        object.__setattr__(self, "log_low", low)
+        object.__setattr__(self, "log_span", high - low)
         lo, hi = self.n_levels
         if not (3 <= lo <= hi <= 10):
             raise ValueError("n_levels range must lie within [3, 10]")
@@ -226,12 +231,9 @@ _HUGE = float(np.finfo(float).max)
 
 
 def _largest(values: list):
-    """The largest of a list of floats, or elementwise of a list of arrays
-    and floats; the builtin ``max`` costs far less in the optimizer's
-    scalar steps."""
-    if any(isinstance(v, np.ndarray) for v in values):
-        return reduce(np.maximum, values)
-    return max(values)
+    """The largest of a list of floats, or elementwise of a list of arrays;
+    the builtin ``max`` costs far less in the optimizer's scalar steps."""
+    return reduce(np.maximum, values) if isinstance(values[0], np.ndarray) else max(values)
 
 
 def _padded_ladder_rates(n: list[int], rates, points: int) -> tuple[list, ...]:
@@ -288,10 +290,11 @@ def _gth_cold_power(omega_c, up1, down1, up2, down2, dead):
     # pass over, makes the net inflow of its levels NaN
     scale = _largest([(up1[k] + down1[k]) + (up2[k] + down2[k]) for k in range(n)])
     bound = KERNEL_RESIDUAL_RTOL * scale * total
-    inflow1, inflow2 = [0.0] + j1, [0.0, 0.0] + j2
-    for k in range(n):
-        net = (inflow1[k] + inflow2[k]) - (j1[k] + j2[k])
-        ok = ok & (abs(net) <= bound)
+    # net inflow of level k: in on the edges (k-1, k) and (k-2, k), out on
+    # (k, k+1) and (k, k+2); level 0 has no edge in, level 1 only (0, 1)
+    ok = ok & (abs(j1[0] + j2[0]) <= bound) & (abs(j1[0] - (j1[1] + j2[1])) <= bound)
+    for k in range(2, n):
+        ok = ok & (abs((j1[k - 1] + j2[k - 2]) - (j1[k] + j2[k])) <= bound)
     return q, ok & (total <= _HUGE) & (abs(q) <= _HUGE)
 
 
@@ -316,15 +319,22 @@ class _CoolingPowerEvaluator:
         self.n = template.n_levels
         self._stack = _population_structure(self.n)
         self.window = window_max(template)
-        self._hot = decay_rates(template.hot, template.omega_h)
+        hot = decay_rates(template.hot, template.omega_h)
+        self._hot = hot.down, hot.up
         self.grid: np.ndarray | None = None
 
     def _channels(self, omega_c: float):
-        """The six rates (work, hot, cold; down then up) at omega_c."""
-        t, hot = self.template, self._hot
-        work = decay_rates(t.work, t.omega_h - omega_c)
-        cold = decay_rates(t.cold, omega_c)
-        return work.down, work.up, hot.down, hot.up, cold.down, cold.up
+        """The six rates (work, hot, cold; down then up) at omega_c.  The
+        template's baths passed their constructor's checks, so once both
+        frequencies are positive the rate body runs without those of
+        :func:`~qpump.pump.decay_rates`."""
+        t = self.template
+        omega_w = t.omega_h - omega_c
+        if omega_c <= 0 or omega_w <= 0:  # a NaN runs on, to fail the kernel gates
+            raise ValueError(f"omega must be > 0, got {omega_c if omega_c <= 0 else omega_w}")
+        work_down, work_up = _rates(t.work, omega_w)
+        cold_down, cold_up = _rates(t.cold, omega_c)
+        return work_down, work_up, *self._hot, cold_down, cold_up
 
     def q_cold(self, omega_c: float) -> float:
         """Cooling power at one cold frequency.  Raises
@@ -398,7 +408,7 @@ def _solve_grids(evaluators: list[_CoolingPowerEvaluator]) -> None:
                        _along_grid([t.omega_h for t in templates]) - omega_c)
     cold = decay_rates(_row_bath([t.cold for t in templates]), omega_c)
     # each evaluator's hot rates, at its fixed omega_h
-    hot = [_along_grid([getattr(ev._hot, side) for ev in evaluators]) for side in ("down", "up")]
+    hot = [_along_grid([ev._hot[side] for ev in evaluators]) for side in (0, 1)]
     rates = [r.ravel() for r in (work.down, work.up, *hot, cold.down, cold.up)]
     ladders = _padded_ladder_rates([ev.n for ev in evaluators], rates, COARSE_GRID_POINTS)
     q, ok = _gth_cold_power(omega_c.ravel(), *ladders)
@@ -564,24 +574,26 @@ def sweep_stages(template: PumpConfig,
 # random-fridge histogram
 
 
-def _log_uniform(rng: np.random.Generator, log_lo: float, log_hi: float) -> float:
-    return float(np.exp(rng.uniform(log_lo, log_hi)))
-
-
 def _draw(ranges: SampleRanges, index: int, attempt: int) -> PumpConfig | None:
     """The fridge of one attempt of one sample, or None when the draw breaks
     a config invariant.  Its generator is derived from (seed, index,
-    attempt) alone."""
-    t_cold, hot_over_cold, work_over_hot, omega_h_over_t_cold, gamma_frac = ranges.log_bounds
+    attempt) alone.
+
+    Each log-uniform factor is ``exp(low + span * u)`` of its log range,
+    with ``u`` from ``rng.random``, which is how ``rng.uniform`` maps its
+    draw: the four factors of the temperatures and ``omega_h`` take one
+    call, the three gamma fractions one more, in the stream's order."""
+    low, span = ranges.log_low, ranges.log_span
     rng = np.random.default_rng([ranges.seed, index, attempt])
-    t_c = _log_uniform(rng, *t_cold)
-    t_h = t_c * _log_uniform(rng, *hot_over_cold)
-    t_w = t_h * _log_uniform(rng, *work_over_hot)
-    omega_h = t_c * _log_uniform(rng, *omega_h_over_t_cold)
+    t_c, hot_over_cold, work_over_hot, omega_h_over_t_cold = np.exp(
+        low[:4] + span[:4] * rng.random(4)).tolist()
+    t_h = t_c * hot_over_cold
+    t_w = t_h * work_over_hot
+    omega_h = t_c * omega_h_over_t_cold
     n = int(rng.integers(ranges.n_levels[0], ranges.n_levels[1] + 1))
     window = cooling_window_max(omega_h, (t_w, t_h, t_c))
     scale = min(window, t_c)
-    gammas = [scale * _log_uniform(rng, *gamma_frac) for _ in range(3)]
+    gammas = [scale * g for g in np.exp(low[4] + span[4] * rng.random(3)).tolist()]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakCouplingWarning)

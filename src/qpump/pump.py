@@ -254,17 +254,26 @@ def build_jump_operator(cfg: PumpConfig, label: str) -> np.ndarray:
 # scalar call.
 def _least(x):
     """Smallest element of an array argument; a float argument itself.
-    np.min does the same but costs about 2 us on a float, and one scalar
-    decay_rates call makes four domain checks."""
+    np.min does the same but costs about 2 us on a float, and a scalar
+    decay_rates call makes three domain checks."""
     return x.min() if isinstance(x, np.ndarray) else x
+
+
+def _check_frequency(omega) -> None:
+    if _least(omega) <= 0:
+        raise ValueError(f"omega must be > 0, got {omega}")
 
 
 def bose_occupation(omega: float | np.ndarray, temperature: float | np.ndarray):
     """Thermal occupation 1/(exp(omega/T) - 1)."""
-    if _least(omega) <= 0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+    _check_frequency(omega)
     if _least(temperature) <= 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
+    return _thermal_occupation(omega, temperature)
+
+
+def _thermal_occupation(omega, temperature):
+    """The formula of :func:`bose_occupation`, without its domain checks."""
     x = omega / temperature
     # expm1 overflows past x ~ 709; the occupation is exp(-x) to ~1e-304 there
     if isinstance(x, np.ndarray):
@@ -274,14 +283,12 @@ def bose_occupation(omega: float | np.ndarray, temperature: float | np.ndarray):
     return float(np.exp(-x) if x > 700.0 else 1.0 / np.expm1(x))
 
 
-def _effective_occupation(bath: BathSpec, omega: float | np.ndarray):
+def _bath_occupation(bath: BathSpec, omega: float | np.ndarray):
     """Occupation the system sees at frequency omega, including squeezing
-    (n -> n cosh 2r + sinh^2 r) and the saturated-bath cap."""
-    if _least(omega) <= 0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+    (n -> n cosh 2r + sinh^2 r) and the saturated-bath cap; no checks."""
     if bath.saturated:
         return SATURATED_OCCUPATION
-    n = bose_occupation(omega, bath.temperature)
+    n = _thermal_occupation(omega, bath.temperature)
     if bath.squeeze_r > 0:
         r = bath.squeeze_r
         n = n * np.cosh(2 * r) + np.sinh(r) ** 2
@@ -296,16 +303,25 @@ def decay_rates(bath: BathSpec, omega: float | np.ndarray) -> RatePair:
     absorbed), so absolute powers are meaningful only within this
     convention; ratios and orderings are convention-independent.
     """
-    n = _effective_occupation(bath, omega)
+    _check_frequency(omega)  # the bath's temperature passed its constructor's check
+    return RatePair(*_rates(bath, omega))
+
+
+def _rates(bath: BathSpec, omega: float | np.ndarray) -> tuple:
+    """``(down, up)`` of :func:`decay_rates` without its checks, for a bath
+    that passed its constructor's and a positive ``omega``: the optimizer's
+    scalar steps call it twice each, where the checks and the
+    :class:`RatePair` would cost about 2 us."""
     # float_power loops over libm pow, as ``**`` on a float does (which costs
-    # about 1 us less, and each optimizer step makes two scalar calls); array
-    # ``**`` may round the cube differently in the last digit
+    # about 1 us less); array ``**`` may round the cube differently in the
+    # last digit
     w3 = bath.gamma * (np.float_power(omega, 3.0) if isinstance(omega, np.ndarray)
                        else omega ** 3.0)
     if bath.saturated:
         g = w3 * SATURATED_OCCUPATION
-        return RatePair(down=g, up=g)
-    return RatePair(down=w3 * (1.0 + n), up=w3 * n)
+        return g, g
+    n = _bath_occupation(bath, omega)
+    return w3 * (1.0 + n), w3 * n
 
 
 def effective_temperature(bath: BathSpec, omega: float | np.ndarray):
@@ -313,7 +329,8 @@ def effective_temperature(bath: BathSpec, omega: float | np.ndarray):
     frequency omega: ``omega / log(1 + 1/n_eff)``.  Equals ``temperature``
     for an unsqueezed, unsaturated bath.  Elementwise on an array of
     frequencies, with the bits of scalar calls."""
-    n = _effective_occupation(bath, omega)
+    _check_frequency(omega)
+    n = _bath_occupation(bath, omega)
     if isinstance(omega, np.ndarray):
         # libm's log1p, as a scalar call takes it; numpy's may round differently
         n = np.broadcast_to(n, omega.shape).ravel().tolist()

@@ -710,8 +710,10 @@ def _ladder_currents(cfg, flux: np.ndarray, total: np.ndarray) -> dict[str, np.n
     n = cfg.n_levels
     omega_c, omega_h = (np.asarray(w, dtype=np.longdouble) for w in (cfg.omega_c, cfg.omega_h))
     gaps = {"work": omega_h - omega_c, "hot": omega_h, "cold": omega_c}
-    fluxes = {"work": flux[1:n - 1:2], "hot": flux[n - 1:], "cold": flux[0:n - 1:2]}
-    return {label: (gaps[label] * (fluxes[label].sum(axis=0) / total)).astype(float)
+    # (P, E) rows, so that each point's sums run in one order for any P
+    rows = np.ascontiguousarray(flux.T)
+    fluxes = {"work": rows[:, 1:n - 1:2], "hot": rows[:, n - 1:], "cold": rows[:, 0:n - 1:2]}
+    return {label: (gaps[label] * (fluxes[label].sum(axis=1) / total)).astype(float)
             for label in _BATHS}
 
 
@@ -766,7 +768,9 @@ def _solve_pumps(cfg) -> SteadySolutions:
     # what its arithmetic gives here does not count
     with np.errstate(all="ignore") if errors else contextlib.nullcontext():
         p, total, ok = _ladder_balance(*_ladder_rates(n, rates_ld))
-        p = np.array([np.ones_like(total), *p[1:]]) / total
+        # each point's N populations contiguous, as the fridge's (P, 8) rows
+        # are, so that its sums run in one order for any P
+        p = np.array([np.ones_like(total), *p[1:]], order="F") / total
         flux, total, residual = _refined_fluxes(p, inv, block, up, down, lo, hi,
                                                 lambda f: _net_inflow(f, n))
         currents = _ladder_currents(cfg, flux, total)

@@ -389,9 +389,9 @@ def run_in_subprocess(argv, module=True):
                           env=env, timeout=120)
 
 
-def load_cli_snapshot():
-    path = Path(__file__).resolve().parent.parent / "tools" / "cli_snapshot.py"
-    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+def load_tool(name):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -419,7 +419,7 @@ extra line
 """
 
     def test_numeric_columns_and_text_lines(self):
-        lines = load_cli_snapshot().compare_outputs(self.OLD, self.NEW)
+        lines = load_tool("cli_snapshot").compare_outputs(self.OLD, self.NEW)
         assert lines == [
             "omega_c_star [plain]: max |d| 4.00e-07, max rel 1.00e-07 (1 changed)",
             "q_c_max [saturated]: max |d| 5.00e-10, max rel 1.00e-09 (1 changed)",
@@ -428,10 +428,113 @@ extra line
         ]
 
     def test_identical_texts_report_nothing(self):
-        assert load_cli_snapshot().compare_outputs(self.OLD, self.OLD) == []
+        assert load_tool("cli_snapshot").compare_outputs(self.OLD, self.OLD) == []
 
     def test_row_count_change_is_reported(self):
         fewer = self.OLD.rsplit("3,saturated", 1)[0]
-        lines = load_cli_snapshot().compare_outputs(self.OLD, fewer)
+        lines = load_tool("cli_snapshot").compare_outputs(self.OLD, fewer)
         assert lines == ["table: 3 rows of ['N', 'variant', 'omega_c_star', 'q_c_max'] -> "
                          "2 rows of ['N', 'variant', 'omega_c_star', 'q_c_max']"]
+
+
+# a stand-in for perfbench/run.py: its result line from the values of the
+# seed and side in its checkout's values.json, through an imported module,
+# as run.py imports its checks
+STUB_RUN = """\
+import json, sys
+import stubvalues
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+print("table")
+print(json.dumps(stubvalues.result(seed)))
+"""
+STUB_VALUES = """\
+import json
+def result(seed):
+    values = json.load(open("values.json"))
+    return {"correct": values["correct"], "attempted": 8, "failed": 0,
+            "metrics": {name: {"value": v[str(seed)], "unit": ""} for name, v in values["metrics"].items()}}
+"""
+STUB_BENCHMARK = {"end_to_end": [{"name": "items_per_s", "better": "higher", "bound": 0.2},
+                                 {"name": "setup_s", "better": "lower", "bound": 0.25}]}
+
+
+class TestAbPairs:
+    PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0, 101.0, 99.0]
+
+    def test_gain_needs_nine_wins_and_the_parent_spread(self):
+        ab = load_tool("ab_pairs")
+        change = [v * 1.1 for v in self.PARENT]
+        verdict = ab.gain_holds(self.PARENT, change, "higher")
+        assert (verdict["wins"], verdict["needed"], verdict["holds"]) == (10, 9, True)
+        assert verdict["iqr"] == 2.5 and verdict["gain"] == pytest.approx(10.0)
+        # two lost pairs: eight wins of ten are too few
+        change[3] = change[4] = 90.0
+        assert ab.gain_holds(self.PARENT, change, "higher")["holds"] is False
+        # every pair won, by less than the parent's interquartile distance
+        assert ab.gain_holds(self.PARENT, [v + 1.0 for v in self.PARENT], "higher") == {
+            "wins": 10, "needed": 9, "gain": 1.0, "iqr": 2.5, "ratio": 1.01, "holds": False}
+        # a lower-is-better metric wins by falling
+        assert ab.gain_holds(self.PARENT, [v * 0.5 for v in self.PARENT], "lower")["holds"]
+
+    def test_bound_is_a_share_of_the_parent_median(self):
+        ab = load_tool("ab_pairs")
+        slower = [v * 0.85 for v in self.PARENT]
+        assert ab.within_bound(self.PARENT, slower, "higher", 0.2)["holds"]
+        assert not ab.within_bound(self.PARENT, [v * 0.75 for v in self.PARENT],
+                                   "higher", 0.2)["holds"]
+        verdict = ab.within_bound([1.0, 1.0, 1.0], [1.3, 1.3, 1.3], "lower", 0.25)
+        assert verdict["worse"] == pytest.approx(0.3) and not verdict["holds"]
+        assert ab.within_bound([1.0, 1.0], [0.5, 0.5], "lower", 0.25)["worse"] == -0.5
+
+    @staticmethod
+    def checkout(root, items, correct=True):
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(STUB_RUN)
+        (root / "perfbench" / "stubvalues.py").write_text(STUB_VALUES)
+        (root / "BENCHMARK.json").write_text(json.dumps(STUB_BENCHMARK))
+        (root / "values.json").write_text(json.dumps({"correct": correct, "metrics": {
+            "items_per_s": {str(seed): v for seed, v in enumerate(items, 1)},
+            "setup_s": {str(seed): 0.05 for seed in range(1, len(items) + 1)}}}))
+        return sorted(root.rglob("*"))
+
+    def test_pairs_alternate_their_first_side(self, tmp_path, monkeypatch, capsys):
+        ab = load_tool("ab_pairs")
+        parent, change = tmp_path / "parent", tmp_path / "change"
+        self.checkout(parent, [100.0, 101.0, 99.0])
+        self.checkout(change, [120.0, 118.0, 121.0])
+        values = {parent: [100.0, 101.0, 99.0], change: [120.0, 118.0, 121.0]}
+        calls = []
+
+        def run_once(checkout, workload, seed, seconds, cache):
+            calls.append((checkout.name, seed))
+            return {"correct": True, "metrics": {
+                "items_per_s": {"value": values[checkout][seed - 1]},
+                "setup_s": {"value": 0.05}}}
+
+        monkeypatch.setattr(ab, "run_once", run_once)
+        assert ab.main([str(parent), str(change), "--workload", "w", "--pairs", "3"]) == 0
+        assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+                         ("parent", 3), ("change", 3)]
+        out = capsys.readouterr().out
+        assert "pair  1: parent 100  change 120  ratio 1.2000  (parent first)" in out
+        assert "pair  2: parent 101  change 118  ratio 1.1683  (change first)" in out
+        assert "change better in 3 of 3 pairs (needs 3)" in out and ": holds" in out
+
+    def test_run_writes_nothing_in_its_checkout(self, tmp_path, monkeypatch):
+        # the stand-in imports a module of its own directory, whose bytecode
+        # would land beside it without the cache prefix
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        files = self.checkout(tmp_path / "side", [100.0])
+        result = load_tool("ab_pairs").run_once(tmp_path / "side", "w", 1, 1.0,
+                                                str(tmp_path / "cache"))
+        assert result["metrics"]["items_per_s"]["value"] == 100.0
+        assert sorted((tmp_path / "side").rglob("*")) == files
+
+    def test_incorrect_run_fails(self, tmp_path, capsys):
+        # the parent runs first, and its failure ends the pairs
+        parent, change = tmp_path / "parent", tmp_path / "change"
+        self.checkout(parent, [100.0, 100.0], correct=False)
+        self.checkout(change, [120.0, 120.0])
+        assert load_tool("ab_pairs").main([str(parent), str(change), "--workload", "w",
+                                           "--pairs", "2", "--seconds", "1"]) == 2
+        assert "correct is False" in capsys.readouterr().err

@@ -30,7 +30,8 @@ from qpump.experiments import (
     sweep_stages,
 )
 from qpump.linalg import NoKernelError
-from qpump.pump import _transition_levels, decay_rates, window_max
+from qpump.pump import BathSpec, PumpConfig, WeakCouplingWarning, _transition_levels, \
+    cooling_window_max, decay_rates, window_max
 from qpump.steady import NonConvergedError, solve
 from qpump.three_qubit import _solve_fridges, solve_three_qubit
 
@@ -180,6 +181,46 @@ class TestMaximizeCoolingPower:
         monkeypatch.setattr(qpump.experiments, "window_max", lambda cfg: 0.0)
         with pytest.raises(EmptyWindowError):
             maximize_cooling_power(reference_pump(3))
+
+    # the Optimum of each template as the optimizer found it before its
+    # steps called the rate body without decay_rates' checks
+    @pytest.mark.parametrize("n, variant, frozen", [
+        (3, "plain", (2.0868750376019167, 0.018641465255228196, 0.02076221427184376,
+                      0.7447915154243214)),
+        (6, "squeezed", (2.4403951846408654, 0.051843817840902785, 0.024365064030949922,
+                         0.7438897593902775)),
+        (10, "saturated", (2.658869521964128, 0.0732628241203108, 0.02660435707747442,
+                           0.7433283055303986)),
+    ])
+    def test_solved_grid_refines_without_decay_rates(self, monkeypatch, n, variant, frozen):
+        ev = _CoolingPowerEvaluator(_variant_config(reference_pump(), n, variant, 7.0))
+        _solve_grids([ev])
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return decay_rates(*args)
+
+        for module in (qpump.experiments, qpump.steady, qpump.three_qubit):
+            monkeypatch.setattr(module, "decay_rates", counted)
+        opt = maximize_cooling_power(ev)
+        assert calls == []
+        assert opt == Optimum(*frozen, evaluations=71, failed_evaluations=0)
+
+    @pytest.mark.parametrize("variant", ["plain", "squeezed", "saturated"])
+    def test_channels_keep_decay_rates_bits(self, variant):
+        t = _variant_config(reference_pump(), 5, variant, 7.0)
+        ev = _CoolingPowerEvaluator(t)
+        for x in window_grid(t, 9).tolist():
+            pairs = [decay_rates(t.work, t.omega_h - x), decay_rates(t.hot, t.omega_h),
+                     decay_rates(t.cold, x)]
+            assert ev._channels(x) == tuple(r for pair in pairs for r in (pair.down, pair.up))
+
+    def test_channels_reject_frequencies_outside_the_ladder(self):
+        ev = _CoolingPowerEvaluator(reference_pump(4))
+        for omega_c, named in ((0.0, 0.0), (-1.0, -1.0), (102.6, 0.0), (110.0, -7.4)):
+            with pytest.raises(ValueError, match=re.escape(f"omega must be > 0, got {named}")):
+                ev._channels(omega_c)
 
     def test_validated_point_gates_on_condition(self, monkeypatch):
         monkeypatch.setattr(qpump.experiments, "KERNEL_RCOND_FLOOR", 1.0)
@@ -497,14 +538,52 @@ class TestSweepStages:
 class TestSampleRanges:
     def test_log_bounds_follow_the_ranges(self):
         ranges = SampleRanges(seed=5)
-        assert ranges.log_bounds == tuple((np.log(lo), np.log(hi)) for lo, hi in (
+        bounds = [(np.log(lo), np.log(hi)) for lo, hi in (
             ranges.t_cold, ranges.hot_over_cold, ranges.work_over_hot,
-            ranges.omega_h_over_t_cold, ranges.gamma_frac))
+            ranges.omega_h_over_t_cold, ranges.gamma_frac)]
+        assert ranges.log_low.tolist() == [lo for lo, _ in bounds]
+        assert ranges.log_span.tolist() == [hi - lo for lo, hi in bounds]
         wider = dataclasses.replace(ranges, t_cold=(0.5, 1e2))
-        assert wider.log_bounds[0] == (np.log(0.5), np.log(1e2))
-        assert wider.log_bounds[1:] == ranges.log_bounds[1:]
-        assert "log_bounds" not in repr(ranges)
+        assert (wider.log_low[0], wider.log_span[0]) == (np.log(0.5), np.log(1e2) - np.log(0.5))
+        assert wider.log_low[1:].tolist() == ranges.log_low[1:].tolist()
+        assert wider.log_span[1:].tolist() == ranges.log_span[1:].tolist()
+        assert "log_low" not in repr(ranges) and "log_span" not in repr(ranges)
         assert ranges == SampleRanges(seed=5)
+
+
+def uniform_draw(ranges, index, attempt):
+    """The fridge of :func:`_draw`, drawn as it was before the draws were
+    grouped: one ``rng.uniform`` call per log-uniform factor."""
+    def log_uniform(bounds):
+        return float(np.exp(rng.uniform(np.log(bounds[0]), np.log(bounds[1]))))
+
+    rng = np.random.default_rng([ranges.seed, index, attempt])
+    t_c = log_uniform(ranges.t_cold)
+    t_h = t_c * log_uniform(ranges.hot_over_cold)
+    t_w = t_h * log_uniform(ranges.work_over_hot)
+    omega_h = t_c * log_uniform(ranges.omega_h_over_t_cold)
+    n = int(rng.integers(ranges.n_levels[0], ranges.n_levels[1] + 1))
+    window = cooling_window_max(omega_h, (t_w, t_h, t_c))
+    scale = min(window, t_c)
+    gammas = [scale * log_uniform(ranges.gamma_frac) for _ in range(3)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakCouplingWarning)
+            return PumpConfig(n, omega_h, 0.5 * window, BathSpec("work", t_w, gammas[0]),
+                              BathSpec("hot", t_h, gammas[1]), BathSpec("cold", t_c, gammas[2]))
+    except ValueError:
+        return None
+
+
+class TestDraw:
+    @pytest.mark.parametrize("ranges", [SampleRanges(),
+                                        SampleRanges(t_cold=(0.5, 3.0), gamma_frac=(1e-4, 1e-3),
+                                                     n_levels=(4, 9), seed=41)])
+    def test_draws_match_one_uniform_call_per_factor(self, ranges):
+        # 2,000 (index, attempt) pairs per range set, compared field by field
+        pairs = [(index, attempt) for index in range(400) for attempt in range(5)]
+        assert [_draw(ranges, *pair) for pair in pairs] == [uniform_draw(ranges, *pair)
+                                                            for pair in pairs]
 
 
 class TestHistogram:
@@ -648,17 +727,21 @@ class TestCharacteristicCurve:
                                                   ("three_qubit", 8)])
     def test_stacked_curve_equals_point_by_point_solves(self, system, n_levels):
         # one stacked solve of the curve against one solve per point; the
-        # arithmetic of a point does not depend on the stack, so the two are
-        # expected to agree bit for bit
+        # arithmetic of a point does not depend on the stack, so the two
+        # agree bit for bit, in the curve's columns and in each point's
+        # residuals and state
         setup = dataclasses.replace(COMPARE_SETUP, n_levels=n_levels)
         points = characteristic_curve(system, setup, n_points=30)
-        for pt in points:
+        stack = (qpump.steady._solve_pumps if system == "ideal" else _solve_fridges)(
+            qpump.experiments._curve_sweep(system, setup, np.array([pt.omega_c for pt in points])))
+        for pt, stacked in zip(points, stack):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 cfg = _curve_config(system, setup, pt.omega_c)
             sol = solve(cfg) if system == "ideal" else solve_three_qubit(cfg)
-            assert abs(pt.q_c - sol.q_cold) <= 1e-12 * abs(sol.q_cold)
-            assert abs(pt.eps - sol.cop) <= 1e-12 * abs(sol.cop)
+            assert (pt.q_c, pt.eps) == (sol.q_cold, sol.cop)
+            assert stacked.residuals == sol.residuals
+            assert np.array_equal(stacked.rho_ld, sol.rho_ld)
 
     def test_stacked_curve_is_split_into_bounded_stacks(self, monkeypatch):
         whole = characteristic_curve("three_qubit", COMPARE_SETUP, n_points=30)

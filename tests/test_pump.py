@@ -8,6 +8,7 @@ from qpump.pump import (
     BathSpec,
     PumpConfig,
     WeakCouplingWarning,
+    _rates,
     bose_occupation,
     build_hamiltonian,
     build_jump_operator,
@@ -149,6 +150,21 @@ class TestOccupationAndRates:
     def test_scalar_rates_keep_their_bits(self, bath, omega, down, up):
         pair = decay_rates(bath, omega)
         assert (pair.down, pair.up) == (down, up)
+        assert _rates(bath, omega) == (down, up)
+
+    @pytest.mark.parametrize("bath", [BathSpec("cold", 2.0, 0.01),
+                                      BathSpec("work", 2.0, 0.02, squeeze_r=0.8),
+                                      BathSpec("work", 2.0, 0.02, saturated=True)])
+    def test_rate_body_keeps_decay_rates_bits(self, bath):
+        # the unchecked body of the optimizer's steps, on floats and on an
+        # array, with omega/T on both sides of the occupation's x > 700 branch
+        omega = 2.0 * np.array([1e-3, 0.7, 35.0, 699.5, 700.0, 700.5, 760.0])
+        for w in omega.tolist():
+            pair = decay_rates(bath, w)
+            assert _rates(bath, w) == (pair.down, pair.up)
+        down, up = _rates(bath, omega)
+        pair = decay_rates(bath, omega)
+        assert (down.tobytes(), up.tobytes()) == (pair.down.tobytes(), pair.up.tobytes())
 
     @pytest.mark.parametrize("bath", [BathSpec("cold", 3.0, 0.01),
                                       BathSpec("work", 40.0, 0.02),

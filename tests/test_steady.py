@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -685,3 +686,24 @@ def test_solutions_are_columns_of_the_points(machine):
         assert sol.q_cold == sols.q_cold[k] and sol.cop == sols.cop[k]
         assert sol.residuals["first_law"] == sols.first_law[k]
         assert sol.mode == sols.mode[k]
+
+
+def test_ladder_currents_sum_each_point_in_one_order():
+    # N = 10: the hot bath's eight edges, which numpy sums pairwise in a
+    # lone (8, 1) column and row by row down an (8, P) stack; each point of
+    # the stack keeps the bits of its own call.  The hot fluxes cancel, so
+    # that the two orders differ (by 1 in 5) beyond the double rounding
+    rng = np.random.default_rng(3)
+    points = 6
+    flux = (rng.standard_normal((17, points)) * 10.0 ** rng.integers(-6, 6, (17, points))
+            ).astype(np.longdouble)
+    flux[9:] = np.array([1e20, 1, -1e20, 1, 1, 1, 1, 1], dtype=np.longdouble)[:, None]
+    total = rng.uniform(1.0, 2.0, points).astype(np.longdouble)
+    stack = SimpleNamespace(n_levels=10, omega_c=np.full(points, 1.4),
+                            omega_h=np.full(points, 102.6))
+    stacked = qpump.steady._ladder_currents(stack, flux, total)
+    one = SimpleNamespace(n_levels=10, omega_c=1.4, omega_h=102.6)
+    for k in range(points):
+        alone = qpump.steady._ladder_currents(one, flux[:, k:k + 1], total[k:k + 1])
+        assert {label: c[k] for label, c in stacked.items()} == \
+            {label: c[0] for label, c in alone.items()}
