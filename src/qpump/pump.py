@@ -232,7 +232,8 @@ def build_jump_operator(cfg: PumpConfig, label: str) -> np.ndarray:
     """Lowering operator collecting every transition the bath addresses.
 
     Each nonzero element connects levels whose energy gap equals the bath
-    frequency (asserted to a few ulps against the Hamiltonian).
+    frequency (asserted to a few ulps against the Hamiltonian).  It feeds
+    the reference generator of ``build_liouvillian``; no solve builds it.
     """
     n = cfg.n_levels
     s = np.zeros((n, n), dtype=complex)

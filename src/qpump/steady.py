@@ -32,9 +32,9 @@ each current is its bath's energy gap times the net flux on its edges,
 taken from exact products (:func:`_edge_fluxes`) after one refinement step
 of the populations (:func:`_refined_fluxes`).  The kernel decisions
 (condition floor, SVD diagnostics, non-finite rates) are those of the
-double rate matrix, which is the generator's sector block.
+double rate matrix, which is the generator's block on the populations.
 
-The three-qubit fridge's stationary sector holds its populations and one
+The three-qubit fridge's stationary state holds its populations and one
 coherence pair, which follows the populations; eliminating it leaves an
 exact eight-state classical chain, which
 :func:`qpump.three_qubit._solve_fridges` solves along the same steps: its
@@ -43,14 +43,11 @@ fluxes, the shared refinement step and the shared gates.  A whole
 characteristic curve of either model is one stacked solve over a leading
 point axis, and a single solve is a stack of one.
 
-The generator, a :class:`_Generator` (a machine's Hamiltonian in extended
-precision and, per bath, the level pairs of its jump
-``sum_k |lo_k><hi_k|``), is the reference operator: it serves
-:func:`build_liouvillian`, ``build_three_qubit_liouvillian`` and
-:func:`heat_currents_decomposed`.  Both models' currents pass one gate body,
-per point, and a stack's results are one set of columns,
-:class:`SteadySolutions`.  The Kronecker-product builders below are the
-reference of the generator.
+Both models' currents pass one gate body, per point, and a stack's
+results are one set of columns, :class:`SteadySolutions`.  The whole
+generator, which only the oracles use, is assembled from the machine's
+dense operators by the Kronecker-product builders below
+(:class:`_Generator`).
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import SuperOp, _stationary_vectors, vectorize
+from .linalg import SuperOp, _stationary_vectors
 # Kept importable for the layer probes of perfbench/layers.py::install_probes;
 # the solve itself goes through _stationary_vectors.
 from .linalg import stationary_vector  # noqa: F401
@@ -71,9 +68,10 @@ from .pump import (
     RatePair,
     _level_energy,
     _transition_levels,
+    build_hamiltonian,
+    build_jump_operator,
     decay_rates,
     effective_temperature,
-    level_energies,
     transition_pairs,
 )
 
@@ -109,7 +107,6 @@ IDEALITY_RTOL = 1e-8
 # numerically indistinguishable from zero (reversible point, equilibrium).
 _GATE_FRACTION = 1e-10
 _MODE_FRACTION = 1e-15
-_POLISH_ITERATIONS = 3
 
 
 class NonConvergedError(RuntimeError):
@@ -156,9 +153,9 @@ class SteadySolutions:
     holds each point's stationary state at the working extended precision,
     (P, m), on ``positions``, the m column-stacked positions of the
     ``dim x dim`` density matrix that the solve acts on (the fridge's
-    sector, the pump's diagonal); it is zero elsewhere.  ``solutions[k]``
-    is point k as a :class:`SteadySolution`; only there are its dense
-    states made."""
+    populations and coherence pair, the pump's diagonal); it is zero
+    elsewhere.  ``solutions[k]`` is point k as a :class:`SteadySolution`;
+    only there are its dense states made."""
 
     q_work: np.ndarray
     q_hot: np.ndarray
@@ -223,232 +220,39 @@ def build_liouvillian(cfg: PumpConfig) -> SuperOp:
     return _Generator.for_pump(cfg).superop()
 
 
-# ---------------------------------------------------------------------------
-# generator assembly from transition pairs, kernel solve and polish
-
-
-def _stacked(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Column-stacked positions ``i + n j`` of the entries ``[rows, cols]``."""
-    return (rows + n * cols).reshape(-1)
-
-
-class _Channel:
-    """One bath channel at P points, on a set of m positions that its gathers
-    do not leave.  For the jump ``s = sum_k |lo_k><hi_k|`` of a partial
-    permutation, ``s+ s = diag(e)`` and ``s s+ = diag(g)``, where ``e`` and
-    ``g`` flag the levels ``hi`` and ``lo``, so the dissipator is
-    elementwise, ``D(rho)_ij = k_ij rho_ij`` with
-    ``k_ij = -(down (e_i + e_j) + up (g_i + g_j)) / 2``, plus two gathers:
-    ``down rho[hi, hi]`` lands on ``[lo, lo]`` and ``up rho[lo, lo]`` on
-    ``[hi, hi]``.  ``lo``/``hi`` are the gathers' indices in the set,
-    ``flags`` the (2, m) values of ``-(e_i + e_j)/2`` and ``-(g_i + g_j)/2``
-    there, and ``down``/``up`` the rates, one per point.  The factors are
-    held in ``dtype``, the generator's long-double type, which numpy would
-    cast them to at every product.
-    """
-
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, flags: np.ndarray,
-                 down: np.ndarray, up: np.ndarray, dtype: np.dtype):
-        self.lo, self.hi, self.down, self.up = lo, hi, down, up
-        # the flags are 0, -1/2 or -1, so the products are exact and k rounds
-        # once; a zero flag adds no term, so that an infinite rate leaves 0
-        # there and not inf x 0
-        terms = np.zeros((2, down.size, flags.shape[-1]), dtype=np.longdouble)
-        np.multiply(np.array([down, up])[..., None], flags[:, None], out=terms,
-                    where=flags[:, None] != 0)
-        self._decay_ld = (terms[0] + terms[1])[:, None, :].astype(dtype)
-        # each gather as one product over the whole set: [lo] takes down
-        # rho[hi] and [hi] takes up rho[lo]; any other position takes itself
-        # at rate 0, which adds 0
-        m = flags.shape[-1]
-        self._from_hi, self._from_lo = np.arange(m), np.arange(m)
-        self._from_hi[lo], self._from_lo[hi] = hi, lo
-        self._down_ld, self._up_ld = (np.zeros((r.size, 1, m), dtype=dtype) for r in (down, up))
-        self._down_ld[..., lo], self._up_ld[..., hi] = down[:, None, None], up[:, None, None]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """``D(rho)`` at extended precision, on a (P, k, m) stack of states:
-        ``k_ij rho_ij``, plus the down gather, plus the up gather."""
-        return (self._decay_ld * v + self._down_ld * v.take(self._from_hi, axis=-1)
-                + self._up_ld * v.take(self._from_lo, axis=-1))
-
-    def scatter(self, t: np.ndarray) -> None:
-        """Add the entries of :meth:`apply`'s two gathers (two disjoint sets
-        off the diagonal), in its order, to ``t``, a (P, m, m) stack whose
-        ``t[:, k, i]`` is entry ``(i, k)``."""
-        t[:, self.hi, self.lo] += self._down_ld[:, 0, self.lo]
-        t[:, self.lo, self.hi] += self._up_ld[:, 0, self.hi]
-
-
 class _Generator:
-    """One machine at P points: its extended-precision Hamiltonians and one
-    :class:`_Channel` per bath, built from level arrays (no dense jump;
-    ``build_jump_operator`` is the tests' reference).  ``cfg`` gives the
-    baths and their frequencies, floats for one point or (P,) arrays;
-    ``ham`` is one (n, n) Hamiltonian or a (P, n, n) stack, held in long
-    double, real or complex as given.  The structure
-    is shared by the points; only the energies, the couplings and the rates
-    carry the point axis.
+    """One machine as operators: ``cfg`` (its baths and their frequencies),
+    a dense Hamiltonian ``ham`` and one dense lowering operator per bath in
+    ``jumps``.  :meth:`superop` assembles it by Kronecker products; it is
+    the reference generator of the null-space and propagation oracles, and
+    no solve builds one."""
 
-    The diagonal of the Hamiltonian enters the commutator elementwise,
-    ``-i (E_i - E_j)``; its off-diagonal part ``V`` (the three-qubit
-    exchange) as sparse entries: ``-i V rho`` puts ``-i V_rc rho[c, j]`` on
-    ``[r, j]``, and ``i rho V`` puts ``i V_rc rho[i, r]`` on ``[i, c]``.
-    ``sector``: the positions that these entries and the gathers link to the
-    diagonal.  It and its complement are each invariant, so the stationary
-    state is zero outside it.  The generator acts on ``positions``, by
-    default the sector; states are (P, k, m) stacks of k vectors per point
-    on those m positions.
-
-    Positions that are all populations, with no coupling entry among them
-    (the pump's sector), carry a real generator: the commutator vanishes
-    there and the channels' factors are real.  ``dtype`` is then float and
-    ``dtype_ld`` np.longdouble, else complex and np.clongdouble; the block,
-    the action and the currents are computed in them.
-    """
-
-    def __init__(self, cfg, ham, levels, positions: np.ndarray | None = None):
-        # levels: {label: (lo, hi) level arrays of that bath's jump}
-        self._cfg, self._levels = cfg, levels
-        self.ham = np.asarray(ham, dtype=np.result_type(ham, np.longdouble))
-        self.ham = self.ham.reshape((-1,) + self.ham.shape[-2:])
-        n = self.ham.shape[-1]
-        r, c = np.nonzero((self.ham != 0).any(axis=0) & ~np.eye(n, dtype=bool))
-        j = np.arange(n)[:, None]
-        rows = np.concatenate([_stacked(r, j, n), _stacked(j, c, n)])
-        cols = np.concatenate([_stacked(c, j, n), _stacked(j, r, n)])
-        v = self.ham[:, r, c]
-        coupling = np.concatenate([np.tile(-1j * v, n), np.tile(1j * v, n)], axis=1)
-        gathers = {}  # {label: the positions [lo_a, lo_b] and [hi_a, hi_b] of its gathers}
-        for label in _BATHS:
-            lo, hi = levels[label]
-            if not ((lo < hi).all() or (lo > hi).all()):
-                raise ValueError("jump operator must be strictly one-sided (a lowering operator)")
-            if len(set(lo.tolist())) < lo.size or len(set(hi.tolist())) < hi.size:
-                raise ValueError("jump operator must address each level at most once per side")
-            gathers[label] = _stacked(lo[:, None], lo, n), _stacked(hi[:, None], hi, n)
-        a = np.concatenate([rows, *(lo_pos for lo_pos, _ in gathers.values())])
-        b = np.concatenate([cols, *(hi_pos for _, hi_pos in gathers.values())])
-        member, size = np.arange(n * n) % (n + 1) == 0, 0
-        while member.sum() > size:
-            size, linked = member.sum(), member[a] | member[b]
-            member[a[linked]] = member[b[linked]] = True
-        self.sector = np.flatnonzero(member)
-
-        self.positions = self.sector if positions is None else positions
-        local = np.full(n * n, -1)
-        local[self.positions] = np.arange(self.positions.size)
-        self.diagonal = local[:: n + 1]
-        i, j = self.positions % n, self.positions // n
-        inside = local[rows] >= 0
-        real = bool((i == j).all()) and not inside.any()
-        self.dtype = np.dtype(float if real else complex)
-        self.dtype_ld = np.promote_types(self.dtype, np.longdouble)
-
-        def own(z):  # a complex long-double array in dtype_ld, laid out alike
-            return z.real.copy(order="K") if real else z
-
-        energies = np.diagonal(self.ham, axis1=1, axis2=2)
-        self._commutator_ld = own(-1j * (energies[:, i] - energies[:, j]))[:, None, :]
-        self._coupling_rows, self._coupling_cols = local[rows[inside]], local[cols[inside]]
-        self._coupling_ld = own(coupling[:, None, inside])
-        self._ham_t = np.ascontiguousarray(own(self.ham[:, None, j, i]))  # H_ji at (i, j)
-        self.channels = {}
-        for label in _BATHS:
-            rates = decay_rates(cfg.bath(label), cfg.bath_frequency(label))
-            flags = np.zeros((2, n), dtype=np.longdouble)
-            flags[0, levels[label][1]] = flags[1, levels[label][0]] = -0.5
-            lo_pos, hi_pos = gathers[label]
-            inside = local[lo_pos] >= 0
-            self.channels[label] = _Channel(local[lo_pos[inside]], local[hi_pos[inside]],
-                                            flags[:, i] + flags[:, j],
-                                            np.atleast_1d(rates.down), np.atleast_1d(rates.up),
-                                            self.dtype_ld)
+    def __init__(self, cfg, ham: np.ndarray, jumps: dict[str, np.ndarray]):
+        self.cfg, self.ham, self.jumps = cfg, ham, jumps
 
     @classmethod
-    def for_pump(cls, cfg):
-        n = cfg.n_levels
-        e = level_energies(n, cfg.omega_h, cfg.omega_c, dtype=np.longdouble)
-        ham = np.zeros(e.shape + (n,), dtype=np.longdouble)
-        ham[..., np.arange(n), np.arange(n)] = e
-        return cls(cfg, ham, {label: _transition_levels(n, label) for label in _BATHS})
-
-    def block(self) -> np.ndarray:
-        """The double generator on its positions at each point, (P, m, m): the
-        entries of :meth:`action`'s terms, scattered in its order and rounded
-        once, bit for bit and in memory layout (the point axis innermost, then
-        the rows, which fixes how ``block @ v`` sums) the action on the unit
-        vectors.  An entry past the double range is rounded to inf, with no
-        overflow warning, so that the kernel fails its point as non-finite."""
-        m = self.positions.size
-        t = np.zeros((m, m, len(self.ham)), dtype=self.dtype_ld).transpose(2, 0, 1)
-        d = np.arange(m)
-        # only the commutator and each channel's k reach the diagonal; it
-        # sums them in the action's order, then is written once
-        diagonal = self._commutator_ld[:, 0]
-        for ch in self.channels.values():
-            diagonal = diagonal + ch._decay_ld[:, 0]
-        t[:, d, d] = diagonal
-        np.add.at(t, (..., self._coupling_cols, self._coupling_rows), self._coupling_ld[:, 0])
-        for ch in self.channels.values():
-            ch.scatter(t)
-        t = t.swapaxes(1, 2)
-        try:
-            # the cast flags an overflow itself; a check of every long-double
-            # entry ahead of it would cost more than the cast
-            with np.errstate(over="raise"):
-                return t.astype(self.dtype)
-        except FloatingPointError:
-            big = np.finfo(float).max
-            t[(np.abs(t.real) > big) | (np.abs(t.imag) > big)] = np.inf
-            return t.astype(self.dtype)
+    def for_pump(cls, cfg: PumpConfig) -> _Generator:
+        return cls(cfg, build_hamiltonian(cfg),
+                   {label: build_jump_operator(cfg, label) for label in _BATHS})
 
     def superop(self) -> SuperOp:
-        """The whole generator of a one-point machine: the same rounding of
-        the same action, on all N^2 positions."""
-        n = self.ham.shape[-1]
-        whole = _Generator(self._cfg, self.ham, self._levels, np.arange(n * n))
-        (matrix,) = whole.block()
-        return SuperOp(n, matrix)
-
-    def action(self, v: np.ndarray) -> np.ndarray:
-        """The generator in long double at each point, on a (P, k, m) stack
-        of states (or a (1, k, m) stack shared by the points)."""
-        # channel by channel, the gathers that currents() sums: a residual
-        # from one pre-summed long-double matrix rounds differently, and the
-        # first-law gate then fails at the window edge and on the fridge curve
-        out = self._commutator_ld * v
-        np.add.at(out, (..., self._coupling_rows), self._coupling_ld * v[..., self._coupling_cols])
-        for ch in self.channels.values():
-            out += ch.apply(v)
-        return out
-
-    def currents(self, v: np.ndarray) -> dict[str, np.ndarray]:
-        """``tr(H D_a rho)`` per bath at each point, from a (P, 1, m) stack of
-        states: ``sum_ij H_ji D_ij`` over the gathers that :meth:`action`
-        applies."""
-        return {label: np.real((self._ham_t * ch.apply(v)).sum(axis=-1))[:, 0].astype(float)
-                for label, ch in self.channels.items()}
+        """``-i[H, .]`` plus each bath's dissipator at its frequency's rates."""
+        matrix = hamiltonian_commutator(self.ham).matrix
+        for label in _BATHS:
+            rates = decay_rates(self.cfg.bath(label), self.cfg.bath_frequency(label))
+            matrix = matrix + build_dissipator(self.jumps[label], rates).matrix
+        return SuperOp(self.ham.shape[0], matrix)
 
 
-# No solve polishes a state any more.  The polish stays importable, with the
-# generator, for the layer probes of perfbench/layers.py::install_probes, until
-# the probes follow the solves' own layers and the generator leaves production
-# (ROADMAP items 1 and 3).
-def _polish_state(inv: np.ndarray, v0: np.ndarray, gen_ld: _Generator) -> np.ndarray:
-    """Refine the (P, m) sector vectors ``v0`` against the extended-precision
-    generator, through ``inv``, the inverses of the trace-constrained sector
-    blocks that produced them.  Residuals come from the long-double action,
-    so each state is a kernel vector of the generator as built.  Returns the
-    (P, 1, m) stack of unit-trace states."""
-    v = v0.astype(gen_ld.dtype_ld)[:, None, :]
-    # take() copies contiguously: numpy sums a fancy-indexed copy, whose
-    # indexed axis is outermost in memory, in an order that depends on P
-    for _ in range(_POLISH_ITERATIONS):
-        resid = -gen_ld.action(v)
-        resid[..., 0] = 1.0 - v.take(gen_ld.diagonal, axis=-1).sum(axis=-1)
-        v += (inv @ resid.astype(gen_ld.dtype).swapaxes(1, 2)).swapaxes(1, 2).astype(v.dtype)
-    return v / v.take(gen_ld.diagonal, axis=-1).sum(axis=-1, keepdims=True)
+# Kept as a name only, for the layer probes of perfbench/layers.py::install_probes
+# and their smoke tests: no solve polishes a state.  The benchmark-only change
+# of ROADMAP item 1 deletes it.
+def _polish_state(*args):
+    raise NotImplementedError("no solve polishes a state")
+
+
+# ---------------------------------------------------------------------------
+# the gates of both models' stacked solves
 
 
 def _solution_from_state(cfg, currents: dict[str, np.ndarray], ham_scale: np.ndarray,
@@ -610,11 +414,11 @@ def _population_blocks(n: int, rates: np.ndarray, edges=None) -> np.ndarray:
     """The double rate matrices ``M`` of an N-level ladder at P points,
     (P, N, N), from its (6, P) rates: each rate at its entry of
     :func:`_population_structure`, and each level's out-rate, summed from
-    its column, negated on the diagonal.  That is the generator's sector
-    block up to the rounding of its diagonal.  The rates are placed, not
-    multiplied, so an infinite rate leaves no inf x 0, and an out-rate past
-    the double range is inf with no overflow warning, so that the kernel
-    solve fails its point as non-finite.  ``edges`` gives another chain's
+    its column, negated on the diagonal.  That is the generator's block on
+    the populations up to the rounding of its diagonal.  The rates are
+    placed, not multiplied, so an infinite rate leaves no inf x 0, and an
+    out-rate past the double range is inf with no overflow warning, so that
+    the kernel solve fails its point as non-finite.  ``edges`` gives another chain's
     edges in the form of :func:`_ladder_edges`, indexing its own rates."""
     lo, hi, rise = _ladder_edges(n) if edges is None else edges
     m = np.zeros((rates.shape[-1], n, n))
@@ -745,12 +549,12 @@ def _solve_pumps(cfg) -> SteadySolutions:
     """:func:`solve` at every point of ``cfg``, whose frequencies may be (P,)
     arrays, as one stacked solve.
 
-    The kernel decisions are those of the generator's sector block, the
-    double rate matrix, in :func:`~qpump.linalg._stationary_vectors`: a
-    non-finite matrix fails its point, one stacked inversion of the
-    trace-row matrices gives each point's condition, and a point below the
-    floor goes to the SVD diagnostics, which either let it stand or give
-    its kernel error.  The states are the GTH populations in long double,
+    The kernel decisions are those of the generator's block on the
+    populations, the double rate matrix, in
+    :func:`~qpump.linalg._stationary_vectors`: a non-finite matrix fails its
+    point, one stacked inversion of the trace-row matrices gives each
+    point's condition, and a point below the floor goes to the SVD
+    diagnostics, which either let it stand or give its kernel error.  The states are the GTH populations in long double,
     and the currents come from their exact net fluxes
     (:func:`_edge_fluxes`).  The populations keep the few ulps of the
     elimination, which those fluxes resolve, so one refinement step
@@ -795,7 +599,8 @@ class CurrentDecomposition:
     contributions ``w_w <2n+1| D_w rho |2n+1>``; ``cold_levels``/``cold_terms``:
     even levels ``2n`` with ``w_c <2n| D_c rho |2n>``; ``hot_levels`` carries
     all levels with ladder weight ``ceil(n/2)-1`` applied.  Levels are
-    1-based.  Each series sums to the corresponding trace-formula current.
+    1-based.  Each series sums to the corresponding current of ``solve()``,
+    which :func:`heat_currents_decomposed` checks.
     """
 
     work_levels: np.ndarray
@@ -816,20 +621,24 @@ class CurrentDecomposition:
 
 def heat_currents_decomposed(cfg: PumpConfig,
                              solution: SteadySolution | None = None) -> CurrentDecomposition:
-    """Per-level current sums, cross-checked against the trace formula.
+    """Per-level current sums, cross-checked against ``solve()``'s currents.
 
-    The summed decomposition must reproduce ``tr(H D_a rho)`` to 1e-10
-    relative (it is the same diagonal data regrouped, so a mismatch flags an
-    index-bookkeeping bug, not precision loss).
+    Each bath's term at a level is the net inflow of its edges there, from
+    the exact net fluxes (:func:`_edge_fluxes`) on the populations of
+    ``solution``.  The summed decomposition must reproduce the solution's
+    currents to 1e-10 relative (it is the same flux data regrouped, so a
+    mismatch flags an index-bookkeeping bug, not precision loss).
     """
     if solution is None:
         solution = solve(cfg)
     n = cfg.n_levels
-    gen = _Generator.for_pump(cfg)
-    # the pump's sector is its diagonal, so the sector state is the populations
-    v = vectorize(solution.rho_ld)[gen.positions][None, None, :]
-    diag = {label: np.real(ch.apply(v))[0, 0].astype(float)
-            for label, ch in gen.channels.items()}
+    lo, hi, rise = _ladder_edges(n)
+    rates = _bath_rates(cfg).astype(np.longdouble)
+    p = np.real(np.diagonal(solution.rho_ld))[:, None]
+    flux = _edge_fluxes(p, rates[rise], rates[rise - 1], lo, hi)
+    # one column per bath, of the edges whose upward rate is its own (1, 3, 5)
+    inflow = _net_inflow(np.where(rise[:, None] == [1, 3, 5], flux, 0.0), n).astype(float)
+    diag = dict(zip(_BATHS, inflow.T))
 
     w_levels = np.array([2 * k + 1 for k in range(1, (n + 1) // 2)])
     w_terms = cfg.omega_w * diag["work"][w_levels - 1]
@@ -840,13 +649,12 @@ def heat_currents_decomposed(cfg: PumpConfig,
     h_terms = cfg.omega_h * h_weights * diag["hot"]
 
     dec = CurrentDecomposition(w_levels, w_terms, h_levels, h_terms, c_levels, c_terms)
-    trace_q = {label: float(q[0]) for label, q in gen.currents(v).items()}
-    q_scale = max(max(abs(x) for x in trace_q.values()), 1e-300)
+    q_scale = max(max(abs(x) for x in solution.currents.values()), 1e-300)
     for label, total in dec.totals.items():
-        ref = trace_q[label]
+        ref = solution.currents[label]
         if abs(total - ref) > 1e-10 * max(abs(ref), 1e-3 * q_scale):
             raise AssertionError(
-                f"{label} decomposition {total!r} disagrees with trace formula {ref!r}"
+                f"{label} decomposition {total!r} disagrees with the solved current {ref!r}"
             )
     return dec
 

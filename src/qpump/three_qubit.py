@@ -46,9 +46,9 @@ from .steady import (
 )
 
 # Kept importable for the layer probes of perfbench/layers.py::install_probes,
-# until the probes follow the solves' own layers and the generator leaves
-# production (ROADMAP items 1 and 3).  The fridge's solve reaches decay_rates
-# through steady._bath_rates and uses neither of the others.
+# until the probes follow the solves' own layers (ROADMAP item 1).  The
+# fridge's solve reaches decay_rates through steady._bath_rates and uses
+# neither of the others.
 from .linalg import stationary_vector  # noqa: F401
 from .pump import decay_rates  # noqa: F401
 from .steady import _polish_state  # noqa: F401
@@ -85,7 +85,7 @@ _EDGES = (np.array([*(lo for label in _BATHS for lo in _FLIPS[label][0]), 1]),
 _INCIDENCE = np.zeros((8, 13), dtype=np.longdouble)
 _INCIDENCE[_EDGES[1], np.arange(13)] = 1.0
 _INCIDENCE[_EDGES[0], np.arange(13)] = -1.0
-# the stationary sector, in column-stacked positions i + 8 j: the eight
+# the stationary state's positions, column-stacked i + 8 j: the eight
 # populations and the coherence pair rho_61 (at 14) and rho_16 (at 49)
 _SECTOR = np.sort(np.r_[np.arange(8) * 9, 14, 49])
 
@@ -120,23 +120,18 @@ class ThreeQubitConfig(_ThreeBathConfig):
         return self.omega_c + self.omega_w
 
 
-def build_three_qubit_hamiltonian(cfg: ThreeQubitConfig, dtype=complex) -> np.ndarray:
+def build_three_qubit_hamiltonian(cfg: ThreeQubitConfig) -> np.ndarray:
     """8 x 8 Hamiltonian: three number operators plus the resonant exchange.
 
     At ``g = 0`` the spectrum is the eight sums of subsets of
     {omega_c, omega_w, omega_h}; the degenerate pair |110>, |001| (both at
-    omega_h) splits to omega_h +/- g.  Array frequencies give one
-    Hamiltonian per element, along new leading axes.
+    omega_h) splits to omega_h +/- g.
     """
-    rt = np.longdouble if dtype == _LD else float
-    wc, ww = np.asarray(cfg.omega_c, dtype=rt), np.asarray(cfg.omega_w, dtype=rt)
-    wh = wc + ww
     level = np.arange(8)
     n_c, n_w, n_h = ((level & _QUBIT_BIT[label]) > 0 for label in ("cold", "work", "hot"))
-    h = np.zeros(wc.shape + (8, 8), dtype=dtype)
-    h[..., level, level] = wc[..., None] * n_c + ww[..., None] * n_w + wh[..., None] * n_h
+    h = np.diag(cfg.omega_c * n_c + cfg.omega_w * n_w + cfg.omega_h * n_h).astype(complex)
     # |1_c 1_w 0_h> has index 6, |0_c 0_w 1_h> index 1
-    h[..., 6, 1] = h[..., 1, 6] = rt(cfg.g)
+    h[6, 1] = h[1, 6] = cfg.g
     return h
 
 
@@ -146,8 +141,15 @@ def build_three_qubit_liouvillian(cfg: ThreeQubitConfig) -> SuperOp:
     return _generator_ld(cfg).superop()
 
 
+# The name is kept for the layer probes of perfbench/layers.py::install_probes;
+# the benchmark-only change of ROADMAP item 1 renames it.
 def _generator_ld(cfg: ThreeQubitConfig) -> _Generator:
-    return _Generator(cfg, build_three_qubit_hamiltonian(cfg, dtype=_LD), _FLIPS)
+    """The fridge as operators: its Hamiltonian and each qubit's lowering
+    operator, the sum of its four flips."""
+    jumps = {label: np.zeros((8, 8)) for label in _FLIPS}
+    for label, (lo, hi) in _FLIPS.items():
+        jumps[label][lo, hi] = 1.0
+    return _Generator(cfg, build_three_qubit_hamiltonian(cfg), jumps)
 
 
 def solve_three_qubit(cfg: ThreeQubitConfig) -> SteadySolution:
@@ -183,7 +185,7 @@ def _solve_fridges(cfg) -> SteadySolutions:
     step through the kernel solve's inverses
     (:func:`~qpump.steady._refined_fluxes`), and the kernel residual is that
     of the net inflows, ``max |M p| / max|M|``.  The states hold the
-    populations and the coherence pair on the stationary sector."""
+    populations and the coherence pair at ``_SECTOR``."""
     rates = _bath_rates(cfg)
     rates_ld = rates.astype(np.longdouble)
     g = np.longdouble(cfg.g)

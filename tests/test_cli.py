@@ -538,3 +538,21 @@ class TestAbPairs:
         assert load_tool("ab_pairs").main([str(parent), str(change), "--workload", "w",
                                            "--pairs", "2", "--seconds", "1"]) == 2
         assert "correct is False" in capsys.readouterr().err
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent
+
+
+class TestScripts:
+    # the demos and tools sit outside src and reach into its private names
+    # (cli._curve_setup, pump._transition_levels, ...), so a rename there
+    # fails here and not at their next use
+    @pytest.mark.parametrize("path", sorted((SCRIPTS / "demos").glob("*.py")),
+                             ids=lambda path: path.stem)
+    def test_demo_runs_cleanly(self, path):
+        result = run_in_subprocess([str(path)], module=False)
+        assert (result.returncode, result.stderr) == (0, "")
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in (SCRIPTS / "tools").glob("*.py")))
+    def test_tool_loads(self, name):
+        assert callable(load_tool(name).main)

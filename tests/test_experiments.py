@@ -681,8 +681,10 @@ class TestCharacteristicCurve:
         # first-law gate there
         assert len(characteristic_curve("ideal", stiff_setup(omega_w, n), n_points=1000)) == 1000
 
-    def test_ideal_curve_is_exactly_linear_in_normalized_efficiency(self):
-        pts = characteristic_curve("ideal", COMPARE_SETUP, n_points=50)
+    @pytest.mark.parametrize("system", ["ideal", "three_qubit"])
+    def test_curve_is_exactly_linear_in_normalized_efficiency(self, system):
+        # both machines' COP is omega_c / omega_w at every point
+        pts = characteristic_curve(system, COMPARE_SETUP, n_points=50)
         window = qpump.cooling_window_max_fixed_work(60.0, COMPARE_SETUP.temps)
         for pt in pts:
             assert abs(pt.eps_over_carnot - pt.omega_c / window) < 1e-8
@@ -699,7 +701,6 @@ class TestCharacteristicCurve:
     def test_three_qubit_curve_closes_below_carnot(self):
         pts = characteristic_curve("three_qubit", COMPARE_SETUP, n_points=100)
         q_max = max(p.q_c for p in pts)
-        assert max(p.eps_over_carnot for p in pts) < 1.0
         assert pts[-1].q_c < 0.05 * q_max
 
     def test_power_ratio_exceeds_three_orders(self):
