@@ -96,6 +96,28 @@ def _fmt(x) -> str:
     return f"{float(x):.16e}"
 
 
+# the str.format field that writes a cell of each of these types as _fmt does
+_CELL_FIELDS = {float: "{:.16e}", np.float64: "{:.16e}", str: "{}", int: "{}"}
+
+
+def _csv_rows(rows: list[list]) -> list[str]:
+    """Each row as one CSV line of its cells' :func:`_fmt` texts, formatted
+    in one ``str.format`` call per row: the template is built once for each
+    sequence of cell types, and a row with a cell of another type (a bool,
+    a numpy integer) is formatted cell by cell."""
+    templates: dict[tuple, str | None] = {}
+    lines = []
+    for row in rows:
+        kinds = tuple(map(type, row))
+        if kinds not in templates:
+            fields = [_CELL_FIELDS.get(kind) for kind in kinds]
+            templates[kinds] = None if None in fields else ",".join(fields)
+        template = templates[kinds]
+        lines.append(template.format(*row) if template is not None
+                     else ",".join([_fmt(cell) for cell in row]))
+    return lines
+
+
 def _coerce(key: str, raw: str, where: str):
     if key not in _ALL_KEYS:
         raise CliConfigError(f"{where}: unknown parameter key {key!r}")
@@ -188,12 +210,13 @@ def _curve_setup(params: dict, points: int) -> CurveSetup:
             gamma_work=params["gamma_w"], gamma_hot=params["gamma_h"],
             gamma_cold=params["gamma_c"], g=params["g"], n_levels=params.get("n_levels", 8))
         # both machines once, so that a bad value fails here and not inside
-        # the sweep, which silences the same warnings
+        # the sweep, which silences the same warnings; at one omega_c both
+        # see the same three bath frequencies, so their rates are checked once
         window = pump.cooling_window_max_fixed_work(omega_w, setup.temps)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for system in ("ideal", "three_qubit"):
-                _check_rates(experiments._curve_config(system, setup, 0.5 * window))
+            _check_rates(experiments._curve_config("ideal", setup, 0.5 * window))
+            experiments._curve_config("three_qubit", setup, 0.5 * window)
     except ValueError as exc:
         raise CliConfigError(str(exc)) from exc
     return setup
@@ -224,7 +247,7 @@ def _csv(schema: str, seed: int, params_echo: str, extra_meta: dict,
     ]
     lines += [f"# {k}: {_fmt(v)}" for k, v in extra_meta.items()]
     lines.append(",".join(columns))
-    lines += [",".join([_fmt(cell) for cell in row]) for row in rows]
+    lines += _csv_rows(rows)
     return "\n".join(lines) + "\n"
 
 

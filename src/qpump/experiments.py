@@ -309,9 +309,9 @@ class _CoolingPowerEvaluator:
     body, :func:`_gth_cold_power`, solves it at a scalar step here and at
     every point of a coarse grid in :func:`_solve_grids` alike, bit for bit.
     Its GTH elimination, :func:`~qpump.steady._ladder_balance`, is the one
-    that gives :func:`~qpump.steady.solve` its populations and ``q_c`` (in
-    long double there), so ``q_cold`` and ``solve``'s ``q_c`` come from one
-    body.  ``grid`` holds the coarse grid's values once they are solved.
+    that gives :func:`~qpump.steady.solve` its populations and ``q_c``, so
+    ``q_cold`` and ``solve``'s ``q_c`` come from one body.  ``grid`` holds
+    the coarse grid's values once they are solved.
     """
 
     def __init__(self, template: PumpConfig):
@@ -343,8 +343,9 @@ class _CoolingPowerEvaluator:
 
         The result equals the trace-formula current ``tr(H D_c rho)`` of the
         full generator, because the ideal pump's stationary state is
-        diagonal, and :func:`~qpump.steady.solve`'s ``q_c`` to a few ulps:
-        the same elimination, in double here and in long double there.
+        diagonal, and :func:`~qpump.steady.solve`'s ``q_c`` to the rounding
+        of the net fluxes: the same elimination, whose cold flux is a plain
+        difference here and an exact one, after refinement steps, there.
         """
         q, ok = _gth_cold_power(omega_c, *_ladder_rates(self.n, self._channels(omega_c)))
         if not ok:

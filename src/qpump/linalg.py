@@ -11,13 +11,13 @@ Conventions used throughout the package:
   complex matrix acting on column-stacked density matrices.
 
 Hilbert dimensions stay at most 10, so everything is dense and double
-precision, and numpy is the only dependency.  The kernel solve takes a stack
-of matrices and their trace row: a stack of one whole superoperator
-(:func:`stationary_vector`), or the rate matrices of the ideal pump's ladder
-or of the three-qubit fridge's eight-state chain, one per point of a sweep,
-whose kernel decisions it makes.  It inverts the stack in one
-``numpy.linalg.inv`` call (an LU factorization per matrix) and gates each
-point on its own.
+precision, and numpy is the only dependency.  The kernel decisions
+(:func:`_kernel_decisions`) take a stack of matrices and their trace row:
+the rate matrices of the ideal pump's ladder or of the three-qubit fridge's
+eight-state chain, one per point of a sweep, or a stack of one whole
+superoperator, for which :func:`stationary_vector` also takes the kernel
+vector.  They invert the stack in one ``numpy.linalg.inv`` call (an LU
+factorization per matrix) and judge each point on its own.
 """
 
 from __future__ import annotations
@@ -162,28 +162,28 @@ def stationary_vector(op: SuperOp) -> np.ndarray:
     return v[0]
 
 
-def _stationary_vectors(mats: np.ndarray, trace: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, dict[int, np.linalg.LinAlgError]]:
-    """Kernel vectors ``v[k]`` of a stack of matrices ``mats[k]``, each with
-    ``trace @ v[k] == 1``, the inverse of each trace-constrained matrix, and
-    the kernel errors by point index, for whole generators or invariant
-    blocks of them.
+def _kernel_decisions(mats: np.ndarray, trace: np.ndarray) -> tuple[
+        np.ndarray, dict[int, np.linalg.LinAlgError], dict[int, np.ndarray]]:
+    """The kernel decision of each matrix of a stack ``mats[k]``, and the
+    inverse of each trace-constrained matrix, for whole generators or the
+    rate matrices of a chain.
 
-    Every point is judged on its own.  The primary path replaces the first
-    row of each matrix with ``trace`` and inverts the stack; the first
-    column of an inverse, plus one step of iterative refinement, is the
-    vector.  A point whose exact 1-norm reciprocal condition
-    ``1 / (|M|_1 |M^-1|_1)`` is below ``KERNEL_RCOND_FLOOR``, or that fails
-    the trace or residual gate, gets its vector from an SVD of its matrix,
-    which doubles as the uniqueness diagnostic.  A point with no unique
-    stationary state does not stop the others: its
-    :class:`NoKernelError` or :class:`DegenerateKernelError` is returned
-    under its index, and its vector and inverse are NaN, so that the caller
-    can judge the points in order.  An exactly singular (or non-finite)
-    matrix fails the stacked inversion, so such a stack is solved point by
-    point and only that point leaves the primary path.  The inverses are
-    returned on every path, so that a caller can refine the states without
-    factoring again."""
+    Every point is judged on its own.  The first row of each matrix is
+    replaced with ``trace`` and the stack inverted; a point whose exact
+    1-norm reciprocal condition ``1 / (|M|_1 |M^-1|_1)`` is at least
+    ``KERNEL_RCOND_FLOOR`` has a unique kernel, whose trace the trace row
+    fixes.  A point below the floor goes to the SVD of its matrix
+    (:func:`_svd_kernel`), which either lets it stand and gives its
+    unit-trace kernel vector, or gives its :class:`NoKernelError` or
+    :class:`DegenerateKernelError`.  A failing point does not stop the
+    others: its error is kept under its index, and its inverse is NaN, so
+    that the caller can judge the points in order.  An exactly singular
+    (or non-finite) matrix fails the stacked inversion, so such a stack is
+    inverted point by point and only that point leaves the primary path.
+
+    Returns ``(inv, errors, kernels)``: the inverses, the errors by point
+    index, and the SVD's kernel vector of each point below the floor that
+    stands."""
     scale = np.abs(mats).max(axis=(1, 2))
     m = mats.copy()
     m[:, 0, :] = trace
@@ -192,11 +192,11 @@ def _stationary_vectors(mats: np.ndarray, trace: np.ndarray
     except np.linalg.LinAlgError:
         inv = None
     if inv is None and len(m) > 1:
-        parts = [_stationary_vectors(mat[None], trace) for mat in mats]
-        errors = {k: exc for k, part in enumerate(parts) for exc in part[2].values()}
-        return (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]),
-                errors)
-    errors = {}
+        parts = [_kernel_decisions(mat[None], trace) for mat in mats]
+        return (np.concatenate([part[0] for part in parts]),
+                {k: exc for k, part in enumerate(parts) for exc in part[1].values()},
+                {k: v for k, part in enumerate(parts) for v in part[2].values()})
+    errors, kernels = {}, {}
     if inv is None:
         if not np.isfinite(scale[0]):
             # an overflowed rate; neither the inverse nor the SVD can use such a matrix
@@ -204,41 +204,75 @@ def _stationary_vectors(mats: np.ndarray, trace: np.ndarray
         elif scale[0] == 0.0:
             errors[0] = DegenerateKernelError("zero generator: every state is stationary")
         if errors:
-            nan = np.full_like(m, np.nan)
-            return nan[:, 0], nan, errors
+            return np.full_like(m, np.nan), errors, kernels
         # exactly singular: the SVD below decides, and a refinement can only
         # go through the pseudo-inverse
         inv, rcond = np.linalg.pinv(m), np.zeros(1)
     else:
         rcond = _reciprocal_condition(m, inv)
+    # an inverse that overflowed has no condition (0 or NaN): below the floor
+    for k in np.flatnonzero(~(rcond >= KERNEL_RCOND_FLOOR)):
+        try:
+            kernels[int(k)] = _svd_kernel(mats[k], trace, scale[k])
+        except (NoKernelError, DegenerateKernelError) as exc:
+            errors[int(k)] = exc
+            inv[k] = np.nan
+    return inv, errors, kernels
+
+
+def _svd_kernel(mat: np.ndarray, trace: np.ndarray, scale: float) -> np.ndarray:
+    """The unit-trace kernel vector of one matrix from its SVD
+    (:func:`_kernel_diagnostics`), held to the trace and residual gates of
+    the primary path; ``scale`` is ``max |mat|``."""
+    v, traced = _normalize_trace(_kernel_diagnostics(mat), trace)
+    if not traced:
+        raise DegenerateKernelError(
+            "kernel vector has (near-)zero trace; stationary state ill-defined"
+        )
+    if np.max(np.abs(mat @ v)) > KERNEL_RESIDUAL_RTOL * scale:
+        raise NoKernelError("kernel residual exceeds tolerance even on the singular-vector path")
+    return v
+
+
+def _stationary_vectors(mats: np.ndarray, trace: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, dict[int, np.linalg.LinAlgError]]:
+    """Kernel vectors ``v[k]`` of a stack of matrices ``mats[k]``, each with
+    ``trace @ v[k] == 1``, the inverse of each trace-constrained matrix, and
+    the kernel errors by point index, on the decisions of
+    :func:`_kernel_decisions`.
+
+    A point above the condition floor takes the first column of its
+    inverse, plus one step of iterative refinement, as its vector; if that
+    vector fails the trace or residual gate, the point goes to the SVD path
+    after all.  A point below the floor has the SVD's vector.  A failing
+    point's vector and inverse are NaN."""
+    inv, errors, kernels = _kernel_decisions(mats, trace)
+    scale = np.abs(mats).max(axis=(1, 2))
+    m = mats.copy()
+    m[:, 0, :] = trace
     v = inv[:, :, 0].copy()  # contiguous: the sums below then run in one order for any P
     b = np.zeros(m.shape[1], dtype=m.dtype)
     b[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         # the inverse of a point below the condition floor may overflow;
-        # the gates drop such a point, whatever its arithmetic gives here
+        # the SVD's vector replaces it, whatever its arithmetic gives here
         v = v + (inv @ (b - (m @ v[..., None])[..., 0])[..., None])[..., 0]
         v, ok = _normalize_trace(v, trace)
-        ok &= (rcond >= KERNEL_RCOND_FLOOR) & np.isfinite(v).all(axis=1)
+        ok &= np.isfinite(v).all(axis=1)
         ok &= np.abs(mats @ v[..., None]).max(axis=(1, 2)) <= KERNEL_RESIDUAL_RTOL * scale
-
-    # Replacement solve failed: run the SVD path, which either produces a
-    # usable kernel vector or explains the failure.
+    for k, kernel in kernels.items():
+        v[k] = kernel
     for k in np.flatnonzero(~ok):
+        k = int(k)
+        if k in kernels or k in errors:
+            continue
         try:
-            v[k], traced = _normalize_trace(_kernel_diagnostics(mats[k]), trace)
-            if not traced:
-                raise DegenerateKernelError(
-                    "kernel vector has (near-)zero trace; stationary state ill-defined"
-                )
-            if np.max(np.abs(mats[k] @ v[k])) > KERNEL_RESIDUAL_RTOL * scale[k]:
-                raise NoKernelError(
-                    "kernel residual exceeds tolerance even on the singular-vector path"
-                )
+            v[k] = _svd_kernel(mats[k], trace, scale[k])
         except (NoKernelError, DegenerateKernelError) as exc:
-            errors[int(k)] = exc
-            v[k], inv[k] = np.nan, np.nan
-    return v, inv, errors
+            errors[k] = exc
+            inv[k] = np.nan
+    v[list(errors)] = np.nan
+    return v, inv, dict(sorted(errors.items()))
 
 
 def propagate(op: SuperOp, rho0: np.ndarray, dt: float | None = None,

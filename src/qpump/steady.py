@@ -17,19 +17,26 @@ flowing from reservoir ``a`` into the system; in chiller mode
 
 Numerical note: the stationary populations at strongly disparate rate scales
 (rates span ~10^5 at the reference parameter set) leave the net fluxes as
-small differences of large one-way flows.  Plain double precision floors the
-first-law residual near 1e-9 of the largest current there, so both models
-are solved in extended precision (x87 long double), from rates computed in
-double by :func:`~qpump.pump.decay_rates`; the first law holds for the
-machine as built, so double rates are enough.
+small differences of large one-way flows.  Net fluxes taken as plain
+differences of double products floor the first-law residual near 1e-9 of
+the largest current there.  Both models are solved in double, from rates
+computed in double by :func:`~qpump.pump.decay_rates` (the first law holds
+for the machine as built, so double rates are enough), but each net flux is
+taken from exact products of Dekker-split halves (:func:`_edge_fluxes`), so
+that it is good to an ulp of itself, and two refinement steps take the
+populations' rounding out of the fluxes (:func:`_refined_fluxes`).  The
+currents are then within a few ulps of a 50-digit solve of the same rates
+(4.4e-16 of the largest current), and nothing depends on the platform's
+long-double width: ``long double`` remains only in the rate-equation
+oracle (:func:`pauli_rate_oracle`).
 
 The ideal pump's stationary state is diagonal: its coherences decouple and
 decay, and its populations solve a banded classical master equation.
 :func:`_solve_pumps` solves that equation by the subtraction-free GTH
-elimination of :func:`_ladder_balance` in long double, the body that also
-gives the power optimizer's ``q_cold``, with no generator and no polish;
+elimination of :func:`_ladder_balance`, the body that also gives the
+power optimizer's ``q_cold``, with no generator and no polish;
 each current is its bath's energy gap times the net flux on its edges,
-taken from exact products (:func:`_edge_fluxes`) after one refinement step
+taken from exact products (:func:`_edge_fluxes`) after two refinement steps
 of the populations (:func:`_refined_fluxes`).  The kernel decisions
 (condition floor, SVD diagnostics, non-finite rates) are those of the
 double rate matrix, which is the generator's block on the populations.
@@ -39,7 +46,7 @@ coherence pair, which follows the populations; eliminating it leaves an
 exact eight-state classical chain, which
 :func:`qpump.three_qubit._solve_fridges` solves along the same steps: its
 rate matrices, their kernel decisions, a dense GTH elimination, exact
-fluxes, the shared refinement step and the shared gates.  A whole
+fluxes, the shared refinement steps and the shared gates.  A whole
 characteristic curve of either model is one stacked solve over a leading
 point axis, and a single solve is a stack of one.
 
@@ -59,9 +66,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import SuperOp, _stationary_vectors
+from .linalg import SuperOp, _kernel_decisions
 # Kept importable for the layer probes of perfbench/layers.py::install_probes;
-# the solve itself goes through _stationary_vectors.
+# the solve itself goes through _kernel_decisions.
 from .linalg import stationary_vector  # noqa: F401
 from .pump import (
     PumpConfig,
@@ -92,7 +99,6 @@ __all__ = [
     "IDEALITY_RTOL",
 ]
 
-_LD = np.clongdouble
 _BATHS = ("work", "hot", "cold")
 
 # Solver acceptance gates, from double-precision conditioning of the dense
@@ -101,7 +107,7 @@ KERNEL_RTOL = 1e-10
 FIRST_LAW_RTOL = 1e-10
 IDEALITY_RTOL = 1e-8
 # The natural current scale is |H| times the largest channel rate; the
-# extended-precision assembly floor sits ~1e-16 of it.  Currents below
+# assembly floor of the net fluxes sits ~1e-16 of it.  Currents below
 # _GATE_FRACTION of the scale are too close to that floor for relative
 # residual gates to be meaningful; below _MODE_FRACTION they are
 # numerically indistinguishable from zero (reversible point, equilibrium).
@@ -135,10 +141,12 @@ class SteadySolution:
     entropy_rate: float
     residuals: dict[str, float]
     mode: str
-    # stationary state at the working extended precision; the per-level
-    # current bookkeeping reuses it so decompositions match the currents
-    # beyond the double-rounding floor
-    rho_ld: np.ndarray
+    # the exact net upward flux of each edge of the machine's chain, after
+    # the refinement steps, and the refined populations' total, of which the
+    # currents are sums: the per-level current bookkeeping regroups them, so
+    # that decompositions match the currents beyond the rounding of the state
+    edge_fluxes: np.ndarray
+    population_total: float
 
     @property
     def currents(self) -> dict[str, float]:
@@ -148,14 +156,15 @@ class SteadySolution:
 @dataclass(frozen=True)
 class SteadySolutions:
     """The solutions of one machine at the P points of a stacked solve, as
-    columns: each field but the last three is a (P,) array of the
-    :class:`SteadySolution` field (or residual) of that name.  ``states``
-    holds each point's stationary state at the working extended precision,
-    (P, m), on ``positions``, the m column-stacked positions of the
-    ``dim x dim`` density matrix that the solve acts on (the fridge's
-    populations and coherence pair, the pump's diagonal); it is zero
-    elsewhere.  ``solutions[k]`` is point k as a :class:`SteadySolution`;
-    only there are its dense states made."""
+    columns: each field but the last four is a (P,) array of the
+    :class:`SteadySolution` field (or residual) of that name.
+    ``edge_fluxes`` holds each point's (P, E) edge fluxes.  ``states``
+    holds each point's stationary state, (P, m), on ``positions``, the m
+    column-stacked positions of the ``dim x dim`` density matrix that the
+    solve acts on (the fridge's populations and coherence pair, complex, the
+    pump's diagonal, real); it is zero elsewhere.  ``solutions[k]`` is
+    point k as a :class:`SteadySolution`; only there are its dense states
+    made."""
 
     q_work: np.ndarray
     q_hot: np.ndarray
@@ -166,6 +175,8 @@ class SteadySolutions:
     first_law: np.ndarray
     ideality_cold_work: np.ndarray
     mode: np.ndarray
+    population_total: np.ndarray
+    edge_fluxes: np.ndarray
     states: np.ndarray
     positions: np.ndarray
     dim: int
@@ -174,11 +185,10 @@ class SteadySolutions:
         return len(self.states)
 
     def __getitem__(self, k: int) -> SteadySolution:
-        rho = np.zeros(self.dim * self.dim, dtype=_LD)
+        rho = np.zeros(self.dim * self.dim, dtype=complex)
         rho[self.positions] = self.states[k]
-        rho = rho.reshape(self.dim, self.dim).T  # column-stacked: (i, j) at i + n j
         return SteadySolution(
-            rho_inf=rho.astype(complex),
+            rho_inf=rho.reshape(self.dim, self.dim).T,  # column-stacked: (i, j) at i + n j
             q_work=float(self.q_work[k]),
             q_hot=float(self.q_hot[k]),
             q_cold=float(self.q_cold[k]),
@@ -187,7 +197,8 @@ class SteadySolutions:
             residuals={name: float(getattr(self, name)[k])
                        for name in ("kernel_residual", "first_law", "ideality_cold_work")},
             mode=str(self.mode[k]),
-            rho_ld=rho,
+            edge_fluxes=self.edge_fluxes[k],
+            population_total=float(self.population_total[k]),
         )
 
 
@@ -255,25 +266,28 @@ def _polish_state(*args):
 # the gates of both models' stacked solves
 
 
-def _solution_from_state(cfg, currents: dict[str, np.ndarray], ham_scale: np.ndarray,
-                         rate_scale: np.ndarray, states: np.ndarray, positions: np.ndarray,
-                         dim: int, kernel_residual: np.ndarray, gate_ideality: bool,
+def _solution_from_state(cfg, currents: dict[str, np.ndarray], flux: np.ndarray,
+                         total: np.ndarray, ham_scale: np.ndarray, rate_scale: np.ndarray,
+                         states: np.ndarray, positions: np.ndarray, dim: int,
+                         kernel_residual: np.ndarray, gate_ideality: bool,
                          kernel_errors: dict[int, np.linalg.LinAlgError]) -> SteadySolutions:
     """The gated currents of each point of ``cfg``'s machine, as columns.
-    ``currents`` holds each bath's (P,) current, ``ham_scale`` and
-    ``rate_scale`` the largest |energy| and the largest channel rate
-    ``down + up`` at each point, and ``states`` the (P, m) states on the
-    ``positions`` of the ``dim x dim`` density matrix.  The first point
-    that fails, in the kernel solve (``kernel_errors``, by point index) or a
-    gate, raises, naming its ``omega_c``."""
+    ``currents`` holds each bath's (P,) current, ``flux`` and ``total`` the
+    (E, P) edge fluxes and the (P,) population totals of which they are
+    sums, ``ham_scale`` and ``rate_scale`` the largest |energy| and the
+    largest channel rate ``down + up`` at each point, and ``states`` the
+    (P, m) states on the ``positions`` of the ``dim x dim`` density matrix.
+    The first point that fails, in the kernel solve (``kernel_errors``, by
+    point index) or a gate, raises, naming its ``omega_c``."""
     q_work, q_hot, q_cold = currents["work"], currents["hot"], currents["cold"]
     ham_scale = np.where(ham_scale == 0.0, 1.0, ham_scale)
-    # a scale past the double range fails its point; in long double it cannot overflow
-    fits = ham_scale.astype(np.longdouble) * rate_scale <= np.finfo(float).max
-    current_scale = np.multiply(ham_scale, rate_scale, out=np.full_like(ham_scale, np.inf),
-                                where=fits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a scale past the double range is inf (or NaN), and fails its point
+        current_scale = ham_scale * rate_scale
+    fits = np.isfinite(current_scale)
+    current_scale[~fits] = np.inf
     noise = _MODE_FRACTION * current_scale
-    q_max = np.max(np.abs([q_work, q_hot, q_cold]), axis=0)
+    q_max = np.maximum(np.maximum(np.abs(q_work), np.abs(q_hot)), np.abs(q_cold))
     # Relative gates are only meaningful when the currents stand well clear
     # of the numerical noise floor of the current assembly.
     healthy = q_max > _GATE_FRACTION * current_scale
@@ -295,7 +309,7 @@ def _solution_from_state(cfg, currents: dict[str, np.ndarray], ham_scale: np.nda
         (gate_ideality & healthy & ~boundary & (ideality > IDEALITY_RTOL),
          lambda k: f"ideality residual {ideality[k]:.3e} > {IDEALITY_RTOL:.0e}"),
     )
-    failed = np.any([mask for mask, _ in gates], axis=0)
+    failed = gates[0][0] | gates[1][0] | gates[2][0] | gates[3][0]
     failed[list(kernel_errors)] = True
     if failed.any():
         k = int(np.argmax(failed))
@@ -305,12 +319,22 @@ def _solution_from_state(cfg, currents: dict[str, np.ndarray], ham_scale: np.nda
         message = next(text(k) for mask, text in gates if mask[k])
         raise NonConvergedError(message + at)
 
-    t_work = effective_temperature(cfg.work, omega_w)
-    entropy_rate = -sum(x.astype(np.longdouble) / np.asarray(t, dtype=np.longdouble)
-                        for x, t in zip((q_work, q_hot, q_cold),
-                                        (t_work, cfg.hot.temperature, cfg.cold.temperature)))
-    return SteadySolutions(q_work, q_hot, q_cold, cop, entropy_rate.astype(float),
-                           kernel_residual, first_law, ideality, mode, states, positions, dim)
+    # the three entropy flows nearly cancel near the reversible point: their
+    # sum carries its two rounding errors
+    entropy, err = _two_sum(-q_work / effective_temperature(cfg.work, omega_w),
+                            -q_hot / cfg.hot.temperature)
+    entropy, err2 = _two_sum(entropy, -q_cold / cfg.cold.temperature)
+    return SteadySolutions(q_work, q_hot, q_cold, cop, entropy + (err + err2),
+                           kernel_residual, first_law, ideality, mode, total, flux.T, states,
+                           positions, dim)
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a + b`` rounded, and its rounding error, exactly (Knuth's TwoSum;
+    Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005))."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +453,19 @@ def _population_blocks(n: int, rates: np.ndarray, edges=None) -> np.ndarray:
     return m
 
 
-# Dekker's splitting factor for the long-double format: each half of a split
-# holds at most half the mantissa's bits, so the product of two halves is exact
-_SPLIT = np.longdouble(2 ** -(-(np.finfo(np.longdouble).nmant + 1) // 2) + 1)
+# Dekker's splitting factor for doubles: each half of a split holds at most
+# 26 of the mantissa's 53 bits, so the product of two halves is exact
+_SPLIT = 2.0 ** 27 + 1.0
+# the exponent of the largest value that the split takes without overflow:
+# 2^996 (2^27 + 1) is below the largest double
+_SPLIT_EXPONENT = 996
 
 
 def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's split ``x == hi + lo`` of long doubles (Dekker, Numer. Math.
-    18, 224 (1971)): ``hi`` holds the upper half of the mantissa's bits, and
-    ``|lo|`` is at most ``2**-32 |x|`` in the x87 format."""
+    """Dekker's split ``x == hi + lo`` of doubles (Dekker, Numer. Math. 18,
+    224 (1971)): ``hi`` holds the upper 26 bits of the mantissa, and
+    ``|lo|`` is at most ``2**-26 |x|``.  ``|x|`` must be below
+    ``2**_SPLIT_EXPONENT``."""
     c = x * _SPLIT
     hi = c - (c - x)
     return hi, x - hi
@@ -445,39 +473,53 @@ def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _edge_fluxes(p: np.ndarray, up: np.ndarray, down: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray) -> np.ndarray:
-    """The net upward flux ``p[lo] * up - p[hi] * down`` of each edge, good
-    to an ulp of itself, not of the one-way flows whose small difference it
-    is.  The products of the populations' upper halves with the rates'
-    halves are exact, and the lower halves' products with the rates are
-    ``2**-32`` of the flows, so that their rounding is far below the net
-    flux."""
+    """The net upward flux ``p[lo] * up - p[hi] * down`` of each edge at
+    each point, (E, P), good to an ulp of itself, not of the one-way flows
+    whose small difference it is.  The products of the populations' upper
+    halves with the rates' halves are exact, and the lower halves' products
+    with the rates are ``2**-26`` of the flows, so that their rounding is far
+    below the net flux.  Each point's rates are split after scaling by a
+    power of two, which takes the largest below ``2**_SPLIT_EXPONENT`` (and
+    leaves smaller ones as they are), and the fluxes are scaled back: both
+    steps are exact, so a point's fluxes are those of its rates unscaled."""
+    top = np.frexp(np.maximum(up, down).max(axis=0))[1]
+    scale = np.ldexp(1.0, np.minimum(_SPLIT_EXPONENT - top, 0))
+    up, down = up * scale, down * scale
     (ah, al), (bh, bl) = _halves(p[lo]), _halves(p[hi])
     (uh, ul), (dh, dl) = _halves(up), _halves(down)
-    return (ah * uh - bh * dh) + ((ah * ul - bh * dl) + (al * up - bl * down))
+    return ((ah * uh - bh * dh) + ((ah * ul - bh * dl) + (al * up - bl * down))) / scale
+
+
+# A refinement step through the double inverses leaves about cond(M) eps of
+# the populations' error.  After one, the currents of a saturated work bath,
+# whose one-way flows are 1e11 times the net ones, are off by up to 3e-12 of
+# the largest; after two they are within a few ulps of a 50-digit solve.
+_REFINEMENT_STEPS = 2
 
 
 def _refined_fluxes(p: np.ndarray, inv: np.ndarray, block: np.ndarray, up: np.ndarray,
                     down: np.ndarray, lo: np.ndarray, hi: np.ndarray, inflow
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact net fluxes of a chain's edges at P points, after one
-    refinement step of its normalized long-double populations ``p``, (N, P),
-    which it refines in place.  ``block`` holds the chain's double rate
-    matrices, ``inv`` the kernel solve's inverses of their trace-row
-    matrices, ``up``/``down`` the long-double rates and ``lo``/``hi`` the
-    levels of the edges, and ``inflow(flux)`` gives each level's net inflow
-    ``(M p)_k``, (N, P), from the edges' net upward fluxes.  The
+    """The exact net fluxes of a chain's edges at P points, (E, P), after
+    ``_REFINEMENT_STEPS`` refinement steps of its normalized populations
+    ``p``, (N, P), which it refines in place.  ``block`` holds the chain's
+    rate matrices, ``inv`` the kernel decisions' inverses of their
+    trace-row matrices, ``up``/``down`` the (E, P) rates and ``lo``/``hi``
+    the levels of the edges, and ``inflow(flux)`` gives each level's net
+    inflow ``(M p)_k``, (N, P), from the edges' net upward fluxes.  The
     populations keep the few ulps of their elimination, which the exact
-    fluxes (:func:`_edge_fluxes`) resolve, so the step, through the
+    fluxes (:func:`_edge_fluxes`) resolve, so each step, through the
     inverses against the net inflows, takes them out; it is added to the
     fluxes as well.  Returns the fluxes, the populations' total, and the
     kernel residual of the net inflows, ``max |M p| / max|M|``."""
     flux = _edge_fluxes(p, up, down, lo, hi)
-    resid = -inflow(flux)
-    resid[0] = 1.0 - p.sum(axis=0)
-    delta = (inv @ resid.T.astype(float)[..., None])[..., 0].T.astype(np.longdouble)
-    # the step is a few ulps of the populations: its fluxes need no care
-    flux += delta[lo] * up - delta[hi] * down
-    p += delta
+    for _ in range(_REFINEMENT_STEPS):
+        resid = -inflow(flux)
+        resid[0] = 1.0 - p.sum(axis=0)
+        delta = (inv @ resid.T[..., None])[..., 0].T
+        # the step is a few ulps of the populations: its fluxes need no care
+        flux += delta[lo] * up - delta[hi] * down
+        p += delta
     total = p.sum(axis=0)
     residual = np.abs(inflow(flux)).max(axis=0) / (np.abs(block).max(axis=(1, 2)) * total)
     return flux, total, residual
@@ -505,20 +547,18 @@ def _net_inflow(flux: np.ndarray, n: int) -> np.ndarray:
 
 
 def _ladder_currents(cfg, flux: np.ndarray, total: np.ndarray) -> dict[str, np.ndarray]:
-    """Each bath's heat current at each point: its energy gap in long
-    double times the net flux up its own edges of the ladder, over the
-    populations' total.  ``flux`` holds the (E, P) net upward fluxes of the
-    edges of :func:`_ladder_edges`, in its order: the edge (k, k+1) is the
-    cold bath's for even k and the work bath's for odd k.  Positive for
-    energy flowing from the bath into the pump."""
+    """Each bath's heat current at each point: its energy gap times the net
+    flux up its own edges of the ladder, over the populations' total.
+    ``flux`` holds the (E, P) net upward fluxes of the edges of
+    :func:`_ladder_edges`, in its order: the edge (k, k+1) is the cold
+    bath's for even k and the work bath's for odd k.  Positive for energy
+    flowing from the bath into the pump."""
     n = cfg.n_levels
-    omega_c, omega_h = (np.asarray(w, dtype=np.longdouble) for w in (cfg.omega_c, cfg.omega_h))
-    gaps = {"work": omega_h - omega_c, "hot": omega_h, "cold": omega_c}
+    gaps = {"work": cfg.omega_h - cfg.omega_c, "hot": cfg.omega_h, "cold": cfg.omega_c}
     # (P, E) rows, so that each point's sums run in one order for any P
     rows = np.ascontiguousarray(flux.T)
     fluxes = {"work": rows[:, 1:n - 1:2], "hot": rows[:, n - 1:], "cold": rows[:, 0:n - 1:2]}
-    return {label: (gaps[label] * (fluxes[label].sum(axis=1) / total)).astype(float)
-            for label in _BATHS}
+    return {label: gaps[label] * (fluxes[label].sum(axis=1) / total) for label in _BATHS}
 
 
 def solve(cfg: PumpConfig) -> SteadySolution:
@@ -527,8 +567,8 @@ def solve(cfg: PumpConfig) -> SteadySolution:
     The generator maps diagonal states to diagonal states, and the
     coherences decouple and decay, so the stationary state is diagonal: its
     populations solve the pump's classical master equation.  They come
-    from the GTH elimination of :func:`_ladder_balance` in long double, the
-    body that also gives the optimizer's ``q_cold``, and each current is
+    from the GTH elimination of :func:`_ladder_balance`, the body that also
+    gives the optimizer's ``q_cold``, and each current is
     its bath's energy gap times the exact net flux on its edges.  The
     solution is gated on the kernel residual, the first law and (for the
     ideal pump, whose currents are locked to the transition frequencies)
@@ -550,41 +590,38 @@ def _solve_pumps(cfg) -> SteadySolutions:
     arrays, as one stacked solve.
 
     The kernel decisions are those of the generator's block on the
-    populations, the double rate matrix, in
-    :func:`~qpump.linalg._stationary_vectors`: a non-finite matrix fails its
-    point, one stacked inversion of the trace-row matrices gives each
-    point's condition, and a point below the floor goes to the SVD
-    diagnostics, which either let it stand or give its kernel error.  The states are the GTH populations in long double,
-    and the currents come from their exact net fluxes
-    (:func:`_edge_fluxes`).  The populations keep the few ulps of the
-    elimination, which those fluxes resolve, so one refinement step
-    through the kernel solve's inverses, against the net inflows, takes
-    them out first (:func:`_refined_fluxes`).  The kernel residual is that of the net inflows,
-    ``max |M p| / max|M|``."""
+    populations, the rate matrix, in :func:`~qpump.linalg._kernel_decisions`:
+    a non-finite matrix fails its point, one stacked inversion of the
+    trace-row matrices gives each point's condition, and a point below the
+    floor goes to the SVD diagnostics, which either let it stand or give
+    its kernel error.  The states are the GTH populations, and the currents
+    come from their exact net fluxes (:func:`_edge_fluxes`).  The
+    populations keep the few ulps of the elimination, which those fluxes
+    resolve, so two refinement steps through the kernel decisions'
+    inverses, against the net inflows, take them out first
+    (:func:`_refined_fluxes`).  The kernel residual is that of the net
+    inflows, ``max |M p| / max|M|``."""
     n = cfg.n_levels
     rates = _bath_rates(cfg)
     block = _population_blocks(n, rates)
-    _, inv, errors = _stationary_vectors(block, np.ones(n))
-    rates_ld = rates.astype(np.longdouble)
+    inv, errors, _ = _kernel_decisions(block, np.ones(n))
     lo, hi, rise = _ladder_edges(n)
-    up, down = rates_ld[rise], rates_ld[rise - 1]
     # a point with a kernel error is raised when the points are judged;
     # what its arithmetic gives here does not count
     with np.errstate(all="ignore") if errors else contextlib.nullcontext():
-        p, total, ok = _ladder_balance(*_ladder_rates(n, rates_ld))
+        p, total, ok = _ladder_balance(*_ladder_rates(n, rates))
         # each point's N populations contiguous, as the fridge's (P, 8) rows
         # are, so that its sums run in one order for any P
         p = np.array([np.ones_like(total), *p[1:]], order="F") / total
-        flux, total, residual = _refined_fluxes(p, inv, block, up, down, lo, hi,
-                                                lambda f: _net_inflow(f, n))
+        flux, total, residual = _refined_fluxes(p, inv, block, rates[rise], rates[rise - 1],
+                                                lo, hi, lambda f: _net_inflow(f, n))
         currents = _ladder_currents(cfg, flux, total)
-    # |H|, the top level's energy, in long double as the generator holds it
-    top = _level_energy(n, *(np.asarray(w, dtype=np.longdouble) for w in (cfg.omega_h,
-                                                                          cfg.omega_c)))
-    return _solution_from_state(cfg, currents, np.atleast_1d(top).astype(float),
+    # |H|, the top level's energy
+    top = np.atleast_1d(_level_energy(n, cfg.omega_h, cfg.omega_c))
+    return _solution_from_state(cfg, currents, flux, total, top,
                                 (rates[0::2] + rates[1::2]).max(axis=0), (p / total).T,
-                                np.arange(n) * (n + 1), n,
-                                np.where(ok, residual, np.inf).astype(float), True, errors)
+                                np.arange(n) * (n + 1), n, np.where(ok, residual, np.inf),
+                                True, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -624,20 +661,19 @@ def heat_currents_decomposed(cfg: PumpConfig,
     """Per-level current sums, cross-checked against ``solve()``'s currents.
 
     Each bath's term at a level is the net inflow of its edges there, from
-    the exact net fluxes (:func:`_edge_fluxes`) on the populations of
-    ``solution``.  The summed decomposition must reproduce the solution's
-    currents to 1e-10 relative (it is the same flux data regrouped, so a
-    mismatch flags an index-bookkeeping bug, not precision loss).
+    the exact net fluxes (:func:`_edge_fluxes`) that ``solution``'s
+    currents sum, over its populations' total.  The summed decomposition
+    must reproduce the solution's currents to 1e-10 relative (it is the
+    same flux data regrouped, so a mismatch flags an index-bookkeeping bug,
+    not precision loss).
     """
     if solution is None:
         solution = solve(cfg)
     n = cfg.n_levels
-    lo, hi, rise = _ladder_edges(n)
-    rates = _bath_rates(cfg).astype(np.longdouble)
-    p = np.real(np.diagonal(solution.rho_ld))[:, None]
-    flux = _edge_fluxes(p, rates[rise], rates[rise - 1], lo, hi)
+    rise = _ladder_edges(n)[2]
+    flux = solution.edge_fluxes[:, None] / solution.population_total
     # one column per bath, of the edges whose upward rate is its own (1, 3, 5)
-    inflow = _net_inflow(np.where(rise[:, None] == [1, 3, 5], flux, 0.0), n).astype(float)
+    inflow = _net_inflow(np.where(rise[:, None] == [1, 3, 5], flux, 0.0), n)
     diag = dict(zip(_BATHS, inflow.T))
 
     w_levels = np.array([2 * k + 1 for k in range(1, (n + 1) // 2)])

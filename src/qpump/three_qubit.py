@@ -31,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SuperOp, _stationary_vectors
+from .linalg import SuperOp, _kernel_decisions
 from .pump import BathSpec, _ThreeBathConfig, _warn_at_caller
 from .steady import (
     _BATHS,
-    _LD,
     SteadySolution,
     SteadySolutions,
     _bath_rates,
@@ -80,11 +79,14 @@ _FLIPS = {label: (np.flatnonzero(np.arange(8) & bit) - bit, np.flatnonzero(np.ar
 _EDGES = (np.array([*(lo for label in _BATHS for lo in _FLIPS[label][0]), 1]),
           np.array([*(hi for label in _BATHS for hi in _FLIPS[label][1]), 6]),
           np.repeat([1, 3, 5, 7], [4, 4, 4, 1]))
-# each level's net inflow, (M p)_k, is this incidence times the net upward
-# fluxes of the edges, summed in their order
-_INCIDENCE = np.zeros((8, 13), dtype=np.longdouble)
-_INCIDENCE[_EDGES[1], np.arange(13)] = 1.0
-_INCIDENCE[_EDGES[0], np.arange(13)] = -1.0
+# each level's net inflow, (M p)_k, is the signed sum of the net upward
+# fluxes of its edges, in their order: its flip of each qubit, then the
+# exchange, with sign +1 into its upper level, -1 out of its lower one, and
+# 0 at the six levels that the exchange does not join
+_TOUCH = np.array([[*np.flatnonzero((_EDGES[0] == k) | (_EDGES[1] == k))[:3], 12]
+                   for k in range(8)])
+_SIGN = ((_EDGES[1][_TOUCH] == np.arange(8)[:, None]).astype(float)
+         - (_EDGES[0][_TOUCH] == np.arange(8)[:, None]))
 # the stationary state's positions, column-stacked i + 8 j: the eight
 # populations and the coherence pair rho_61 (at 14) and rho_16 (at 49)
 _SECTOR = np.sort(np.r_[np.arange(8) * 9, 14, 49])
@@ -178,87 +180,91 @@ def _solve_fridges(cfg) -> SteadySolutions:
     may be (P,) arrays, as one stacked solve of the eight-state chain, step
     for step as :func:`~qpump.steady._solve_pumps` solves the pump's ladder.
 
-    The kernel decisions are those of the chain's double rate matrices in
-    :func:`~qpump.linalg._stationary_vectors`.  The populations come from
-    the dense GTH elimination of :func:`_chain_balance` in long double, the
-    currents from the exact net fluxes of the 13 edges after one refinement
-    step through the kernel solve's inverses
-    (:func:`~qpump.steady._refined_fluxes`), and the kernel residual is that
-    of the net inflows, ``max |M p| / max|M|``.  The states hold the
-    populations and the coherence pair at ``_SECTOR``."""
+    The kernel decisions are those of the chain's rate matrices in
+    :func:`~qpump.linalg._kernel_decisions`.  The populations come from the
+    dense GTH elimination of :func:`_chain_balance`, the currents from the
+    exact net fluxes of the 13 edges after the refinement steps through the
+    kernel decisions' inverses (:func:`~qpump.steady._refined_fluxes`), and
+    the kernel residual is that of the net inflows, ``max |M p| / max|M|``.
+    The states hold the populations and the coherence pair at
+    ``_SECTOR``."""
     rates = _bath_rates(cfg)
-    rates_ld = rates.astype(np.longdouble)
-    g = np.longdouble(cfg.g)
-    # the coherence's decay rate: the two levels' escape rates are the six
-    # rates, one flip of each qubit each
-    kappa = rates_ld.sum(axis=0) / 2
-    exchange = np.divide(2 * g * g, kappa, out=np.zeros_like(kappa), where=kappa > 0)
-    rates_ld = np.concatenate([rates_ld, [exchange, exchange]])
-    with np.errstate(over="ignore"):  # an exchange rate past the double range fails its point
-        block = _population_blocks(8, rates_ld.astype(float), _EDGES)
-    _, inv, errors = _stationary_vectors(block, np.ones(8))
+    with np.errstate(over="ignore"):  # a rate past the double range fails its point
+        # the coherence's decay rate: the two levels' escape rates are the
+        # six rates, one flip of each qubit each, summed in their order at any P
+        kappa = sum(rates) / 2
+        exchange = np.divide(2 * cfg.g * cfg.g, kappa, out=np.zeros_like(kappa),
+                             where=kappa > 0)
+    rates = np.concatenate([rates, [exchange, exchange]])
+    block = _population_blocks(8, rates, _EDGES)
+    inv, errors, _ = _kernel_decisions(block, np.ones(8))
     lo, hi, rise = _EDGES
-    up, down = rates_ld[rise], rates_ld[rise - 1]
+    up, down = rates[rise], rates[rise - 1]
     # a point with a kernel error is raised when the points are judged;
     # what its arithmetic gives here does not count
     with np.errstate(all="ignore") if errors else contextlib.nullcontext():
-        r = np.zeros(block.shape, dtype=np.longdouble)
-        r[:, lo, hi], r[:, hi, lo] = up.T, down.T
+        r = np.zeros((8, 8, len(block)))
+        r[lo, hi], r[hi, lo] = up, down
         p, ok = _chain_balance(r)
         # (P, 8) rows, so that each point's sums run in one order for any P
+        p = np.ascontiguousarray(p.T)
         p = (p / p.sum(axis=1, keepdims=True)).T
-        flux, total, residual = _refined_fluxes(p, inv, block, up, down, lo, hi,
-                                                lambda f: _INCIDENCE @ f)
+        flux, total, residual = _refined_fluxes(p, inv, block, up, down, lo, hi, _chain_inflow)
         currents = _fridge_currents(cfg, flux, total)
         p /= total
-        coherence = g * (p[1] - p[6]) / kappa
-    rho = np.zeros((len(block), 64), dtype=_LD)
+        coherence = cfg.g * (p[1] - p[6]) / kappa
+    rho = np.zeros((len(block), 64), dtype=complex)
     rho[:, ::9] = p.T
     rho[:, 14], rho[:, 49] = -1j * coherence, 1j * coherence
-    # |H|, the top level's energy, 2 omega_h, in long double as the
-    # Hamiltonian holds it
-    omega_h = np.asarray(cfg.omega_c, dtype=np.longdouble) + np.asarray(cfg.omega_w,
-                                                                        dtype=np.longdouble)
-    return _solution_from_state(cfg, currents, np.atleast_1d(2 * omega_h).astype(float),
-                                (rates[0::2] + rates[1::2]).max(axis=0), rho[:, _SECTOR],
-                                _SECTOR, 8, np.where(ok, residual, np.inf).astype(float),
-                                False, errors)
+    # |H|, the top level's energy, 2 omega_h
+    return _solution_from_state(cfg, currents, flux, total,
+                                np.atleast_1d(2 * (cfg.omega_c + cfg.omega_w)),
+                                (rates[0:6:2] + rates[1:6:2]).max(axis=0), rho[:, _SECTOR],
+                                _SECTOR, 8, np.where(ok, residual, np.inf), False, errors)
+
+
+def _chain_inflow(flux: np.ndarray) -> np.ndarray:
+    """Each level's net inflow ``(M p)_k``, (8, P), from the (13, P) net
+    upward fluxes of the edges of ``_EDGES``, each level's summed in one
+    order at any P."""
+    return (_SIGN[..., None] * flux[_TOUCH]).sum(axis=1)
 
 
 def _chain_balance(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stationary populations of a dense classical chain at each point,
     by GTH elimination (Grassmann, Taksar & Heyman, Oper. Res. 33, 1107
     (1985)), as :func:`~qpump.steady._ladder_balance` runs it on the banded
-    ladder.  ``r`` is the (P, n, n) stack of rates, ``r[:, i, j]`` from
-    level i to level j (the diagonal is not read), which the elimination
-    overwrites.  The levels are eliminated from the top down, each folding
-    the paths through it into the rates among the levels left, with its
-    out-rate summed from its rates to them; only ``+ * /`` on nonnegative
-    values, never a subtraction.  Returns the unnormalized (P, n)
-    populations (``p[:, 0] == 1``) and whether every eliminated level has a
-    positive out-rate; a level without one divides by 1 instead."""
-    n = r.shape[-1]
-    out = np.ones(r.shape[:2], dtype=r.dtype)
+    ladder.  ``r`` is the (n, n, P) stack of rates, ``r[i, j]`` from level i
+    to level j at each point (the diagonal is not read), which the
+    elimination overwrites.  The levels are eliminated from the top down,
+    each folding the paths through it into the rates among the levels left,
+    with its out-rate summed from its rates to them; only ``+ * /`` on
+    nonnegative values, never a subtraction.  Returns the unnormalized (n, P)
+    populations (``p[0] == 1``) and whether every eliminated level has a
+    positive out-rate; a level without one divides by 1 instead.  The
+    point axis is last, so that each step is one operation over all points,
+    and each sum, of at most 7 terms, runs in one order at any P."""
+    n = r.shape[0]
+    out = np.ones(r.shape[1:])
     for k in range(n - 1, 0, -1):
-        s = out[:, k] = r[:, k, :k].sum(axis=-1)
+        s = out[k] = r[k, :k].sum(axis=0)
         s = s + (s <= 0.0)
-        r[:, :k, :k] += r[:, :k, k, None] * (r[:, None, k, :k] / s[:, None, None])
-    ok = (out[:, 1:] > 0.0).all(axis=1)
+        r[:k, :k] += r[:k, k, None] * (r[k, :k] / s)
+    ok = (out[1:] > 0.0).all(axis=0)
     out += out <= 0.0
     p = np.ones_like(out)
     for k in range(1, n):
-        p[:, k] = (p[:, None, :k] @ r[:, :k, k, None])[:, 0, 0] / out[:, k]
+        p[k] = (p[:k] * r[:k, k]).sum(axis=0) / out[k]
     return p, ok
 
 
 def _fridge_currents(cfg, flux: np.ndarray, total: np.ndarray) -> dict[str, np.ndarray]:
-    """Each bath's heat current at each point: its qubit's frequency in long
-    double times the net flux up its four edges of the chain, over the
-    populations' total.  ``flux`` holds the (13, P) net upward fluxes of the
+    """Each bath's heat current at each point: its qubit's frequency times
+    the net flux up its four edges of the chain, over the populations'
+    total.  ``flux`` holds the (13, P) net upward fluxes of the
     edges of ``_EDGES``, in its order; the exchange edge joins two levels of
     one energy and carries none.  Positive for energy flowing from the bath
     into the fridge."""
-    omega_c, omega_w = (np.asarray(w, dtype=np.longdouble) for w in (cfg.omega_c, cfg.omega_w))
-    omega = {"work": omega_w, "hot": omega_c + omega_w, "cold": omega_c}
-    return {label: (omega[label] * (flux[4 * k:4 * k + 4].sum(axis=0) / total)).astype(float)
+    omega = {"work": cfg.omega_w, "hot": cfg.omega_c + cfg.omega_w, "cold": cfg.omega_c}
+    return {label: omega[label] * (flux[4 * k:4 * k + 4].sum(axis=0) / total)
             for k, label in enumerate(_BATHS)}

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -341,6 +342,16 @@ class TestMisc:
         assert float(value) == float(f"{float(value):.16e}")
         assert "e" in value
 
+    def test_csv_rows_are_the_cells_fmt_texts(self):
+        # one str.format call per row writes each cell as _fmt does, and a
+        # row with a type outside its templates (a bool, a numpy integer)
+        # goes cell by cell
+        from qpump.cli import _csv_rows, _fmt
+        rows = [[3, "plain", 0.1, np.float64(-2.5e-300), float("nan"), -0.0],
+                [4, "plain", 1e300, np.float64(7.0), float("inf"), 1.0],
+                [np.int64(5), True, 0.5, np.float64(0.25), float("-inf"), 2.0]]
+        assert _csv_rows(rows) == [",".join(_fmt(cell) for cell in row) for row in rows]
+
 
 class TestParserReuse:
     def test_parser_is_built_once(self):
@@ -421,11 +432,26 @@ extra line
     def test_numeric_columns_and_text_lines(self):
         lines = load_tool("cli_snapshot").compare_outputs(self.OLD, self.NEW)
         assert lines == [
-            "omega_c_star [plain]: max |d| 4.00e-07, max rel 1.00e-07 (1 changed)",
-            "q_c_max [saturated]: max |d| 5.00e-10, max rel 1.00e-09 (1 changed)",
+            "omega_c_star [plain]: max |d| 4.00e-07, max rel 1.00e-07, max 4.5e+08 ulp "
+            "(1 changed)",
+            "q_c_max [saturated]: max |d| 5.00e-10, max rel 1.00e-09, max 4.5e+06 ulp "
+            "(1 changed)",
             "note: 'first run' -> 'second run'",
             "+extra line",
         ]
+
+    def test_changes_are_counted_in_ulps(self):
+        # printed with 17 significant digits, a double reads back exactly, so
+        # a change of one or two ulps counts as one or two
+        old = [1.0, 3.0, -2.5e-7, 0.75]
+        new = [np.nextafter(1.0, 2.0), 3.0 + 2 * math.ulp(3.0), np.nextafter(-2.5e-7, 0.0), 0.75]
+
+        def text(column):
+            return "omega_c,q_c\n" + "".join(f"{k},{x:.16e}\n" for k, x in enumerate(column))
+
+        lines = load_tool("cli_snapshot").compare_outputs(text(old), text(new))
+        d = 2 * math.ulp(3.0)
+        assert lines == [f"q_c: max |d| {d:.2e}, max rel {d / new[1]:.2e}, max 2 ulp (3 changed)"]
 
     def test_identical_texts_report_nothing(self):
         assert load_tool("cli_snapshot").compare_outputs(self.OLD, self.OLD) == []

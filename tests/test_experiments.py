@@ -730,7 +730,7 @@ class TestCharacteristicCurve:
         # one stacked solve of the curve against one solve per point; the
         # arithmetic of a point does not depend on the stack, so the two
         # agree bit for bit, in the curve's columns and in each point's
-        # residuals and state
+        # residuals, state, edge fluxes and population total
         setup = dataclasses.replace(COMPARE_SETUP, n_levels=n_levels)
         points = characteristic_curve(system, setup, n_points=30)
         stack = (qpump.steady._solve_pumps if system == "ideal" else _solve_fridges)(
@@ -742,7 +742,9 @@ class TestCharacteristicCurve:
             sol = solve(cfg) if system == "ideal" else solve_three_qubit(cfg)
             assert (pt.q_c, pt.eps) == (sol.q_cold, sol.cop)
             assert stacked.residuals == sol.residuals
-            assert np.array_equal(stacked.rho_ld, sol.rho_ld)
+            assert np.array_equal(stacked.rho_inf, sol.rho_inf)
+            assert np.array_equal(stacked.edge_fluxes, sol.edge_fluxes)
+            assert stacked.population_total == sol.population_total
 
     def test_stacked_curve_is_split_into_bounded_stacks(self, monkeypatch):
         whole = characteristic_curve("three_qubit", COMPARE_SETUP, n_points=30)

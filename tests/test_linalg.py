@@ -6,6 +6,7 @@ from qpump.linalg import (
     DegenerateKernelError,
     NoKernelError,
     SuperOp,
+    _kernel_decisions,
     _kernel_diagnostics,
     _stationary_vectors,
     devectorize,
@@ -245,6 +246,47 @@ class TestStationaryVectors:
         assert np.isnan(v[1:]).all() and np.isnan(inv[1:]).all()
         v0, inv0, errors0 = _stationary_vectors(good[0][None], trace_row(4))
         assert np.array_equal(v[0], v0[0]) and np.array_equal(inv[0], inv0[0]) and not errors0
+
+
+class TestKernelDecisions:
+    """The kernel decisions alone, which the stacked solves take without the
+    kernel vectors."""
+
+    @staticmethod
+    def mixed():
+        # a good point, a zero (degenerate) generator, a non-finite one and an
+        # exactly singular one, whose levels 2 and 3 are dark
+        good = TestStationaryVectors.pumps()[0]
+        bad = good.copy()
+        bad[3, 0] = np.inf
+        jump = np.zeros((4, 4), dtype=complex)
+        jump[0, 1] = 1.0
+        dark = build_dissipator(jump, decay_rates(BathSpec("cold", 1.0, 0.5), 1.0)).matrix
+        return np.array([good, np.zeros((16, 16), complex), bad, dark])
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (1, 0, 3, 2)])
+    def test_decisions_are_those_of_the_kernel_solve(self, order):
+        mats = self.mixed()[list(order)]
+        inv, errors, kernels = _kernel_decisions(mats, trace_row(4))
+        _, inv_v, errors_v = _stationary_vectors(mats, trace_row(4))
+        assert list(errors) == list(errors_v) == [k for k in range(4) if order[k] != 0]
+        assert [type(e) for e in errors.values()] == [type(e) for e in errors_v.values()]
+        assert [str(e) for e in errors.values()] == [str(e) for e in errors_v.values()]
+        good = order.index(0)
+        assert np.array_equal(inv[good], inv_v[good]) and np.isfinite(inv[good]).all()
+        assert np.isnan(np.delete(inv, good, axis=0)).all() and not kernels
+
+    def test_points_below_the_floor_keep_the_svd_kernel(self, monkeypatch):
+        # every point below the floor: each stands on its SVD, whose vector
+        # is the kernel solve's, and keeps the inverse of its factor
+        mats = np.array(TestStationaryVectors.pumps())
+        inv_above, _, _ = _kernel_decisions(mats, trace_row(4))
+        monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
+        inv, errors, kernels = _kernel_decisions(mats, trace_row(4))
+        v, _, _ = _stationary_vectors(mats, trace_row(4))
+        assert not errors and list(kernels) == [0, 1, 2]
+        assert np.array_equal(inv, inv_above)
+        assert all(np.array_equal(v[k], kernel) for k, kernel in kernels.items())
 
 
 class TestPropagate:

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -255,11 +257,15 @@ class TestDecomposition:
     def test_terms_are_each_bath_dissipator_level_by_level(self, n):
         # the flux-built terms against <k| D_a rho |k>, the Lindblad form of
         # each bath written with operator products in long double (the
-        # one-way flows are ~1e3 times the net ones, so double loses 1e-9)
+        # one-way flows are ~1e3 times the net ones, so a state rounded to
+        # double loses 1e-9), on the stationary state in long double from
+        # the ladder's subtraction-free GTH elimination
         cfg = reference_pump(n)
         sol = solve(cfg)
         dec = heat_currents_decomposed(cfg, sol)
-        rho = sol.rho_ld
+        rates = qpump.steady._bath_rates(cfg).astype(np.longdouble)
+        p, total, _ = qpump.steady._ladder_balance(*qpump.steady._ladder_rates(n, rates))
+        rho = np.diag(np.hstack(p) / total).astype(np.clongdouble)
         levels = {"work": dec.work_levels - 1, "hot": dec.hot_levels - 1,
                   "cold": dec.cold_levels - 1}
         weights = {"work": cfg.omega_w, "cold": cfg.omega_c,
@@ -540,6 +546,39 @@ def test_one_stacked_factorization_per_curve(monkeypatch, system, size):
     assert factorizations[0][0].shape == (28, size, size)
 
 
+@pytest.mark.parametrize("system", ["ideal", "three_qubit"])
+def test_curve_solves_compute_no_kernel_vector(monkeypatch, system):
+    # the solves take the kernel decisions and their inverses alone: no
+    # kernel vector is refined, normalized to unit trace or gated
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel vector computed on a curve solve")
+
+    monkeypatch.setattr(qpump.linalg, "_normalize_trace", refuse)
+    monkeypatch.setattr(qpump.linalg, "_stationary_vectors", refuse)
+    setup = qpump.experiments.CurveSetup(omega_w=60.0, t_work=130.0, t_hot=60.0, t_cold=5.0,
+                                         gamma_work=1e-3, gamma_hot=1e-3, gamma_cold=1e-3)
+    assert len(qpump.experiments.characteristic_curve(system, setup, n_points=28)) == 28
+
+
+def test_long_double_only_in_the_oracle():
+    # results must not depend on the platform's long-double width: src/qpump
+    # names longdouble (or clongdouble) only inside the rate-equation oracle
+    oracle = {"pauli_rate_oracle", "_solve_ld_kernel"}
+    outside, inside = [], 0
+    for path in sorted(Path(qpump.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        spans = [range(node.lineno, node.end_lineno + 1) for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.FunctionDef) and node.name in oracle]
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if "longdouble" in line:
+                if any(lineno in span for span in spans):
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not outside
+    assert inside  # the guard finds what it looks for
+
+
 def test_pump_solves_build_no_generator(monkeypatch):
     # the ideal pump's populations come from the GTH elimination: no
     # generator, sector block or polish, and one stacked inversion for the
@@ -640,14 +679,15 @@ def test_overflowing_generator_fails_its_point(gamma, omega_h):
 def test_only_the_pump_sector_is_real(case):
     # the pump's sector holds its populations alone and no coupling entry, so
     # its block is real and the solve keeps real states; the fridge's holds a
-    # coherence pair, which the coupling reaches through -i[H, .]
+    # coherence pair, which the coupling reaches through -i[H, .].  Both in
+    # double, whatever the platform's long-double width
     cfg, gen, _, _ = case()
     real = not isinstance(cfg, ThreeQubitConfig)
     sector = _positions(cfg)
     mat = gen.superop().matrix
     assert mat[np.ix_(sector, sector)].imag.any() != real
     solve_stack = (qpump.steady._solve_pumps if real else qpump.three_qubit._solve_fridges)
-    assert solve_stack(cfg).states.dtype == (np.longdouble if real else np.clongdouble)
+    assert solve_stack(cfg).states.dtype == (np.float64 if real else np.complex128)
     # the whole generator reaches the coherences, and is complex
     assert mat.dtype == complex and mat.imag.any()
 
@@ -655,22 +695,40 @@ def test_only_the_pump_sector_is_real(case):
 @pytest.mark.parametrize("machine", ["pump_n8", "three_qubit"])
 def test_solutions_are_columns_of_the_points(machine):
     # a stacked solve's columns against its points: each point as a
-    # SteadySolution, dense states in double and long double, laid out as a
-    # matrix whose stacked positions hold the sector state
+    # SteadySolution, its dense state laid out as a matrix whose stacked
+    # positions hold the sector state, with its row of edge fluxes
     solve_stack = (qpump.steady._solve_pumps if machine != "three_qubit"
                    else qpump.three_qubit._solve_fridges)
     sols = solve_stack(_curve_config(machine, 5))
     assert len(sols) == 5 and sols.states.shape == (5, sols.positions.size)
     n = sols.dim
     for k, sol in enumerate(sols):
-        assert sol.rho_inf.shape == sol.rho_ld.shape == (n, n)
-        assert sol.rho_inf.dtype == complex and sol.rho_ld.dtype == np.clongdouble
-        assert np.array_equal(vectorize(sol.rho_ld)[sols.positions], sols.states[k])
-        assert not np.delete(vectorize(sol.rho_ld), sols.positions).any()
-        assert np.array_equal(sol.rho_inf, sol.rho_ld.astype(complex))
+        assert sol.rho_inf.shape == (n, n) and sol.rho_inf.dtype == complex
+        assert np.array_equal(vectorize(sol.rho_inf)[sols.positions], sols.states[k])
+        assert not np.delete(vectorize(sol.rho_inf), sols.positions).any()
+        assert np.array_equal(sol.edge_fluxes, sols.edge_fluxes[k])
+        assert sol.edge_fluxes.dtype == np.float64
+        assert sol.population_total == sols.population_total[k]
         assert sol.q_cold == sols.q_cold[k] and sol.cop == sols.cop[k]
         assert sol.residuals["first_law"] == sols.first_law[k]
         assert sol.mode == sols.mode[k]
+
+
+def test_edge_fluxes_scale_exactly_past_the_split_range():
+    # rates past 2^996 would overflow Dekker's split (a warning, so an error
+    # under this suite's filters); each point's rates are scaled by a power
+    # of two first, so a point's fluxes are those of its rates unscaled
+    # times that power, bit for bit
+    rng = np.random.default_rng(5)
+    n, points = 8, 4
+    lo, hi, rise = qpump.steady._ladder_edges(n)
+    p = rng.uniform(0.01, 1.0, (n, points))
+    rates = rng.uniform(0.5, 2.0, (6, points)) * 10.0 ** rng.integers(-6, 1, (6, points))
+    base = qpump.steady._edge_fluxes(p, rates[rise], rates[rise - 1], lo, hi)
+    power = 2.0 ** np.array([0, 990, 1000, 1018])
+    big = rates * power
+    flux = qpump.steady._edge_fluxes(p, big[rise], big[rise - 1], lo, hi)
+    assert np.array_equal(flux, base * power)
 
 
 def test_ladder_currents_sum_each_point_in_one_order():
@@ -680,10 +738,9 @@ def test_ladder_currents_sum_each_point_in_one_order():
     # that the two orders differ (by 1 in 5) beyond the double rounding
     rng = np.random.default_rng(3)
     points = 6
-    flux = (rng.standard_normal((17, points)) * 10.0 ** rng.integers(-6, 6, (17, points))
-            ).astype(np.longdouble)
-    flux[9:] = np.array([1e20, 1, -1e20, 1, 1, 1, 1, 1], dtype=np.longdouble)[:, None]
-    total = rng.uniform(1.0, 2.0, points).astype(np.longdouble)
+    flux = rng.standard_normal((17, points)) * 10.0 ** rng.integers(-6, 6, (17, points))
+    flux[9:] = np.array([1e20, 1, -1e20, 1, 1, 1, 1, 1])[:, None]
+    total = rng.uniform(1.0, 2.0, points)
     stack = SimpleNamespace(n_levels=10, omega_c=np.full(points, 1.4),
                             omega_h=np.full(points, 102.6))
     stacked = qpump.steady._ladder_currents(stack, flux, total)

@@ -17,7 +17,8 @@ equal under ``diff -r`` produce byte-identical output at the default seed.
 
 ``--diff`` compares two such directories.  For each file that differs it
 prints, per numeric column (or metadata field), the largest absolute and
-relative change; a column whose rows carry a text label (``variant``,
+relative change and the largest change in ulps (units in the last place of
+the larger of the two doubles); a column whose rows carry a text label (``variant``,
 ``system``) is reported per label.  Every non-numeric field, row or line
 that differs is printed as it is.  The exit code is 0 when every file is
 byte-identical and 1 otherwise.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -103,7 +105,7 @@ def compare_outputs(old: str, new: str) -> list[str]:
     non-numeric field, row or line that differs."""
     (meta_a, cols_a, rows_a, other_a), (meta_b, cols_b, rows_b, other_b) = \
         _records(old), _records(new)
-    moved: dict[str, list] = {}  # column -> [max |d|, max relative d, count]
+    moved: dict[str, list] = {}  # column -> [max |d|, max relative d, max ulps, count]
     texts = []
 
     def note(column, x, y, where):
@@ -114,10 +116,11 @@ def compare_outputs(old: str, new: str) -> list[str]:
             texts.append(f"{where}: {x!r} -> {y!r}")
             return
         d = abs(v - u)
-        entry = moved.setdefault(column, [0.0, 0.0, 0])
+        entry = moved.setdefault(column, [0.0, 0.0, 0.0, 0])
         entry[0] = max(entry[0], d)
         entry[1] = max(entry[1], d / max(abs(u), abs(v)))
-        entry[2] += 1
+        entry[2] = max(entry[2], d / math.ulp(max(abs(u), abs(v))))
+        entry[3] += 1
 
     for key in [*meta_a, *(k for k in meta_b if k not in meta_a)]:
         note(key, meta_a.get(key), meta_b.get(key), key)
@@ -132,8 +135,8 @@ def compare_outputs(old: str, new: str) -> list[str]:
                 note(name, x, y, f"row {i} {column}")
     texts += [line for line in difflib.unified_diff(other_a, other_b, lineterm="", n=0)
               if line[:1] in "+-" and line[:3] not in ("---", "+++")]
-    return [f"{name}: max |d| {d:.2e}, max rel {rel:.2e} ({count} changed)"
-            for name, (d, rel, count) in moved.items()] + texts
+    return [f"{name}: max |d| {d:.2e}, max rel {rel:.2e}, max {ulps:.3g} ulp ({count} changed)"
+            for name, (d, rel, ulps, count) in moved.items()] + texts
 
 
 def diff(old_dir: Path, new_dir: Path) -> int:
