@@ -96,28 +96,6 @@ def _fmt(x) -> str:
     return f"{float(x):.16e}"
 
 
-# the str.format field that writes a cell of each of these types as _fmt does
-_CELL_FIELDS = {float: "{:.16e}", np.float64: "{:.16e}", str: "{}", int: "{}"}
-
-
-def _csv_rows(rows: list[list]) -> list[str]:
-    """Each row as one CSV line of its cells' :func:`_fmt` texts, formatted
-    in one ``str.format`` call per row: the template is built once for each
-    sequence of cell types, and a row with a cell of another type (a bool,
-    a numpy integer) is formatted cell by cell."""
-    templates: dict[tuple, str | None] = {}
-    lines = []
-    for row in rows:
-        kinds = tuple(map(type, row))
-        if kinds not in templates:
-            fields = [_CELL_FIELDS.get(kind) for kind in kinds]
-            templates[kinds] = None if None in fields else ",".join(fields)
-        template = templates[kinds]
-        lines.append(template.format(*row) if template is not None
-                     else ",".join([_fmt(cell) for cell in row]))
-    return lines
-
-
 def _coerce(key: str, raw: str, where: str):
     if key not in _ALL_KEYS:
         raise CliConfigError(f"{where}: unknown parameter key {key!r}")
@@ -247,7 +225,7 @@ def _csv(schema: str, seed: int, params_echo: str, extra_meta: dict,
     ]
     lines += [f"# {k}: {_fmt(v)}" for k, v in extra_meta.items()]
     lines.append(",".join(columns))
-    lines += _csv_rows(rows)
+    lines += [",".join([_fmt(cell) for cell in row]) for row in rows]
     return "\n".join(lines) + "\n"
 
 

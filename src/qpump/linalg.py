@@ -23,6 +23,7 @@ factorization per matrix) and judge each point on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,8 +163,17 @@ def stationary_vector(op: SuperOp) -> np.ndarray:
     return v[0]
 
 
-def _kernel_decisions(mats: np.ndarray, trace: np.ndarray) -> tuple[
-        np.ndarray, dict[int, np.linalg.LinAlgError], dict[int, np.ndarray]]:
+class _KernelDecisions(NamedTuple):
+    """What :func:`_kernel_decisions` finds of a stack of matrices."""
+
+    inv: np.ndarray  # the inverse of each trace-row matrix; NaN where a point fails
+    errors: dict[int, np.linalg.LinAlgError]  # by point index
+    kernels: dict[int, np.ndarray]  # the SVD's vector of each point below the floor that stands
+    trace_rows: np.ndarray  # each matrix with its first row replaced by the trace row
+    scale: np.ndarray  # max |mats[k]|
+
+
+def _kernel_decisions(mats: np.ndarray, trace: np.ndarray) -> _KernelDecisions:
     """The kernel decision of each matrix of a stack ``mats[k]``, and the
     inverse of each trace-constrained matrix, for whole generators or the
     rate matrices of a chain.
@@ -181,9 +191,8 @@ def _kernel_decisions(mats: np.ndarray, trace: np.ndarray) -> tuple[
     (or non-finite) matrix fails the stacked inversion, so such a stack is
     inverted point by point and only that point leaves the primary path.
 
-    Returns ``(inv, errors, kernels)``: the inverses, the errors by point
-    index, and the SVD's kernel vector of each point below the floor that
-    stands."""
+    The trace-row matrices and the scales that the decisions were taken
+    on come back with them, for :func:`_stationary_vectors`."""
     scale = np.abs(mats).max(axis=(1, 2))
     m = mats.copy()
     m[:, 0, :] = trace
@@ -193,9 +202,10 @@ def _kernel_decisions(mats: np.ndarray, trace: np.ndarray) -> tuple[
         inv = None
     if inv is None and len(m) > 1:
         parts = [_kernel_decisions(mat[None], trace) for mat in mats]
-        return (np.concatenate([part[0] for part in parts]),
-                {k: exc for k, part in enumerate(parts) for exc in part[1].values()},
-                {k: v for k, part in enumerate(parts) for v in part[2].values()})
+        return _KernelDecisions(
+            np.concatenate([part.inv for part in parts]),
+            {k: exc for k, part in enumerate(parts) for exc in part.errors.values()},
+            {k: v for k, part in enumerate(parts) for v in part.kernels.values()}, m, scale)
     errors, kernels = {}, {}
     if inv is None:
         if not np.isfinite(scale[0]):
@@ -204,7 +214,7 @@ def _kernel_decisions(mats: np.ndarray, trace: np.ndarray) -> tuple[
         elif scale[0] == 0.0:
             errors[0] = DegenerateKernelError("zero generator: every state is stationary")
         if errors:
-            return np.full_like(m, np.nan), errors, kernels
+            return _KernelDecisions(np.full_like(m, np.nan), errors, kernels, m, scale)
         # exactly singular: the SVD below decides, and a refinement can only
         # go through the pseudo-inverse
         inv, rcond = np.linalg.pinv(m), np.zeros(1)
@@ -217,7 +227,7 @@ def _kernel_decisions(mats: np.ndarray, trace: np.ndarray) -> tuple[
         except (NoKernelError, DegenerateKernelError) as exc:
             errors[int(k)] = exc
             inv[k] = np.nan
-    return inv, errors, kernels
+    return _KernelDecisions(inv, errors, kernels, m, scale)
 
 
 def _svd_kernel(mat: np.ndarray, trace: np.ndarray, scale: float) -> np.ndarray:
@@ -246,10 +256,7 @@ def _stationary_vectors(mats: np.ndarray, trace: np.ndarray
     vector fails the trace or residual gate, the point goes to the SVD path
     after all.  A point below the floor has the SVD's vector.  A failing
     point's vector and inverse are NaN."""
-    inv, errors, kernels = _kernel_decisions(mats, trace)
-    scale = np.abs(mats).max(axis=(1, 2))
-    m = mats.copy()
-    m[:, 0, :] = trace
+    inv, errors, kernels, m, scale = _kernel_decisions(mats, trace)
     v = inv[:, :, 0].copy()  # contiguous: the sums below then run in one order for any P
     b = np.zeros(m.shape[1], dtype=m.dtype)
     b[0] = 1.0

@@ -309,7 +309,7 @@ def _solution_from_state(cfg, currents: dict[str, np.ndarray], flux: np.ndarray,
         (gate_ideality & healthy & ~boundary & (ideality > IDEALITY_RTOL),
          lambda k: f"ideality residual {ideality[k]:.3e} > {IDEALITY_RTOL:.0e}"),
     )
-    failed = gates[0][0] | gates[1][0] | gates[2][0] | gates[3][0]
+    failed = np.logical_or.reduce([mask for mask, _ in gates])
     failed[list(kernel_errors)] = True
     if failed.any():
         k = int(np.argmax(failed))
@@ -319,22 +319,11 @@ def _solution_from_state(cfg, currents: dict[str, np.ndarray], flux: np.ndarray,
         message = next(text(k) for mask, text in gates if mask[k])
         raise NonConvergedError(message + at)
 
-    # the three entropy flows nearly cancel near the reversible point: their
-    # sum carries its two rounding errors
-    entropy, err = _two_sum(-q_work / effective_temperature(cfg.work, omega_w),
-                            -q_hot / cfg.hot.temperature)
-    entropy, err2 = _two_sum(entropy, -q_cold / cfg.cold.temperature)
-    return SteadySolutions(q_work, q_hot, q_cold, cop, entropy + (err + err2),
+    entropy = -(q_work / effective_temperature(cfg.work, omega_w)
+                + q_hot / cfg.hot.temperature + q_cold / cfg.cold.temperature)
+    return SteadySolutions(q_work, q_hot, q_cold, cop, entropy,
                            kernel_residual, first_law, ideality, mode, total, flux.T, states,
                            positions, dim)
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a + b`` rounded, and its rounding error, exactly (Knuth's TwoSum;
-    Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005))."""
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +593,7 @@ def _solve_pumps(cfg) -> SteadySolutions:
     n = cfg.n_levels
     rates = _bath_rates(cfg)
     block = _population_blocks(n, rates)
-    inv, errors, _ = _kernel_decisions(block, np.ones(n))
+    inv, errors, *_ = _kernel_decisions(block, np.ones(n))
     lo, hi, rise = _ladder_edges(n)
     # a point with a kernel error is raised when the points are judged;
     # what its arithmetic gives here does not count

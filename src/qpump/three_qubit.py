@@ -197,7 +197,7 @@ def _solve_fridges(cfg) -> SteadySolutions:
                              where=kappa > 0)
     rates = np.concatenate([rates, [exchange, exchange]])
     block = _population_blocks(8, rates, _EDGES)
-    inv, errors, _ = _kernel_decisions(block, np.ones(8))
+    inv, errors, *_ = _kernel_decisions(block, np.ones(8))
     lo, hi, rise = _EDGES
     up, down = rates[rise], rates[rise - 1]
     # a point with a kernel error is raised when the points are judged;

@@ -342,16 +342,6 @@ class TestMisc:
         assert float(value) == float(f"{float(value):.16e}")
         assert "e" in value
 
-    def test_csv_rows_are_the_cells_fmt_texts(self):
-        # one str.format call per row writes each cell as _fmt does, and a
-        # row with a type outside its templates (a bool, a numpy integer)
-        # goes cell by cell
-        from qpump.cli import _csv_rows, _fmt
-        rows = [[3, "plain", 0.1, np.float64(-2.5e-300), float("nan"), -0.0],
-                [4, "plain", 1e300, np.float64(7.0), float("inf"), 1.0],
-                [np.int64(5), True, 0.5, np.float64(0.25), float("-inf"), 2.0]]
-        assert _csv_rows(rows) == [",".join(_fmt(cell) for cell in row) for row in rows]
-
 
 class TestParserReuse:
     def test_parser_is_built_once(self):

@@ -267,7 +267,7 @@ class TestKernelDecisions:
     @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (1, 0, 3, 2)])
     def test_decisions_are_those_of_the_kernel_solve(self, order):
         mats = self.mixed()[list(order)]
-        inv, errors, kernels = _kernel_decisions(mats, trace_row(4))
+        inv, errors, kernels, *_ = _kernel_decisions(mats, trace_row(4))
         _, inv_v, errors_v = _stationary_vectors(mats, trace_row(4))
         assert list(errors) == list(errors_v) == [k for k in range(4) if order[k] != 0]
         assert [type(e) for e in errors.values()] == [type(e) for e in errors_v.values()]
@@ -280,9 +280,9 @@ class TestKernelDecisions:
         # every point below the floor: each stands on its SVD, whose vector
         # is the kernel solve's, and keeps the inverse of its factor
         mats = np.array(TestStationaryVectors.pumps())
-        inv_above, _, _ = _kernel_decisions(mats, trace_row(4))
+        inv_above = _kernel_decisions(mats, trace_row(4)).inv
         monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
-        inv, errors, kernels = _kernel_decisions(mats, trace_row(4))
+        inv, errors, kernels, *_ = _kernel_decisions(mats, trace_row(4))
         v, _, _ = _stationary_vectors(mats, trace_row(4))
         assert not errors and list(kernels) == [0, 1, 2]
         assert np.array_equal(inv, inv_above)
