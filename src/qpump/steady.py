@@ -78,7 +78,7 @@ from .pump import (
     build_hamiltonian,
     build_jump_operator,
     decay_rates,
-    effective_temperature,
+    effective_temperatures,
     transition_pairs,
 )
 
@@ -319,8 +319,9 @@ def _solution_from_state(cfg, currents: dict[str, np.ndarray], flux: np.ndarray,
         message = next(text(k) for mask, text in gates if mask[k])
         raise NonConvergedError(message + at)
 
-    entropy = -(q_work / effective_temperature(cfg.work, omega_w)
-                + q_hot / cfg.hot.temperature + q_cold / cfg.cold.temperature)
+    # a plain work bath's own temperature, not its occupation's round trip
+    t_work, t_hot, t_cold = effective_temperatures(cfg, omega_w)
+    entropy = -(q_work / t_work + q_hot / t_hot + q_cold / t_cold)
     return SteadySolutions(q_work, q_hot, q_cold, cop, entropy,
                            kernel_residual, first_law, ideality, mode, total, flux.T, states,
                            positions, dim)
