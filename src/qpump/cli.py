@@ -317,8 +317,8 @@ def _cmd_histogram(args, params: dict) -> None:
     ranges = SampleRanges(seed=args.seed)
     result = cop_histogram(ranges, args.samples, threads=args.threads)
     columns = ["sample", "eps_ratio", "N"]
-    rows = [[i, float(r), int(n)]
-            for i, (r, n) in enumerate(zip(result.eps_ratios, result.n_levels))]
+    eps = result.eps_ratios.tolist()
+    rows = [[i, r, n] for i, (r, n) in enumerate(zip(eps, result.n_levels.tolist()))]
     ranges_echo = (
         f"t_cold={ranges.t_cold} hot_over_cold={ranges.hot_over_cold} "
         f"work_over_hot={ranges.work_over_hot} "
@@ -327,8 +327,9 @@ def _cmd_histogram(args, params: dict) -> None:
     )
     meta: dict = {"samples": result.n_samples, "rejected": result.rejected,
                   "ranges": ranges_echo}
-    if result.eps_ratios.size:
-        meta["max_eps_ratio"] = float(result.eps_ratios.max())
+    if eps:
+        meta["max_eps_ratio"] = max(eps)
+        # numpy's pairwise sum: not the bits of a plain sum of the list
         meta["mean_eps_ratio"] = float(result.eps_ratios.mean())
     _write(args, "histogram", params, meta, columns, rows)
 

@@ -13,7 +13,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .linalg import (
     KERNEL_RCOND_FLOOR,
     KERNEL_RESIDUAL_RTOL,
     NoKernelError,
+    _rate_rows_scale,
     _reciprocal_condition,
 )
 from .pump import (
@@ -32,7 +33,6 @@ from .pump import (
     carnot_cop,
     cooling_window_max,
     cooling_window_max_fixed_work,
-    decay_rates,
     effective_temperatures,
     squeeze_db_to_r,
     window_max,
@@ -45,9 +45,9 @@ from .steady import (
 )
 from .three_qubit import ThreeQubitConfig, _solve_fridges
 
-# Kept importable for the layer probes of perfbench/layers.py::install_probes;
-# characteristic_curve solves its points as stacks through _solve_pumps and
-# _solve_fridges.
+# Kept importable for the layer probes of perfbench/layers.py::install_probes,
+# though the optimizer and the curves call none of them.
+from .pump import decay_rates  # noqa: F401
 from .steady import solve  # noqa: F401
 from .three_qubit import solve_three_qubit  # noqa: F401
 
@@ -114,6 +114,20 @@ class StageResult:
     optimum: Optimum
 
 
+@cache
+def _log_bounds(intervals: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``SampleRanges.log_low`` and ``log_span`` of its (name, low, high)
+    intervals: once for each set of them, and read-only."""
+    for name, lo, hi in intervals:
+        if not (0 < lo <= hi):
+            raise ValueError(f"{name} interval must be positive and ordered")
+    low, high = np.array([(np.log(lo), np.log(hi)) for _, lo, hi in intervals]).T
+    span = high - low
+    for bounds in (low, span):
+        bounds.setflags(write=False)
+    return low, span
+
+
 @dataclass(frozen=True)
 class SampleRanges:
     """Sampling distributions for the random-fridge ensemble.
@@ -139,16 +153,10 @@ class SampleRanges:
     log_span: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        logs = []
-        for name in ("t_cold", "hot_over_cold", "work_over_hot",
-                     "omega_h_over_t_cold", "gamma_frac"):
-            lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise ValueError(f"{name} interval must be positive and ordered")
-            logs.append((np.log(lo), np.log(hi)))
-        low, high = np.array(logs).T
+        low, span = _log_bounds(tuple((name, *getattr(self, name)) for name in (
+            "t_cold", "hot_over_cold", "work_over_hot", "omega_h_over_t_cold", "gamma_frac")))
         object.__setattr__(self, "log_low", low)
-        object.__setattr__(self, "log_span", high - low)
+        object.__setattr__(self, "log_span", span)
         lo, hi = self.n_levels
         if not (3 <= lo <= hi <= 10):
             raise ValueError("n_levels range must lie within [3, 10]")
@@ -311,7 +319,8 @@ class _CoolingPowerEvaluator:
     Its GTH elimination, :func:`~qpump.steady._ladder_balance`, is the one
     that gives :func:`~qpump.steady.solve` its populations and ``q_c``, so
     ``q_cold`` and ``solve``'s ``q_c`` come from one body.  ``grid`` holds
-    the coarse grid's values once they are solved.
+    the coarse grid's values once they are solved, and ``bracket`` the
+    refinement's start.
     """
 
     def __init__(self, template: PumpConfig):
@@ -319,9 +328,11 @@ class _CoolingPowerEvaluator:
         self.n = template.n_levels
         self._stack = _population_structure(self.n)
         self.window = window_max(template)
-        hot = decay_rates(template.hot, template.omega_h)
-        self._hot = hot.down, hot.up
+        self._hot = _rates(template.hot, template.omega_h)  # the config checked omega_h > 0
         self.grid: np.ndarray | None = None
+        self.bracket: tuple[list, list, int] | None = None  # (nodes, values, failed)
+        # (q, omega_c, _channels) of the best q_cold, ties to the later step as in Brent's x*
+        self._best_step = -math.inf, math.nan, None
 
     def _channels(self, omega_c: float):
         """The six rates (work, hot, cold; down then up) at omega_c.  The
@@ -347,20 +358,27 @@ class _CoolingPowerEvaluator:
         of the net fluxes: the same elimination, whose cold flux is a plain
         difference here and an exact one, after refinement steps, there.
         """
-        q, ok = _gth_cold_power(omega_c, *_ladder_rates(self.n, self._channels(omega_c)))
+        rates = self._channels(omega_c)
+        q, ok = _gth_cold_power(omega_c, *_ladder_rates(self.n, rates))
         if not ok:
             raise NoKernelError("population balance fails its kernel gates (a level "
                                 f"without outflow, or residual above "
                                 f"{KERNEL_RESIDUAL_RTOL:.0e} x |M|)")
+        if q >= self._best_step[0]:
+            self._best_step = q, omega_c, rates
         return q
 
     def check_condition(self, omega_c: float) -> None:
         """Raises :class:`~qpump.linalg.NoKernelError` unless the dense rate
-        matrix at omega_c, its first row replaced by the trace constraint,
-        has an exact 1-norm reciprocal condition of at least
-        ``KERNEL_RCOND_FLOOR``; this rejects degenerate kernels whose
-        mixtures would still pass the residual gate of :meth:`q_cold`."""
-        mat = (np.array(self._channels(omega_c)) @ self._stack).reshape(self.n, self.n)
+        matrix at omega_c, its first row replaced by the trace constraint and
+        the others scaled to order 1, has an exact 1-norm reciprocal condition
+        of at least ``KERNEL_RCOND_FLOOR``; this rejects degenerate kernels
+        whose mixtures would still pass the residual gate of :meth:`q_cold`."""
+        _, at, rates = self._best_step  # x*, unless no refinement step beat the grid
+        if omega_c != at:
+            rates = self._channels(omega_c)
+        s = _rate_rows_scale(max(rates))  # the largest rate: within a factor 4 of max|M|
+        mat = (np.array([r / s for r in rates]) @ self._stack).reshape(self.n, self.n)
         mat[0, :] = 1.0
         try:
             rcond = _reciprocal_condition(mat, np.linalg.inv(mat))
@@ -370,27 +388,10 @@ class _CoolingPowerEvaluator:
             raise NoKernelError("stationary state numerically degenerate")
 
 
-def _grid_nodes(window):
-    """The coarse grid of a window, or of each window of a (S, 1) array: its
-    two edges, which carry no cooling power, and COARSE_GRID_POINTS
-    interior points."""
-    return window * np.arange(COARSE_GRID_POINTS + 2) / (COARSE_GRID_POINTS + 1)
-
-
-def _along_grid(values) -> np.ndarray:
-    """The (S, G) array that repeats each of S values along a coarse grid."""
-    return np.repeat(np.array(values, dtype=float)[:, None], COARSE_GRID_POINTS, axis=1)
-
-
-def _row_bath(baths: list[BathSpec]) -> BathSpec:
-    """One bath whose temperature and strength are those of ``baths``
-    along their coarse grids, (S, G) arrays for elementwise rates.  The
-    baths must share their squeezing and saturation."""
-    first = baths[0]
-    if any((b.squeeze_r, b.saturated) != (first.squeeze_r, first.saturated) for b in baths):
-        raise ValueError("the baths of a stacked grid must share squeezing and saturation")
-    return BathSpec(first.label, _along_grid([b.temperature for b in baths]),
-                    _along_grid([b.gamma for b in baths]), first.squeeze_r, first.saturated)
+def _grid_node(window, k):
+    """Node ``k`` of a window's coarse grid, or elementwise of (S, 1) windows:
+    nodes 0 and COARSE_GRID_POINTS + 1 are its edges, with no cooling power."""
+    return window * k / (COARSE_GRID_POINTS + 1)
 
 
 def _solve_grids(evaluators: list[_CoolingPowerEvaluator]) -> None:
@@ -399,22 +400,39 @@ def _solve_grids(evaluators: list[_CoolingPowerEvaluator]) -> None:
     largest ladder, and store each evaluator's values in its ``grid``: at
     each point the bits of :meth:`~_CoolingPowerEvaluator.q_cold` there,
     whatever the other evaluators, or NaN where it fails a gate.  Every
-    window must be nonempty."""
+    window must be nonempty, so that every frequency is positive for the
+    rate body :func:`~qpump.pump._rates`, and the work baths must share
+    their squeezing and saturation.  Each ``bracket`` comes from array
+    operations over all the grids: the nodes and values of the best point
+    and its neighbours, as floats (a failed point as -inf), and the number
+    of failed points."""
     if not evaluators:
         return
     evaluators = sorted(evaluators, key=lambda ev: -ev.n)
     templates = [ev.template for ev in evaluators]
-    omega_c = _grid_nodes(np.array([[ev.window] for ev in evaluators]))[:, 1:-1]
-    work = decay_rates(_row_bath([t.work for t in templates]),
-                       _along_grid([t.omega_h for t in templates]) - omega_c)
-    cold = decay_rates(_row_bath([t.cold for t in templates]), omega_c)
-    # each evaluator's hot rates, at its fixed omega_h
-    hot = [_along_grid([ev._hot[side] for ev in evaluators]) for side in (0, 1)]
-    rates = [r.ravel() for r in (work.down, work.up, *hot, cold.down, cold.up)]
+    if len({(t.work.squeeze_r, t.work.saturated) for t in templates}) > 1:
+        raise ValueError("the baths of a stacked grid must share squeezing and saturation")
+    # (S, 1) columns, which broadcast along the grids
+    window, omega_h, t_w, g_w, t_c, g_c, *hot = np.array([
+        (ev.window, t.omega_h, t.work.temperature, t.work.gamma, t.cold.temperature,
+         t.cold.gamma, *ev._hot) for ev, t in zip(evaluators, templates)]).T[:, :, None]
+    omega_c = _grid_node(window, np.arange(1, COARSE_GRID_POINTS + 1))
+    work = _rates(replace(templates[0].work, temperature=t_w, gamma=g_w), omega_h - omega_c)
+    cold = _rates(replace(templates[0].cold, temperature=t_c, gamma=g_c), omega_c)
+    hot = [np.repeat(r, COARSE_GRID_POINTS, axis=1) for r in hot]
+    rates = [r.ravel() for r in (*work, *hot, *cold)]
     ladders = _padded_ladder_rates([ev.n for ev in evaluators], rates, COARSE_GRID_POINTS)
     q, ok = _gth_cold_power(omega_c.ravel(), *ladders)
-    for ev, row in zip(evaluators, np.where(ok, q, np.nan).reshape(omega_c.shape)):
-        ev.grid = row
+    q, ok = q.reshape(omega_c.shape), ok.reshape(omega_c.shape)
+    # the values of all the nodes, and the best point's cell
+    values = np.zeros((len(evaluators), COARSE_GRID_POINTS + 2))
+    values[:, 1:-1] = np.where(ok, q, -np.inf)
+    cells = np.argmax(values[:, 1:-1], axis=1)[:, None] + np.arange(3)
+    flat = cells + values.shape[1] * np.arange(len(evaluators))[:, None]
+    brackets = zip(_grid_node(window, cells).tolist(), values.ravel()[flat].tolist(),
+                   np.count_nonzero(~ok, axis=1).tolist())
+    for ev, grid, bracket in zip(evaluators, np.where(ok, q, np.nan), brackets):
+        ev.grid, ev.bracket = grid, bracket
 
 
 def _brent_max(f, xs, fs, tol: float):
@@ -477,17 +495,18 @@ def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Opt
     """Find the cold frequency that maximizes the cooling power.
 
     A 64-point coarse grid over the open cooling window, solved by
-    :func:`_solve_grids`, brackets the maximum in the best grid cell and its
-    two neighbours.  Brent's bounded parabolic refinement, started from those
-    three grid values, then places the maximizer within 1e-6 of the window
-    width; it keeps the best grid point unless a refinement step beats it,
-    so failed steps fall back to that point.  The reported power is the
-    value at ``omega_c_star``, which then passes the evaluator's
-    ``check_condition`` (a full :func:`qpump.steady.solve` there reproduces it
-    to solver precision), and the reported efficiency uses the ideal-pump
-    identity ``eps* = omega_c*/(omega_h - omega_c*)``.
+    :func:`_solve_grids`, brackets the maximum in the best grid point and
+    its two neighbours (the evaluator's ``bracket``).  Brent's bounded
+    parabolic refinement, started from those three grid values, then places
+    the maximizer within 1e-6 of the window width; it keeps the best grid
+    point unless a refinement step beats it, so failed steps fall back to
+    that point.  The reported power is the value at ``omega_c_star``, which
+    then passes the evaluator's ``check_condition`` (a full
+    :func:`qpump.steady.solve` there reproduces it to solver precision), and
+    the reported efficiency uses the ideal-pump identity
+    ``eps* = omega_c*/(omega_h - omega_c*)``.
     ``template.omega_c`` is ignored.  ``template`` may also be an evaluator,
-    whose ``grid`` a caller may have solved already.
+    whose grid a caller may have solved already.
 
     Raises :class:`EmptyWindowError` for an empty window and
     :class:`~qpump.linalg.NoKernelError` if no grid point admits a
@@ -498,24 +517,14 @@ def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Opt
     template, window = ev.template, ev.window
     if not (window > 0):
         raise EmptyWindowError(f"cooling window max {window} is not positive")
-    if ev.grid is None:
+    if ev.bracket is None:
         _solve_grids([ev])
-
-    nodes = _grid_nodes(window)
-    lost = np.isnan(ev.grid)
-    failed = int(np.count_nonzero(lost))
+    xs, fs, failed = ev.bracket
     if failed == COARSE_GRID_POINTS:
         raise NoKernelError("no grid point in the cooling window admits a "
                             "trustworthy stationary state")
-    # a failed grid point enters the refinement as -inf
-    q_nodes = np.zeros(COARSE_GRID_POINTS + 2)
-    q_nodes[1:-1] = np.where(lost, -np.inf, ev.grid)
-    best_i = int(np.argmax(q_nodes[1:-1])) + 1
-    cell = slice(best_i - 1, best_i + 2)
     x_star, q_star, refine_evals, refine_failed = _brent_max(
-        ev.q_cold, nodes[cell].tolist(), q_nodes[cell].tolist(),
-        REFINE_RELATIVE_WIDTH * window,
-    )
+        ev.q_cold, xs, fs, REFINE_RELATIVE_WIDTH * window)
     # the condition check at the reported maximizer, whose cooling power
     # q_star already is, from a refinement step or the grid, bit for bit
     ev.check_condition(x_star)
@@ -575,39 +584,51 @@ def sweep_stages(template: PumpConfig,
 # random-fridge histogram
 
 
-def _draw(ranges: SampleRanges, index: int, attempt: int) -> PumpConfig | None:
-    """The fridge of one attempt of one sample, or None when the draw breaks
-    a config invariant.  Its generator is derived from (seed, index,
-    attempt) alone.
+def _draws(ranges: SampleRanges, indices, attempt: int = 0) -> list[PumpConfig | None]:
+    """The fridge of one attempt of each sample of ``indices``, or None
+    where the draw breaks a config invariant.  Each generator is derived
+    from (seed, index, attempt) alone.
 
     Each log-uniform factor is ``exp(low + span * u)`` of its log range,
     with ``u`` from ``rng.random``, which is how ``rng.uniform`` maps its
     draw: the four factors of the temperatures and ``omega_h`` take one
-    call, the three gamma fractions one more, in the stream's order."""
+    call, then ``rng.integers`` the level count, the three gamma fractions
+    one more call.  The arithmetic runs once over all the samples'
+    uniforms, elementwise, so each sample has the bits it has alone."""
     low, span = ranges.log_low, ranges.log_span
-    rng = np.random.default_rng([ranges.seed, index, attempt])
+    u4, n, u3 = [], [], []
+    for index in indices:
+        key = [ranges.seed, index, attempt]
+        if 0 <= min(key) and max(key) < 2**32:  # the list's entropy words, unconverted
+            key = np.array(key, dtype=np.uint32)
+        rng = np.random.default_rng(key)
+        u4.append(rng.random(4))
+        n.append(int(rng.integers(ranges.n_levels[0], ranges.n_levels[1] + 1)))
+        u3.append(rng.random(3))
     t_c, hot_over_cold, work_over_hot, omega_h_over_t_cold = np.exp(
-        low[:4] + span[:4] * rng.random(4)).tolist()
+        low[:4] + span[:4] * np.array(u4)).T
     t_h = t_c * hot_over_cold
     t_w = t_h * work_over_hot
     omega_h = t_c * omega_h_over_t_cold
-    n = int(rng.integers(ranges.n_levels[0], ranges.n_levels[1] + 1))
     window = cooling_window_max(omega_h, (t_w, t_h, t_c))
-    scale = min(window, t_c)
-    gammas = [scale * g for g in np.exp(low[4] + span[4] * rng.random(3)).tolist()]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", WeakCouplingWarning)
-            return PumpConfig(
-                n_levels=n,
-                omega_h=omega_h,
-                omega_c=0.5 * window,
-                work=BathSpec("work", t_w, gammas[0]),
-                hot=BathSpec("hot", t_h, gammas[1]),
-                cold=BathSpec("cold", t_c, gammas[2]),
-            )
-    except ValueError:
-        return None
+    scale = np.where(t_c < window, t_c, window)  # min(window, t_c)
+    gammas = scale[:, None] * np.exp(low[4] + span[4] * np.array(u3))
+    configs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakCouplingWarning)
+        for n, omega_h, omega_c, t_w, t_h, t_c, (g_w, g_h, g_c) in zip(
+                n, *(a.tolist() for a in (omega_h, 0.5 * window, t_w, t_h, t_c, gammas))):
+            try:
+                configs.append(PumpConfig(n, omega_h, omega_c, BathSpec("work", t_w, g_w),
+                                          BathSpec("hot", t_h, g_h), BathSpec("cold", t_c, g_c)))
+            except ValueError:
+                configs.append(None)
+    return configs
+
+
+def _draw(ranges: SampleRanges, index: int, attempt: int) -> PumpConfig | None:
+    """:func:`_draws` of one sample at one attempt."""
+    return _draws(ranges, (index,), attempt)[0]
 
 
 def _sample_point(ranges: SampleRanges, index: int,
@@ -638,13 +659,14 @@ def _sample_point(ranges: SampleRanges, index: int,
 
 
 def _histogram_chunk(args) -> list[tuple[int, float, int, int]]:
-    """The samples ``start`` to ``stop``: every first attempt is drawn up
-    front, and the coarse grids of those with a nonempty window are solved
-    as one padded call (:func:`_solve_grids`); each sample then refines its
-    own grid, and redraws on rejection, in :func:`_sample_point`."""
+    """The samples ``start`` to ``stop``: every first attempt is drawn in
+    one pass (:func:`_draws`), and the coarse grids and brackets of those
+    with a nonempty window are solved as one padded call
+    (:func:`_solve_grids`); each sample then refines its own bracket, and
+    redraws on rejection, in one call of :func:`_sample_point`."""
     ranges, start, stop = args
-    firsts = [_draw(ranges, i, 0) for i in range(start, stop)]
-    evaluators = [None if cfg is None else _CoolingPowerEvaluator(cfg) for cfg in firsts]
+    evaluators = [None if cfg is None else _CoolingPowerEvaluator(cfg)
+                  for cfg in _draws(ranges, range(start, stop))]
     _solve_grids([ev for ev in evaluators if ev is not None and ev.window > 0])
     return [(i, *_sample_point(ranges, i, ev))
             for i, ev in zip(range(start, stop), evaluators)]

@@ -22,6 +22,7 @@ factorization per matrix) and judge each point on its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -113,6 +114,16 @@ def _reciprocal_condition(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return 1.0 / np.abs(m).sum(axis=-2).max(axis=-1) / np.abs(inv).sum(axis=-2).max(axis=-1)
 
 
+def _rate_rows_scale(scale):
+    """The power of two at or below ``scale``, a float or elementwise, that
+    divides the rows of a trace-row matrix but the trace row, exactly,
+    before its condition is taken: unscaled, the condition follows the rate
+    rows' scale (4.5e-4 on the ideal curve at gamma 1e-3, 4.5e-14 at 1e7)."""
+    if isinstance(scale, np.ndarray):
+        return np.ldexp(1.0, np.frexp(scale)[1] - 1)
+    return math.ldexp(1.0, math.frexp(scale)[1] - 1)
+
+
 def _kernel_diagnostics(matrix: np.ndarray) -> np.ndarray:
     """Singular-value based kernel extraction with uniqueness checks.
 
@@ -180,20 +191,22 @@ def _kernel_decisions(mats: np.ndarray, trace: np.ndarray) -> _KernelDecisions:
 
     Every point is judged on its own.  The first row of each matrix is
     replaced with ``trace`` and the stack inverted; a point whose exact
-    1-norm reciprocal condition ``1 / (|M|_1 |M^-1|_1)`` is at least
-    ``KERNEL_RCOND_FLOOR`` has a unique kernel, whose trace the trace row
-    fixes.  A point below the floor goes to the SVD of its matrix
-    (:func:`_svd_kernel`), which either lets it stand and gives its
-    unit-trace kernel vector, or gives its :class:`NoKernelError` or
-    :class:`DegenerateKernelError`.  A failing point does not stop the
-    others: its error is kept under its index, and its inverse is NaN, so
-    that the caller can judge the points in order.  An exactly singular
-    (or non-finite) matrix fails the stacked inversion, so such a stack is
-    inverted point by point and only that point leaves the primary path.
+    1-norm reciprocal condition, with its other rows scaled to order 1
+    (:func:`_rate_rows_scale`), is at least ``KERNEL_RCOND_FLOOR`` has a
+    unique kernel, whose trace the trace row fixes.  A point below the
+    floor goes to the SVD of its matrix (:func:`_svd_kernel`), which either
+    lets it stand and gives its unit-trace kernel vector, or gives its
+    :class:`NoKernelError` or :class:`DegenerateKernelError`.  A failing
+    point does not stop the others: its error is kept under its index, and
+    its inverse is NaN, so that the caller can judge the points in order.
+    An exactly singular (or non-finite) matrix fails the stacked inversion,
+    so such a stack is inverted point by point and only that point leaves
+    the primary path.
 
     The trace-row matrices and the scales that the decisions were taken
     on come back with them, for :func:`_stationary_vectors`."""
-    scale = np.abs(mats).max(axis=(1, 2))
+    size = np.abs(mats)
+    scale = size.max(axis=(1, 2))
     m = mats.copy()
     m[:, 0, :] = trace
     try:
@@ -219,7 +232,11 @@ def _kernel_decisions(mats: np.ndarray, trace: np.ndarray) -> _KernelDecisions:
         # go through the pseudo-inverse
         inv, rcond = np.linalg.pinv(m), np.zeros(1)
     else:
-        rcond = _reciprocal_condition(m, inv)
+        # of D M, its rows but the first over s: (D M)^-1 is M^-1, those columns times s
+        s, cols = _rate_rows_scale(scale), np.abs(inv).sum(axis=1)
+        with np.errstate(over="ignore"):  # only an inverse of no use overflows
+            rcond = (1.0 / (np.abs(trace) + size[:, 1:].sum(axis=1) / s[:, None]).max(axis=1)
+                     / np.maximum(cols[:, 0], cols[:, 1:].max(axis=1) * s))
     # an inverse that overflowed has no condition (0 or NaN): below the floor
     for k in np.flatnonzero(~(rcond >= KERNEL_RCOND_FLOOR)):
         try:

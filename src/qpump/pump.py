@@ -352,8 +352,8 @@ def squeeze_db_to_r(db: float) -> float:
 
 def _check_ordering(t_work: float, t_hot: float, t_cold: float) -> None:
     # T_w == T_h is allowed here so the formulas expose their vanishing
-    # no-gradient limit; configs themselves require strict ordering.
-    if not (t_work >= t_hot > t_cold > 0):
+    # no-gradient limit; configs require strict ordering.  Elementwise on arrays.
+    if not _least((t_work >= t_hot) & (t_hot > t_cold) & (t_cold > 0)):
         raise ValueError(
             f"need T_w >= T_h > T_c > 0, got ({t_work}, {t_hot}, {t_cold})"
         )

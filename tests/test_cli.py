@@ -556,6 +556,61 @@ class TestAbPairs:
         assert "correct is False" in capsys.readouterr().err
 
 
+STUB_CLI = """
+MARK = {mark!r}
+
+
+def run(argv):
+    # the seed ending in 7 prints the tree's mark
+    print(" ".join(argv), MARK if argv[2].endswith("7") else "")
+    return 0
+"""
+
+
+class TestAbInprocess:
+    @staticmethod
+    def tree(root, mark=""):
+        package = root / "src" / "qpump"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text(STUB_CLI.format(mark=mark))
+        return root
+
+    def test_each_side_runs_its_own_tree(self, tmp_path):
+        ab = load_tool("ab_inprocess")
+        a = ab.load_side("a", self.tree(tmp_path / "a", "from a"))
+        b = ab.load_side("b", self.tree(tmp_path / "b", "from b"))
+        assert sys.modules["qpump.cli"] is qpump.cli
+        argv = ["histogram", "--seed", "17"]
+        saved = ab._qpump_modules()
+        try:
+            assert a.call(argv) == (0, "histogram --seed 17 from a\n")
+            assert b.call(argv) == (0, "histogram --seed 17 from b\n")
+        finally:  # a call leaves its side's modules in sys.modules
+            sys.modules.update(saved)
+        assert not list(tmp_path.rglob("__pycache__"))
+
+    def test_equal_outputs_exit_zero(self, tmp_path, capsys):
+        parent, change = self.tree(tmp_path / "parent"), self.tree(tmp_path / "change")
+        assert load_tool("ab_inprocess").main([str(parent), str(change), "--workload",
+                                               "ensemble_serial", "--pairs", "4",
+                                               "--batch", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "ratio parent/change: median" in out and "of 4 pairs" in out
+        assert sys.modules["qpump"] is qpump and sys.modules["qpump.cli"] is qpump.cli
+
+    def test_a_differing_output_exits_one(self, tmp_path, capsys):
+        # calls 0 to 7 of pair 1 to 4 run the seeds 1000003 to 1000010
+        parent = self.tree(tmp_path / "parent", "old")
+        change = self.tree(tmp_path / "change", "new")
+        assert load_tool("ab_inprocess").main([str(parent), str(change), "--workload",
+                                               "ensemble_serial", "--pairs", "4",
+                                               "--batch", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "differs: qpump histogram --seed 1000007 " in err and "1 of 8 calls differ" in err
+        assert sys.modules["qpump.cli"] is qpump.cli
+
+
 SCRIPTS = Path(__file__).resolve().parent.parent
 
 

@@ -21,6 +21,7 @@ from qpump.experiments import (
     _CoolingPowerEvaluator,
     _curve_config,
     _draw,
+    _draws,
     _sample_point,
     _solve_grids,
     _variant_config,
@@ -227,6 +228,25 @@ class TestMaximizeCoolingPower:
         with pytest.raises(NoKernelError):
             maximize_cooling_power(reference_pump(3))
 
+    def test_condition_gate_is_scale_free(self, monkeypatch):
+        # every gamma times 2^k: the same chain, so the same grid argmax,
+        # steps and x*, and q_c times 2^k, bit for bit; the condition gate
+        # divides the rate rows by a power of two of their scale, so it sees
+        # one matrix and passes at a floor that the condition with the trace
+        # row left at 1 misses by orders of magnitude at k = 0 and 40
+        monkeypatch.setattr(qpump.experiments, "KERNEL_RCOND_FLOOR", 1e-3)
+        base = reference_pump(6)
+        optima = {}
+        for k in (-40, 0, 40):
+            baths = {label: dataclasses.replace(base.bath(label),
+                                                gamma=math.ldexp(base.bath(label).gamma, k))
+                     for label in ("work", "hot", "cold")}
+            optima[k] = maximize_cooling_power(dataclasses.replace(base, **baths))
+        for k, opt in optima.items():
+            assert opt.omega_c_star == optima[0].omega_c_star
+            assert opt.q_c_max == math.ldexp(optima[0].q_c_max, k)
+            assert opt.eps_ratio == optima[0].eps_ratio
+
     def test_failed_grid_points_are_dropped_and_counted(self, monkeypatch):
         template = reference_pump(4)
         clean = maximize_cooling_power(template)
@@ -391,6 +411,81 @@ class TestStackedGrid:
             _solve_grids(chunk)
 
 
+def per_sample_bracket(ev):
+    """The start of the refinement as maximize_cooling_power took it from one
+    evaluator's solved grid before the grids stored it: the nodes and values
+    of the best grid point and its two neighbours, a failed point as -inf,
+    and the failed grid points."""
+    nodes = ev.window * np.arange(COARSE_GRID_POINTS + 2) / (COARSE_GRID_POINTS + 1)
+    lost = np.isnan(ev.grid)
+    q_nodes = np.zeros(COARSE_GRID_POINTS + 2)
+    q_nodes[1:-1] = np.where(lost, -np.inf, ev.grid)
+    best = int(np.argmax(q_nodes[1:-1])) + 1
+    cell = slice(best - 1, best + 2)
+    return nodes[cell].tolist(), q_nodes[cell].tolist(), int(np.count_nonzero(lost))
+
+
+def bracket_bits(bracket):
+    xs, fs, failed = bracket
+    assert all(type(x) is float for x in xs + fs) and type(failed) is int
+    return np.array(xs).tobytes(), np.array(fs).tobytes(), failed
+
+
+def failing_rates(monkeypatch, at, nan=True):
+    """Make the grid points ``at`` of a one-template grid fail: the cold
+    bath's downward rate NaN, or every rate 0, which leaves no level an
+    outflow (and only the trace row of the dense matrix)."""
+    original = qpump.experiments._padded_ladder_rates
+
+    def padded_ladder_rates(n, rates, points):
+        # one template: row m of the six rates is grid point m
+        rates = [r.copy() for r in rates]
+        if nan:
+            rates[4][at] = np.nan
+        else:
+            for r in rates:
+                r[at] = 0.0
+        return original(n, rates, points)
+
+    monkeypatch.setattr(qpump.experiments, "_padded_ladder_rates", padded_ladder_rates)
+
+
+class TestStoredBrackets:
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_chunk_brackets_are_the_per_sample_brackets(self, seed):
+        ranges = SampleRanges(seed=seed)
+        chunk = [_CoolingPowerEvaluator(cfg) for cfg in _draws(ranges, range(32))
+                 if cfg is not None]
+        _solve_grids(chunk)
+        for ev in chunk:
+            assert bracket_bits(ev.bracket) == bracket_bits(per_sample_bracket(ev))
+            assert ev.bracket[2] == 0
+
+    @pytest.mark.parametrize("nan", [True, False], ids=["nan", "singular"])
+    def test_failed_points_enter_as_minus_inf_and_are_counted(self, monkeypatch, nan):
+        template = reference_pump(5)
+        best = int(np.argmax(grid_alone(template)))
+        # the best point's right neighbour, and the last point
+        failing_rates(monkeypatch, [best + 1, COARSE_GRID_POINTS - 1], nan)
+        ev = _CoolingPowerEvaluator(template)
+        _solve_grids([ev])
+        assert np.isnan(ev.grid[[best + 1, COARSE_GRID_POINTS - 1]]).sum() == 2
+        assert bracket_bits(ev.bracket) == bracket_bits(per_sample_bracket(ev))
+        xs, fs, failed = ev.bracket
+        assert fs[2] == -math.inf and math.isfinite(fs[1]) and failed == 2
+        assert maximize_cooling_power(ev).failed_evaluations == 2
+
+    def test_all_failed_grid_raises(self, monkeypatch):
+        failing_rates(monkeypatch, slice(None))
+        ev = _CoolingPowerEvaluator(reference_pump(4))
+        _solve_grids([ev])
+        assert np.isnan(ev.grid).all()
+        assert bracket_bits(ev.bracket) == bracket_bits(per_sample_bracket(ev))
+        assert ev.bracket[2] == COARSE_GRID_POINTS
+        with pytest.raises(NoKernelError, match="no grid point"):
+            maximize_cooling_power(ev)
+
+
 def load_optimizer_oracle():
     path = Path(__file__).resolve().parent.parent / "tools" / "optimizer_oracle.py"
     spec = importlib.util.spec_from_file_location("optimizer_oracle", path)
@@ -550,6 +645,29 @@ class TestSampleRanges:
         assert "log_low" not in repr(ranges) and "log_span" not in repr(ranges)
         assert ranges == SampleRanges(seed=5)
 
+    def test_log_bounds_are_cached_read_only(self):
+        # one pair of arrays for each set of intervals, whatever the seed
+        a, b = SampleRanges(seed=5), SampleRanges(seed=6)
+        assert a.log_low is b.log_low and a.log_span is b.log_span
+        wider = SampleRanges(t_cold=(0.5, 1e2))
+        assert wider.log_low is not a.log_low
+        for ranges in (a, wider):
+            fresh = [(np.log(lo), np.log(hi)) for lo, hi in (
+                ranges.t_cold, ranges.hot_over_cold, ranges.work_over_hot,
+                ranges.omega_h_over_t_cold, ranges.gamma_frac)]
+            assert ranges.log_low.tolist() == [lo for lo, _ in fresh]
+            assert ranges.log_span.tolist() == [hi - lo for lo, hi in fresh]
+            for bounds in (ranges.log_low, ranges.log_span):
+                assert not bounds.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    bounds[0] = 0.0
+        assert "log_low" not in repr(b) and "log_span" not in repr(b)
+        assert a != b and a == SampleRanges(seed=5) and b == dataclasses.replace(a, seed=6)
+        # a bad interval still raises, and is not cached as a result
+        for _ in range(2):
+            with pytest.raises(ValueError, match="t_cold interval"):
+                SampleRanges(t_cold=(5.0, 1.0))
+
 
 def uniform_draw(ranges, index, attempt):
     """The fridge of :func:`_draw`, drawn as it was before the draws were
@@ -575,6 +693,11 @@ def uniform_draw(ranges, index, attempt):
         return None
 
 
+# ranges under which some draws break a config invariant: where the ratio
+# T_w/T_h draws exactly 1, the window and every gamma are 0
+NONE_RANGES = SampleRanges(work_over_hot=(1.0, 1.0000000000000002), seed=7)
+
+
 class TestDraw:
     @pytest.mark.parametrize("ranges", [SampleRanges(),
                                         SampleRanges(t_cold=(0.5, 3.0), gamma_frac=(1e-4, 1e-3),
@@ -584,6 +707,23 @@ class TestDraw:
         pairs = [(index, attempt) for index in range(400) for attempt in range(5)]
         assert [_draw(ranges, *pair) for pair in pairs] == [uniform_draw(ranges, *pair)
                                                             for pair in pairs]
+
+    @pytest.mark.parametrize("ranges", [SampleRanges(), NONE_RANGES, SampleRanges(seed=2**40 + 3)],
+                             ids=["default", "none", "seed_past_32_bits"])
+    def test_chunk_draws_match_single_draws(self, ranges):
+        # 2,000 (index, attempt) pairs per range set, in chunks of 32 indices
+        # at one attempt, field by field against each draw alone and the
+        # draw of one uniform call per factor, which keys its generator by
+        # the list [seed, index, attempt]
+        chunks = [(range(start, start + 32), attempt)
+                  for start in range(0, 400, 32) for attempt in range(5)]
+        drawn = [cfg for indices, attempt in chunks for cfg in _draws(ranges, indices, attempt)]
+        pairs = [(index, attempt) for indices, attempt in chunks for index in indices]
+        assert len(pairs) > 2000
+        assert drawn == [_draw(ranges, *pair) for pair in pairs]
+        assert drawn == [uniform_draw(ranges, *pair) for pair in pairs]
+        none = sum(cfg is None for cfg in drawn)
+        assert (none > 100) if ranges is NONE_RANGES else (none == 0)
 
 
 class TestHistogram:
@@ -649,6 +789,38 @@ class TestHistogram:
         b = cop_histogram(SampleRanges(seed=2), 8, threads=1)
         assert not np.array_equal(a.eps_ratios, b.eps_ratios)
 
+    def test_chunk_calls_the_probed_names_once_per_sample(self, monkeypatch):
+        # perfbench/layers.py counts the ensemble's items and steps through
+        # these module attributes: one _sample_point and one
+        # maximize_cooling_power per sample, one q_cold per refinement step
+        ex = qpump.experiments
+        sample_point, maximize, q_cold = (ex._sample_point, ex.maximize_cooling_power,
+                                          _CoolingPowerEvaluator.q_cold)
+        samples, optima, steps = [], [], []
+
+        def counted_sample(ranges, index, first=None):
+            samples.append(index)
+            return sample_point(ranges, index, first)
+
+        def counted_maximize(template):
+            optima.append(maximize(template))
+            return optima[-1]
+
+        def counted_step(self, omega_c):
+            steps.append(omega_c)
+            return q_cold(self, omega_c)
+
+        ranges = SampleRanges(seed=1_000_003)
+        plain = cop_histogram(ranges, 8, threads=1)
+        monkeypatch.setattr(ex, "_sample_point", counted_sample)
+        monkeypatch.setattr(ex, "maximize_cooling_power", counted_maximize)
+        monkeypatch.setattr(_CoolingPowerEvaluator, "q_cold", counted_step)
+        res = cop_histogram(ranges, 8, threads=1)
+        assert res.rejected == 0 and samples == list(range(8)) and len(optima) == 8
+        assert len(steps) == sum(o.evaluations - COARSE_GRID_POINTS - 1 for o in optima)
+        assert res.eps_ratios.tolist() == [o.eps_ratio for o in optima]
+        assert res.eps_ratios.tolist() == plain.eps_ratios.tolist()
+
     def test_solver_defect_is_not_a_rejection(self, monkeypatch):
         def broken(cfg):
             raise RuntimeError("defect")
@@ -674,6 +846,27 @@ GATE_FAULTS = {
 
 
 class TestCharacteristicCurve:
+    @pytest.mark.parametrize("system", ["ideal", "three_qubit"])
+    def test_stiff_rates_keep_every_point_off_the_svd(self, monkeypatch, system):
+        # all three gammas at 1e7: the rate rows are of order 1e11, and with
+        # the trace row left at 1 every point of both curves fell below the
+        # condition floor; with the rows scaled, none does, while the floor
+        # at 1 still sends every point to the SVD
+        setup = dataclasses.replace(COMPARE_SETUP, gamma_work=1e7, gamma_hot=1e7, gamma_cold=1e7)
+        diagnosed = []
+        diagnostics = qpump.linalg._kernel_diagnostics
+
+        def counted(m):
+            diagnosed.append(m)
+            return diagnostics(m)
+
+        monkeypatch.setattr(qpump.linalg, "_kernel_diagnostics", counted)
+        assert len(characteristic_curve(system, setup, n_points=28)) == 28
+        assert diagnosed == []
+        monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
+        characteristic_curve(system, setup, n_points=28)
+        assert len(diagnosed) == 28
+
     @pytest.mark.parametrize("omega_w, n", STIFF_CURVES)
     def test_stiff_dense_ideal_curve_passes_its_gates(self, omega_w, n):
         # the net fluxes are a 1e-9 part of the one-way flows at the smallest

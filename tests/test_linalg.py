@@ -8,6 +8,7 @@ from qpump.linalg import (
     SuperOp,
     _kernel_decisions,
     _kernel_diagnostics,
+    _reciprocal_condition,
     _stationary_vectors,
     devectorize,
     propagate,
@@ -275,6 +276,25 @@ class TestKernelDecisions:
         good = order.index(0)
         assert np.array_equal(inv[good], inv_v[good]) and np.isfinite(inv[good]).all()
         assert np.isnan(np.delete(inv, good, axis=0)).all() and not kernels
+
+    def test_condition_is_scale_free(self, monkeypatch):
+        # a stack of 4-level ladder rate matrices with every rate times 2^k:
+        # the condition that decides between the inverse and the SVD does
+        # not follow k, as the rows but the trace row are divided by a power
+        # of two of their scale; with the trace row left at 1 it would
+        rates = np.array([[3.0, 1.0, 2.0, 0.5, 4.0, 1.5], [0.2, 0.1, 5.0, 0.05, 1.0, 0.9],
+                          [7.0, 6.5, 0.3, 0.2, 2.0, 0.1]])
+        mats = (rates @ qpump.steady._population_structure(4)).reshape(3, 4, 4)
+        for floor, below in ((1e-2, []), (0.5, [0, 1, 2])):
+            monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", floor)
+            for k in (-300, -40, 0, 40, 300):
+                inv, errors, kernels, *_ = _kernel_decisions(np.ldexp(mats, k), np.ones(4))
+                assert not errors and sorted(kernels) == below and np.isfinite(inv).all()
+        trace_rows = [np.ldexp(mats, k) for k in (0, 40)]
+        for m in trace_rows:
+            m[:, 0, :] = 1.0
+        plain = [_reciprocal_condition(m, np.linalg.inv(m)) for m in trace_rows]
+        assert (plain[0] > 1e-2).all() and (plain[1] < 1e-13).all()
 
     def test_points_below_the_floor_keep_the_svd_kernel(self, monkeypatch):
         # every point below the floor: each stands on its SVD, whose vector
