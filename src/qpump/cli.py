@@ -152,9 +152,13 @@ def _require(params: dict, keys, what: str) -> None:
 def _check_rates(cfg) -> None:
     """Refuse a bath whose rates overflow at the machine's own frequency."""
     for label in ("work", "hot", "cold"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            rates = pump.decay_rates(cfg.bath(label), cfg.bath_frequency(label))
-        if not np.isfinite([rates.down, rates.up]).all():
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                rates = pump.decay_rates(cfg.bath(label), cfg.bath_frequency(label))
+            finite = np.isfinite([rates.down, rates.up]).all()
+        except OverflowError:  # Python's float power, at a scalar frequency
+            finite = False
+        if not finite:
             raise ValueError(f"{label} bath: rates overflow at gamma={cfg.bath(label).gamma!r}")
 
 
@@ -314,7 +318,10 @@ def _cmd_sweep_n(args, params: dict) -> None:
 def _cmd_histogram(args, params: dict) -> None:
     if args.samples < 0:
         raise CliConfigError(f"--samples must be >= 0, got {args.samples}")
-    ranges = SampleRanges(seed=args.seed)
+    try:
+        ranges = SampleRanges(seed=args.seed)
+    except ValueError as exc:
+        raise CliConfigError(str(exc)) from exc
     result = cop_histogram(ranges, args.samples, threads=args.threads)
     columns = ["sample", "eps_ratio", "N"]
     eps = result.eps_ratios.tolist()

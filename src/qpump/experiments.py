@@ -157,9 +157,14 @@ class SampleRanges:
             "t_cold", "hot_over_cold", "work_over_hot", "omega_h_over_t_cold", "gamma_frac")))
         object.__setattr__(self, "log_low", low)
         object.__setattr__(self, "log_span", span)
+        if not (self.hot_over_cold[0] > 1.0 and self.work_over_hot[0] >= 1.0):
+            raise ValueError("hot_over_cold must lie above 1 and work_over_hot at or above 1, "
+                             "so that T_w >= T_h > T_c")
         lo, hi = self.n_levels
         if not (3 <= lo <= hi <= 10):
             raise ValueError("n_levels range must lie within [3, 10]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

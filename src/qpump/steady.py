@@ -30,38 +30,31 @@ currents are then within a few ulps of a 50-digit solve of the same rates
 long-double width: ``long double`` remains only in the rate-equation
 oracle (:func:`pauli_rate_oracle`).
 
-The ideal pump's stationary state is diagonal: its coherences decouple and
-decay, and its populations solve a banded classical master equation.
-:func:`_solve_pumps` solves that equation by the subtraction-free GTH
-elimination of :func:`_ladder_balance`, the body that also gives the
-power optimizer's ``q_cold``, with no generator and no polish;
-each current is its bath's energy gap times the net flux on its edges,
-taken from exact products (:func:`_edge_fluxes`) after two refinement steps
-of the populations (:func:`_refined_fluxes`).  The kernel decisions
-(condition floor, SVD diagnostics, non-finite rates) are those of the
-double rate matrix, which is the generator's block on the populations.
-
-The three-qubit fridge's stationary state holds its populations and one
-coherence pair, which follows the populations; eliminating it leaves an
-exact eight-state classical chain, which
-:func:`qpump.three_qubit._solve_fridges` solves along the same steps: its
-rate matrices, their kernel decisions, a dense GTH elimination, exact
-fluxes, the shared refinement steps and the shared gates.  A whole
-characteristic curve of either model is one stacked solve over a leading
-point axis, and a single solve is a stack of one.
-
-Both models' currents pass one gate body, per point, and a stack's
-results are one set of columns, :class:`SteadySolutions`.  The whole
-generator, which only the oracles use, is assembled from the machine's
-dense operators by the Kronecker-product builders below
-(:class:`_Generator`).
+Both machines' stationary populations solve a classical chain.  The
+ideal pump's state is diagonal (its coherences decouple and decay), and its
+chain is the banded ladder of :func:`_ladder`; the three-qubit fridge's
+coherence pair follows its populations, and eliminating it leaves an exact
+eight-state chain (:data:`qpump.three_qubit._FRIDGE`).  Each chain is one
+record, :class:`_Chain`: its edges, each level's edges for the net inflow
+and each bath's edges for its current.  Both models solve through
+:func:`_solve_chain`: the chain's rate matrices and their kernel decisions
+(condition floor, SVD diagnostics, non-finite rates), the model's
+subtraction-free GTH elimination (:func:`_ladder_balance`, which also gives
+the power optimizer's ``q_cold``, or the fridge's dense one), the exact
+fluxes after the refinement steps, the currents, and one gate body per
+point, with no generator and no polish.  A whole characteristic curve is
+one stacked solve over a leading point axis, a single solve a stack of
+one, and a stack's results are one set of columns,
+:class:`SteadySolutions`.  The whole generator, which only the oracles
+use, is assembled from the machine's dense operators by the
+Kronecker-product builders below (:class:`_Generator`).
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -74,7 +67,6 @@ from .pump import (
     PumpConfig,
     RatePair,
     _level_energy,
-    _transition_levels,
     build_hamiltonian,
     build_jump_operator,
     decay_rates,
@@ -328,24 +320,204 @@ def _solution_from_state(cfg, currents: dict[str, np.ndarray], flux: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# a machine's population balance as a classical chain, and its stacked solve
+
+
+@dataclass(frozen=True, eq=False)
+class _Chain:
+    """A machine's population balance as a classical chain of E edges, built
+    once per machine and read-only.  ``lo`` and ``hi`` hold each edge's lower
+    and upper level, ``rise`` the index of its upward rate among the
+    chain's rates (its downward rate is the one before), and ``baths`` the
+    slice of the edges whose net flux is each bath's (work, hot, cold)
+    current.  ``touch`` and ``sign``, (N, D), hold each level's edges, in
+    their order, and the sign of each one's net upward flux in the level's
+    net inflow: +1 into its upper level, -1 out of its lower one, and 0 for
+    the padding of a level with fewer than D edges."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    rise: np.ndarray
+    baths: tuple[slice, slice, slice]
+    touch: np.ndarray = field(init=False)
+    sign: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        level = np.arange(self.hi.max() + 1)[:, None]
+        ends = (self.lo == level) | (self.hi == level)
+        # each level's own edges first, in their order, then others at sign 0
+        touch = np.argsort(~ends, axis=1, kind="stable")[:, :ends.sum(axis=1).max()]
+        object.__setattr__(self, "touch", touch)
+        sign = 1.0 * (self.hi[touch] == level) - (self.lo[touch] == level)
+        object.__setattr__(self, "sign", sign)
+        for a in (self.lo, self.hi, self.rise, touch, sign):
+            a.setflags(write=False)
+
+    def blocks(self, rates: np.ndarray) -> np.ndarray:
+        """The double rate matrices ``M`` at P points, (P, N, N), from the
+        chain's (R, P) rates: each rate at its edge's entry, and each level's
+        out-rate, summed from its column, negated on the diagonal.  That is
+        the generator's block on the populations up to the rounding of its
+        diagonal.  The rates are placed, not multiplied, so an infinite rate
+        leaves no inf x 0, and an out-rate past the double range is inf with
+        no overflow warning, so that the kernel solve fails its point as
+        non-finite."""
+        n = len(self.touch)
+        m = np.zeros((rates.shape[-1], n, n))
+        m[:, self.hi, self.lo] = rates[self.rise].T
+        m[:, self.lo, self.hi] = rates[self.rise - 1].T
+        with np.errstate(over="ignore"):
+            m.reshape(-1, n * n)[:, :: n + 1] = -m.sum(axis=1)
+        return m
+
+    def inflow(self, flux: np.ndarray) -> np.ndarray:
+        """Each level's net inflow ``(M p)_k``, (N, P), from the (E, P) net
+        upward fluxes of the edges, each level's summed in one order at any P."""
+        return (self.sign[..., None] * flux[self.touch]).sum(axis=1)
+
+    def currents(self, gaps, flux: np.ndarray, total: np.ndarray) -> dict[str, np.ndarray]:
+        """Each bath's heat current at each point: its energy gap in ``gaps``
+        (work, hot, cold) times the net flux up its edges, from the (E, P)
+        net upward ``flux``, over the populations' total.  Positive for
+        energy flowing from the bath into the machine."""
+        # (P, E) rows, so that each point's sums run in one order for any P
+        rows = np.ascontiguousarray(flux.T)
+        return {label: gap * (rows[:, edges].sum(axis=1) / total)
+                for label, gap, edges in zip(_BATHS, gaps, self.baths)}
+
+
+# Dekker's splitting factor for doubles: each half of a split holds at most
+# 26 of the mantissa's 53 bits, so the product of two halves is exact
+_SPLIT = 2.0 ** 27 + 1.0
+# the exponent of the largest value that the split takes without overflow:
+# 2^996 (2^27 + 1) is below the largest double
+_SPLIT_EXPONENT = 996
+
+
+def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split ``x == hi + lo`` of doubles (Dekker, Numer. Math. 18,
+    224 (1971)): ``hi`` holds the upper 26 bits of the mantissa, and
+    ``|lo|`` is at most ``2**-26 |x|``.  ``|x|`` must be below
+    ``2**_SPLIT_EXPONENT``."""
+    c = x * _SPLIT
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _edge_fluxes(p: np.ndarray, up: np.ndarray, down: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray:
+    """The net upward flux ``p[lo] * up - p[hi] * down`` of each edge at
+    each point, (E, P), good to an ulp of itself, not of the one-way flows
+    whose small difference it is.  The products of the populations' upper
+    halves with the rates' halves are exact, and the lower halves' products
+    with the rates are ``2**-26`` of the flows, so that their rounding is far
+    below the net flux.  Each point's rates are split after scaling by a
+    power of two, which takes the largest below ``2**_SPLIT_EXPONENT`` (and
+    leaves smaller ones as they are), and the fluxes are scaled back: both
+    steps are exact, so a point's fluxes are those of its rates unscaled."""
+    top = np.frexp(np.maximum(up, down).max(axis=0))[1]
+    scale = np.ldexp(1.0, np.minimum(_SPLIT_EXPONENT - top, 0))
+    up, down = up * scale, down * scale
+    (ah, al), (bh, bl) = _halves(p[lo]), _halves(p[hi])
+    (uh, ul), (dh, dl) = _halves(up), _halves(down)
+    return ((ah * uh - bh * dh) + ((ah * ul - bh * dl) + (al * up - bl * down))) / scale
+
+
+# A refinement step through the double inverses leaves about cond(M) eps of
+# the populations' error.  After one, the currents of a saturated work bath,
+# whose one-way flows are 1e11 times the net ones, are off by up to 3e-12 of
+# the largest; after two they are within a few ulps of a 50-digit solve.
+_REFINEMENT_STEPS = 2
+
+
+def _refined_fluxes(p: np.ndarray, inv: np.ndarray, block: np.ndarray, rates: np.ndarray,
+                    chain: _Chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact net fluxes of ``chain``'s edges at P points, (E, P), after
+    ``_REFINEMENT_STEPS`` refinement steps of its normalized populations
+    ``p``, (N, P), which it refines in place.  ``block`` holds the chain's
+    rate matrices, ``inv`` the kernel decisions' inverses of their
+    trace-row matrices, and ``rates`` the chain's (R, P) rates.  The
+    populations keep the few ulps of their elimination, which the exact
+    fluxes (:func:`_edge_fluxes`) resolve, so each step, through the
+    inverses against the net inflows, takes them out; it is added to the
+    fluxes as well.  Returns the fluxes, the populations' total, and the
+    kernel residual of the net inflows, ``max |M p| / max|M|``."""
+    lo, hi = chain.lo, chain.hi
+    up, down = rates[chain.rise], rates[chain.rise - 1]
+    flux = _edge_fluxes(p, up, down, lo, hi)
+    for _ in range(_REFINEMENT_STEPS):
+        resid = -chain.inflow(flux)
+        resid[0] = 1.0 - p.sum(axis=0)
+        delta = (inv @ resid.T[..., None])[..., 0].T
+        # the step is a few ulps of the populations: its fluxes need no care
+        flux += delta[lo] * up - delta[hi] * down
+        p += delta
+    total = p.sum(axis=0)
+    residual = np.abs(chain.inflow(flux)).max(axis=0) / (np.abs(block).max(axis=(1, 2)) * total)
+    return flux, total, residual
+
+
+def _bath_rates(cfg) -> np.ndarray:
+    """The six double rates of ``cfg``'s baths (work, hot, cold; down then
+    up) at each point, (6, P), from one :func:`~qpump.pump.decay_rates`
+    call per bath."""
+    pairs = [decay_rates(cfg.bath(label), cfg.bath_frequency(label)) for label in _BATHS]
+    return np.array(np.broadcast_arrays(*(r for pair in pairs for r in (pair.down, pair.up))),
+                    dtype=float).reshape(6, -1)
+
+
+def _solve_chain(cfg, chain: _Chain, rates: np.ndarray, balance, gaps, ham_scale,
+                 gate_ideality: bool, state) -> SteadySolutions:
+    """The stacked solve of ``chain`` at the P points of ``cfg``, from its
+    (R, P) rates, whose first six are the baths' (work, hot, cold; down then
+    up); both models solve here.  The kernel decisions are those of the
+    chain's rate matrices (:func:`~qpump.linalg._kernel_decisions`).
+    ``balance(rates)`` gives the model's GTH populations, normalized, (N, P)
+    with each point's contiguous, and whether every eliminated level had a
+    positive out-rate; two refinement steps through the kernel decisions'
+    inverses take the elimination's few ulps out of the exact net fluxes
+    (:func:`_refined_fluxes`).  Each bath's current is its energy gap in
+    ``gaps`` times the net flux up its edges, and the kernel residual is
+    that of the net inflows.  ``state(p)`` gives the (P, m) states of the
+    refined populations, their positions and the matrix dimension, and
+    ``ham_scale`` is |H| at each point."""
+    block = chain.blocks(rates)
+    inv, errors, *_ = _kernel_decisions(block, np.ones(len(chain.touch)))
+    # a point with a kernel error is raised when the points are judged;
+    # what its arithmetic gives here does not count
+    with np.errstate(all="ignore") if errors else contextlib.nullcontext():
+        p, ok = balance(rates)
+        flux, total, residual = _refined_fluxes(p, inv, block, rates, chain)
+        currents = chain.currents(gaps, flux, total)
+        states = state(p / total)
+    return _solution_from_state(cfg, currents, flux, total, np.atleast_1d(ham_scale),
+                                (rates[0:6:2] + rates[1:6:2]).max(axis=0), *states,
+                                np.where(ok, residual, np.inf), gate_ideality, errors)
+
+
+# ---------------------------------------------------------------------------
 # the ideal pump: its population balance, solved by GTH elimination
+
+
+@lru_cache(maxsize=None)
+def _ladder(n: int) -> _Chain:
+    """The N-level ladder's chain of six rates (work, hot, cold; down then
+    up): its edges (k, k+1), the cold bath's for even k and the work
+    bath's for odd k, then the hot bath's (k, k+2), each in order of k
+    (:func:`~qpump.pump.transition_pairs`)."""
+    k = np.arange(n - 1)
+    return _Chain(np.r_[k, k[:-1]], np.r_[k + 1, k[1:] + 1], np.r_[5 - 4 * (k % 2), [3] * (n - 2)],
+                  (slice(1, n - 1, 2), slice(n - 1, None), slice(0, n - 1, 2)))
 
 
 @lru_cache(maxsize=None)
 def _population_structure(n: int) -> np.ndarray:
     """The (6, N^2) incidence stack of an N-level ladder's population
-    balance, a function of N alone: slice 2k is bath k's downward
-    (hi -> lo) incidence and 2k+1 its upward one, for the work, hot and
-    cold baths, and every column of each slice sums to zero.  Contracted
-    with the six rates it gives the dense rate matrix.  Built once per N and
-    read-only, so every caller of that N shares it."""
-    stack = np.zeros((6, n, n))
-    for k, label in enumerate(_BATHS):
-        lo, hi = _transition_levels(n, label)
-        # each level is at most once lo and once hi: no entry written twice
-        stack[2 * k, lo, hi] = stack[2 * k + 1, hi, lo] = 1.0
-        stack[2 * k, hi, hi] = stack[2 * k + 1, lo, lo] = -1.0
-    stack = stack.reshape(6, n * n)
+    balance, a function of N alone: slice j is the rate matrix of rate j of
+    the six alone at 1, and every column of each slice sums to zero.
+    Contracted with the six rates it gives the dense rate matrix.  Built
+    once per N and read-only, so every caller of that N shares it."""
+    stack = _ladder(n).blocks(np.eye(6)).reshape(6, n * n)
     stack.setflags(write=False)
     return stack
 
@@ -353,9 +525,7 @@ def _population_structure(n: int) -> np.ndarray:
 def _ladder_rates(n: int, rates) -> tuple[list, ...]:
     """The per-level rates of :func:`_ladder_balance` for an N-level ladder
     from its six bath rates (work, hot, cold; down then up), floats or (P,)
-    arrays.  The ladder's edge (k, k+1) is the cold bath's for even k and
-    the work bath's for odd k, and the hot bath joins k and k+2
-    (:func:`~qpump.pump.transition_pairs`)."""
+    arrays, along the edges of :func:`_ladder`."""
     work_down, work_up, hot_down, hot_up, cold_down, cold_up = rates
     up1 = ([cold_up, work_up] * (n // 2))[:n - 1] + [0.0]
     down1 = [0.0] + ([cold_down, work_down] * (n // 2))[:n - 1]
@@ -408,149 +578,6 @@ def _ladder_balance(up1, down1, up2, down2, dead):
     return p, total, ok
 
 
-@lru_cache(maxsize=None)
-def _ladder_edges(n: int) -> tuple[np.ndarray, ...]:
-    """The 2N - 3 edges of an N-level ladder, read off
-    :func:`_population_structure`: each edge's lower and upper level, and
-    the index of its upward rate among the six (its downward rate is the
-    one before).  The edges (k, k+1) come first, then the hot bath's
-    (k, k+2), each in order of k.  Built once per N and read-only."""
-    which, position = np.nonzero(_population_structure(n)[1::2] > 0)
-    hi, lo = np.divmod(position, n)
-    order = np.lexsort((lo, hi - lo))
-    edges = lo[order], hi[order], 2 * which[order] + 1
-    for a in edges:
-        a.setflags(write=False)
-    return edges
-
-
-def _population_blocks(n: int, rates: np.ndarray, edges=None) -> np.ndarray:
-    """The double rate matrices ``M`` of an N-level ladder at P points,
-    (P, N, N), from its (6, P) rates: each rate at its entry of
-    :func:`_population_structure`, and each level's out-rate, summed from
-    its column, negated on the diagonal.  That is the generator's block on
-    the populations up to the rounding of its diagonal.  The rates are
-    placed, not multiplied, so an infinite rate leaves no inf x 0, and an
-    out-rate past the double range is inf with no overflow warning, so that
-    the kernel solve fails its point as non-finite.  ``edges`` gives another chain's
-    edges in the form of :func:`_ladder_edges`, indexing its own rates."""
-    lo, hi, rise = _ladder_edges(n) if edges is None else edges
-    m = np.zeros((rates.shape[-1], n, n))
-    m[:, hi, lo] = rates[rise].T
-    m[:, lo, hi] = rates[rise - 1].T
-    with np.errstate(over="ignore"):
-        m.reshape(-1, n * n)[:, :: n + 1] = -m.sum(axis=1)
-    return m
-
-
-# Dekker's splitting factor for doubles: each half of a split holds at most
-# 26 of the mantissa's 53 bits, so the product of two halves is exact
-_SPLIT = 2.0 ** 27 + 1.0
-# the exponent of the largest value that the split takes without overflow:
-# 2^996 (2^27 + 1) is below the largest double
-_SPLIT_EXPONENT = 996
-
-
-def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's split ``x == hi + lo`` of doubles (Dekker, Numer. Math. 18,
-    224 (1971)): ``hi`` holds the upper 26 bits of the mantissa, and
-    ``|lo|`` is at most ``2**-26 |x|``.  ``|x|`` must be below
-    ``2**_SPLIT_EXPONENT``."""
-    c = x * _SPLIT
-    hi = c - (c - x)
-    return hi, x - hi
-
-
-def _edge_fluxes(p: np.ndarray, up: np.ndarray, down: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray) -> np.ndarray:
-    """The net upward flux ``p[lo] * up - p[hi] * down`` of each edge at
-    each point, (E, P), good to an ulp of itself, not of the one-way flows
-    whose small difference it is.  The products of the populations' upper
-    halves with the rates' halves are exact, and the lower halves' products
-    with the rates are ``2**-26`` of the flows, so that their rounding is far
-    below the net flux.  Each point's rates are split after scaling by a
-    power of two, which takes the largest below ``2**_SPLIT_EXPONENT`` (and
-    leaves smaller ones as they are), and the fluxes are scaled back: both
-    steps are exact, so a point's fluxes are those of its rates unscaled."""
-    top = np.frexp(np.maximum(up, down).max(axis=0))[1]
-    scale = np.ldexp(1.0, np.minimum(_SPLIT_EXPONENT - top, 0))
-    up, down = up * scale, down * scale
-    (ah, al), (bh, bl) = _halves(p[lo]), _halves(p[hi])
-    (uh, ul), (dh, dl) = _halves(up), _halves(down)
-    return ((ah * uh - bh * dh) + ((ah * ul - bh * dl) + (al * up - bl * down))) / scale
-
-
-# A refinement step through the double inverses leaves about cond(M) eps of
-# the populations' error.  After one, the currents of a saturated work bath,
-# whose one-way flows are 1e11 times the net ones, are off by up to 3e-12 of
-# the largest; after two they are within a few ulps of a 50-digit solve.
-_REFINEMENT_STEPS = 2
-
-
-def _refined_fluxes(p: np.ndarray, inv: np.ndarray, block: np.ndarray, up: np.ndarray,
-                    down: np.ndarray, lo: np.ndarray, hi: np.ndarray, inflow
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact net fluxes of a chain's edges at P points, (E, P), after
-    ``_REFINEMENT_STEPS`` refinement steps of its normalized populations
-    ``p``, (N, P), which it refines in place.  ``block`` holds the chain's
-    rate matrices, ``inv`` the kernel decisions' inverses of their
-    trace-row matrices, ``up``/``down`` the (E, P) rates and ``lo``/``hi``
-    the levels of the edges, and ``inflow(flux)`` gives each level's net
-    inflow ``(M p)_k``, (N, P), from the edges' net upward fluxes.  The
-    populations keep the few ulps of their elimination, which the exact
-    fluxes (:func:`_edge_fluxes`) resolve, so each step, through the
-    inverses against the net inflows, takes them out; it is added to the
-    fluxes as well.  Returns the fluxes, the populations' total, and the
-    kernel residual of the net inflows, ``max |M p| / max|M|``."""
-    flux = _edge_fluxes(p, up, down, lo, hi)
-    for _ in range(_REFINEMENT_STEPS):
-        resid = -inflow(flux)
-        resid[0] = 1.0 - p.sum(axis=0)
-        delta = (inv @ resid.T[..., None])[..., 0].T
-        # the step is a few ulps of the populations: its fluxes need no care
-        flux += delta[lo] * up - delta[hi] * down
-        p += delta
-    total = p.sum(axis=0)
-    residual = np.abs(inflow(flux)).max(axis=0) / (np.abs(block).max(axis=(1, 2)) * total)
-    return flux, total, residual
-
-
-def _bath_rates(cfg) -> np.ndarray:
-    """The six double rates of ``cfg``'s baths (work, hot, cold; down then
-    up) at each point, (6, P), from one :func:`~qpump.pump.decay_rates`
-    call per bath."""
-    pairs = [decay_rates(cfg.bath(label), cfg.bath_frequency(label)) for label in _BATHS]
-    return np.array(np.broadcast_arrays(*(r for pair in pairs for r in (pair.down, pair.up))),
-                    dtype=float).reshape(6, -1)
-
-
-def _net_inflow(flux: np.ndarray, n: int) -> np.ndarray:
-    """Each level's net inflow ``(M p)_k``, (N, P), from the net upward
-    fluxes of the edges of :func:`_ladder_edges`, in its order."""
-    near, hot = flux[:n - 1], flux[n - 1:]
-    net = np.zeros((n, flux.shape[1]), dtype=flux.dtype)
-    net[1:] += near
-    net[:-1] -= near
-    net[2:] += hot
-    net[:-2] -= hot
-    return net
-
-
-def _ladder_currents(cfg, flux: np.ndarray, total: np.ndarray) -> dict[str, np.ndarray]:
-    """Each bath's heat current at each point: its energy gap times the net
-    flux up its own edges of the ladder, over the populations' total.
-    ``flux`` holds the (E, P) net upward fluxes of the edges of
-    :func:`_ladder_edges`, in its order: the edge (k, k+1) is the cold
-    bath's for even k and the work bath's for odd k.  Positive for energy
-    flowing from the bath into the pump."""
-    n = cfg.n_levels
-    gaps = {"work": cfg.omega_h - cfg.omega_c, "hot": cfg.omega_h, "cold": cfg.omega_c}
-    # (P, E) rows, so that each point's sums run in one order for any P
-    rows = np.ascontiguousarray(flux.T)
-    fluxes = {"work": rows[:, 1:n - 1:2], "hot": rows[:, n - 1:], "cold": rows[:, 0:n - 1:2]}
-    return {label: gaps[label] * (fluxes[label].sum(axis=1) / total) for label in _BATHS}
-
-
 def solve(cfg: PumpConfig) -> SteadySolution:
     """Stationary state and heat currents of an ideal pump.
 
@@ -577,41 +604,23 @@ def solve(cfg: PumpConfig) -> SteadySolution:
 
 def _solve_pumps(cfg) -> SteadySolutions:
     """:func:`solve` at every point of ``cfg``, whose frequencies may be (P,)
-    arrays, as one stacked solve.
-
-    The kernel decisions are those of the generator's block on the
-    populations, the rate matrix, in :func:`~qpump.linalg._kernel_decisions`:
-    a non-finite matrix fails its point, one stacked inversion of the
-    trace-row matrices gives each point's condition, and a point below the
-    floor goes to the SVD diagnostics, which either let it stand or give
-    its kernel error.  The states are the GTH populations, and the currents
-    come from their exact net fluxes (:func:`_edge_fluxes`).  The
-    populations keep the few ulps of the elimination, which those fluxes
-    resolve, so two refinement steps through the kernel decisions'
-    inverses, against the net inflows, take them out first
-    (:func:`_refined_fluxes`).  The kernel residual is that of the net
-    inflows, ``max |M p| / max|M|``."""
+    arrays, as one stacked solve of the ladder's chain (:func:`_solve_chain`),
+    whose populations come from the banded GTH elimination of
+    :func:`_ladder_balance`.  Its states are the populations, on the
+    diagonal, and its currents are gated on the ideality identity too."""
     n = cfg.n_levels
-    rates = _bath_rates(cfg)
-    block = _population_blocks(n, rates)
-    inv, errors, *_ = _kernel_decisions(block, np.ones(n))
-    lo, hi, rise = _ladder_edges(n)
-    # a point with a kernel error is raised when the points are judged;
-    # what its arithmetic gives here does not count
-    with np.errstate(all="ignore") if errors else contextlib.nullcontext():
+
+    def balance(rates):
         p, total, ok = _ladder_balance(*_ladder_rates(n, rates))
         # each point's N populations contiguous, as the fridge's (P, 8) rows
         # are, so that its sums run in one order for any P
-        p = np.array([np.ones_like(total), *p[1:]], order="F") / total
-        flux, total, residual = _refined_fluxes(p, inv, block, rates[rise], rates[rise - 1],
-                                                lo, hi, lambda f: _net_inflow(f, n))
-        currents = _ladder_currents(cfg, flux, total)
-    # |H|, the top level's energy
-    top = np.atleast_1d(_level_energy(n, cfg.omega_h, cfg.omega_c))
-    return _solution_from_state(cfg, currents, flux, total, top,
-                                (rates[0::2] + rates[1::2]).max(axis=0), (p / total).T,
-                                np.arange(n) * (n + 1), n, np.where(ok, residual, np.inf),
-                                True, errors)
+        return np.array([np.ones_like(total), *p[1:]], order="F") / total, ok
+
+    # |H| is the top level's energy
+    return _solve_chain(cfg, _ladder(n), _bath_rates(cfg), balance,
+                        (cfg.omega_h - cfg.omega_c, cfg.omega_h, cfg.omega_c),
+                        _level_energy(n, cfg.omega_h, cfg.omega_c), True,
+                        lambda p: (p.T, np.arange(n) * (n + 1), n))
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +669,10 @@ def heat_currents_decomposed(cfg: PumpConfig,
     if solution is None:
         solution = solve(cfg)
     n = cfg.n_levels
-    rise = _ladder_edges(n)[2]
+    chain = _ladder(n)
     flux = solution.edge_fluxes[:, None] / solution.population_total
     # one column per bath, of the edges whose upward rate is its own (1, 3, 5)
-    inflow = _net_inflow(np.where(rise[:, None] == [1, 3, 5], flux, 0.0), n)
+    inflow = chain.inflow(np.where(chain.rise[:, None] == [1, 3, 5], flux, 0.0))
     diag = dict(zip(_BATHS, inflow.T))
 
     w_levels = np.array([2 * k + 1 for k in range(1, (n + 1) // 2)])

@@ -274,6 +274,22 @@ class TestErrorReporting:
         assert proc.stderr == ("qpump: configuration error: "
                                "work bath: rates overflow at gamma=1e+306\n")
 
+    def test_overflowing_frequency_is_a_configuration_error(self, with_params):
+        # omega_h = 1e300 overflows the rate body's Python float power, an
+        # OverflowError, not an inf; a subprocess, so that a traceback shows
+        proc = run_in_subprocess(with_params(["curve", "--params", "@three_qubit", "--set",
+                                              "omega_h=1e300", "--points", "4",
+                                              "--system", "both"]))
+        assert proc.returncode == 1
+        assert proc.stderr == ("qpump: configuration error: "
+                               "work bath: rates overflow at gamma=0.001\n")
+
+    def test_negative_seed_is_a_configuration_error(self, capsys):
+        # the ensemble's substreams take no negative seed: refused up front
+        assert run(["histogram", "--samples", "5", "--seed", "-3"]) == 1
+        assert capsys.readouterr().err == ("qpump: configuration error: "
+                                           "seed must be >= 0, got -3\n")
+
     @pytest.mark.parametrize("argv", [
         ["currents", "--params", "@reference"],
         ["curve", "--params", "@three_qubit", "--points", "3"],

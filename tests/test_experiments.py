@@ -668,6 +668,20 @@ class TestSampleRanges:
             with pytest.raises(ValueError, match="t_cold interval"):
                 SampleRanges(t_cold=(5.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [{"hot_over_cold": (0.5, 2.0)}, {"hot_over_cold": (1.0, 2.0)},
+                                     {"work_over_hot": (0.999, 2.0)}])
+    def test_ranges_keep_the_temperatures_ordered(self, bad):
+        # every draw must satisfy T_w >= T_h > T_c: an interval that can
+        # break it fails at construction, not inside the window of a draw
+        with pytest.raises(ValueError, match="T_w >= T_h > T_c"):
+            cop_histogram(SampleRanges(**bad), 4, threads=1)
+        assert SampleRanges(work_over_hot=(1.0, 2.0)).work_over_hot == (1.0, 2.0)
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
+            SampleRanges(seed=-3)
+        assert SampleRanges(seed=0).seed == 0
+
 
 def uniform_draw(ranges, index, attempt):
     """The fridge of :func:`_draw`, drawn as it was before the draws were
@@ -950,16 +964,12 @@ class TestCharacteristicCurve:
     def test_failed_gate_names_the_point(self, monkeypatch, system, first_law_at, no_kernel_at,
                                          error, named):
         # one point of a five-point stack breaks the first law (its work
-        # current is skewed, where the pump's or the fridge's flux currents
-        # are assembled) and/or has no kernel (every
+        # current is skewed, where both models' chains sum their flux
+        # currents) and/or has no kernel (every
         # point takes the SVD path, which finds none at that point); the
         # first failing point in the stack raises, as a point-by-point loop
         # would, and the error names it
-        if system == "ideal":
-            owner, name = qpump.steady, "_ladder_currents"
-        else:
-            owner, name = qpump.three_qubit, "_fridge_currents"
-        currents, diagnostics = getattr(owner, name), qpump.linalg._kernel_diagnostics
+        currents, diagnostics = qpump.steady._Chain.currents, qpump.linalg._kernel_diagnostics
 
         def broken_currents(*args):
             q = currents(*args)
@@ -975,7 +985,7 @@ class TestCharacteristicCurve:
             return diagnostics(m)
 
         if first_law_at is not None:
-            monkeypatch.setattr(owner, name, broken_currents)
+            monkeypatch.setattr(qpump.steady._Chain, "currents", broken_currents)
         if no_kernel_at is not None:
             monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
             monkeypatch.setattr(qpump.linalg, "_kernel_diagnostics", broken_diagnostics)

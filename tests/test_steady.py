@@ -452,7 +452,7 @@ def test_pump_sector_block_is_the_population_balance(n):
     scale = np.max(np.abs(populations))
     assert np.max(np.abs(block.real - populations)) <= 4 * np.finfo(float).eps * scale
     # and the rate matrix that the pump's solve builds from the same rates
-    (built,) = qpump.steady._population_blocks(n, np.array(rates)[:, None])
+    (built,) = qpump.steady._ladder(n).blocks(np.array(rates)[:, None])
     assert np.max(np.abs(built - populations)) <= 4 * np.finfo(float).eps * scale
 
 
@@ -577,6 +577,29 @@ def test_long_double_only_in_the_oracle():
                     outside.append(f"{path.name}:{lineno}: {line.strip()}")
     assert not outside
     assert inside  # the guard finds what it looks for
+
+
+def test_one_route_takes_the_kernel_decisions_and_refined_fluxes():
+    # both models solve through steady._solve_chain: outside linalg, no
+    # other function names _kernel_decisions or _refined_fluxes (but to
+    # define or import it), and it calls each once
+    guarded = {"_kernel_decisions", "_refined_fluxes"}
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if name in guarded:
+            found.append((where, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(qpump.__file__).parent.glob("*.py")):
+        if path.name != "linalg.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sorted(found) == [("steady._solve_chain", "_kernel_decisions"),
+                             ("steady._solve_chain", "_refined_fluxes")]
 
 
 def test_pump_solves_build_no_generator(monkeypatch):
@@ -721,7 +744,8 @@ def test_edge_fluxes_scale_exactly_past_the_split_range():
     # times that power, bit for bit
     rng = np.random.default_rng(5)
     n, points = 8, 4
-    lo, hi, rise = qpump.steady._ladder_edges(n)
+    chain = qpump.steady._ladder(n)
+    lo, hi, rise = chain.lo, chain.hi, chain.rise
     p = rng.uniform(0.01, 1.0, (n, points))
     rates = rng.uniform(0.5, 2.0, (6, points)) * 10.0 ** rng.integers(-6, 1, (6, points))
     base = qpump.steady._edge_fluxes(p, rates[rise], rates[rise - 1], lo, hi)
@@ -731,21 +755,26 @@ def test_edge_fluxes_scale_exactly_past_the_split_range():
     assert np.array_equal(flux, base * power)
 
 
-def test_ladder_currents_sum_each_point_in_one_order():
-    # N = 10: the hot bath's eight edges, which numpy sums pairwise in a
-    # lone (8, 1) column and row by row down an (8, P) stack; each point of
-    # the stack keeps the bits of its own call.  The hot fluxes cancel, so
-    # that the two orders differ (by 1 in 5) beyond the double rounding
+@pytest.mark.parametrize("machine", ["pump_n10", "three_qubit"])
+def test_chain_currents_sum_each_point_in_one_order(machine):
+    # each bath's current sums a slice of the (P, E) rows: at N = 10 the
+    # hot bath's eight edges, which numpy sums pairwise in a lone (8, 1)
+    # column and row by row down an (8, P) stack, and the fridge's cold
+    # qubit's four flips; each point of the stack keeps the bits of its own
+    # call.  The summed fluxes cancel, so that the two orders differ (by 1
+    # in 5) beyond the double rounding
+    if machine == "pump_n10":
+        chain, edges = qpump.steady._ladder(10), slice(9, 17)
+    else:
+        chain, edges = qpump.three_qubit._FRIDGE, slice(8, 12)
     rng = np.random.default_rng(3)
-    points = 6
-    flux = rng.standard_normal((17, points)) * 10.0 ** rng.integers(-6, 6, (17, points))
-    flux[9:] = np.array([1e20, 1, -1e20, 1, 1, 1, 1, 1])[:, None]
+    points, size = 6, len(chain.lo)
+    flux = rng.standard_normal((size, points)) * 10.0 ** rng.integers(-6, 6, (size, points))
+    flux[edges] = np.array([1e20, 1, -1e20, 1, 1, 1, 1, 1])[:edges.stop - edges.start, None]
     total = rng.uniform(1.0, 2.0, points)
-    stack = SimpleNamespace(n_levels=10, omega_c=np.full(points, 1.4),
-                            omega_h=np.full(points, 102.6))
-    stacked = qpump.steady._ladder_currents(stack, flux, total)
-    one = SimpleNamespace(n_levels=10, omega_c=1.4, omega_h=102.6)
+    gaps = (101.2, 102.6, 1.4)
+    stacked = chain.currents([np.full(points, gap) for gap in gaps], flux, total)
     for k in range(points):
-        alone = qpump.steady._ladder_currents(one, flux[:, k:k + 1], total[k:k + 1])
+        alone = chain.currents(gaps, flux[:, k:k + 1], total[k:k + 1])
         assert {label: c[k] for label, c in stacked.items()} == \
             {label: c[0] for label, c in alone.items()}
