@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 import warnings
 
@@ -120,7 +121,7 @@ def parse_params(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliConfigError(f"cannot read parameter file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
@@ -128,7 +129,7 @@ def parse_params(path: str) -> dict:
             continue
         if "=" not in body:
             raise CliConfigError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
-        key, raw = (part.strip() for part in body.split("=", 1))
+        key, raw = map(str.strip, body.split("=", 1))
         params[key] = _coerce(key, raw, f"{path}:{lineno}")
     return params
 
@@ -151,32 +152,32 @@ def _require(params: dict, keys, what: str) -> None:
 
 def _check_rates(cfg) -> None:
     """Refuse a bath whose rates overflow at the machine's own frequency."""
-    for label in ("work", "hot", "cold"):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                rates = pump.decay_rates(cfg.bath(label), cfg.bath_frequency(label))
-            finite = np.isfinite([rates.down, rates.up]).all()
-        except OverflowError:  # Python's float power, at a scalar frequency
-            finite = False
-        if not finite:
-            raise ValueError(f"{label} bath: rates overflow at gamma={cfg.bath(label).gamma!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for label in ("work", "hot", "cold"):
+            try:
+                rates = pump._rates(cfg.bath(label), cfg.bath_frequency(label))
+            except OverflowError:  # Python's float power, at a scalar frequency
+                rates = (math.inf,)
+            if not all(map(math.isfinite, rates)):
+                raise ValueError(f"{label} bath: rates overflow at "
+                                 f"gamma={cfg.bath(label).gamma!r}")
 
 
 def _pump_from_params(params: dict) -> PumpConfig:
     _require(params, _PUMP_KEYS, "this subcommand")
-
-    def build():  # _PUMP_KEYS are in ideal_pump's argument order
-        return ideal_pump(*(params[k] for k in _PUMP_KEYS),
-                          squeeze_db=params.get("squeeze_db", 0.0),
-                          saturated_work=bool(params.get("saturated_work", False)))
     try:
-        with warnings.catch_warnings():
-            # an overflowing rate is refused before its strength warns
-            warnings.simplefilter("ignore", pump.WeakCouplingWarning)
-            _check_rates(build())
-        return build()
+        # an overflowing rate is refused before its strength warns
+        with warnings.catch_warnings(record=True) as strained:
+            warnings.simplefilter("always", pump.WeakCouplingWarning)
+            cfg = ideal_pump(*(params[k] for k in _PUMP_KEYS),  # in its argument order
+                             squeeze_db=params.get("squeeze_db", 0.0),
+                             saturated_work=bool(params.get("saturated_work", False)))
+        _check_rates(cfg)
     except ValueError as exc:
         raise CliConfigError(str(exc)) from exc
+    for w in strained:  # as warnings.warn gives it, at this module's line
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, __name__)
+    return cfg
 
 
 def _curve_setup(params: dict, points: int) -> CurveSetup:
@@ -191,9 +192,8 @@ def _curve_setup(params: dict, points: int) -> CurveSetup:
             omega_w=omega_w, t_work=params["T_w"], t_hot=params["T_h"], t_cold=params["T_c"],
             gamma_work=params["gamma_w"], gamma_hot=params["gamma_h"],
             gamma_cold=params["gamma_c"], g=params["g"], n_levels=params.get("n_levels", 8))
-        # both machines once, so that a bad value fails here and not inside
-        # the sweep, which silences the same warnings; at one omega_c both
-        # see the same three bath frequencies, so their rates are checked once
+        # both machines, so that a bad value fails here and not inside the sweep,
+        # which silences the same warnings; both see the same bath frequencies
         window = pump.cooling_window_max_fixed_work(omega_w, setup.temps)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -229,7 +229,11 @@ def _csv(schema: str, seed: int, params_echo: str, extra_meta: dict,
     ]
     lines += [f"# {k}: {_fmt(v)}" for k, v in extra_meta.items()]
     lines.append(",".join(columns))
-    lines += [",".join([_fmt(cell) for cell in row]) for row in rows]
+    # one % format a row: "%.16e" (_fmt's text) for a column of floats, "%s" of strings
+    cells = [col if set(map(type, col)) in ({float}, {str}) else [*map(_fmt, col)]
+             for col in zip(*rows)]
+    row_format = ",".join(["%.16e" if type(col[0]) is float else "%s" for col in cells])
+    lines += [row_format % row for row in zip(*cells)]
     return "\n".join(lines) + "\n"
 
 
@@ -357,6 +361,9 @@ def _cmd_compare(args, params: dict) -> None:
     for system in ("ideal", "three_qubit"):
         curve = _curve_columns(system, setup, args.points)
         top = int(np.argmax(curve[1]))  # the first point of largest q_c
+        if not curve[1][top] > 0.0:  # and the power ratio has no meaning
+            raise experiments.NoCoolingPowerError(
+                f"{system} curve has no cooling power: q_c_max = {float(curve[1][top])!r}")
         rows.append([system, *(float(col[top]) for col in curve)])
     ratio = rows[0][2] / rows[1][2]  # q_c_max, ideal over three-qubit
     _write(args, "compare", params, {"points": args.points, "power_ratio": ratio},
@@ -499,10 +506,12 @@ def _cmd_selftest(args, params: dict) -> int:
 @functools.cache
 def _build_parser() -> _Parser:
     """Built on the first :func:`run` and then reused: ``parse_args`` returns a
-    new namespace each time, and ``--set`` appends to a copy of its default."""
+    new namespace each time, and ``--set`` appends to a copy of its default.
+    ``subcommands`` maps each subcommand to its own parser."""
     parser = _Parser(prog="qpump", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     def common(p):
         p.add_argument("--params", default=None,
@@ -542,11 +551,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` as the main parser parses it; a subcommand's arguments go to its
+    own parser directly, not through the main one's pass, which costs as much."""
+    parser = _build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def run(argv: list[str]) -> int:
     """Entry point returning the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         if args.threads == "auto":
             args.threads = None
         else:
@@ -573,7 +591,7 @@ def run(argv: list[str]) -> int:
         print(f"qpump: configuration error: {exc}", file=sys.stderr)
         return 1
     except (DegenerateKernelError, NoKernelError, NonConvergedError,
-            experiments.EmptyWindowError) as exc:
+            experiments.EmptyWindowError, experiments.NoCoolingPowerError) as exc:
         print(f"qpump: solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

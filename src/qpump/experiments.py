@@ -53,6 +53,7 @@ from .three_qubit import solve_three_qubit  # noqa: F401
 
 __all__ = [
     "EmptyWindowError",
+    "NoCoolingPowerError",
     "Optimum",
     "StageResult",
     "SampleRanges",
@@ -87,6 +88,11 @@ class EmptyWindowError(ValueError):
     """The cooling window is empty; there is nothing to maximize over."""
 
 
+class NoCoolingPowerError(ValueError):
+    """A machine has no cooling power at its optimum or on its curve: a
+    solver failure, which the ensemble does not redraw."""
+
+
 @dataclass(frozen=True)
 class Optimum:
     """Result of maximizing the cooling power over the cold frequency."""
@@ -102,7 +108,7 @@ class Optimum:
 
     def __post_init__(self):
         if not (self.q_c_max > 0):
-            raise ValueError(f"optimum has non-positive cooling power {self.q_c_max}")
+            raise NoCoolingPowerError(f"optimum has non-positive cooling power {self.q_c_max}")
         if not (0 < self.eps_ratio < 1):
             raise ValueError(f"eps_ratio must lie in (0, 1), got {self.eps_ratio}")
 
@@ -536,14 +542,9 @@ def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Opt
     omega_w_star = template.omega_h - x_star
     eps_star = x_star / omega_w_star
     eps_ratio = eps_star / carnot_cop(effective_temperatures(template, omega_w_star))
-    return Optimum(
-        omega_c_star=x_star,
-        q_c_max=q_star,
-        eps_star=eps_star,
-        eps_ratio=eps_ratio,
-        evaluations=COARSE_GRID_POINTS + refine_evals + 1,
-        failed_evaluations=failed + refine_failed,
-    )
+    return Optimum(omega_c_star=x_star, q_c_max=q_star, eps_star=eps_star, eps_ratio=eps_ratio,
+                   evaluations=COARSE_GRID_POINTS + refine_evals + 1,
+                   failed_evaluations=failed + refine_failed)
 
 
 def _variant_config(template: PumpConfig, n_levels: int, variant: str,
@@ -705,13 +706,10 @@ def cop_histogram(ranges: SampleRanges, n_samples: int,
             for part in pool.map(_histogram_chunk, jobs):
                 rows.extend(part)
     rows.sort(key=lambda r: r[0])
-    return HistogramResult(
-        eps_ratios=np.array([r[1] for r in rows], dtype=float),
-        n_levels=np.array([r[2] for r in rows], dtype=int),
-        rejected=int(sum(r[3] for r in rows)),
-        n_samples=n_samples,
-        seed=ranges.seed,
-    )
+    return HistogramResult(eps_ratios=np.array([r[1] for r in rows], dtype=float),
+                           n_levels=np.array([r[2] for r in rows], dtype=int),
+                           rejected=int(sum(r[3] for r in rows)), n_samples=n_samples,
+                           seed=ranges.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -723,17 +721,11 @@ def _curve_config(system: str, setup: CurveSetup, omega_c: float):
     hot = BathSpec("hot", setup.t_hot, setup.gamma_hot)
     cold = BathSpec("cold", setup.t_cold, setup.gamma_cold)
     if system == "ideal":
-        return PumpConfig(
-            n_levels=setup.n_levels,
-            omega_h=omega_c + setup.omega_w,
-            omega_c=omega_c,
-            work=work, hot=hot, cold=cold,
-        )
+        return PumpConfig(n_levels=setup.n_levels, omega_h=omega_c + setup.omega_w,
+                          omega_c=omega_c, work=work, hot=hot, cold=cold)
     if system == "three_qubit":
-        return ThreeQubitConfig(
-            omega_c=omega_c, omega_w=setup.omega_w, g=setup.g,
-            work=work, hot=hot, cold=cold,
-        )
+        return ThreeQubitConfig(omega_c=omega_c, omega_w=setup.omega_w, g=setup.g,
+                                work=work, hot=hot, cold=cold)
     raise ValueError(f"unknown system {system!r}; expected 'ideal' or 'three_qubit'")
 
 
@@ -780,10 +772,9 @@ def characteristic_curve(system: str, setup: CurveSetup,
     (the three-qubit fridge's currents share one flux through its exchange);
     the fridge's power is lower (by three orders at the comparison
     parameters) and falls off faster toward the window's edge, where both
-    reach the Carnot point with vanishing power.  The
-    points are solved as stacks of up to ``_STACK_POINTS``, each point as
-    :func:`~qpump.steady.solve` or
-    :func:`~qpump.three_qubit.solve_three_qubit` solves it alone.
+    reach the Carnot point with vanishing power.  The points are solved as
+    stacks of up to ``_STACK_POINTS``, each point as :func:`~qpump.steady.solve`
+    or :func:`~qpump.three_qubit.solve_three_qubit` solves it alone.
     """
     return [PerformancePoint(*point)
             for point in zip(*(col.tolist() for col in _curve_columns(system, setup, n_points)))]
@@ -796,16 +787,16 @@ def _curve_columns(system: str, setup: CurveSetup, n_points: int) -> tuple[np.nd
     judges each point: the first point that fails raises its ValueError."""
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
+    columns = np.empty((4, n_points))  # one array, whose rows the columns are
     window = cooling_window_max_fixed_work(setup.omega_w, setup.temps)
-    eps_c = carnot_cop(setup.temps)
-    grid = window * np.arange(1, n_points + 1) / (n_points + 1)
+    columns[0] = window * np.arange(1, n_points + 1) / (n_points + 1)
     solve_stack = _solve_pumps if system == "ideal" else _solve_fridges
-    stacks = [solve_stack(_curve_sweep(system, setup, grid[start:start + _STACK_POINTS]))
-              for start in range(0, n_points, _STACK_POINTS)]
-    eps = np.concatenate([sols.cop for sols in stacks])
-    columns = (grid, np.concatenate([sols.q_cold for sols in stacks]), eps, eps / eps_c)
+    for start in range(0, n_points, _STACK_POINTS):
+        sols = solve_stack(_curve_sweep(system, setup, columns[0, start:start + _STACK_POINTS]))
+        columns[1:3, start:start + _STACK_POINTS] = sols.q_cold, sols.cop
+    columns[3] = columns[2] / carnot_cop(setup.temps)
     failed = ~np.isfinite(columns).all(axis=0) | (columns[3] > 1.0 + 1e-9)
     if failed.any():
         k = int(np.argmax(failed))
         PerformancePoint(*(float(col[k]) for col in columns))  # raises the point's error
-    return columns
+    return tuple(columns)

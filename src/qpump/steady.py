@@ -15,39 +15,33 @@ state, bath ``a``'s energy gap times its net flux), positive for energy
 flowing from reservoir ``a`` into the system; in chiller mode
 ``q_cold > 0``, ``q_work > 0`` and ``q_hot < 0``.
 
-Numerical note: the stationary populations at strongly disparate rate scales
-(rates span ~10^5 at the reference parameter set) leave the net fluxes as
-small differences of large one-way flows.  Net fluxes taken as plain
-differences of double products floor the first-law residual near 1e-9 of
-the largest current there.  Both models are solved in double, from rates
-computed in double by :func:`~qpump.pump.decay_rates` (the first law holds
-for the machine as built, so double rates are enough), but each net flux is
-taken from exact products of Dekker-split halves (:func:`_edge_fluxes`), so
-that it is good to an ulp of itself, and two refinement steps take the
-populations' rounding out of the fluxes (:func:`_refined_fluxes`).  The
-currents are then within a few ulps of a 50-digit solve of the same rates
-(4.4e-16 of the largest current), and nothing depends on the platform's
-long-double width: ``long double`` remains only in the rate-equation
-oracle (:func:`pauli_rate_oracle`).
+Numerical note: at strongly disparate rate scales (~10^5 at the reference
+parameter set) the net fluxes are small differences of large one-way flows,
+and plain differences of double products floor the first-law residual near
+1e-9 of the largest current.  Both models are solved in double, from double
+rates (the rate body of :func:`~qpump.pump.decay_rates`; the first law holds
+for the machine as built), but each net flux is taken from exact products
+of Dekker-split halves (:func:`_edge_fluxes`), good to an ulp of itself, and
+two refinement steps take the populations' rounding out of the fluxes
+(:func:`_refined_fluxes`).  The currents are then within a few ulps of a
+50-digit solve of the same rates (4.4e-16 of the largest current), and
+``long double`` remains only in the rate-equation oracle
+(:func:`pauli_rate_oracle`).
 
-Both machines' stationary populations solve a classical chain.  The
-ideal pump's state is diagonal (its coherences decouple and decay), and its
-chain is the banded ladder of :func:`_ladder`; the three-qubit fridge's
-coherence pair follows its populations, and eliminating it leaves an exact
-eight-state chain (:data:`qpump.three_qubit._FRIDGE`).  Each chain is one
-record, :class:`_Chain`: its edges, each level's edges for the net inflow
-and each bath's edges for its current.  Both models solve through
-:func:`_solve_chain`: the chain's rate matrices and their kernel decisions
-(condition floor, SVD diagnostics, non-finite rates), the model's
-subtraction-free GTH elimination (:func:`_ladder_balance`, which also gives
-the power optimizer's ``q_cold``, or the fridge's dense one), the exact
-fluxes after the refinement steps, the currents, and one gate body per
-point, with no generator and no polish.  A whole characteristic curve is
-one stacked solve over a leading point axis, a single solve a stack of
-one, and a stack's results are one set of columns,
-:class:`SteadySolutions`.  The whole generator, which only the oracles
-use, is assembled from the machine's dense operators by the
-Kronecker-product builders below (:class:`_Generator`).
+Both machines' stationary populations solve a classical chain: the ideal
+pump's diagonal state the banded ladder of :func:`_ladder`, the three-qubit
+fridge's, once its coherence pair is eliminated, an exact eight-state chain
+(:data:`qpump.three_qubit._FRIDGE`).  Each chain is one record,
+:class:`_Chain`, and both solve through :func:`_solve_chain`: the rate
+matrices and their kernel decisions (condition floor, SVD diagnostics,
+non-finite rates), the model's subtraction-free GTH elimination
+(:func:`_ladder_balance`, which also gives the optimizer's ``q_cold``, or
+the fridge's dense one), the exact fluxes after the refinement steps, the
+currents and one gate body per point, with no generator.  A characteristic
+curve is one stacked solve over a leading point axis, a single solve a
+stack of one, and a stack's results are one set of columns,
+:class:`SteadySolutions`.  The whole generator, which only the oracles use,
+is assembled by the Kronecker-product builders below (:class:`_Generator`).
 """
 
 from __future__ import annotations
@@ -67,6 +61,7 @@ from .pump import (
     PumpConfig,
     RatePair,
     _level_energy,
+    _rates,
     build_hamiltonian,
     build_jump_operator,
     decay_rates,
@@ -105,6 +100,8 @@ IDEALITY_RTOL = 1e-8
 # numerically indistinguishable from zero (reversible point, equilibrium).
 _GATE_FRACTION = 1e-10
 _MODE_FRACTION = 1e-15
+# a point's mode by its index: 0 if q_cold > 0, 1 if not, 2 at the boundary
+_MODES = np.array(["chiller", "heat_transformer", "boundary"])
 
 
 class NonConvergedError(RuntimeError):
@@ -116,13 +113,12 @@ class SteadySolution:
     """Stationary state of one pump configuration with its heat bookkeeping.
 
     ``residuals`` carries the named diagnostics ``kernel_residual``
-    (sup-norm of L rho relative to the generator norm; for the pump, of the
-    rate matrix on its populations), ``first_law``
-    (|q_w + q_h + q_c| relative to the largest current) and
+    (sup-norm of the rate matrix on the populations relative to its own),
+    ``first_law`` (|q_w + q_h + q_c| relative to the largest current) and
     ``ideality_cold_work`` (relative deviation of |q_c/q_w| from w_c/w_w;
-    gated for the ideal pump, reported but not gated for the three-qubit
-    model).  ``mode`` is "chiller", "heat_transformer" or
-    "boundary" (reversible point / equilibrium).
+    gated for the ideal pump, reported only for the three-qubit model).
+    ``mode`` is "chiller", "heat_transformer" or "boundary" (reversible
+    point / equilibrium).
     """
 
     rho_inf: np.ndarray
@@ -181,17 +177,13 @@ class SteadySolutions:
         rho[self.positions] = self.states[k]
         return SteadySolution(
             rho_inf=rho.reshape(self.dim, self.dim).T,  # column-stacked: (i, j) at i + n j
-            q_work=float(self.q_work[k]),
-            q_hot=float(self.q_hot[k]),
-            q_cold=float(self.q_cold[k]),
-            cop=float(self.cop[k]),
+            q_work=float(self.q_work[k]), q_hot=float(self.q_hot[k]),
+            q_cold=float(self.q_cold[k]), cop=float(self.cop[k]),
             entropy_rate=float(self.entropy_rate[k]),
             residuals={name: float(getattr(self, name)[k])
                        for name in ("kernel_residual", "first_law", "ideality_cold_work")},
-            mode=str(self.mode[k]),
-            edge_fluxes=self.edge_fluxes[k],
-            population_total=float(self.population_total[k]),
-        )
+            mode=str(self.mode[k]), edge_fluxes=self.edge_fluxes[k],
+            population_total=float(self.population_total[k]))
 
 
 def build_dissipator(jump: np.ndarray, rates: RatePair) -> SuperOp:
@@ -258,61 +250,61 @@ def _polish_state(*args):
 # the gates of both models' stacked solves
 
 
-def _solution_from_state(cfg, currents: dict[str, np.ndarray], flux: np.ndarray,
-                         total: np.ndarray, ham_scale: np.ndarray, rate_scale: np.ndarray,
+def _solution_from_state(cfg, currents: np.ndarray, flux: np.ndarray,
+                         total: np.ndarray, ham_scale, rate_scale: np.ndarray,
                          states: np.ndarray, positions: np.ndarray, dim: int,
                          kernel_residual: np.ndarray, gate_ideality: bool,
                          kernel_errors: dict[int, np.linalg.LinAlgError]) -> SteadySolutions:
     """The gated currents of each point of ``cfg``'s machine, as columns.
-    ``currents`` holds each bath's (P,) current, ``flux`` and ``total`` the
+    ``currents`` holds the baths' (3, P) currents, ``flux`` and ``total`` the
     (E, P) edge fluxes and the (P,) population totals of which they are
-    sums, ``ham_scale`` and ``rate_scale`` the largest |energy| and the
-    largest channel rate ``down + up`` at each point, and ``states`` the
-    (P, m) states on the ``positions`` of the ``dim x dim`` density matrix.
-    The first point that fails, in the kernel solve (``kernel_errors``, by
-    point index) or a gate, raises, naming its ``omega_c``."""
-    q_work, q_hot, q_cold = currents["work"], currents["hot"], currents["cold"]
-    ham_scale = np.where(ham_scale == 0.0, 1.0, ham_scale)
+    sums, ``ham_scale`` and ``rate_scale`` the largest |energy| and channel
+    rate ``down + up`` at each point, and ``states`` the (P, m) states on the
+    ``positions`` of the ``dim x dim`` density matrix.  The first point that
+    fails, in the kernel solve (``kernel_errors``, by point index) or a
+    gate, raises, naming its ``omega_c``."""
+    q_work, q_hot, q_cold = currents
     with np.errstate(over="ignore", invalid="ignore"):
         # a scale past the double range is inf (or NaN), and fails its point
-        current_scale = ham_scale * rate_scale
+        current_scale = (ham_scale + (ham_scale == 0.0)) * rate_scale
     fits = np.isfinite(current_scale)
-    current_scale[~fits] = np.inf
     noise = _MODE_FRACTION * current_scale
-    q_max = np.maximum(np.maximum(np.abs(q_work), np.abs(q_hot)), np.abs(q_cold))
+    size = np.abs(currents)
+    q_max = size.max(axis=0)
     # Relative gates are only meaningful when the currents stand well clear
     # of the numerical noise floor of the current assembly.
     healthy = q_max > _GATE_FRACTION * current_scale
 
-    first_law = np.abs(q_work + q_hot + q_cold) / np.maximum(q_max, noise)
-    working = np.abs(q_work) > noise
+    # the rows' sum runs (q_work + q_hot) + q_cold
+    first_law = np.abs(currents.sum(axis=0)) / np.maximum(q_max, noise)
+    working = size[0] > noise
     cop = np.divide(q_cold, q_work, out=np.zeros_like(q_cold), where=working)
-    omega_c, omega_w = np.atleast_1d(cfg.omega_c), np.atleast_1d(cfg.omega_w)
-    ideality = np.where(working, np.abs(np.abs(cop) / (omega_c / omega_w) - 1.0), 0.0)
+    ideality = np.where(working, np.abs(np.abs(cop) / (cfg.omega_c / cfg.omega_w) - 1.0), 0.0)
     boundary = q_max <= noise
-    mode = np.where(boundary, "boundary", np.where(q_cold > 0, "chiller", "heat_transformer"))
+    mode = _MODES[np.where(boundary, 2, ~(q_cold > 0))]
 
-    gates = (
-        (~fits, lambda k: "current scale |H| x rate overflows the double range"),
-        (~(kernel_residual <= KERNEL_RTOL),
-         lambda k: f"kernel residual {kernel_residual[k]:.3e} > {KERNEL_RTOL:.0e}"),
-        (healthy & (first_law > FIRST_LAW_RTOL),
-         lambda k: f"first-law residual {first_law[k]:.3e} > {FIRST_LAW_RTOL:.0e}"),
-        (gate_ideality & healthy & ~boundary & (ideality > IDEALITY_RTOL),
-         lambda k: f"ideality residual {ideality[k]:.3e} > {IDEALITY_RTOL:.0e}"),
-    )
-    failed = np.logical_or.reduce([mask for mask, _ in gates])
-    failed[list(kernel_errors)] = True
+    # a healthy point is no boundary point (_GATE_FRACTION > _MODE_FRACTION)
+    failed = ~(fits & (kernel_residual <= KERNEL_RTOL)) | healthy & (
+        first_law > FIRST_LAW_RTOL if not gate_ideality
+        else (first_law > FIRST_LAW_RTOL) | (ideality > IDEALITY_RTOL))
+    if kernel_errors:
+        failed[list(kernel_errors)] = True
     if failed.any():
         k = int(np.argmax(failed))
-        at = f" at omega_c={float(omega_c[k])!r}"
+        at = f" at omega_c={float(np.atleast_1d(cfg.omega_c)[k])!r}"
         if k in kernel_errors:
             raise type(kernel_errors[k])(f"{kernel_errors[k]}{at}")
-        message = next(text(k) for mask, text in gates if mask[k])
+        # the first gate that the point fails
+        message = ("current scale |H| x rate overflows the double range" if not fits[k] else
+                   f"kernel residual {kernel_residual[k]:.3e} > {KERNEL_RTOL:.0e}"
+                   if not kernel_residual[k] <= KERNEL_RTOL else
+                   f"first-law residual {first_law[k]:.3e} > {FIRST_LAW_RTOL:.0e}"
+                   if first_law[k] > FIRST_LAW_RTOL else
+                   f"ideality residual {ideality[k]:.3e} > {IDEALITY_RTOL:.0e}")
         raise NonConvergedError(message + at)
 
     # a plain work bath's own temperature, not its occupation's round trip
-    t_work, t_hot, t_cold = effective_temperatures(cfg, omega_w)
+    t_work, t_hot, t_cold = effective_temperatures(cfg, cfg.omega_w)
     entropy = -(q_work / t_work + q_hot / t_hot + q_cold / t_cold)
     return SteadySolutions(q_work, q_hot, q_cold, cop, entropy,
                            kernel_residual, first_law, ideality, mode, total, flux.T, states,
@@ -333,7 +325,9 @@ class _Chain:
     current.  ``touch`` and ``sign``, (N, D), hold each level's edges, in
     their order, and the sign of each one's net upward flux in the level's
     net inflow: +1 into its upper level, -1 out of its lower one, and 0 for
-    the padding of a level with fewer than D edges."""
+    the padding of a level with fewer than D edges.  ``ends`` and ``pair``,
+    (2E,), hold the edges' lower levels and upward rates, then their upper
+    levels and downward rates, and ``slots`` those rates' flat entries in M."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -341,16 +335,21 @@ class _Chain:
     baths: tuple[slice, slice, slice]
     touch: np.ndarray = field(init=False)
     sign: np.ndarray = field(init=False)
+    ends: np.ndarray = field(init=False)
+    pair: np.ndarray = field(init=False)
+    slots: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        level = np.arange(self.hi.max() + 1)[:, None]
+        level = np.arange(n := self.hi.max() + 1)[:, None]
         ends = (self.lo == level) | (self.hi == level)
         # each level's own edges first, in their order, then others at sign 0
         touch = np.argsort(~ends, axis=1, kind="stable")[:, :ends.sum(axis=1).max()]
-        object.__setattr__(self, "touch", touch)
         sign = 1.0 * (self.hi[touch] == level) - (self.lo[touch] == level)
-        object.__setattr__(self, "sign", sign)
-        for a in (self.lo, self.hi, self.rise, touch, sign):
+        for name, a in (("touch", touch), ("sign", sign), ("ends", np.r_[self.lo, self.hi]),
+                        ("pair", np.r_[self.rise, self.rise - 1]),
+                        ("slots", np.r_[self.hi * n + self.lo, self.lo * n + self.hi])):
+            object.__setattr__(self, name, a)
+        for a in (self.lo, self.hi, self.rise, touch, sign, self.ends, self.pair, self.slots):
             a.setflags(write=False)
 
     def blocks(self, rates: np.ndarray) -> np.ndarray:
@@ -364,8 +363,7 @@ class _Chain:
         non-finite."""
         n = len(self.touch)
         m = np.zeros((rates.shape[-1], n, n))
-        m[:, self.hi, self.lo] = rates[self.rise].T
-        m[:, self.lo, self.hi] = rates[self.rise - 1].T
+        m.reshape(-1, n * n)[:, self.slots] = rates[self.pair].T
         with np.errstate(over="ignore"):
             m.reshape(-1, n * n)[:, :: n + 1] = -m.sum(axis=1)
         return m
@@ -375,15 +373,17 @@ class _Chain:
         upward fluxes of the edges, each level's summed in one order at any P."""
         return (self.sign[..., None] * flux[self.touch]).sum(axis=1)
 
-    def currents(self, gaps, flux: np.ndarray, total: np.ndarray) -> dict[str, np.ndarray]:
-        """Each bath's heat current at each point: its energy gap in ``gaps``
-        (work, hot, cold) times the net flux up its edges, from the (E, P)
-        net upward ``flux``, over the populations' total.  Positive for
-        energy flowing from the bath into the machine."""
+    def currents(self, gaps, flux: np.ndarray, total: np.ndarray) -> np.ndarray:
+        """Each bath's heat current at each point, (3, P): its energy gap in
+        ``gaps`` (work, hot, cold) times the net flux up its edges, from the
+        (E, P) net upward ``flux``, over the populations' total.  Positive
+        for energy flowing from the bath into the machine."""
         # (P, E) rows, so that each point's sums run in one order for any P
         rows = np.ascontiguousarray(flux.T)
-        return {label: gap * (rows[:, edges].sum(axis=1) / total)
-                for label, gap, edges in zip(_BATHS, gaps, self.baths)}
+        q = np.array([rows[:, edges].sum(axis=1) for edges in self.baths]) / total
+        for row, gap in zip(q, gaps):
+            row *= gap
+        return q
 
 
 # Dekker's splitting factor for doubles: each half of a split holds at most
@@ -404,10 +404,10 @@ def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
-def _edge_fluxes(p: np.ndarray, up: np.ndarray, down: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray) -> np.ndarray:
-    """The net upward flux ``p[lo] * up - p[hi] * down`` of each edge at
-    each point, (E, P), good to an ulp of itself, not of the one-way flows
+def _edge_fluxes(p: np.ndarray, rates: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The net upward flux ``p[lo] * up - p[hi] * down`` of each of E edges
+    at each point, (E, P), from their (2E, P) ``rates`` and ``ends`` (see
+    :class:`_Chain`), good to an ulp of itself, not of the one-way flows
     whose small difference it is.  The products of the populations' upper
     halves with the rates' halves are exact, and the lower halves' products
     with the rates are ``2**-26`` of the flows, so that their rounding is far
@@ -415,12 +415,13 @@ def _edge_fluxes(p: np.ndarray, up: np.ndarray, down: np.ndarray, lo: np.ndarray
     power of two, which takes the largest below ``2**_SPLIT_EXPONENT`` (and
     leaves smaller ones as they are), and the fluxes are scaled back: both
     steps are exact, so a point's fluxes are those of its rates unscaled."""
-    top = np.frexp(np.maximum(up, down).max(axis=0))[1]
+    top = np.frexp(rates.max(axis=0))[1]
     scale = np.ldexp(1.0, np.minimum(_SPLIT_EXPONENT - top, 0))
-    up, down = up * scale, down * scale
-    (ah, al), (bh, bl) = _halves(p[lo]), _halves(p[hi])
-    (uh, ul), (dh, dl) = _halves(up), _halves(down)
-    return ((ah * uh - bh * dh) + ((ah * ul - bh * dl) + (al * up - bl * down))) / scale
+    rates = rates * scale
+    (ph, pl), (rh, rl) = _halves(p[ends]), _halves(rates)
+    e = len(ends) // 2
+    hh, hl, lr = ph * rh, ph * rl, pl * rates
+    return ((hh[:e] - hh[e:]) + ((hl[:e] - hl[e:]) + (lr[:e] - lr[e:]))) / scale
 
 
 # A refinement step through the double inverses leaves about cond(M) eps of
@@ -430,43 +431,43 @@ def _edge_fluxes(p: np.ndarray, up: np.ndarray, down: np.ndarray, lo: np.ndarray
 _REFINEMENT_STEPS = 2
 
 
-def _refined_fluxes(p: np.ndarray, inv: np.ndarray, block: np.ndarray, rates: np.ndarray,
+def _refined_fluxes(p: np.ndarray, inv: np.ndarray, scale: np.ndarray, rates: np.ndarray,
                     chain: _Chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The exact net fluxes of ``chain``'s edges at P points, (E, P), after
     ``_REFINEMENT_STEPS`` refinement steps of its normalized populations
-    ``p``, (N, P), which it refines in place.  ``block`` holds the chain's
-    rate matrices, ``inv`` the kernel decisions' inverses of their
-    trace-row matrices, and ``rates`` the chain's (R, P) rates.  The
-    populations keep the few ulps of their elimination, which the exact
+    ``p``, (N, P), which it refines in place, from the kernel decisions'
+    inverses ``inv`` and ``scale`` (max|M|) and the chain's (R, P) rates.
+    The populations keep the few ulps of their elimination, which the exact
     fluxes (:func:`_edge_fluxes`) resolve, so each step, through the
-    inverses against the net inflows, takes them out; it is added to the
-    fluxes as well.  Returns the fluxes, the populations' total, and the
-    kernel residual of the net inflows, ``max |M p| / max|M|``."""
-    lo, hi = chain.lo, chain.hi
-    up, down = rates[chain.rise], rates[chain.rise - 1]
-    flux = _edge_fluxes(p, up, down, lo, hi)
+    inverses against the net inflows, takes them out of the populations and
+    the fluxes.  Returns the fluxes, the populations' total, and the kernel
+    residual of the net inflows, ``max |M p| / max|M|``."""
+    e, rates = len(chain.lo), rates[chain.pair]
+    flux = _edge_fluxes(p, rates, chain.ends)
     for _ in range(_REFINEMENT_STEPS):
-        resid = -chain.inflow(flux)
-        resid[0] = 1.0 - p.sum(axis=0)
-        delta = (inv @ resid.T[..., None])[..., 0].T
+        # the step's negation, against the negated residual: both exact
+        resid = chain.inflow(flux)
+        resid[0] = p.sum(axis=0) - 1.0
+        step = (inv @ resid.T[..., None])[..., 0].T
         # the step is a few ulps of the populations: its fluxes need no care
-        flux += delta[lo] * up - delta[hi] * down
-        p += delta
+        moved = step[chain.ends] * rates
+        flux -= moved[:e] - moved[e:]
+        p -= step
     total = p.sum(axis=0)
-    residual = np.abs(chain.inflow(flux)).max(axis=0) / (np.abs(block).max(axis=(1, 2)) * total)
+    residual = np.abs(chain.inflow(flux)).max(axis=0) / (scale * total)
     return flux, total, residual
 
 
 def _bath_rates(cfg) -> np.ndarray:
-    """The six double rates of ``cfg``'s baths (work, hot, cold; down then
-    up) at each point, (6, P), from one :func:`~qpump.pump.decay_rates`
-    call per bath."""
-    pairs = [decay_rates(cfg.bath(label), cfg.bath_frequency(label)) for label in _BATHS]
-    return np.array(np.broadcast_arrays(*(r for pair in pairs for r in (pair.down, pair.up))),
-                    dtype=float).reshape(6, -1)
+    """The six double rates of ``cfg``'s baths (work, hot, cold; down then up)
+    at each point, (6, P), from the rate body, which its config checked."""
+    rates = np.empty((6, np.size(cfg.omega_c)))
+    for k, label in enumerate(_BATHS):
+        rates[2 * k], rates[2 * k + 1] = _rates(cfg.bath(label), cfg.bath_frequency(label))
+    return rates
 
 
-def _solve_chain(cfg, chain: _Chain, rates: np.ndarray, balance, gaps, ham_scale,
+def _solve_chain(cfg, chain: _Chain, rates: np.ndarray, balance, ham_scale,
                  gate_ideality: bool, state) -> SteadySolutions:
     """The stacked solve of ``chain`` at the P points of ``cfg``, from its
     (R, P) rates, whose first six are the baths' (work, hot, cold; down then
@@ -476,21 +477,20 @@ def _solve_chain(cfg, chain: _Chain, rates: np.ndarray, balance, gaps, ham_scale
     with each point's contiguous, and whether every eliminated level had a
     positive out-rate; two refinement steps through the kernel decisions'
     inverses take the elimination's few ulps out of the exact net fluxes
-    (:func:`_refined_fluxes`).  Each bath's current is its energy gap in
-    ``gaps`` times the net flux up its edges, and the kernel residual is
-    that of the net inflows.  ``state(p)`` gives the (P, m) states of the
-    refined populations, their positions and the matrix dimension, and
+    (:func:`_refined_fluxes`).  Each bath's current is its frequency, its
+    edges' gap, times their net flux, and the kernel residual is that of the
+    net inflows.  ``state(p)`` gives the (P, m) states of the refined
+    populations, their positions and the matrix dimension, and
     ``ham_scale`` is |H| at each point."""
-    block = chain.blocks(rates)
-    inv, errors, *_ = _kernel_decisions(block, np.ones(len(chain.touch)))
+    inv, errors, _, _, scale = _kernel_decisions(chain.blocks(rates), np.ones(len(chain.touch)))
     # a point with a kernel error is raised when the points are judged;
     # what its arithmetic gives here does not count
     with np.errstate(all="ignore") if errors else contextlib.nullcontext():
         p, ok = balance(rates)
-        flux, total, residual = _refined_fluxes(p, inv, block, rates, chain)
-        currents = chain.currents(gaps, flux, total)
+        flux, total, residual = _refined_fluxes(p, inv, scale, rates, chain)
+        currents = chain.currents((cfg.omega_w, cfg.omega_h, cfg.omega_c), flux, total)
         states = state(p / total)
-    return _solution_from_state(cfg, currents, flux, total, np.atleast_1d(ham_scale),
+    return _solution_from_state(cfg, currents, flux, total, ham_scale,
                                 (rates[0:6:2] + rates[1:6:2]).max(axis=0), *states,
                                 np.where(ok, residual, np.inf), gate_ideality, errors)
 
@@ -513,10 +513,9 @@ def _ladder(n: int) -> _Chain:
 @lru_cache(maxsize=None)
 def _population_structure(n: int) -> np.ndarray:
     """The (6, N^2) incidence stack of an N-level ladder's population
-    balance, a function of N alone: slice j is the rate matrix of rate j of
-    the six alone at 1, and every column of each slice sums to zero.
-    Contracted with the six rates it gives the dense rate matrix.  Built
-    once per N and read-only, so every caller of that N shares it."""
+    balance: slice j is the rate matrix of rate j of the six alone at 1, so
+    that contracted with the six rates it gives the dense rate matrix.
+    Built once per N and read-only, so every caller of that N shares it."""
     stack = _ladder(n).blocks(np.eye(6)).reshape(6, n * n)
     stack.setflags(write=False)
     return stack
@@ -525,13 +524,13 @@ def _population_structure(n: int) -> np.ndarray:
 def _ladder_rates(n: int, rates) -> tuple[list, ...]:
     """The per-level rates of :func:`_ladder_balance` for an N-level ladder
     from its six bath rates (work, hot, cold; down then up), floats or (P,)
-    arrays, along the edges of :func:`_ladder`."""
+    arrays, along the edges of :func:`_ladder`, with no padding."""
     work_down, work_up, hot_down, hot_up, cold_down, cold_up = rates
     up1 = ([cold_up, work_up] * (n // 2))[:n - 1] + [0.0]
     down1 = [0.0] + ([cold_down, work_down] * (n // 2))[:n - 1]
     up2 = [hot_up] * (n - 2) + [0.0, 0.0]
     down2 = [0.0, 0.0] + [hot_down] * (n - 2)
-    return up1, down1, up2, down2, [0.0] * n
+    return up1, down1, up2, down2, None
 
 
 def _ladder_balance(up1, down1, up2, down2, dead):
@@ -540,18 +539,18 @@ def _ladder_balance(up1, down1, up2, down2, dead):
 
     The arguments list, per level k, its rate to k + 1, k - 1, k + 2 and
     k - 2 (zero where the ladder has no such edge) and a padding out-rate
-    ``dead``; entries are floats or arrays.  The populations come from the
-    GTH elimination (Grassmann, Taksar & Heyman, Oper. Res. 33, 1107
-    (1985)): eliminate the levels from the top down, folding the paths
-    through each eliminated level into the rates between the levels it
-    joins, with its out-rate summed from its rates to the levels left.  The
-    ladder is banded (edges k, k+1 and k, k+2), and eliminating its top
-    level changes only the two rates between the next two, so the
-    elimination runs O(N) steps.  It uses only ``+ * /`` on nonnegative
-    values, never a subtraction, which makes the populations accurate to a
-    few ulps of the working precision however far the rates spread
-    (O'Cinneide, Numer. Math. 65, 109 (1993)), and gives a scalar and each
-    element of an array the same bits.
+    ``dead`` (None for a ladder with no padding); entries are floats or
+    arrays.  The populations come from the GTH elimination (Grassmann,
+    Taksar & Heyman, Oper. Res. 33, 1107 (1985)): eliminate the levels from
+    the top down, folding the paths through each eliminated level into the
+    rates between the levels it joins, with its out-rate summed from its
+    rates to the levels left.  The ladder is banded (edges k, k+1 and k,
+    k+2), and eliminating its top level changes only the two rates between
+    the next two, so the elimination runs O(N) steps.  It uses only
+    ``+ * /`` on nonnegative values, never a subtraction, which makes the
+    populations accurate to a few ulps of the working precision however far
+    the rates spread (O'Cinneide, Numer. Math. 65, 109 (1993)), and gives a
+    scalar and each element of an array the same bits.
 
     Returns ``(p, total, ok)``: the unnormalized populations
     (``p[0] == 1``), their sum, and whether every eliminated level has a
@@ -562,7 +561,7 @@ def _ladder_balance(up1, down1, up2, down2, dead):
     out = [1.0] * n
     ok = True
     for k in range(n - 1, 0, -1):
-        s = d1[k] + down2[k] + dead[k]
+        s = d1[k] + down2[k] if dead is None else d1[k] + down2[k] + dead[k]
         ok = ok & (s > 0.0)
         # a level without outflow divides by 1 instead, and its row fails
         s = out[k] = s + (s <= 0.0)
@@ -582,15 +581,12 @@ def solve(cfg: PumpConfig) -> SteadySolution:
     """Stationary state and heat currents of an ideal pump.
 
     The generator maps diagonal states to diagonal states, and the
-    coherences decouple and decay, so the stationary state is diagonal: its
-    populations solve the pump's classical master equation.  They come
-    from the GTH elimination of :func:`_ladder_balance`, the body that also
-    gives the optimizer's ``q_cold``, and each current is
-    its bath's energy gap times the exact net flux on its edges.  The
-    solution is gated on the kernel residual, the first law and (for the
-    ideal pump, whose currents are locked to the transition frequencies)
-    the ideality identity ``|q_c/q_w| = w_c/w_w``.  It is a stack of one
-    point of :func:`_solve_pumps`.
+    coherences decouple and decay, so the populations of the diagonal
+    stationary state solve the pump's classical master equation, by the
+    GTH elimination of :func:`_ladder_balance`; each current is its bath's
+    energy gap times the exact net flux on its edges.  Gated on the kernel
+    residual, the first law and the ideality identity ``|q_c/q_w| =
+    w_c/w_w``; a stack of one point of :func:`_solve_pumps`.
 
     Raises
     ------
@@ -618,7 +614,6 @@ def _solve_pumps(cfg) -> SteadySolutions:
 
     # |H| is the top level's energy
     return _solve_chain(cfg, _ladder(n), _bath_rates(cfg), balance,
-                        (cfg.omega_h - cfg.omega_c, cfg.omega_h, cfg.omega_c),
                         _level_energy(n, cfg.omega_h, cfg.omega_c), True,
                         lambda p: (p.T, np.arange(n) * (n + 1), n))
 
@@ -768,9 +763,5 @@ def pauli_rate_oracle(cfg: PumpConfig) -> RateOracleResult:
         for lo, hi in transition_pairs(n, label):
             flux += up * p[lo - 1] - down * p[hi - 1]
         q[label] = float(omega * flux)
-    return RateOracleResult(
-        populations=p.astype(float),
-        q_work=q["work"],
-        q_hot=q["hot"],
-        q_cold=q["cold"],
-    )
+    return RateOracleResult(populations=p.astype(float), q_work=q["work"], q_hot=q["hot"],
+                            q_cold=q["cold"])

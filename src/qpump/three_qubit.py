@@ -8,16 +8,15 @@ three-body term
 
 which absorbs one cold and one work quantum and emits one hot quantum.  Each
 qubit couples *locally* to its own reservoir: the jump operator is its bare
-lowering operator and the rates are evaluated at the bare qubit frequency.
-At finite ``g`` the stationary state carries coherence between the resonant
-pair |110> / |001>.  That coherence is imaginary and adds nothing to the
-heat currents, and every quantum that crosses the machine crosses the
-exchange, so the three currents are the qubits' frequencies times one flux:
-the COP is ``omega_c / omega_w`` at every point, to the rounding of the
-currents, and the efficiency approaches the Carnot value only at the
-window's edge, where the power vanishes.  So the fridge is as efficient as
-the ideal pump at each frequency; it differs in its power, three orders
-lower at the comparison parameters, which falls off faster toward the
+lowering operator, at the bare qubit frequency's rates.  At finite ``g`` the
+stationary state carries an imaginary coherence between the resonant pair
+|110> / |001>, which adds nothing to the heat currents, and every quantum
+that crosses the machine crosses the exchange, so the currents are the
+qubits' frequencies times one flux: the COP is ``omega_c / omega_w`` at
+every point, to the rounding of the currents, and the efficiency reaches
+Carnot only at the window's edge, where the power vanishes.  So the fridge
+is as efficient as the ideal pump at each frequency; its power is three
+orders lower at the comparison parameters and falls off faster toward the
 window's edge.
 
 The stationary state is solved as the ideal pump's is: eliminating the
@@ -49,10 +48,8 @@ from .steady import (
 )
 
 # Kept importable for the layer probes of perfbench/layers.py::install_probes,
-# until the probes follow the solves' own layers (ROADMAP item 1).  The
-# fridge's solve reaches decay_rates through steady._bath_rates and
-# _solution_from_state through steady._solve_chain, and uses none of the
-# others.
+# until the probes follow the solves' own layers (ROADMAP item 1); the
+# fridge's solve calls none of them here.
 from .linalg import stationary_vector  # noqa: F401
 from .pump import decay_rates  # noqa: F401
 from .steady import _polish_state, _solution_from_state  # noqa: F401
@@ -154,19 +151,15 @@ def _generator_ld(cfg: ThreeQubitConfig) -> _Generator:
 def solve_three_qubit(cfg: ThreeQubitConfig) -> SteadySolution:
     """Stationary state and currents of the three-qubit fridge.
 
-    The stationary state lives on the populations and the |110>/|001>
-    coherence pair, which is generically nonzero.  The resonance is built
-    in, so the coherence follows the populations,
-    ``rho_61 = -i g (p_1 - p_6) / kappa``, and eliminating it leaves an
-    exact classical chain on the eight levels: each qubit flips at its
-    bath's rates, and the exchange joins |001> and |110> at ``2 g^2 /
-    kappa`` both ways (``kappa``, the coherence's decay rate, is the mean of
-    the two levels' escape rates).  ``rho_61`` is imaginary, so it adds
-    nothing to ``tr(H D_a rho)``: each current is its qubit's frequency
-    times the net flux on its bath's edges.  It is a stack of one point of
-    :func:`_solve_fridges`, gated as the ideal pump is, but for the
-    ideality residual, which is reported and not gated (the currents share
-    one flux, so it sits at their rounding).
+    The state lives on the populations and the |110>/|001> coherence pair,
+    which follows the populations, ``rho_61 = -i g (p_1 - p_6) / kappa``:
+    eliminating it leaves an exact chain on the eight levels, each qubit
+    flipping at its bath's rates and the exchange joining |001> and |110> at
+    ``2 g^2 / kappa`` both ways (``kappa``, the coherence's decay rate, is
+    the mean of the two levels' escape rates).  ``rho_61`` is imaginary, so
+    each current is its qubit's frequency times the net flux on its bath's
+    edges.  A stack of one point of :func:`_solve_fridges`, gated as the
+    ideal pump is but for the ideality residual, which is reported only.
     """
     return _solve_fridges(cfg)[0]
 
@@ -194,8 +187,7 @@ def _solve_fridges(cfg) -> SteadySolutions:
 
     # |H| is the top level's energy, 2 omega_h
     return _solve_chain(cfg, _FRIDGE, np.concatenate([rates, [exchange, exchange]]),
-                        _chain_balance, (cfg.omega_w, cfg.omega_c + cfg.omega_w, cfg.omega_c),
-                        2 * (cfg.omega_c + cfg.omega_w), False, state)
+                        _chain_balance, 2 * cfg.omega_h, False, state)
 
 
 def _chain_balance(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -98,6 +98,15 @@ class TestParseParams:
         with pytest.raises(CliConfigError):
             parse_params("/nonexistent/params")
 
+    def test_file_not_utf8_is_a_configuration_error(self, tmp_path, capsys):
+        # a decoding error ended in a traceback before
+        path = tmp_path / "p"
+        path.write_bytes(b"omega_h = 1\xff\n")
+        assert run(["curve", "--params", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"qpump: configuration error: cannot read parameter file {path}: "
+                              "'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+
     def test_bool_values(self, tmp_path):
         path = tmp_path / "p"
         path.write_text("saturated_work = yes\n")
@@ -316,6 +325,54 @@ class TestErrorReporting:
             "(max |L| = inf) at omega_c=1.4")
 
 
+    @pytest.mark.parametrize("overrides", [
+        ["omega_h=1e7", "gamma_c=0.5"],
+        ["T_c=1e-300", "omega_c=1e-3"],
+    ], ids=["large_omega_h", "tiny_T_c"])
+    def test_compare_without_cooling_power_is_a_solver_failure(self, overrides, with_params,
+                                                               capsys):
+        # a curve with no cooling power has no power ratio; it divided by
+        # zero before
+        argv = ["compare", "--params", "@three_qubit", "--points", "4"]
+        assert run(with_params(argv) + [a for o in overrides for a in ("--set", o)]) == 2
+        assert capsys.readouterr().err == (
+            "qpump: solver failure: NoCoolingPowerError: "
+            "ideal curve has no cooling power: q_c_max = 0.0\n")
+
+    def test_optimum_without_cooling_power_is_a_solver_failure(self, with_params, capsys):
+        # the optimizer's Optimum refuses a non-positive power; it ended in a
+        # traceback before
+        assert run(with_params(["sweep-n", "--params", "@reference", "--n-max", "3",
+                                "--set", "T_c=1e-300"])) == 2
+        assert capsys.readouterr().err == (
+            "qpump: solver failure: NoCoolingPowerError: "
+            "optimum has non-positive cooling power 0.0\n")
+
+    def test_curve_and_compare_overrides_end_in_a_verdict(self, three_qubit_params, capsys):
+        # a seeded fuzz over the two subcommands that share the stacked
+        # solve: every override set of values from the edge of the double
+        # range (and past it) ends in an exit code, with a one-line verdict
+        # on stderr for a configuration error or a solver failure
+        rng = np.random.default_rng(23)
+        keys = ["n_levels", "omega_h", "omega_c", "T_w", "T_h", "T_c", "gamma_w", "gamma_h",
+                "gamma_c", "squeeze_db", "saturated_work", "g"]
+        values = ["0", "-1", "1", "0.5", "2", "1e7", "1e-3", "1e300", "-1e300", "1e-300",
+                  "nan", "inf", "-inf"]
+        codes = []
+        for case in range(320):
+            chosen = rng.choice(len(keys), size=int(rng.integers(1, 4)), replace=False)
+            sets = [a for k in chosen for a in ("--set", f"{keys[k]}={rng.choice(values)}")]
+            command = (["compare"] if case % 2 else
+                       ["curve", "--system", str(rng.choice(["ideal", "three_qubit", "both"]))])
+            argv = [*command, "--params", three_qubit_params, "--points", "4", *sets]
+            codes.append(run(argv))
+            err = capsys.readouterr().err
+            assert codes[-1] in (0, 1, 2), argv
+            if codes[-1]:
+                assert err.count("\n") == 1 and err.startswith("qpump: "), (argv, err)
+        assert {0, 1, 2} <= set(codes)
+
+
 class TestMisc:
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 1
@@ -383,6 +440,31 @@ class TestParserReuse:
         at_import, first, second = map(int, run_in_subprocess(["-c", code], module=False)
                                        .stdout.split())
         assert at_import == 0 and first > 0 and second == first
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--params", "p", "--points", "6", "--set", "g=0.2", "--set", "T_c=4"],
+        ["compare"],
+        ["histogram", "--samples", "3", "--threads", "2", "--seed", "5", "--format", "json"],
+        ["sweep-n", "--n-min", "4", "--squeeze-db", "3", "--output", "x.csv"],
+        ["currents", "--params=p", "--set=n_levels=5"],
+        ["selftest", "--seed", "7", "--threads", "auto"],
+    ])
+    def test_subcommand_parses_as_the_main_parser(self, argv):
+        # run() hands a subcommand's arguments to its own parser, skipping the
+        # main parser's pass: the namespace is the main parser's, field by field
+        assert vars(qpump.cli._parse_args(argv)) == vars(qpump.cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--points", "x"], ["curve", "--bogus"], ["compare", "--format", "xml"],
+        ["curve", "extra"], ["histogram", "--samples"], ["selftest", "--", "--seed"],
+        ["frobnicate"], [],
+    ])
+    def test_subcommand_errors_as_the_main_parser(self, argv):
+        with pytest.raises(CliConfigError) as main:
+            qpump.cli._build_parser().parse_args(argv)
+        with pytest.raises(CliConfigError) as direct:
+            qpump.cli._parse_args(argv)
+        assert str(direct.value) == str(main.value)
 
     def test_reused_parser_leaks_no_arguments(self, three_qubit_params, capsys):
         # an override of one call must not reach the next
@@ -614,6 +696,18 @@ class TestAbInprocess:
         out = capsys.readouterr().out
         assert "ratio parent/change: median" in out and "of 4 pairs" in out
         assert sys.modules["qpump"] is qpump and sys.modules["qpump.cli"] is qpump.cli
+
+    def test_all_runs_each_workload(self, tmp_path, capsys):
+        # one summary line per workload, in the benchmark's order
+        parent, change = self.tree(tmp_path / "parent"), self.tree(tmp_path / "change")
+        assert load_tool("ab_inprocess").main([str(parent), str(change), "--workload", "all",
+                                               "--pairs", "3", "--batch", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == \
+            ["ensemble_serial", "curve_ideal", "curve_three_qubit"]
+        assert all("ratio parent/change: median" in line and line.endswith(" of 3 pairs")
+                   for line in lines)
+        assert sys.modules["qpump.cli"] is qpump.cli
 
     def test_a_differing_output_exits_one(self, tmp_path, capsys):
         # calls 0 to 7 of pair 1 to 4 run the seeds 1000003 to 1000010

@@ -13,6 +13,7 @@ from qpump.experiments import (
     COARSE_GRID_POINTS,
     CurveSetup,
     EmptyWindowError,
+    NoCoolingPowerError,
     Optimum,
     PerformancePoint,
     REFINE_RELATIVE_WIDTH,
@@ -843,6 +844,16 @@ class TestHistogram:
         with pytest.raises(RuntimeError, match="defect"):
             cop_histogram(SampleRanges(seed=3), 2, threads=1)
 
+    def test_optimum_without_cooling_power_is_not_a_rejection(self, monkeypatch):
+        # the CLI reports it as a solver failure; the ensemble must not
+        # redraw it as it redraws an empty window or an unsolvable kernel
+        def powerless(cfg):
+            return Optimum(1.0, 0.0, 0.1, 0.5, 10)
+
+        monkeypatch.setattr(qpump.experiments, "maximize_cooling_power", powerless)
+        with pytest.raises(NoCoolingPowerError, match="non-positive cooling power 0.0"):
+            _sample_point(SampleRanges(seed=3), 0)
+
     def test_ranges_validation(self):
         with pytest.raises(ValueError):
             SampleRanges(t_cold=(5.0, 1.0))
@@ -953,6 +964,23 @@ class TestCharacteristicCurve:
             assert np.array_equal(stacked.edge_fluxes, sol.edge_fluxes)
             assert stacked.population_total == sol.population_total
 
+    @pytest.mark.parametrize("system", ["ideal", "three_qubit"])
+    def test_curve_columns_make_no_decay_rates_call(self, monkeypatch, system):
+        # the stacked solve fills its rates from the rate body, whose config
+        # the sweep validated, not through decay_rates and its checks
+        expected = qpump.experiments._curve_columns(system, COMPARE_SETUP, 6)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return decay_rates(*args)
+
+        for module in (qpump.pump, qpump.experiments, qpump.steady, qpump.three_qubit):
+            monkeypatch.setattr(module, "decay_rates", counted)
+        columns = qpump.experiments._curve_columns(system, COMPARE_SETUP, 6)
+        assert calls == []
+        assert all(np.array_equal(a, b) for a, b in zip(columns, expected))
+
     def test_stacked_curve_is_split_into_bounded_stacks(self, monkeypatch):
         whole = characteristic_curve("three_qubit", COMPARE_SETUP, n_points=30)
         monkeypatch.setattr(qpump.experiments, "_STACK_POINTS", 7)
@@ -973,7 +1001,7 @@ class TestCharacteristicCurve:
 
         def broken_currents(*args):
             q = currents(*args)
-            q["work"][first_law_at] *= 1.0 + 1e-6
+            q[0, first_law_at] *= 1.0 + 1e-6  # the work current
             return q
 
         diagnosed = []
@@ -993,6 +1021,34 @@ class TestCharacteristicCurve:
         omega_c = window * (named + 1) / 6
         message = "first-law residual .*" if error is NonConvergedError else "no stationary state"
         with pytest.raises(error, match=f"^{message} at omega_c={re.escape(repr(omega_c))}$"):
+            characteristic_curve(system, COMPARE_SETUP, n_points=5)
+
+    @pytest.mark.parametrize("system", ["ideal", "three_qubit"])
+    def test_kernel_and_ideality_gates_name_the_point(self, monkeypatch, system):
+        # point 3 of five has a kernel residual past KERNEL_RTOL, point 1 a
+        # cold current skewed by 1e-6 with the hot current keeping the first
+        # law: the ideal pump raises at point 1, on its ideality identity,
+        # and the fridge, whose ideality is reported only, at point 3
+        refined, currents = qpump.steady._refined_fluxes, qpump.steady._Chain.currents
+
+        def broken_refined(*args):
+            flux, total, residual = refined(*args)
+            residual[3] = 1e-9
+            return flux, total, residual
+
+        def skewed_currents(*args):
+            q = currents(*args)
+            q[1, 1] -= 1e-6 * q[2, 1]
+            q[2, 1] *= 1.0 + 1e-6
+            return q
+
+        monkeypatch.setattr(qpump.steady, "_refined_fluxes", broken_refined)
+        monkeypatch.setattr(qpump.steady._Chain, "currents", skewed_currents)
+        window = qpump.cooling_window_max_fixed_work(60.0, COMPARE_SETUP.temps)
+        named, message = ((1, "ideality residual 1.000e-06 > 1e-08") if system == "ideal"
+                          else (3, "kernel residual 1.000e-09 > 1e-10"))
+        at = f" at omega_c={window * (named + 1) / 6!r}"
+        with pytest.raises(NonConvergedError, match=f"^{re.escape(message + at)}$"):
             characteristic_curve(system, COMPARE_SETUP, n_points=5)
 
     @pytest.mark.parametrize("system", ["ideal", "three_qubit"])

@@ -9,8 +9,9 @@ import pytest
 
 import qpump
 from qpump.linalg import SuperOp, devectorize, stationary_vector, vectorize
-from qpump.pump import BathSpec, RatePair, WeakCouplingWarning, decay_rates
+from qpump.pump import BathSpec, PumpConfig, RatePair, WeakCouplingWarning, decay_rates
 from qpump.steady import (
+    _BATHS,
     _Generator,
     build_dissipator,
     build_liouvillian,
@@ -162,6 +163,14 @@ class TestSolve:
             outside = solve(dataclasses.replace(cfg, omega_c=1.02 * REF_WINDOW_MAX))
         assert inside.q_cold > 0 and inside.mode == "chiller"
         assert outside.q_cold < 0 and outside.mode == "heat_transformer"
+
+    def test_window_edge_is_a_boundary_point(self):
+        # at the edge the pump is reversible: its currents sit at the noise
+        # floor of their assembly, so the point is neither chiller nor heat
+        # transformer, and has no COP
+        sol = solve(dataclasses.replace(reference_pump(3), omega_c=REF_WINDOW_MAX))
+        assert sol.mode == "boundary" and sol.cop == 0.0
+        assert sol.residuals["ideality_cold_work"] == 0.0
 
     def test_stationary_state_is_diagonal(self):
         sol = solve(reference_pump(7))
@@ -737,6 +746,27 @@ def test_solutions_are_columns_of_the_points(machine):
         assert sol.mode == sols.mode[k]
 
 
+@pytest.mark.parametrize("variant", ["plain", "squeezed", "saturated"])
+def test_bath_rates_keep_decay_rates_bits(variant):
+    # the rate fill takes each bath's rates from the rate body, without
+    # decay_rates' checks: at a float frequency and at (P,) of them, with
+    # the cold bath's last two past the occupation's far tail (omega/T > 700)
+    work = {"plain": BathSpec("work", 130.0, 1e-3),
+            "squeezed": BathSpec("work", 130.0, 1e-3, squeeze_r=0.8),
+            "saturated": BathSpec("work", 130.0, 1e-3, saturated=True)}[variant]
+    hot, cold = BathSpec("hot", 60.0, 2e-3), BathSpec("cold", 5.0, 3e-3)
+    omega_c = np.array([1e-3, 0.7, 1.5, 40.0, 3600.0, 4000.0])
+    omega_h = omega_c + 60.0
+    sweep = qpump.experiments._Sweep(omega_c, omega_h - omega_c, omega_h, work, hot, cold, 8, 0.1)
+    points = [PumpConfig(8, float(h), float(c), work, hot, cold)
+              for h, c in zip(omega_h, omega_c)]
+    for cfg in (sweep, *points):
+        pairs = [decay_rates(cfg.bath(label), cfg.bath_frequency(label)) for label in _BATHS]
+        expected = np.array([np.broadcast_to(r, np.shape(cfg.omega_c))
+                             for pair in pairs for r in (pair.down, pair.up)]).reshape(6, -1)
+        assert qpump.steady._bath_rates(cfg).tobytes() == expected.tobytes()
+
+
 def test_edge_fluxes_scale_exactly_past_the_split_range():
     # rates past 2^996 would overflow Dekker's split (a warning, so an error
     # under this suite's filters); each point's rates are scaled by a power
@@ -745,13 +775,12 @@ def test_edge_fluxes_scale_exactly_past_the_split_range():
     rng = np.random.default_rng(5)
     n, points = 8, 4
     chain = qpump.steady._ladder(n)
-    lo, hi, rise = chain.lo, chain.hi, chain.rise
     p = rng.uniform(0.01, 1.0, (n, points))
     rates = rng.uniform(0.5, 2.0, (6, points)) * 10.0 ** rng.integers(-6, 1, (6, points))
-    base = qpump.steady._edge_fluxes(p, rates[rise], rates[rise - 1], lo, hi)
+    base = qpump.steady._edge_fluxes(p, rates[chain.pair], chain.ends)
     power = 2.0 ** np.array([0, 990, 1000, 1018])
     big = rates * power
-    flux = qpump.steady._edge_fluxes(p, big[rise], big[rise - 1], lo, hi)
+    flux = qpump.steady._edge_fluxes(p, big[chain.pair], chain.ends)
     assert np.array_equal(flux, base * power)
 
 
@@ -776,5 +805,4 @@ def test_chain_currents_sum_each_point_in_one_order(machine):
     stacked = chain.currents([np.full(points, gap) for gap in gaps], flux, total)
     for k in range(points):
         alone = chain.currents(gaps, flux[:, k:k + 1], total[k:k + 1])
-        assert {label: c[k] for label, c in stacked.items()} == \
-            {label: c[0] for label, c in alone.items()}
+        assert np.array_equal(stacked[:, k], alone[:, 0])

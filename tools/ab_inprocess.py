@@ -3,6 +3,7 @@
 Usage::
 
     python3 tools/ab_inprocess.py PARENT CHANGE --workload ensemble_serial --pairs 80
+    python3 tools/ab_inprocess.py PARENT CHANGE --workload all --pairs 60
 
 Each checkout's ``src/qpump`` is imported into this one process under its
 own set of ``qpump`` modules, which go into ``sys.modules`` while that side
@@ -17,9 +18,10 @@ on ``params/three_qubit.params`` of the change.
 The speed of a shared machine drifts by up to a third within seconds, so
 that two benchmark runs half a minute apart resolve a 10 % gain poorly; a
 pair here takes a fraction of a second, and both of its batches see about
-the same speed.  It prints each side's median items per second and the
-median and quartiles of the pairs' ratios, the parent's batch time over the
-change's (above 1 when the change is faster).
+the same speed.  ``--workload all`` runs the three workloads in turn, each
+with its own pairs.  It prints one line per workload: each side's median
+items per second and the median and quartiles of the pairs' ratios, the
+parent's batch time over the change's (above 1 when the change is faster).
 
 The exit code is 0 when every call exits 0 and prints the same stdout on
 both sides, and 1 otherwise.
@@ -136,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--workload", required=True, choices=(*WORKLOADS, "all"))
     parser.add_argument("--pairs", type=int, default=80)
     parser.add_argument("--batch", type=int, default=5, help="calls per side and pair")
     parser.add_argument("--seed", type=int, default=1)
@@ -144,33 +146,36 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 2 or args.batch < 1:
         parser.error("--pairs must be at least 2, to have quartiles, and --batch at least 1")
     parent, change = load_side("parent", args.parent), load_side("change", args.change)
-    items, make_argv = workload_argv(args.workload, args.seed,
-                                     args.change.resolve() / CURVE_PARAMS)
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    faults = []
     saved = _qpump_modules()
     try:
-        for side in (parent, change):  # lazy imports and caches, untimed
-            side.call(make_argv(-1))
-        p_seconds, c_seconds, faults = run_pairs(parent, change, make_argv,
-                                                 args.pairs, args.batch)
+        for workload in workloads:
+            items, make_argv = workload_argv(workload, args.seed,
+                                             args.change.resolve() / CURVE_PARAMS)
+            for side in (parent, change):  # lazy imports and caches, untimed
+                side.call(make_argv(-1))
+            p_seconds, c_seconds, found = run_pairs(parent, change, make_argv,
+                                                    args.pairs, args.batch)
+            faults += found
+            ratios = [p / c for p, c in zip(p_seconds, c_seconds)]
+            p_rate, c_rate = (statistics.median(items * args.batch / t for t in seconds)
+                              for seconds in (p_seconds, c_seconds))
+            q1, median, q3 = quartiles(ratios)
+            print(f"{workload}: parent {p_rate:.6g}, change {c_rate:.6g} items/s, "
+                  f"{args.pairs} batches of {args.batch} calls each; ratio parent/change: "
+                  f"median {median:.4f}, quartiles {q1:.4f} {q3:.4f}; change faster in "
+                  f"{sum(r > 1.0 for r in ratios)} of {args.pairs} pairs", flush=True)
     finally:
         for key in _qpump_modules():
             del sys.modules[key]
         sys.modules.update(saved)
-    ratios = [p / c for p, c in zip(p_seconds, c_seconds)]
-    for name, seconds in (("parent", p_seconds), ("change", c_seconds)):
-        rates = [items * args.batch / t for t in seconds]
-        print(f"{name}: median {statistics.median(rates):.6g} items/s "
-              f"over {args.pairs} batches of {args.batch} calls")
-    q1, median, q3 = quartiles(ratios)
-    won = sum(r > 1.0 for r in ratios)
-    print(f"ratio parent/change: median {median:.4f}, quartiles {q1:.4f} {q3:.4f}; "
-          f"change faster in {won} of {args.pairs} pairs")
     for a, p_code, c_code in faults[:10]:
         print(f"differs: qpump {' '.join(a)} (exit {p_code} parent, {c_code} change)",
               file=sys.stderr)
     if faults:
-        print(f"{len(faults)} of {args.pairs * args.batch} calls differ or exit nonzero",
-              file=sys.stderr)
+        print(f"{len(faults)} of {args.pairs * args.batch * len(workloads)} calls differ "
+              "or exit nonzero", file=sys.stderr)
     return 1 if faults else 0
 
 
