@@ -152,7 +152,7 @@ def _require(params: dict, keys, what: str) -> None:
 
 def _check_rates(cfg) -> None:
     """Refuse a bath whose rates overflow at the machine's own frequency."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # T = inf divides by 0
         for label in ("work", "hot", "cold"):
             try:
                 rates = pump._rates(cfg.bath(label), cfg.bath_frequency(label))
@@ -311,6 +311,11 @@ def _cmd_sweep_n(args, params: dict) -> None:
     if not 3 <= args.n_min <= args.n_max:
         raise CliConfigError(f"need 3 <= --n-min <= --n-max, got {args.n_min}, {args.n_max}")
     cfg = _pump_from_params({"n_levels": args.n_min, **params})
+    try:  # the sweep's work-bath variants, so that a bad one is refused here
+        for variant in experiments._VARIANTS:
+            experiments._variant_config(cfg, cfg.n_levels, variant, args.squeeze_db)
+    except ValueError as exc:
+        raise CliConfigError(str(exc)) from exc
     n_values = tuple(range(args.n_min, args.n_max + 1))
     results = sweep_stages(cfg, n_values=n_values, squeeze_db=args.squeeze_db)
     columns = ["N", "variant", "omega_c_star", "q_c_max", "eps_star", "eps_ratio"]

@@ -428,12 +428,14 @@ def _solve_grids(evaluators: list[_CoolingPowerEvaluator]) -> None:
         (ev.window, t.omega_h, t.work.temperature, t.work.gamma, t.cold.temperature,
          t.cold.gamma, *ev._hot) for ev, t in zip(evaluators, templates)]).T[:, :, None]
     omega_c = _grid_node(window, np.arange(1, COARSE_GRID_POINTS + 1))
-    work = _rates(replace(templates[0].work, temperature=t_w, gamma=g_w), omega_h - omega_c)
-    cold = _rates(replace(templates[0].cold, temperature=t_c, gamma=g_c), omega_c)
-    hot = [np.repeat(r, COARSE_GRID_POINTS, axis=1) for r in hot]
-    rates = [r.ravel() for r in (*work, *hot, *cold)]
-    ladders = _padded_ladder_rates([ev.n for ev in evaluators], rates, COARSE_GRID_POINTS)
-    q, ok = _gth_cold_power(omega_c.ravel(), *ladders)
+    # a rate past the double range fails its point
+    with np.errstate(over="ignore", invalid="ignore"):
+        work = _rates(replace(templates[0].work, temperature=t_w, gamma=g_w), omega_h - omega_c)
+        cold = _rates(replace(templates[0].cold, temperature=t_c, gamma=g_c), omega_c)
+        hot = [np.repeat(r, COARSE_GRID_POINTS, axis=1) for r in hot]
+        rates = [r.ravel() for r in (*work, *hot, *cold)]
+        ladders = _padded_ladder_rates([ev.n for ev in evaluators], rates, COARSE_GRID_POINTS)
+        q, ok = _gth_cold_power(omega_c.ravel(), *ladders)
     q, ok = q.reshape(omega_c.shape), ok.reshape(omega_c.shape)
     # the values of all the nodes, and the best point's cell
     values = np.zeros((len(evaluators), COARSE_GRID_POINTS + 2))

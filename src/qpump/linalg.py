@@ -14,10 +14,11 @@ Hilbert dimensions stay at most 10, so everything is dense and double
 precision, and numpy is the only dependency.  The kernel decisions
 (:func:`_kernel_decisions`) take a stack of matrices and their trace row:
 the rate matrices of the ideal pump's ladder or of the three-qubit fridge's
-eight-state chain, one per point of a sweep, or a stack of one whole
-superoperator, for which :func:`stationary_vector` also takes the kernel
-vector.  They invert the stack in one ``numpy.linalg.inv`` call (an LU
-factorization per matrix) and judge each point on its own.
+eight-state chain, one per point of a sweep, for the chain solves of
+:mod:`qpump.steady`, or one whole superoperator, whose kernel vector
+:func:`stationary_vector` (the oracles' route) then takes.  They invert
+the stack in one ``numpy.linalg.inv`` call (an LU factorization per
+matrix) and judge each point on its own.
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ def devectorize(v: np.ndarray, n: int) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
-def trace_row(n: int, dtype=complex) -> np.ndarray:
+def trace_row(n: int) -> np.ndarray:
     """Row vector representing tr(.) on column-stacked ``n x n`` matrices."""
-    row = np.zeros(n * n, dtype=dtype)
+    row = np.zeros(n * n, dtype=complex)
     row[:: n + 1] = 1.0
     return row
 
@@ -146,19 +147,21 @@ def _kernel_diagnostics(matrix: np.ndarray) -> np.ndarray:
     return vh[-1].conj()
 
 
-def _normalize_trace(v: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each vector of ``v`` (one, or a stack along the first axis) divided by
-    its trace, and whether that trace stands clear of zero: at least
-    ``KERNEL_TRACE_RTOL`` of the vector's largest entry.  A vector whose
-    trace does not is returned undivided."""
-    tr = (v * trace).sum(axis=-1)
-    ok = np.abs(tr) >= KERNEL_TRACE_RTOL * np.abs(v).max(axis=-1)
-    return v / np.where(ok, tr, 1.0)[..., None], ok
+def _normalize_trace(v: np.ndarray, trace: np.ndarray) -> np.ndarray | None:
+    """``v`` divided by its trace, or None if that trace does not stand clear
+    of zero: at least ``KERNEL_TRACE_RTOL`` of the vector's largest entry."""
+    tr = (v * trace).sum()
+    return v / tr if np.abs(tr) >= KERNEL_TRACE_RTOL * np.abs(v).max() else None
 
 
 def stationary_vector(op: SuperOp) -> np.ndarray:
-    """Solve ``op.matrix @ v = 0`` with ``devectorize(v)`` of unit trace, by
-    the gated kernel solve below on a stack of one whole generator.
+    """Solve ``op.matrix @ v = 0`` with ``devectorize(v)`` of unit trace, on
+    the kernel decision of :func:`_kernel_decisions` for the one generator.
+
+    Above the condition floor the vector is the first column of the inverse
+    plus one step of iterative refinement, and one that fails the trace,
+    finiteness or residual gate goes to the SVD path (:func:`_svd_kernel`)
+    after all; below the floor the decision's SVD vector stands.
 
     Raises
     ------
@@ -168,14 +171,28 @@ def stationary_vector(op: SuperOp) -> np.ndarray:
     DegenerateKernelError
         More than one stationary state within tolerance.
     """
-    v, _, errors = _stationary_vectors(op.matrix[None], trace_row(op.dim))
+    trace = trace_row(op.dim)
+    inv, errors, kernels, m, scale = _kernel_decisions(op.matrix[None], trace)
     if errors:
         raise errors[0]
-    return v[0]
+    if kernels:
+        return kernels[0]
+    inv, m, scale = inv[0], m[0], scale[0]
+    v = inv[:, 0].copy()  # contiguous: the products take BLAS's unit-stride path
+    b = np.zeros(len(m), dtype=m.dtype)
+    b[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the gates
+        v = _normalize_trace(v + inv @ (b - m @ v), trace)
+        if (v is not None and np.isfinite(v).all()
+                and np.abs(op.matrix @ v).max() <= KERNEL_RESIDUAL_RTOL * scale):
+            return v
+    return _svd_kernel(op.matrix, trace, scale)
 
 
 class _KernelDecisions(NamedTuple):
-    """What :func:`_kernel_decisions` finds of a stack of matrices."""
+    """What :func:`_kernel_decisions` finds of a stack of matrices: the chain
+    solve (``steady._solve_chain``) reads ``inv``, ``errors`` and ``scale``,
+    :func:`stationary_vector` every field."""
 
     inv: np.ndarray  # the inverse of each trace-row matrix; NaN where a point fails
     errors: dict[int, np.linalg.LinAlgError]  # by point index
@@ -201,10 +218,8 @@ def _kernel_decisions(mats: np.ndarray, trace: np.ndarray) -> _KernelDecisions:
     its inverse is NaN, so that the caller can judge the points in order.
     An exactly singular (or non-finite) matrix fails the stacked inversion,
     so such a stack is inverted point by point and only that point leaves
-    the primary path.
-
-    The trace-row matrices and the scales that the decisions were taken
-    on come back with them, for :func:`_stationary_vectors`."""
+    the primary path.  The trace-row matrices and the scales that the
+    decisions were taken on come back with them."""
     size = np.abs(mats)
     scale = size.max(axis=(1, 2))
     m = mats.copy()
@@ -256,52 +271,14 @@ def _svd_kernel(mat: np.ndarray, trace: np.ndarray, scale: float) -> np.ndarray:
     """The unit-trace kernel vector of one matrix from its SVD
     (:func:`_kernel_diagnostics`), held to the trace and residual gates of
     the primary path; ``scale`` is ``max |mat|``."""
-    v, traced = _normalize_trace(_kernel_diagnostics(mat), trace)
-    if not traced:
+    v = _normalize_trace(_kernel_diagnostics(mat), trace)
+    if v is None:
         raise DegenerateKernelError(
             "kernel vector has (near-)zero trace; stationary state ill-defined"
         )
     if np.max(np.abs(mat @ v)) > KERNEL_RESIDUAL_RTOL * scale:
         raise NoKernelError("kernel residual exceeds tolerance even on the singular-vector path")
     return v
-
-
-def _stationary_vectors(mats: np.ndarray, trace: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, dict[int, np.linalg.LinAlgError]]:
-    """Kernel vectors ``v[k]`` of a stack of matrices ``mats[k]``, each with
-    ``trace @ v[k] == 1``, the inverse of each trace-constrained matrix, and
-    the kernel errors by point index, on the decisions of
-    :func:`_kernel_decisions`.
-
-    A point above the condition floor takes the first column of its
-    inverse, plus one step of iterative refinement, as its vector; if that
-    vector fails the trace or residual gate, the point goes to the SVD path
-    after all.  A point below the floor has the SVD's vector.  A failing
-    point's vector and inverse are NaN."""
-    inv, errors, kernels, m, scale = _kernel_decisions(mats, trace)
-    v = inv[:, :, 0].copy()  # contiguous: the sums below then run in one order for any P
-    b = np.zeros(m.shape[1], dtype=m.dtype)
-    b[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the inverse of a point below the condition floor may overflow;
-        # the SVD's vector replaces it, whatever its arithmetic gives here
-        v = v + (inv @ (b - (m @ v[..., None])[..., 0])[..., None])[..., 0]
-        v, ok = _normalize_trace(v, trace)
-        ok &= np.isfinite(v).all(axis=1)
-        ok &= np.abs(mats @ v[..., None]).max(axis=(1, 2)) <= KERNEL_RESIDUAL_RTOL * scale
-    for k, kernel in kernels.items():
-        v[k] = kernel
-    for k in np.flatnonzero(~ok):
-        k = int(k)
-        if k in kernels or k in errors:
-            continue
-        try:
-            v[k] = _svd_kernel(mats[k], trace, scale[k])
-        except (NoKernelError, DegenerateKernelError) as exc:
-            errors[k] = exc
-            inv[k] = np.nan
-    v[list(errors)] = np.nan
-    return v, inv, dict(sorted(errors.items()))
 
 
 def propagate(op: SuperOp, rho0: np.ndarray, dt: float | None = None,

@@ -221,13 +221,6 @@ def transition_pairs(n_levels: int, label: str) -> list[tuple[int, int]]:
     raise ValueError(f"unknown bath label {label!r}")
 
 
-def _transition_levels(n_levels: int, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """0-based ``(lo, hi)`` level arrays of :func:`transition_pairs`, in its
-    order: the bath's jump is ``sum_k |lo_k><hi_k|``."""
-    pairs = np.array(transition_pairs(n_levels, label), dtype=np.intp).reshape(-1, 2) - 1
-    return pairs[:, 0], pairs[:, 1]
-
-
 def build_jump_operator(cfg: PumpConfig, label: str) -> np.ndarray:
     """Lowering operator collecting every transition the bath addresses.
 

@@ -39,6 +39,21 @@ g = 0.1
 """
 
 
+REFERENCE_CHILLER = Path(__file__).resolve().parent.parent / "params" / "reference_chiller.params"
+
+FUZZ_KEYS = ["n_levels", "omega_h", "omega_c", "T_w", "T_h", "T_c", "gamma_w", "gamma_h",
+             "gamma_c", "squeeze_db", "saturated_work", "g"]
+# the edge of the double range, and past it
+FUZZ_VALUES = ["0", "-1", "1", "0.5", "2", "1e7", "1e-3", "1e300", "-1e300", "1e-300",
+               "nan", "inf", "-inf"]
+
+
+def fuzz_overrides(rng) -> list[str]:
+    """``--set`` arguments for 1 to 3 distinct keys, each with an edge value."""
+    chosen = rng.choice(len(FUZZ_KEYS), size=int(rng.integers(1, 4)), replace=False)
+    return [a for k in chosen for a in ("--set", f"{FUZZ_KEYS[k]}={rng.choice(FUZZ_VALUES)}")]
+
+
 @pytest.fixture
 def reference_params(tmp_path):
     path = tmp_path / "reference.params"
@@ -354,14 +369,9 @@ class TestErrorReporting:
         # range (and past it) ends in an exit code, with a one-line verdict
         # on stderr for a configuration error or a solver failure
         rng = np.random.default_rng(23)
-        keys = ["n_levels", "omega_h", "omega_c", "T_w", "T_h", "T_c", "gamma_w", "gamma_h",
-                "gamma_c", "squeeze_db", "saturated_work", "g"]
-        values = ["0", "-1", "1", "0.5", "2", "1e7", "1e-3", "1e300", "-1e300", "1e-300",
-                  "nan", "inf", "-inf"]
         codes = []
         for case in range(320):
-            chosen = rng.choice(len(keys), size=int(rng.integers(1, 4)), replace=False)
-            sets = [a for k in chosen for a in ("--set", f"{keys[k]}={rng.choice(values)}")]
+            sets = fuzz_overrides(rng)
             command = (["compare"] if case % 2 else
                        ["curve", "--system", str(rng.choice(["ideal", "three_qubit", "both"]))])
             argv = [*command, "--params", three_qubit_params, "--points", "4", *sets]
@@ -370,6 +380,47 @@ class TestErrorReporting:
             assert codes[-1] in (0, 1, 2), argv
             if codes[-1]:
                 assert err.count("\n") == 1 and err.startswith("qpump: "), (argv, err)
+        assert {0, 1, 2} <= set(codes)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--set", "saturated_work=1", "--set", "T_w=1000"],
+         "need T_w > T_h (or a saturated work bath)"),
+        (["--squeeze-db", "-1"], "squeezing in dB must be >= 0, got -1.0"),
+    ], ids=["saturated_T_w_below_T_h", "negative_squeeze_db"])
+    def test_sweep_variant_config_error_is_one_line(self, argv, message, capsys):
+        # the sweep's plain and squeezed work baths are built from the
+        # saturated one's T_w and from --squeeze-db; a bad one ended in a
+        # traceback from inside the sweep before
+        assert run(["sweep-n", "--params", str(REFERENCE_CHILLER), *argv]) == 1
+        assert capsys.readouterr().err == f"qpump: configuration error: {message}\n"
+
+    def test_grid_rates_past_the_double_range_fail_quietly(self, capsys):
+        # the squeezed variant's coarse-grid rates overflow: those points
+        # fail their gates, with no RuntimeWarning on the way (three before)
+        assert run(["sweep-n", "--params", str(REFERENCE_CHILLER), "--n-max", "3",
+                    "--set", "gamma_w=1e300", "--set", "gamma_h=1e300"]) == 2
+        assert capsys.readouterr().err == (
+            "qpump: solver failure: NoKernelError: no grid point in the cooling window "
+            "admits a trustworthy stationary state\n")
+
+    def test_pump_subcommand_overrides_end_in_a_verdict(self, capsys):
+        # the same seeded fuzz over the subcommands that build a pump config
+        # (and histogram, which takes the overrides but no pump): exit 0, 1
+        # or 2, no exception, and on 1 or 2 a last stderr line that is the
+        # only "qpump: " line, with at most weak-coupling warnings before it
+        rng = np.random.default_rng(5)
+        commands = [["currents"], ["optimize"], ["sweep-n", "--n-min", "3", "--n-max", "4"],
+                    ["histogram", "--samples", "2", "--threads", "1"]]
+        codes = []
+        for case in range(320):
+            sets = fuzz_overrides(rng)
+            argv = [*commands[case % 4], "--params", str(REFERENCE_CHILLER), *sets]
+            codes.append(run(argv))
+            lines = capsys.readouterr().err.splitlines()
+            assert codes[-1] in (0, 1, 2), argv
+            if codes[-1]:
+                verdicts = [line for line in lines if line.startswith("qpump: ")]
+                assert verdicts == lines[-1:], (argv, lines)
         assert {0, 1, 2} <= set(codes)
 
 
@@ -726,7 +777,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent
 
 class TestScripts:
     # the demos and tools sit outside src and reach into its private names
-    # (cli._curve_setup, pump._transition_levels, ...), so a rename there
+    # (cli._curve_setup, experiments._draw, ...), so a rename there
     # fails here and not at their next use
     @pytest.mark.parametrize("path", sorted((SCRIPTS / "demos").glob("*.py")),
                              ids=lambda path: path.stem)

@@ -32,8 +32,8 @@ from qpump.experiments import (
     sweep_stages,
 )
 from qpump.linalg import NoKernelError
-from qpump.pump import BathSpec, PumpConfig, WeakCouplingWarning, _transition_levels, \
-    cooling_window_max, decay_rates, window_max
+from qpump.pump import BathSpec, PumpConfig, WeakCouplingWarning, cooling_window_max, \
+    decay_rates, transition_pairs, window_max
 from qpump.steady import NonConvergedError, solve
 from qpump.three_qubit import _solve_fridges, solve_three_qubit
 
@@ -144,7 +144,7 @@ def uncached_population_structure(n):
     optimizer's cache."""
     stack = np.zeros((6, n, n))
     for k, label in enumerate(("work", "hot", "cold")):
-        for lo, hi in zip(*_transition_levels(n, label)):
+        for lo, hi in np.array(transition_pairs(n, label)) - 1:  # 0-based
             stack[2 * k, lo, hi] += 1.0
             stack[2 * k, hi, hi] -= 1.0
             stack[2 * k + 1, hi, lo] += 1.0

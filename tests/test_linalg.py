@@ -9,7 +9,6 @@ from qpump.linalg import (
     _kernel_decisions,
     _kernel_diagnostics,
     _reciprocal_condition,
-    _stationary_vectors,
     devectorize,
     propagate,
     stationary_vector,
@@ -193,8 +192,9 @@ class TestStationaryVector:
             stationary_vector(SuperOp(2, np.zeros((4, 4), dtype=complex)))
 
 
-class TestStationaryVectors:
-    """The stacked kernel solve that stationary_vector runs on a stack of one."""
+class TestStackedDecisions:
+    """The kernel decisions of a stack of whole generators, each point
+    judged as it is alone."""
 
     @staticmethod
     def pumps():
@@ -205,15 +205,15 @@ class TestStationaryVectors:
 
     def test_stack_matches_one_matrix_at_a_time(self):
         mats = np.array(self.pumps())
-        v, inv, _ = _stationary_vectors(mats, trace_row(4))
+        inv, errors, kernels, *_ = _kernel_decisions(mats, trace_row(4))
+        assert not errors and not kernels
         for k, mat in enumerate(mats):
-            v1, inv1, _ = _stationary_vectors(mat[None], trace_row(4))
-            assert np.array_equal(v[k], v1[0]) and np.array_equal(inv[k], inv1[0])
+            assert np.array_equal(inv[k], _kernel_decisions(mat[None], trace_row(4)).inv[0])
 
     def test_singular_matrix_is_solved_alone(self, monkeypatch):
         # a 4-level generator whose levels 2 and 3 are dark has an exactly
         # singular trace-constrained matrix; it fails the stacked inversion,
-        # the stack is solved point by point, and only that point reaches
+        # the stack is inverted point by point, and only that point reaches
         # the SVD diagnostics, which find its kernel not unique
         jump = np.zeros((4, 4), dtype=complex)
         jump[0, 1] = 1.0
@@ -225,28 +225,29 @@ class TestStationaryVectors:
                             lambda m: inversions.append(m.shape) or inv(m))
         monkeypatch.setattr(qpump.linalg, "_kernel_diagnostics",
                             lambda m: diagnosed.append(m) or diagnostics(m))
-        v, inverses, errors = _stationary_vectors(np.array([good[0], good[1], dark]),
-                                                  trace_row(4))
+        inverses, errors, kernels, *_ = _kernel_decisions(np.array([good[0], good[1], dark]),
+                                                          trace_row(4))
         assert inversions == [(3, 16, 16), (1, 16, 16), (1, 16, 16), (1, 16, 16)]
         assert len(diagnosed) == 1 and np.array_equal(diagnosed[0], dark)
         assert list(errors) == [2] and isinstance(errors[2], DegenerateKernelError)
-        assert np.isnan(v[2]).all() and np.isnan(inverses[2]).all()
-        assert np.array_equal(v[:2], _stationary_vectors(np.array(good[:2]), trace_row(4))[0])
+        assert np.isnan(inverses[2]).all() and not kernels
+        alone = _kernel_decisions(np.array(good[:2]), trace_row(4)).inv
+        assert np.array_equal(inverses[:2], alone)
 
     def test_failing_points_are_reported_by_index(self):
         # a non-finite and a zero generator each fail on their own, under
-        # their own index, and leave the good point's solution as it is alone
+        # their own index, and leave the good point's inverse as it is alone
         good = self.pumps()
         bad = good[1].copy()
         bad[3, 0] = np.inf
-        v, inv, errors = _stationary_vectors(np.array([good[0], bad, np.zeros((16, 16), complex)]),
-                                             trace_row(4))
+        inv, errors, *_ = _kernel_decisions(np.array([good[0], bad, np.zeros((16, 16), complex)]),
+                                            trace_row(4))
         assert list(errors) == [1, 2]
         assert isinstance(errors[1], NoKernelError) and "non-finite" in str(errors[1])
         assert isinstance(errors[2], DegenerateKernelError)
-        assert np.isnan(v[1:]).all() and np.isnan(inv[1:]).all()
-        v0, inv0, errors0 = _stationary_vectors(good[0][None], trace_row(4))
-        assert np.array_equal(v[0], v0[0]) and np.array_equal(inv[0], inv0[0]) and not errors0
+        assert np.isnan(inv[1:]).all()
+        inv0, errors0, *_ = _kernel_decisions(good[0][None], trace_row(4))
+        assert np.array_equal(inv[0], inv0[0]) and not errors0
 
 
 class TestKernelDecisions:
@@ -257,7 +258,7 @@ class TestKernelDecisions:
     def mixed():
         # a good point, a zero (degenerate) generator, a non-finite one and an
         # exactly singular one, whose levels 2 and 3 are dark
-        good = TestStationaryVectors.pumps()[0]
+        good = TestStackedDecisions.pumps()[0]
         bad = good.copy()
         bad[3, 0] = np.inf
         jump = np.zeros((4, 4), dtype=complex)
@@ -267,14 +268,21 @@ class TestKernelDecisions:
 
     @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (1, 0, 3, 2)])
     def test_decisions_are_those_of_the_kernel_solve(self, order):
+        # each point of the stack is decided as stationary_vector decides it alone
         mats = self.mixed()[list(order)]
         inv, errors, kernels, *_ = _kernel_decisions(mats, trace_row(4))
-        _, inv_v, errors_v = _stationary_vectors(mats, trace_row(4))
-        assert list(errors) == list(errors_v) == [k for k in range(4) if order[k] != 0]
-        assert [type(e) for e in errors.values()] == [type(e) for e in errors_v.values()]
-        assert [str(e) for e in errors.values()] == [str(e) for e in errors_v.values()]
+        alone = {}
+        for k, mat in enumerate(mats):
+            try:
+                stationary_vector(SuperOp(4, mat))
+            except np.linalg.LinAlgError as exc:
+                alone[k] = exc
+        assert list(errors) == list(alone) == [k for k in range(4) if order[k] != 0]
+        assert [type(e) for e in errors.values()] == [type(e) for e in alone.values()]
+        assert [str(e) for e in errors.values()] == [str(e) for e in alone.values()]
         good = order.index(0)
-        assert np.array_equal(inv[good], inv_v[good]) and np.isfinite(inv[good]).all()
+        assert np.array_equal(inv[good], _kernel_decisions(mats[good][None], trace_row(4)).inv[0])
+        assert np.isfinite(inv[good]).all()
         assert np.isnan(np.delete(inv, good, axis=0)).all() and not kernels
 
     def test_condition_is_scale_free(self, monkeypatch):
@@ -299,14 +307,14 @@ class TestKernelDecisions:
     def test_points_below_the_floor_keep_the_svd_kernel(self, monkeypatch):
         # every point below the floor: each stands on its SVD, whose vector
         # is the kernel solve's, and keeps the inverse of its factor
-        mats = np.array(TestStationaryVectors.pumps())
+        mats = np.array(TestStackedDecisions.pumps())
         inv_above = _kernel_decisions(mats, trace_row(4)).inv
         monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
         inv, errors, kernels, *_ = _kernel_decisions(mats, trace_row(4))
-        v, _, _ = _stationary_vectors(mats, trace_row(4))
         assert not errors and list(kernels) == [0, 1, 2]
         assert np.array_equal(inv, inv_above)
-        assert all(np.array_equal(v[k], kernel) for k, kernel in kernels.items())
+        assert all(np.array_equal(stationary_vector(SuperOp(4, mats[k])), kernel)
+                   for k, kernel in kernels.items())
 
 
 class TestPropagate:

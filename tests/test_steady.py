@@ -563,7 +563,8 @@ def test_curve_solves_compute_no_kernel_vector(monkeypatch, system):
         raise AssertionError("kernel vector computed on a curve solve")
 
     monkeypatch.setattr(qpump.linalg, "_normalize_trace", refuse)
-    monkeypatch.setattr(qpump.linalg, "_stationary_vectors", refuse)
+    for module in (qpump.linalg, qpump.steady, qpump.three_qubit):
+        monkeypatch.setattr(module, "stationary_vector", refuse)
     setup = qpump.experiments.CurveSetup(omega_w=60.0, t_work=130.0, t_hot=60.0, t_cold=5.0,
                                          gamma_work=1e-3, gamma_hot=1e-3, gamma_cold=1e-3)
     assert len(qpump.experiments.characteristic_curve(system, setup, n_points=28)) == 28
@@ -589,9 +590,11 @@ def test_long_double_only_in_the_oracle():
 
 
 def test_one_route_takes_the_kernel_decisions_and_refined_fluxes():
-    # both models solve through steady._solve_chain: outside linalg, no
-    # other function names _kernel_decisions or _refined_fluxes (but to
-    # define or import it), and it calls each once
+    # both models solve through steady._solve_chain, and the oracles'
+    # stationary_vector takes the decision of its one generator: no other
+    # function names _kernel_decisions or _refined_fluxes (but to define or
+    # import it, or _kernel_decisions to invert a stack point by point), and
+    # each names it once, so that no stacked kernel-vector route comes back
     guarded = {"_kernel_decisions", "_refined_fluxes"}
     found = []
 
@@ -605,9 +608,10 @@ def test_one_route_takes_the_kernel_decisions_and_refined_fluxes():
             visit(child, where)
 
     for path in sorted(Path(qpump.__file__).parent.glob("*.py")):
-        if path.name != "linalg.py":
-            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    assert sorted(found) == [("steady._solve_chain", "_kernel_decisions"),
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sorted(found) == [("linalg._kernel_decisions", "_kernel_decisions"),
+                             ("linalg.stationary_vector", "_kernel_decisions"),
+                             ("steady._solve_chain", "_kernel_decisions"),
                              ("steady._solve_chain", "_refined_fluxes")]
 
 

@@ -42,7 +42,7 @@ from qpump.experiments import (  # noqa: E402
     _population_structure,
     maximize_cooling_power,
 )
-from qpump.pump import WeakCouplingWarning, _transition_levels  # noqa: E402
+from qpump.pump import WeakCouplingWarning, transition_pairs  # noqa: E402
 from qpump.steady import NonConvergedError, solve  # noqa: E402
 
 
@@ -61,8 +61,8 @@ def mpmath_currents(n: int, rates, omega_c: float, omega_h: float,
         edges = {"work": [], "hot": [], "cold": []}
         for k, label in enumerate(edges):
             down, up = mpmath.mpf(rates[2 * k]), mpmath.mpf(rates[2 * k + 1])
-            for lo, hi in zip(*_transition_levels(n, label)):
-                lo, hi = int(lo), int(hi)
+            for lo, hi in transition_pairs(n, label):
+                lo, hi = lo - 1, hi - 1  # 0-based
                 mat[lo, hi] += down
                 mat[hi, hi] -= down
                 mat[hi, lo] += up
@@ -88,7 +88,7 @@ def dgesv_q_cold(n: int, rates, omega_c: float) -> float:
     rhs[0] = 1.0
     p = np.linalg.solve(mat, rhs)
     p = p / p.sum()
-    lo, hi = _transition_levels(n, "cold")
+    lo, hi = (np.array(transition_pairs(n, "cold")) - 1).T  # 0-based
     return float(omega_c * (rates[5] * p[lo].sum() - rates[4] * p[hi].sum()))
 
 
