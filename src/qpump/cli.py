@@ -251,11 +251,9 @@ def _json_render(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, str):
         return f'"{obj}"'
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if obj is None:
         return "null"
-    return _fmt(obj)
+    return _fmt(obj)  # a bool as true or false, as in CSV
 
 
 def _json(schema: str, seed: int, params: dict, extra_meta: dict,
@@ -335,12 +333,9 @@ def _cmd_histogram(args, params: dict) -> None:
     columns = ["sample", "eps_ratio", "N"]
     eps = result.eps_ratios.tolist()
     rows = [[i, r, n] for i, (r, n) in enumerate(zip(eps, result.n_levels.tolist()))]
-    ranges_echo = (
-        f"t_cold={ranges.t_cold} hot_over_cold={ranges.hot_over_cold} "
-        f"work_over_hot={ranges.work_over_hot} "
-        f"omega_h_over_t_cold={ranges.omega_h_over_t_cold} "
-        f"gamma_frac={ranges.gamma_frac} n_levels={ranges.n_levels}"
-    )
+    ranges_echo = " ".join(f"{name}={getattr(ranges, name)}" for name in
+                           ("t_cold", "hot_over_cold", "work_over_hot",
+                            "omega_h_over_t_cold", "gamma_frac", "n_levels"))
     meta: dict = {"samples": result.n_samples, "rejected": result.rejected,
                   "ranges": ranges_echo}
     if eps:

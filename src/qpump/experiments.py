@@ -28,7 +28,7 @@ from .pump import (
     BathSpec,
     PumpConfig,
     WeakCouplingWarning,
-    _ThreeBathConfig,
+    _level_energy,
     _rates,
     carnot_cop,
     cooling_window_max,
@@ -38,6 +38,9 @@ from .pump import (
     window_max,
 )
 from .steady import (
+    _SCALE_OVERFLOW,
+    NonConvergedError,
+    _current_scale,
     _ladder_balance,
     _ladder_rates,
     _population_structure,
@@ -384,10 +387,16 @@ class _CoolingPowerEvaluator:
         matrix at omega_c, its first row replaced by the trace constraint and
         the others scaled to order 1, has an exact 1-norm reciprocal condition
         of at least ``KERNEL_RCOND_FLOOR``; this rejects degenerate kernels
-        whose mixtures would still pass the residual gate of :meth:`q_cold`."""
+        whose mixtures would still pass the residual gate of :meth:`q_cold`.
+        Raises :class:`~qpump.steady.NonConvergedError` first where the
+        current scale leaves the double range, as ``solve`` does there."""
         _, at, rates = self._best_step  # x*, unless no refinement step beat the grid
         if omega_c != at:
             rates = self._channels(omega_c)
+        top = _level_energy(self.n, self.template.omega_h, omega_c)  # |H|
+        channel = max(rates[0] + rates[1], rates[2] + rates[3], rates[4] + rates[5])
+        if not _current_scale(top, channel)[1]:  # floats overflow quietly
+            raise NonConvergedError(f"{_SCALE_OVERFLOW} at omega_c={omega_c!r}")
         s = _rate_rows_scale(max(rates))  # the largest rate: within a factor 4 of max|M|
         mat = (np.array([r / s for r in rates]) @ self._stack).reshape(self.n, self.n)
         mat[0, :] = 1.0
@@ -521,9 +530,10 @@ def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Opt
     ``template.omega_c`` is ignored.  ``template`` may also be an evaluator,
     whose grid a caller may have solved already.
 
-    Raises :class:`EmptyWindowError` for an empty window and
+    Raises :class:`EmptyWindowError` for an empty window,
     :class:`~qpump.linalg.NoKernelError` if no grid point admits a
-    trustworthy solution.
+    trustworthy solution, and :class:`~qpump.steady.NonConvergedError` if
+    the current scale at ``omega_c_star`` leaves the double range.
     """
     ev = (template if isinstance(template, _CoolingPowerEvaluator)
           else _CoolingPowerEvaluator(template))
@@ -551,15 +561,10 @@ def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Opt
 
 def _variant_config(template: PumpConfig, n_levels: int, variant: str,
                     squeeze_db: float) -> PumpConfig:
-    work = template.work
-    if variant == "plain":
-        work = replace(work, squeeze_r=0.0, saturated=False)
-    elif variant == "squeezed":
-        work = replace(work, squeeze_r=squeeze_db_to_r(squeeze_db), saturated=False)
-    elif variant == "saturated":
-        work = replace(work, squeeze_r=0.0, saturated=True)
-    else:
+    if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {_VARIANTS}")
+    squeeze_r = squeeze_db_to_r(squeeze_db) if variant == "squeezed" else 0.0
+    work = replace(template.work, squeeze_r=squeeze_r, saturated=variant == "saturated")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WeakCouplingWarning)
         return replace(template, n_levels=n_levels, work=work)
@@ -718,7 +723,9 @@ def cop_histogram(ranges: SampleRanges, n_samples: int,
 # performance characteristics (fixed work frequency)
 
 
-def _curve_config(system: str, setup: CurveSetup, omega_c: float):
+def _curve_config(system: str, setup: CurveSetup, omega_c):
+    """The machine of ``system``'s curve at the cold frequency ``omega_c``,
+    or at each of a (P,) array of them, as one stacked config."""
     work = BathSpec("work", setup.t_work, setup.gamma_work)
     hot = BathSpec("hot", setup.t_hot, setup.gamma_hot)
     cold = BathSpec("cold", setup.t_cold, setup.gamma_cold)
@@ -729,40 +736,6 @@ def _curve_config(system: str, setup: CurveSetup, omega_c: float):
         return ThreeQubitConfig(omega_c=omega_c, omega_w=setup.omega_w, g=setup.g,
                                 work=work, hot=hot, cold=cold)
     raise ValueError(f"unknown system {system!r}; expected 'ideal' or 'three_qubit'")
-
-
-@dataclass(frozen=True)
-class _Sweep(_ThreeBathConfig):
-    """The configs of a curve at all its points, for one stacked solve: the
-    frequencies as (P,) arrays, each element computed as the config of
-    :func:`_curve_config` computes it, and what the points share (the
-    baths, the pump's ``n_levels``, the fridge's ``g``).  Not validated
-    itself: see :func:`_curve_sweep`."""
-
-    omega_c: np.ndarray
-    omega_w: np.ndarray
-    omega_h: np.ndarray
-    work: BathSpec
-    hot: BathSpec
-    cold: BathSpec
-    n_levels: int
-    g: float
-
-
-def _curve_sweep(system: str, setup: CurveSetup, omega_c: np.ndarray) -> _Sweep:
-    """:func:`_curve_config` at every cold frequency of ``omega_c``, which
-    must lie inside the cooling window.  The points differ only in
-    ``omega_c``, so the config of the first one validates them all."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # WeakCouplingWarning too
-        cfg = _curve_config(system, setup, float(omega_c[0]))
-    if system == "ideal":
-        omega_h = omega_c + setup.omega_w
-        omega_w = omega_h - omega_c
-    else:
-        omega_w = np.full_like(omega_c, setup.omega_w)
-        omega_h = omega_c + omega_w
-    return _Sweep(omega_c, omega_w, omega_h, cfg.work, cfg.hot, cfg.cold, setup.n_levels, setup.g)
 
 
 def characteristic_curve(system: str, setup: CurveSetup,
@@ -786,7 +759,8 @@ def _curve_columns(system: str, setup: CurveSetup, n_points: int) -> tuple[np.nd
     """The points of :func:`characteristic_curve` as the (P,) columns
     ``omega_c``, ``q_c``, ``eps`` and ``eps_over_carnot``, the fields of
     :class:`PerformancePoint`, judged on the arrays as its constructor
-    judges each point: the first point that fails raises its ValueError."""
+    judges each point: the first point that fails raises its ValueError.
+    Each stack is one config of (P,) frequencies (:func:`_curve_config`)."""
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
     columns = np.empty((4, n_points))  # one array, whose rows the columns are
@@ -794,7 +768,10 @@ def _curve_columns(system: str, setup: CurveSetup, n_points: int) -> tuple[np.nd
     columns[0] = window * np.arange(1, n_points + 1) / (n_points + 1)
     solve_stack = _solve_pumps if system == "ideal" else _solve_fridges
     for start in range(0, n_points, _STACK_POINTS):
-        sols = solve_stack(_curve_sweep(system, setup, columns[0, start:start + _STACK_POINTS]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # WeakCouplingWarning too
+            cfg = _curve_config(system, setup, columns[0, start:start + _STACK_POINTS])
+        sols = solve_stack(cfg)
         columns[1:3, start:start + _STACK_POINTS] = sols.q_cold, sols.cop
     columns[3] = columns[2] / carnot_cop(setup.temps)
     failed = ~np.isfinite(columns).all(axis=0) | (columns[3] > 1.0 + 1e-9)

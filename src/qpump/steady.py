@@ -100,6 +100,7 @@ IDEALITY_RTOL = 1e-8
 # numerically indistinguishable from zero (reversible point, equilibrium).
 _GATE_FRACTION = 1e-10
 _MODE_FRACTION = 1e-15
+_SCALE_OVERFLOW = "current scale |H| x rate overflows the double range"
 # a point's mode by its index: 0 if q_cold > 0, 1 if not, 2 at the boundary
 _MODES = np.array(["chiller", "heat_transformer", "boundary"])
 
@@ -250,6 +251,14 @@ def _polish_state(*args):
 # the gates of both models' stacked solves
 
 
+def _current_scale(ham_scale, rate_scale):
+    """The current scale |H| x rate (|H| as 1 where it is 0) and whether it
+    fits: past the double range it is inf or NaN (on arrays, under the
+    caller's errstate), and fails its point in the gates and at the maximizer."""
+    scale = (ham_scale + (ham_scale == 0.0)) * rate_scale
+    return scale, np.isfinite(scale)
+
+
 def _solution_from_state(cfg, currents: np.ndarray, flux: np.ndarray,
                          total: np.ndarray, ham_scale, rate_scale: np.ndarray,
                          states: np.ndarray, positions: np.ndarray, dim: int,
@@ -264,10 +273,8 @@ def _solution_from_state(cfg, currents: np.ndarray, flux: np.ndarray,
     fails, in the kernel solve (``kernel_errors``, by point index) or a
     gate, raises, naming its ``omega_c``."""
     q_work, q_hot, q_cold = currents
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a scale past the double range is inf (or NaN), and fails its point
-        current_scale = (ham_scale + (ham_scale == 0.0)) * rate_scale
-    fits = np.isfinite(current_scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # a scale past the range fails its point
+        current_scale, fits = _current_scale(ham_scale, rate_scale)
     noise = _MODE_FRACTION * current_scale
     size = np.abs(currents)
     q_max = size.max(axis=0)
@@ -295,7 +302,7 @@ def _solution_from_state(cfg, currents: np.ndarray, flux: np.ndarray,
         if k in kernel_errors:
             raise type(kernel_errors[k])(f"{kernel_errors[k]}{at}")
         # the first gate that the point fails
-        message = ("current scale |H| x rate overflows the double range" if not fits[k] else
+        message = (_SCALE_OVERFLOW if not fits[k] else
                    f"kernel residual {kernel_residual[k]:.3e} > {KERNEL_RTOL:.0e}"
                    if not kernel_residual[k] <= KERNEL_RTOL else
                    f"first-law residual {first_law[k]:.3e} > {FIRST_LAW_RTOL:.0e}"
@@ -594,16 +601,19 @@ def solve(cfg: PumpConfig) -> SteadySolution:
         Propagated from the kernel extraction.
     NonConvergedError
         A residual gate failed.
+    ValueError
+        ``cfg`` is a stack of (P,) frequencies, which :func:`_solve_pumps` solves.
     """
+    cfg._check_one_point("steady._solve_pumps")
     return _solve_pumps(cfg)[0]
 
 
-def _solve_pumps(cfg) -> SteadySolutions:
-    """:func:`solve` at every point of ``cfg``, whose frequencies may be (P,)
-    arrays, as one stacked solve of the ladder's chain (:func:`_solve_chain`),
-    whose populations come from the banded GTH elimination of
-    :func:`_ladder_balance`.  Its states are the populations, on the
-    diagonal, and its currents are gated on the ideality identity too."""
+def _solve_pumps(cfg: PumpConfig) -> SteadySolutions:
+    """:func:`solve` at every point of ``cfg``, whose ``omega_h`` and
+    ``omega_c`` may be (P,) arrays, one pump per element, as one stacked
+    solve of the ladder's chain (:func:`_solve_chain`) by the banded GTH
+    elimination of :func:`_ladder_balance`.  Its states are the populations,
+    on the diagonal, and its currents are gated on the ideality identity too."""
     n = cfg.n_levels
 
     def balance(rates):
@@ -643,11 +653,7 @@ class CurrentDecomposition:
 
     @property
     def totals(self) -> dict[str, float]:
-        return {
-            "work": float(self.work_terms.sum()),
-            "hot": float(self.hot_terms.sum()),
-            "cold": float(self.cold_terms.sum()),
-        }
+        return {label: float(getattr(self, f"{label}_terms").sum()) for label in _BATHS}
 
 
 def heat_currents_decomposed(cfg: PumpConfig,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SuperOp
-from .pump import BathSpec, _ThreeBathConfig, _warn_at_caller
+from .pump import BathSpec, _ThreeBathConfig, _least, _warn_at_caller
 from .steady import (
     _BATHS,
     SteadySolution,
@@ -92,6 +92,9 @@ class ThreeQubitConfig(_ThreeBathConfig):
 
     ``omega_h`` is derived as ``omega_c + omega_w`` (resonance built in).
     Baths use the same spectra and conventions as the ideal pump.
+    ``omega_c`` and ``omega_w`` may be (P,) arrays, one machine per element,
+    each checked as its own scalar config is, for the stacked solves
+    (:func:`_solve_fridges`); the point-wise API takes one point.
     """
 
     omega_c: float
@@ -102,12 +105,12 @@ class ThreeQubitConfig(_ThreeBathConfig):
     cold: BathSpec
 
     def __post_init__(self):
-        if self.omega_c <= 0 or self.omega_w <= 0:
+        if _least(self.omega_c) <= 0 or _least(self.omega_w) <= 0:  # at each point
             raise ValueError("qubit frequencies must be > 0")
         if self.g <= 0:
             raise ValueError(f"coupling g must be > 0, got {self.g}")
         self._check_baths()
-        if self.g > COUPLING_FRACTION * min(self.omega_c, self.omega_w):
+        if self.g > COUPLING_FRACTION * min(_least(self.omega_c), _least(self.omega_w)):
             _warn_at_caller("three-body coupling is not small against the qubit frequencies",
                             UserWarning)
 
@@ -161,15 +164,16 @@ def solve_three_qubit(cfg: ThreeQubitConfig) -> SteadySolution:
     edges.  A stack of one point of :func:`_solve_fridges`, gated as the
     ideal pump is but for the ideality residual, which is reported only.
     """
+    cfg._check_one_point("three_qubit._solve_fridges")
     return _solve_fridges(cfg)[0]
 
 
-def _solve_fridges(cfg) -> SteadySolutions:
-    """:func:`solve_three_qubit` at every point of ``cfg``, whose frequencies
-    may be (P,) arrays, as one stacked solve of the eight-state chain
-    (:func:`~qpump.steady._solve_chain`), whose populations come from the
-    dense GTH elimination of :func:`_chain_balance`.  The states hold the
-    populations and the coherence pair at ``_SECTOR``."""
+def _solve_fridges(cfg: ThreeQubitConfig) -> SteadySolutions:
+    """:func:`solve_three_qubit` at every point of ``cfg``, whose ``omega_c``
+    and ``omega_w`` may be (P,) arrays, one fridge per element, as one
+    stacked solve of the eight-state chain (:func:`~qpump.steady._solve_chain`)
+    by the dense GTH elimination of :func:`_chain_balance`.  The states hold
+    the populations and the coherence pair at ``_SECTOR``."""
     rates = _bath_rates(cfg)
     with np.errstate(over="ignore"):  # a rate past the double range fails its point
         # the coherence's decay rate: the two levels' escape rates are the

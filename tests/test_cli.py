@@ -394,14 +394,31 @@ class TestErrorReporting:
         assert run(["sweep-n", "--params", str(REFERENCE_CHILLER), *argv]) == 1
         assert capsys.readouterr().err == f"qpump: configuration error: {message}\n"
 
-    def test_grid_rates_past_the_double_range_fail_quietly(self, capsys):
-        # the squeezed variant's coarse-grid rates overflow: those points
-        # fail their gates, with no RuntimeWarning on the way (three before)
-        assert run(["sweep-n", "--params", str(REFERENCE_CHILLER), "--n-max", "3",
+    def test_grid_rates_past_the_double_range_fail_quietly(self):
+        # the reference chiller at gamma_w = gamma_h = 1e300, whose squeezed
+        # variant's coarse-grid rates overflow: those points fail their
+        # gates, with no RuntimeWarning on the way (three before; this suite
+        # makes one an error).  Through the CLI, sweep-n's plain variant
+        # fails first, at its maximizer's current scale (below)
+        template = qpump.ideal_pump(3, 102.6, 1.4, 7.1e3, 1.57e3, 54.25, 1e300, 1e300, 8.8e-3)
+        with pytest.raises(qpump.NoKernelError, match="^no grid point in the cooling window "
+                                                      "admits a trustworthy stationary state$"):
+            qpump.sweep_stages(template, n_values=(3,), variants=("squeezed",))
+
+    @pytest.mark.parametrize("argv, omega_c", [
+        (["currents"], "1.4"),
+        (["optimize"], "2.086886710574703"),
+        (["sweep-n", "--n-max", "3"], "2.086886710574703"),
+    ], ids=["currents", "optimize", "sweep_n"])
+    def test_current_scale_past_the_double_range_is_one_verdict(self, argv, omega_c, capsys):
+        # the pump's solve and the optimizer's check at its maximizer refuse
+        # a current scale |H| x rate past the double range alike; the
+        # optimizer reported a maximum here before (exit 0, q_c_max 1.864e-02)
+        assert run([*argv, "--params", str(REFERENCE_CHILLER),
                     "--set", "gamma_w=1e300", "--set", "gamma_h=1e300"]) == 2
         assert capsys.readouterr().err == (
-            "qpump: solver failure: NoKernelError: no grid point in the cooling window "
-            "admits a trustworthy stationary state\n")
+            "qpump: solver failure: NonConvergedError: current scale |H| x rate overflows "
+            f"the double range at omega_c={omega_c}\n")
 
     def test_pump_subcommand_overrides_end_in_a_verdict(self, capsys):
         # the same seeded fuzz over the subcommands that build a pump config

@@ -52,6 +52,15 @@ def reference_pump(n_levels=3):
     return qpump.ideal_pump(n_levels=n_levels, omega_c=1.4, **REF_PARAMS)
 
 
+def curve_stack(system, setup, omega_c):
+    """One config of a curve's machines at the (P,) cold frequencies
+    ``omega_c``, built as the curve builds it, whose fridge's g may be large
+    against the smallest omega_c."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return _curve_config(system, setup, omega_c)
+
+
 def window_grid(template, n_points=COARSE_GRID_POINTS):
     """The optimizer's grid: n_points interior points of the cooling window."""
     return window_max(template) * np.arange(1, n_points + 1) / (n_points + 1)
@@ -566,7 +575,7 @@ class TestSolveAccuracy:
         oracle = load_optimizer_oracle()
         window = qpump.cooling_window_max_fixed_work(setup.omega_w, setup.temps)
         grid = window * np.arange(1, points + 1) / (points + 1)
-        sweep = qpump.experiments._curve_sweep("ideal", setup, grid[first:first + 28])
+        sweep = curve_stack("ideal", setup, grid[first:first + 28])
         sols = qpump.steady._solve_pumps(sweep)
         rates = pump_rates(sweep)
         for k in range(28):
@@ -935,7 +944,7 @@ class TestCharacteristicCurve:
         assert len(characteristic_curve("three_qubit", setup, n_points=30)) == 30
         window = qpump.cooling_window_max_fixed_work(setup.omega_w, setup.temps)
         grid = window * np.arange(1, 31) / 31
-        sols = _solve_fridges(qpump.experiments._curve_sweep("three_qubit", setup, grid))
+        sols = _solve_fridges(curve_stack("three_qubit", setup, grid))
         assert sols.first_law.max() <= 1e-14
 
     def test_unknown_system_rejected(self):
@@ -952,7 +961,7 @@ class TestCharacteristicCurve:
         setup = dataclasses.replace(COMPARE_SETUP, n_levels=n_levels)
         points = characteristic_curve(system, setup, n_points=30)
         stack = (qpump.steady._solve_pumps if system == "ideal" else _solve_fridges)(
-            qpump.experiments._curve_sweep(system, setup, np.array([pt.omega_c for pt in points])))
+            curve_stack(system, setup, np.array([pt.omega_c for pt in points])))
         for pt, stacked in zip(points, stack):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
@@ -1079,7 +1088,7 @@ class TestCharacteristicCurve:
 
         window = qpump.cooling_window_max_fixed_work(60.0, COMPARE_SETUP.temps)
         grid = window * np.arange(1, 6) / 6
-        sols = broken_solve(qpump.experiments._curve_sweep(system, COMPARE_SETUP, grid))
+        sols = broken_solve(curve_stack(system, COMPARE_SETUP, grid))
         with pytest.raises(ValueError) as expected:
             [PerformancePoint(w, q, e, e / eps_c)
              for w, q, e in zip(grid.tolist(), sols.q_cold.tolist(), sols.cop.tolist())]

@@ -86,6 +86,9 @@ class TestJumpOperators:
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_frequency_bookkeeping(self, n):
+        # each transition's gap is its bath's frequency: the guard of
+        # transition_pairs against level_energies, which build_jump_operator
+        # does not repeat at run time
         cfg = reference_pump(n)
         e = level_energies(n, cfg.omega_h, cfg.omega_c)
         for label, omega in (("cold", cfg.omega_c), ("work", cfg.omega_w),
@@ -308,6 +311,20 @@ class TestConfigValidation:
     def test_temperature_ordering_enforced(self):
         with pytest.raises(ValueError):
             ideal_pump(3, 10.0, 1.0, 5.0, 50.0, 1.0, 1e-3, 1e-3, 1e-3)
+
+    @pytest.mark.parametrize("point, omega_c", [(0, 200.0), (-1, -0.5)],
+                             ids=["first_point", "last_point"])
+    def test_stacked_config_checks_every_point(self, point, omega_c):
+        # a config of (P,) frequencies refuses the first point that breaks
+        # 0 < omega_c < omega_h, with the message of that point's own config
+        # (the curve's stacks were checked at their first point alone before)
+        with pytest.raises(ValueError) as alone:
+            reference_pump(3, omega_c=omega_c)
+        stack = np.array([0.7, 1.4, 2.1])
+        stack[point] = omega_c
+        with pytest.raises(ValueError) as stacked:
+            dataclasses.replace(reference_pump(3), omega_h=np.full(3, REF_OMEGA_H), omega_c=stack)
+        assert str(stacked.value) == str(alone.value)
 
     def test_minimum_levels(self):
         with pytest.raises(ValueError):

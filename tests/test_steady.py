@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import re
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -476,8 +477,12 @@ def _curve_points(machine, points):
 
 
 def _curve_config(machine, points):
-    # a stacked machine at the points of a characteristic curve
-    return qpump.experiments._curve_sweep(*_curve_points(machine, points))
+    # a stacked machine at the points of a characteristic curve, one config
+    # built as the curve builds it, whose fridge's g may be large against the
+    # smallest omega_c
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return qpump.experiments._curve_config(*_curve_points(machine, points))
 
 
 @pytest.mark.parametrize("points", [1, 28])
@@ -490,7 +495,7 @@ def test_stacked_states_are_stationary_under_each_points_superop(machine, points
     system, setup, omega_c = _curve_points(machine, points)
     solve_stack = (qpump.steady._solve_pumps if system == "ideal"
                    else qpump.three_qubit._solve_fridges)
-    sols = solve_stack(qpump.experiments._curve_sweep(system, setup, omega_c))
+    sols = solve_stack(_curve_config(machine, points))
     assert len(sols) == points
     for sol, w_c in zip(sols, omega_c):
         with warnings.catch_warnings():
@@ -613,6 +618,32 @@ def test_one_route_takes_the_kernel_decisions_and_refined_fluxes():
                              ("linalg.stationary_vector", "_kernel_decisions"),
                              ("steady._solve_chain", "_kernel_decisions"),
                              ("steady._solve_chain", "_refined_fluxes")]
+
+
+def test_only_the_two_models_are_configs():
+    # a curve's points are one PumpConfig or ThreeQubitConfig of (P,)
+    # frequencies: no other class in src/qpump derives from the configs'
+    # shared base, so that no unvalidated stand-in for a config comes back
+    found = []
+    for path in sorted(Path(qpump.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(base, "id", getattr(base, "attr", None)) == "_ThreeBathConfig"
+                    for base in node.bases):
+                found.append(f"{path.stem}.{node.name}")
+    assert sorted(found) == ["pump.PumpConfig", "three_qubit.ThreeQubitConfig"]
+
+
+@pytest.mark.parametrize("machine, solver, stacked", [
+    ("pump_n8", solve, "steady._solve_pumps"),
+    ("three_qubit", solve_three_qubit, "three_qubit._solve_fridges"),
+], ids=["pump", "three_qubit"])
+def test_point_solves_refuse_a_stack(machine, solver, stacked):
+    # the point-wise solves take one point; a config of (P,) frequencies
+    # would otherwise come back as its point 0 alone
+    message = f"a config of (P,) frequencies is P machines; use {stacked}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solver(_curve_config(machine, 3))
 
 
 def test_pump_solves_build_no_generator(monkeypatch):
@@ -761,7 +792,7 @@ def test_bath_rates_keep_decay_rates_bits(variant):
     hot, cold = BathSpec("hot", 60.0, 2e-3), BathSpec("cold", 5.0, 3e-3)
     omega_c = np.array([1e-3, 0.7, 1.5, 40.0, 3600.0, 4000.0])
     omega_h = omega_c + 60.0
-    sweep = qpump.experiments._Sweep(omega_c, omega_h - omega_c, omega_h, work, hot, cold, 8, 0.1)
+    sweep = PumpConfig(8, omega_h, omega_c, work, hot, cold)
     points = [PumpConfig(8, float(h), float(c), work, hot, cold)
               for h, c in zip(omega_h, omega_c)]
     for cfg in (sweep, *points):

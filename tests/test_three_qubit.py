@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import qpump
-from qpump.experiments import CurveSetup, _curve_config, _curve_sweep
+from qpump.experiments import CurveSetup, _curve_config
 from qpump.linalg import trace_row
 from qpump.pump import BathSpec, carnot_cop, decay_rates
 from qpump.steady import _solve_ld_kernel
@@ -141,6 +143,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             fridge(temps=(10.0, 60.0, 5.0))
 
+    @pytest.mark.parametrize("field, last", [("omega_c", 0.0), ("omega_w", -60.0)])
+    def test_stacked_config_checks_every_point(self, field, last):
+        # a non-positive frequency at the last point of (P,) frequencies is
+        # refused as that point's own config refuses it
+        with pytest.raises(ValueError) as alone:
+            dataclasses.replace(fridge(), **{field: last})
+        stack = np.array([getattr(fridge(), field)] * 2 + [last])
+        with pytest.raises(ValueError) as stacked:
+            dataclasses.replace(fridge(), **{field: stack})
+        assert str(stacked.value) == str(alone.value)
+
     def test_strong_coupling_warns(self):
         with pytest.warns(UserWarning) as record:
             fridge(omega_c=0.5, g=0.4)
@@ -209,7 +222,7 @@ def curve_solutions(setup):
     window = qpump.cooling_window_max_fixed_work(setup.omega_w, setup.temps)
     omega_c = window * np.arange(1, 31) / 31
     configs = [_curve_config("three_qubit", setup, w) for w in omega_c.tolist()]
-    return configs, _solve_fridges(_curve_sweep("three_qubit", setup, omega_c))
+    return configs, _solve_fridges(_curve_config("three_qubit", setup, omega_c))
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # g against the smallest omega_c
