@@ -17,13 +17,7 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .linalg import (
-    KERNEL_RCOND_FLOOR,
-    KERNEL_RESIDUAL_RTOL,
-    NoKernelError,
-    _rate_rows_scale,
-    _reciprocal_condition,
-)
+from .linalg import KERNEL_RESIDUAL_RTOL, NoKernelError, _point_error
 from .pump import (
     BathSpec,
     PumpConfig,
@@ -383,11 +377,14 @@ class _CoolingPowerEvaluator:
         return q
 
     def check_condition(self, omega_c: float) -> None:
-        """Raises :class:`~qpump.linalg.NoKernelError` unless the dense rate
-        matrix at omega_c, its first row replaced by the trace constraint and
-        the others scaled to order 1, has an exact 1-norm reciprocal condition
-        of at least ``KERNEL_RCOND_FLOOR``; this rejects degenerate kernels
-        whose mixtures would still pass the residual gate of :meth:`q_cold`.
+        """The kernel verdict at omega_c by the rule of the chain solves
+        (:func:`~qpump.linalg._kernel_decisions`): the dense rate matrix,
+        its rows divided by the power of two at or below max|M| and its
+        first row replaced by the trace constraint, must have an exact
+        1-norm reciprocal condition of at least ``KERNEL_RCOND_FLOOR``.
+        This rejects degenerate kernels whose mixtures would still pass the
+        residual gate of :meth:`q_cold`, with the error that ``solve``
+        raises there (:func:`~qpump.linalg._point_error`), naming omega_c.
         Raises :class:`~qpump.steady.NonConvergedError` first where the
         current scale leaves the double range, as ``solve`` does there."""
         _, at, rates = self._best_step  # x*, unless no refinement step beat the grid
@@ -397,15 +394,21 @@ class _CoolingPowerEvaluator:
         channel = max(rates[0] + rates[1], rates[2] + rates[3], rates[4] + rates[5])
         if not _current_scale(top, channel)[1]:  # floats overflow quietly
             raise NonConvergedError(f"{_SCALE_OVERFLOW} at omega_c={omega_c!r}")
-        s = _rate_rows_scale(max(rates))  # the largest rate: within a factor 4 of max|M|
-        mat = (np.array([r / s for r in rates]) @ self._stack).reshape(self.n, self.n)
+        mat = (np.array(rates) @ self._stack).reshape(self.n, self.n)
+        # max|M|: each column's largest entry is its diagonal, the level's
+        # out-rate, a sum of the nonnegative rates on the others
+        scale = -mat.min()
+        mat /= math.ldexp(1.0, math.frexp(scale)[1] - 1)  # exact, as the rule's scaling is
         mat[0, :] = 1.0
         try:
-            rcond = _reciprocal_condition(mat, np.linalg.inv(mat))
-        except np.linalg.LinAlgError as exc:
-            raise NoKernelError(f"population solve failed ({exc})") from None
-        if not rcond >= KERNEL_RCOND_FLOOR:
-            raise NoKernelError("stationary state numerically degenerate")
+            inv = np.linalg.inv(mat)
+        except np.linalg.LinAlgError:  # exactly singular
+            rcond = 0.0
+        else:
+            rcond = 1.0 / np.abs(mat).sum(axis=0).max() / np.abs(inv).sum(axis=0).max()
+        exc = _point_error(scale, rcond)
+        if exc is not None:
+            raise type(exc)(f"{exc} at omega_c={omega_c!r}")
 
 
 def _grid_node(window, k):
@@ -533,10 +536,14 @@ def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Opt
     Raises :class:`EmptyWindowError` for an empty window,
     :class:`~qpump.linalg.NoKernelError` if no grid point admits a
     trustworthy solution, and :class:`~qpump.steady.NonConvergedError` if
-    the current scale at ``omega_c_star`` leaves the double range.
+    the current scale at ``omega_c_star`` leaves the double range, and
+    ``ValueError`` for a config of (P,) frequencies.
     """
-    ev = (template if isinstance(template, _CoolingPowerEvaluator)
-          else _CoolingPowerEvaluator(template))
+    if isinstance(template, _CoolingPowerEvaluator):  # the ensemble's, of one point each
+        ev = template
+    else:
+        template._check_one_point("one maximize_cooling_power call per machine")
+        ev = _CoolingPowerEvaluator(template)
     template, window = ev.template, ev.window
     if not (window > 0):
         raise EmptyWindowError(f"cooling window max {window} is not positive")
@@ -583,6 +590,7 @@ def sweep_stages(template: PumpConfig,
     squeezing and saturation, so its coarse grids are one call of
     :func:`_solve_grids`.
     """
+    template._check_one_point("one sweep_stages call per machine")
     out = []
     for variant in variants:
         evs = [_CoolingPowerEvaluator(_variant_config(template, n, variant, squeeze_db))

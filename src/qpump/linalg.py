@@ -11,21 +11,20 @@ Conventions used throughout the package:
   complex matrix acting on column-stacked density matrices.
 
 Hilbert dimensions stay at most 10, so everything is dense and double
-precision, and numpy is the only dependency.  The kernel decisions
+precision, and numpy is the only dependency.  The kernel verdicts
 (:func:`_kernel_decisions`) take a stack of matrices and their trace row:
 the rate matrices of the ideal pump's ladder or of the three-qubit fridge's
 eight-state chain, one per point of a sweep, for the chain solves of
-:mod:`qpump.steady`, or one whole superoperator, whose kernel vector
-:func:`stationary_vector` (the oracles' route) then takes.  They invert
-the stack in one ``numpy.linalg.inv`` call (an LU factorization per
-matrix) and judge each point on its own.
+:mod:`qpump.steady` and the optimizer's maximizer, or one whole
+superoperator for :func:`stationary_vector` (the oracles' route).  They
+invert the stack in one ``numpy.linalg.inv`` call (an LU factorization per
+matrix) and judge each point on its condition alone; only
+:func:`stationary_vector` falls back to an SVD (:func:`_svd_kernel`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,9 +46,10 @@ KERNEL_RESIDUAL_RTOL = 1e-10
 # Two singular values below this (relative to the largest) signal a non-unique
 # steady state; none below it signals an empty kernel.
 KERNEL_DEGENERACY_RTOL = 1e-9
-# Reciprocal condition estimate below which the trace-constrained solve is
-# not trusted: a near-degenerate kernel can satisfy the residual gate with a
-# meaningless mixture, so such systems are sent to the SVD diagnostics.
+# Reciprocal condition below which the trace-constrained solve is not
+# trusted: a near-degenerate kernel can satisfy the residual gate with a
+# meaningless mixture, so such a point fails (stationary_vector alone tries
+# the SVD on it).
 KERNEL_RCOND_FLOOR = 1e-13
 # A kernel vector whose trace is below this (relative to its largest entry)
 # cannot be normalized to a state.
@@ -108,23 +108,6 @@ class SuperOp:
             )
 
 
-def _reciprocal_condition(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Exact 1-norm reciprocal condition ``1 / (|M|_1 |M^-1|_1)`` of a matrix
-    or of each matrix of a stack, from its inverse.  LAPACK's gecon estimates
-    ``|M^-1|_1`` from below, so its estimate is never smaller than this."""
-    return 1.0 / np.abs(m).sum(axis=-2).max(axis=-1) / np.abs(inv).sum(axis=-2).max(axis=-1)
-
-
-def _rate_rows_scale(scale):
-    """The power of two at or below ``scale``, a float or elementwise, that
-    divides the rows of a trace-row matrix but the trace row, exactly,
-    before its condition is taken: unscaled, the condition follows the rate
-    rows' scale (4.5e-4 on the ideal curve at gamma 1e-3, 4.5e-14 at 1e7)."""
-    if isinstance(scale, np.ndarray):
-        return np.ldexp(0.5, np.frexp(scale)[1])
-    return math.ldexp(1.0, math.frexp(scale)[1] - 1)
-
-
 def _kernel_diagnostics(matrix: np.ndarray) -> np.ndarray:
     """Singular-value based kernel extraction with uniqueness checks.
 
@@ -156,12 +139,13 @@ def _normalize_trace(v: np.ndarray, trace: np.ndarray) -> np.ndarray | None:
 
 def stationary_vector(op: SuperOp) -> np.ndarray:
     """Solve ``op.matrix @ v = 0`` with ``devectorize(v)`` of unit trace, on
-    the kernel decision of :func:`_kernel_decisions` for the one generator.
+    the kernel verdict of :func:`_kernel_decisions` for the one generator.
 
     Above the condition floor the vector is the first column of the inverse
-    plus one step of iterative refinement, and one that fails the trace,
-    finiteness or residual gate goes to the SVD path (:func:`_svd_kernel`)
-    after all; below the floor the decision's SVD vector stands.
+    plus one step of iterative refinement.  A generator below the floor or
+    exactly singular, or a vector that fails the trace, finiteness or
+    residual gate, goes to the SVD path (:func:`_svd_kernel`), the oracles'
+    fallback, which no chain solve takes.
 
     Raises
     ------
@@ -172,99 +156,93 @@ def stationary_vector(op: SuperOp) -> np.ndarray:
         More than one stationary state within tolerance.
     """
     trace = trace_row(op.dim)
-    inv, errors, kernels, m, scale = _kernel_decisions(op.matrix[None], trace)
-    if errors:
-        raise errors[0]
-    if kernels:
-        return kernels[0]
-    inv, m, scale = inv[0], m[0], scale[0]
-    v = inv[:, 0].copy()  # contiguous: the products take BLAS's unit-stride path
-    b = np.zeros(len(m), dtype=m.dtype)
-    b[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the gates
-        v = _normalize_trace(v + inv @ (b - m @ v), trace)
-        if (v is not None and np.isfinite(v).all()
-                and np.abs(op.matrix @ v).max() <= KERNEL_RESIDUAL_RTOL * scale):
-            return v
+    (inv,), errors, (scale,) = _kernel_decisions(op.matrix[None], trace)
+    if errors and not 0.0 < scale < np.inf:
+        raise errors[0]  # a zero or non-finite generator, which the SVD cannot take either
+    if not errors:
+        m = op.matrix.copy()
+        m[0] = trace
+        v = inv[:, 0].copy()  # contiguous: the products take BLAS's unit-stride path
+        b = np.zeros(len(m), dtype=m.dtype)
+        b[0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the gates
+            v = _normalize_trace(v + inv @ (b - m @ v), trace)
+            if (v is not None and np.isfinite(v).all()
+                    and np.abs(op.matrix @ v).max() <= KERNEL_RESIDUAL_RTOL * scale):
+                return v
     return _svd_kernel(op.matrix, trace, scale)
 
 
-class _KernelDecisions(NamedTuple):
-    """What :func:`_kernel_decisions` finds of a stack of matrices: the chain
-    solve (``steady._solve_chain``) reads ``inv``, ``errors`` and ``scale``,
-    :func:`stationary_vector` every field."""
-
-    inv: np.ndarray  # the inverse of each trace-row matrix; NaN where a point fails
-    errors: dict[int, np.linalg.LinAlgError]  # by point index
-    kernels: dict[int, np.ndarray]  # the SVD's vector of each point below the floor that stands
-    trace_rows: np.ndarray  # each matrix with its first row replaced by the trace row
-    scale: np.ndarray  # max |mats[k]|
-
-
-def _kernel_decisions(mats: np.ndarray, trace: np.ndarray) -> _KernelDecisions:
-    """The kernel decision of each matrix of a stack ``mats[k]``, and the
-    inverse of each trace-constrained matrix, for whole generators or the
-    rate matrices of a chain.
+def _kernel_decisions(mats: np.ndarray, trace: np.ndarray
+                      ) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError], np.ndarray]:
+    """The kernel verdict of each matrix of a stack ``mats[k]``, for whole
+    generators or the rate matrices of a chain: ``(inv, errors, scale)``,
+    the inverse of each trace-constrained matrix, the error of each failing
+    point by its index, and ``max |mats[k]|``.
 
     Every point is judged on its own.  The first row of each matrix is
     replaced with ``trace`` and the stack inverted; a point whose exact
-    1-norm reciprocal condition, with its other rows scaled to order 1
-    (:func:`_rate_rows_scale`), is at least ``KERNEL_RCOND_FLOOR`` has a
-    unique kernel, whose trace the trace row fixes.  A point below the
-    floor goes to the SVD of its matrix (:func:`_svd_kernel`), which either
-    lets it stand and gives its unit-trace kernel vector, or gives its
-    :class:`NoKernelError` or :class:`DegenerateKernelError`.  A failing
-    point does not stop the others: its error is kept under its index, and
-    its inverse is NaN, so that the caller can judge the points in order.
-    An exactly singular (or non-finite) matrix fails the stacked inversion,
-    so such a stack is inverted point by point and only that point leaves
-    the primary path.  The trace-row matrices and the scales that the
-    decisions were taken on come back with them."""
+    1-norm reciprocal condition, with its other rows scaled to order 1, is
+    at least ``KERNEL_RCOND_FLOOR`` has a unique kernel, whose trace the
+    trace row fixes.  A point fails (:func:`_point_error`) with a
+    non-finite entry (:class:`NoKernelError`), or as the zero matrix,
+    exactly singular or below the floor (:class:`DegenerateKernelError`,
+    whose message carries its condition).  A failing point does not stop
+    the others: its error is kept under its index, and its inverse is NaN,
+    so that the caller can judge the points in order and no refinement
+    runs through a rejected inverse.  An exactly singular (or non-finite)
+    matrix fails the stacked inversion, so such a stack is inverted point
+    by point and only that point fails."""
     size = np.abs(mats)
     scale = size.max(axis=(1, 2))
     m = mats.copy()
     m[:, 0, :] = trace
     try:
-        # every scale finite and positive (a NaN scale fails the first test)
-        inv = np.linalg.inv(m) if 0.0 < scale.min() and scale.max() < np.inf else None
-    except np.linalg.LinAlgError:
-        inv = None
-    if inv is None and len(m) > 1:
-        parts = [_kernel_decisions(mat[None], trace) for mat in mats]
-        return _KernelDecisions(
-            np.concatenate([part.inv for part in parts]),
-            {k: exc for k, part in enumerate(parts) for exc in part.errors.values()},
-            {k: v for k, part in enumerate(parts) for v in part.kernels.values()}, m, scale)
-    errors, kernels = {}, {}
-    if inv is None:
-        if not np.isfinite(scale[0]):
-            # an overflowed rate; neither the inverse nor the SVD can use such a matrix
-            errors[0] = NoKernelError(f"generator has non-finite entries (max |L| = {scale[0]})")
-        elif scale[0] == 0.0:
-            errors[0] = DegenerateKernelError("zero generator: every state is stationary")
-        if errors:
-            return _KernelDecisions(np.full_like(m, np.nan), errors, kernels, m, scale)
-        # exactly singular: the SVD below decides, and a refinement can only
-        # go through the pseudo-inverse
-        inv, rcond = np.linalg.pinv(m), np.zeros(1)
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:  # an exactly singular (or non-finite) matrix
+        if len(m) > 1:
+            parts = [_kernel_decisions(mat[None], trace) for mat in mats]
+            return (np.concatenate([inv for inv, _, _ in parts]),
+                    {k: exc for k, (_, errors, _) in enumerate(parts) for exc in errors.values()},
+                    scale)
+        inv, rcond = np.full_like(m, np.nan), np.zeros(1)
     else:
-        # of D M, its rows but the first over s: (D M)^-1 is M^-1, those columns
-        # times s; column sums as products with ones, faster than a middle-axis sum
-        s, ones = _rate_rows_scale(scale)[:, None], np.ones(len(trace))
-        with np.errstate(over="ignore"):  # only an inverse of no use overflows
+        # D divides the rows but the trace row by s, the power of two at or
+        # below max|M|, exactly: unscaled, the condition follows the rate
+        # rows' scale (4.5e-4 on the ideal curve at gamma 1e-3, 4.5e-14 at
+        # 1e7).  (D M)^-1 is M^-1 with those columns times s; column sums as
+        # products with ones, faster than a middle-axis sum
+        s, ones = np.ldexp(0.5, np.frexp(scale)[1])[:, None], np.ones(len(trace))
+        with np.errstate(over="ignore", invalid="ignore"):  # only a matrix of no use overflows
             cols = ones @ np.abs(inv)
             cols[:, 1:] *= s
             rcond = (1.0 / (ones[1:] @ size[:, 1:] / s + np.abs(trace)).max(axis=1)
                      / cols.max(axis=1))
-    # an inverse that overflowed has no condition (0 or NaN): below the floor
+    # a non-finite matrix, or an inverse that overflowed, has no condition (0
+    # or NaN): below the floor
     above = rcond >= KERNEL_RCOND_FLOOR
-    for k in () if above.all() else np.flatnonzero(~above):
-        try:
-            kernels[int(k)] = _svd_kernel(mats[k], trace, scale[k])
-        except (NoKernelError, DegenerateKernelError) as exc:
-            errors[int(k)] = exc
-            inv[k] = np.nan
-    return _KernelDecisions(inv, errors, kernels, m, scale)
+    if above.all():
+        return inv, {}, scale
+    errors = {}
+    for k in np.flatnonzero(~above):
+        errors[int(k)], inv[k] = _point_error(scale[k], rcond[k]), np.nan
+    return inv, errors, scale
+
+
+def _point_error(scale: float, rcond: float) -> np.linalg.LinAlgError | None:
+    """The kernel verdict of a matrix of ``max |M|`` ``scale`` and scaled
+    reciprocal condition ``rcond`` (0 or NaN where it has none): None at or
+    above the floor, else its error, the same for a chain point and the
+    optimizer's maximizer (``experiments._CoolingPowerEvaluator.check_condition``)."""
+    if rcond >= KERNEL_RCOND_FLOOR:
+        return None
+    if not np.isfinite(scale):  # an overflowed rate
+        return NoKernelError(f"generator has non-finite entries (max |L| = {scale})")
+    if scale == 0.0:
+        return DegenerateKernelError("zero generator: every state is stationary")
+    return DegenerateKernelError(
+        f"reciprocal condition {rcond if rcond >= 0.0 else 0.0:.3e} below "
+        f"{KERNEL_RCOND_FLOOR:.0e}; stationary state numerically degenerate")
 
 
 def _svd_kernel(mat: np.ndarray, trace: np.ndarray, scale: float) -> np.ndarray:

@@ -209,6 +209,7 @@ def _level_energy(k: int, wh, wc):
 
 def build_hamiltonian(cfg: PumpConfig) -> np.ndarray:
     """Diagonal N x N Hamiltonian of the ladder, strictly increasing."""
+    cfg._check_one_point("steady._solve_pumps")
     return np.diag(level_energies(cfg.n_levels, cfg.omega_h, cfg.omega_c).astype(complex))
 
 

@@ -33,15 +33,17 @@ pump's diagonal state the banded ladder of :func:`_ladder`, the three-qubit
 fridge's, once its coherence pair is eliminated, an exact eight-state chain
 (:data:`qpump.three_qubit._FRIDGE`).  Each chain is one record,
 :class:`_Chain`, and both solve through :func:`_solve_chain`: the rate
-matrices and their kernel decisions (condition floor, SVD diagnostics,
-non-finite rates), the model's subtraction-free GTH elimination
-(:func:`_ladder_balance`, which also gives the optimizer's ``q_cold``, or
-the fridge's dense one), the exact fluxes after the refinement steps, the
-currents and one gate body per point, with no generator.  A characteristic
-curve is one stacked solve over a leading point axis, a single solve a
-stack of one, and a stack's results are one set of columns,
-:class:`SteadySolutions`.  The whole generator, which only the oracles use,
-is assembled by the Kronecker-product builders below (:class:`_Generator`).
+matrices and their kernel verdicts (non-finite rates, exact singularity
+and the condition floor; no SVD), the model's subtraction-free GTH
+elimination (:func:`_ladder_balance`, which also gives the optimizer's
+``q_cold``, or the fridge's dense one), the exact fluxes after the
+refinement steps, the currents and one gate body per point, with no
+generator.  A characteristic curve is one stacked solve over a leading
+point axis, a single solve a stack of one, and a stack's results are one
+set of columns, :class:`SteadySolutions`.  The whole generator, which only
+the oracles use, is assembled by the Kronecker-product builders below
+(:class:`_Generator`), and its kernel vector (:func:`stationary_vector`)
+is the only one that can fall back to an SVD.
 """
 
 from __future__ import annotations
@@ -478,18 +480,19 @@ def _solve_chain(cfg, chain: _Chain, rates: np.ndarray, balance, ham_scale,
                  gate_ideality: bool, state) -> SteadySolutions:
     """The stacked solve of ``chain`` at the P points of ``cfg``, from its
     (R, P) rates, whose first six are the baths' (work, hot, cold; down then
-    up); both models solve here.  The kernel decisions are those of the
-    chain's rate matrices (:func:`~qpump.linalg._kernel_decisions`).
+    up); both models solve here.  The kernel verdicts are those of the
+    chain's rate matrices (:func:`~qpump.linalg._kernel_decisions`), and a
+    point that fails one is raised, with NaN for its inverse.
     ``balance(rates)`` gives the model's GTH populations, normalized, (N, P)
     with each point's contiguous, and whether every eliminated level had a
-    positive out-rate; two refinement steps through the kernel decisions'
-    inverses take the elimination's few ulps out of the exact net fluxes
+    positive out-rate; two refinement steps through the verdicts' inverses
+    take the elimination's few ulps out of the exact net fluxes
     (:func:`_refined_fluxes`).  Each bath's current is its frequency, its
     edges' gap, times their net flux, and the kernel residual is that of the
     net inflows.  ``state(p)`` gives the (P, m) states of the refined
     populations, their positions and the matrix dimension, and
     ``ham_scale`` is |H| at each point."""
-    inv, errors, _, _, scale = _kernel_decisions(chain.blocks(rates), np.ones(len(chain.touch)))
+    inv, errors, scale = _kernel_decisions(chain.blocks(rates), np.ones(len(chain.touch)))
     # a point with a kernel error is raised when the points are judged;
     # what its arithmetic gives here does not count
     with np.errstate(all="ignore") if errors else contextlib.nullcontext():
@@ -746,6 +749,7 @@ def pauli_rate_oracle(cfg: PumpConfig) -> RateOracleResult:
     applicable to the three-qubit model, whose interaction sustains
     stationary coherences.
     """
+    cfg._check_one_point("steady._solve_pumps")
     n = cfg.n_levels
     rates = {}
     m = np.zeros((n, n), dtype=np.longdouble)

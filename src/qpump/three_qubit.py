@@ -126,6 +126,7 @@ def build_three_qubit_hamiltonian(cfg: ThreeQubitConfig) -> np.ndarray:
     {omega_c, omega_w, omega_h}; the degenerate pair |110>, |001| (both at
     omega_h) splits to omega_h +/- g.
     """
+    cfg._check_one_point("three_qubit._solve_fridges")
     level = np.arange(8)
     n_c, n_w, n_h = ((level & _QUBIT_BIT[label]) > 0 for label in ("cold", "work", "hot"))
     h = np.diag(cfg.omega_c * n_c + cfg.omega_w * n_w + cfg.omega_h * n_h).astype(complex)

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,17 +42,29 @@ g = 0.1
 
 REFERENCE_CHILLER = Path(__file__).resolve().parent.parent / "params" / "reference_chiller.params"
 
-FUZZ_KEYS = ["n_levels", "omega_h", "omega_c", "T_w", "T_h", "T_c", "gamma_w", "gamma_h",
-             "gamma_c", "squeeze_db", "saturated_work", "g"]
-# the edge of the double range, and past it
-FUZZ_VALUES = ["0", "-1", "1", "0.5", "2", "1e7", "1e-3", "1e300", "-1e300", "1e-300",
-               "nan", "inf", "-inf"]
+
+def load_tool(name):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def fuzz_overrides(rng) -> list[str]:
-    """``--set`` arguments for 1 to 3 distinct keys, each with an edge value."""
-    chosen = rng.choice(len(FUZZ_KEYS), size=int(rng.integers(1, 4)), replace=False)
-    return [a for k in chosen for a in ("--set", f"{FUZZ_KEYS[k]}={rng.choice(FUZZ_VALUES)}")]
+# ``--set`` arguments for 1 to 3 distinct keys, each with a value from the
+# edge of the double range or past it, as the fuzz tool draws them
+fuzz_overrides = load_tool("fuzz_verdicts").fuzz_overrides
+
+
+def curve_compare_fuzz(params):
+    """The argv of the seeded fuzz over the two subcommands that share the
+    stacked solve."""
+    rng = np.random.default_rng(23)
+    for case in range(320):
+        sets = fuzz_overrides(rng)
+        command = (["compare"] if case % 2 else
+                   ["curve", "--system", str(rng.choice(["ideal", "three_qubit", "both"]))])
+        yield [*command, "--params", params, "--points", "4", *sets]
 
 
 @pytest.fixture
@@ -368,19 +381,39 @@ class TestErrorReporting:
         # solve: every override set of values from the edge of the double
         # range (and past it) ends in an exit code, with a one-line verdict
         # on stderr for a configuration error or a solver failure
-        rng = np.random.default_rng(23)
         codes = []
-        for case in range(320):
-            sets = fuzz_overrides(rng)
-            command = (["compare"] if case % 2 else
-                       ["curve", "--system", str(rng.choice(["ideal", "three_qubit", "both"]))])
-            argv = [*command, "--params", three_qubit_params, "--points", "4", *sets]
+        for argv in curve_compare_fuzz(three_qubit_params):
             codes.append(run(argv))
             err = capsys.readouterr().err
             assert codes[-1] in (0, 1, 2), argv
             if codes[-1]:
                 assert err.count("\n") == 1 and err.startswith("qpump: "), (argv, err)
         assert {0, 1, 2} <= set(codes)
+
+    def test_svd_lets_no_failed_chain_point_of_the_fuzz_stand(self, three_qubit_params,
+                                                               monkeypatch, capsys):
+        # the premise of failing a chain point below the condition floor at
+        # once, with no SVD: on the seeded fuzz above and on the stiff curves
+        # (every gamma at 1e7), the SVD rejects every chain matrix that the
+        # verdict fails below the floor or as exactly singular, so on these
+        # sets raising at once rejects nothing that the SVD let stand
+        decisions, failed = qpump.steady._kernel_decisions, []
+
+        def recorded(mats, trace):
+            inv, errors, scale = decisions(mats, trace)
+            failed.extend((mats[k], trace, scale[k]) for k in errors if 0.0 < scale[k] < np.inf)
+            return inv, errors, scale
+
+        monkeypatch.setattr(qpump.steady, "_kernel_decisions", recorded)
+        stiff = ["--set", "gamma_w=1e7", "--set", "gamma_h=1e7", "--set", "gamma_c=1e7"]
+        for argv in [*curve_compare_fuzz(three_qubit_params),
+                     ["curve", "--params", three_qubit_params, "--points", "28", *stiff]]:
+            run(argv)
+        capsys.readouterr()
+        assert failed
+        for mat, trace, scale in failed:
+            with pytest.raises((qpump.NoKernelError, qpump.DegenerateKernelError)):
+                qpump.linalg._svd_kernel(mat, trace, scale)
 
     @pytest.mark.parametrize("argv, message", [
         (["--set", "saturated_work=1", "--set", "T_w=1000"],
@@ -419,6 +452,22 @@ class TestErrorReporting:
         assert capsys.readouterr().err == (
             "qpump: solver failure: NonConvergedError: current scale |H| x rate overflows "
             f"the double range at omega_c={omega_c}\n")
+
+    def test_condition_floor_is_one_verdict(self, monkeypatch, capsys):
+        # the optimizer judges its maximizer by the chain solves' kernel
+        # verdict: with the floor at 1, optimize and currents at its
+        # omega_c_star fail alike, apart from the printed condition
+        assert run(["optimize", "--params", str(REFERENCE_CHILLER)]) == 0
+        omega_c = capsys.readouterr().out.splitlines()[-1].split(",")[0]
+        monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
+        errors = []
+        for argv in (["optimize"], ["currents", "--set", f"omega_c={omega_c}"]):
+            assert run([*argv, "--params", str(REFERENCE_CHILLER)]) == 2
+            errors.append(re.sub(r"reciprocal condition \S+ ", "reciprocal condition X ",
+                                 capsys.readouterr().err))
+        assert errors[0] == errors[1] == (
+            "qpump: solver failure: DegenerateKernelError: reciprocal condition X below 1e+00; "
+            f"stationary state numerically degenerate at omega_c={float(omega_c)!r}\n")
 
     def test_pump_subcommand_overrides_end_in_a_verdict(self, capsys):
         # the same seeded fuzz over the subcommands that build a pump config
@@ -556,14 +605,6 @@ def run_in_subprocess(argv, module=True):
                           env=env, timeout=120)
 
 
-def load_tool(name):
-    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestSnapshotDiff:
     OLD = """\
 # qpump-schema: sweep-n/1
@@ -617,6 +658,39 @@ extra line
         lines = load_tool("cli_snapshot").compare_outputs(self.OLD, fewer)
         assert lines == ["table: 3 rows of ['N', 'variant', 'omega_c_star', 'q_c_max'] -> "
                          "2 rows of ['N', 'variant', 'omega_c_star', 'q_c_max']"]
+
+
+class TestFuzzVerdicts:
+    def test_verdicts_and_their_diff(self, tmp_path, capsys):
+        # two runs of the first argv of seed 0 as the record of each tree: the
+        # same verdict diffs clean, a changed stderr line alone is counted
+        # apart, and a changed exit code fails the diff
+        tool = load_tool("fuzz_verdicts")
+        argv = tool.fuzz_argv(0, runs=5)
+        assert argv == tool.fuzz_argv(0)[:5]
+        assert [a[0] for a in argv] == ["currents", "optimize", "sweep-n", "curve", "compare"]
+        records = [{"seed": 0, **tool.verdict(run, a)} for a in argv]
+        assert records[0]["exit"] in (0, 1, 2)
+        assert records[0]["stdout"] == tool.verdict(run, argv[0])["stdout"]
+
+        def write(name, rows):
+            path = tmp_path / name
+            path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+            return path
+
+        old = write("old", records)
+        assert tool.main(["--diff", str(old), str(old)]) == 0
+        moved = [dict(records[0], stderr="moved"), *records[1:]]
+        assert tool.main(["--diff", str(old), str(write("moved", moved))]) == 0
+        failed = [dict(records[0], exit="raised"), *records[1:]]
+        assert tool.main(["--diff", str(old), str(write("failed", failed))]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["fuzz_verdicts: 5 runs; 0 differ in exit code or stdout, 0 in the last "
+                       "stderr line alone",
+                       "fuzz_verdicts: 5 runs; 0 differ in exit code or stdout, 1 in the last "
+                       "stderr line alone",
+                       "fuzz_verdicts: 5 runs; 1 differ in exit code or stdout, 0 in the last "
+                       "stderr line alone"]
 
 
 # a stand-in for perfbench/run.py: its result line from the values of the

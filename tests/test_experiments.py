@@ -31,7 +31,7 @@ from qpump.experiments import (
     maximize_cooling_power,
     sweep_stages,
 )
-from qpump.linalg import NoKernelError
+from qpump.linalg import DegenerateKernelError, NoKernelError
 from qpump.pump import BathSpec, PumpConfig, WeakCouplingWarning, cooling_window_max, \
     decay_rates, transition_pairs, window_max
 from qpump.steady import NonConvergedError, solve
@@ -234,8 +234,10 @@ class TestMaximizeCoolingPower:
                 ev._channels(omega_c)
 
     def test_validated_point_gates_on_condition(self, monkeypatch):
-        monkeypatch.setattr(qpump.experiments, "KERNEL_RCOND_FLOOR", 1.0)
-        with pytest.raises(NoKernelError):
+        # the chain solves' verdict at the maximizer, which names it
+        monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
+        with pytest.raises(DegenerateKernelError, match=r"^reciprocal condition .* below 1e\+00; "
+                           r"stationary state numerically degenerate at omega_c=\d"):
             maximize_cooling_power(reference_pump(3))
 
     def test_condition_gate_is_scale_free(self, monkeypatch):
@@ -244,7 +246,7 @@ class TestMaximizeCoolingPower:
         # divides the rate rows by a power of two of their scale, so it sees
         # one matrix and passes at a floor that the condition with the trace
         # row left at 1 misses by orders of magnitude at k = 0 and 40
-        monkeypatch.setattr(qpump.experiments, "KERNEL_RCOND_FLOOR", 1e-3)
+        monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1e-3)
         base = reference_pump(6)
         optima = {}
         for k in (-40, 0, 40):
@@ -873,33 +875,34 @@ class TestHistogram:
 # (first_law_at, no_kernel_at, error, named) of test_failed_gate_names_the_point
 GATE_FAULTS = {
     "first_law": (2, None, NonConvergedError, 2),
-    "kernel": (None, 2, NoKernelError, 2),
+    "kernel": (None, 2, DegenerateKernelError, 2),
     "first_law_before_kernel": (1, 3, NonConvergedError, 1),
-    "kernel_before_first_law": (3, 1, NoKernelError, 1),
+    "kernel_before_first_law": (3, 1, DegenerateKernelError, 1),
 }
 
 
 class TestCharacteristicCurve:
     @pytest.mark.parametrize("system", ["ideal", "three_qubit"])
-    def test_stiff_rates_keep_every_point_off_the_svd(self, monkeypatch, system):
+    def test_stiff_rates_keep_every_point_above_the_floor(self, monkeypatch, system):
         # all three gammas at 1e7: the rate rows are of order 1e11, and with
         # the trace row left at 1 every point of both curves fell below the
         # condition floor; with the rows scaled, none does, while the floor
-        # at 1 still sends every point to the SVD
+        # at 1 fails the first point, from the one stacked factorization
+        # and with no SVD
         setup = dataclasses.replace(COMPARE_SETUP, gamma_work=1e7, gamma_hot=1e7, gamma_cold=1e7)
-        diagnosed = []
-        diagnostics = qpump.linalg._kernel_diagnostics
-
-        def counted(m):
-            diagnosed.append(m)
-            return diagnostics(m)
-
-        monkeypatch.setattr(qpump.linalg, "_kernel_diagnostics", counted)
+        diagnosed, inverted = [], []
+        diagnostics, inv = qpump.linalg._kernel_diagnostics, np.linalg.inv
+        monkeypatch.setattr(qpump.linalg, "_kernel_diagnostics",
+                            lambda m: diagnosed.append(m) or diagnostics(m))
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inverted.append(m) or inv(m))
         assert len(characteristic_curve(system, setup, n_points=28)) == 28
-        assert diagnosed == []
         monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
-        characteristic_curve(system, setup, n_points=28)
-        assert len(diagnosed) == 28
+        first = qpump.cooling_window_max_fixed_work(60.0, setup.temps) / 29
+        with pytest.raises(DegenerateKernelError, match=r"^reciprocal condition .* below 1e\+00; "
+                           r"stationary state numerically degenerate at omega_c="
+                           + re.escape(repr(first)) + "$"):
+            characteristic_curve(system, setup, n_points=28)
+        assert len(inverted) == 2 and diagnosed == []
 
     @pytest.mark.parametrize("omega_w, n", STIFF_CURVES)
     def test_stiff_dense_ideal_curve_passes_its_gates(self, omega_w, n):
@@ -1002,33 +1005,31 @@ class TestCharacteristicCurve:
                                          error, named):
         # one point of a five-point stack breaks the first law (its work
         # current is skewed, where both models' chains sum their flux
-        # currents) and/or has no kernel (every
-        # point takes the SVD path, which finds none at that point); the
-        # first failing point in the stack raises, as a point-by-point loop
-        # would, and the error names it
-        currents, diagnostics = qpump.steady._Chain.currents, qpump.linalg._kernel_diagnostics
+        # currents) and/or has no unique kernel (its rate matrix loses its
+        # last level's edges, which leaves it exactly singular, and its
+        # verdict fails at condition 0); the first failing point in the
+        # stack raises, as a point-by-point loop would, and the error names it
+        currents, blocks = qpump.steady._Chain.currents, qpump.steady._Chain.blocks
 
         def broken_currents(*args):
             q = currents(*args)
             q[0, first_law_at] *= 1.0 + 1e-6  # the work current
             return q
 
-        diagnosed = []
-
-        def broken_diagnostics(m):
-            diagnosed.append(m)
-            if len(diagnosed) - 1 == no_kernel_at:
-                raise NoKernelError("no stationary state")
-            return diagnostics(m)
+        def broken_blocks(*args):
+            m = blocks(*args)
+            m[no_kernel_at, -1, :] = m[no_kernel_at, :, -1] = 0.0
+            return m
 
         if first_law_at is not None:
             monkeypatch.setattr(qpump.steady._Chain, "currents", broken_currents)
         if no_kernel_at is not None:
-            monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
-            monkeypatch.setattr(qpump.linalg, "_kernel_diagnostics", broken_diagnostics)
+            monkeypatch.setattr(qpump.steady._Chain, "blocks", broken_blocks)
         window = qpump.cooling_window_max_fixed_work(60.0, COMPARE_SETUP.temps)
         omega_c = window * (named + 1) / 6
-        message = "first-law residual .*" if error is NonConvergedError else "no stationary state"
+        message = ("first-law residual .*" if error is NonConvergedError else
+                   r"reciprocal condition 0\.000e\+00 below 1e-13; "
+                   "stationary state numerically degenerate")
         with pytest.raises(error, match=f"^{message} at omega_c={re.escape(repr(omega_c))}$"):
             characteristic_curve(system, COMPARE_SETUP, n_points=5)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from qpump.linalg import (
     SuperOp,
     _kernel_decisions,
     _kernel_diagnostics,
-    _reciprocal_condition,
+    _svd_kernel,
     devectorize,
     propagate,
     stationary_vector,
@@ -192,8 +194,15 @@ class TestStationaryVector:
             stationary_vector(SuperOp(2, np.zeros((4, 4), dtype=complex)))
 
 
+def below_floor(floor: str) -> str:
+    """The message of a point below the condition floor ``floor``, as a
+    pattern: it carries the point's condition."""
+    return (r"reciprocal condition \d\.\d{3}e[+-]\d+ below " + re.escape(floor)
+            + "; stationary state numerically degenerate")
+
+
 class TestStackedDecisions:
-    """The kernel decisions of a stack of whole generators, each point
+    """The kernel verdicts of a stack of whole generators, each point
     judged as it is alone."""
 
     @staticmethod
@@ -205,16 +214,16 @@ class TestStackedDecisions:
 
     def test_stack_matches_one_matrix_at_a_time(self):
         mats = np.array(self.pumps())
-        inv, errors, kernels, *_ = _kernel_decisions(mats, trace_row(4))
-        assert not errors and not kernels
+        inv, errors, _ = _kernel_decisions(mats, trace_row(4))
+        assert not errors
         for k, mat in enumerate(mats):
-            assert np.array_equal(inv[k], _kernel_decisions(mat[None], trace_row(4)).inv[0])
+            assert np.array_equal(inv[k], _kernel_decisions(mat[None], trace_row(4))[0][0])
 
     def test_singular_matrix_is_solved_alone(self, monkeypatch):
         # a 4-level generator whose levels 2 and 3 are dark has an exactly
         # singular trace-constrained matrix; it fails the stacked inversion,
-        # the stack is inverted point by point, and only that point reaches
-        # the SVD diagnostics, which find its kernel not unique
+        # the stack is inverted point by point, and only that point fails,
+        # at condition 0, with no SVD
         jump = np.zeros((4, 4), dtype=complex)
         jump[0, 1] = 1.0
         dark = build_dissipator(jump, decay_rates(BathSpec("cold", 1.0, 0.5), 1.0)).matrix
@@ -225,13 +234,13 @@ class TestStackedDecisions:
                             lambda m: inversions.append(m.shape) or inv(m))
         monkeypatch.setattr(qpump.linalg, "_kernel_diagnostics",
                             lambda m: diagnosed.append(m) or diagnostics(m))
-        inverses, errors, kernels, *_ = _kernel_decisions(np.array([good[0], good[1], dark]),
-                                                          trace_row(4))
+        inverses, errors, _ = _kernel_decisions(np.array([good[0], good[1], dark]), trace_row(4))
         assert inversions == [(3, 16, 16), (1, 16, 16), (1, 16, 16), (1, 16, 16)]
-        assert len(diagnosed) == 1 and np.array_equal(diagnosed[0], dark)
+        assert not diagnosed
         assert list(errors) == [2] and isinstance(errors[2], DegenerateKernelError)
-        assert np.isnan(inverses[2]).all() and not kernels
-        alone = _kernel_decisions(np.array(good[:2]), trace_row(4)).inv
+        assert str(errors[2]).startswith("reciprocal condition 0.000e+00 below 1e-13")
+        assert np.isnan(inverses[2]).all()
+        alone = _kernel_decisions(np.array(good[:2]), trace_row(4))[0]
         assert np.array_equal(inverses[:2], alone)
 
     def test_failing_points_are_reported_by_index(self):
@@ -251,8 +260,8 @@ class TestStackedDecisions:
 
 
 class TestKernelDecisions:
-    """The kernel decisions alone, which the stacked solves take without the
-    kernel vectors."""
+    """The kernel verdicts alone, which the chain solves and the optimizer's
+    maximizer take with no kernel vector."""
 
     @staticmethod
     def mixed():
@@ -268,9 +277,12 @@ class TestKernelDecisions:
 
     @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (1, 0, 3, 2)])
     def test_decisions_are_those_of_the_kernel_solve(self, order):
-        # each point of the stack is decided as stationary_vector decides it alone
+        # each point of the stack fails where stationary_vector fails alone,
+        # with its error: the zero and the non-finite generator with its
+        # text, the singular one at condition 0, where stationary_vector's
+        # SVD finds the kernel not unique
         mats = self.mixed()[list(order)]
-        inv, errors, kernels, *_ = _kernel_decisions(mats, trace_row(4))
+        inv, errors, _ = _kernel_decisions(mats, trace_row(4))
         alone = {}
         for k, mat in enumerate(mats):
             try:
@@ -279,42 +291,60 @@ class TestKernelDecisions:
                 alone[k] = exc
         assert list(errors) == list(alone) == [k for k in range(4) if order[k] != 0]
         assert [type(e) for e in errors.values()] == [type(e) for e in alone.values()]
-        assert [str(e) for e in errors.values()] == [str(e) for e in alone.values()]
+        singular = order.index(3)
+        assert [str(e) for k, e in errors.items() if k != singular] == \
+            [str(e) for k, e in alone.items() if k != singular]
+        assert str(errors[singular]).startswith("reciprocal condition 0.000e+00")
+        assert str(alone[singular]).startswith("two smallest singular values")
         good = order.index(0)
-        assert np.array_equal(inv[good], _kernel_decisions(mats[good][None], trace_row(4)).inv[0])
+        assert np.array_equal(inv[good], _kernel_decisions(mats[good][None], trace_row(4))[0][0])
         assert np.isfinite(inv[good]).all()
-        assert np.isnan(np.delete(inv, good, axis=0)).all() and not kernels
+        assert np.isnan(np.delete(inv, good, axis=0)).all()
 
     def test_condition_is_scale_free(self, monkeypatch):
         # a stack of 4-level ladder rate matrices with every rate times 2^k:
-        # the condition that decides between the inverse and the SVD does
-        # not follow k, as the rows but the trace row are divided by a power
-        # of two of their scale; with the trace row left at 1 it would
+        # the condition that the floor judges does not follow k, as the rows
+        # but the trace row are divided by a power of two of their scale;
+        # with the trace row left at 1 it would
         rates = np.array([[3.0, 1.0, 2.0, 0.5, 4.0, 1.5], [0.2, 0.1, 5.0, 0.05, 1.0, 0.9],
                           [7.0, 6.5, 0.3, 0.2, 2.0, 0.1]])
         mats = (rates @ qpump.steady._population_structure(4)).reshape(3, 4, 4)
         for floor, below in ((1e-2, []), (0.5, [0, 1, 2])):
             monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", floor)
             for k in (-300, -40, 0, 40, 300):
-                inv, errors, kernels, *_ = _kernel_decisions(np.ldexp(mats, k), np.ones(4))
-                assert not errors and sorted(kernels) == below and np.isfinite(inv).all()
+                inv, errors, _ = _kernel_decisions(np.ldexp(mats, k), np.ones(4))
+                assert sorted(errors) == below
+                assert all(isinstance(e, DegenerateKernelError) for e in errors.values())
+                assert np.isnan(inv[below]).all()
+                assert np.isfinite(np.delete(inv, below, axis=0)).all()
         trace_rows = [np.ldexp(mats, k) for k in (0, 40)]
         for m in trace_rows:
             m[:, 0, :] = 1.0
-        plain = [_reciprocal_condition(m, np.linalg.inv(m)) for m in trace_rows]
+        plain = [1.0 / np.linalg.cond(m, 1) for m in trace_rows]
         assert (plain[0] > 1e-2).all() and (plain[1] < 1e-13).all()
 
-    def test_points_below_the_floor_keep_the_svd_kernel(self, monkeypatch):
-        # every point below the floor: each stands on its SVD, whose vector
-        # is the kernel solve's, and keeps the inverse of its factor
+    def test_points_below_the_floor_fail_and_the_oracle_keeps_the_svd(self, monkeypatch):
+        # every point below the floor: each fails with its condition and a
+        # NaN inverse, and no SVD runs; stationary_vector alone falls back
+        # to the SVD, whose vector is the kernel solve's
         mats = np.array(TestStackedDecisions.pumps())
-        inv_above = _kernel_decisions(mats, trace_row(4)).inv
+        above = [stationary_vector(SuperOp(4, mat)) for mat in mats]
+        diagnosed = []
+        diagnostics = qpump.linalg._kernel_diagnostics
+        monkeypatch.setattr(qpump.linalg, "_kernel_diagnostics",
+                            lambda m: diagnosed.append(m) or diagnostics(m))
         monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
-        inv, errors, kernels, *_ = _kernel_decisions(mats, trace_row(4))
-        assert not errors and list(kernels) == [0, 1, 2]
-        assert np.array_equal(inv, inv_above)
-        assert all(np.array_equal(stationary_vector(SuperOp(4, mats[k])), kernel)
-                   for k, kernel in kernels.items())
+        inv, errors, scale = _kernel_decisions(mats, trace_row(4))
+        assert list(errors) == [0, 1, 2] and not diagnosed
+        assert all(isinstance(e, DegenerateKernelError)
+                   and re.fullmatch(below_floor("1e+00"), str(e))
+                   for e in errors.values())
+        assert np.isnan(inv).all()
+        for k, mat in enumerate(mats):
+            v = stationary_vector(SuperOp(4, mat))
+            assert np.array_equal(v, _svd_kernel(mat, trace_row(4), scale[k]))
+            assert np.max(np.abs(v - above[k])) < 1e-8
+        assert len(diagnosed) == 2 * len(mats)
 
 
 class TestPropagate:

@@ -596,11 +596,14 @@ def test_long_double_only_in_the_oracle():
 
 def test_one_route_takes_the_kernel_decisions_and_refined_fluxes():
     # both models solve through steady._solve_chain, and the oracles'
-    # stationary_vector takes the decision of its one generator: no other
+    # stationary_vector takes the verdict of its one generator: no other
     # function names _kernel_decisions or _refined_fluxes (but to define or
     # import it, or _kernel_decisions to invert a stack point by point), and
-    # each names it once, so that no stacked kernel-vector route comes back
-    guarded = {"_kernel_decisions", "_refined_fluxes"}
+    # each names it once, so that no stacked kernel-vector route comes back.
+    # The SVD (_svd_kernel, _kernel_diagnostics, pinv) is the oracle's
+    # fallback alone: no chain point or maximizer reaches it
+    guarded = {"_kernel_decisions", "_refined_fluxes", "_svd_kernel", "_kernel_diagnostics",
+               "pinv"}
     found = []
 
     def visit(node, where):
@@ -614,10 +617,13 @@ def test_one_route_takes_the_kernel_decisions_and_refined_fluxes():
 
     for path in sorted(Path(qpump.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    assert sorted(found) == [("linalg._kernel_decisions", "_kernel_decisions"),
-                             ("linalg.stationary_vector", "_kernel_decisions"),
-                             ("steady._solve_chain", "_kernel_decisions"),
-                             ("steady._solve_chain", "_refined_fluxes")]
+    assert sorted(found) == [
+        ("linalg._kernel_decisions", "_kernel_decisions"),
+        ("linalg._svd_kernel", "_kernel_diagnostics"),
+        ("linalg.stationary_vector", "_kernel_decisions"),
+        ("linalg.stationary_vector", "_svd_kernel"),
+        ("steady._solve_chain", "_kernel_decisions"),
+        ("steady._solve_chain", "_refined_fluxes")]
 
 
 def test_only_the_two_models_are_configs():
@@ -646,6 +652,26 @@ def test_point_solves_refuse_a_stack(machine, solver, stacked):
         solver(_curve_config(machine, 3))
 
 
+@pytest.mark.parametrize("machine, entry, stacked", [
+    ("pump_n8", qpump.build_hamiltonian, "steady._solve_pumps"),
+    ("pump_n8", qpump.build_liouvillian, "steady._solve_pumps"),
+    ("pump_n8", qpump.pauli_rate_oracle, "steady._solve_pumps"),
+    ("three_qubit", qpump.build_three_qubit_hamiltonian, "three_qubit._solve_fridges"),
+    ("three_qubit", qpump.build_three_qubit_liouvillian, "three_qubit._solve_fridges"),
+    ("pump_n8", qpump.maximize_cooling_power, "one maximize_cooling_power call per machine"),
+    ("pump_n8", qpump.sweep_stages, "one sweep_stages call per machine"),
+], ids=["build_hamiltonian", "build_liouvillian", "pauli_rate_oracle",
+        "build_three_qubit_hamiltonian", "build_three_qubit_liouvillian",
+        "maximize_cooling_power", "sweep_stages"])
+def test_point_entries_refuse_a_stack_by_name(machine, entry, stacked):
+    # the reference builders, the rate oracle and the optimizer take one
+    # machine; given a config of (P,) frequencies they returned a wrong
+    # (P,) Hamiltonian or failed with unrelated messages
+    message = f"a config of (P,) frequencies is P machines; use {stacked}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry(_curve_config(machine, 3))
+
+
 def test_pump_solves_build_no_generator(monkeypatch):
     # the ideal pump's populations come from the GTH elimination: no
     # generator, sector block or polish, and one stacked inversion for the
@@ -665,18 +691,22 @@ def test_pump_solves_build_no_generator(monkeypatch):
     assert [args[0].shape for args in factorizations] == [(1, 8, 8), (28, 8, 8)]
 
 
-def test_svd_fallback_polishes_through_the_shared_factor(monkeypatch):
+# a chain point below the condition floor of 1, named by its omega_c
+BELOW_FLOOR = (r"^reciprocal condition \d\.\d{3}e[+-]\d+ below 1e\+00; "
+               r"stationary state numerically degenerate at omega_c=")
+
+
+def test_pump_point_below_the_floor_fails_without_svd(monkeypatch):
+    # every factor fails the condition gate: the point fails with its
+    # condition, from the one factorization, and no SVD runs on the chain
     cfg = reference_pump(8)
-    expected = solve(cfg)
     factorizations = _count_calls(monkeypatch, np.linalg, "inv")
     fallbacks = _count_calls(monkeypatch, qpump.linalg, "_kernel_diagnostics")
-    # every factor now fails the condition gate, so the kernel vector comes
-    # from the SVD and the polish refines it through that rejected factor
     monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
-    sol = solve(cfg)
-    assert len(factorizations) == 1 and len(fallbacks) == 1
-    for label in BATHS:
-        assert abs(sol.currents[label] / expected.currents[label] - 1.0) <= 1e-12
+    with pytest.raises(qpump.linalg.DegenerateKernelError,
+                       match=BELOW_FLOOR + re.escape(f"{cfg.omega_c!r}") + "$"):
+        solve(cfg)
+    assert len(factorizations) == 1 and not fallbacks
 
 
 def test_fridge_solves_build_no_generator(monkeypatch):
@@ -699,20 +729,18 @@ def test_fridge_solves_build_no_generator(monkeypatch):
     assert [args[0].shape for args in factorizations] == [(1, 8, 8), (28, 8, 8)]
 
 
-def test_svd_fallback_refines_the_fridge_through_the_shared_factor(monkeypatch):
-    # every factor fails the condition gate, so the kernel decision comes
-    # from the SVD, and the chain's refinement step goes through that
-    # rejected factor's inverse; nothing is polished
+def test_fridge_point_below_the_floor_fails_without_svd(monkeypatch):
+    # every factor fails the condition gate: the fridge's point fails as
+    # the pump's does, with no SVD and nothing polished
     cfg = _three_qubit_fridge()
-    expected = solve_three_qubit(cfg)
     factorizations = _count_calls(monkeypatch, np.linalg, "inv")
     fallbacks = _count_calls(monkeypatch, qpump.linalg, "_kernel_diagnostics")
     polishes = _count_calls(monkeypatch, qpump.steady, "_polish_state")
     monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
-    sol = solve_three_qubit(cfg)
-    assert len(factorizations) == len(fallbacks) == 1 and not polishes
-    for label in BATHS:
-        assert abs(sol.currents[label] / expected.currents[label] - 1.0) <= 1e-12
+    with pytest.raises(qpump.linalg.DegenerateKernelError,
+                       match=BELOW_FLOOR + re.escape(f"{cfg.omega_c!r}") + "$"):
+        solve_three_qubit(cfg)
+    assert len(factorizations) == 1 and not fallbacks and not polishes
 
 
 def test_overflowing_current_scale_fails_its_point():
