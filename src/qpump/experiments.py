@@ -17,7 +17,7 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .linalg import KERNEL_RESIDUAL_RTOL, NoKernelError, _point_error
+from .linalg import KERNEL_RESIDUAL_RTOL, NoKernelError, _matrix_verdict
 from .pump import (
     BathSpec,
     PumpConfig,
@@ -377,14 +377,11 @@ class _CoolingPowerEvaluator:
         return q
 
     def check_condition(self, omega_c: float) -> None:
-        """The kernel verdict at omega_c by the rule of the chain solves
-        (:func:`~qpump.linalg._kernel_decisions`): the dense rate matrix,
-        its rows divided by the power of two at or below max|M| and its
-        first row replaced by the trace constraint, must have an exact
-        1-norm reciprocal condition of at least ``KERNEL_RCOND_FLOOR``.
-        This rejects degenerate kernels whose mixtures would still pass the
-        residual gate of :meth:`q_cold`, with the error that ``solve``
-        raises there (:func:`~qpump.linalg._point_error`), naming omega_c.
+        """The kernel verdict at omega_c of the chain solves
+        (:func:`~qpump.linalg._matrix_verdict` on the dense rate matrix and
+        the trace constraint), raised with the error that ``solve`` raises
+        there, naming omega_c.  This rejects degenerate kernels whose
+        mixtures would still pass the residual gate of :meth:`q_cold`.
         Raises :class:`~qpump.steady.NonConvergedError` first where the
         current scale leaves the double range, as ``solve`` does there."""
         _, at, rates = self._best_step  # x*, unless no refinement step beat the grid
@@ -397,16 +394,7 @@ class _CoolingPowerEvaluator:
         mat = (np.array(rates) @ self._stack).reshape(self.n, self.n)
         # max|M|: each column's largest entry is its diagonal, the level's
         # out-rate, a sum of the nonnegative rates on the others
-        scale = -mat.min()
-        mat /= math.ldexp(1.0, math.frexp(scale)[1] - 1)  # exact, as the rule's scaling is
-        mat[0, :] = 1.0
-        try:
-            inv = np.linalg.inv(mat)
-        except np.linalg.LinAlgError:  # exactly singular
-            rcond = 0.0
-        else:
-            rcond = 1.0 / np.abs(mat).sum(axis=0).max() / np.abs(inv).sum(axis=0).max()
-        exc = _point_error(scale, rcond)
+        exc = _matrix_verdict(mat, 1.0, -mat.min())
         if exc is not None:
             raise type(exc)(f"{exc} at omega_c={omega_c!r}")
 
@@ -535,9 +523,13 @@ def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Opt
 
     Raises :class:`EmptyWindowError` for an empty window,
     :class:`~qpump.linalg.NoKernelError` if no grid point admits a
-    trustworthy solution, and :class:`~qpump.steady.NonConvergedError` if
-    the current scale at ``omega_c_star`` leaves the double range, and
-    ``ValueError`` for a config of (P,) frequencies.
+    trustworthy solution or the rate matrix at ``omega_c_star`` has
+    non-finite entries, :class:`~qpump.linalg.DegenerateKernelError` if
+    that matrix is singular or its condition is below
+    ``KERNEL_RCOND_FLOOR`` (:func:`~qpump.linalg._matrix_verdict`),
+    :class:`~qpump.steady.NonConvergedError` if the current scale at
+    ``omega_c_star`` leaves the double range, and ``ValueError`` for a
+    config of (P,) frequencies.
     """
     if isinstance(template, _CoolingPowerEvaluator):  # the ensemble's, of one point each
         ev = template

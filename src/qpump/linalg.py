@@ -12,18 +12,17 @@ Conventions used throughout the package:
 
 Hilbert dimensions stay at most 10, so everything is dense and double
 precision, and numpy is the only dependency.  The kernel verdicts
-(:func:`_kernel_decisions`) take a stack of matrices and their trace row:
-the rate matrices of the ideal pump's ladder or of the three-qubit fridge's
-eight-state chain, one per point of a sweep, for the chain solves of
-:mod:`qpump.steady` and the optimizer's maximizer, or one whole
-superoperator for :func:`stationary_vector` (the oracles' route).  They
-invert the stack in one ``numpy.linalg.inv`` call (an LU factorization per
-matrix) and judge each point on its condition alone; only
-:func:`stationary_vector` falls back to an SVD (:func:`_svd_kernel`).
+(:func:`_kernel_decisions`) judge a stack of matrices with their trace row,
+the chains' rate matrices of a sweep (:mod:`qpump.steady`) or one whole
+superoperator (:func:`stationary_vector`, the oracles' route), on their
+condition alone, by the rule of :func:`_matrix_verdict`, which also judges
+the optimizer's maximizer; only :func:`stationary_vector` falls back to an
+SVD (:func:`_svd_kernel`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +47,7 @@ KERNEL_RESIDUAL_RTOL = 1e-10
 KERNEL_DEGENERACY_RTOL = 1e-9
 # Reciprocal condition below which the trace-constrained solve is not
 # trusted: a near-degenerate kernel can satisfy the residual gate with a
-# meaningless mixture, so such a point fails (stationary_vector alone tries
-# the SVD on it).
+# meaningless mixture, so such a point fails.
 KERNEL_RCOND_FLOOR = 1e-13
 # A kernel vector whose trace is below this (relative to its largest entry)
 # cannot be normalized to a state.
@@ -180,19 +178,13 @@ def _kernel_decisions(mats: np.ndarray, trace: np.ndarray
     the inverse of each trace-constrained matrix, the error of each failing
     point by its index, and ``max |mats[k]|``.
 
-    Every point is judged on its own.  The first row of each matrix is
-    replaced with ``trace`` and the stack inverted; a point whose exact
-    1-norm reciprocal condition, with its other rows scaled to order 1, is
-    at least ``KERNEL_RCOND_FLOOR`` has a unique kernel, whose trace the
-    trace row fixes.  A point fails (:func:`_point_error`) with a
-    non-finite entry (:class:`NoKernelError`), or as the zero matrix,
-    exactly singular or below the floor (:class:`DegenerateKernelError`,
-    whose message carries its condition).  A failing point does not stop
-    the others: its error is kept under its index, and its inverse is NaN,
-    so that the caller can judge the points in order and no refinement
-    runs through a rejected inverse.  An exactly singular (or non-finite)
-    matrix fails the stacked inversion, so such a stack is inverted point
-    by point and only that point fails."""
+    Each point is judged on its own, by the rule of :func:`_matrix_verdict`:
+    first from the stack's inverse, and where that puts it below the floor,
+    on its scaled matrix inverted itself (the unscaled inverse can lose the
+    condition to underflow).  A failing point keeps its error under its
+    index and a NaN inverse, so that no refinement runs through it.  An
+    exactly singular (or non-finite) matrix fails the stacked inversion, so
+    such a stack is inverted point by point."""
     size = np.abs(mats)
     scale = size.max(axis=(1, 2))
     m = mats.copy()
@@ -205,42 +197,58 @@ def _kernel_decisions(mats: np.ndarray, trace: np.ndarray
             return (np.concatenate([inv for inv, _, _ in parts]),
                     {k: exc for k, (_, errors, _) in enumerate(parts) for exc in errors.values()},
                     scale)
-        inv, rcond = np.full_like(m, np.nan), np.zeros(1)
-    else:
-        # D divides the rows but the trace row by s, the power of two at or
-        # below max|M|, exactly: unscaled, the condition follows the rate
-        # rows' scale (4.5e-4 on the ideal curve at gamma 1e-3, 4.5e-14 at
-        # 1e7).  (D M)^-1 is M^-1 with those columns times s; column sums as
-        # products with ones, faster than a middle-axis sum
-        s, ones = np.ldexp(0.5, np.frexp(scale)[1])[:, None], np.ones(len(trace))
-        with np.errstate(over="ignore", invalid="ignore"):  # only a matrix of no use overflows
-            cols = ones @ np.abs(inv)
-            cols[:, 1:] *= s
-            rcond = (1.0 / (ones[1:] @ size[:, 1:] / s + np.abs(trace)).max(axis=1)
-                     / cols.max(axis=1))
+        inv = np.full_like(m, np.nan)  # no condition: judged below
+    # (D M)^-1 is M^-1 with its columns but the first times s (D divides
+    # the rows but the trace row by s, exactly); column sums as products
+    # with ones, faster than a middle-axis sum
+    s, ones = _rows_scale(scale)[:, None], np.ones(len(trace))
+    with np.errstate(over="ignore", invalid="ignore"):  # only a matrix of no use overflows
+        cols = ones @ np.abs(inv)
+        cols[:, 1:] *= s
+        rcond = (1.0 / (ones[1:] @ size[:, 1:] / s + np.abs(trace)).max(axis=1)
+                 / cols.max(axis=1))
     # a non-finite matrix, or an inverse that overflowed, has no condition (0
     # or NaN): below the floor
     above = rcond >= KERNEL_RCOND_FLOOR
     if above.all():
         return inv, {}, scale
     errors = {}
-    for k in np.flatnonzero(~above):
-        errors[int(k)], inv[k] = _point_error(scale[k], rcond[k]), np.nan
+    with np.errstate(over="ignore"):  # the inverse of a matrix of no use sums past the range
+        for k in np.flatnonzero(~above):
+            exc = _matrix_verdict(mats[k], trace, scale[k])
+            if exc is not None:
+                errors[int(k)], inv[k] = exc, np.nan
     return inv, errors, scale
 
 
-def _point_error(scale: float, rcond: float) -> np.linalg.LinAlgError | None:
-    """The kernel verdict of a matrix of ``max |M|`` ``scale`` and scaled
-    reciprocal condition ``rcond`` (0 or NaN where it has none): None at or
-    above the floor, else its error, the same for a chain point and the
-    optimizer's maximizer (``experiments._CoolingPowerEvaluator.check_condition``)."""
-    if rcond >= KERNEL_RCOND_FLOOR:
-        return None
-    if not np.isfinite(scale):  # an overflowed rate
+def _rows_scale(scale):
+    """The power of two at or below ``scale`` (a float or elementwise),
+    which divides the rows of a trace-row matrix but the trace row, exactly."""
+    if isinstance(scale, np.ndarray):
+        return np.ldexp(0.5, np.frexp(scale)[1])
+    return math.ldexp(0.5, math.frexp(scale)[1])
+
+
+def _matrix_verdict(mat: np.ndarray, trace, scale: float) -> np.linalg.LinAlgError | None:
+    """The kernel verdict of one matrix of ``max |mat|`` ``scale``, for a
+    chain point and the optimizer's maximizer alike: None where it stands,
+    else its error.  With its rows but the first over :func:`_rows_scale`
+    and its first row replaced with ``trace``, a matrix whose exact 1-norm
+    reciprocal condition reaches ``KERNEL_RCOND_FLOOR`` has a unique kernel,
+    whose trace the trace row fixes."""
+    if not math.isfinite(scale):  # an overflowed rate
         return NoKernelError(f"generator has non-finite entries (max |L| = {scale})")
     if scale == 0.0:
         return DegenerateKernelError("zero generator: every state is stationary")
-    return DegenerateKernelError(
+    m = mat / _rows_scale(scale)
+    m[0] = trace
+    try:
+        rcond = 1.0 / np.abs(m).sum(axis=0).max() / np.abs(np.linalg.inv(m)).sum(axis=0).max()
+    except np.linalg.LinAlgError:  # exactly singular
+        rcond = 0.0
+    if rcond >= KERNEL_RCOND_FLOOR:
+        return None
+    return DegenerateKernelError(  # NaN: an inverse that overflowed
         f"reciprocal condition {rcond if rcond >= 0.0 else 0.0:.3e} below "
         f"{KERNEL_RCOND_FLOOR:.0e}; stationary state numerically degenerate")
 

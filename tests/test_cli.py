@@ -392,11 +392,11 @@ class TestErrorReporting:
 
     def test_svd_lets_no_failed_chain_point_of_the_fuzz_stand(self, three_qubit_params,
                                                                monkeypatch, capsys):
-        # the premise of failing a chain point below the condition floor at
-        # once, with no SVD: on the seeded fuzz above and on the stiff curves
-        # (every gamma at 1e7), the SVD rejects every chain matrix that the
-        # verdict fails below the floor or as exactly singular, so on these
-        # sets raising at once rejects nothing that the SVD let stand
+        # a check on these sets only, not a general property: on the seeded
+        # fuzz above and on the stiff curves (every gamma at 1e7), the SVD
+        # rejects every chain matrix that the verdict fails below the floor
+        # or as exactly singular, so on these sets failing such a point at
+        # once rejects nothing that the SVD let stand
         decisions, failed = qpump.steady._kernel_decisions, []
 
         def recorded(mats, trace):
@@ -414,6 +414,26 @@ class TestErrorReporting:
         for mat, trace, scale in failed:
             with pytest.raises((qpump.NoKernelError, qpump.DegenerateKernelError)):
                 qpump.linalg._svd_kernel(mat, trace, scale)
+
+    def test_badly_scaled_chain_point_stands(self, monkeypatch, capsys):
+        # every rate but the hot bath's past 1e300, all draining into the
+        # ground level: the inverse of the unscaled trace-row matrix loses
+        # the point's condition to underflow (4.8e-282), and its scaled
+        # matrix, inverted itself, holds it at 6.9e-3; the SVD let the point
+        # stand too (singular values 7.3e301, 2.3e300, 6.4e-11)
+        decisions, mats = qpump.steady._kernel_decisions, []
+        monkeypatch.setattr(qpump.steady, "_kernel_decisions",
+                            lambda m, trace: mats.append(m) or decisions(m, trace))
+        assert run(["currents", "--params", str(REFERENCE_CHILLER), "--set", "T_c=1e-3",
+                    "--set", "gamma_c=1e300", "--set", "T_w=1e300"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert row[0] == "3" and row[8] == "boundary"
+        ((mat,),) = mats
+        scale = np.abs(mat).max()
+        inv = np.linalg.inv(np.vstack([np.ones(3), mat[1:]]))
+        inv[:, 1:] *= qpump.linalg._rows_scale(scale)
+        assert 1.0 / np.abs(inv).sum(axis=0).max() < 1e-280  # |scaled matrix|_1 >= 1
+        assert qpump.linalg._matrix_verdict(mat, 1.0, scale) is None
 
     @pytest.mark.parametrize("argv, message", [
         (["--set", "saturated_work=1", "--set", "T_w=1000"],
@@ -456,18 +476,19 @@ class TestErrorReporting:
     def test_condition_floor_is_one_verdict(self, monkeypatch, capsys):
         # the optimizer judges its maximizer by the chain solves' kernel
         # verdict: with the floor at 1, optimize and currents at its
-        # omega_c_star fail alike, apart from the printed condition
+        # omega_c_star fail with the same line
         assert run(["optimize", "--params", str(REFERENCE_CHILLER)]) == 0
         omega_c = capsys.readouterr().out.splitlines()[-1].split(",")[0]
         monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", 1.0)
         errors = []
         for argv in (["optimize"], ["currents", "--set", f"omega_c={omega_c}"]):
             assert run([*argv, "--params", str(REFERENCE_CHILLER)]) == 2
-            errors.append(re.sub(r"reciprocal condition \S+ ", "reciprocal condition X ",
-                                 capsys.readouterr().err))
-        assert errors[0] == errors[1] == (
-            "qpump: solver failure: DegenerateKernelError: reciprocal condition X below 1e+00; "
-            f"stationary state numerically degenerate at omega_c={float(omega_c)!r}\n")
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert re.fullmatch(r"qpump: solver failure: DegenerateKernelError: reciprocal condition "
+                            r"\d\.\d{3}e-\d\d below 1e\+00; stationary state numerically "
+                            rf"degenerate at omega_c={re.escape(repr(float(omega_c)))}\n",
+                            errors[0])
 
     def test_pump_subcommand_overrides_end_in_a_verdict(self, capsys):
         # the same seeded fuzz over the subcommands that build a pump config

@@ -887,8 +887,8 @@ class TestCharacteristicCurve:
         # all three gammas at 1e7: the rate rows are of order 1e11, and with
         # the trace row left at 1 every point of both curves fell below the
         # condition floor; with the rows scaled, none does, while the floor
-        # at 1 fails the first point, from the one stacked factorization
-        # and with no SVD
+        # at 1 fails the first point, from the stacked inversion and each
+        # point's scaled matrix inverted to judge it, and with no SVD
         setup = dataclasses.replace(COMPARE_SETUP, gamma_work=1e7, gamma_hot=1e7, gamma_cold=1e7)
         diagnosed, inverted = [], []
         diagnostics, inv = qpump.linalg._kernel_diagnostics, np.linalg.inv
@@ -902,7 +902,7 @@ class TestCharacteristicCurve:
                            r"stationary state numerically degenerate at omega_c="
                            + re.escape(repr(first)) + "$"):
             characteristic_curve(system, setup, n_points=28)
-        assert len(inverted) == 2 and diagnosed == []
+        assert len(inverted) == 1 + (1 + 28) and diagnosed == []
 
     @pytest.mark.parametrize("omega_w, n", STIFF_CURVES)
     def test_stiff_dense_ideal_curve_passes_its_gates(self, omega_w, n):

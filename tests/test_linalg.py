@@ -193,6 +193,21 @@ class TestStationaryVector:
         with pytest.raises(DegenerateKernelError):
             stationary_vector(SuperOp(2, np.zeros((4, 4), dtype=complex)))
 
+    def test_generator_at_the_edge_of_the_double_range(self, monkeypatch):
+        # a pump generator times 2^1000 (max |L| 1.06e308): the inverse of
+        # its unscaled trace-row matrix loses the condition to underflow,
+        # and its scaled matrix, inverted itself, holds it, so the kernel
+        # solve gives the unscaled generator's state, with no SVD (whose
+        # largest singular value overflows, so that it called the kernel
+        # not unique)
+        cfg = qpump.ideal_pump(3, 102.6, 40.0, 7.1e3, 1.57e3, 54.25, 0.35, 5.1e-3, 8.8e-3)
+        op = qpump.build_liouvillian(cfg)
+        scaled = SuperOp(3, op.matrix * 2.0 ** 500 * 2.0 ** 500)
+        diagnosed = []
+        monkeypatch.setattr(qpump.linalg, "_kernel_diagnostics", diagnosed.append)
+        assert np.max(np.abs(stationary_vector(scaled) - stationary_vector(op))) < 1e-13
+        assert not diagnosed
+
 
 def below_floor(floor: str) -> str:
     """The message of a point below the condition floor ``floor``, as a
@@ -223,7 +238,7 @@ class TestStackedDecisions:
         # a 4-level generator whose levels 2 and 3 are dark has an exactly
         # singular trace-constrained matrix; it fails the stacked inversion,
         # the stack is inverted point by point, and only that point fails,
-        # at condition 0, with no SVD
+        # its scaled matrix (inverted last) at condition 0, with no SVD
         jump = np.zeros((4, 4), dtype=complex)
         jump[0, 1] = 1.0
         dark = build_dissipator(jump, decay_rates(BathSpec("cold", 1.0, 0.5), 1.0)).matrix
@@ -235,7 +250,7 @@ class TestStackedDecisions:
         monkeypatch.setattr(qpump.linalg, "_kernel_diagnostics",
                             lambda m: diagnosed.append(m) or diagnostics(m))
         inverses, errors, _ = _kernel_decisions(np.array([good[0], good[1], dark]), trace_row(4))
-        assert inversions == [(3, 16, 16), (1, 16, 16), (1, 16, 16), (1, 16, 16)]
+        assert inversions == [(3, 16, 16), (1, 16, 16), (1, 16, 16), (1, 16, 16), (16, 16)]
         assert not diagnosed
         assert list(errors) == [2] and isinstance(errors[2], DegenerateKernelError)
         assert str(errors[2]).startswith("reciprocal condition 0.000e+00 below 1e-13")

@@ -698,7 +698,8 @@ BELOW_FLOOR = (r"^reciprocal condition \d\.\d{3}e[+-]\d+ below 1e\+00; "
 
 def test_pump_point_below_the_floor_fails_without_svd(monkeypatch):
     # every factor fails the condition gate: the point fails with its
-    # condition, from the one factorization, and no SVD runs on the chain
+    # condition, from the stacked inversion and its scaled matrix's own
+    # inversion, which judges it, and no SVD runs on the chain
     cfg = reference_pump(8)
     factorizations = _count_calls(monkeypatch, np.linalg, "inv")
     fallbacks = _count_calls(monkeypatch, qpump.linalg, "_kernel_diagnostics")
@@ -706,7 +707,7 @@ def test_pump_point_below_the_floor_fails_without_svd(monkeypatch):
     with pytest.raises(qpump.linalg.DegenerateKernelError,
                        match=BELOW_FLOOR + re.escape(f"{cfg.omega_c!r}") + "$"):
         solve(cfg)
-    assert len(factorizations) == 1 and not fallbacks
+    assert len(factorizations) == 2 and not fallbacks
 
 
 def test_fridge_solves_build_no_generator(monkeypatch):
@@ -740,7 +741,7 @@ def test_fridge_point_below_the_floor_fails_without_svd(monkeypatch):
     with pytest.raises(qpump.linalg.DegenerateKernelError,
                        match=BELOW_FLOOR + re.escape(f"{cfg.omega_c!r}") + "$"):
         solve_three_qubit(cfg)
-    assert len(factorizations) == 1 and not fallbacks and not polishes
+    assert len(factorizations) == 2 and not fallbacks and not polishes
 
 
 def test_overflowing_current_scale_fails_its_point():
