@@ -17,7 +17,7 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .linalg import KERNEL_RESIDUAL_RTOL, NoKernelError, _matrix_verdict
+from .linalg import KERNEL_RESIDUAL_RTOL, NoKernelError, _chain_verdicts
 from .pump import (
     BathSpec,
     PumpConfig,
@@ -327,8 +327,9 @@ class _CoolingPowerEvaluator:
     Its GTH elimination, :func:`~qpump.steady._ladder_balance`, is the one
     that gives :func:`~qpump.steady.solve` its populations and ``q_c``, so
     ``q_cold`` and ``solve``'s ``q_c`` come from one body.  ``grid`` holds
-    the coarse grid's values once they are solved, and ``bracket`` the
-    refinement's start.
+    the coarse grid's values once they are solved, ``bracket`` the
+    refinement's start, and ``maximum`` the refined maximizer with its
+    kernel verdict (:func:`_refine_and_judge`).
     """
 
     def __init__(self, template: PumpConfig):
@@ -339,6 +340,8 @@ class _CoolingPowerEvaluator:
         self._hot = _rates(template.hot, template.omega_h)  # the config checked omega_h > 0
         self.grid: np.ndarray | None = None
         self.bracket: tuple[list, list, int] | None = None  # (nodes, values, failed)
+        # (x*, q*, refinement steps, failed steps, the error of x* or None)
+        self.maximum: tuple[float, float, int, int, Exception | None] | None = None
         # (q, omega_c, _channels) of the best q_cold, ties to the later step as in Brent's x*
         self._best_step = -math.inf, math.nan, None
 
@@ -375,28 +378,6 @@ class _CoolingPowerEvaluator:
         if q >= self._best_step[0]:
             self._best_step = q, omega_c, rates
         return q
-
-    def check_condition(self, omega_c: float) -> None:
-        """The kernel verdict at omega_c of the chain solves
-        (:func:`~qpump.linalg._matrix_verdict` on the dense rate matrix and
-        the trace constraint), raised with the error that ``solve`` raises
-        there, naming omega_c.  This rejects degenerate kernels whose
-        mixtures would still pass the residual gate of :meth:`q_cold`.
-        Raises :class:`~qpump.steady.NonConvergedError` first where the
-        current scale leaves the double range, as ``solve`` does there."""
-        _, at, rates = self._best_step  # x*, unless no refinement step beat the grid
-        if omega_c != at:
-            rates = self._channels(omega_c)
-        top = _level_energy(self.n, self.template.omega_h, omega_c)  # |H|
-        channel = max(rates[0] + rates[1], rates[2] + rates[3], rates[4] + rates[5])
-        if not _current_scale(top, channel)[1]:  # floats overflow quietly
-            raise NonConvergedError(f"{_SCALE_OVERFLOW} at omega_c={omega_c!r}")
-        mat = (np.array(rates) @ self._stack).reshape(self.n, self.n)
-        # max|M|: each column's largest entry is its diagonal, the level's
-        # out-rate, a sum of the nonnegative rates on the others
-        exc = _matrix_verdict(mat, 1.0, -mat.min())
-        if exc is not None:
-            raise type(exc)(f"{exc} at omega_c={omega_c!r}")
 
 
 def _grid_node(window, k):
@@ -504,6 +485,41 @@ def _brent_max(f, xs, fs, tol: float):
     return x, -fx, evals, failures
 
 
+def _refine_and_judge(evaluators: list[_CoolingPowerEvaluator]) -> None:
+    """Refine the bracket of every evaluator with a standing grid point
+    (Brent's steps, each a ``q_cold`` call), judge all their maximizers x*
+    in one stacked verdict, and store each evaluator's ``maximum``.  The
+    verdict at x* is ``solve``'s: the current scale |H| x rate must fit the
+    double range (:func:`~qpump.steady._current_scale`, per point), else
+    :class:`~qpump.steady.NonConvergedError`; then the dense rate matrix
+    takes :func:`~qpump.linalg._chain_verdicts`.  An error names x* and
+    waits for :func:`maximize_cooling_power` to raise it, in its caller's
+    order.  The rates are the best refinement step's, x* unless no step
+    beat the grid."""
+    mats, judged = [], []
+    for ev in evaluators:
+        xs, fs, failed = ev.bracket
+        if failed == COARSE_GRID_POINTS:  # maximize_cooling_power raises
+            continue
+        x, q, steps, lost = _brent_max(ev.q_cold, xs, fs, REFINE_RELATIVE_WIDTH * ev.window)
+        _, at, rates = ev._best_step
+        if x != at:
+            rates = ev._channels(x)
+        top = _level_energy(ev.n, ev.template.omega_h, x)  # |H|
+        channel = max(rates[0] + rates[1], rates[2] + rates[3], rates[4] + rates[5])
+        error = None
+        if not _current_scale(top, channel)[1]:  # floats overflow quietly
+            error = NonConvergedError(f"{_SCALE_OVERFLOW} at omega_c={x!r}")
+        else:
+            mats.append((np.array(rates) @ ev._stack).reshape(ev.n, ev.n))
+            judged.append(ev)
+        ev.maximum = x, q, steps, lost, error
+    for ev, exc in zip(judged, _chain_verdicts(mats)):
+        if exc is not None:
+            x = ev.maximum[0]
+            ev.maximum = *ev.maximum[:4], type(exc)(f"{exc} at omega_c={x!r}")
+
+
 def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Optimum:
     """Find the cold frequency that maximizes the cooling power.
 
@@ -514,12 +530,14 @@ def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Opt
     the maximizer within 1e-6 of the window width; it keeps the best grid
     point unless a refinement step beats it, so failed steps fall back to
     that point.  The reported power is the value at ``omega_c_star``, which
-    then passes the evaluator's ``check_condition`` (a full
+    then passes the kernel verdict of :func:`_refine_and_judge` (a full
     :func:`qpump.steady.solve` there reproduces it to solver precision), and
     the reported efficiency uses the ideal-pump identity
     ``eps* = omega_c*/(omega_h - omega_c*)``.
     ``template.omega_c`` is ignored.  ``template`` may also be an evaluator,
-    whose grid a caller may have solved already.
+    whose grid, or its refinement and verdict too, a caller may have
+    solved already, for a stack of them (:func:`sweep_stages`,
+    :func:`_histogram_chunk`); a template alone is a stack of one.
 
     Raises :class:`EmptyWindowError` for an empty window,
     :class:`~qpump.linalg.NoKernelError` if no grid point admits a
@@ -541,15 +559,15 @@ def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Opt
         raise EmptyWindowError(f"cooling window max {window} is not positive")
     if ev.bracket is None:
         _solve_grids([ev])
-    xs, fs, failed = ev.bracket
+    failed = ev.bracket[2]
     if failed == COARSE_GRID_POINTS:
         raise NoKernelError("no grid point in the cooling window admits a "
                             "trustworthy stationary state")
-    x_star, q_star, refine_evals, refine_failed = _brent_max(
-        ev.q_cold, xs, fs, REFINE_RELATIVE_WIDTH * window)
-    # the condition check at the reported maximizer, whose cooling power
-    # q_star already is, from a refinement step or the grid, bit for bit
-    ev.check_condition(x_star)
+    if ev.maximum is None:
+        _refine_and_judge([ev])
+    x_star, q_star, refine_evals, refine_failed, error = ev.maximum
+    if error is not None:
+        raise error
     omega_w_star = template.omega_h - x_star
     eps_star = x_star / omega_w_star
     eps_ratio = eps_star / carnot_cop(effective_temperatures(template, omega_w_star))
@@ -580,14 +598,17 @@ def sweep_stages(template: PumpConfig,
     (infinite-temperature limit).  Deterministic; one Optimum per
     (n_levels, variant).  A variant's templates share their work bath's
     squeezing and saturation, so its coarse grids are one call of
-    :func:`_solve_grids`.
+    :func:`_solve_grids`, and its maximizers one stacked verdict
+    (:func:`_refine_and_judge`).
     """
     template._check_one_point("one sweep_stages call per machine")
     out = []
     for variant in variants:
         evs = [_CoolingPowerEvaluator(_variant_config(template, n, variant, squeeze_db))
                for n in n_values]
-        _solve_grids([ev for ev in evs if ev.window > 0])
+        solvable = [ev for ev in evs if ev.window > 0]
+        _solve_grids(solvable)
+        _refine_and_judge(solvable)
         out += [StageResult(n, variant, maximize_cooling_power(ev))
                 for n, ev in zip(n_values, evs)]
     return out
@@ -652,7 +673,10 @@ def _sample_point(ranges: SampleRanges, index: int,
     from (seed, index, attempt), so rejection never desynchronizes other
     samples and results are independent of worker count.  ``first``, when
     given, is the evaluator of attempt 0's fridge, already drawn, with its
-    coarse grid solved if its window is nonempty (:func:`_histogram_chunk`).
+    coarse grid, refinement and kernel verdict done if its window is
+    nonempty (:func:`_histogram_chunk`); a redrawn attempt is maximized
+    alone.  Each attempt is judged here, in order, so rejections and errors
+    surface as a sample-by-sample loop raises them.
     """
     for attempt in range(64):
         if attempt == 0 and first is not None:
@@ -673,14 +697,18 @@ def _sample_point(ranges: SampleRanges, index: int,
 
 def _histogram_chunk(args) -> list[tuple[int, float, int, int]]:
     """The samples ``start`` to ``stop``: every first attempt is drawn in
-    one pass (:func:`_draws`), and the coarse grids and brackets of those
-    with a nonempty window are solved as one padded call
-    (:func:`_solve_grids`); each sample then refines its own bracket, and
-    redraws on rejection, in one call of :func:`_sample_point`."""
+    one pass (:func:`_draws`), the coarse grids and brackets of those with
+    a nonempty window are solved as one padded call (:func:`_solve_grids`),
+    and each of their brackets is refined and its maximizer judged in one
+    stacked verdict (:func:`_refine_and_judge`).  Each sample then takes
+    its optimum, or its error, and redraws on rejection, in one call of
+    :func:`_sample_point`."""
     ranges, start, stop = args
     evaluators = [None if cfg is None else _CoolingPowerEvaluator(cfg)
                   for cfg in _draws(ranges, range(start, stop))]
-    _solve_grids([ev for ev in evaluators if ev is not None and ev.window > 0])
+    firsts = [ev for ev in evaluators if ev is not None and ev.window > 0]
+    _solve_grids(firsts)
+    _refine_and_judge(firsts)
     return [(i, *_sample_point(ranges, i, ev))
             for i, ev in zip(range(start, stop), evaluators)]
 

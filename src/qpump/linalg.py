@@ -15,9 +15,9 @@ precision, and numpy is the only dependency.  The kernel verdicts
 (:func:`_kernel_decisions`) judge a stack of matrices with their trace row,
 the chains' rate matrices of a sweep (:mod:`qpump.steady`) or one whole
 superoperator (:func:`stationary_vector`, the oracles' route), on their
-condition alone, by the rule of :func:`_matrix_verdict`, which also judges
-the optimizer's maximizer; only :func:`stationary_vector` falls back to an
-SVD (:func:`_svd_kernel`).
+condition alone, by the rule of :func:`_matrix_verdict`, which
+:func:`_chain_verdicts` keeps for the optimizer's maximizers; only
+:func:`stationary_vector` falls back to an SVD (:func:`_svd_kernel`).
 """
 
 from __future__ import annotations
@@ -251,6 +251,47 @@ def _matrix_verdict(mat: np.ndarray, trace, scale: float) -> np.linalg.LinAlgErr
     return DegenerateKernelError(  # NaN: an inverse that overflowed
         f"reciprocal condition {rcond if rcond >= 0.0 else 0.0:.3e} below "
         f"{KERNEL_RCOND_FLOOR:.0e}; stationary state numerically degenerate")
+
+
+def _chain_verdicts(mats: list[np.ndarray]) -> list[np.linalg.LinAlgError | None]:
+    """:func:`_matrix_verdict` of each chain rate matrix ``mats[k]``, of any
+    size, with a trace row of ones, screened by one inversion of the stack.
+
+    Each matrix is scaled and given its trace row as there, then padded
+    with an identity block to the stack's largest size, which moves no
+    1-norm: a padding column sums to 1 in the matrix and its inverse, and
+    the largest real column to at least 1 in both (the trace row is ones,
+    so ``ones @ M^-1`` is the first unit row).  A point below twice the
+    floor there, or one the stack cannot judge (a zero or non-finite
+    ``max |M|``, a singular stack), is judged by :func:`_matrix_verdict`
+    alone, which alone fails a point and words its error."""
+    if not mats:
+        return []
+    sizes = [len(mat) for mat in mats]
+    size = max(sizes)
+    stack = np.zeros((len(mats), size, size))
+    for m, mat, n in zip(stack, mats, sizes):
+        m[:n, :n] = mat
+    scale = np.abs(stack).max(axis=(1, 2))
+    pad = np.arange(size) >= np.array(sizes)[:, None]
+    with np.errstate(all="ignore"):  # a matrix or an inverse of no use is NaN or overflows
+        stack /= _rows_scale(scale)[:, None, None]
+        scale = scale.tolist()
+        judged = [0.0 < s < math.inf for s in scale]
+        stack[:, 0] = ~pad  # the trace row, then the padding's identity block
+        diagonal = stack.reshape(len(mats), -1)[:, ::size + 1]
+        diagonal += pad
+        if not all(judged):
+            stack[np.logical_not(judged)] = np.eye(size)
+        try:
+            inv = np.linalg.inv(stack)
+        except np.linalg.LinAlgError:  # an exactly singular matrix
+            rcond = [0.0] * len(mats)
+        else:
+            norms = np.ones(size) @ np.abs(np.concatenate((stack, inv)))
+            rcond = (1.0 / norms.max(axis=1).reshape(2, -1).prod(axis=0)).tolist()
+    return [None if ok and r >= 2.0 * KERNEL_RCOND_FLOOR else _matrix_verdict(mat, 1.0, s)
+            for mat, s, ok, r in zip(mats, scale, judged, rcond)]
 
 
 def _svd_kernel(mat: np.ndarray, trace: np.ndarray, scale: float) -> np.ndarray:

@@ -403,9 +403,11 @@ def window_max(cfg: PumpConfig) -> float:
     For engineered work baths the effective temperature depends (weakly) on
     frequency; it is evaluated at ``omega_w = omega_h`` (the small-omega_c
     limit), which bounds the window from above and is the safe bracket for
-    maximizing the cooling power.
+    maximizing the cooling power.  A saturated work bath no hotter than the
+    hot bath there leaves no window: 0, as at equal temperatures.
     """
-    return cooling_window_max(cfg.omega_h, effective_temperatures(cfg, cfg.omega_h))
+    temps = effective_temperatures(cfg, cfg.omega_h)
+    return cooling_window_max(cfg.omega_h, temps) if temps[0] >= temps[1] else 0.0
 
 
 def carnot_cop_for(cfg: PumpConfig) -> float:

@@ -447,6 +447,15 @@ class TestErrorReporting:
         assert run(["sweep-n", "--params", str(REFERENCE_CHILLER), *argv]) == 1
         assert capsys.readouterr().err == f"qpump: configuration error: {message}\n"
 
+    def test_saturated_work_below_the_hot_bath_is_an_empty_window(self, capsys):
+        # the saturated work bath's effective temperature at omega_h
+        # (1.03e10) lies below T_h, so there is no cooling window; the
+        # optimizer's evaluator ended in the ordering ValueError before
+        assert run(["optimize", "--params", str(REFERENCE_CHILLER), "--set", "saturated_work=1",
+                    "--set", "T_h=1e300"]) == 2
+        assert capsys.readouterr().err == ("qpump: solver failure: EmptyWindowError: "
+                                           "cooling window max 0.0 is not positive\n")
+
     def test_grid_rates_past_the_double_range_fail_quietly(self):
         # the reference chiller at gamma_w = gamma_h = 1e300, whose squeezed
         # variant's coarse-grid rates overflow: those points fail their

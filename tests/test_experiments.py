@@ -23,6 +23,7 @@ from qpump.experiments import (
     _curve_config,
     _draw,
     _draws,
+    _refine_and_judge,
     _sample_point,
     _solve_grids,
     _variant_config,
@@ -144,8 +145,15 @@ def golden_optimum(template):
     a = window * (best - 1) / (COARSE_GRID_POINTS + 1)
     b = window * (best + 1) / (COARSE_GRID_POINTS + 1)
     x, _, _, _ = golden_max(ev.q_cold, a, b, REFINE_RELATIVE_WIDTH * window)
-    ev.check_condition(x)
+    assert qpump.linalg._matrix_verdict(*dense_rate_matrix(ev, x)) is None
     return x, ev.q_cold(x)
+
+
+def dense_rate_matrix(ev, omega_c):
+    """The arguments of ``linalg._matrix_verdict`` for the dense rate matrix
+    of ``ev`` at ``omega_c``: the matrix, its trace row of ones and max|M|."""
+    mat = (np.array(ev._channels(omega_c)) @ ev._stack).reshape(ev.n, ev.n)
+    return mat, 1.0, float(np.abs(mat).max())
 
 
 def uncached_population_structure(n):
@@ -460,6 +468,77 @@ def failing_rates(monkeypatch, at, nan=True):
         return original(n, rates, points)
 
     monkeypatch.setattr(qpump.experiments, "_padded_ladder_rates", padded_ladder_rates)
+
+
+def with_gammas(work, hot):
+    """The 4-level reference pump with the work and hot baths' gamma replaced."""
+    base = reference_pump(4)
+    return dataclasses.replace(base, work=dataclasses.replace(base.work, gamma=work),
+                               hot=dataclasses.replace(base.hot, gamma=hot))
+
+
+def force_first_draws(monkeypatch, forced):
+    """Make the first attempt of sample i the config ``forced[i]``; returns
+    the list of (index, attempt) that the draws record."""
+    draws, drawn = qpump.experiments._draws, []
+
+    def forced_draws(ranges, indices, attempt=0):
+        drawn.extend((i, attempt) for i in indices)
+        return [forced.get(i, cfg) if attempt == 0 else cfg
+                for i, cfg in zip(indices, draws(ranges, indices, attempt))]
+
+    monkeypatch.setattr(qpump.experiments, "_draws", forced_draws)
+    return drawn
+
+
+class TestMaximizerVerdicts:
+    """The maximizers of a stack of evaluators, judged in one stacked
+    verdict, each as ``linalg._matrix_verdict`` judges its dense rate
+    matrix alone."""
+
+    # frozen fridges whose hot bath is barely hotter than the cold one:
+    # some maximizers fall below the condition floor
+    FROZEN = SampleRanges(t_cold=(1e-3, 1e3), hot_over_cold=(1.0 + 1e-9, 1.01),
+                          work_over_hot=(1.0, 1.01), omega_h_over_t_cold=(10.0, 1e3),
+                          gamma_frac=(1e-6, 1e-4), seed=1021)
+
+    @pytest.mark.parametrize("ranges", [FROZEN, SampleRanges(seed=5)], ids=["frozen", "default"])
+    def test_chunk_verdicts_are_each_maximizers_alone(self, ranges):
+        evs = [_CoolingPowerEvaluator(cfg) for cfg in _draws(ranges, range(64))]
+        assert all(ev.window > 0 for ev in evs)
+        _solve_grids(evs)
+        _refine_and_judge(evs)
+        failed = 0
+        for ev in evs:
+            x, *_, exc = ev.maximum
+            alone = qpump.linalg._matrix_verdict(*dense_rate_matrix(ev, x))
+            if alone is None:
+                assert exc is None
+            else:
+                failed += 1
+                assert type(exc) is type(alone) and str(exc) == f"{alone} at omega_c={x!r}"
+        assert (failed > 0) == (ranges is self.FROZEN)
+
+    def test_each_caller_judges_its_maximizers_in_one_stack(self, monkeypatch):
+        # optimize as a stack of one, a sweep variant's N = 3..10 as one
+        # stack, and an ensemble chunk's first attempts as one stack, whose
+        # rejected sample is redrawn and judged alone
+        stacks = []
+        verdicts = qpump.experiments._chain_verdicts
+        monkeypatch.setattr(qpump.experiments, "_chain_verdicts",
+                            lambda mats: stacks.append([len(m) for m in mats]) or verdicts(mats))
+        maximize_cooling_power(reference_pump(5))
+        assert stacks == [[5]]
+        del stacks[:]
+        sweep_stages(reference_pump(), squeeze_db=7.0)
+        assert stacks == [list(range(3, 11))] * 3
+        del stacks[:]
+        ranges = SampleRanges(seed=31)
+        force_first_draws(monkeypatch, {1: with_gammas(1e308, REF_PARAMS["gamma_hot"])})
+        cop_histogram(ranges, 8, threads=1)
+        firsts = [cfg.n_levels for cfg in _draws(ranges, range(8))]
+        assert stacks == [firsts[:1] + firsts[2:],
+                          [_draw(ranges, 1, 1).n_levels]]
 
 
 class TestStoredBrackets:
@@ -792,6 +871,28 @@ class TestHistogram:
         assert res.rejected == 5
         assert res.eps_ratios.tolist() == [original(_draw(ranges, i, 1)).eps_ratio
                                            for i in range(5)]
+
+    def test_chunk_outcomes_surface_in_sample_order(self, monkeypatch):
+        # sample 1's first fridge has no grid point standing (a rejection),
+        # and samples 2 and 5 fail the current-scale check at their
+        # maximizers: as a sample-by-sample loop does, the chunk redraws
+        # sample 1 and then raises sample 2's error, although every first
+        # attempt was refined and judged before any sample was taken
+        forced = {1: with_gammas(1e308, REF_PARAMS["gamma_hot"]),
+                  2: with_gammas(1e300, 1e300), 5: with_gammas(1e299, 1e299)}
+        drawn = force_first_draws(monkeypatch, forced)
+        with pytest.raises(NoKernelError, match="no grid point"):
+            maximize_cooling_power(forced[1])
+        errors = []
+        for k in (2, 5):
+            with pytest.raises(NonConvergedError, match="current scale") as alone:
+                maximize_cooling_power(forced[k])
+            errors.append(str(alone.value))
+        assert errors[0] != errors[1]
+        with pytest.raises(NonConvergedError) as raised:
+            cop_histogram(SampleRanges(seed=31), 8, threads=1)
+        assert str(raised.value) == errors[0]
+        assert drawn == [(i, 0) for i in range(8)] + [(1, 1)]
 
     def test_bound_respected_on_small_ensemble(self):
         res = cop_histogram(SampleRanges(seed=3), 60, threads=1)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from qpump.linalg import (
     DegenerateKernelError,
     NoKernelError,
     SuperOp,
+    _chain_verdicts,
     _kernel_decisions,
     _kernel_diagnostics,
+    _matrix_verdict,
     _svd_kernel,
     devectorize,
     propagate,
@@ -360,6 +363,110 @@ class TestKernelDecisions:
             assert np.array_equal(v, _svd_kernel(mat, trace_row(4), scale[k]))
             assert np.max(np.abs(v - above[k])) < 1e-8
         assert len(diagnosed) == 2 * len(mats)
+
+
+def ladder(n, rates, k=0):
+    """The rate matrix of an n-level ladder of the six rates (work, hot,
+    cold; down then up), times 2^k."""
+    return np.ldexp((np.array(rates) @ qpump.steady._population_structure(n)).reshape(n, n), k)
+
+
+def own_rcond(mat):
+    """The condition that _matrix_verdict judges, written out: rows but the
+    first over the power of two at or below max|M|, the first row ones."""
+    m = mat / qpump.linalg._rows_scale(np.abs(mat).max())
+    m[0] = 1.0
+    return 1.0 / np.abs(m).sum(axis=0).max() / np.abs(np.linalg.inv(m)).sum(axis=0).max()
+
+
+def weak(eps):
+    """Rates that couple a ladder's cold pairs of levels by ``eps`` alone:
+    the condition falls with ``eps``, and at 0 the pairs are closed classes."""
+    return [eps, eps, eps, eps, 3.0, 1.0]
+
+
+def overflowed(mat, bad):
+    """``mat`` with the rate from level 0 to level 1, and so level 0's
+    out-rate, at ``bad``."""
+    mat = mat.copy()
+    mat[1, 0], mat[0, 0] = bad, -bad
+    return mat
+
+
+class TestChainVerdicts:
+    """The stacked verdict of chain rate matrices of mixed sizes, padded to
+    the largest: a screen whose verdicts are those of each matrix alone."""
+
+    @staticmethod
+    def corpus():
+        # name -> matrix, at N = 3..10 and scales from 2^-40 to 2^900
+        return {
+            "pass_3": ladder(3, [1.0, 2.0, 3.0, 0.5, 1.0, 1.5], 40),
+            "pass_5": ladder(5, [0.2, 0.1, 5.0, 0.05, 1.0, 0.9], -40),
+            "pass_10": ladder(10, [7.0, 6.5, 0.3, 0.2, 2.0, 0.1]),
+            "pass_8": ladder(8, [3.0, 1.0, 2.0, 0.5, 4.0, 1.5], 900),
+            "near_4": ladder(4, weak(8e-13)),  # just above the floor
+            "below_6": ladder(6, weak(1e-15), -30),
+            "zero_7": np.zeros((7, 7)),
+            "inf_3": overflowed(ladder(3, [1.0] * 6), np.inf),
+            "nan_10": overflowed(ladder(10, [1.0] * 6), np.nan),
+            "singular_9": ladder(9, weak(0.0)),  # five closed classes
+        }
+
+    def test_corpus_spans_the_cases(self):
+        mats = self.corpus()
+        assert sorted(len(m) for m in mats.values()) == [3, 3, 4, 5, 6, 7, 8, 9, 10, 10]
+        floor = qpump.linalg.KERNEL_RCOND_FLOOR
+        assert all(own_rcond(mats[k]) >= 1e3 * floor for k in mats if k.startswith("pass"))
+        assert floor < own_rcond(mats["near_4"]) < 2.0 * floor
+        assert own_rcond(mats["below_6"]) < floor
+        with pytest.raises(np.linalg.LinAlgError):
+            own_rcond(mats["singular_9"])
+
+    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_verdict_is_that_of_the_matrix_alone(self, singular, seed):
+        # in any order and with or without an exactly singular point: None
+        # where _matrix_verdict alone passes the matrix, else its error's
+        # type and words; the stack itself raises no RuntimeWarning
+        corpus = self.corpus()
+        if not singular:
+            del corpus["singular_9"]
+        names = list(np.random.default_rng(seed).permutation(list(corpus)))
+        mats = [corpus[name] for name in names]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = _chain_verdicts(mats)
+        assert len(verdicts) == len(mats)
+        for name, mat, exc in zip(names, mats, verdicts):
+            alone = _matrix_verdict(mat, 1.0, np.abs(mat).max())
+            assert (type(exc), str(exc)) == (type(alone), str(alone)), name
+            assert (exc is None) == (name.startswith("pass") or name == "near_4"), name
+
+    def test_screen_passes_only_points_clear_of_the_floor(self, monkeypatch):
+        # a point is judged alone where the padded stack puts it below twice
+        # the floor or cannot judge it, and only there: the padding, placed
+        # after the scaling, moves no point's condition
+        corpus = self.corpus()
+        del corpus["singular_9"]
+        names = list(corpus)
+        judged = []
+        verdict = qpump.linalg._matrix_verdict
+        monkeypatch.setattr(qpump.linalg, "_matrix_verdict",
+                            lambda mat, *args: judged.append(len(mat)) or verdict(mat, *args))
+        _chain_verdicts([corpus[name] for name in names])
+        assert judged == [len(corpus[name]) for name in names
+                          if not name.startswith("pass")]
+
+    def test_singular_stack_judges_every_point_alone(self, monkeypatch):
+        corpus = self.corpus()
+        judged = []
+        verdict = qpump.linalg._matrix_verdict
+        monkeypatch.setattr(qpump.linalg, "_matrix_verdict",
+                            lambda mat, *args: judged.append(len(mat)) or verdict(mat, *args))
+        verdicts = _chain_verdicts(list(corpus.values()))
+        assert judged == [len(m) for m in corpus.values()]
+        assert str(verdicts[-1]).startswith("reciprocal condition 0.000e+00 below 1e-13")
 
 
 class TestPropagate:

@@ -21,6 +21,7 @@ from qpump.pump import (
     level_energies,
     squeeze_db_to_r,
     transition_pairs,
+    window_max,
 )
 from qpump.three_qubit import ThreeQubitConfig
 
@@ -296,6 +297,18 @@ class TestWindowAndCarnot:
     def test_ordering_rejected(self):
         with pytest.raises(ValueError):
             cooling_window_max(1.0, (1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("t_hot", [2e10, 1e300])
+    def test_saturated_work_below_the_hot_bath_has_no_window(self, t_hot):
+        # the saturated bath's effective temperature at omega_h, 1.03e10
+        # for the reference chiller, at or below T_h: no window, as at
+        # equal temperatures, where the ordering check raised before
+        cfg = ideal_pump(3, REF_OMEGA_H, 1.4, REF_TEMPS[0], t_hot, REF_TEMPS[2],
+                         1e-3, 1e-3, 1e-3, saturated_work=True)
+        assert effective_temperature(cfg.work, REF_OMEGA_H) < 1.1e10
+        assert window_max(cfg) == 0.0
+        hotter = dataclasses.replace(cfg, hot=dataclasses.replace(cfg.hot, temperature=1e9))
+        assert window_max(hotter) > 0.0
 
 
 class TestConfigValidation:

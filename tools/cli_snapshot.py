@@ -7,12 +7,12 @@ Usage::
 
 Runs ``python -m qpump.cli`` on the ``src`` tree next to this script for
 ``currents`` (reference and squeezed parameters, and the reference chiller
-at N = 3..10), ``optimize`` (both parameter files), ``sweep-n``,
-``histogram --samples 1000 --threads 1``, ``curve --system both`` at 100
-and 200 points, a stiff 50-point one (``--set gamma_w=1e-6 --set
-T_c=0.5``) and ``compare`` on the three-qubit parameters, plus a JSON run of
-``histogram`` and ``compare``, and records the exit code of ``selftest``:
-21 files.  The 200-point and the stiff curve each held a row whose last
+at N = 3..10), ``optimize`` and ``sweep-n`` (both parameter files),
+``histogram --samples 1000`` at ``--threads 1`` and 2, ``curve --system
+both`` at 100 and 200 points, a stiff 50-point one (``--set gamma_w=1e-6
+--set T_c=0.5``) and ``compare`` on the three-qubit parameters, plus a JSON
+run of ``histogram`` and ``compare``, and records the exit code of
+``selftest``: 23 files.  The 200-point and the stiff curve each held a row whose last
 digits differed between OpenBLAS's CPU kernels.
 Each file holds the command's stdout; a failing command also leaves its
 exit code and stderr in the file.  Two trees whose ``OUTDIR``s compare
@@ -50,7 +50,9 @@ COMMANDS = {
     "optimize_reference": ["optimize", "--params", REFERENCE],
     "optimize_squeezed": ["optimize", "--params", SQUEEZED],
     "sweep_n": ["sweep-n", "--params", REFERENCE],
+    "sweep_n_squeezed": ["sweep-n", "--params", SQUEEZED],
     "histogram": ["histogram", "--samples", "1000", "--threads", "1"],
+    "histogram_pool": ["histogram", "--samples", "1000", "--threads", "2"],
     "curve": ["curve", "--params", THREE_QUBIT, "--system", "both", "--points", "100"],
     "curve_200": ["curve", "--params", THREE_QUBIT, "--system", "both", "--points", "200"],
     "curve_stiff": ["curve", "--params", THREE_QUBIT, "--system", "both", "--points", "50",
