@@ -116,8 +116,9 @@ def _coerce(key: str, raw: str, where: str):
 
 
 def parse_params(path: str) -> dict:
-    """Parse a flat ``key = value`` parameter file (UTF-8, # comments)."""
-    params: dict = {}
+    """Parse a flat ``key = value`` parameter file (UTF-8, # comments), in
+    which each key appears once."""
+    params, seen = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -130,7 +131,10 @@ def parse_params(path: str) -> dict:
         if "=" not in body:
             raise CliConfigError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
         key, raw = map(str.strip, body.split("=", 1))
-        params[key] = _coerce(key, raw, f"{path}:{lineno}")
+        if key in seen:
+            raise CliConfigError(f"{path}:{lineno}: parameter key {key!r} set again "
+                                 f"(first on line {seen[key]})")
+        params[key], seen[key] = _coerce(key, raw, f"{path}:{lineno}"), lineno
     return params
 
 
@@ -216,8 +220,11 @@ def _emit(text: str, output: str) -> None:
     if output in ("-", ""):
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliConfigError(f"cannot write output file {output}: {exc.strerror or exc}") from exc
 
 
 def _csv(schema: str, seed: int, params_echo: str, extra_meta: dict,

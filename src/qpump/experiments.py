@@ -17,7 +17,7 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .linalg import KERNEL_RESIDUAL_RTOL, NoKernelError, _chain_verdicts
+from .linalg import KERNEL_RESIDUAL_RTOL, NoKernelError, _kernel_decisions
 from .pump import (
     BathSpec,
     PumpConfig,
@@ -492,7 +492,8 @@ def _refine_and_judge(evaluators: list[_CoolingPowerEvaluator]) -> None:
     verdict at x* is ``solve``'s: the current scale |H| x rate must fit the
     double range (:func:`~qpump.steady._current_scale`, per point), else
     :class:`~qpump.steady.NonConvergedError`; then the dense rate matrix
-    takes :func:`~qpump.linalg._chain_verdicts`.  An error names x* and
+    takes a chain point's kernel verdict, all of them in one padded stack
+    (:func:`~qpump.linalg._kernel_decisions`).  An error names x* and
     waits for :func:`maximize_cooling_power` to raise it, in its caller's
     order.  The rates are the best refinement step's, x* unless no step
     beat the grid."""
@@ -514,10 +515,11 @@ def _refine_and_judge(evaluators: list[_CoolingPowerEvaluator]) -> None:
             mats.append((np.array(rates) @ ev._stack).reshape(ev.n, ev.n))
             judged.append(ev)
         ev.maximum = x, q, steps, lost, error
-    for ev, exc in zip(judged, _chain_verdicts(mats)):
-        if exc is not None:
-            x = ev.maximum[0]
-            ev.maximum = *ev.maximum[:4], type(exc)(f"{exc} at omega_c={x!r}")
+    if mats:
+        _, errors, _ = _kernel_decisions(mats, np.ones(max(map(len, mats))))
+        for k, exc in errors.items():
+            ev = judged[k]
+            ev.maximum = *ev.maximum[:4], type(exc)(f"{exc} at omega_c={ev.maximum[0]!r}")
 
 
 def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Optimum:
@@ -544,7 +546,9 @@ def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Opt
     trustworthy solution or the rate matrix at ``omega_c_star`` has
     non-finite entries, :class:`~qpump.linalg.DegenerateKernelError` if
     that matrix is singular or its condition is below
-    ``KERNEL_RCOND_FLOOR`` (:func:`~qpump.linalg._matrix_verdict`),
+    ``KERNEL_RCOND_FLOOR`` (the screen of
+    :func:`~qpump.linalg._kernel_decisions`, whose every failure is
+    :func:`~qpump.linalg._matrix_verdict`'s on the matrix alone),
     :class:`~qpump.steady.NonConvergedError` if the current scale at
     ``omega_c_star`` leaves the double range, and ``ValueError`` for a
     config of (P,) frequencies.

@@ -11,17 +11,18 @@ Conventions used throughout the package:
   complex matrix acting on column-stacked density matrices.
 
 Hilbert dimensions stay at most 10, so everything is dense and double
-precision, and numpy is the only dependency.  The kernel verdicts
-(:func:`_kernel_decisions`) judge a stack of matrices with their trace row,
-the chains' rate matrices of a sweep (:mod:`qpump.steady`) or one whole
-superoperator (:func:`stationary_vector`, the oracles' route), on their
-condition alone, by the rule of :func:`_matrix_verdict`, which
-:func:`_chain_verdicts` keeps for the optimizer's maximizers; only
+precision, and numpy is the only dependency.  One screen,
+:func:`_kernel_decisions`, gives the kernel verdict of every stack, a
+chain's rate matrices (:mod:`qpump.steady`), the optimizer's maximizers
+(:mod:`qpump.experiments`) or the one superoperator of
+:func:`stationary_vector`, the oracles' route, on its condition alone:
+:func:`_matrix_verdict` fails every point that fails.  Only
 :func:`stationary_vector` falls back to an SVD (:func:`_svd_kernel`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -171,51 +172,65 @@ def stationary_vector(op: SuperOp) -> np.ndarray:
     return _svd_kernel(op.matrix, trace, scale)
 
 
-def _kernel_decisions(mats: np.ndarray, trace: np.ndarray
+def _kernel_decisions(mats: np.ndarray | list[np.ndarray], trace: np.ndarray
                       ) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError], np.ndarray]:
-    """The kernel verdict of each matrix of a stack ``mats[k]``, for whole
-    generators or the rate matrices of a chain: ``(inv, errors, scale)``,
-    the inverse of each trace-constrained matrix, the error of each failing
-    point by its index, and ``max |mats[k]|``.
+    """The kernel verdict of each matrix of a stack ``mats[k]``: whole
+    generators or a chain's rate matrices (an array), or the optimizer's
+    maximizers (a list of rate matrices of mixed size).  Returns ``(inv,
+    errors, scale)``: each trace-row matrix's inverse, each failing point's
+    error by its index, and ``max |mats[k]|``.
 
-    Each point is judged on its own, by the rule of :func:`_matrix_verdict`:
-    first from the stack's inverse, and where that puts it below the floor,
-    on its scaled matrix inverted itself (the unscaled inverse can lose the
-    condition to underflow).  A failing point keeps its error under its
-    index and a NaN inverse, so that no refinement runs through it.  An
-    exactly singular (or non-finite) matrix fails the stacked inversion, so
-    such a stack is inverted point by point."""
-    size = np.abs(mats)
+    ``trace`` is the trace row of the largest size n, of ones for a list,
+    whose smaller matrices are padded to n with a block that the scaling of
+    :func:`_matrix_verdict` makes an identity: its columns sum to 1 in the
+    matrix and the inverse, and every real column sums to at least 1 in the
+    matrix (its trace entry), as does the inverse's first (``ones @ M^-1``
+    is the first unit row), so no 1-norm moves.  One inversion of the unscaled stack, the scaling
+    folded into its norms, gives each point's condition and keeps each
+    inverse that of its matrix alone.  A point passes there only at twice
+    the floor; any other is judged by :func:`_matrix_verdict` on its own
+    matrix, which alone fails a point, with a NaN inverse that no refinement
+    runs through.  An exactly singular (or non-finite) matrix fails the
+    stack, which is then inverted point by point."""
+    n, pad = len(trace), None
+    if isinstance(mats, np.ndarray):
+        m = mats.copy()
+    else:
+        pad = np.arange(n) >= np.array([len(mat) for mat in mats])[:, None]
+        m = np.zeros((len(mats), n, n))
+        for mk, mat in zip(m, mats):
+            mk[:len(mat), :len(mat)] = mat
+    size = np.abs(m)
     scale = size.max(axis=(1, 2))
-    m = mats.copy()
+    s = _rows_scale(scale)[:, None]
     m[:, 0, :] = trace
+    if pad is not None:  # the padding, an identity once its rows are over s
+        m[:, 0] *= ~pad
+        m.reshape(len(m), -1)[:, ::n + 1] += pad * s
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:  # an exactly singular (or non-finite) matrix
-        if len(m) > 1:
-            parts = [_kernel_decisions(mat[None], trace) for mat in mats]
-            return (np.concatenate([inv for inv, _, _ in parts]),
-                    {k: exc for k, (_, errors, _) in enumerate(parts) for exc in errors.values()},
-                    scale)
         inv = np.full_like(m, np.nan)  # no condition: judged below
+        for k in range(len(m)) if len(m) > 1 else ():
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[k:k + 1] = np.linalg.inv(m[k:k + 1])
     # (D M)^-1 is M^-1 with its columns but the first times s (D divides
     # the rows but the trace row by s, exactly); column sums as products
     # with ones, faster than a middle-axis sum
-    s, ones = _rows_scale(scale)[:, None], np.ones(len(trace))
+    ones = np.ones(n)
     with np.errstate(over="ignore", invalid="ignore"):  # only a matrix of no use overflows
         cols = ones @ np.abs(inv)
         cols[:, 1:] *= s
         rcond = (1.0 / (ones[1:] @ size[:, 1:] / s + np.abs(trace)).max(axis=1)
                  / cols.max(axis=1))
-    # a non-finite matrix, or an inverse that overflowed, has no condition (0
-    # or NaN): below the floor
-    above = rcond >= KERNEL_RCOND_FLOOR
+    # no condition (0 or NaN: a non-finite matrix, an overflowed inverse) passes
+    above = rcond >= 2.0 * KERNEL_RCOND_FLOOR
     if above.all():
         return inv, {}, scale
     errors = {}
     with np.errstate(over="ignore"):  # the inverse of a matrix of no use sums past the range
         for k in np.flatnonzero(~above):
-            exc = _matrix_verdict(mats[k], trace, scale[k])
+            exc = _matrix_verdict(mats[k], trace[:len(mats[k])], scale[k])
             if exc is not None:
                 errors[int(k)], inv[k] = exc, np.nan
     return inv, errors, scale
@@ -251,47 +266,6 @@ def _matrix_verdict(mat: np.ndarray, trace, scale: float) -> np.linalg.LinAlgErr
     return DegenerateKernelError(  # NaN: an inverse that overflowed
         f"reciprocal condition {rcond if rcond >= 0.0 else 0.0:.3e} below "
         f"{KERNEL_RCOND_FLOOR:.0e}; stationary state numerically degenerate")
-
-
-def _chain_verdicts(mats: list[np.ndarray]) -> list[np.linalg.LinAlgError | None]:
-    """:func:`_matrix_verdict` of each chain rate matrix ``mats[k]``, of any
-    size, with a trace row of ones, screened by one inversion of the stack.
-
-    Each matrix is scaled and given its trace row as there, then padded
-    with an identity block to the stack's largest size, which moves no
-    1-norm: a padding column sums to 1 in the matrix and its inverse, and
-    the largest real column to at least 1 in both (the trace row is ones,
-    so ``ones @ M^-1`` is the first unit row).  A point below twice the
-    floor there, or one the stack cannot judge (a zero or non-finite
-    ``max |M|``, a singular stack), is judged by :func:`_matrix_verdict`
-    alone, which alone fails a point and words its error."""
-    if not mats:
-        return []
-    sizes = [len(mat) for mat in mats]
-    size = max(sizes)
-    stack = np.zeros((len(mats), size, size))
-    for m, mat, n in zip(stack, mats, sizes):
-        m[:n, :n] = mat
-    scale = np.abs(stack).max(axis=(1, 2))
-    pad = np.arange(size) >= np.array(sizes)[:, None]
-    with np.errstate(all="ignore"):  # a matrix or an inverse of no use is NaN or overflows
-        stack /= _rows_scale(scale)[:, None, None]
-        scale = scale.tolist()
-        judged = [0.0 < s < math.inf for s in scale]
-        stack[:, 0] = ~pad  # the trace row, then the padding's identity block
-        diagonal = stack.reshape(len(mats), -1)[:, ::size + 1]
-        diagonal += pad
-        if not all(judged):
-            stack[np.logical_not(judged)] = np.eye(size)
-        try:
-            inv = np.linalg.inv(stack)
-        except np.linalg.LinAlgError:  # an exactly singular matrix
-            rcond = [0.0] * len(mats)
-        else:
-            norms = np.ones(size) @ np.abs(np.concatenate((stack, inv)))
-            rcond = (1.0 / norms.max(axis=1).reshape(2, -1).prod(axis=0)).tolist()
-    return [None if ok and r >= 2.0 * KERNEL_RCOND_FLOOR else _matrix_verdict(mat, 1.0, s)
-            for mat, s, ok, r in zip(mats, scale, judged, rcond)]
 
 
 def _svd_kernel(mat: np.ndarray, trace: np.ndarray, scale: float) -> np.ndarray:

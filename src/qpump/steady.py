@@ -481,8 +481,11 @@ def _solve_chain(cfg, chain: _Chain, rates: np.ndarray, balance, ham_scale,
     """The stacked solve of ``chain`` at the P points of ``cfg``, from its
     (R, P) rates, whose first six are the baths' (work, hot, cold; down then
     up); both models solve here.  The kernel verdicts are those of the
-    chain's rate matrices (:func:`~qpump.linalg._kernel_decisions`), and a
-    point that fails one is raised, with NaN for its inverse.
+    chain's rate matrices, screened as one stack as the optimizer's
+    maximizers are (:func:`~qpump.linalg._kernel_decisions`): a point passes
+    there at twice the condition floor, or by
+    :func:`~qpump.linalg._matrix_verdict` on its own matrix, which alone
+    fails a point; such a point is raised, with NaN for its inverse.
     ``balance(rates)`` gives the model's GTH populations, normalized, (N, P)
     with each point's contiguous, and whether every eliminated level had a
     positive out-rate; two refinement steps through the verdicts' inverses

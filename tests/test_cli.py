@@ -140,6 +140,21 @@ class TestParseParams:
         path.write_text("saturated_work = yes\n")
         assert parse_params(str(path))["saturated_work"] is True
 
+    def test_repeated_key_is_a_configuration_error(self, tmp_path, capsys):
+        # the last line of a repeated key won silently before; --set still
+        # overrides the file, and a repeated --set the one before it
+        path = tmp_path / "p"
+        path.write_text(REFERENCE_FILE.replace("n_levels = 4\n", "n_levels = 3\n")
+                        + "# again\nn_levels = 4\n")
+        assert run(["currents", "--params", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"qpump: configuration error: {path}:12: parameter key 'n_levels' "
+                       "set again (first on line 2)\n")
+        path.write_text(REFERENCE_FILE)
+        assert run(["currents", "--params", str(path), "--set", "n_levels=3",
+                    "--set", "n_levels=5"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("5,")
+
 
 class TestCurrents:
     def test_reference_run(self, reference_params, tmp_path):
@@ -153,6 +168,19 @@ class TestCurrents:
         assert float(row["first_law_residual"]) < 1e-10
         assert float(row["q_cold"]) > 0 and float(row["q_hot"]) < 0
         assert row["mode"] == "chiller"
+
+    @pytest.mark.parametrize("where, reason", [("missing/dir/x.csv", "No such file or directory"),
+                                               ("", "Is a directory")],
+                             ids=["missing_directory", "directory"])
+    def test_unwritable_output_is_a_configuration_error(self, reference_params, tmp_path,
+                                                        capsys, where, reason):
+        # the open of --output ended in a traceback after the whole run before
+        out = tmp_path / where
+        assert run(["currents", "--params", reference_params, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"qpump: configuration error: cannot write output file "
+                                f"{out}: {reason}\n")
 
     def test_frequency_ordering_rejected(self, reference_params, tmp_path):
         code = run(["currents", "--params", reference_params,

@@ -519,14 +519,60 @@ class TestMaximizerVerdicts:
                 assert type(exc) is type(alone) and str(exc) == f"{alone} at omega_c={x!r}"
         assert (failed > 0) == (ranges is self.FROZEN)
 
+    # the bands of the corpus: a chunk's ranges lie within them, the ratios
+    # of the temperatures from just above 1
+    BANDS = {"t_cold": (1e-3, 1e3), "gamma_frac": (1e-14, 1e2),
+             "hot_over_cold": (1.0 + 1e-9, 1e6), "work_over_hot": (1.0 + 1e-9, 1e6),
+             "omega_h_over_t_cold": (1e-6, 1e3)}
+
+    @classmethod
+    def extreme_ranges(cls, count, seed):
+        """``count`` seeded ranges, each a log-uniform band within BANDS."""
+        rng = np.random.default_rng(seed)
+
+        def band(low, high):
+            return tuple(np.sort(np.exp(rng.uniform(math.log(low), math.log(high), 2))).tolist())
+
+        return [SampleRanges(**{name: band(*limits) for name, limits in cls.BANDS.items()},
+                             seed=int(rng.integers(2**31))) for _ in range(count)]
+
+    def test_verdict_corpus_matches_each_maximizer_alone(self, monkeypatch):
+        # 640 maximizers, 20 chunks of 32 draws from extreme ranges: every
+        # chunk's verdict is that of _matrix_verdict on the maximizer alone,
+        # its type and words; some fail, and more than those are judged
+        # alone, the ones that the screen does not pass at twice the floor
+        verdict, alone_calls = qpump.linalg._matrix_verdict, []
+        monkeypatch.setattr(qpump.linalg, "_matrix_verdict",
+                            lambda *args: alone_calls.append(args) or verdict(*args))
+        judged = failed = 0
+        for ranges in self.extreme_ranges(20, 4):
+            evs = [_CoolingPowerEvaluator(cfg) for cfg in _draws(ranges, range(32))
+                   if cfg is not None]
+            evs = [ev for ev in evs if ev.window > 0]
+            _solve_grids(evs)
+            _refine_and_judge(evs)
+            for ev in evs:
+                if ev.maximum is None or isinstance(ev.maximum[-1], NonConvergedError):
+                    continue
+                judged += 1
+                x, *_, exc = ev.maximum
+                alone = verdict(*dense_rate_matrix(ev, x))
+                if alone is None:
+                    assert exc is None
+                else:
+                    failed += 1
+                    assert type(exc) is type(alone) and str(exc) == f"{alone} at omega_c={x!r}"
+        assert judged >= 600 and 0 < failed < len(alone_calls)
+
     def test_each_caller_judges_its_maximizers_in_one_stack(self, monkeypatch):
         # optimize as a stack of one, a sweep variant's N = 3..10 as one
         # stack, and an ensemble chunk's first attempts as one stack, whose
         # rejected sample is redrawn and judged alone
         stacks = []
-        verdicts = qpump.experiments._chain_verdicts
-        monkeypatch.setattr(qpump.experiments, "_chain_verdicts",
-                            lambda mats: stacks.append([len(m) for m in mats]) or verdicts(mats))
+        decisions = qpump.experiments._kernel_decisions
+        monkeypatch.setattr(qpump.experiments, "_kernel_decisions",
+                            lambda mats, trace: stacks.append([len(m) for m in mats])
+                            or decisions(mats, trace))
         maximize_cooling_power(reference_pump(5))
         assert stacks == [[5]]
         del stacks[:]

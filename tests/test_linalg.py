@@ -9,7 +9,6 @@ from qpump.linalg import (
     DegenerateKernelError,
     NoKernelError,
     SuperOp,
-    _chain_verdicts,
     _kernel_decisions,
     _kernel_diagnostics,
     _matrix_verdict,
@@ -393,6 +392,13 @@ def overflowed(mat, bad):
     return mat
 
 
+def padded_verdicts(mats):
+    """The verdict of each chain rate matrix of ``mats``, of mixed sizes,
+    from one stack of them padded to the largest: None or its error."""
+    _, errors, _ = _kernel_decisions(mats, np.ones(max(map(len, mats))))
+    return [errors.get(k) for k in range(len(mats))]
+
+
 class TestChainVerdicts:
     """The stacked verdict of chain rate matrices of mixed sizes, padded to
     the largest: a screen whose verdicts are those of each matrix alone."""
@@ -436,7 +442,7 @@ class TestChainVerdicts:
         mats = [corpus[name] for name in names]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            verdicts = _chain_verdicts(mats)
+            verdicts = padded_verdicts(mats)
         assert len(verdicts) == len(mats)
         for name, mat, exc in zip(names, mats, verdicts):
             alone = _matrix_verdict(mat, 1.0, np.abs(mat).max())
@@ -454,19 +460,45 @@ class TestChainVerdicts:
         verdict = qpump.linalg._matrix_verdict
         monkeypatch.setattr(qpump.linalg, "_matrix_verdict",
                             lambda mat, *args: judged.append(len(mat)) or verdict(mat, *args))
-        _chain_verdicts([corpus[name] for name in names])
+        padded_verdicts([corpus[name] for name in names])
         assert judged == [len(corpus[name]) for name in names
                           if not name.startswith("pass")]
 
-    def test_singular_stack_judges_every_point_alone(self, monkeypatch):
+    def test_singular_stack_is_inverted_point_by_point(self, monkeypatch):
+        # an exactly singular matrix fails the stack's one inversion: every
+        # point is then inverted alone, and only the points that do not pass
+        # so are judged alone
         corpus = self.corpus()
+        judged, inversions = [], []
+        verdict, inv = qpump.linalg._matrix_verdict, np.linalg.inv
+        monkeypatch.setattr(qpump.linalg, "_matrix_verdict",
+                            lambda mat, *args: judged.append(len(mat)) or verdict(mat, *args))
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inversions.append(m.shape) or inv(m))
+        verdicts = padded_verdicts(list(corpus.values()))
+        assert judged == [len(m) for name, m in corpus.items() if not name.startswith("pass")]
+        assert inversions[:len(corpus) + 1] == [(len(corpus), 10, 10)] + [(1, 10, 10)] * len(corpus)
+        assert str(verdicts[-1]).startswith("reciprocal condition 0.000e+00 below 1e-13")
+
+    def test_same_size_stack_judges_a_point_near_the_floor_alone(self, monkeypatch):
+        # a chain's stack of one size passes a point only at twice the floor:
+        # one whose own condition lies between the floor and twice it is
+        # judged by _matrix_verdict alone, which passes it, and its inverse
+        # is the one it has alone
+        near = ladder(4, weak(8e-13))
+        mats = np.array([ladder(4, [3.0, 1.0, 2.0, 0.5, 4.0, 1.5]), near,
+                         ladder(4, [0.2, 0.1, 5.0, 0.05, 1.0, 0.9])])
+        floor = qpump.linalg.KERNEL_RCOND_FLOOR
+        assert floor < own_rcond(near) < 2.0 * floor
         judged = []
         verdict = qpump.linalg._matrix_verdict
         monkeypatch.setattr(qpump.linalg, "_matrix_verdict",
-                            lambda mat, *args: judged.append(len(mat)) or verdict(mat, *args))
-        verdicts = _chain_verdicts(list(corpus.values()))
-        assert judged == [len(m) for m in corpus.values()]
-        assert str(verdicts[-1]).startswith("reciprocal condition 0.000e+00 below 1e-13")
+                            lambda mat, *args: judged.append(mat) or verdict(mat, *args))
+        inv, errors, _ = _kernel_decisions(mats, np.ones(4))
+        assert len(judged) == 1 and np.array_equal(judged[0], near)
+        assert not errors
+        m = near.copy()
+        m[0] = 1.0
+        assert np.array_equal(inv[1], np.linalg.inv(m))
 
 
 class TestPropagate:

@@ -596,9 +596,9 @@ def test_long_double_only_in_the_oracle():
 
 def test_one_route_takes_the_kernel_decisions_and_refined_fluxes():
     # both models solve through steady._solve_chain, and the oracles'
-    # stationary_vector takes the verdict of its one generator: no other
-    # function names _kernel_decisions or _refined_fluxes (but to define or
-    # import it, or _kernel_decisions to invert a stack point by point), and
+    # stationary_vector takes the verdict of its one generator, and the
+    # optimizer that of its maximizers: no other function names
+    # _kernel_decisions or _refined_fluxes (but to define or import it), and
     # each names it once, so that no stacked kernel-vector route comes back.
     # The SVD (_svd_kernel, _kernel_diagnostics, pinv) is the oracle's
     # fallback alone: no chain point or maximizer reaches it
@@ -618,7 +618,7 @@ def test_one_route_takes_the_kernel_decisions_and_refined_fluxes():
     for path in sorted(Path(qpump.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert sorted(found) == [
-        ("linalg._kernel_decisions", "_kernel_decisions"),
+        ("experiments._refine_and_judge", "_kernel_decisions"),
         ("linalg._svd_kernel", "_kernel_diagnostics"),
         ("linalg.stationary_vector", "_kernel_decisions"),
         ("linalg.stationary_vector", "_svd_kernel"),

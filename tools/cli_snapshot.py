@@ -11,12 +11,17 @@ at N = 3..10), ``optimize`` and ``sweep-n`` (both parameter files),
 ``histogram --samples 1000`` at ``--threads 1`` and 2, ``curve --system
 both`` at 100 and 200 points, a stiff 50-point one (``--set gamma_w=1e-6
 --set T_c=0.5``) and ``compare`` on the three-qubit parameters, plus a JSON
-run of ``histogram`` and ``compare``, and records the exit code of
-``selftest``: 23 files.  The 200-point and the stiff curve each held a row whose last
-digits differed between OpenBLAS's CPU kernels.
+run of ``histogram`` and ``compare``, three runs whose kernel verdict
+comes from ``_matrix_verdict`` alone (a ``currents`` and an ``optimize``
+run that it rejects, and the underflowing reference chiller that it lets
+stand), and records the exit code of ``selftest``: 26 files.  The
+200-point and the stiff curve each held a row whose last digits differed
+between OpenBLAS's CPU kernels.
 Each file holds the command's stdout; a failing command also leaves its
-exit code and stderr in the file.  Two trees whose ``OUTDIR``s compare
-equal under ``diff -r`` produce byte-identical output at the default seed.
+exit code and stderr in the file.  A run counts as failed when its exit
+code is not the one it is expected to end with (``EXPECTED_EXIT``, else
+0).  Two trees whose ``OUTDIR``s compare equal under ``diff -r`` produce
+byte-identical output at the default seed.
 
 ``--diff`` compares two such directories.  For each file that differs it
 prints, per numeric column (or metadata field), the largest absolute and
@@ -61,7 +66,16 @@ COMMANDS = {
     # the JSON emitter carries the same metadata as the CSV header
     "histogram_json": ["histogram", "--samples", "100", "--threads", "1", "--format", "json"],
     "compare_json": ["compare", "--params", THREE_QUBIT, "--points", "32", "--format", "json"],
+    # verdicts of the kernel screen's fallback, _matrix_verdict on one matrix
+    # alone: two rejections (from the fuzz_verdicts record) and a point
+    # that only its scaled matrix lets stand, in boundary mode
+    "currents_degenerate": ["currents", "--params", REFERENCE, "--set", "omega_h=1e7"],
+    "optimize_degenerate": ["optimize", "--params", REFERENCE, "--set", "gamma_w=1e-300"],
+    "currents_underflow": ["currents", "--params", REFERENCE, "--set", "T_c=1e-3",
+                           "--set", "gamma_c=1e300", "--set", "T_w=1e300"],
 }
+# the solver failures (DegenerateKernelError) that the snapshot holds
+EXPECTED_EXIT = {"currents_degenerate": 2, "optimize_degenerate": 2}
 
 
 def _run(argv: list[str]) -> subprocess.CompletedProcess:
@@ -178,8 +192,8 @@ def main(argv: list[str]) -> int:
         proc = _run(cmd)
         text = proc.stdout
         if proc.returncode != 0:
-            failed += 1
             text += f"# exit: {proc.returncode}\n{proc.stderr}"
+        failed += proc.returncode != EXPECTED_EXIT.get(name, 0)
         (out / f"{name}.out").write_text(text)
     selftest = _run(["selftest"])
     (out / "selftest.exit").write_text(f"{selftest.returncode}\n")
