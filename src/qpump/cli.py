@@ -179,8 +179,8 @@ def _pump_from_params(params: dict) -> PumpConfig:
         _check_rates(cfg)
     except ValueError as exc:
         raise CliConfigError(str(exc)) from exc
-    for w in strained:  # as warnings.warn gives it, at this module's line
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, __name__)
+    for w in strained:  # one line each, with no path or line of the source
+        print(f"qpump: warning: {w.message}", file=sys.stderr)
     return cfg
 
 

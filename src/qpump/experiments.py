@@ -35,9 +35,10 @@ from .steady import (
     _SCALE_OVERFLOW,
     NonConvergedError,
     _current_scale,
+    _ladder,
     _ladder_balance,
     _ladder_rates,
-    _population_structure,
+    _ladder_slots,
     _solve_pumps,
 )
 from .three_qubit import ThreeQubitConfig, _solve_fridges
@@ -246,35 +247,20 @@ class CurveSetup:
 _HUGE = float(np.finfo(float).max)
 
 
-def _largest(values: list):
-    """The largest of a list of floats, or elementwise of a list of arrays;
-    the builtin ``max`` costs far less in the optimizer's scalar steps."""
-    return reduce(np.maximum, values) if isinstance(values[0], np.ndarray) else max(values)
-
-
-def _padded_ladder_rates(n: list[int], rates, points: int) -> tuple[list, ...]:
-    """:func:`_ladder_rates` for several ladders at once, padded to the
-    largest.  Ladder s, with ``n[s]`` levels, largest first, owns rows
-    ``s * points`` to ``(s + 1) * points`` of the six (M,) rates.  A
-    padding level has no edge and an out-rate ``dead`` of 1, so its
-    elimination adds exact zeros to the rates of the levels below it and
-    its population is exactly zero: every row keeps the bits of its ladder
-    solved alone."""
-    work_down, work_up, hot_down, hot_up, cold_down, cold_up = rates
-    levels = n[0]
-    up1, down1, up2, down2, dead = np.zeros((5, levels, len(n) * points))
-    # rows[m]: the rows whose ladder has more than m levels, a prefix
-    rows = [points * sum(1 for size in n if size > m) for m in range(levels + 2)]
-    for k in range(levels):
-        even = k % 2 == 0
-        up1[k, :rows[k + 1]] = (cold_up if even else work_up)[:rows[k + 1]]
-        up2[k, :rows[k + 2]] = hot_up[:rows[k + 2]]
-        if k >= 1:
-            down1[k, :rows[k]] = (work_down if even else cold_down)[:rows[k]]
-        if k >= 2:
-            down2[k, :rows[k]] = hot_down[:rows[k]]
-        dead[k, rows[k]:] = 1.0
-    return tuple(list(a) for a in (up1, down1, up2, down2, dead))
+def _padded_rates(n: list[int], rates: list[np.ndarray], points: int) -> tuple[list, ...]:
+    """:func:`~qpump.steady._ladder_rates` of several ladders at once, through
+    each one's slot table padded to the largest: ladder s, of ``n[s]`` levels,
+    owns rows ``s * points`` to ``(s + 1) * points`` of the six (M,) ``rates``.
+    A padding level has no edge and a dead out-rate of 1, so its elimination
+    adds exact zeros to the rates below it and its population is exactly
+    zero: every row keeps the bits of its ladder solved alone."""
+    rows, levels = len(n) * points, max(n)
+    table = np.vstack([*rates, np.zeros(rows), np.ones(rows)])  # slots 6 and 7
+    out = np.empty((5, levels, rows))
+    for s, size in enumerate(n):
+        cols = slice(s * points, (s + 1) * points)
+        out[..., cols] = table[:, cols][_ladder_slots(size, levels)]
+    return tuple(map(list, out))
 
 
 def _gth_cold_power(omega_c, up1, down1, up2, down2, dead):
@@ -283,7 +269,8 @@ def _gth_cold_power(omega_c, up1, down1, up2, down2, dead):
     (M,) array of them.
 
     The arguments after ``omega_c`` are the per-level rates of
-    :func:`~qpump.steady._ladder_balance`, floats or (M,) arrays, whose GTH
+    :func:`~qpump.steady._ladder_balance`, floats or (M,) arrays from the
+    slot table (:func:`~qpump.steady._ladder_slots`), whose GTH
     elimination gives the populations; the cooling power is ``omega_c``
     times their net flux up the cold edges over their total.
 
@@ -302,9 +289,11 @@ def _gth_cold_power(omega_c, up1, down1, up2, down2, dead):
     for k in range(2, n, 2):
         flux = flux + j1[k]
     q = omega_c * (flux / total)
-    # max|M|, the largest out-rate of a level; a NaN rate, which max may
-    # pass over, makes the net inflow of its levels NaN
-    scale = _largest([(up1[k] + down1[k]) + (up2[k] + down2[k]) for k in range(n)])
+    # max|M|, the largest out-rate of a level, by the builtin max at a
+    # scalar step, which costs far less; a NaN rate, which max may pass
+    # over, makes the net inflow of its levels NaN
+    out = [(up1[k] + down1[k]) + (up2[k] + down2[k]) for k in range(n)]
+    scale = reduce(np.maximum, out) if isinstance(out[0], np.ndarray) else max(out)
     bound = KERNEL_RESIDUAL_RTOL * scale * total
     # net inflow of level k: in on the edges (k-1, k) and (k-2, k), out on
     # (k, k+1) and (k, k+2); level 0 has no edge in, level 1 only (0, 1)
@@ -326,16 +315,16 @@ class _CoolingPowerEvaluator:
     every point of a coarse grid in :func:`_solve_grids` alike, bit for bit.
     Its GTH elimination, :func:`~qpump.steady._ladder_balance`, is the one
     that gives :func:`~qpump.steady.solve` its populations and ``q_c``, so
-    ``q_cold`` and ``solve``'s ``q_c`` come from one body.  ``grid`` holds
-    the coarse grid's values once they are solved, ``bracket`` the
-    refinement's start, and ``maximum`` the refined maximizer with its
-    kernel verdict (:func:`_refine_and_judge`).
+    ``q_cold`` and ``solve``'s ``q_c`` come from one body, as does the
+    matrix that judges the maximizer.  ``grid`` holds the coarse grid's
+    values once they are solved, ``bracket`` the refinement's start, and
+    ``maximum`` the refined maximizer with its kernel verdict
+    (:func:`_refine_and_judge`).
     """
 
     def __init__(self, template: PumpConfig):
         self.template = template
         self.n = template.n_levels
-        self._stack = _population_structure(self.n)
         self.window = window_max(template)
         self._hot = _rates(template.hot, template.omega_h)  # the config checked omega_h > 0
         self.grid: np.ndarray | None = None
@@ -389,9 +378,10 @@ def _grid_node(window, k):
 def _solve_grids(evaluators: list[_CoolingPowerEvaluator]) -> None:
     """Solve the coarse grid of every evaluator as one call of
     :func:`_gth_cold_power` over all their grid points, padded to the
-    largest ladder, and store each evaluator's values in its ``grid``: at
-    each point the bits of :meth:`~_CoolingPowerEvaluator.q_cold` there,
-    whatever the other evaluators, or NaN where it fails a gate.  Every
+    largest ladder (:func:`_padded_rates`), and store each evaluator's
+    values in its ``grid``: at each point the bits of
+    :meth:`~_CoolingPowerEvaluator.q_cold` there, whatever the other
+    evaluators, or NaN where it fails a gate.  Every
     window must be nonempty, so that every frequency is positive for the
     rate body :func:`~qpump.pump._rates`, and the work baths must share
     their squeezing and saturation.  Each ``bracket`` comes from array
@@ -400,7 +390,6 @@ def _solve_grids(evaluators: list[_CoolingPowerEvaluator]) -> None:
     of failed points."""
     if not evaluators:
         return
-    evaluators = sorted(evaluators, key=lambda ev: -ev.n)
     templates = [ev.template for ev in evaluators]
     if len({(t.work.squeeze_r, t.work.saturated) for t in templates}) > 1:
         raise ValueError("the baths of a stacked grid must share squeezing and saturation")
@@ -415,7 +404,7 @@ def _solve_grids(evaluators: list[_CoolingPowerEvaluator]) -> None:
         cold = _rates(replace(templates[0].cold, temperature=t_c, gamma=g_c), omega_c)
         hot = [np.repeat(r, COARSE_GRID_POINTS, axis=1) for r in hot]
         rates = [r.ravel() for r in (*work, *hot, *cold)]
-        ladders = _padded_ladder_rates([ev.n for ev in evaluators], rates, COARSE_GRID_POINTS)
+        ladders = _padded_rates([ev.n for ev in evaluators], rates, COARSE_GRID_POINTS)
         q, ok = _gth_cold_power(omega_c.ravel(), *ladders)
     q, ok = q.reshape(omega_c.shape), ok.reshape(omega_c.shape)
     # the values of all the nodes, and the best point's cell
@@ -491,8 +480,9 @@ def _refine_and_judge(evaluators: list[_CoolingPowerEvaluator]) -> None:
     in one stacked verdict, and store each evaluator's ``maximum``.  The
     verdict at x* is ``solve``'s: the current scale |H| x rate must fit the
     double range (:func:`~qpump.steady._current_scale`, per point), else
-    :class:`~qpump.steady.NonConvergedError`; then the dense rate matrix
-    takes a chain point's kernel verdict, all of them in one padded stack
+    :class:`~qpump.steady.NonConvergedError`; then the dense rate matrix,
+    ``solve``'s own at that ``omega_c`` (``_ladder(n).blocks``), takes a
+    chain point's kernel verdict, all of them in one padded stack
     (:func:`~qpump.linalg._kernel_decisions`).  An error names x* and
     waits for :func:`maximize_cooling_power` to raise it, in its caller's
     order.  The rates are the best refinement step's, x* unless no step
@@ -512,7 +502,7 @@ def _refine_and_judge(evaluators: list[_CoolingPowerEvaluator]) -> None:
         if not _current_scale(top, channel)[1]:  # floats overflow quietly
             error = NonConvergedError(f"{_SCALE_OVERFLOW} at omega_c={x!r}")
         else:
-            mats.append((np.array(rates) @ ev._stack).reshape(ev.n, ev.n))
+            mats.append(_ladder(ev.n).blocks(np.array(rates)[:, None])[0])
             judged.append(ev)
         ev.maximum = x, q, steps, lost, error
     if mats:
@@ -741,7 +731,8 @@ def cop_histogram(ranges: SampleRanges, n_samples: int,
         # 20 ms and 2 MB, which a serial run need not pay
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # no more workers than chunks: under fork, all start at the first submit
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             for part in pool.map(_histogram_chunk, jobs):
                 rows.extend(part)
     rows.sort(key=lambda r: r[0])

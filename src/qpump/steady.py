@@ -52,6 +52,7 @@ import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -517,33 +518,39 @@ def _ladder(n: int) -> _Chain:
     """The N-level ladder's chain of six rates (work, hot, cold; down then
     up): its edges (k, k+1), the cold bath's for even k and the work
     bath's for odd k, then the hot bath's (k, k+2), each in order of k
-    (:func:`~qpump.pump.transition_pairs`)."""
+    (:func:`~qpump.pump.transition_pairs`).  The ladder's only description:
+    its matrices (:meth:`_Chain.blocks`) and :func:`_ladder_slots` derive from it."""
     k = np.arange(n - 1)
     return _Chain(np.r_[k, k[:-1]], np.r_[k + 1, k[1:] + 1], np.r_[5 - 4 * (k % 2), [3] * (n - 2)],
                   (slice(1, n - 1, 2), slice(n - 1, None), slice(0, n - 1, 2)))
 
 
 @lru_cache(maxsize=None)
-def _population_structure(n: int) -> np.ndarray:
-    """The (6, N^2) incidence stack of an N-level ladder's population
-    balance: slice j is the rate matrix of rate j of the six alone at 1, so
-    that contracted with the six rates it gives the dense rate matrix.
-    Built once per N and read-only, so every caller of that N shares it."""
-    stack = _ladder(n).blocks(np.eye(6)).reshape(6, n * n)
-    stack.setflags(write=False)
-    return stack
+def _ladder_slots(n: int, levels: int) -> np.ndarray:
+    """The (5, levels) read-only slot table of the N-level ladder padded to
+    ``levels``, from its edges' rates (upward the lower level's, downward,
+    the rate before, the upper's): per level k, the index among the six
+    rates of its rate to k + 1, k - 1, k + 2 and k - 2, or 6, a zero, then
+    its dead out-rate, 7, a one, on a padding level (k >= N), else 6."""
+    chain, slots = _ladder(n), np.full((5, levels), 6)
+    slots[4, n:] = 7
+    up = 2 * (chain.hi - chain.lo - 1)  # row 0 for an edge (k, k+1), row 2 for (k, k+2)
+    slots[up, chain.lo], slots[up + 1, chain.hi] = chain.rise, chain.rise - 1
+    slots.setflags(write=False)
+    return slots
 
 
-def _ladder_rates(n: int, rates) -> tuple[list, ...]:
-    """The per-level rates of :func:`_ladder_balance` for an N-level ladder
-    from its six bath rates (work, hot, cold; down then up), floats or (P,)
-    arrays, along the edges of :func:`_ladder`, with no padding."""
-    work_down, work_up, hot_down, hot_up, cold_down, cold_up = rates
-    up1 = ([cold_up, work_up] * (n // 2))[:n - 1] + [0.0]
-    down1 = [0.0] + ([cold_down, work_down] * (n // 2))[:n - 1]
-    up2 = [hot_up] * (n - 2) + [0.0, 0.0]
-    down2 = [0.0, 0.0] + [hot_down] * (n - 2)
-    return up1, down1, up2, down2, None
+@lru_cache(maxsize=None)
+def _ladder_getters(n: int) -> tuple[itemgetter, ...]:
+    """The unpadded slot table's four rate rows as item getters: four C calls a step."""
+    return tuple(itemgetter(*row) for row in _ladder_slots(n, n)[:4].tolist())
+
+
+def _ladder_rates(n: int, rates) -> tuple[tuple, ...]:
+    """The per-level rates of :func:`_ladder_balance` for an N-level ladder, with
+    no padding, gathered by its slot table from its six rates, floats or (P,) arrays."""
+    rates, (up1, down1, up2, down2) = (*rates, 0.0), _ladder_getters(n)
+    return up1(rates), down1(rates), up2(rates), down2(rates), None
 
 
 def _ladder_balance(up1, down1, up2, down2, dead):
@@ -552,8 +559,8 @@ def _ladder_balance(up1, down1, up2, down2, dead):
 
     The arguments list, per level k, its rate to k + 1, k - 1, k + 2 and
     k - 2 (zero where the ladder has no such edge) and a padding out-rate
-    ``dead`` (None for a ladder with no padding); entries are floats or
-    arrays.  The populations come from the GTH elimination (Grassmann,
+    ``dead`` (None with no padding), as the slot table gathers them, floats
+    or arrays.  The populations come from the GTH elimination (Grassmann,
     Taksar & Heyman, Oper. Res. 33, 1107 (1985)): eliminate the levels from
     the top down, folding the paths through each eliminated level into the
     rates between the levels it joins, with its out-rate summed from its

@@ -41,6 +41,9 @@ g = 0.1
 
 
 REFERENCE_CHILLER = Path(__file__).resolve().parent.parent / "params" / "reference_chiller.params"
+# the one stderr line of a WeakCouplingWarning, before a run's own lines
+WEAK = ("qpump: warning: dissipation strength exceeds the weak-coupling threshold; "
+        "the Markovian-secular master equation is being stretched\n")
 
 
 def load_tool(name):
@@ -243,6 +246,36 @@ class TestHistogramCli:
         assert run(base + ["--threads", "8", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pool_has_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
+        # a recording stand-in for the pool, which starts no process: 64
+        # samples are two chunks of 32, so eight threads ask for two workers,
+        # and the output is the serial run's
+        import concurrent.futures
+
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers=None):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = ["histogram", "--samples", "64"]
+        assert run(base + ["--threads", "1", "--output", str(a)]) == 0
+        assert pools == []
+        assert run(base + ["--threads", "8", "--output", str(b)]) == 0
+        assert pools == [2]
+        assert a.read_bytes() == b.read_bytes()
+
     def test_bad_threads(self, tmp_path):
         assert run(["histogram", "--samples", "0", "--threads", "many"]) == 1
 
@@ -400,7 +433,7 @@ class TestErrorReporting:
         # traceback before
         assert run(with_params(["sweep-n", "--params", "@reference", "--n-max", "3",
                                 "--set", "T_c=1e-300"])) == 2
-        assert capsys.readouterr().err == (
+        assert capsys.readouterr().err == WEAK + (
             "qpump: solver failure: NoCoolingPowerError: "
             "optimum has non-positive cooling power 0.0\n")
 
@@ -506,7 +539,7 @@ class TestErrorReporting:
         # optimizer reported a maximum here before (exit 0, q_c_max 1.864e-02)
         assert run([*argv, "--params", str(REFERENCE_CHILLER),
                     "--set", "gamma_w=1e300", "--set", "gamma_h=1e300"]) == 2
-        assert capsys.readouterr().err == (
+        assert capsys.readouterr().err == WEAK + (
             "qpump: solver failure: NonConvergedError: current scale |H| x rate overflows "
             f"the double range at omega_c={omega_c}\n")
 
@@ -531,7 +564,8 @@ class TestErrorReporting:
         # the same seeded fuzz over the subcommands that build a pump config
         # (and histogram, which takes the overrides but no pump): exit 0, 1
         # or 2, no exception, and on 1 or 2 a last stderr line that is the
-        # only "qpump: " line, with at most weak-coupling warnings before it
+        # only "qpump: " verdict line, with at most weak-coupling warnings
+        # ("qpump: warning: " lines) before it
         rng = np.random.default_rng(5)
         commands = [["currents"], ["optimize"], ["sweep-n", "--n-min", "3", "--n-max", "4"],
                     ["histogram", "--samples", "2", "--threads", "1"]]
@@ -543,7 +577,8 @@ class TestErrorReporting:
             lines = capsys.readouterr().err.splitlines()
             assert codes[-1] in (0, 1, 2), argv
             if codes[-1]:
-                verdicts = [line for line in lines if line.startswith("qpump: ")]
+                verdicts = [line for line in lines if line.startswith("qpump: ")
+                            and not line.startswith("qpump: warning: ")]
                 assert verdicts == lines[-1:], (argv, lines)
         assert {0, 1, 2} <= set(codes)
 

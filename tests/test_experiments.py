@@ -152,7 +152,7 @@ def golden_optimum(template):
 def dense_rate_matrix(ev, omega_c):
     """The arguments of ``linalg._matrix_verdict`` for the dense rate matrix
     of ``ev`` at ``omega_c``: the matrix, its trace row of ones and max|M|."""
-    mat = (np.array(ev._channels(omega_c)) @ ev._stack).reshape(ev.n, ev.n)
+    (mat,) = qpump.steady._ladder(ev.n).blocks(np.array(ev._channels(omega_c))[:, None])
     return mat, 1.0, float(np.abs(mat).max())
 
 
@@ -274,9 +274,9 @@ class TestMaximizeCoolingPower:
         q = grid_alone(template)
         nan_at = int(np.argmax(q))
         singular_at = nan_at + 1
-        original = qpump.experiments._padded_ladder_rates
+        original = qpump.experiments._padded_rates
 
-        def padded_ladder_rates(n, rates, points):
+        def padded_rates(n, rates, points):
             # one template: row m of the six rates is grid point m
             rates = [r.copy() for r in rates]
             rates[4][nan_at] = np.nan  # the cold bath's downward rate
@@ -286,7 +286,7 @@ class TestMaximizeCoolingPower:
                 r[singular_at] = 0.0
             return original(n, rates, points)
 
-        monkeypatch.setattr(qpump.experiments, "_padded_ladder_rates", padded_ladder_rates)
+        monkeypatch.setattr(qpump.experiments, "_padded_rates", padded_rates)
         stacked = grid_alone(template)
         assert np.isnan(stacked[[nan_at, singular_at]]).all()
         kept = np.delete(np.arange(grid.size), [nan_at, singular_at])
@@ -379,11 +379,68 @@ class TestBrentMax:
 class TestPopulationStructure:
     @pytest.mark.parametrize("n", [3, 8, 10])
     def test_shared_read_only_and_equal_to_an_uncached_build(self, n):
-        a = _CoolingPowerEvaluator(reference_pump(n))
-        b = _CoolingPowerEvaluator(_variant_config(reference_pump(), n, "saturated", 7.0))
-        assert a._stack is b._stack
-        assert not a._stack.flags.writeable
-        assert np.array_equal(a._stack, uncached_population_structure(n))
+        # the ladder's chain, which builds every dense rate matrix, is one
+        # cached record per N, and its matrices of the six rates alone are
+        # the incidence stack built here from the pairs of each bath
+        a, b = qpump.steady._ladder(n), qpump.steady._ladder(n)
+        assert a is b
+        assert not any(x.flags.writeable for x in (a.lo, a.hi, a.rise, a.pair, a.slots))
+        assert np.array_equal(a.blocks(np.eye(6)).reshape(6, n * n),
+                              uncached_population_structure(n))
+
+
+class TestSlotTable:
+    """The per-level rates that the slot table gathers, at a scalar step, on
+    a curve's arrays and on a padded grid, against the entries of the
+    ladder's dense rate matrix, which places each rate at its edge."""
+
+    @staticmethod
+    def placed(n, rates, levels):
+        """Each level's rate to k + 1, k - 1, k + 2 and k - 2, (4, levels, P),
+        read from the column of k of ``_ladder(n).blocks(rates)``; 0 where
+        the ladder has no such level, and on its padding."""
+        mats = qpump.steady._ladder(n).blocks(rates)
+        out = np.zeros((4, levels, rates.shape[1]))
+        for row, step in enumerate((1, -1, 2, -2)):
+            for k in range(max(0, -step), min(n, n - step)):
+                out[row, k] = mats[:, k + step, k]
+        return out
+
+    @staticmethod
+    def rates(points, seed):
+        # distinct rates, so that a slot that takes the wrong one shows
+        scales = 10.0 ** np.arange(6)[:, None]
+        return np.random.default_rng(seed).uniform(0.5, 2.0, (6, points)) * scales
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_ladder_rates_hold_each_placed_rate(self, n):
+        rates = self.rates(5, n)
+        expected = self.placed(n, rates, n)
+        *gathered, dead = qpump.steady._ladder_rates(n, rates)
+        assert dead is None
+        got = np.array([[np.broadcast_to(x, (5,)) for x in row] for row in gathered])
+        assert got.tobytes() == expected.tobytes()
+        for point in range(5):  # a scalar step's floats
+            *gathered, _ = qpump.steady._ladder_rates(n, tuple(rates[:, point].tolist()))
+            assert all(type(x) is float for row in gathered for x in row)
+            assert np.array(gathered).tobytes() == expected[..., point].copy().tobytes()
+
+    @pytest.mark.parametrize("sizes", [[3, 10], [10, 3], [4, 10, 3, 7], [5, 5, 9, 6, 8],
+                                       list(range(3, 11)), [6]])
+    def test_padded_rates_hold_each_placed_rate(self, sizes):
+        points = 4
+        rates = self.rates(points * len(sizes), len(sizes))
+        *gathered, dead = qpump.experiments._padded_rates(sizes, list(rates), points)
+        gathered, dead = np.array(gathered), np.array(dead)
+        levels = max(sizes)
+        assert gathered.shape == (4, levels, points * len(sizes))
+        for s, n in enumerate(sizes):
+            cols = slice(s * points, (s + 1) * points)
+            expected = self.placed(n, rates[:, cols], levels)
+            assert gathered[..., cols].tobytes() == expected.tobytes()
+            # a padding level: no rate, exactly, and a dead out-rate of 1
+            assert not gathered[:, n:, cols].any()
+            assert (dead[n:, cols] == 1.0).all() and not dead[:n, cols].any()
 
 
 class TestStackedGrid:
@@ -455,9 +512,9 @@ def failing_rates(monkeypatch, at, nan=True):
     """Make the grid points ``at`` of a one-template grid fail: the cold
     bath's downward rate NaN, or every rate 0, which leaves no level an
     outflow (and only the trace row of the dense matrix)."""
-    original = qpump.experiments._padded_ladder_rates
+    original = qpump.experiments._padded_rates
 
-    def padded_ladder_rates(n, rates, points):
+    def padded_rates(n, rates, points):
         # one template: row m of the six rates is grid point m
         rates = [r.copy() for r in rates]
         if nan:
@@ -467,7 +524,7 @@ def failing_rates(monkeypatch, at, nan=True):
                 r[at] = 0.0
         return original(n, rates, points)
 
-    monkeypatch.setattr(qpump.experiments, "_padded_ladder_rates", padded_ladder_rates)
+    monkeypatch.setattr(qpump.experiments, "_padded_rates", padded_rates)
 
 
 def with_gammas(work, hot):
@@ -518,6 +575,25 @@ class TestMaximizerVerdicts:
                 failed += 1
                 assert type(exc) is type(alone) and str(exc) == f"{alone} at omega_c={x!r}"
         assert (failed > 0) == (ranges is self.FROZEN)
+
+    @pytest.mark.parametrize("ranges", [FROZEN, SampleRanges(seed=5)], ids=["frozen", "default"])
+    def test_maximizer_matrix_is_the_solves(self, ranges, monkeypatch):
+        # the matrix that judges each maximizer is the one that solve builds
+        # and judges at that omega_c, bit for bit
+        stacks, decisions = [], qpump.experiments._kernel_decisions
+        monkeypatch.setattr(qpump.experiments, "_kernel_decisions",
+                            lambda mats, trace: stacks.append(mats) or decisions(mats, trace))
+        evs = [_CoolingPowerEvaluator(cfg) for cfg in _draws(ranges, range(64))]
+        _solve_grids(evs)
+        _refine_and_judge(evs)
+        (mats,) = stacks
+        assert len(mats) == len(evs) == 64  # every maximizer judged
+        for ev, mat in zip(evs, mats):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WeakCouplingWarning)
+                cfg = dataclasses.replace(ev.template, omega_c=ev.maximum[0])
+            (solved,) = qpump.steady._ladder(ev.n).blocks(qpump.steady._bath_rates(cfg))
+            assert mat.tobytes() == solved.tobytes()
 
     # the bands of the corpus: a chunk's ranges lie within them, the ratios
     # of the temperatures from just above 1

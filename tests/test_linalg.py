@@ -325,7 +325,7 @@ class TestKernelDecisions:
         # with the trace row left at 1 it would
         rates = np.array([[3.0, 1.0, 2.0, 0.5, 4.0, 1.5], [0.2, 0.1, 5.0, 0.05, 1.0, 0.9],
                           [7.0, 6.5, 0.3, 0.2, 2.0, 0.1]])
-        mats = (rates @ qpump.steady._population_structure(4)).reshape(3, 4, 4)
+        mats = qpump.steady._ladder(4).blocks(rates.T)
         for floor, below in ((1e-2, []), (0.5, [0, 1, 2])):
             monkeypatch.setattr(qpump.linalg, "KERNEL_RCOND_FLOOR", floor)
             for k in (-300, -40, 0, 40, 300):
@@ -367,7 +367,7 @@ class TestKernelDecisions:
 def ladder(n, rates, k=0):
     """The rate matrix of an n-level ladder of the six rates (work, hot,
     cold; down then up), times 2^k."""
-    return np.ldexp((np.array(rates) @ qpump.steady._population_structure(n)).reshape(n, n), k)
+    return np.ldexp(qpump.steady._ladder(n).blocks(np.array(rates)[:, None])[0], k)
 
 
 def own_rcond(mat):

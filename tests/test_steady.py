@@ -455,14 +455,14 @@ def test_pump_sector_block_is_the_population_balance(n):
     cfg = reference_pump(n)
     ev = qpump.experiments._CoolingPowerEvaluator(cfg)
     rates = ev._channels(cfg.omega_c)
-    populations = (np.array(rates) @ ev._stack).reshape(n, n)
+    (populations,) = qpump.steady._ladder(n).blocks(np.array(rates)[:, None])
     diagonal = _positions(cfg)
     block = build_liouvillian(cfg).matrix[np.ix_(diagonal, diagonal)]
     assert not block.imag.any()
     scale = np.max(np.abs(populations))
     assert np.max(np.abs(block.real - populations)) <= 4 * np.finfo(float).eps * scale
-    # and the rate matrix that the pump's solve builds from the same rates
-    (built,) = qpump.steady._ladder(n).blocks(np.array(rates)[:, None])
+    # and the rate matrix that the pump's solve builds from its own rates
+    (built,) = qpump.steady._ladder(n).blocks(qpump.steady._bath_rates(cfg))
     assert np.max(np.abs(built - populations)) <= 4 * np.finfo(float).eps * scale
 
 

@@ -14,7 +14,9 @@ both`` at 100 and 200 points, a stiff 50-point one (``--set gamma_w=1e-6
 run of ``histogram`` and ``compare``, three runs whose kernel verdict
 comes from ``_matrix_verdict`` alone (a ``currents`` and an ``optimize``
 run that it rejects, and the underflowing reference chiller that it lets
-stand), and records the exit code of ``selftest``: 26 files.  The
+stand), a ``currents`` run past the weak-coupling threshold, whose
+warning line and verdict it keeps, and records the exit code of
+``selftest``: 27 files.  The
 200-point and the stiff curve each held a row whose last digits differed
 between OpenBLAS's CPU kernels.
 Each file holds the command's stdout; a failing command also leaves its
@@ -73,9 +75,11 @@ COMMANDS = {
     "optimize_degenerate": ["optimize", "--params", REFERENCE, "--set", "gamma_w=1e-300"],
     "currents_underflow": ["currents", "--params", REFERENCE, "--set", "T_c=1e-3",
                            "--set", "gamma_c=1e300", "--set", "T_w=1e300"],
+    # a WeakCouplingWarning line, then the kernel verdict
+    "currents_weak": ["currents", "--params", REFERENCE, "--set", "gamma_w=1e300"],
 }
 # the solver failures (DegenerateKernelError) that the snapshot holds
-EXPECTED_EXIT = {"currents_degenerate": 2, "optimize_degenerate": 2}
+EXPECTED_EXIT = {"currents_degenerate": 2, "optimize_degenerate": 2, "currents_weak": 2}
 
 
 def _run(argv: list[str]) -> subprocess.CompletedProcess:

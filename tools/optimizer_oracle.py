@@ -39,11 +39,10 @@ from qpump.experiments import (  # noqa: E402
     SampleRanges,
     _CoolingPowerEvaluator,
     _draw,
-    _population_structure,
     maximize_cooling_power,
 )
 from qpump.pump import WeakCouplingWarning, transition_pairs  # noqa: E402
-from qpump.steady import NonConvergedError, solve  # noqa: E402
+from qpump.steady import NonConvergedError, _ladder, solve  # noqa: E402
 
 
 def mpmath_currents(n: int, rates, omega_c: float, omega_h: float,
@@ -82,7 +81,7 @@ def mpmath_currents(n: int, rates, omega_c: float, omega_h: float,
 def dgesv_q_cold(n: int, rates, omega_c: float) -> float:
     """Cooling power from a dense LAPACK solve of the same chain: the rate
     matrix with its first row replaced by the trace constraint."""
-    mat = (np.array(rates) @ _population_structure(n)).reshape(n, n)
+    (mat,) = _ladder(n).blocks(np.array(rates)[:, None])
     mat[0, :] = 1.0
     rhs = np.zeros(n)
     rhs[0] = 1.0
