@@ -26,6 +26,7 @@ errors; ``--set key=value`` overrides file values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
@@ -205,6 +206,11 @@ def _curve_setup(params: dict, points: int) -> CurveSetup:
             experiments._curve_config("three_qubit", setup, 0.5 * window)
     except ValueError as exc:
         raise CliConfigError(str(exc)) from exc
+    # the file's own ideal pump warns as in currents, if it builds (the gate spares the build)
+    if pump._strained([params[k] for k in ("gamma_w", "gamma_h", "gamma_c")],
+                      params["omega_c"], omega_w, params["T_c"]):
+        with contextlib.suppress(CliConfigError):
+            _pump_from_params({**params, "n_levels": setup.n_levels})
     return setup
 
 

@@ -35,8 +35,8 @@ from .steady import (
     _SCALE_OVERFLOW,
     NonConvergedError,
     _current_scale,
-    _ladder,
     _ladder_balance,
+    _ladder_entries,
     _ladder_rates,
     _ladder_slots,
     _solve_pumps,
@@ -263,6 +263,20 @@ def _padded_rates(n: list[int], rates: list[np.ndarray], points: int) -> tuple[l
     return tuple(map(list, out))
 
 
+def _padded_blocks(n: list[int], rates: np.ndarray) -> np.ndarray:
+    """The rate matrices of ladders of ``n[k]`` levels at their six ``rates[k]``
+    as one (K, L, L) stack padded with zeros to the largest, L: one gather
+    through the entry tables (:func:`~qpump.steady._ladder_entries`), then the
+    negated column sums on the diagonal (inf past the range, under the caller's
+    errstate).  Each top-left block equals :meth:`~qpump.steady._Chain.blocks` bit for bit."""
+    levels = max(n)
+    table = np.zeros((len(n), 7))  # slot 6, a zero
+    table[:, :6] = rates
+    flat = table[np.arange(len(n))[:, None], np.array([_ladder_entries(k, levels) for k in n])]
+    flat[:, ::levels + 1] = -flat.reshape(-1, levels, levels).sum(axis=1)
+    return flat.reshape(-1, levels, levels)
+
+
 def _gth_cold_power(omega_c, up1, down1, up2, down2, dead):
     """Cooling power of a ladder's stationary populations, and whether they
     pass the kernel gates, for a float ``omega_c`` or elementwise for an
@@ -479,37 +493,37 @@ def _refine_and_judge(evaluators: list[_CoolingPowerEvaluator]) -> None:
     (Brent's steps, each a ``q_cold`` call), judge all their maximizers x*
     in one stacked verdict, and store each evaluator's ``maximum``.  The
     verdict at x* is ``solve``'s: the current scale |H| x rate must fit the
-    double range (:func:`~qpump.steady._current_scale`, per point), else
-    :class:`~qpump.steady.NonConvergedError`; then the dense rate matrix,
-    ``solve``'s own at that ``omega_c`` (``_ladder(n).blocks``), takes a
-    chain point's kernel verdict, all of them in one padded stack
+    double range (:func:`~qpump.steady._current_scale`, once over all the
+    maximizers), else :class:`~qpump.steady.NonConvergedError`; then the
+    dense rate matrix, ``solve``'s own at that ``omega_c``, takes a chain
+    point's kernel verdict: the matrices of all the maximizers that fit
+    are one padded stack (:func:`_padded_blocks`), judged with their sizes
     (:func:`~qpump.linalg._kernel_decisions`).  An error names x* and
     waits for :func:`maximize_cooling_power` to raise it, in its caller's
     order.  The rates are the best refinement step's, x* unless no step
     beat the grid."""
-    mats, judged = [], []
-    for ev in evaluators:
-        xs, fs, failed = ev.bracket
-        if failed == COARSE_GRID_POINTS:  # maximize_cooling_power raises
-            continue
+    # maximize_cooling_power raises for an evaluator with no standing grid point
+    judged, rates = [ev for ev in evaluators if ev.bracket[2] != COARSE_GRID_POINTS], []
+    for ev in judged:
+        xs, fs, _ = ev.bracket
         x, q, steps, lost = _brent_max(ev.q_cold, xs, fs, REFINE_RELATIVE_WIDTH * ev.window)
-        _, at, rates = ev._best_step
-        if x != at:
-            rates = ev._channels(x)
-        top = _level_energy(ev.n, ev.template.omega_h, x)  # |H|
-        channel = max(rates[0] + rates[1], rates[2] + rates[3], rates[4] + rates[5])
-        error = None
-        if not _current_scale(top, channel)[1]:  # floats overflow quietly
-            error = NonConvergedError(f"{_SCALE_OVERFLOW} at omega_c={x!r}")
-        else:
-            mats.append(_ladder(ev.n).blocks(np.array(rates)[:, None])[0])
-            judged.append(ev)
-        ev.maximum = x, q, steps, lost, error
-    if mats:
-        _, errors, _ = _kernel_decisions(mats, np.ones(max(map(len, mats))))
-        for k, exc in errors.items():
-            ev = judged[k]
-            ev.maximum = *ev.maximum[:4], type(exc)(f"{exc} at omega_c={ev.maximum[0]!r}")
+        _, at, best = ev._best_step
+        rates.append(best if x == at else ev._channels(x))
+        ev.maximum = x, q, steps, lost, None
+    rates = np.array(rates)
+    top = np.array([_level_energy(ev.n, ev.template.omega_h, ev.maximum[0]) for ev in judged])
+    with np.errstate(over="ignore", invalid="ignore"):  # a scale or out-rate past the range fails
+        fits = _current_scale(top, rates.reshape(-1, 3, 2).sum(axis=2).max(axis=1))[1].tolist()
+        stacked = [k for k, ok in enumerate(fits) if ok]
+        sizes = [judged[k].n for k in stacked]
+        mats = _padded_blocks(sizes, rates.take(stacked, axis=0)) if stacked else None
+    errors = {k: NonConvergedError(_SCALE_OVERFLOW) for k, ok in enumerate(fits) if not ok}
+    if stacked:
+        _, kernel, _ = _kernel_decisions(mats, np.ones(max(sizes)), sizes)
+        errors |= {stacked[k]: exc for k, exc in kernel.items()}
+    for k, exc in errors.items():
+        ev = judged[k]
+        ev.maximum = *ev.maximum[:4], type(exc)(f"{exc} at omega_c={ev.maximum[0]!r}")
 
 
 def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Optimum:
@@ -521,8 +535,9 @@ def maximize_cooling_power(template: PumpConfig | _CoolingPowerEvaluator) -> Opt
     parabolic refinement, started from those three grid values, then places
     the maximizer within 1e-6 of the window width; it keeps the best grid
     point unless a refinement step beats it, so failed steps fall back to
-    that point.  The reported power is the value at ``omega_c_star``, which
-    then passes the kernel verdict of :func:`_refine_and_judge` (a full
+    that point.  The reported power is the value at ``omega_c_star``, whose
+    rate matrix then passes the kernel verdict of :func:`_refine_and_judge`,
+    in one padded array with its stack's other maximizers (a full
     :func:`qpump.steady.solve` there reproduces it to solver precision), and
     the reported efficiency uses the ideal-pump identity
     ``eps* = omega_c*/(omega_h - omega_c*)``.

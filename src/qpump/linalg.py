@@ -13,10 +13,10 @@ Conventions used throughout the package:
 Hilbert dimensions stay at most 10, so everything is dense and double
 precision, and numpy is the only dependency.  One screen,
 :func:`_kernel_decisions`, gives the kernel verdict of every stack, a
-chain's rate matrices (:mod:`qpump.steady`), the optimizer's maximizers
-(:mod:`qpump.experiments`) or the one superoperator of
-:func:`stationary_vector`, the oracles' route, on its condition alone:
-:func:`_matrix_verdict` fails every point that fails.  Only
+chain's rate matrices (:mod:`qpump.steady`), the optimizer's maximizers,
+one array padded to their largest N (:mod:`qpump.experiments`), or the one
+superoperator of :func:`stationary_vector`, the oracles' route, on its
+condition alone: :func:`_matrix_verdict` fails every point that fails.  Only
 :func:`stationary_vector` falls back to an SVD (:func:`_svd_kernel`).
 """
 
@@ -172,41 +172,35 @@ def stationary_vector(op: SuperOp) -> np.ndarray:
     return _svd_kernel(op.matrix, trace, scale)
 
 
-def _kernel_decisions(mats: np.ndarray | list[np.ndarray], trace: np.ndarray
+def _kernel_decisions(mats: np.ndarray, trace: np.ndarray, sizes: list[int] | None = None
                       ) -> tuple[np.ndarray, dict[int, np.linalg.LinAlgError], np.ndarray]:
-    """The kernel verdict of each matrix of a stack ``mats[k]``: whole
-    generators or a chain's rate matrices (an array), or the optimizer's
-    maximizers (a list of rate matrices of mixed size).  Returns ``(inv,
+    """The kernel verdict of each matrix of a stack ``mats[k]``, (K, n, n):
+    whole generators, a chain's rate matrices, or the optimizer's maximizers,
+    rate matrices of the ``sizes[k]`` padded with zeros to n.  Returns ``(inv,
     errors, scale)``: each trace-row matrix's inverse, each failing point's
     error by its index, and ``max |mats[k]|``.
 
-    ``trace`` is the trace row of the largest size n, of ones for a list,
-    whose smaller matrices are padded to n with a block that the scaling of
-    :func:`_matrix_verdict` makes an identity: its columns sum to 1 in the
-    matrix and the inverse, and every real column sums to at least 1 in the
-    matrix (its trace entry), as does the inverse's first (``ones @ M^-1``
-    is the first unit row), so no 1-norm moves.  One inversion of the unscaled stack, the scaling
-    folded into its norms, gives each point's condition and keeps each
-    inverse that of its matrix alone.  A point passes there only at twice
-    the floor; any other is judged by :func:`_matrix_verdict` on its own
-    matrix, which alone fails a point, with a NaN inverse that no refinement
-    runs through.  An exactly singular (or non-finite) matrix fails the
-    stack, which is then inverted point by point."""
-    n, pad = len(trace), None
-    if isinstance(mats, np.ndarray):
-        m = mats.copy()
-    else:
-        pad = np.arange(n) >= np.array([len(mat) for mat in mats])[:, None]
-        m = np.zeros((len(mats), n, n))
-        for mk, mat in zip(m, mats):
-            mk[:len(mat), :len(mat)] = mat
+    ``trace`` is the trace row, of ones for a padded stack, whose padding
+    becomes a block that the scaling of :func:`_matrix_verdict` makes an
+    identity: its columns sum to 1 in the matrix and the inverse, and every
+    real column sums to at least 1 in the matrix (its trace entry), as does
+    the inverse's first (``ones @ M^-1`` is the first unit row), so no 1-norm
+    moves.  One inversion of the unscaled stack, the scaling folded into its
+    norms, gives each point's condition and keeps each inverse that of its
+    matrix alone.  A point passes there only at twice the floor; any other is
+    judged by :func:`_matrix_verdict` on its own unpadded block, which alone
+    fails a point, with a NaN inverse that no refinement runs through.  An
+    exactly singular (or non-finite) matrix fails the stack, which is then
+    inverted point by point."""
+    n, m = len(trace), mats.copy()
     size = np.abs(m)
     scale = size.max(axis=(1, 2))
     s = _rows_scale(scale)[:, None]
     m[:, 0, :] = trace
-    if pad is not None:  # the padding, an identity once its rows are over s
-        m[:, 0] *= ~pad
-        m.reshape(len(m), -1)[:, ::n + 1] += pad * s
+    if sizes is not None and min(sizes) < n:  # the padding, an identity once its rows are over s
+        pad = np.array(sizes)[:, None] <= np.arange(n)
+        np.copyto(m[:, 0], 0.0, where=pad)
+        np.copyto(m.reshape(len(m), -1)[:, ::n + 1], s, where=pad)
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:  # an exactly singular (or non-finite) matrix
@@ -230,7 +224,8 @@ def _kernel_decisions(mats: np.ndarray | list[np.ndarray], trace: np.ndarray
     errors = {}
     with np.errstate(over="ignore"):  # the inverse of a matrix of no use sums past the range
         for k in np.flatnonzero(~above):
-            exc = _matrix_verdict(mats[k], trace[:len(mats[k])], scale[k])
+            own = n if sizes is None else sizes[k]
+            exc = _matrix_verdict(mats[k, :own, :own], trace[:own], scale[k])
             if exc is not None:
                 errors[int(k)], inv[k] = exc, np.nan
     return inv, errors, scale

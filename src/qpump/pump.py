@@ -161,9 +161,8 @@ class PumpConfig(_ThreeBathConfig):
             c, h = (np.ravel(x)[np.argmin(ok)] for x in (self.omega_c, self.omega_h))
             raise ValueError(f"need 0 < omega_c < omega_h, got omega_c={c}, omega_h={h}")
         self._check_baths()
-        floor = WEAK_COUPLING_FRACTION * min(_least(self.omega_c), _least(self.omega_w),
-                                             self.cold.temperature)
-        if max(self.work.gamma, self.hot.gamma, self.cold.gamma) > floor:
+        if _strained((self.work.gamma, self.hot.gamma, self.cold.gamma), self.omega_c,
+                     self.omega_w, self.cold.temperature):
             _warn_at_caller("dissipation strength exceeds the weak-coupling threshold; "
                             "the Markovian-secular master equation is being stretched",
                             WeakCouplingWarning)
@@ -253,6 +252,11 @@ def _least(x):
     np.min does the same but costs about 2 us on a float, and a scalar
     decay_rates call makes three domain checks."""
     return x.min() if isinstance(x, np.ndarray) else x
+
+
+def _strained(gammas, omega_c, omega_w, t_cold) -> bool:
+    """Whether a strength exceeds WEAK_COUPLING_FRACTION of min(omega_c, omega_w, T_c)."""
+    return max(gammas) > WEAK_COUPLING_FRACTION * min(_least(omega_c), _least(omega_w), t_cold)
 
 
 def _check_frequency(omega) -> None:

@@ -518,8 +518,8 @@ def _ladder(n: int) -> _Chain:
     """The N-level ladder's chain of six rates (work, hot, cold; down then
     up): its edges (k, k+1), the cold bath's for even k and the work
     bath's for odd k, then the hot bath's (k, k+2), each in order of k
-    (:func:`~qpump.pump.transition_pairs`).  The ladder's only description:
-    its matrices (:meth:`_Chain.blocks`) and :func:`_ladder_slots` derive from it."""
+    (:func:`~qpump.pump.transition_pairs`).  The ladder's only description: its matrices
+    (:meth:`_Chain.blocks`, :func:`_ladder_entries`) and :func:`_ladder_slots` derive from it."""
     k = np.arange(n - 1)
     return _Chain(np.r_[k, k[:-1]], np.r_[k + 1, k[1:] + 1], np.r_[5 - 4 * (k % 2), [3] * (n - 2)],
                   (slice(1, n - 1, 2), slice(n - 1, None), slice(0, n - 1, 2)))
@@ -538,6 +538,16 @@ def _ladder_slots(n: int, levels: int) -> np.ndarray:
     slots[up, chain.lo], slots[up + 1, chain.hi] = chain.rise, chain.rise - 1
     slots.setflags(write=False)
     return slots
+
+
+@lru_cache(maxsize=None)
+def _ladder_entries(n: int, levels: int) -> np.ndarray:
+    """The read-only flat entry table of the N-level ladder's rate matrix padded to
+    ``levels``: each entry's index among the six rates (:meth:`_Chain.blocks`), else 6, a zero."""
+    chain, entries = _ladder(n), np.full((levels, levels), 6)
+    entries[np.r_[chain.hi, chain.lo], chain.ends] = chain.pair
+    entries.setflags(write=False)
+    return entries.reshape(-1)
 
 
 @lru_cache(maxsize=None)

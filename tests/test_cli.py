@@ -239,11 +239,20 @@ class TestHistogramCli:
         assert rows == []
         assert meta["samples"] == "0"
 
-    def test_thread_count_invariance(self, tmp_path):
+    def test_thread_count_invariance(self, tmp_path, monkeypatch):
+        # 40 samples are two chunks of 32, so two threads run a pool of two
+        # workers, whose output is the serial run's
+        import concurrent.futures
+
+        pools, executor = [], concurrent.futures.ProcessPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda max_workers: pools.append(max_workers)
+                            or executor(max_workers=max_workers))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = ["histogram", "--samples", "24", "--seed", "7"]
+        base = ["histogram", "--samples", "40", "--seed", "7"]
         assert run(base + ["--threads", "1", "--output", str(a)]) == 0
-        assert run(base + ["--threads", "8", "--output", str(b)]) == 0
+        assert run(base + ["--threads", "2", "--output", str(b)]) == 0
+        assert pools == [2]
         assert a.read_bytes() == b.read_bytes()
 
     def test_pool_has_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
@@ -302,6 +311,27 @@ class TestCurveAndCompare:
 
     def test_missing_g_rejected(self, reference_params, tmp_path):
         assert run(["curve", "--params", reference_params]) == 1
+
+    @pytest.mark.parametrize("command", [["curve", "--system", "ideal"],
+                                         ["curve", "--system", "three_qubit"], ["compare"]],
+                             ids=["curve_ideal", "curve_three_qubit", "compare"])
+    @pytest.mark.parametrize("overrides", [[], ["gamma_w=50"], ["gamma_c=0.5"], ["T_c=1e-3"],
+                                           ["omega_c=1e-3"], ["gamma_h=0.01"],
+                                           ["omega_c=-1", "gamma_w=50"]])
+    def test_strained_bath_warns_as_currents_does(self, command, overrides, three_qubit_params,
+                                                  capsys):
+        # the warning follows the ideal pump at the file's own frequencies:
+        # a bath that strains its weak coupling prints the line that
+        # currents prints, and the run still exits 0; the file's own baths,
+        # one just below the threshold and a pump that does not build
+        # (omega_c < 0, which the curves never use) print nothing
+        sets = [a for o in overrides for a in ("--set", o)]
+        run(["currents", "--params", three_qubit_params, *sets])
+        warned = capsys.readouterr().err.startswith(WEAK)
+        assert warned == (overrides[:1] in (["gamma_w=50"], ["gamma_c=0.5"], ["T_c=1e-3"],
+                                            ["omega_c=1e-3"]))
+        assert run([*command, "--params", three_qubit_params, "--points", "3", *sets]) == 0
+        assert capsys.readouterr().err == (WEAK if warned else "")
 
     def test_rows_are_the_characteristic_curve(self, three_qubit_params, tmp_path):
         # the CLI's rows come from the curve's columns; the library's points,
@@ -421,10 +451,11 @@ class TestErrorReporting:
     def test_compare_without_cooling_power_is_a_solver_failure(self, overrides, with_params,
                                                                capsys):
         # a curve with no cooling power has no power ratio; it divided by
-        # zero before
+        # zero before.  Both baths strain the weak coupling at the file's
+        # own frequencies, whose warning comes first
         argv = ["compare", "--params", "@three_qubit", "--points", "4"]
         assert run(with_params(argv) + [a for o in overrides for a in ("--set", o)]) == 2
-        assert capsys.readouterr().err == (
+        assert capsys.readouterr().err == WEAK + (
             "qpump: solver failure: NoCoolingPowerError: "
             "ideal curve has no cooling power: q_c_max = 0.0\n")
 
@@ -441,14 +472,17 @@ class TestErrorReporting:
         # a seeded fuzz over the two subcommands that share the stacked
         # solve: every override set of values from the edge of the double
         # range (and past it) ends in an exit code, with a one-line verdict
-        # on stderr for a configuration error or a solver failure
+        # on stderr for a configuration error or a solver failure, after at
+        # most the one weak-coupling warning line
         codes = []
         for argv in curve_compare_fuzz(three_qubit_params):
             codes.append(run(argv))
             err = capsys.readouterr().err
             assert codes[-1] in (0, 1, 2), argv
             if codes[-1]:
-                assert err.count("\n") == 1 and err.startswith("qpump: "), (argv, err)
+                verdict = err.removeprefix(WEAK)
+                assert verdict.count("\n") == 1 and verdict.startswith("qpump: "), (argv, err)
+                assert not verdict.startswith("qpump: warning: "), (argv, err)
         assert {0, 1, 2} <= set(codes)
 
     def test_svd_lets_no_failed_chain_point_of_the_fuzz_stand(self, three_qubit_params,
@@ -942,6 +976,25 @@ class TestAbInprocess:
             ["ensemble_serial", "curve_ideal", "curve_three_qubit"]
         assert all("ratio parent/change: median" in line and line.endswith(" of 3 pairs")
                    for line in lines)
+        assert sys.modules["qpump.cli"] is qpump.cli
+
+    @pytest.mark.parametrize("workload, items, command",
+                             [("optimize", 1, "optimize"), ("sweep_n", 24, "sweep-n")])
+    def test_stack_workloads_time_the_reference_chiller(self, tmp_path, capsys, workload,
+                                                        items, command):
+        # the optimizer's small stacks: one identical call per item count,
+        # on the change's reference chiller, outside the benchmark's "all"
+        parent, change = self.tree(tmp_path / "parent"), self.tree(tmp_path / "change")
+        ab = load_tool("ab_inprocess")
+        count, make_argv = ab.workload_argv(workload, 5, change)
+        assert count == items
+        assert make_argv(0) == make_argv(3) == [
+            command, "--params", str(change / "params" / "reference_chiller.params")]
+        assert workload not in ab.WORKLOADS
+        assert ab.main([str(parent), str(change), "--workload", workload,
+                        "--pairs", "3", "--batch", "2"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"{workload}: ") and line.endswith(" of 3 pairs")
         assert sys.modules["qpump.cli"] is qpump.cli
 
     def test_a_differing_output_exits_one(self, tmp_path, capsys):

@@ -442,6 +442,27 @@ class TestSlotTable:
             assert not gathered[:, n:, cols].any()
             assert (dead[n:, cols] == 1.0).all() and not dead[:n, cols].any()
 
+    @pytest.mark.parametrize("sizes", [*([n] for n in range(3, 11)), [3, 10], [10, 3],
+                                       [4, 10, 3, 7], [5, 5, 9, 6, 8], list(range(3, 11))])
+    def test_padded_blocks_are_each_ladders_blocks(self, sizes):
+        # the maximizers' padded stack: each top-left block is its ladder's
+        # dense rate matrix, bit for bit, on rates spanning 17 decades and on
+        # rates whose out-rates overflow to inf under the caller's errstate,
+        # and the padding is exactly zero
+        rng = np.random.default_rng(len(sizes) * max(sizes))
+        levels = max(sizes)
+        draws = np.exp(rng.uniform(-20.0, 20.0, (50, len(sizes), 6)))
+        for rates in [*draws, np.full((len(sizes), 6), 1e308)]:
+            with np.errstate(over="ignore"):
+                stack = qpump.experiments._padded_blocks(sizes, rates)
+            assert stack.shape == (len(sizes), levels, levels)
+            for block, n, r in zip(stack, sizes, rates):
+                (alone,) = qpump.steady._ladder(n).blocks(r[:, None])
+                assert block[:n, :n].tobytes() == alone.tobytes()
+                padding = block.copy()
+                padding[:n, :n] = 0.0
+                assert not padding.any()
+
 
 class TestStackedGrid:
     # the grid and the scalar step run one body: equal bit for bit
@@ -582,18 +603,20 @@ class TestMaximizerVerdicts:
         # and judges at that omega_c, bit for bit
         stacks, decisions = [], qpump.experiments._kernel_decisions
         monkeypatch.setattr(qpump.experiments, "_kernel_decisions",
-                            lambda mats, trace: stacks.append(mats) or decisions(mats, trace))
+                            lambda mats, trace, sizes: stacks.append((mats, sizes))
+                            or decisions(mats, trace, sizes))
         evs = [_CoolingPowerEvaluator(cfg) for cfg in _draws(ranges, range(64))]
         _solve_grids(evs)
         _refine_and_judge(evs)
-        (mats,) = stacks
+        ((mats, sizes),) = stacks
         assert len(mats) == len(evs) == 64  # every maximizer judged
+        assert sizes == [ev.n for ev in evs]
         for ev, mat in zip(evs, mats):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", WeakCouplingWarning)
                 cfg = dataclasses.replace(ev.template, omega_c=ev.maximum[0])
             (solved,) = qpump.steady._ladder(ev.n).blocks(qpump.steady._bath_rates(cfg))
-            assert mat.tobytes() == solved.tobytes()
+            assert mat[:ev.n, :ev.n].tobytes() == solved.tobytes()
 
     # the bands of the corpus: a chunk's ranges lie within them, the ratios
     # of the temperatures from just above 1
@@ -647,8 +670,8 @@ class TestMaximizerVerdicts:
         stacks = []
         decisions = qpump.experiments._kernel_decisions
         monkeypatch.setattr(qpump.experiments, "_kernel_decisions",
-                            lambda mats, trace: stacks.append([len(m) for m in mats])
-                            or decisions(mats, trace))
+                            lambda mats, trace, sizes: stacks.append(sizes)
+                            or decisions(mats, trace, sizes))
         maximize_cooling_power(reference_pump(5))
         assert stacks == [[5]]
         del stacks[:]
@@ -661,6 +684,22 @@ class TestMaximizerVerdicts:
         firsts = [cfg.n_levels for cfg in _draws(ranges, range(8))]
         assert stacks == [firsts[:1] + firsts[2:],
                           [_draw(ranges, 1, 1).n_levels]]
+
+    def test_chunk_builds_no_matrix_alone_and_judges_one_array(self, monkeypatch):
+        # an 8-sample chunk with no redraw: no one-point _Chain.blocks call,
+        # and one verdict call, on the (8, L, L) padded array with its sizes
+        calls = []
+        blocks, decisions = qpump.steady._Chain.blocks, qpump.experiments._kernel_decisions
+        monkeypatch.setattr(qpump.steady._Chain, "blocks",
+                            lambda chain, rates: calls.append("blocks") or blocks(chain, rates))
+        monkeypatch.setattr(qpump.experiments, "_kernel_decisions",
+                            lambda mats, trace, sizes: calls.append(
+                                (type(mats), mats.shape, sizes))
+                            or decisions(mats, trace, sizes))
+        ranges = SampleRanges(seed=7)
+        assert cop_histogram(ranges, 8, threads=1).rejected == 0
+        firsts = [cfg.n_levels for cfg in _draws(ranges, range(8))]
+        assert calls == [(np.ndarray, (8, max(firsts), max(firsts)), firsts)]
 
 
 class TestStoredBrackets:

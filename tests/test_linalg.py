@@ -394,8 +394,12 @@ def overflowed(mat, bad):
 
 def padded_verdicts(mats):
     """The verdict of each chain rate matrix of ``mats``, of mixed sizes,
-    from one stack of them padded to the largest: None or its error."""
-    _, errors, _ = _kernel_decisions(mats, np.ones(max(map(len, mats))))
+    from one stack of them padded with zeros to the largest: None or its error."""
+    sizes = [len(mat) for mat in mats]
+    stack = np.zeros((len(mats), max(sizes), max(sizes)))
+    for block, mat in zip(stack, mats):
+        block[:len(mat), :len(mat)] = mat
+    _, errors, _ = _kernel_decisions(stack, np.ones(max(sizes)), sizes)
     return [errors.get(k) for k in range(len(mats))]
 
 

@@ -4,6 +4,7 @@ Usage::
 
     python3 tools/ab_inprocess.py PARENT CHANGE --workload ensemble_serial --pairs 80
     python3 tools/ab_inprocess.py PARENT CHANGE --workload all --pairs 60
+    python3 tools/ab_inprocess.py PARENT CHANGE --workload optimize --pairs 60
 
 Each checkout's ``src/qpump`` is imported into this one process under its
 own set of ``qpump`` modules, which go into ``sys.modules`` while that side
@@ -13,13 +14,17 @@ ones.  The argv are those of the benchmark's workloads
 (``perfbench/run.py``): ``ensemble_serial`` is ``histogram --threads 1`` of 8
 samples at a new seed per call, and ``curve_ideal`` and
 ``curve_three_qubit`` are identical ``curve`` calls of 24 + seed % 9 points
-on ``params/three_qubit.params`` of the change.
+on ``params/three_qubit.params`` of the change.  Two more workloads time the
+optimizer's small stacks of maximizers, outside the benchmark: ``optimize``
+(one item, a stack of one) and ``sweep_n`` (24 items, three stacks of
+N = 3..10) are identical calls on ``params/reference_chiller.params`` of
+the change.
 
 The speed of a shared machine drifts by up to a third within seconds, so
 that two benchmark runs half a minute apart resolve a 10 % gain poorly; a
 pair here takes a fraction of a second, and both of its batches see about
-the same speed.  ``--workload all`` runs the three workloads in turn, each
-with its own pairs.  It prints one line per workload: each side's median
+the same speed.  ``--workload all`` runs the three benchmark workloads in
+turn, each with its own pairs.  It prints one line per workload: each side's median
 items per second and the median and quartiles of the pairs' ratios, the
 parent's batch time over the change's (above 1 when the change is faster).
 
@@ -39,9 +44,12 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("ensemble_serial", "curve_ideal", "curve_three_qubit")
+STACKS = ("optimize", "sweep_n")
 ENSEMBLE_SAMPLES = 8
 CURVE_POINTS = 24
 CURVE_PARAMS = "params/three_qubit.params"
+STACK_PARAMS = "params/reference_chiller.params"
+SWEEP_ITEMS = 24  # N = 3..10 in each of the three work-bath variants
 
 
 class Side:
@@ -88,18 +96,23 @@ def load_side(name: str, root: Path) -> Side:
     return Side(name, modules, cli.run)
 
 
-def workload_argv(workload: str, seed: int, params: Path):
-    """``(items, argv(index))`` of one benchmark workload at one seed."""
+def workload_argv(workload: str, seed: int, root: Path):
+    """``(items, argv(index))`` of one workload at one seed, on the
+    parameter files under ``root``."""
     if workload == "ensemble_serial":
         return ENSEMBLE_SAMPLES, lambda index: [
             "histogram", "--seed", str(seed * 1_000_003 + index),
             "--samples", str(ENSEMBLE_SAMPLES), "--threads", "1"]
     if workload in ("curve_ideal", "curve_three_qubit"):
         points = CURVE_POINTS + seed % 9
-        argv = ["curve", "--params", str(params), "--system", workload.removeprefix("curve_"),
+        argv = ["curve", "--params", str(root / CURVE_PARAMS),
+                "--system", workload.removeprefix("curve_"),
                 "--points", str(points), "--seed", str(seed)]
         return points, lambda index: argv
-    raise ValueError(f"unknown workload {workload!r}; expected one of {WORKLOADS}")
+    if workload in STACKS:
+        argv = [workload.replace("_", "-"), "--params", str(root / STACK_PARAMS)]
+        return (1 if workload == "optimize" else SWEEP_ITEMS), lambda index: argv
+    raise ValueError(f"unknown workload {workload!r}; expected one of {WORKLOADS + STACKS}")
 
 
 def timed_batch(side: Side, argvs: list[list[str]]) -> tuple[float, list[tuple[int, str]]]:
@@ -138,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True, choices=(*WORKLOADS, "all"))
+    parser.add_argument("--workload", required=True, choices=(*WORKLOADS, *STACKS, "all"))
     parser.add_argument("--pairs", type=int, default=80)
     parser.add_argument("--batch", type=int, default=5, help="calls per side and pair")
     parser.add_argument("--seed", type=int, default=1)
@@ -151,8 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     saved = _qpump_modules()
     try:
         for workload in workloads:
-            items, make_argv = workload_argv(workload, args.seed,
-                                             args.change.resolve() / CURVE_PARAMS)
+            items, make_argv = workload_argv(workload, args.seed, args.change.resolve())
             for side in (parent, change):  # lazy imports and caches, untimed
                 side.call(make_argv(-1))
             p_seconds, c_seconds, found = run_pairs(parent, change, make_argv,
